@@ -15,14 +15,17 @@ from .errors import (
 from .graded import (
     BanachFiber,
     EquivalenceOutcome,
-    FiberPoint,
     Grading,
     GradingValidationReport,
+    ProductBatch,
     ProductSpace,
     RatioWitness,
+    SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
+    as_batch,
+    certificate_violations,
     certify_grading_equivalence,
     custom_grading,
     inner_product,

@@ -11,6 +11,7 @@ ever written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -40,6 +41,8 @@ EXIT_CONSTRUCTION_FAILED = 4
 EXIT_USAGE = 64
 
 COMMANDS = ("certify-gradings", "certify-map", "solve", "atlas")
+#: commands that search level shifts r in 0..r_max
+_LEVEL_SHIFT_COMMANDS = ("certify-gradings", "certify-map", "atlas")
 GRADING_NAMES = ("l1", "linf", "decreasing")
 
 
@@ -86,6 +89,10 @@ class RunConfig:
             raise ConfigError("tolerance must be positive and finite")
         if self.r_max < 0:
             raise ConfigError("r_max must be >= 0")
+        if self.command in _LEVEL_SHIFT_COMMANDS and self.r_max > self.nmax:
+            raise ConfigError(
+                f"r_max {self.r_max} exceeds nmax {self.nmax}; level shifts "
+                f"must lie in 0..nmax")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.command == "certify-gradings":
@@ -187,6 +194,11 @@ def _grading_by_name(name: str, n_max: int) -> Grading:
         n_max, kind="decreasing")
 
 
+def _finite_or_none(x: float) -> Optional[float]:
+    """Witness ratios that are infinite or NaN are written as null."""
+    return x if math.isfinite(x) else None
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def cmd_certify_gradings(cfg: RunConfig) -> int:
         "r": failure.witness.r,
         "level": failure.witness.level,
         "probe_index": failure.witness.probe_index,
-        "ratio": failure.witness.ratio,
+        "ratio": _finite_or_none(failure.witness.ratio),
         "reason": failure.witness.reason,
         "probe": failure.probe.to_json(),
     })
@@ -262,7 +274,7 @@ def cmd_certify_map(cfg: RunConfig) -> int:
         "r": witness.r,
         "level": witness.level,
         "probe_index": witness.probe_index,
-        "ratio": witness.ratio,
+        "ratio": _finite_or_none(witness.ratio),
         "reason": witness.reason,
     })
     return EXIT_CERTIFICATION_FAILED
@@ -444,11 +456,18 @@ def _check_thread_cap():
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    # The parser is a reference cycle. Built with the collector paused, it
+    # stays in the youngest generation and the next young collection frees
+    # it; otherwise it can be promoted and linger until a full collection.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
     try:
         _check_thread_cap()
         cfg = build_config(args)

@@ -21,6 +21,7 @@ the finite-truncation shadow of an unbounded constant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -43,10 +44,11 @@ _NORM_KINDS = ("euclidean", "supremum", "sum")
 _PROVENANCES = ("analytic", "empirical", "derived-analytic")
 
 
-def within_upper(lhs: float, rhs: float, atol: float = DEFAULT_ATOL,
-                 rtol: float = DEFAULT_RTOL) -> bool:
-    """lhs <= rhs up to the package-wide absolute-plus-relative tolerance."""
-    return lhs <= rhs + atol + rtol * max(abs(lhs), abs(rhs))
+def within_upper(lhs, rhs, atol: float = DEFAULT_ATOL,
+                 rtol: float = DEFAULT_RTOL):
+    """lhs <= rhs up to the package-wide absolute-plus-relative tolerance;
+    elementwise for arrays.  NaN on either side is never within."""
+    return lhs <= rhs + atol + rtol * np.maximum(np.abs(lhs), np.abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +84,6 @@ class BanachFiber:
         return BanachFiber(self.dimension, "complex", self.norm_kind)
 
     def norm(self, coordinates) -> float:
-        if isinstance(coordinates, FiberPoint):
-            coordinates = coordinates.coordinates
         a = np.abs(np.asarray(coordinates))
         if a.shape != (self.dimension,):
             raise ValueError(
@@ -96,13 +96,15 @@ class BanachFiber:
         return float(np.sum(a))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise norms of a (count, dimension) coordinate block."""
+        """Norms along the last axis of a (..., dimension) coordinate block."""
         a = np.abs(np.asarray(rows))
         if self.norm_kind == "euclidean":
-            return np.sqrt(np.sum(a * a, axis=1))
+            a *= a
+            out = np.sum(a, axis=-1)
+            return np.sqrt(out, out=out)
         if self.norm_kind == "supremum":
-            return np.max(a, axis=1)
-        return np.sum(a, axis=1)
+            return np.max(a, axis=-1)
+        return np.sum(a, axis=-1)
 
     def unit(self, axis: int = 0) -> np.ndarray:
         if not 0 <= axis < self.dimension:
@@ -112,30 +114,12 @@ class BanachFiber:
         return u
 
 
-@dataclass(frozen=True)
-class FiberPoint:
-    """One coefficient: a single point of a Banach fiber."""
-
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coordinates)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coordinates", arr)
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-
 class TruncatedSequence:
     """Coefficients f_0 .. f_K in a fixed fiber, immutable after construction."""
 
     __slots__ = ("fiber", "_coeffs")
 
     def __init__(self, fiber: BanachFiber, coefficients):
-        if isinstance(coefficients, (list, tuple)) and coefficients and \
-                isinstance(coefficients[0], FiberPoint):
-            coefficients = [p.coordinates for p in coefficients]
         arr = np.array(coefficients, dtype=fiber.dtype)
         if arr.ndim == 1:
             if fiber.dimension != 1:
@@ -148,6 +132,14 @@ class TruncatedSequence:
         arr.setflags(write=False)
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "_coeffs", arr)
+
+    @classmethod
+    def _view(cls, fiber: BanachFiber, block: np.ndarray) -> "TruncatedSequence":
+        """A sequence over a read-only (K+1, d) block, without a copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "fiber", fiber)
+        object.__setattr__(f, "_coeffs", block)
+        return f
 
     # construction helpers -------------------------------------------------
 
@@ -186,8 +178,7 @@ class TruncatedSequence:
 
     def degree(self) -> int:
         """Largest k with a nonzero coefficient, -1 for the zero sequence."""
-        nz = np.nonzero(self.coefficient_norms() > 0.0)[0]
-        return int(nz[-1]) if nz.size else -1
+        return int(_degrees(self.coefficient_norms()))
 
     def is_zero(self) -> bool:
         return self.degree() < 0
@@ -247,6 +238,179 @@ class TruncatedSequence:
         return cls(fiber, block)
 
 
+def _degrees(norms: np.ndarray):
+    """Largest k with norms[k] > 0 along axis 0, -1 where there is none."""
+    nonzero = norms > 0.0
+    last = norms.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+    return np.where(nonzero.any(axis=0), last, -1)
+
+
+#: probes per slice when coefficient norms of a batch are computed; bounds
+#: the (P, K+1, d) temporaries of the fiber norm
+_NORM_SLICE = 128
+
+
+class SequenceBatch:
+    """P sequences of one fiber and truncation degree as one (P, K+1, d)
+    coefficient block, read-only through the batch.
+
+    It behaves like a list of TruncatedSequence: len, indexing, iteration
+    and + concatenation.  An indexed element is a view of one row of the
+    block, not a copy, and indexing the same position twice returns the same
+    object.  Seminorms and degrees of a batch hold one value per element.
+    """
+
+    __slots__ = ("fiber", "_block", "_norms", "_views")
+
+    def __init__(self, fiber: BanachFiber, block):
+        arr = np.asarray(block, dtype=fiber.dtype).view()
+        if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != fiber.dimension:
+            raise ValueError(
+                f"a batch must form a (P, K+1, {fiber.dimension}) block, "
+                f"got shape {arr.shape}")
+        arr.setflags(write=False)
+        self.fiber = fiber
+        self._block = arr
+        self._norms = None
+        self._views = {}
+
+    @classmethod
+    def stack(cls, sequences: Sequence[TruncatedSequence]) -> "SequenceBatch":
+        """One batch from sequences that share a fiber and truncation."""
+        if not sequences:
+            raise ValueError("cannot stack an empty sequence list")
+        fiber = sequences[0].fiber
+        for f in sequences:
+            if f.fiber != fiber:
+                raise ValueError("sequences must share one fiber")
+        try:
+            block = np.stack([f.coefficients for f in sequences])
+        except ValueError as err:
+            raise ValueError(
+                "sequences must share one truncation degree") from err
+        return cls(fiber, block)
+
+    @property
+    def truncation_degree(self) -> int:
+        return self._block.shape[1] - 1
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self._block
+
+    def __len__(self) -> int:
+        return self._block.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SequenceBatch(self.fiber, self._block[index])
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"batch index {index} out of range")
+        view = self._views.get(i)
+        if view is None:
+            view = TruncatedSequence._view(self.fiber, self._block[i])
+            self._views[i] = view
+        return view
+
+    def __iter__(self):
+        for row in self._block:
+            yield TruncatedSequence._view(self.fiber, row)
+
+    def __add__(self, other):
+        if isinstance(other, SequenceBatch) and other.fiber == self.fiber \
+                and other.truncation_degree == self.truncation_degree:
+            return SequenceBatch(self.fiber, np.concatenate(
+                (self._block, other._block)))
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def _norm_slices(self):
+        """(start, norms) per slice of probes, norms of shape (K+1, S)."""
+        for start in range(0, len(self), _NORM_SLICE):
+            yield start, self.fiber.norms(
+                self._block[start:start + _NORM_SLICE]).T
+
+    def coefficient_norms(self) -> np.ndarray:
+        """Fiber norms as a (K+1, P) array, computed once per batch."""
+        if self._norms is None:
+            norms = np.empty((self._block.shape[1], len(self)))
+            for start, v in self._norm_slices():
+                norms[:, start:start + v.shape[1]] = v
+            self._norms = norms
+        return self._norms
+
+    def degree(self) -> np.ndarray:
+        """Per-element degrees: largest k with a nonzero coefficient.
+
+        Computed slice by slice, so no (K+1, P) array is kept for it."""
+        out = np.empty(len(self), dtype=np.intp)
+        for start, v in self._norm_slices():
+            out[start:start + v.shape[1]] = _degrees(v)
+        return out
+
+    def __repr__(self):
+        return (f"SequenceBatch(P={len(self)}, K={self.truncation_degree}, "
+                f"dim={self.fiber.dimension}, field={self.fiber.scalar_field})")
+
+
+class ProductBatch:
+    """Elements of a product space: one SequenceBatch per factor, aligned.
+
+    Indexing returns the tuple of row views, one per factor.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Sequence[SequenceBatch]):
+        parts = tuple(parts)
+        if not parts or len({len(p) for p in parts}) != 1:
+            raise ValueError("product batch parts must share one length")
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ProductBatch(p[index] for p in self.parts)
+        return tuple(p[index] for p in self.parts)
+
+    def __iter__(self):
+        return zip(*self.parts)
+
+    def __add__(self, other):
+        if isinstance(other, ProductBatch) and \
+                len(other.parts) == len(self.parts):
+            return ProductBatch(a + b for a, b in zip(self.parts, other.parts))
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def degree(self) -> np.ndarray:
+        """Per-element degrees: the max over the factors."""
+        return np.maximum.reduce([p.degree() for p in self.parts])
+
+
+def as_batch(elements):
+    """A SequenceBatch or ProductBatch holding elements; a plain list of
+    sequences or of product tuples is stacked once."""
+    if isinstance(elements, (SequenceBatch, ProductBatch)):
+        return elements
+    elements = list(elements)
+    if not elements:
+        raise ValueError("probe set is empty")
+    if isinstance(elements[0], TruncatedSequence):
+        return SequenceBatch.stack(elements)
+    return ProductBatch(SequenceBatch.stack(column)
+                        for column in zip(*elements))
+
+
 # ---------------------------------------------------------------------------
 # seminorms
 # ---------------------------------------------------------------------------
@@ -267,27 +431,38 @@ def _check_level(f: TruncatedSequence, n: int, n_max: Optional[int]):
             f"guard {MAX_LEVEL_EXPONENT}")
 
 
-def seminorm_l1(f: TruncatedSequence, n: int, n_max: Optional[int] = None) -> float:
-    """Sum of e^{nk} |f_k|, accumulated in ascending k with no compensation."""
-    _check_level(f, int(n), n_max)
-    w = _weights(int(n), f.truncation_degree)
-    v = f.coefficient_norms()
-    total = 0.0
-    for k in range(f.truncation_degree + 1):
-        total = total + w[k] * float(v[k])
-    return total
+def _seminorm_value(f, acc):
+    return float(acc) if isinstance(f, TruncatedSequence) else acc
 
-def seminorm_linf(f: TruncatedSequence, n: int, n_max: Optional[int] = None) -> float:
-    """Max over k of e^{nk} |f_k|."""
+
+def seminorm_l1(f, n: int, n_max: Optional[int] = None):
+    """Sum of e^{nk} |f_k|, accumulated in ascending k with no compensation.
+
+    f is one TruncatedSequence (a float is returned) or a SequenceBatch (one
+    value per element); both run the same loop, over coefficient norms of
+    shape (K+1,) or (K+1, P), so they agree bit for bit.
+    """
     _check_level(f, int(n), n_max)
     w = _weights(int(n), f.truncation_degree)
     v = f.coefficient_norms()
-    best = 0.0
+    acc = 0.0
     for k in range(f.truncation_degree + 1):
-        value = w[k] * float(v[k])
-        if value > best:
-            best = value
-    return best
+        acc = acc + w[k] * v[k]
+    return _seminorm_value(f, acc)
+
+
+def seminorm_linf(f, n: int, n_max: Optional[int] = None):
+    """Max over k of e^{nk} |f_k|, for one sequence or a batch.
+
+    NaN coefficients propagate, so a non-finite sequence never reads small.
+    """
+    _check_level(f, int(n), n_max)
+    w = _weights(int(n), f.truncation_degree)
+    v = f.coefficient_norms()
+    acc = 0.0
+    for k in range(f.truncation_degree + 1):
+        acc = np.maximum(acc, w[k] * v[k])
+    return _seminorm_value(f, acc)
 
 
 def inner_product(f: TruncatedSequence, g: TruncatedSequence, level: int = 0) -> float:
@@ -344,45 +519,30 @@ def custom_grading(evaluator, n_max: int = DEFAULT_N_MAX, kind: str = "custom") 
     return Grading(kind, n_max, evaluator)
 
 
-def seminorm_table(grading: Grading, probes: Sequence[TruncatedSequence],
+def seminorm_table(grading: Grading, probes,
                    levels: Optional[Sequence[int]] = None) -> np.ndarray:
     """Values table[j, i] = |probe_i|_{levels[j]}.
 
-    The l1/linf kinds take a vectorized path over probes that reproduces the
-    scalar ascending-k accumulation bit for bit.
+    probes is a SequenceBatch or a list of sequences, stacked once.  The
+    l1/linf kinds evaluate each level with one batched seminorm call; other
+    kinds call their evaluator once per probe and level.
     """
+    batch = as_batch(probes)
     if levels is None:
         levels = range(grading.n_max + 1)
     levels = [int(n) for n in levels]
-    if grading.kind not in ("l1", "linf"):
-        out = np.empty((len(levels), len(probes)))
-        for j, n in enumerate(levels):
-            for i, f in enumerate(probes):
-                out[j, i] = grading.seminorm(f, n)
-        return out
-
-    degrees = {f.truncation_degree for f in probes}
-    if len(degrees) != 1:
-        raise ValueError("probes must share one truncation degree")
-    K = degrees.pop()
-    norms = np.stack([f.coefficient_norms() for f in probes], axis=1)  # (K+1, P)
-    out = np.empty((len(levels), len(probes)))
-    for j, n in enumerate(levels):
+    for n in levels:
         if not 0 <= n <= grading.n_max:
             raise IndexError(f"level {n} outside 0..{grading.n_max}")
-        if n * K > MAX_LEVEL_EXPONENT:
-            raise ValueError("level*degree exceeds the overflow guard")
-        w = _weights(n, K)
-        if grading.kind == "l1":
-            acc = np.zeros(len(probes))
-            for k in range(K + 1):
-                acc = acc + w[k] * norms[k]
-            out[j] = acc
-        else:
-            acc = np.zeros(len(probes))
-            for k in range(K + 1):
-                acc = np.maximum(acc, w[k] * norms[k])
-            out[j] = acc
+    out = np.empty((len(levels), len(batch)))
+    if grading.kind in ("l1", "linf"):
+        seminorm = seminorm_l1 if grading.kind == "l1" else seminorm_linf
+        for j, n in enumerate(levels):
+            out[j] = seminorm(batch, n)
+        return out
+    for j, n in enumerate(levels):
+        for i, f in enumerate(batch):
+            out[j, i] = grading.seminorm(f, n)
     return out
 
 
@@ -420,10 +580,15 @@ class SequenceSpace:
             return l1_grading(self.n_max)
         return linf_grading(self.n_max)
 
-    def seminorm(self, f: TruncatedSequence, n: int) -> float:
+    def seminorm(self, f, n: int):
+        """|f|_n of one sequence, or one value per element of a batch."""
         if self.grading_kind == "l1":
             return seminorm_l1(f, n, self.n_max)
         return seminorm_linf(f, n, self.n_max)
+
+    def seminorm_table(self, probes) -> np.ndarray:
+        """table[n, i] = |probe_i|_n for n = 0..n_max."""
+        return seminorm_table(self.grading(), probes)
 
     def zero(self) -> TruncatedSequence:
         return TruncatedSequence.zero(self.fiber, self.truncation_degree)
@@ -455,27 +620,39 @@ class ProductSpace:
     def n_max(self) -> int:
         return self.factors[0].n_max
 
-    def seminorm(self, element: Sequence[TruncatedSequence], n: int) -> float:
-        if len(element) != len(self.factors):
+    def _parts(self, element):
+        parts = element.parts if isinstance(element, ProductBatch) else element
+        if len(parts) != len(self.factors):
             raise ValueError("element arity does not match the product")
+        return parts
+
+    def seminorm(self, element, n: int):
+        """Sum of the factor seminorms, added in factor order; a ProductBatch
+        gives one value per element."""
         total = 0.0
-        for space, part in zip(self.factors, element):
+        for space, part in zip(self.factors, self._parts(element)):
             total = total + space.seminorm(part, n)
+        return total
+
+    def seminorm_table(self, probes) -> np.ndarray:
+        """Sum of the factor tables, added in factor order."""
+        total = 0.0
+        for space, part in zip(self.factors, self._parts(as_batch(probes))):
+            total = total + space.seminorm_table(part)
         return total
 
     def zero(self):
         return tuple(s.zero() for s in self.factors)
 
     def check_member(self, element):
-        if len(element) != len(self.factors):
-            raise ValueError("element arity does not match the product")
-        for space, part in zip(self.factors, element):
+        for space, part in zip(self.factors, self._parts(element)):
             space.check_member(part)
 
 
-def element_degree(element) -> int:
-    """Coefficient degree of a sequence, or the max over a product tuple."""
-    if isinstance(element, TruncatedSequence):
+def element_degree(element):
+    """Coefficient degree of a sequence, or the max over a product tuple;
+    a SequenceBatch or ProductBatch gives one degree per element."""
+    if isinstance(element, (TruncatedSequence, SequenceBatch, ProductBatch)):
         return element.degree()
     return max(part.degree() for part in element)
 
@@ -605,10 +782,20 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     nonvanishing numerator reject the shift outright; vanishing/vanishing
     pairs are excluded.  A shift is accepted when, at every level, the max
     ratio over probes of degree > degree_split stays within
-    stability_factor x the max over the rest.
+    stability_factor x the max over the rest.  Tables holding NaN or
+    infinity certify nothing: the witness names the first such entry, num
+    before den, with ratio NaN.  A ratio that overflows float64 rejects its
+    shift with ratio inf.
 
     Returns (certificate, witness); exactly one of the two is not None.
     """
+    for name, table in (("num", num), ("den", den)):
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            n, i = (int(x) for x in bad[0])
+            return None, RatioWitness(
+                forced_r or 0, n, i, math.nan,
+                f"non-finite {name} seminorm {float(table[n, i])}")
     n_levels = num.shape[0]
     n_max = n_levels - 1
     degrees = np.asarray(degrees)
@@ -644,6 +831,9 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
                         f"ratio grows with truncation degree "
                         f"({m_hi:.6g} > {stability_factor} * {m_lo:.6g})")
             constants[n] = float(np.max(ratios[included]))
+            if constants[n] == math.inf:
+                return None, RatioWitness(r, n, int(np.argmax(ratios)),
+                                          math.inf, "ratio overflows float64")
         if not constants:
             return None, RatioWitness(r, b, -1, math.inf,
                                       "no probe produced a usable ratio")
@@ -723,13 +913,14 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
         raise ValueError("r_max must lie in 0..n_max")
     if not probes:
         raise ValueError("probe set is empty")
-    degrees = [f.degree() for f in probes]
-    if max(degrees) < 0:
+    batch = as_batch(probes)
+    degrees = batch.degree()
+    if degrees.max() < 0:
         raise ValueError("degenerate probe set: every probe is zero")
-    split = max(f.truncation_degree for f in probes) // 2
+    split = batch.truncation_degree // 2
 
-    t1 = seminorm_table(g1, probes)
-    t2 = seminorm_table(g2, probes)
+    t1 = seminorm_table(g1, batch)
+    t2 = seminorm_table(g2, batch)
 
     fwd_cert, fwd_wit = certify_from_tables(
         t1, t2, degrees, split, b=b, r_max=r_max,
@@ -748,24 +939,35 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
     return EquivalenceOutcome(fwd_cert, bwd_cert, None)
 
 
+def certificate_violations(cert: TamenessCertificate, num: np.ndarray,
+                           den: np.ndarray, atol: float = DEFAULT_ATOL,
+                           rtol: float = DEFAULT_RTOL):
+    """Re-check num[n, i] <= C(n) * den[n + r, i] on full level tables.
+
+    Certified levels whose shifted level lies past the tables are skipped.
+    Returns the violations as (probe_index, level, lhs, bound) tuples,
+    level by level and in probe order within a level.
+    """
+    violations = []
+    for n in cert.levels:
+        if n + cert.r >= num.shape[0]:
+            continue
+        lhs = num[n]
+        bound = cert.C[n] * den[n + cert.r]
+        for i in np.flatnonzero(~within_upper(lhs, bound, atol, rtol)):
+            violations.append((int(i), n, float(lhs[i]), float(bound[i])))
+    return violations
+
+
 def validate_equivalence_certificate(cert: TamenessCertificate,
                                      g_num: Grading, g_den: Grading,
-                                     probes: Sequence[TruncatedSequence],
+                                     probes,
                                      atol: float = DEFAULT_ATOL,
                                      rtol: float = DEFAULT_RTOL):
     """Re-check |f|_num,n <= C(n) |f|_den,n+r on a probe set.
 
     Returns the violations as (probe_index, level, lhs, bound) tuples.
     """
-    levels = cert.levels
-    t_num = seminorm_table(g_num, probes, levels)
-    t_den = seminorm_table(g_den, probes, [n + cert.r for n in levels])
-    violations = []
-    for j, n in enumerate(levels):
-        c = cert.C[n]
-        for i in range(len(probes)):
-            lhs = float(t_num[j, i])
-            bound = c * float(t_den[j, i])
-            if not within_upper(lhs, bound, atol, rtol):
-                violations.append((i, n, lhs, bound))
-    return violations
+    batch = as_batch(probes)
+    return certificate_violations(cert, seminorm_table(g_num, batch),
+                                  seminorm_table(g_den, batch), atol, rtol)

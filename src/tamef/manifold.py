@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (ConstructionError, NonConvergenceError,
                      NotIntoSubmanifoldError, RegularityError,
                      SingularBlockError)
-from .graded import SequenceSpace, TamenessCertificate, TruncatedSequence
+from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
+    TruncatedSequence
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        flatten, is_regular_point, sphere_constraint,
                        sphere_intersection_constraint, unflatten)
@@ -228,7 +229,7 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
                            chart_b: Chart,
                            probes: Sequence[TruncatedSequence]
                            ) -> Tuple[TameMapDescriptor,
-                                      List[TruncatedSequence]]:
+                                      SequenceBatch]:
     """Chart-b coordinates as a function of chart-a coordinates.
 
     Offsets are embedded along the kernel bases so the transition becomes a
@@ -236,10 +237,11 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
     claimed region is the ball actually covered by the probe set.
     """
     space = manifold.ambient
-    offset_probes = [_embed_offsets(chart_a, _kernel_offsets(chart_a, q))
-                     for q in probes]
+    offset_probes = SequenceBatch.stack(
+        [_embed_offsets(chart_a, _kernel_offsets(chart_a, q))
+         for q in probes])
     level = manifold.constraint.level
-    radius = max(space.seminorm(h, level) for h in offset_probes) * 1.0001
+    radius = float(np.max(space.seminorm(offset_probes, level))) * 1.0001
 
     def evaluator(h: TruncatedSequence) -> TruncatedSequence:
         x = chart_a.split_data.coords_of(h)[0]

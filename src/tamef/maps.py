@@ -28,11 +28,15 @@ from .errors import InconsistentInverseError
 from .graded import (
     DEFAULT_ATOL,
     DEGREE_STABILITY_FACTOR,
+    ProductBatch,
     ProductSpace,
     RatioWitness,
+    SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
+    as_batch,
+    certificate_violations,
     certify_from_tables,
     element_degree,
 )
@@ -46,9 +50,9 @@ QUASI_SCALE_FACTOR = 2.0
 
 LINEARITY_TOL = 1e-9
 
-
-def _space_n_max(space: SpaceLike) -> int:
-    return space.n_max
+#: probes per slice of map_seminorm_tables; bounds the image block and the
+#: coefficient norms held at once
+_TABLE_SLICE = 256
 
 
 def _space_truncation(space: SpaceLike) -> int:
@@ -122,7 +126,7 @@ def validate_descriptor(desc: TameMapDescriptor,
             return defects
         outputs.append(desc(f))
     if desc.is_linear:
-        n = _space_n_max(desc.codomain)
+        n = desc.codomain.n_max
         for i in range(min(len(probes) - 1, 8)):
             f, g = probes[i], probes[i + 1]
             left = desc(add_elements(f, g))
@@ -155,52 +159,77 @@ class CertificationOutcome:
         return self.certificate is not None
 
 
-def map_seminorm_tables(desc: TameMapDescriptor, probes: Sequence[Element]):
-    """(num, den) tables: image and source seminorms per level and probe."""
-    n_max = _space_n_max(desc.domain)
-    if _space_n_max(desc.codomain) != n_max:
+def map_seminorm_tables(desc: TameMapDescriptor, probes):
+    """(num, den) tables: image and source seminorms per level and probe.
+
+    The map is evaluated once per probe.  Both tables are filled slice by
+    slice of probes, with one batched seminorm_table call per space and
+    slice.
+    """
+    n_max = desc.domain.n_max
+    if desc.codomain.n_max != n_max:
         raise ValueError("domain and codomain must share one level range")
-    num = np.empty((n_max + 1, len(probes)))
-    den = np.empty((n_max + 1, len(probes)))
-    for i, f in enumerate(probes):
-        out = desc(f)
-        for n in range(n_max + 1):
-            num[n, i] = desc.codomain.seminorm(out, n)
-            den[n, i] = desc.domain.seminorm(f, n)
+    batch = as_batch(probes)
+    num = np.empty((n_max + 1, len(batch)))
+    den = np.empty((n_max + 1, len(batch)))
+    for start in range(0, len(batch), _TABLE_SLICE):
+        part = batch[start:start + _TABLE_SLICE]
+        stop = start + len(part)
+        num[:, start:stop] = desc.codomain.seminorm_table(
+            _image_batch(desc, part))
+        den[:, start:stop] = desc.domain.seminorm_table(part)
     return num, den
 
 
-def certify_tame(desc: TameMapDescriptor, probes: Sequence[Element],
-                 r_max: int, *, b: int = 0, forced_r: Optional[int] = None,
+def _image_batch(desc: TameMapDescriptor, batch):
+    """desc(f) for every element, each image copied into a preallocated
+    block as soon as it is made, so no list of images is held."""
+    product = isinstance(desc.codomain, ProductSpace)
+    spaces = desc.codomain.factors if product else (desc.codomain,)
+    blocks = [np.empty((len(batch), s.truncation_degree + 1,
+                        s.fiber.dimension), dtype=s.fiber.dtype)
+              for s in spaces]
+    for i, f in enumerate(batch):
+        image = desc(f)
+        for block, part in zip(blocks, image if product else (image,)):
+            block[i] = part.coefficients
+    parts = [SequenceBatch(s.fiber, b) for s, b in zip(spaces, blocks)]
+    return ProductBatch(parts) if product else parts[0]
+
+
+def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *, b: int = 0,
+                 forced_r: Optional[int] = None,
                  stability_factor: float = DEGREE_STABILITY_FACTOR,
                  atol: float = DEFAULT_ATOL,
                  check_region: bool = True) -> CertificationOutcome:
     """Estimate the smallest accepted shift and constants for one map.
 
-    Nonlinear maps are compared against 1 + |f|_{n+r}; zero probes drop out
-    of linear ratios through the zero-denominator exclusion.
+    probes is a SequenceBatch, a ProductBatch, or a list of elements that is
+    stacked once.  Nonlinear maps are compared against 1 + |f|_{n+r}; zero
+    probes drop out of linear ratios through the zero-denominator exclusion.
     """
     if not probes:
         raise ValueError("probe set is empty")
-    n_max = _space_n_max(desc.domain)
+    n_max = desc.domain.n_max
     if r_max < 0 or r_max > n_max:
         raise ValueError("r_max must lie in 0..n_max")
+    batch = as_batch(probes)
+    num, den = map_seminorm_tables(desc, batch)
     if check_region and not desc.is_linear:
-        for i, f in enumerate(probes):
-            level_norm = desc.domain.seminorm(f, desc.region_level)
-            if level_norm > desc.region_radius + atol:
-                raise ValueError(
-                    f"probe {i} leaves the certification region "
-                    f"({level_norm:.6g} > {desc.region_radius:.6g})")
-    num, den = map_seminorm_tables(desc, probes)
+        level_norms = den[desc.region_level]
+        outside = np.flatnonzero(level_norms > desc.region_radius + atol)
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(
+                f"probe {i} leaves the certification region "
+                f"({level_norms[i]:.6g} > {desc.region_radius:.6g})")
     if not desc.is_linear:
         den = den + 1.0
-    degrees = [element_degree(f) for f in probes]
     split = _space_truncation(desc.domain) // 2
     cert, witness = certify_from_tables(
-        num, den, degrees, split, b=b, r_max=r_max, forced_r=forced_r,
-        stability_factor=stability_factor, atol=atol,
-        probe_count=len(probes), linear=desc.is_linear)
+        num, den, element_degree(batch), split, b=b, r_max=r_max,
+        forced_r=forced_r, stability_factor=stability_factor, atol=atol,
+        probe_count=len(batch), linear=desc.is_linear)
     if cert is not None:
         return CertificationOutcome(cert, None)
     probe = probes[witness.probe_index] if witness.probe_index >= 0 else None
@@ -208,24 +237,15 @@ def certify_tame(desc: TameMapDescriptor, probes: Sequence[Element],
 
 
 def validate_certificate_on_probes(desc: TameMapDescriptor,
-                                   cert: TamenessCertificate,
-                                   probes: Sequence[Element],
+                                   cert: TamenessCertificate, probes,
                                    atol: float = DEFAULT_ATOL,
                                    rtol: float = DEFAULT_ATOL):
-    """Re-check the certified inequality; returns (probe, level) violations."""
+    """Re-check the certified inequality; returns (probe, level, lhs, bound)
+    violations."""
     num, den = map_seminorm_tables(desc, probes)
     if not cert.linear:
         den = den + 1.0
-    violations = []
-    for n in cert.levels:
-        if n + cert.r >= num.shape[0]:
-            continue
-        for i in range(len(probes)):
-            lhs = float(num[n, i])
-            bound = cert.C[n] * float(den[n + cert.r, i])
-            if lhs > bound + atol + rtol * max(abs(lhs), abs(bound)):
-                violations.append((i, n, lhs, bound))
-    return violations
+    return certificate_violations(cert, num, den, atol, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +373,7 @@ def quasi_isometry_check(desc: TameMapDescriptor,
                          round_trip_tol: float = 1e-9,
                          scale_factor: float = QUASI_SCALE_FACTOR,
                          atol: float = DEFAULT_ATOL) -> QuasiIsometryReport:
-    if _space_n_max(desc.domain) != 0 or _space_n_max(desc.codomain) != 0:
+    if desc.domain.n_max != 0 or desc.codomain.n_max != 0:
         raise ValueError(
             "quasi-isometry bounds need single-norm spaces (n_max = 0)")
     if len(probes) < 4:

@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .graded import SequenceSpace, TruncatedSequence
+from .graded import ProductBatch, SequenceBatch, SequenceSpace, \
+    TruncatedSequence
 
 GENERATOR_NAME = "philox4x32"
 
@@ -41,81 +42,117 @@ def monomial_degrees(truncation_degree: int) -> List[int]:
     return sorted(d for d in ladder if 0 <= d <= K)
 
 
-def _random_fiber_block(rng: np.random.Generator, rows: int, fiber) -> np.ndarray:
-    if fiber.scalar_field == "complex":
-        re = rng.uniform(-1.0, 1.0, size=(rows, fiber.dimension))
-        im = rng.uniform(-1.0, 1.0, size=(rows, fiber.dimension))
-        return re + 1j * im
-    return rng.uniform(-1.0, 1.0, size=(rows, fiber.dimension))
+#: decay probes are drawn in chunks of this many (alpha-cycle) triples; a
+#: chunk's uniforms are one buffer, so memory stays bounded at any count
+_CHUNK_TRIPLES = 128
 
 
-def decay_probe(space: SequenceSpace, rng: np.random.Generator, alpha: float,
-                support_degree: int, target_norm: float) -> TruncatedSequence:
-    """A random sequence with |f_k| ~ e^{-alpha k} up to support_degree.
+def _uniform(low: float, high: float, u: np.ndarray, out=None) -> np.ndarray:
+    """low + (high - low) * u, the exact arithmetic of Generator.uniform."""
+    out = np.multiply(u, high - low, out=out)
+    out += low
+    return out
 
-    The result is rescaled so its level-0 seminorm equals target_norm.
+
+def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
+                       rng: np.random.Generator, region_radius: float,
+                       alphas: Sequence[float]):
+    """Random sequences with |f_k| ~ e^{-alpha k}, written into out.
+
+    Decay probe i has support degree supports[i % 3] and rate
+    alphas[(i // 3) % len(alphas)], and is rescaled so its level-0 seminorm
+    is region_radius * t.  Per probe the stream yields t ~ U(0.2, 1), then
+    the (support+1, d) coefficients ~ U(-1, 1), real parts before imaginary
+    parts; the batch draws exactly that stream, chunk by chunk, so it holds
+    the same bytes as drawing one probe at a time.
     """
     K = space.truncation_degree
-    support = min(max(int(support_degree), 0), K)
-    block = np.zeros((K + 1, space.fiber.dimension), dtype=space.fiber.dtype)
-    raw = _random_fiber_block(rng, support + 1, space.fiber)
-    profile = np.exp(-alpha * np.arange(support + 1.0))
-    block[:support + 1] = raw * profile[:, None]
-    # the top coefficient anchors the support degree, keep it off zero
-    if np.all(np.abs(block[support]) < 1e-3):
-        block[support] = space.fiber.unit(0) * np.exp(-alpha * support)
-    f = TruncatedSequence(space.fiber, block)
-    base = space.seminorm(f, 0)
-    if base > 0.0 and target_norm > 0.0:
-        f = f * (target_norm / base)
-    return f
+    fiber = space.fiber
+    d = fiber.dimension
+    complex_field = fiber.scalar_field == "complex"
+    supports = (K, K // 2, max(K // 4, 0))
+    # uniforms per probe and their offsets inside one triple of probes
+    widths = [1 + (2 if complex_field else 1) * (s + 1) * d for s in supports]
+    offsets = np.cumsum([0] + widths)
+    period = int(offsets[-1])
+    profiles = {(a, s): np.exp(-a * np.arange(s + 1.0))
+                for a in alphas for s in supports}
+    chunk_size = 3 * _CHUNK_TRIPLES
+    for first in range(0, len(out), chunk_size):
+        chunk = out[first:first + chunk_size]
+        n = len(chunk)
+        triples = -(-n // 3)
+        draws = (n // 3) * period + int(offsets[n % 3])
+        u = np.empty(triples * period)
+        rng.random(draws, out=u[:draws])
+        u = u.reshape(triples, period)
+        first_triple = first // 3
+        t = np.empty(n)
+        for j, s in enumerate(supports):
+            rows = chunk[j::3]
+            cols = u[:len(rows), offsets[j]:offsets[j + 1]]
+            _uniform(0.2, 1.0, cols[:, 0], out=t[j::3])
+            size = (s + 1) * d
+            raw = cols[:, 1:1 + size].reshape(len(rows), s + 1, d)
+            if complex_field:
+                _uniform(-1.0, 1.0, raw, out=rows.real[:, :s + 1])
+                imag = cols[:, 1 + size:].reshape(len(rows), s + 1, d)
+                _uniform(-1.0, 1.0, imag, out=rows.imag[:, :s + 1])
+            else:
+                _uniform(-1.0, 1.0, raw, out=rows[:, :s + 1])
+            for a_index, alpha in enumerate(alphas):
+                start = (a_index - first_triple) % len(alphas)
+                group = rows[start::len(alphas)]
+                group[:, :s + 1] *= profiles[alpha, s][:, None]
+                # the top coefficient anchors the support degree, keep it
+                # off zero
+                low = np.all(np.abs(group[:, s]) < 1e-3, axis=1)
+                group[low, s] = fiber.unit(0) * np.exp(-alpha * s)
+        target = region_radius * t
+        base = space.seminorm(SequenceBatch(fiber, chunk), 0)
+        rescale = (base > 0.0) & (target > 0.0)
+        factor = np.divide(target, base, out=np.ones(n), where=rescale)
+        np.multiply(chunk, factor[:, None, None], out=chunk,
+                    where=rescale[:, None, None])
 
 
 def make_probes(space: SequenceSpace, count: int, seed: int, *,
                 region_radius: float = 1.0,
                 center: Optional[TruncatedSequence] = None,
                 include_monomials: bool = True,
-                alphas: Sequence[float] = DEFAULT_ALPHAS) -> List[TruncatedSequence]:
+                alphas: Sequence[float] = DEFAULT_ALPHAS) -> SequenceBatch:
     """Exactly `count` probes: a monomial ladder followed by decay profiles.
 
     With a center, every probe is center + delta with |delta|_0 <= radius,
     suitable for probing a map on a metric ball; without one the monomials
     keep unit scale so certification ratios hit exact weight quotients.
+    The probes come as one (count, K+1, d) SequenceBatch.
     """
     if count < 1:
         raise ValueError("probe count must be >= 1")
-    K = space.truncation_degree
-    rng = rng_from_seed(seed)
-    probes: List[TruncatedSequence] = []
-
-    if include_monomials:
-        degrees = monomial_degrees(K)
-        for j, deg in enumerate(degrees):
-            if len(probes) >= count:
-                break
-            axis = j % space.fiber.dimension
-            scale = 1.0 if center is None else 0.5 * region_radius
-            probes.append(space.basis(deg, axis, scale))
-
-    supports = [K, K // 2, max(K // 4, 0)]
-    i = 0
-    while len(probes) < count:
-        # decoupled cycles so every (alpha, support) pair occurs
-        alpha = alphas[(i // len(supports)) % len(alphas)]
-        support = supports[i % len(supports)]
-        t = float(rng.uniform(0.2, 1.0))
-        probes.append(decay_probe(space, rng, alpha, support, region_radius * t))
-        i += 1
-
     if center is not None:
-        probes = [center + p for p in probes]
-    return probes
+        space.check_member(center)
+    fiber = space.fiber
+    block = np.zeros((count, space.truncation_degree + 1, fiber.dimension),
+                     dtype=fiber.dtype)
+    monomials = 0
+    if include_monomials:
+        scale = 1.0 if center is None else 0.5 * region_radius
+        degrees = monomial_degrees(space.truncation_degree)[:count]
+        for j, deg in enumerate(degrees):
+            block[j, deg] = scale * fiber.unit(j % fiber.dimension)
+        monomials = len(degrees)
+    _fill_decay_probes(space, block[monomials:], rng_from_seed(seed),
+                       region_radius, alphas)
+    if center is not None:
+        block += center.coefficients
+    return SequenceBatch(fiber, block)
 
 
 def make_product_probes(factors, count: int, seed: int, *,
-                        region_radius: float = 1.0):
-    """Tuples of probes for a product space, one child seed per factor."""
+                        region_radius: float = 1.0) -> ProductBatch:
+    """Probes for a product space, one child seed per factor."""
     seeds = spawn_seeds(seed, len(factors))
-    columns = [make_probes(space, count, s, region_radius=region_radius)
-               for space, s in zip(factors, seeds)]
-    return list(zip(*columns))
+    return ProductBatch(make_probes(space, count, s,
+                                    region_radius=region_radius)
+                        for space, s in zip(factors, seeds))

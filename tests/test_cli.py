@@ -1,6 +1,7 @@
 """Exit-code contract, output files, and byte-level determinism of the CLI."""
 
 import filecmp
+import gc
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import os
 import pytest
 
 from tamef import cli
+from tamef.graded import RatioWitness
+from tamef.maps import CertificationOutcome
 
 E = math.e
 
@@ -120,6 +123,45 @@ def test_certify_map_rmax_too_small(tmp_path):
     witness = load_json(os.path.join(out, "witness.json"))
     assert witness["map"] == "derivative"
     assert witness["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("name", ["scale:nan", "scale:inf", "scale:1e300"])
+def test_certify_map_non_finite_exits_2(tmp_path, name):
+    out = str(tmp_path / "run")
+    code = run_cli(["certify-map", "--map", name, "--k", "32", "--nmax", "6",
+                    "--probes", "40", "--seed", "3", "--out", out])
+    assert code == 2
+    assert not os.path.exists(os.path.join(out, "map_certificate.json"))
+    witness = load_json(os.path.join(out, "witness.json"))
+    assert witness["map"] == name
+    assert witness["ratio"] is None
+    assert witness["reason"].startswith("non-finite num seminorm")
+
+
+def test_infinite_witness_ratio_written_as_null(tmp_path, monkeypatch):
+    unbounded = CertificationOutcome(None, RatioWitness(
+        0, 1, 3, math.inf, "ratio unbounded: zero denominator"))
+    monkeypatch.setattr(cli, "certify_tame", lambda *a, **k: unbounded)
+    out = str(tmp_path / "run")
+    assert run_cli(["certify-map", "--map", "identity", "--k", "8",
+                    "--nmax", "2", "--probes", "10", "--out", out]) == 2
+    witness = load_json(os.path.join(out, "witness.json"))
+    assert witness["ratio"] is None
+    assert (witness["level"], witness["probe_index"]) == (1, 3)
+
+
+@pytest.mark.parametrize("args", [
+    ("certify-map", "--map", "identity", "--nmax", "1"),
+    ("certify-gradings", "--nmax", "1"),
+    ("atlas", "--nmax", "0"),
+    ("certify-map", "--map", "identity", "--nmax", "4", "--r-max", "5"),
+])
+def test_r_max_above_nmax_is_usage_error(tmp_path, args):
+    assert run_cli(list(args) + ["--out", str(tmp_path / "run")]) == 64
+
+
+def test_r_max_is_not_checked_for_solve():
+    cli.RunConfig(command="solve", nmax=1).validate()
 
 
 def test_certify_map_unknown_name(tmp_path):
@@ -318,6 +360,19 @@ def test_flag_overrides_config_value(tmp_path):
     assert cert["meta"]["k"] == 14
     assert cert["meta"]["nmax"] == 2
     assert cert["meta"]["seed"] == 4
+
+
+def test_run_restores_collector_state(tmp_path):
+    argv = ["certify-map", "--map", "identity", "--k", "8", "--nmax", "2",
+            "--probes", "10", "--out", str(tmp_path / "run")]
+    assert gc.isenabled()
+    assert run_cli(argv) == 0 and gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(argv) == 0 and not gc.isenabled()
+        assert run_cli(["frobulate"]) == 64 and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_threads_env(tmp_path, monkeypatch):

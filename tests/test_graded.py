@@ -29,6 +29,7 @@ from tamef.graded import (
     seminorm_table,
     validate_equivalence_certificate,
     validate_grading,
+    within_upper,
 )
 from tamef.probes import make_probes
 
@@ -241,6 +242,26 @@ def test_analytic_certificate_validates_on_fresh_probes():
         provenance="analytic")
     assert validate_equivalence_certificate(cert, l1_grading(6),
                                             linf_grading(6), fresh) == []
+
+
+def test_certificate_violations_match_scalar_recheck():
+    space = SequenceSpace(BanachFiber(2), truncation_degree=16, n_max=5)
+    probes = make_probes(space, 60, seed=17)
+    # constants below the true ones, so a share of the probes violates
+    cert = TamenessCertificate(r=1, b=0, C={n: 0.9 for n in range(5)},
+                               provenance="analytic")
+    g_num, g_den = l1_grading(5), linf_grading(5)
+    expected = []
+    for n in cert.levels:
+        for i, f in enumerate(probes):
+            lhs = g_num.seminorm(f, n)
+            bound = cert.C[n] * g_den.seminorm(f, n + cert.r)
+            if not within_upper(lhs, bound):
+                expected.append((i, n, lhs, bound))
+    got = validate_equivalence_certificate(cert, g_num, g_den, probes)
+    assert expected and got == expected
+    assert got == validate_equivalence_certificate(cert, g_num, g_den,
+                                                   list(probes))
 
 
 def test_equivalence_fails_against_decreasing_family():

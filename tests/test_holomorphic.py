@@ -149,8 +149,8 @@ def test_round_trip_weighted_relative_error_any_sequence():
     # flat and random profiles both stay within 1e-8 measured in the
     # level-1 weighted seminorm, K = 32 and M = 4K
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
-    probes = make_probes(space, 30, seed=55)
-    probes.append(TruncatedSequence(R1, np.ones((33, 1))))
+    probes = (make_probes(space, 30, seed=55)
+              + [TruncatedSequence(R1, np.ones((33, 1)))])
     for f in probes:
         report = round_trip_report(f, DiskSpec(1, 128))
         assert report.weighted_relative_error <= 1e-8

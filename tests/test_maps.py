@@ -17,6 +17,7 @@ from tamef.graded import (
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
+    certify_from_tables,
 )
 from tamef.maps import (
     TameMapDescriptor,
@@ -26,6 +27,7 @@ from tamef.maps import (
     certify_tame,
     combine_product,
     directional_derivative,
+    map_seminorm_tables,
     quasi_isometry_check,
     validate_certificate_on_probes,
     validate_descriptor,
@@ -89,6 +91,45 @@ def test_certify_zero_map_floors_constant():
     assert all(c <= 1e-299 for c in out.certificate.C.values())
 
 
+@pytest.mark.parametrize("name", ["scale:nan", "scale:inf", "scale:1e300"])
+def test_non_finite_tables_are_rejected(name):
+    desc = build_map(name, SPACE)
+    out = certify_tame(desc, PROBES, r_max=2)
+    assert not out.ok
+    witness = out.witness
+    assert math.isnan(witness.ratio)
+    assert witness.reason.startswith("non-finite num seminorm")
+    # the witness names the first non-finite entry in level-major order
+    num, den = map_seminorm_tables(desc, PROBES)
+    assert np.all(np.isfinite(den))
+    flat = witness.level * len(PROBES) + witness.probe_index
+    assert not np.isfinite(num.ravel()[flat])
+    assert np.all(np.isfinite(num.ravel()[:flat]))
+    assert out.witness_probe is PROBES[witness.probe_index]
+
+
+def test_non_finite_den_is_named():
+    num = np.ones((3, 4))
+    den = np.ones((3, 4))
+    den[1, 2] = math.inf
+    den[2, 0] = math.nan
+    cert, witness = certify_from_tables(num, den, [1, 2, 3, 4], 2, r_max=1,
+                                        probe_count=4)
+    assert cert is None
+    assert (witness.level, witness.probe_index) == (1, 2)
+    assert witness.reason == "non-finite den seminorm inf"
+
+
+def test_ratio_overflow_is_not_certified():
+    num = np.full((2, 3), 1e308)
+    den = np.full((2, 3), 1e-3)
+    cert, witness = certify_from_tables(num, den, [1, 1, 1], 2, r_max=0,
+                                        probe_count=3)
+    assert cert is None
+    assert witness.ratio == math.inf
+    assert witness.reason == "ratio overflows float64"
+
+
 def test_certify_coeff_square_nonlinear():
     desc = build_map("coeff_square", SPACE)
     assert not desc.is_linear
@@ -116,6 +157,22 @@ def test_certificates_revalidate_on_probes():
         desc = build_map(name, SPACE)
         cert = certify_tame(desc, PROBES, r_max=3).certificate
         assert validate_certificate_on_probes(desc, cert, PROBES) == []
+
+
+def test_map_violations_match_scalar_recheck():
+    desc = build_map("coeff_square", SPACE)
+    cert = TamenessCertificate(r=0, b=0, C={n: 0.05 for n in range(7)},
+                               provenance="empirical", probe_count=1,
+                               linear=False)
+    expected = []
+    for n in cert.levels:
+        for i, f in enumerate(PROBES):
+            lhs = SPACE.seminorm(desc(f), n)
+            bound = cert.C[n] * (SPACE.seminorm(f, n) + 1.0)
+            if lhs > bound + 1e-9 + 1e-9 * max(abs(lhs), abs(bound)):
+                expected.append((i, n, lhs, bound))
+    got = validate_certificate_on_probes(desc, cert, PROBES)
+    assert expected and got == expected
 
 
 # ---------------------------------------------------------------------------
