@@ -95,6 +95,8 @@ class RunConfig:
                 f"must lie in 0..nmax")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
+        for key in ("base_point", "x_offsets", "y0", "radii"):
+            _check_finite(key, getattr(self, key))
         if self.command == "certify-gradings":
             for name in (self.g1, self.g2):
                 if name not in GRADING_NAMES:
@@ -123,6 +125,16 @@ class RunConfig:
 
     def csv_comments(self) -> list:
         return [f"generator={GENERATOR_NAME} seed={self.seed}"]
+
+
+def _check_finite(key: str, values: Optional[list]):
+    """JSON admits NaN and Infinity; numeric config lists must be finite."""
+    try:
+        array = np.asarray([] if values is None else values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"config key {key!r} must hold numbers") from err
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"config key {key!r} must hold finite numbers")
 
 
 def _load_config_file(path: str) -> dict:
@@ -195,7 +207,7 @@ def _grading_by_name(name: str, n_max: int) -> Grading:
 
 
 def _finite_or_none(x: float) -> Optional[float]:
-    """Witness ratios that are infinite or NaN are written as null."""
+    """Infinite or NaN values are written as null (JSON) or empty (CSV)."""
     return x if math.isfinite(x) else None
 
 
@@ -294,8 +306,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         base = _sequence_from_list(space, cfg.base_point, "base_point")
 
     def write_failure(err) -> int:
-        history = list(getattr(err, "history", []) or [])
-        rows = [("iter", "residual")] + list(enumerate(history))
+        rows = [("iter", "residual")] + [
+            (i, _finite_or_none(r))
+            for i, r in enumerate(getattr(err, "history", []))]
         write_csv(os.path.join(cfg.out, "history.csv"), rows,
                   cfg.csv_comments())
         write_json(os.path.join(cfg.out, "error.json"), {
@@ -442,19 +455,6 @@ _DISPATCH = {
 }
 
 
-def _check_thread_cap():
-    raw = os.environ.get("TAMEF_THREADS")
-    if raw is None or raw == "":
-        return
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"TAMEF_THREADS must be an integer: {raw!r}") \
-            from err
-    if cap < 1:
-        raise ConfigError("TAMEF_THREADS must be >= 1")
-
-
 def run(argv: Optional[List[str]] = None) -> int:
     # The parser is a reference cycle. Built with the collector paused, it
     # stays in the youngest generation and the next young collection frees
@@ -469,7 +469,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         if enabled:
             gc.enable()
     try:
-        _check_thread_cap()
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
         return _DISPATCH[cfg.command](cfg)

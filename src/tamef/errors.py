@@ -10,11 +10,8 @@ class AliasingError(TamefError, ValueError):
 
 
 class SingularBlockError(TamefError):
-    """The square target block of the differential is numerically singular."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """The square target block of the differential is singular or not
+    finite."""
 
 
 class NonConvergenceError(TamefError):

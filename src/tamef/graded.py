@@ -491,7 +491,11 @@ def metric_norm(f: TruncatedSequence, level: int = 0) -> float:
 
 @dataclass(frozen=True)
 class Grading:
-    """A family of seminorms indexed by levels 0..n_max, expected monotone."""
+    """A family of seminorms indexed by levels 0..n_max, expected monotone.
+
+    evaluator(f, n) takes one sequence (giving a float) or a SequenceBatch
+    (giving one value per element, each the float its element gives alone).
+    """
 
     kind: str
     n_max: int
@@ -523,9 +527,8 @@ def seminorm_table(grading: Grading, probes,
                    levels: Optional[Sequence[int]] = None) -> np.ndarray:
     """Values table[j, i] = |probe_i|_{levels[j]}.
 
-    probes is a SequenceBatch or a list of sequences, stacked once.  The
-    l1/linf kinds evaluate each level with one batched seminorm call; other
-    kinds call their evaluator once per probe and level.
+    probes is a SequenceBatch or a list of sequences, stacked once; the
+    evaluator runs once per level on the whole batch.
     """
     batch = as_batch(probes)
     if levels is None:
@@ -535,14 +538,8 @@ def seminorm_table(grading: Grading, probes,
         if not 0 <= n <= grading.n_max:
             raise IndexError(f"level {n} outside 0..{grading.n_max}")
     out = np.empty((len(levels), len(batch)))
-    if grading.kind in ("l1", "linf"):
-        seminorm = seminorm_l1 if grading.kind == "l1" else seminorm_linf
-        for j, n in enumerate(levels):
-            out[j] = seminorm(batch, n)
-        return out
     for j, n in enumerate(levels):
-        for i, f in enumerate(batch):
-            out[j, i] = grading.seminorm(f, n)
+        out[j] = grading.evaluator(batch, n)
     return out
 
 
@@ -769,6 +766,15 @@ class RatioWitness:
 _RATIO_FLOOR = 1e-300
 
 
+def _ratios(numerator: np.ndarray, denominator: np.ndarray):
+    """numerator / denominator where the denominator is positive, else 0;
+    returned with the mask of positive denominators."""
+    included = denominator > 0.0
+    ratios = np.zeros_like(numerator)
+    ratios[included] = numerator[included] / denominator[included]
+    return ratios, included
+
+
 def certify_from_tables(num: np.ndarray, den: np.ndarray,
                         degrees: Sequence[int], degree_split: int,
                         *, b: int = 0, r_max: int, forced_r: Optional[int] = None,
@@ -807,18 +813,14 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
             return None, RatioWitness(r, b, -1, math.inf, "no level admits the shift")
         constants: Dict[int, float] = {}
         for n in range(b, top + 1):
-            numerator = num[n]
-            denominator = den[n + r]
-            included = denominator > 0.0
-            bad = ~included & (numerator > atol)
+            ratios, included = _ratios(num[n], den[n + r])
+            bad = ~included & (num[n] > atol)
             if np.any(bad):
                 i = int(np.nonzero(bad)[0][0])
                 return None, RatioWitness(r, n, i, math.inf,
                                           "ratio unbounded: zero denominator")
             if not np.any(included):
                 continue
-            ratios = np.zeros_like(numerator)
-            ratios[included] = numerator[included] / denominator[included]
             hi_mask = included & high
             lo_mask = included & ~high
             if np.any(hi_mask) and np.any(lo_mask):
@@ -861,12 +863,9 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     reason = witness.reason if witness is not None else "no shift accepted"
     worst_ratio, worst_level, worst_probe = -1.0, b, 0
     for n in range(b, n_max - r + 1):
-        denominator = den[n + r]
-        included = denominator > 0.0
+        ratios, included = _ratios(num[n], den[n + r])
         if not np.any(included):
             continue
-        ratios = np.zeros_like(num[n])
-        ratios[included] = num[n][included] / denominator[included]
         i_top = int(np.argmax(ratios))
         if ratios[i_top] > worst_ratio:
             worst_ratio, worst_level, worst_probe = float(ratios[i_top]), n, i_top

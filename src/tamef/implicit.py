@@ -16,12 +16,13 @@ no smoothing/regularization machinery is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonConvergenceError, RegularityError, SingularBlockError
+from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
+                     UnsupportedGradingError)
 from .graded import SequenceSpace, TruncatedSequence, _weights
 
 RANK_RTOL = 1e-8
@@ -65,16 +66,17 @@ def level_weights(space: SequenceSpace, level: int) -> np.ndarray:
 class ConstraintMap:
     """phi: sequence space -> R^m with an optional analytic Jacobian.
 
-    level sets the metric used for splittings at this constraint's regular
-    points.  jacobian, when supplied, returns the (m, D) matrix over flat
-    coordinates; otherwise central differences are used.
+    phi and jacobian take the flat coordinate vector (see flatten) and must
+    not modify it; jacobian returns the (m, D) matrix over it, otherwise
+    central differences are used.  level sets the metric used for
+    splittings at this constraint's regular points.
     """
 
     name: str
     space: SequenceSpace
     target_dim: int
-    phi: Callable[[TruncatedSequence], np.ndarray]
-    jacobian: Optional[Callable[[TruncatedSequence], np.ndarray]] = None
+    phi: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     level: int = 0
 
     def __post_init__(self):
@@ -92,43 +94,58 @@ class ConstraintMap:
         return "supplied" if self.jacobian is not None else "finite_difference"
 
     def value(self, f: TruncatedSequence) -> np.ndarray:
-        out = np.asarray(self.phi(f), dtype=np.float64).reshape(-1)
+        return self.value_flat(flatten(f))
+
+    def value_flat(self, flat: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.phi(flat), dtype=np.float64).reshape(-1)
         if out.shape != (self.target_dim,):
             raise ValueError(
                 f"constraint returned shape {out.shape}, expected "
                 f"({self.target_dim},)")
         return out
 
-    def value_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self.value(unflatten(self.space, flat))
+
+def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
+                         base: np.ndarray, rows: int,
+                         step: Optional[float] = None,
+                         rel_step: float = JACOBIAN_FD_STEP) -> np.ndarray:
+    """Columns (fn(base + step e_i) - fn(base - step e_i)) / (2 step).
+
+    The default step is rel_step * (1 + max |base_i|).
+    """
+    base = np.asarray(base, dtype=np.float64)
+    if step is None:
+        scale = float(np.max(np.abs(base))) if base.size else 0.0
+        step = rel_step * (1.0 + scale)
+    out = np.empty((rows, base.size))
+    for i in range(base.size):
+        probe = base.copy()
+        probe[i] = base[i] + step
+        plus = fn(probe)
+        probe[i] = base[i] - step
+        minus = fn(probe)
+        out[:, i] = (plus - minus) / (2.0 * step)
+    return out
 
 
 def finite_difference_jacobian(c: ConstraintMap, f: TruncatedSequence,
                                step: Optional[float] = None) -> np.ndarray:
-    flat = flatten(f)
-    if step is None:
-        scale = float(np.max(np.abs(flat))) if flat.size else 0.0
-        step = JACOBIAN_FD_STEP * (1.0 + scale)
-    J = np.empty((c.target_dim, flat.size))
-    for i in range(flat.size):
-        probe = flat.copy()
-        probe[i] = flat[i] + step
-        plus = c.value_flat(probe)
-        probe[i] = flat[i] - step
-        minus = c.value_flat(probe)
-        J[:, i] = (plus - minus) / (2.0 * step)
+    return _central_differences(c.value_flat, flatten(f), c.target_dim, step)
+
+
+def _jacobian_flat(c: ConstraintMap, flat: np.ndarray) -> np.ndarray:
+    if c.jacobian is None:
+        return _central_differences(c.value_flat, flat, c.target_dim)
+    J = np.asarray(c.jacobian(flat), dtype=np.float64)
+    if J.shape != (c.target_dim, c.flat_dimension):
+        raise ValueError(
+            f"supplied Jacobian shape {J.shape}, expected "
+            f"({c.target_dim}, {c.flat_dimension})")
     return J
 
 
 def jacobian_matrix(c: ConstraintMap, f: TruncatedSequence) -> np.ndarray:
-    if c.jacobian is not None:
-        J = np.asarray(c.jacobian(f), dtype=np.float64)
-        if J.shape != (c.target_dim, c.flat_dimension):
-            raise ValueError(
-                f"supplied Jacobian shape {J.shape}, expected "
-                f"({c.target_dim}, {c.flat_dimension})")
-        return J
-    return finite_difference_jacobian(c, f)
+    return _jacobian_flat(c, flatten(f))
 
 
 def check_jacobian(c: ConstraintMap, probes: Sequence[TruncatedSequence],
@@ -200,10 +217,8 @@ def is_regular_point(c: ConstraintMap, p: TruncatedSequence,
         v = _canonical_signs(vt.T)
         kernel_flat = v[:, m:] / w[:, None]
         compl_flat = v[:, :m] / w[:, None]
-        kernel = tuple(unflatten(c.space, kernel_flat[:, j])
-                       for j in range(D - m))
-        complement = tuple(unflatten(c.space, compl_flat[:, j])
-                           for j in range(m))
+        kernel = tuple(unflatten(c.space, col) for col in kernel_flat.T)
+        complement = tuple(unflatten(c.space, col) for col in compl_flat.T)
     return RegularPointReport(
         point=p, jacobian=J,
         singular_values=tuple(float(s) for s in sigma),
@@ -244,34 +259,24 @@ class SplitConstraint:
             raise ValueError(f"split constraint returned shape {out.shape}")
         return out
 
-    def _fd_block(self, x, y, wrt: str) -> np.ndarray:
-        base = np.asarray(x if wrt == "x" else y, dtype=np.float64)
-        cols = base.size
-        out = np.empty((self.y_dim, cols))
-        step = self.fd_step * (1.0 + float(np.max(np.abs(base))) if cols else 1.0)
-        for i in range(cols):
-            probe = base.copy()
-            probe[i] += step
-            plus = self.value(probe, y) if wrt == "x" else self.value(x, probe)
-            probe[i] = base[i] - step
-            minus = self.value(probe, y) if wrt == "x" else self.value(x, probe)
-            out[:, i] = (plus - minus) / (2.0 * step)
-        return out
-
     def d_x(self, x, y) -> np.ndarray:
         if self._d_x is not None:
             return np.asarray(self._d_x(x, y), dtype=np.float64).reshape(
                 self.y_dim, self.x_dim)
-        return self._fd_block(x, y, "x")
+        return _central_differences(lambda p: self.value(p, y), x,
+                                    self.y_dim, rel_step=self.fd_step)
 
     def d_y(self, x, y) -> np.ndarray:
         if self._d_y is not None:
             return np.asarray(self._d_y(x, y), dtype=np.float64).reshape(
                 self.y_dim, self.y_dim)
-        return self._fd_block(x, y, "y")
+        return _central_differences(lambda p: self.value(x, p), y,
+                                    self.y_dim, rel_step=self.fd_step)
 
 
 def _solve_block(B: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    if not np.all(np.isfinite(B)):
+        raise SingularBlockError(f"{context}: phi-block not finite")
     sigma = np.linalg.svd(B, compute_uv=False)
     sigma_max = float(sigma[0]) if sigma.size else 0.0
     sigma_min = float(sigma[-1]) if sigma.size else 0.0
@@ -313,50 +318,66 @@ class SolveResult:
     iterations: int
 
 
+def _damped_newton(residual: Callable[[np.ndarray], np.ndarray],
+                   linear_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   start: np.ndarray, tol: float, max_iter: int, name: str
+                   ) -> Tuple[np.ndarray, List[float], List[np.ndarray]]:
+    """Newton steps z <- z - s * linear_step(z, residual(z)), s halved from
+    1 until the residual norm drops or reaches tol; returns the last iterate,
+    the norms and the iterates.  An exhausted budget, a non-finite norm
+    before a step or a stalled halving raises NonConvergenceError with the
+    norms attached."""
+    z = start
+    r = residual(z)
+    history = [float(np.linalg.norm(r))]
+    iterates = [z.copy()]
+    while not history[-1] <= tol:  # a NaN norm has not converged
+        if len(history) > max_iter:
+            raise NonConvergenceError(
+                f"{name}: residual {history[-1]:.3g} > {tol:.3g} after "
+                f"{max_iter} iterations", history=tuple(history))
+        if not math.isfinite(history[-1]):
+            raise NonConvergenceError(
+                f"{name}: non-finite residual {history[-1]}",
+                history=tuple(history))
+        step = linear_step(z, r)
+        scale = 1.0
+        for _ in range(DAMPING_MAX_HALVINGS + 1):
+            candidate = z - scale * step
+            cand_r = residual(candidate)
+            cand_norm = float(np.linalg.norm(cand_r))
+            if cand_norm < history[-1] or cand_norm <= tol:
+                break
+            scale *= 0.5
+        else:
+            raise NonConvergenceError(
+                f"{name}: damping stalled at residual {history[-1]:.3g}",
+                history=tuple(history))
+        z, r = candidate, cand_r
+        history.append(cand_norm)
+        iterates.append(z.copy())
+    return z, history, iterates
+
+
 def solve_implicit(split: SplitConstraint, x, y0,
                    target: Optional[np.ndarray] = None,
                    tol: float = DEFAULT_SOLVE_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Damped Newton on y for phi(x, y) = target (default 0).
 
-    Full steps are halved (up to 20 times) whenever the residual norm fails
-    to decrease; a stalled line search or an exhausted iteration budget
-    raises with the residual history attached.
+    Steps solve the square phi-block, which raises SingularBlockError when
+    singular or non-finite; see _damped_newton for damping and failures.
     """
     x = np.asarray(x, dtype=np.float64).reshape(split.x_dim)
     y = np.asarray(y0, dtype=np.float64).reshape(split.y_dim).copy()
     goal = (np.zeros(split.y_dim) if target is None
             else np.asarray(target, dtype=np.float64).reshape(split.y_dim))
-    residual = split.value(x, y) - goal
-    history = [float(np.linalg.norm(residual))]
-    iterates = [y.copy()]
-    for iteration in range(1, max_iter + 1):
-        if history[-1] <= tol:
-            return SolveResult(y, tuple(history), tuple(iterates), True,
-                               iteration - 1)
-        B = split.d_y(x, y)
-        step = _solve_block(B, residual, split.name)
-        scale = 1.0
-        for _ in range(DAMPING_MAX_HALVINGS + 1):
-            candidate = y - scale * step
-            cand_residual = split.value(x, candidate) - goal
-            cand_norm = float(np.linalg.norm(cand_residual))
-            if cand_norm < history[-1] or cand_norm <= tol:
-                break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"{split.name}: damping stalled at residual {history[-1]:.3g}",
-                history=tuple(history))
-        y = candidate
-        residual = cand_residual
-        history.append(cand_norm)
-        iterates.append(y.copy())
-    if history[-1] <= tol:
-        return SolveResult(y, tuple(history), tuple(iterates), True, max_iter)
-    raise NonConvergenceError(
-        f"{split.name}: residual {history[-1]:.3g} > {tol:.3g} after "
-        f"{max_iter} iterations", history=tuple(history))
+    y, history, iterates = _damped_newton(
+        lambda v: split.value(x, v) - goal,
+        lambda v, r: _solve_block(split.d_y(x, v), r, split.name),
+        y, tol, max_iter, split.name)
+    return SolveResult(y, tuple(history), tuple(iterates), True,
+                       len(history) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +410,22 @@ class PointSplit:
             d_y=self._d_y if c.jacobian is not None else None,
             name=f"{c.name}@split")
 
-    def point_of(self, x: np.ndarray, y: np.ndarray) -> TruncatedSequence:
-        flat = self.kernel_mat @ np.asarray(x, dtype=np.float64) \
+    def _flat(self, x, y) -> np.ndarray:
+        return self.kernel_mat @ np.asarray(x, dtype=np.float64) \
             + self.compl_mat @ np.asarray(y, dtype=np.float64)
-        return unflatten(self.constraint.space, flat)
+
+    def point_of(self, x: np.ndarray, y: np.ndarray) -> TruncatedSequence:
+        return unflatten(self.constraint.space, self._flat(x, y))
 
     def coords_of(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
         flat = flatten(q)
         return self._kernel_proj @ flat, self._compl_proj @ flat
 
     def _phi_xy(self, x, y):
-        return self.constraint.value(self.point_of(x, y))
+        return self.constraint.value_flat(self._flat(x, y))
 
     def _jac(self, x, y):
-        return jacobian_matrix(self.constraint, self.point_of(x, y))
+        return _jacobian_flat(self.constraint, self._flat(x, y))
 
     def _d_x(self, x, y):
         return self._jac(x, y) @ self.kernel_mat
@@ -538,7 +561,6 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
             raise RegularityError(
                 f"{c.name}: no usable chart radius above "
                 f"{VALIDITY_RADIUS_FLOOR} at this point")
-        lo, hi = radius, 2.0 * radius
     else:
         while radius < VALIDITY_RADIUS_CAP:
             if not _chart_round_trip_ok(chart, 2.0 * radius, dirs,
@@ -546,9 +568,8 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
                 break
             radius *= 2.0
         if radius >= VALIDITY_RADIUS_CAP:
-            return Chart(split_data, p, validity_radius=radius,
-                         solve_tol=solve_tol, max_iter=max_iter)
-        lo, hi = radius, 2.0 * radius
+            return replace(chart, validity_radius=radius)
+    lo, hi = radius, 2.0 * radius
     for _ in range(25):
         mid = 0.5 * (lo + hi)
         if _chart_round_trip_ok(chart, mid, dirs, round_trip_tol):
@@ -558,8 +579,7 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
     if lo < VALIDITY_RADIUS_FLOOR:
         raise RegularityError(
             f"{c.name}: certified radius {lo:.3g} below the floor")
-    return Chart(split_data, p, validity_radius=lo,
-                 solve_tol=solve_tol, max_iter=max_iter)
+    return replace(chart, validity_radius=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +607,8 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
                   tol: float = 1e-10, max_iter: int = 60,
                   scaling: Optional[np.ndarray] = None
                   ) -> Optional[TruncatedSequence]:
-    """Gauss-Newton from one seed; None when it fails to converge.
+    """Gauss-Newton from one seed; None when it fails to converge, also
+    when a non-finite Jacobian makes the least-squares step fail.
 
     scaling, when given, are positive per-coordinate weights: steps are
     least-squares optimal in the weighted metric, which keeps the search
@@ -595,34 +616,23 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     """
     goal = np.asarray(target, dtype=np.float64).reshape(c.target_dim)
     flat = flatten(seed_point)
-    if scaling is not None:
-        scaling = np.asarray(scaling, dtype=np.float64).reshape(flat.shape)
-        if np.any(scaling <= 0.0):
-            raise ValueError("scaling weights must be positive")
-    residual = c.value_flat(flat) - goal
-    norm = float(np.linalg.norm(residual))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return unflatten(c.space, flat)
-        J = jacobian_matrix(c, unflatten(c.space, flat))
-        if scaling is None:
-            step, *_ = np.linalg.lstsq(J, residual, rcond=None)
-        else:
-            step, *_ = np.linalg.lstsq(J / scaling[None, :], residual,
-                                       rcond=None)
-            step = step / scaling
-        scale = 1.0
-        for _ in range(DAMPING_MAX_HALVINGS + 1):
-            candidate = flat - scale * step
-            cand_res = c.value_flat(candidate) - goal
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm or cand_norm <= tol:
-                break
-            scale *= 0.5
-        else:
-            return None
-        flat, residual, norm = candidate, cand_res, cand_norm
-    return unflatten(c.space, flat) if norm <= tol else None
+    weights = np.ones(flat.size) if scaling is None else scaling
+    weights = np.asarray(weights, dtype=np.float64).reshape(flat.shape)
+    if np.any(weights <= 0.0):
+        raise ValueError("scaling weights must be positive")
+
+    def weighted_step(z, r):
+        step, *_ = np.linalg.lstsq(_jacobian_flat(c, z) / weights[None, :],
+                                   r, rcond=None)
+        return step / weights
+
+    try:
+        flat, _, _ = _damped_newton(lambda z: c.value_flat(z) - goal,
+                                    weighted_step, flat, tol, max_iter,
+                                    c.name)
+    except (NonConvergenceError, np.linalg.LinAlgError):
+        return None
+    return unflatten(c.space, flat)
 
 
 def is_regular_value(c: ConstraintMap, target,
@@ -662,17 +672,15 @@ def is_regular_value(c: ConstraintMap, target,
 def sphere_constraint(space: SequenceSpace, level: int = 0) -> ConstraintMap:
     """phi(q) = <q,q>_level - 1 with the analytic gradient 2 w^2 q."""
     if not (space.fiber.is_metric and space.fiber.scalar_field == "real"):
-        from .errors import UnsupportedGradingError
         raise UnsupportedGradingError(
             "sphere constraints need a real euclidean fiber")
     w2 = level_weights(space, level) ** 2
 
-    def phi(f: TruncatedSequence) -> np.ndarray:
-        flat = flatten(f)
+    def phi(flat: np.ndarray) -> np.ndarray:
         return np.array([float(np.dot(w2 * flat, flat)) - 1.0])
 
-    def jac(f: TruncatedSequence) -> np.ndarray:
-        return (2.0 * w2 * flatten(f)).reshape(1, -1)
+    def jac(flat: np.ndarray) -> np.ndarray:
+        return (2.0 * w2 * flat).reshape(1, -1)
 
     return ConstraintMap(f"sphere:{level}", space, 1, phi, jac, level=level)
 
@@ -689,17 +697,15 @@ def sphere_intersection_constraint(space: SequenceSpace,
             "more sphere levels than truncation degrees: fiber generically "
             "empty")
     if not (space.fiber.is_metric and space.fiber.scalar_field == "real"):
-        from .errors import UnsupportedGradingError
         raise UnsupportedGradingError(
             "sphere constraints need a real euclidean fiber")
     w2_rows = np.stack([level_weights(space, n) ** 2 for n in levels])
 
-    def phi(f: TruncatedSequence) -> np.ndarray:
-        flat = flatten(f)
+    def phi(flat: np.ndarray) -> np.ndarray:
         return w2_rows @ (flat * flat) - 1.0
 
-    def jac(f: TruncatedSequence) -> np.ndarray:
-        return 2.0 * w2_rows * flatten(f)[None, :]
+    def jac(flat: np.ndarray) -> np.ndarray:
+        return 2.0 * w2_rows * flat[None, :]
 
     name = "spheres:" + ",".join(str(n) for n in levels)
     # split in the strongest participating metric: unit kernel offsets then
@@ -729,10 +735,10 @@ def affine_constraint(space: SequenceSpace, matrix, offset,
     if b.shape != (A.shape[0],):
         raise ValueError("offset length does not match the matrix rows")
 
-    def phi(f: TruncatedSequence) -> np.ndarray:
-        return A @ flatten(f) + b
+    def phi(flat: np.ndarray) -> np.ndarray:
+        return A @ flat + b
 
-    def jac(f: TruncatedSequence) -> np.ndarray:
+    def jac(flat: np.ndarray) -> np.ndarray:
         return A
 
     return ConstraintMap(name, space, A.shape[0], phi, jac)
@@ -756,8 +762,7 @@ def polynomial_constraint(space: SequenceSpace, rows,
     if not parsed:
         raise ValueError("polynomial constraint needs at least one row")
 
-    def phi(f: TruncatedSequence) -> np.ndarray:
-        flat = flatten(f)
+    def phi(flat: np.ndarray) -> np.ndarray:
         out = np.zeros(len(parsed))
         for r, terms in enumerate(parsed):
             total = 0.0
@@ -769,8 +774,7 @@ def polynomial_constraint(space: SequenceSpace, rows,
             out[r] = total
         return out
 
-    def jac(f: TruncatedSequence) -> np.ndarray:
-        flat = flatten(f)
+    def jac(flat: np.ndarray) -> np.ndarray:
         J = np.zeros((len(parsed), D))
         for r, terms in enumerate(parsed):
             for coef, idx in terms:

@@ -11,7 +11,7 @@ for any other map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,11 +110,9 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
         if len(radii) != base.target_dim or any(r <= 0 for r in radii):
             raise ValueError("radii must be positive, one per level")
         shift = np.asarray([r * r - 1.0 for r in radii])
-        inner_phi, inner_jac = base.phi, base.jacobian
-        c = ConstraintMap(
-            base.name + ";radii=" + ",".join(f"{r:g}" for r in radii),
-            space, base.target_dim,
-            lambda f: inner_phi(f) - shift, inner_jac, level=base.level)
+        c = replace(base, name=base.name + ";radii=" +
+                    ",".join(f"{r:g}" for r in radii),
+                    phi=lambda flat: base.phi(flat) - shift)
 
     rng = rng_from_seed(seed)
     chart_seeds = spawn_seeds(seed, attempts)

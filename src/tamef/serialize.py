@@ -74,14 +74,14 @@ def dumps_json(obj, indent: int = 2) -> str:
 
 
 def format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     return format_float(float(value))
 
 

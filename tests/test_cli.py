@@ -236,6 +236,31 @@ def test_solve_nonconvergence_exits_3(tmp_path):
     assert all(float(line.split(",")[1]) >= 1.0 for line in lines[2:])
 
 
+@pytest.mark.parametrize("config, code", [
+    ({"command": "solve", "base_point": [math.nan]}, 64),
+    ({"command": "solve", "y0": [math.nan]}, 64),
+    ({"command": "solve", "x_offsets": [math.inf]}, 64),
+    ({"command": "solve", "base_point": [[1.0], ["one"]]}, 64),
+    ({"command": "atlas", "constraint": "spheres:0,1", "radii": [math.nan, 2],
+      "k": 16, "nmax": 4}, 64),
+    # finite, but the residual overflows: exit 3 with an empty history cell
+    ({"command": "solve", "constraint": "sphere:0", "base_point": [1e300]},
+     3),
+])
+def test_non_finite_config_values(tmp_path, capsys, config, code):
+    config = dict({"k": 8, "nmax": 3, "out": str(tmp_path / "run")}, **config)
+    cfg_path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity, and reads them back
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli([config["command"], "--config", str(cfg_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 3:
+        error = load_json(str(tmp_path / "run" / "error.json"))
+        assert error["error_type"] == "NonConvergenceError"
+        lines = csv_lines(str(tmp_path / "run" / "history.csv"))
+        assert lines[2:] == ["0,"]
+
+
 def test_solve_too_many_offsets(tmp_path):
     config = {"command": "solve", "constraint": "sphere:0", "k": 4,
               "nmax": 2, "x_offsets": [0.1] * 10,
@@ -373,17 +398,6 @@ def test_run_restores_collector_state(tmp_path):
         assert run_cli(["frobulate"]) == 64 and not gc.isenabled()
     finally:
         gc.enable()
-
-
-def test_threads_env(tmp_path, monkeypatch):
-    out = str(tmp_path / "run")
-    monkeypatch.setenv("TAMEF_THREADS", "2")
-    assert run_cli(["certify-map", "--map", "identity", "--k", "8",
-                    "--nmax", "2", "--probes", "10", "--out", out]) == 0
-    monkeypatch.setenv("TAMEF_THREADS", "zero")
-    assert run_cli(["certify-map", "--map", "identity", "--out", out]) == 64
-    monkeypatch.setenv("TAMEF_THREADS", "0")
-    assert run_cli(["certify-map", "--map", "identity", "--out", out]) == 64
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,9 @@ def test_zero_sequence_has_zero_seminorms():
 def test_table_matches_scalar_path_bitwise():
     space = SequenceSpace(BanachFiber(2), truncation_degree=24, n_max=6)
     probes = make_probes(space, 25, seed=5)
-    for grading in (l1_grading(6), linf_grading(6)):
+    decreasing = custom_grading(
+        lambda f, n: math.exp(-n) * seminorm_l1(f, 0), 6, kind="decreasing")
+    for grading in (l1_grading(6), linf_grading(6), decreasing):
         table = seminorm_table(grading, probes)
         for n in range(7):
             for i, f in enumerate(probes):

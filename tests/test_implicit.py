@@ -1,5 +1,7 @@
 """Regular points, splittings, the Newton solver, and charts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,49 @@ def test_newton_no_real_root_stalls():
         name="no-root")
     with pytest.raises((NonConvergenceError, SingularBlockError)):
         solve_implicit(split, np.zeros(0), [1.0])
+
+
+@pytest.mark.parametrize("y0", [np.nan, np.inf])
+def test_non_finite_residual_ends_the_solve(y0):
+    with pytest.raises(NonConvergenceError) as err:
+        solve_implicit(scalar_quadratic(), np.zeros(0), [y0])
+    assert len(err.value.history) == 1
+    assert not np.isfinite(err.value.history[0])
+
+
+def test_non_finite_block_is_singular():
+    split = SplitConstraint(
+        lambda x, y: np.array([y[0] - 1.0]), x_dim=0, y_dim=1,
+        d_y=lambda x, y: np.array([[np.nan]]), name="nan-block")
+    with pytest.raises(SingularBlockError, match="not finite"):
+        solve_implicit(split, np.zeros(0), [0.5])
+
+
+def test_non_finite_candidate_is_halved():
+    # sqrt(y) - 0.05 from y = 1: the full step lands at y = -0.9 where the
+    # residual is NaN, so the first accepted iterate is the half step
+    split = SplitConstraint(
+        lambda x, y: np.array([math.sqrt(y[0]) - 0.05 if y[0] >= 0.0
+                               else math.nan]),
+        x_dim=0, y_dim=1,
+        d_y=lambda x, y: np.array([[0.5 / math.sqrt(y[0])]]), name="sqrt")
+    result = solve_implicit(split, np.zeros(0), [1.0])
+    assert result.iterates[1][0] == pytest.approx(0.05, abs=1e-15)
+    assert result.y[0] == pytest.approx(0.0025, abs=1e-12)
+
+
+def test_find_preimage_non_finite_seed_returns_none():
+    c = sphere_constraint(SPACE8, 0)
+    assert find_preimage(c, [0.0], SPACE8.basis(0, scale=np.nan)) is None
+
+
+def test_find_preimage_non_finite_jacobian_returns_none():
+    # q1 q0 q0 - 1 is finite at the seed while d/dq1 = q0^2 overflows
+    c = polynomial_constraint(SPACE8, [[[1.0, [1, 0, 0]], [-1.0, []]]])
+    seed = SPACE8.basis(0, scale=1e200) + SPACE8.basis(1, scale=1e-300)
+    assert np.isfinite(c.value(seed)).all()
+    with np.errstate(over="ignore"):
+        assert find_preimage(c, [0.0], seed) is None
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +522,7 @@ def test_registry_sphere_needs_metric_fiber():
 
 
 def test_fd_jacobian_used_when_not_supplied():
-    def phi(f):
-        flat = flatten(f)
+    def phi(flat):
         return np.array([flat[0] ** 3 - flat[1]])
 
     c = ConstraintMap("cubic", SPACE8, 1, phi)
