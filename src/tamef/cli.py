@@ -96,7 +96,7 @@ class RunConfig:
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         for key in ("base_point", "x_offsets", "y0", "radii"):
-            _check_finite(key, getattr(self, key))
+            _check_finite(key, getattr(self, key), flat=key != "base_point")
         if self.command == "certify-gradings":
             for name in (self.g1, self.g2):
                 if name not in GRADING_NAMES:
@@ -127,12 +127,16 @@ class RunConfig:
         return [f"generator={GENERATOR_NAME} seed={self.seed}"]
 
 
-def _check_finite(key: str, values: Optional[list]):
-    """JSON admits NaN and Infinity; numeric config lists must be finite."""
+def _check_finite(key: str, values: Optional[list], flat: bool):
+    """JSON admits NaN and Infinity; numeric config lists must be finite.
+    A flat list holds numbers only; base_point may hold one row of fiber
+    coordinates per coefficient."""
     try:
         array = np.asarray([] if values is None else values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"config key {key!r} must hold numbers") from err
+    if flat and array.ndim != 1:
+        raise ConfigError(f"config key {key!r} must be a flat list of numbers")
     if not np.all(np.isfinite(array)):
         raise ConfigError(f"config key {key!r} must hold finite numbers")
 
@@ -165,9 +169,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             want = _CONFIG_KEYS[key]
-            if want is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, want):
+            if want is float and type(value) is int:
+                try:
+                    value = float(value)
+                except OverflowError as err:
+                    raise ConfigError(
+                        f"config key {key!r} is out of range") from err
+            # JSON true/false are ints to isinstance, but no key takes one
+            if isinstance(value, bool) or not isinstance(value, want):
                 raise ConfigError(
                     f"config key {key!r} must be {want.__name__}")
             setattr(cfg, key, value)

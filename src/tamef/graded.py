@@ -38,17 +38,19 @@ DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-9
 #: high-degree probe ratios may exceed low-degree ones by at most this factor
 DEGREE_STABILITY_FACTOR = 1.5
+#: certificates estimated from probe tables hold from this level upward
+BASE_LEVEL = 0
 
 _FIELDS = ("real", "complex")
 _NORM_KINDS = ("euclidean", "supremum", "sum")
 _PROVENANCES = ("analytic", "empirical", "derived-analytic")
 
 
-def within_upper(lhs, rhs, atol: float = DEFAULT_ATOL,
-                 rtol: float = DEFAULT_RTOL):
+def within_upper(lhs, rhs):
     """lhs <= rhs up to the package-wide absolute-plus-relative tolerance;
     elementwise for arrays.  NaN on either side is never within."""
-    return lhs <= rhs + atol + rtol * np.maximum(np.abs(lhs), np.abs(rhs))
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return lhs <= rhs + DEFAULT_ATOL + DEFAULT_RTOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +84,6 @@ class BanachFiber:
 
     def complexified(self) -> "BanachFiber":
         return BanachFiber(self.dimension, "complex", self.norm_kind)
-
-    def norm(self, coordinates) -> float:
-        a = np.abs(np.asarray(coordinates))
-        if a.shape != (self.dimension,):
-            raise ValueError(
-                f"coordinate length {a.shape} does not match fiber dimension "
-                f"{self.dimension}")
-        if self.norm_kind == "euclidean":
-            return float(np.sqrt(np.sum(a * a)))
-        if self.norm_kind == "supremum":
-            return float(np.max(a))
-        return float(np.sum(a))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """Norms along the last axis of a (..., dimension) coordinate block."""
@@ -523,23 +513,16 @@ def custom_grading(evaluator, n_max: int = DEFAULT_N_MAX, kind: str = "custom") 
     return Grading(kind, n_max, evaluator)
 
 
-def seminorm_table(grading: Grading, probes,
-                   levels: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Values table[j, i] = |probe_i|_{levels[j]}.
+def seminorm_table(grading: Grading, probes) -> np.ndarray:
+    """Values table[n, i] = |probe_i|_n for n = 0..n_max.
 
     probes is a SequenceBatch or a list of sequences, stacked once; the
     evaluator runs once per level on the whole batch.
     """
     batch = as_batch(probes)
-    if levels is None:
-        levels = range(grading.n_max + 1)
-    levels = [int(n) for n in levels]
-    for n in levels:
-        if not 0 <= n <= grading.n_max:
-            raise IndexError(f"level {n} outside 0..{grading.n_max}")
-    out = np.empty((len(levels), len(batch)))
-    for j, n in enumerate(levels):
-        out[j] = grading.evaluator(batch, n)
+    out = np.empty((grading.n_max + 1, len(batch)))
+    for n in range(grading.n_max + 1):
+        out[n] = grading.evaluator(batch, n)
     return out
 
 
@@ -676,20 +659,21 @@ class GradingValidationReport:
         return not self.violations
 
 
-def validate_grading(grading: Grading, probes: Sequence[TruncatedSequence],
-                     atol: float = DEFAULT_ATOL,
-                     rtol: float = DEFAULT_RTOL) -> GradingValidationReport:
-    """Check |f|_n <= |f|_{n+1} for every probe and consecutive level pair."""
+def validate_grading(grading: Grading, probes: Sequence[TruncatedSequence]
+                     ) -> GradingValidationReport:
+    """Check |f|_n <= |f|_{n+1} for every probe and consecutive level pair.
+
+    Violations are listed probe by probe, in level order within a probe.
+    """
     if not probes:
         raise ValueError("probe set is empty")
     table = seminorm_table(grading, probes)
-    violations = []
-    for i in range(len(probes)):
-        for n in range(grading.n_max):
-            lhs, rhs = float(table[n, i]), float(table[n + 1, i])
-            if not within_upper(lhs, rhs, atol, rtol):
-                violations.append(GradingViolation(i, n, lhs, rhs))
-    return GradingValidationReport(len(probes), tuple(violations))
+    failed = ~within_upper(table[:-1], table[1:])
+    violations = tuple(
+        GradingViolation(int(i), int(n), float(table[n, i]),
+                         float(table[n + 1, i]))
+        for i, n in np.argwhere(failed.T))
+    return GradingValidationReport(len(probes), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +761,7 @@ def _ratios(numerator: np.ndarray, denominator: np.ndarray):
 
 def certify_from_tables(num: np.ndarray, den: np.ndarray,
                         degrees: Sequence[int], degree_split: int,
-                        *, b: int = 0, r_max: int, forced_r: Optional[int] = None,
-                        stability_factor: float = DEGREE_STABILITY_FACTOR,
-                        atol: float = DEFAULT_ATOL,
+                        *, r_max: int, forced_r: Optional[int] = None,
                         probe_count: int, linear: bool = True):
     """Pick the smallest accepted level shift from precomputed seminorm tables.
 
@@ -788,10 +770,10 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     nonvanishing numerator reject the shift outright; vanishing/vanishing
     pairs are excluded.  A shift is accepted when, at every level, the max
     ratio over probes of degree > degree_split stays within
-    stability_factor x the max over the rest.  Tables holding NaN or
-    infinity certify nothing: the witness names the first such entry, num
-    before den, with ratio NaN.  A ratio that overflows float64 rejects its
-    shift with ratio inf.
+    DEGREE_STABILITY_FACTOR x the max over the rest, from level BASE_LEVEL
+    upward.  Tables holding NaN or infinity certify nothing: the witness
+    names the first such entry, num before den, with ratio NaN.  A ratio
+    that overflows float64 rejects its shift with ratio inf.
 
     Returns (certificate, witness); exactly one of the two is not None.
     """
@@ -809,12 +791,13 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
 
     def try_shift(r: int):
         top = n_max - r
-        if top < b:
-            return None, RatioWitness(r, b, -1, math.inf, "no level admits the shift")
+        if top < BASE_LEVEL:
+            return None, RatioWitness(r, BASE_LEVEL, -1, math.inf,
+                                      "no level admits the shift")
         constants: Dict[int, float] = {}
-        for n in range(b, top + 1):
+        for n in range(BASE_LEVEL, top + 1):
             ratios, included = _ratios(num[n], den[n + r])
-            bad = ~included & (num[n] > atol)
+            bad = ~included & (num[n] > DEFAULT_ATOL)
             if np.any(bad):
                 i = int(np.nonzero(bad)[0][0])
                 return None, RatioWitness(r, n, i, math.inf,
@@ -826,23 +809,24 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
             if np.any(hi_mask) and np.any(lo_mask):
                 m_hi = float(np.max(ratios[hi_mask]))
                 m_lo = float(np.max(ratios[lo_mask]))
-                if m_hi > stability_factor * m_lo + atol:
+                if m_hi > DEGREE_STABILITY_FACTOR * m_lo + DEFAULT_ATOL:
                     i_hi = int(np.argmax(np.where(hi_mask, ratios, -np.inf)))
                     return None, RatioWitness(
                         r, n, i_hi, m_hi,
                         f"ratio grows with truncation degree "
-                        f"({m_hi:.6g} > {stability_factor} * {m_lo:.6g})")
+                        f"({m_hi:.6g} > {DEGREE_STABILITY_FACTOR} * "
+                        f"{m_lo:.6g})")
             constants[n] = float(np.max(ratios[included]))
             if constants[n] == math.inf:
                 return None, RatioWitness(r, n, int(np.argmax(ratios)),
                                           math.inf, "ratio overflows float64")
         if not constants:
-            return None, RatioWitness(r, b, -1, math.inf,
+            return None, RatioWitness(r, BASE_LEVEL, -1, math.inf,
                                       "no probe produced a usable ratio")
         observed = dict(constants)
         floored = {n: (c if c > 0.0 else _RATIO_FLOOR) for n, c in constants.items()}
         cert = TamenessCertificate(
-            r=r, b=b, C=floored, provenance="empirical",
+            r=r, b=BASE_LEVEL, C=floored, provenance="empirical",
             probe_count=probe_count,
             max_ratio_observed=max(observed.values()),
             observed=observed, linear=linear)
@@ -861,8 +845,8 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     # fall back to the probe maximizing the ratio at the largest shift
     r = r_max
     reason = witness.reason if witness is not None else "no shift accepted"
-    worst_ratio, worst_level, worst_probe = -1.0, b, 0
-    for n in range(b, n_max - r + 1):
+    worst_ratio, worst_level, worst_probe = -1.0, BASE_LEVEL, 0
+    for n in range(BASE_LEVEL, n_max - r + 1):
         ratios, included = _ratios(num[n], den[n + r])
         if not np.any(included):
             continue
@@ -898,9 +882,7 @@ class EquivalenceOutcome:
 
 def certify_grading_equivalence(g1: Grading, g2: Grading,
                                 probes: Sequence[TruncatedSequence],
-                                r_max: int, *, b: int = 0,
-                                stability_factor: float = DEGREE_STABILITY_FACTOR,
-                                atol: float = DEFAULT_ATOL) -> EquivalenceOutcome:
+                                r_max: int) -> EquivalenceOutcome:
     """Certify |f|_1,n <= C |f|_2,n+r (forward) and the reverse (backward).
 
     The smallest accepted shift is searched per direction up to r_max; on
@@ -922,16 +904,14 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
     t2 = seminorm_table(g2, batch)
 
     fwd_cert, fwd_wit = certify_from_tables(
-        t1, t2, degrees, split, b=b, r_max=r_max,
-        stability_factor=stability_factor, atol=atol,
-        probe_count=len(probes), linear=True)
+        t1, t2, degrees, split, r_max=r_max, probe_count=len(probes),
+        linear=True)
     if fwd_cert is None:
         return EquivalenceOutcome(None, None, EquivalenceFailure(
             "g1<=g2", fwd_wit, probes[fwd_wit.probe_index]))
     bwd_cert, bwd_wit = certify_from_tables(
-        t2, t1, degrees, split, b=b, r_max=r_max,
-        stability_factor=stability_factor, atol=atol,
-        probe_count=len(probes), linear=True)
+        t2, t1, degrees, split, r_max=r_max, probe_count=len(probes),
+        linear=True)
     if bwd_cert is None:
         return EquivalenceOutcome(fwd_cert, None, EquivalenceFailure(
             "g2<=g1", bwd_wit, probes[bwd_wit.probe_index]))
@@ -939,8 +919,7 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
 
 
 def certificate_violations(cert: TamenessCertificate, num: np.ndarray,
-                           den: np.ndarray, atol: float = DEFAULT_ATOL,
-                           rtol: float = DEFAULT_RTOL):
+                           den: np.ndarray):
     """Re-check num[n, i] <= C(n) * den[n + r, i] on full level tables.
 
     Certified levels whose shifted level lies past the tables are skipped.
@@ -953,20 +932,18 @@ def certificate_violations(cert: TamenessCertificate, num: np.ndarray,
             continue
         lhs = num[n]
         bound = cert.C[n] * den[n + cert.r]
-        for i in np.flatnonzero(~within_upper(lhs, bound, atol, rtol)):
+        for i in np.flatnonzero(~within_upper(lhs, bound)):
             violations.append((int(i), n, float(lhs[i]), float(bound[i])))
     return violations
 
 
 def validate_equivalence_certificate(cert: TamenessCertificate,
                                      g_num: Grading, g_den: Grading,
-                                     probes,
-                                     atol: float = DEFAULT_ATOL,
-                                     rtol: float = DEFAULT_RTOL):
+                                     probes):
     """Re-check |f|_num,n <= C(n) |f|_den,n+r on a probe set.
 
     Returns the violations as (probe_index, level, lhs, bound) tuples.
     """
     batch = as_batch(probes)
     return certificate_violations(cert, seminorm_table(g_num, batch),
-                                  seminorm_table(g_den, batch), atol, rtol)
+                                  seminorm_table(g_den, batch))

@@ -17,7 +17,7 @@ size are only meaningful for decaying profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +27,17 @@ from .graded import (
     BanachFiber,
     TruncatedSequence,
     seminorm_linf,
+    within_upper,
 )
 from .probes import rng_from_seed
 
 DEFAULT_BOUNDARY_SAMPLES = 256
 MIN_BOUNDARY_SAMPLES = 8
 REAL_FORM_TOL = 1e-12
+#: as_real drops imaginary parts up to this fraction of 1 + max |real part|
+IMAGINARY_RESIDUE_TOL = 1e-9
+#: conjugation symmetry is sampled on the disk of this radius
+SYMMETRY_SAMPLE_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class DiskSpec:
 
     level: int
     boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
-    radius: float = 0.0
+    radius: float = field(init=False)
 
     def __post_init__(self):
         if self.level < 0:
@@ -123,13 +128,13 @@ def complexify(f: TruncatedSequence) -> TruncatedSequence:
                              f.coefficients.astype(np.complex128))
 
 
-def as_real(f: TruncatedSequence, tol: float = 1e-9) -> TruncatedSequence:
+def as_real(f: TruncatedSequence) -> TruncatedSequence:
     """Drop imaginary parts, refusing when they are not negligible."""
     if f.fiber.scalar_field == "real":
         return f
     imag_peak = float(np.max(np.abs(f.coefficients.imag))) if f.coefficients.size else 0.0
     ref = 1.0 + float(np.max(np.abs(f.coefficients.real)))
-    if imag_peak > tol * ref:
+    if imag_peak > IMAGINARY_RESIDUE_TOL * ref:
         raise ValueError(
             f"imaginary residue {imag_peak:.3g} too large for a real sequence")
     real_fiber = BanachFiber(f.fiber.dimension, "real", f.fiber.norm_kind)
@@ -197,43 +202,42 @@ class CauchyBoundReport:
 
 
 def verify_cauchy_bound(f: TruncatedSequence, level: int,
-                        samples: int = DEFAULT_BOUNDARY_SAMPLES,
-                        atol: float = 1e-9, rtol: float = 1e-9) -> CauchyBoundReport:
+                        samples: int = DEFAULT_BOUNDARY_SAMPLES
+                        ) -> CauchyBoundReport:
     """Check max_k |f_k| e^{nk} <= sampled sup on |z| = e^n, report the slack.
 
-    The bound is exact in reals; the tolerance absorbs Horner roundoff on
-    boundary magnitudes as large as e^{nK}.
+    The bound is exact in reals; the within_upper tolerance absorbs Horner
+    roundoff on boundary magnitudes as large as e^{nK}.
     """
     disk = DiskSpec(level, samples)
     lhs = seminorm_linf(f, level)
     rhs = sup_norm_disk(f, disk)
-    slack = rhs - lhs
-    ok = lhs <= rhs + atol + rtol * max(abs(lhs), abs(rhs))
-    return CauchyBoundReport(level, samples, lhs, rhs, slack, ok)
+    ok = bool(within_upper(lhs, rhs))  # an np.bool_ would serialize as 1.0
+    return CauchyBoundReport(level, samples, lhs, rhs, rhs - lhs, ok)
 
 
 # ---------------------------------------------------------------------------
 # real form
 # ---------------------------------------------------------------------------
 
-def check_real_form(f: TruncatedSequence, tol: float = REAL_FORM_TOL) -> bool:
-    """True iff every coefficient is real within tol.
+def check_real_form(f: TruncatedSequence) -> bool:
+    """True iff every coefficient is real within REAL_FORM_TOL.
 
     For power series this is equivalent to conj(f(z)) = f(conj z); see
     conjugation_symmetry_defect for the sampled cross-check.
     """
     if f.fiber.scalar_field == "real":
         return True
-    return float(np.max(np.abs(f.coefficients.imag))) <= tol
+    return float(np.max(np.abs(f.coefficients.imag))) <= REAL_FORM_TOL
 
 
 def conjugation_symmetry_defect(f: TruncatedSequence, count: int = 32,
-                                seed: int = 0, radius: float = 1.0) -> float:
+                                seed: int = 0) -> float:
     """Max over random sample points of |conj(f(z)) - f(conj z)|."""
     if count < 1:
         raise ValueError("need at least one sample point")
     rng = rng_from_seed(seed)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+    r = SYMMETRY_SAMPLE_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, size=count))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
     z = r * np.exp(1j * theta)
     fc = complexify(f)

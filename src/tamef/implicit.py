@@ -16,6 +16,7 @@ no smoothing/regularization machinery is needed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -36,6 +37,12 @@ JACOBIAN_FD_STEP = 1e-6
 #: too ill-conditioned to invert reliably
 VALIDITY_RADIUS_FLOOR = 1e-4
 VALIDITY_RADIUS_CAP = 256.0
+#: random kernel directions round-tripped at every trial chart radius
+CHART_DIRECTIONS = 16
+CHART_ROUND_TRIP_TOL = 1e-8
+PREIMAGE_TOL = 1e-10
+#: preimage points closer than this, relative to their norm, are one point
+PREIMAGE_DEDUPE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +113,12 @@ class ConstraintMap:
 
 
 def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
-                         base: np.ndarray, rows: int,
-                         step: Optional[float] = None,
-                         rel_step: float = JACOBIAN_FD_STEP) -> np.ndarray:
-    """Columns (fn(base + step e_i) - fn(base - step e_i)) / (2 step).
-
-    The default step is rel_step * (1 + max |base_i|).
-    """
+                         base: np.ndarray, rows: int) -> np.ndarray:
+    """Columns (fn(base + step e_i) - fn(base - step e_i)) / (2 step), with
+    step = JACOBIAN_FD_STEP * (1 + max |base_i|)."""
     base = np.asarray(base, dtype=np.float64)
-    if step is None:
-        scale = float(np.max(np.abs(base))) if base.size else 0.0
-        step = rel_step * (1.0 + scale)
+    scale = float(np.max(np.abs(base))) if base.size else 0.0
+    step = JACOBIAN_FD_STEP * (1.0 + scale)
     out = np.empty((rows, base.size))
     for i in range(base.size):
         probe = base.copy()
@@ -128,9 +130,9 @@ def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def finite_difference_jacobian(c: ConstraintMap, f: TruncatedSequence,
-                               step: Optional[float] = None) -> np.ndarray:
-    return _central_differences(c.value_flat, flatten(f), c.target_dim, step)
+def finite_difference_jacobian(c: ConstraintMap,
+                               f: TruncatedSequence) -> np.ndarray:
+    return _central_differences(c.value_flat, flatten(f), c.target_dim)
 
 
 def _jacobian_flat(c: ConstraintMap, flat: np.ndarray) -> np.ndarray:
@@ -148,8 +150,8 @@ def jacobian_matrix(c: ConstraintMap, f: TruncatedSequence) -> np.ndarray:
     return _jacobian_flat(c, flatten(f))
 
 
-def check_jacobian(c: ConstraintMap, probes: Sequence[TruncatedSequence],
-                   rtol: float = 1e-6) -> float:
+def check_jacobian(c: ConstraintMap,
+                   probes: Sequence[TruncatedSequence]) -> float:
     """Max relative gap between supplied and finite-difference Jacobians."""
     if c.jacobian is None:
         return 0.0
@@ -191,8 +193,8 @@ def _canonical_signs(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_regular_point(c: ConstraintMap, p: TruncatedSequence,
-                     rank_rtol: float = RANK_RTOL) -> RegularPointReport:
+def is_regular_point(c: ConstraintMap,
+                     p: TruncatedSequence) -> RegularPointReport:
     """Rank test of the metric-weighted Jacobian, with a splitting if regular.
 
     The weighted matrix J W^{-1} expresses the differential in coordinates
@@ -210,7 +212,7 @@ def is_regular_point(c: ConstraintMap, p: TruncatedSequence,
     sigma = np.linalg.svd(J_w, compute_uv=False)
     sigma_max = float(sigma[0]) if sigma.size else 0.0
     sigma_min = float(sigma[m - 1]) if sigma.size >= m else 0.0
-    regular = sigma_min > rank_rtol * sigma_max and sigma_max > 0.0
+    regular = sigma_min > RANK_RTOL * sigma_max and sigma_max > 0.0
     kernel = complement = None
     if regular:
         _, _, vt = np.linalg.svd(J_w, full_matrices=True)
@@ -240,7 +242,7 @@ class SplitConstraint:
                  x_dim: int, y_dim: int,
                  d_x: Optional[Callable] = None,
                  d_y: Optional[Callable] = None,
-                 name: str = "split", fd_step: float = JACOBIAN_FD_STEP):
+                 name: str = "split"):
         if y_dim < 1 or x_dim < 0:
             raise ValueError("need y_dim >= 1 and x_dim >= 0")
         self.phi_xy = phi_xy
@@ -249,7 +251,6 @@ class SplitConstraint:
         self._d_x = d_x
         self._d_y = d_y
         self.name = name
-        self.fd_step = fd_step
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.asarray(self.phi_xy(np.asarray(x, dtype=np.float64),
@@ -263,15 +264,13 @@ class SplitConstraint:
         if self._d_x is not None:
             return np.asarray(self._d_x(x, y), dtype=np.float64).reshape(
                 self.y_dim, self.x_dim)
-        return _central_differences(lambda p: self.value(p, y), x,
-                                    self.y_dim, rel_step=self.fd_step)
+        return _central_differences(lambda p: self.value(p, y), x, self.y_dim)
 
     def d_y(self, x, y) -> np.ndarray:
         if self._d_y is not None:
             return np.asarray(self._d_y(x, y), dtype=np.float64).reshape(
                 self.y_dim, self.y_dim)
-        return _central_differences(lambda p: self.value(x, p), y,
-                                    self.y_dim, rel_step=self.fd_step)
+        return _central_differences(lambda p: self.value(x, p), y, self.y_dim)
 
 
 def _solve_block(B: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -457,10 +456,8 @@ class Chart:
     split_data: PointSplit
     base_point: TruncatedSequence
     validity_radius: float
-    solve_tol: float = DEFAULT_SOLVE_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    base_x: np.ndarray = field(default=None, repr=False)
-    base_y: np.ndarray = field(default=None, repr=False)
+    base_x: np.ndarray = field(init=False, repr=False)
+    base_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x, y = self.split_data.coords_of(self.base_point)
@@ -483,14 +480,13 @@ class Chart:
                 values: Optional[np.ndarray] = None) -> TruncatedSequence:
         x = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         result = solve_implicit(self.split_data.split, x, self.base_y,
-                                target=values, tol=self.solve_tol,
-                                max_iter=self.max_iter)
+                                target=values)
         return self.split_data.point_of(x, result.y)
 
-    def contains(self, q: TruncatedSequence, slack: float = 1.0) -> bool:
+    def contains(self, q: TruncatedSequence) -> bool:
         """Whether q's kernel offsets fall inside the validity radius."""
         x, _ = self.split_data.coords_of(q - self.base_point)
-        return float(np.linalg.norm(x)) <= slack * self.validity_radius
+        return float(np.linalg.norm(x)) <= self.validity_radius
 
     def to_json(self) -> dict:
         return {
@@ -506,7 +502,8 @@ class Chart:
 
 
 def _chart_round_trip_ok(chart: Chart, radius: float,
-                         directions: np.ndarray, tol: float) -> bool:
+                         directions: np.ndarray) -> bool:
+    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
     for u in directions:
         x = radius * u
         try:
@@ -514,25 +511,20 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
         except (NonConvergenceError, SingularBlockError):
             return False
         x_back, values = chart.forward(q)
-        if float(np.linalg.norm(x_back - x)) > tol * (1.0 + radius):
-            return False
-        if float(np.linalg.norm(values)) > tol * (1.0 + radius):
+        if float(np.linalg.norm(x_back - x)) > bound or \
+                float(np.linalg.norm(values)) > bound:
             return False
     return True
 
 
-def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
-                directions: int = 16, seed: int = 0,
-                round_trip_tol: float = 1e-8,
-                solve_tol: float = DEFAULT_SOLVE_TOL,
-                max_iter: int = DEFAULT_MAX_ITER,
+def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
                 report: Optional[RegularPointReport] = None) -> Chart:
     """Chart at a regular point with an empirically certified radius.
 
-    The radius doubles from 1 while 16 random kernel directions round-trip
-    within tolerance, then bisects to the failure boundary.  A radius below
-    the floor rejects the chart: the splitting is numerically unusable even
-    if the rank test passed.
+    The radius doubles from 1 while CHART_DIRECTIONS random kernel
+    directions round-trip within CHART_ROUND_TRIP_TOL, then bisects to the
+    failure boundary.  A radius below the floor rejects the chart: the
+    splitting is numerically unusable even if the rank test passed.
     """
     if report is None:
         report = is_regular_point(c, p)
@@ -541,21 +533,20 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
             f"{c.name}: base point fails the rank test "
             f"(singular values {report.singular_values})")
     split_data = PointSplit(c, report)
-    chart = Chart(split_data, p, validity_radius=0.0,
-                  solve_tol=solve_tol, max_iter=max_iter)
+    chart = Chart(split_data, p, validity_radius=0.0)
     x_dim = split_data.split.x_dim
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dirs = rng.normal(size=(directions, x_dim)) if x_dim else \
-        np.zeros((directions, 0))
+    dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
+        np.zeros((CHART_DIRECTIONS, 0))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms[:, None]
 
     radius = 1.0
-    if not _chart_round_trip_ok(chart, radius, dirs, round_trip_tol):
+    if not _chart_round_trip_ok(chart, radius, dirs):
         while radius > VALIDITY_RADIUS_FLOOR:
             radius *= 0.5
-            if _chart_round_trip_ok(chart, radius, dirs, round_trip_tol):
+            if _chart_round_trip_ok(chart, radius, dirs):
                 break
         else:
             raise RegularityError(
@@ -563,8 +554,7 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
                 f"{VALIDITY_RADIUS_FLOOR} at this point")
     else:
         while radius < VALIDITY_RADIUS_CAP:
-            if not _chart_round_trip_ok(chart, 2.0 * radius, dirs,
-                                        round_trip_tol):
+            if not _chart_round_trip_ok(chart, 2.0 * radius, dirs):
                 break
             radius *= 2.0
         if radius >= VALIDITY_RADIUS_CAP:
@@ -572,7 +562,7 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *,
     lo, hi = radius, 2.0 * radius
     for _ in range(25):
         mid = 0.5 * (lo + hi)
-        if _chart_round_trip_ok(chart, mid, dirs, round_trip_tol):
+        if _chart_round_trip_ok(chart, mid, dirs):
             lo = mid
         else:
             hi = mid
@@ -603,8 +593,7 @@ class RegularValueReport:
 
 
 def find_preimage(c: ConstraintMap, target: np.ndarray,
-                  seed_point: TruncatedSequence,
-                  tol: float = 1e-10, max_iter: int = 60,
+                  seed_point: TruncatedSequence, max_iter: int = 60,
                   scaling: Optional[np.ndarray] = None
                   ) -> Optional[TruncatedSequence]:
     """Gauss-Newton from one seed; None when it fails to converge, also
@@ -628,8 +617,8 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
 
     try:
         flat, _, _ = _damped_newton(lambda z: c.value_flat(z) - goal,
-                                    weighted_step, flat, tol, max_iter,
-                                    c.name)
+                                    weighted_step, flat, PREIMAGE_TOL,
+                                    max_iter, c.name)
     except (NonConvergenceError, np.linalg.LinAlgError):
         return None
     return unflatten(c.space, flat)
@@ -637,8 +626,7 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
 
 def is_regular_value(c: ConstraintMap, target,
                      seeds: Sequence[TruncatedSequence],
-                     tol: float = 1e-10, max_iter: int = 60,
-                     dedupe_tol: float = 1e-6) -> RegularValueReport:
+                     max_iter: int = 60) -> RegularValueReport:
     """Test regularity of every preimage point reachable from the seeds.
 
     The verdict covers found points only; an empty evidence set yields the
@@ -648,14 +636,14 @@ def is_regular_value(c: ConstraintMap, target,
     found: List[TruncatedSequence] = []
     converged = 0
     for seed_point in seeds:
-        q = find_preimage(c, goal, seed_point, tol=tol, max_iter=max_iter)
+        q = find_preimage(c, goal, seed_point, max_iter=max_iter)
         if q is None:
             continue
         converged += 1
         flat = flatten(q)
         duplicate = any(
             np.linalg.norm(flat - flatten(other)) <=
-            dedupe_tol * (1.0 + np.linalg.norm(flat))
+            PREIMAGE_DEDUPE_TOL * (1.0 + np.linalg.norm(flat))
             for other in found)
         if not duplicate:
             found.append(q)
@@ -726,8 +714,12 @@ def linear_constraint(space: SequenceSpace,
 
 def affine_constraint(space: SequenceSpace, matrix, offset,
                       name: str = "affine") -> ConstraintMap:
-    A = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(offset, dtype=np.float64).reshape(-1)
+    try:
+        A = np.asarray(matrix, dtype=np.float64)
+        b = np.asarray(offset, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError("affine matrix and offset must hold numbers") \
+            from err
     if A.ndim != 2 or A.shape[1] != space.flat_dimension:
         raise ValueError(
             f"matrix shape {A.shape} does not match flat dimension "
@@ -744,21 +736,32 @@ def affine_constraint(space: SequenceSpace, matrix, offset,
     return ConstraintMap(name, space, A.shape[0], phi, jac)
 
 
-def polynomial_constraint(space: SequenceSpace, rows,
-                          name: str = "polynomial") -> ConstraintMap:
+def _polynomial_term(term, D: int) -> Tuple[float, Tuple[int, ...]]:
+    """(coefficient, flat indices) of one [coef, [indices]] term."""
+    if not (isinstance(term, (list, tuple)) and len(term) == 2
+            and isinstance(term[1], (list, tuple))):
+        raise ValueError(
+            f"polynomial term {term!r} is not [coefficient, [indices]]")
+    try:
+        coef = float(term[0])
+        idx = tuple(operator.index(i) for i in term[1])
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"polynomial term {term!r} needs a number and "
+                         f"integer indices") from err
+    if any(not 0 <= i < D for i in idx):
+        raise ValueError(f"term index out of range in {term}")
+    return coef, idx
+
+
+def polynomial_constraint(space: SequenceSpace, rows) -> ConstraintMap:
     """Rows of terms [coef, [flat indices]]; an index repeated p times means
     that coordinate raised to the p-th power."""
     D = space.flat_dimension
-    parsed = []
-    for row in rows:
-        terms = []
-        for term in row:
-            coef = float(term[0])
-            idx = [int(i) for i in term[1]]
-            if any(not 0 <= i < D for i in idx):
-                raise ValueError(f"term index out of range in {term}")
-            terms.append((coef, tuple(idx)))
-        parsed.append(tuple(terms))
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError("polynomial rows must be lists of terms")
+    parsed = [tuple(_polynomial_term(term, D) for term in row)
+              for row in rows]
     if not parsed:
         raise ValueError("polynomial constraint needs at least one row")
 
@@ -786,7 +789,7 @@ def polynomial_constraint(space: SequenceSpace, rows,
                     J[r, idx[pos]] += prod
         return J
 
-    return ConstraintMap(name, space, len(parsed), phi, jac)
+    return ConstraintMap("polynomial", space, len(parsed), phi, jac)
 
 
 def build_constraint(name: str, space: SequenceSpace,

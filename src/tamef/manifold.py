@@ -22,7 +22,7 @@ from .errors import (ConstructionError, NonConvergenceError,
 from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
     TruncatedSequence
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
-                       flatten, is_regular_point, sphere_constraint,
+                       is_regular_point, sphere_constraint,
                        sphere_intersection_constraint, unflatten)
 from .maps import CertificationOutcome, TameMapDescriptor, certify_tame
 from .probes import rng_from_seed, spawn_seeds
@@ -31,6 +31,8 @@ BASE_POINT_RESIDUAL_TOL = 1e-10
 TRANSITION_ROUND_TRIP_TOL = 1e-8
 DEFAULT_OVERLAP_PROBES = 12
 DEFAULT_IMAGE_RESIDUAL_TOL = 1e-8
+#: Newton-searched seeds per sphere-intersection construction
+SPHERE_INTERSECTION_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def make_sphere(space: SequenceSpace, level: int = 0, *,
 
 def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
                              radii: Optional[Sequence[float]] = None,
-                             seed: int = 0, attempts: int = 8) -> Submanifold:
+                             seed: int = 0) -> Submanifold:
     """Intersection of metric spheres, charted at one regular point.
 
     Seeds a Newton search for points on the fiber, then rank-tests each
@@ -107,15 +109,16 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
         c = base
     else:
         radii = [float(r) for r in radii]
-        if len(radii) != base.target_dim or any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive, one per level")
+        if len(radii) != base.target_dim or \
+                not all(0.0 < r < math.inf for r in radii):
+            raise ValueError("radii must be positive and finite, one per level")
         shift = np.asarray([r * r - 1.0 for r in radii])
         c = replace(base, name=base.name + ";radii=" +
                     ",".join(f"{r:g}" for r in radii),
                     phi=lambda flat: base.phi(flat) - shift)
 
     rng = rng_from_seed(seed)
-    chart_seeds = spawn_seeds(seed, attempts)
+    chart_seeds = spawn_seeds(seed, SPHERE_INTERSECTION_ATTEMPTS)
     evidence: List[dict] = []
     shape = (space.truncation_degree + 1, space.fiber.dimension)
     # scale coefficient k by e^{-n_top k} so every constraint row starts O(1)
@@ -124,7 +127,7 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
     w2_top = np.repeat(np.exp(2.0 * top *
                               np.arange(space.truncation_degree + 1)),
                        space.fiber.dimension)
-    for attempt in range(attempts):
+    for attempt in range(SPHERE_INTERSECTION_ATTEMPTS):
         block = rng.uniform(-1.0, 1.0, size=shape) * decay[:, None]
         flat = block.reshape(-1)
         norm_top = math.sqrt(float(np.dot(w2_top * flat, flat)))
@@ -154,7 +157,8 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
             continue
         return Submanifold(c, (chart,))
     raise ConstructionError(
-        f"{c.name}: no regular point found in {attempts} attempts "
+        f"{c.name}: no regular point found in "
+        f"{SPHERE_INTERSECTION_ATTEMPTS} attempts "
         f"({sum(1 for e in evidence if e.get('converged'))} converged, "
         f"all rank-deficient or unusable)", evidence=evidence)
 
@@ -255,8 +259,7 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
 
 def verify_transitions(manifold: Submanifold, *,
                        probes_per_pair: int = DEFAULT_OVERLAP_PROBES,
-                       seed: int = 0, r_max: int = 2,
-                       round_trip_tol: float = TRANSITION_ROUND_TRIP_TOL
+                       seed: int = 0, r_max: int = 2
                        ) -> List[TransitionReport]:
     """Round-trip and certify every chart pair; single charts verify trivially.
 
@@ -339,10 +342,7 @@ def chart_restriction(desc: TameMapDescriptor, manifold: Submanifold,
 def certify_map_into_submanifold(desc: TameMapDescriptor,
                                  manifold: Submanifold,
                                  probes: Sequence[TruncatedSequence],
-                                 r_max: int = 2, *,
-                                 residual_tol: float =
-                                 DEFAULT_IMAGE_RESIDUAL_TOL,
-                                 **certify_kwargs) -> IntoSubmanifoldReport:
+                                 r_max: int = 2) -> IntoSubmanifoldReport:
     """Check the image stays on the zero set, then certify into the ambient.
 
     A tameness certificate for the corestriction is exactly an ambient
@@ -359,13 +359,12 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
     images = [desc(f) for f in probes]
     residuals = [manifold.residual(g) for g in images]
     worst = max(residuals)
-    if worst > residual_tol:
+    if worst > DEFAULT_IMAGE_RESIDUAL_TOL:
         raise NotIntoSubmanifoldError(
             f"{desc.name}: image leaves the zero set "
-            f"(max residual {worst:.3g} > {residual_tol:.3g})",
+            f"(max residual {worst:.3g} > {DEFAULT_IMAGE_RESIDUAL_TOL:.3g})",
             residual=worst)
-    outcome: CertificationOutcome = certify_tame(desc, probes, r_max,
-                                                 **certify_kwargs)
+    outcome: CertificationOutcome = certify_tame(desc, probes, r_max)
     coverage = []
     chart_certs = []
     for k, chart in enumerate(manifold.charts):
@@ -375,9 +374,7 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
             chart_certs.append(None)
             continue
         restricted = chart_restriction(desc, manifold, k)
-        chart_certs.append(
-            certify_tame(restricted, hits, r_max, **certify_kwargs)
-            .certificate)
+        chart_certs.append(certify_tame(restricted, hits, r_max).certificate)
     return IntoSubmanifoldReport(
         max_image_residual=worst, probe_count=len(probes),
         certificate=outcome.certificate,
@@ -386,8 +383,7 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
 
 
 def normalization_descriptor(space: SequenceSpace, *,
-                             region_radius: float,
-                             region_level: int = 0) -> TameMapDescriptor:
+                             region_radius: float) -> TameMapDescriptor:
     """f -> f / sqrt(<f,f>_0), mapping a ball away from zero onto the sphere."""
     from .graded import inner_product
 
@@ -400,4 +396,4 @@ def normalization_descriptor(space: SequenceSpace, *,
     return TameMapDescriptor(
         name="normalize0", domain=space, codomain=space,
         evaluator=evaluator, linearity="nonlinear",
-        region_radius=region_radius, region_level=region_level)
+        region_radius=region_radius)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InconsistentInverseError
 from .graded import (
     DEFAULT_ATOL,
-    DEGREE_STABILITY_FACTOR,
     ProductBatch,
     ProductSpace,
     RatioWitness,
@@ -47,6 +46,8 @@ Element = Union[TruncatedSequence, Tuple[TruncatedSequence, ...]]
 #: quasi-isometry estimates may grow by at most this factor across the
 #: probe-norm median split; saturating ratios like s/(1+s) stay under it
 QUASI_SCALE_FACTOR = 2.0
+#: an inverse may miss a probe by this much relative to 1 + |f|
+QUASI_ROUND_TRIP_TOL = 1e-9
 
 LINEARITY_TOL = 1e-9
 
@@ -111,8 +112,7 @@ class TameMapDescriptor:
 
 
 def validate_descriptor(desc: TameMapDescriptor,
-                        probes: Sequence[Element],
-                        tol: float = LINEARITY_TOL) -> List[str]:
+                        probes: Sequence[Element]) -> List[str]:
     """Spot-check descriptor invariants; returns human-readable defects."""
     defects: List[str] = []
     if not probes:
@@ -133,13 +133,14 @@ def validate_descriptor(desc: TameMapDescriptor,
             right = add_elements(outputs[i], outputs[i + 1])
             gap = desc.codomain.seminorm(sub_elements(left, right), n)
             scale = 1.0 + desc.codomain.seminorm(right, n)
-            if gap > tol * scale:
+            if gap > LINEARITY_TOL * scale:
                 defects.append(
                     f"additivity defect {gap:.3g} at probe pair ({i},{i + 1})")
             left2 = desc(scale_element(f, 2.0))
             gap2 = desc.codomain.seminorm(
                 sub_elements(left2, scale_element(outputs[i], 2.0)), n)
-            if gap2 > tol * (1.0 + 2.0 * desc.codomain.seminorm(outputs[i], n)):
+            if gap2 > LINEARITY_TOL * (
+                    1.0 + 2.0 * desc.codomain.seminorm(outputs[i], n)):
                 defects.append(f"homogeneity defect {gap2:.3g} at probe {i}")
     return defects
 
@@ -197,11 +198,8 @@ def _image_batch(desc: TameMapDescriptor, batch):
     return ProductBatch(parts) if product else parts[0]
 
 
-def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *, b: int = 0,
-                 forced_r: Optional[int] = None,
-                 stability_factor: float = DEGREE_STABILITY_FACTOR,
-                 atol: float = DEFAULT_ATOL,
-                 check_region: bool = True) -> CertificationOutcome:
+def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
+                 forced_r: Optional[int] = None) -> CertificationOutcome:
     """Estimate the smallest accepted shift and constants for one map.
 
     probes is a SequenceBatch, a ProductBatch, or a list of elements that is
@@ -215,21 +213,20 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *, b: int = 0,
         raise ValueError("r_max must lie in 0..n_max")
     batch = as_batch(probes)
     num, den = map_seminorm_tables(desc, batch)
-    if check_region and not desc.is_linear:
+    if not desc.is_linear:
         level_norms = den[desc.region_level]
-        outside = np.flatnonzero(level_norms > desc.region_radius + atol)
+        outside = np.flatnonzero(
+            level_norms > desc.region_radius + DEFAULT_ATOL)
         if outside.size:
             i = int(outside[0])
             raise ValueError(
                 f"probe {i} leaves the certification region "
                 f"({level_norms[i]:.6g} > {desc.region_radius:.6g})")
-    if not desc.is_linear:
         den = den + 1.0
     split = _space_truncation(desc.domain) // 2
     cert, witness = certify_from_tables(
-        num, den, element_degree(batch), split, b=b, r_max=r_max,
-        forced_r=forced_r, stability_factor=stability_factor, atol=atol,
-        probe_count=len(batch), linear=desc.is_linear)
+        num, den, element_degree(batch), split, r_max=r_max,
+        forced_r=forced_r, probe_count=len(batch), linear=desc.is_linear)
     if cert is not None:
         return CertificationOutcome(cert, None)
     probe = probes[witness.probe_index] if witness.probe_index >= 0 else None
@@ -237,15 +234,13 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *, b: int = 0,
 
 
 def validate_certificate_on_probes(desc: TameMapDescriptor,
-                                   cert: TamenessCertificate, probes,
-                                   atol: float = DEFAULT_ATOL,
-                                   rtol: float = DEFAULT_ATOL):
+                                   cert: TamenessCertificate, probes):
     """Re-check the certified inequality; returns (probe, level, lhs, bound)
     violations."""
     num, den = map_seminorm_tables(desc, probes)
     if not cert.linear:
         den = den + 1.0
-    return certificate_violations(cert, num, den, atol, rtol)
+    return certificate_violations(cert, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +364,7 @@ class QuasiIsometryReport:
 
 def quasi_isometry_check(desc: TameMapDescriptor,
                          inverse: Callable[[Element], Element],
-                         probes: Sequence[Element],
-                         round_trip_tol: float = 1e-9,
-                         scale_factor: float = QUASI_SCALE_FACTOR,
-                         atol: float = DEFAULT_ATOL) -> QuasiIsometryReport:
+                         probes: Sequence[Element]) -> QuasiIsometryReport:
     if desc.domain.n_max != 0 or desc.codomain.n_max != 0:
         raise ValueError(
             "quasi-isometry bounds need single-norm spaces (n_max = 0)")
@@ -388,7 +380,7 @@ def quasi_isometry_check(desc: TameMapDescriptor,
         back = inverse(out)
         residual = desc.domain.seminorm(sub_elements(back, f), 0)
         round_trip_max = max(round_trip_max, residual)
-        if residual > round_trip_tol * (1.0 + src[i]):
+        if residual > QUASI_ROUND_TRIP_TOL * (1.0 + src[i]):
             raise InconsistentInverseError(
                 f"inverse misses probe {i} by {residual:.3g}")
     ratio_upper = img / (1.0 + src)
@@ -400,7 +392,7 @@ def quasi_isometry_check(desc: TameMapDescriptor,
     def side(ratios):
         m_small = float(np.max(ratios[small]))
         m_large = float(np.max(ratios[large]))
-        stable = m_large <= scale_factor * m_small + atol
+        stable = m_large <= QUASI_SCALE_FACTOR * m_small + DEFAULT_ATOL
         witness = None if stable else int(large[np.argmax(ratios[large])])
         return m_small, m_large, stable, witness
 

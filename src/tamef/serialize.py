@@ -11,6 +11,9 @@ import math
 import os
 from typing import Iterable, Optional, Sequence
 
+#: spaces per nesting level of emitted JSON
+JSON_INDENT = 2
+
 
 def format_float(x: float) -> str:
     """17 significant decimal digits: enough to round-trip any float64."""
@@ -22,9 +25,9 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(obj, pieces: list, indent: int, level: int):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, pieces: list, level: int):
+    pad = " " * (JSON_INDENT * level)
+    inner = " " * (JSON_INDENT * (level + 1))
     if obj is None:
         pieces.append("null")
     elif obj is True:
@@ -46,7 +49,7 @@ def _emit(obj, pieces: list, indent: int, level: int):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings: {key!r}")
             pieces.append(inner + json.dumps(key, ensure_ascii=False) + ": ")
-            _emit(value, pieces, indent, level + 1)
+            _emit(value, pieces, level + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -56,7 +59,7 @@ def _emit(obj, pieces: list, indent: int, level: int):
         pieces.append("[\n")
         for i, value in enumerate(obj):
             pieces.append(inner)
-            _emit(value, pieces, indent, level + 1)
+            _emit(value, pieces, level + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
     else:
@@ -67,9 +70,9 @@ def _emit(obj, pieces: list, indent: int, level: int):
             raise TypeError(f"cannot serialize {type(obj).__name__}") from err
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     pieces: list = []
-    _emit(obj, pieces, indent, 0)
+    _emit(obj, pieces, 0)
     return "".join(pieces) + "\n"
 
 
@@ -100,8 +103,8 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def write_json(path: str, obj, indent: int = 2):
-    _write_atomic(path, dumps_json(obj, indent))
+def write_json(path: str, obj):
+    _write_atomic(path, dumps_json(obj))
 
 
 def write_csv(path: str, rows: Iterable[Sequence],

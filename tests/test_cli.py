@@ -246,6 +246,26 @@ def test_solve_nonconvergence_exits_3(tmp_path):
     # finite, but the residual overflows: exit 3 with an empty history cell
     ({"command": "solve", "constraint": "sphere:0", "base_point": [1e300]},
      3),
+    # nested lists where flat ones belong, malformed polynomial rows
+    ({"command": "solve", "x_offsets": [[1, 2]]}, 64),
+    ({"command": "atlas", "constraint": "spheres:0,1", "radii": [[1], [2]]},
+     64),
+    ({"command": "solve", "constraint": "polynomial",
+      "constraint_params": {"rows": 5}}, 64),
+    ({"command": "solve", "constraint": "polynomial",
+      "constraint_params": {"rows": [[[1, 5]]]}}, 64),
+    ({"command": "solve", "constraint": "polynomial",
+      "constraint_params": {"rows": [[[1.0, [0.9]], [-0.25, []]]]}}, 64),
+    # a JSON true where a number belongs, a matrix that holds no numbers
+    ({"command": "certify-gradings", "fiber_dimension": True}, 64),
+    ({"command": "solve", "constraint": "affine",
+      "constraint_params": {"matrix": {"a": 1}, "offset": [0]}}, 64),
+    # integers too large for a float
+    ({"command": "solve", "tol": 10 ** 400}, 64),
+    ({"command": "solve", "constraint": "polynomial",
+      "constraint_params": {"rows": [[[10 ** 400, [0]]]]}}, 64),
+    ({"command": "solve", "constraint": "affine",
+      "constraint_params": {"matrix": [[10 ** 400]], "offset": [0]}}, 64),
 ])
 def test_non_finite_config_values(tmp_path, capsys, config, code):
     config = dict({"k": 8, "nmax": 3, "out": str(tmp_path / "run")}, **config)

@@ -1,0 +1,217 @@
+"""Fuzz test of the CLI: any flags and config values end in a documented exit
+code, never in an escaping exception, and write nothing outside --out.
+
+Each example runs one command with valid flags and a config that holds valid
+values for some keys and at most one bad entry: a wrong type, a nested list,
+NaN or Infinity, an unknown registry name, an out-of-range level or count,
+an unknown key, or bad argv flags.  Sizes stay small (k <= 8, nmax <= 3,
+probes <= 16, max_iter <= 100).
+"""
+
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tamef import cli
+
+EXIT_CODES = {0, 2, 3, 4, 64}
+GRADINGS = ("l1", "linf", "decreasing")
+MAPS = ("identity", "shift_up", "shift_down", "derivative", "scale:2",
+        "coeff_square", "projection:1", "product:derivative,coeff_square",
+        "compose:derivative,shift_up")
+CONSTRAINTS = ("sphere:0", "sphere:1", "spheres:0,1", "linear:1,0",
+               "polynomial")
+ATLAS_CONSTRAINTS = ("sphere:0", "sphere:1", "spheres:0,1")
+
+#: any JSON value, NaN and Infinity included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "one", "1", "sphere:0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rows", "matrix", "offset"]), inner,
+                      max_size=2),
+    max_leaves=6)
+
+finite = st.floats(-1.0, 1.0)
+numbers = finite | st.sampled_from([float("nan"), float("inf"), 2])
+#: a list nested one level too deep, a list holding NaN, Infinity, strings
+#: or ragged rows, or no list at all
+bad_lists = (
+    st.integers(0, 2).flatmap(lambda n: st.lists(
+        st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=3))
+    | st.lists(numbers | st.lists(numbers, max_size=2)
+               | st.sampled_from(["", "one"]), min_size=1, max_size=3)
+    | json_values)
+#: rows of [coefficient, [flat indices]] terms
+rows = st.lists(st.lists(st.tuples(finite, st.lists(st.integers(0, 3),
+                                                    max_size=2)),
+                         min_size=1, max_size=2), min_size=1, max_size=2)
+
+#: the valid values of the config keys each command reads
+SCALARS = {
+    "k": st.integers(2, 8),
+    "nmax": st.integers(2, 3),
+    "fiber_dimension": st.integers(1, 2),
+    "seed": st.integers(0, 2 ** 64 - 1),
+    "probes": st.integers(1, 16),
+    "r_max": st.integers(0, 2),
+    "tol": st.sampled_from([1e-12, 1e-9, 1e-6]),
+    "max_iter": st.integers(1, 100),
+}
+VALID = {
+    "certify-gradings": {"g1": st.sampled_from(GRADINGS),
+                         "g2": st.sampled_from(GRADINGS)},
+    "certify-map": {"map": st.sampled_from(MAPS)},
+    "solve": {"constraint": st.sampled_from(CONSTRAINTS),
+              "constraint_params": st.fixed_dictionaries({"rows": rows}),
+              "base_point": st.lists(st.floats(0.25, 1.0), min_size=1,
+                                     max_size=3),
+              "x_offsets": st.lists(finite, max_size=3),
+              "y0": st.lists(finite, min_size=1, max_size=2)},
+    "atlas": {"constraint": st.sampled_from(ATLAS_CONSTRAINTS),
+              "radii": st.lists(st.floats(0.5, 3.0), min_size=2,
+                                max_size=2)},
+}
+SCALAR_KEYS = {
+    "certify-gradings": ("k", "nmax", "fiber_dimension", "seed", "probes",
+                         "r_max"),
+    "certify-map": ("k", "nmax", "probes", "r_max"),
+    "solve": ("k", "nmax", "tol", "max_iter"),
+    "atlas": ("k", "nmax", "probes", "r_max"),
+}
+for _command, _keys in SCALAR_KEYS.items():
+    VALID[_command].update((key, SCALARS[key]) for key in _keys)
+
+#: bad values of a key; scalar keys also take any JSON value
+BAD = {
+    "k": st.sampled_from([-1, 0, 4097]),
+    "nmax": st.sampled_from([-1, 300]),
+    "fiber_dimension": st.just(0),
+    "seed": st.sampled_from([-1, 2 ** 64]),
+    "probes": st.integers(-1, 0),
+    "r_max": st.sampled_from([-1, 4]),
+    "tol": st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
+    "max_iter": st.integers(-1, 0),
+    "g1": st.just("bogus"),
+    "g2": st.just("bogus"),
+    "map": st.sampled_from(["bogus", "scale:x", "scale:nan", "scale:1e300",
+                            "projection:3", "compose:product:a,b"]),
+    "constraint": st.sampled_from(["bogus", "sphere:9", "sphere:x",
+                                   "spheres:1,0", "spheres:0,9", "linear:",
+                                   "affine"]),
+    "constraint_params": st.fixed_dictionaries(
+        {"rows": json_values}, optional={"matrix": json_values,
+                                         "offset": json_values}),
+    "base_point": bad_lists,
+    "x_offsets": bad_lists,
+    "y0": bad_lists,
+    "radii": bad_lists,
+    "unknown_key": json_values,
+}
+for _key in SCALARS:
+    BAD[_key] |= json_values
+
+#: the constraint under which a bad value is read
+READ_UNDER = {("solve", "constraint_params"): ["polynomial", "affine"],
+              ("atlas", "radii"): ["spheres:0,1"]}
+
+#: argv flags each command accepts, with valid values
+FLAGS = {
+    "--seed": SCALARS["seed"].map(str),
+    "--k": SCALARS["k"].map(str),
+    "--nmax": SCALARS["nmax"].map(str),
+    "--probes": SCALARS["probes"].map(str),
+    "--r-max": SCALARS["r_max"].map(str),
+    "--tol": st.sampled_from(["1e-12", "1e-9"]),
+}
+COMMAND_FLAGS = {
+    "certify-gradings": {"--g1": st.sampled_from(GRADINGS),
+                         "--g2": st.sampled_from(GRADINGS)},
+    "certify-map": {"--map": st.sampled_from(MAPS)},
+    "solve": {"--constraint": st.sampled_from(CONSTRAINTS),
+              "--max-iter": SCALARS["max_iter"].map(str)},
+    "atlas": {"--constraint": st.sampled_from(ATLAS_CONSTRAINTS)},
+}
+#: flags with bad values, or flags the command does not know
+BAD_FLAGS = {
+    "--k": st.sampled_from(["-1", "0", "4097", "x"]),
+    "--nmax": st.sampled_from(["-1", "300"]),
+    "--tol": st.sampled_from(["0", "nan", "inf", "x"]),
+    "--probes": st.sampled_from(["0", "-1"]),
+    "--r-max": st.sampled_from(["-1", "9"]),
+    "--seed": st.sampled_from(["-1", str(2 ** 64)]),
+    "--g1": st.just("bogus"),
+    "--map": st.sampled_from(["bogus", "scale:inf"]),
+    "--constraint": st.sampled_from(["bogus", "sphere:9"]),
+    "--max-iter": st.sampled_from(["0", "-3"]),
+    "--bogus": st.just("1"),
+}
+
+#: (command, what goes bad): None, "argv" for the flags, "unknown_key",
+#: "scalar" for one of the command's scalar keys, or one of its other keys
+TARGETS = [(command, key) for command in VALID
+           for key in [None, "argv", "unknown_key", "scalar"]
+           + sorted(set(VALID[command]) - set(SCALARS))]
+
+
+def _flag_pairs(choices, least, most):
+    names = st.lists(st.sampled_from(sorted(choices)), min_size=least,
+                     max_size=most, unique=True)
+    return names.flatmap(lambda chosen: st.tuples(
+        *(st.tuples(st.just(name), choices[name]) for name in chosen)))
+
+
+def _example(target):
+    """(command, flag pairs, config) with at most one bad entry."""
+    command, key = target
+    choices = dict(FLAGS, **COMMAND_FLAGS[command])
+    if target in READ_UNDER:
+        del choices["--constraint"]
+    flag_pairs = _flag_pairs(BAD_FLAGS, 1, 3) if key == "argv" \
+        else _flag_pairs(choices, 0, 2)
+    bad = st.just({})
+    if key not in (None, "argv"):
+        keys = SCALAR_KEYS[command] if key == "scalar" else [key]
+        bad = st.sampled_from(keys).flatmap(
+            lambda name: BAD[name].map(lambda value: {name: value}))
+    if target in READ_UNDER:
+        bad = st.tuples(bad, st.sampled_from(READ_UNDER[target])).map(
+            lambda pair: dict(pair[0], constraint=pair[1]))
+    config = st.tuples(st.fixed_dictionaries({}, optional=VALID[command]),
+                       bad).map(lambda pair: {**pair[0], **pair[1]})
+    return st.tuples(st.just(command), flag_pairs, config)
+
+
+def _files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, _, names in os.walk(root) for name in names)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(TARGETS).flatmap(_example))
+def test_cli_exits_with_a_documented_code(example):
+    command, flag_pairs, config = example
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work, \
+            tempfile.TemporaryDirectory() as config_dir:
+        config_path = os.path.join(config_dir, "cfg.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        argv = [command, "--out", "out", "--config", config_path]
+        for name, value in flag_pairs:
+            argv += [name, value]
+        os.chdir(work)
+        try:
+            code = cli.run(argv)
+        finally:
+            os.chdir(home)
+        assert code in EXIT_CODES, argv
+        written = _files_under(work)
+        assert all(path.startswith("out" + os.sep) for path in written), \
+            written
+        assert _files_under(config_dir) == ["cfg.json"]

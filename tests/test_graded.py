@@ -15,6 +15,7 @@ from tamef.errors import UnsupportedGradingError
 from tamef.graded import (
     BanachFiber,
     Grading,
+    GradingViolation,
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
@@ -202,6 +203,22 @@ def test_validate_grading_flags_decreasing_family():
     assert not report.ok
     v = report.violations[0]
     assert v.lhs > v.rhs
+
+
+def test_validate_grading_lists_violations_like_a_scalar_loop():
+    # doubling the odd levels breaks monotonicity where |f|_{n+1} < 2 |f|_n,
+    # for low-degree probes only; violations come probe by probe, then level
+    uneven = custom_grading(
+        lambda f, n: seminorm_l1(f, n) * (2.0 if n % 2 else 1.0), n_max=4)
+    space = SequenceSpace(R1, truncation_degree=8, n_max=4)
+    probes = make_probes(space, 30, seed=5)
+    expected = [
+        GradingViolation(i, n, uneven.seminorm(f, n), uneven.seminorm(f, n + 1))
+        for i, f in enumerate(probes) for n in range(4)
+        if not within_upper(uneven.seminorm(f, n), uneven.seminorm(f, n + 1))]
+    report = validate_grading(uneven, probes)
+    assert 0 < len(report.violations) < 2 * len(probes)
+    assert list(report.violations) == expected
 
 
 # ---------------------------------------------------------------------------

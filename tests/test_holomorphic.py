@@ -26,6 +26,7 @@ from tamef.holomorphic import (
     verify_cauchy_bound,
 )
 from tamef.probes import make_probes, rng_from_seed
+from tamef.serialize import dumps_json
 
 R1 = BanachFiber(1)
 C1 = BanachFiber(1, scalar_field="complex")
@@ -194,6 +195,16 @@ def test_cauchy_bound_holds_for_probes_all_levels():
             report = verify_cauchy_bound(f, n, samples=256)
             assert report.ok, (n, report.slack)
             assert report.slack >= -1e-9 * max(1.0, report.boundary_sup)
+
+
+def test_cauchy_report_ok_is_a_python_bool():
+    # z^8 aliases onto 1 on an 8-point grid, so 1 - z^8 reads zero there
+    # and the sampled bound fails; either verdict serializes as a JSON bool
+    aliased = TruncatedSequence(R1, np.array([[1.0]] + [[0.0]] * 7 + [[-1.0]]))
+    for f, samples, ok in ((exp_series(), 256, True), (aliased, 8, False)):
+        report = verify_cauchy_bound(f, 0, samples=samples)
+        assert report.ok is ok
+        assert f'"ok": {str(ok).lower()}' in dumps_json(report.to_json())
 
 
 # ---------------------------------------------------------------------------

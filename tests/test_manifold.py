@@ -120,6 +120,10 @@ def test_intersection_rejects_bad_radii():
         make_sphere_intersection(SPACE, (0, 1), radii=(1.0,), seed=1)
     with pytest.raises(ValueError):
         make_sphere_intersection(SPACE, (0, 1), radii=(1.0, -2.0), seed=1)
+    with pytest.raises(ValueError):
+        make_sphere_intersection(SPACE, (0, 1), radii=(np.nan, 2.0), seed=1)
+    with pytest.raises(ValueError):
+        make_sphere_intersection(SPACE, (0, 1), radii=(1.0, np.inf), seed=1)
 
 
 # ---------------------------------------------------------------------------
