@@ -44,6 +44,10 @@ COMMANDS = ("certify-gradings", "certify-map", "solve", "atlas")
 #: commands that search level shifts r in 0..r_max
 _LEVEL_SHIFT_COMMANDS = ("certify-gradings", "certify-map", "atlas")
 GRADING_NAMES = ("l1", "linf", "decreasing")
+#: bound on probes * (k + 1) * fiber_dimension, the coefficients of one
+#: probe block; it also bounds the overlap points, each found by Newton
+#: solves, that atlas samples per chart pair
+MAX_PROBE_ENTRIES = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -85,6 +89,11 @@ class RunConfig:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.probes < 1:
             raise ConfigError("probe count must be >= 1")
+        if self.probes * (self.k + 1) * self.fiber_dimension > \
+                MAX_PROBE_ENTRIES:
+            raise ConfigError(
+                f"probes * (k+1) * fiber_dimension exceeds "
+                f"{MAX_PROBE_ENTRIES}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive and finite")
         if self.r_max < 0:
@@ -480,7 +489,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
-        return _DISPATCH[cfg.command](cfg)
+        # overflow and NaN end as witnesses or errors in the outputs, so
+        # numpy's floating-point warnings would only repeat them on stderr
+        with np.errstate(all="ignore"):
+            return _DISPATCH[cfg.command](cfg)
     except ConfigError as err:
         print(f"tamef: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -246,11 +246,11 @@ class SequenceBatch:
 
     It behaves like a list of TruncatedSequence: len, indexing, iteration
     and + concatenation.  An indexed element is a view of one row of the
-    block, not a copy, and indexing the same position twice returns the same
-    object.  Seminorms and degrees of a batch hold one value per element.
+    block, not a copy.  Seminorms and degrees of a batch hold one value per
+    element.
     """
 
-    __slots__ = ("fiber", "_block", "_norms", "_views")
+    __slots__ = ("fiber", "_block", "_norms")
 
     def __init__(self, fiber: BanachFiber, block):
         arr = np.asarray(block, dtype=fiber.dtype).view()
@@ -262,7 +262,6 @@ class SequenceBatch:
         self.fiber = fiber
         self._block = arr
         self._norms = None
-        self._views = {}
 
     @classmethod
     def stack(cls, sequences: Sequence[TruncatedSequence]) -> "SequenceBatch":
@@ -294,16 +293,8 @@ class SequenceBatch:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SequenceBatch(self.fiber, self._block[index])
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"batch index {index} out of range")
-        view = self._views.get(i)
-        if view is None:
-            view = TruncatedSequence._view(self.fiber, self._block[i])
-            self._views[i] = view
-        return view
+        return TruncatedSequence._view(self.fiber,
+                                       self._block[operator.index(index)])
 
     def __iter__(self):
         for row in self._block:
@@ -556,9 +547,7 @@ class SequenceSpace:
         return (self.truncation_degree + 1) * self.fiber.dimension
 
     def grading(self) -> Grading:
-        if self.grading_kind == "l1":
-            return l1_grading(self.n_max)
-        return linf_grading(self.n_max)
+        return Grading(self.grading_kind, self.n_max, self.seminorm)
 
     def seminorm(self, f, n: int):
         """|f|_n of one sequence, or one value per element of a batch."""
@@ -777,6 +766,8 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
 
     Returns (certificate, witness); exactly one of the two is not None.
     """
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
     for name, table in (("num", num), ("den", den)):
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
@@ -835,25 +826,14 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     if forced_r is not None:
         return try_shift(forced_r)
 
-    witness = None
     for r in range(r_max + 1):
         cert, witness = try_shift(r)
         if cert is not None:
             return cert, None
-    if witness is not None and witness.probe_index >= 0:
-        return None, witness
-    # fall back to the probe maximizing the ratio at the largest shift
-    r = r_max
-    reason = witness.reason if witness is not None else "no shift accepted"
-    worst_ratio, worst_level, worst_probe = -1.0, BASE_LEVEL, 0
-    for n in range(BASE_LEVEL, n_max - r + 1):
-        ratios, included = _ratios(num[n], den[n + r])
-        if not np.any(included):
-            continue
-        i_top = int(np.argmax(ratios))
-        if ratios[i_top] > worst_ratio:
-            worst_ratio, worst_level, worst_probe = float(ratios[i_top]), n, i_top
-    return None, RatioWitness(r, worst_level, worst_probe, worst_ratio, reason)
+    if witness.probe_index < 0:
+        # no level of the largest shift had a usable ratio: name probe 0
+        witness = RatioWitness(r_max, BASE_LEVEL, 0, -1.0, witness.reason)
+    return None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
 from .graded import SequenceSpace, TruncatedSequence, _weights
+from .probes import rng_from_seed
 
 RANK_RTOL = 1e-8
 BLOCK_RTOL = 1e-12
@@ -175,12 +176,10 @@ class RegularPointReport:
     singular_values: Tuple[float, ...]
     rank_decision: bool
     inner_product_level: int
-    kernel_basis: Optional[Tuple[TruncatedSequence, ...]] = None
-    complement_basis: Optional[Tuple[TruncatedSequence, ...]] = None
-
-    @property
-    def codimension(self) -> int:
-        return self.jacobian.shape[0]
+    #: flat (D, D - m) and (D, m) matrices, one basis vector per column;
+    #: None at a non-regular point
+    kernel_basis: Optional[np.ndarray] = None
+    complement_basis: Optional[np.ndarray] = None
 
 
 def _canonical_signs(columns: np.ndarray) -> np.ndarray:
@@ -217,10 +216,8 @@ def is_regular_point(c: ConstraintMap,
     if regular:
         _, _, vt = np.linalg.svd(J_w, full_matrices=True)
         v = _canonical_signs(vt.T)
-        kernel_flat = v[:, m:] / w[:, None]
-        compl_flat = v[:, :m] / w[:, None]
-        kernel = tuple(unflatten(c.space, col) for col in kernel_flat.T)
-        complement = tuple(unflatten(c.space, col) for col in compl_flat.T)
+        kernel = v[:, m:] / w[:, None]
+        complement = v[:, :m] / w[:, None]
     return RegularPointReport(
         point=p, jacobian=J,
         singular_values=tuple(float(s) for s in sigma),
@@ -392,19 +389,14 @@ class PointSplit:
                 f"{c.name}: cannot split at a non-regular point")
         self.constraint = c
         self.report = report
-        D = c.flat_dimension
-        m = c.target_dim
-        self.kernel_mat = np.column_stack(
-            [flatten(v) for v in report.kernel_basis]) if D > m else \
-            np.zeros((D, 0))
-        self.compl_mat = np.column_stack(
-            [flatten(v) for v in report.complement_basis])
+        self.kernel_mat = report.kernel_basis
+        self.compl_mat = report.complement_basis
         w = level_weights(c.space, c.level)
         # metric-projection rows: coords(q) = (W^2 basis)^T q
         self._kernel_proj = (self.kernel_mat * (w ** 2)[:, None]).T
         self._compl_proj = (self.compl_mat * (w ** 2)[:, None]).T
         self.split = SplitConstraint(
-            self._phi_xy, D - m, m,
+            self._phi_xy, self.kernel_mat.shape[1], self.compl_mat.shape[1],
             d_x=self._d_x if c.jacobian is not None else None,
             d_y=self._d_y if c.jacobian is not None else None,
             name=f"{c.name}@split")
@@ -472,9 +464,26 @@ class Chart:
     def report(self) -> RegularPointReport:
         return self.split_data.report
 
+    @property
+    def kernel_dimension(self) -> int:
+        return self.split_data.split.x_dim
+
+    def kernel_coords(self, h: TruncatedSequence) -> np.ndarray:
+        """Coordinates of an ambient element along the kernel basis."""
+        return self.split_data.coords_of(h)[0]
+
+    def offsets(self, q: TruncatedSequence) -> np.ndarray:
+        """Kernel offsets P(q - p) of q from the base point."""
+        return self.kernel_coords(q - self.base_point)
+
+    def embed(self, x_offsets: np.ndarray) -> TruncatedSequence:
+        """The ambient element sum_i x_i k_i along the kernel basis."""
+        flat = self.split_data.kernel_mat @ np.asarray(x_offsets,
+                                                       dtype=np.float64)
+        return unflatten(self.constraint.space, flat)
+
     def forward(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
-        x, _ = self.split_data.coords_of(q - self.base_point)
-        return x, self.constraint.value(q)
+        return self.offsets(q), self.constraint.value(q)
 
     def inverse(self, x_offsets: np.ndarray,
                 values: Optional[np.ndarray] = None) -> TruncatedSequence:
@@ -485,17 +494,18 @@ class Chart:
 
     def contains(self, q: TruncatedSequence) -> bool:
         """Whether q's kernel offsets fall inside the validity radius."""
-        x, _ = self.split_data.coords_of(q - self.base_point)
-        return float(np.linalg.norm(x)) <= self.validity_radius
+        return float(np.linalg.norm(self.offsets(q))) <= self.validity_radius
 
     def to_json(self) -> dict:
+        space = self.constraint.space
         return {
             "base_point": self.base_point.to_json(),
             "bases": {
                 "level": self.report.inner_product_level,
-                "kernel": [v.to_json() for v in self.report.kernel_basis],
-                "complement": [v.to_json()
-                               for v in self.report.complement_basis],
+                "kernel": [unflatten(space, v).to_json()
+                           for v in self.report.kernel_basis.T],
+                "complement": [unflatten(space, v).to_json()
+                               for v in self.report.complement_basis.T],
             },
             "radius": self.validity_radius,
         }
@@ -532,10 +542,9 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
         raise RegularityError(
             f"{c.name}: base point fails the rank test "
             f"(singular values {report.singular_values})")
-    split_data = PointSplit(c, report)
-    chart = Chart(split_data, p, validity_radius=0.0)
-    x_dim = split_data.split.x_dim
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    chart = Chart(PointSplit(c, report), p, validity_radius=0.0)
+    x_dim = chart.kernel_dimension
+    rng = rng_from_seed(seed)
     dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
         np.zeros((CHART_DIRECTIONS, 0))
     norms = np.linalg.norm(dirs, axis=1)

@@ -23,7 +23,7 @@ from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
     TruncatedSequence
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        is_regular_point, sphere_constraint,
-                       sphere_intersection_constraint, unflatten)
+                       sphere_intersection_constraint)
 from .maps import CertificationOutcome, TameMapDescriptor, certify_tame
 from .probes import rng_from_seed, spawn_seeds
 
@@ -193,21 +193,11 @@ class TransitionReport:
                 self.max_round_trip_error, r, b)
 
 
-def _kernel_offsets(chart: Chart, q: TruncatedSequence) -> np.ndarray:
-    x, _ = chart.split_data.coords_of(q - chart.base_point)
-    return x
-
-
-def _embed_offsets(chart: Chart, x: np.ndarray) -> TruncatedSequence:
-    flat = chart.split_data.kernel_mat @ np.asarray(x, dtype=np.float64)
-    return unflatten(chart.constraint.space, flat)
-
-
 def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
                     seed: int) -> List[TruncatedSequence]:
     """Manifold points inside both validity radii, sampled through chart_a."""
     rng = rng_from_seed(seed)
-    dim = chart_a.split_data.split.x_dim
+    dim = chart_a.kernel_dimension
     points: List[TruncatedSequence] = []
     for _ in range(4 * count):
         if len(points) >= count:
@@ -228,27 +218,25 @@ def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
 
 
 def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
-                           chart_b: Chart,
-                           probes: Sequence[TruncatedSequence]
+                           chart_b: Chart, offsets: Sequence[np.ndarray]
                            ) -> Tuple[TameMapDescriptor,
                                       SequenceBatch]:
     """Chart-b coordinates as a function of chart-a coordinates.
 
     Offsets are embedded along the kernel bases so the transition becomes a
     map of the ambient space and the usual certification applies.  The
-    claimed region is the ball actually covered by the probe set.
+    probes are the given chart-a offsets, embedded; the claimed region is
+    the ball they cover.
     """
     space = manifold.ambient
-    offset_probes = SequenceBatch.stack(
-        [_embed_offsets(chart_a, _kernel_offsets(chart_a, q))
-         for q in probes])
+    offset_probes = SequenceBatch.stack([chart_a.embed(x) for x in offsets])
     level = manifold.constraint.level
     radius = float(np.max(space.seminorm(offset_probes, level))) * 1.0001
 
     def evaluator(h: TruncatedSequence) -> TruncatedSequence:
-        x = chart_a.split_data.coords_of(h)[0]
+        x = chart_a.kernel_coords(h)
         q = chart_a.inverse(x)
-        return _embed_offsets(chart_b, _kernel_offsets(chart_b, q))
+        return chart_b.embed(chart_b.offsets(q))
 
     desc = TameMapDescriptor(
         name="transition", domain=space, codomain=space,
@@ -279,22 +267,22 @@ def verify_transitions(manifold: Submanifold, *,
             reports.append(TransitionReport(i, j, 0, 0.0, None))
             continue
         worst = 0.0
-        for q in overlap:
-            x_a = _kernel_offsets(chart_a, q)
-            x_b = _kernel_offsets(chart_b, q)
+        offsets_a = [chart_a.offsets(q) for q in overlap]
+        for q, x_a in zip(overlap, offsets_a):
+            x_b = chart_b.offsets(q)
             try:
                 # transition a->b, then its inverse b->a, in chart coords
-                t_ab = _kernel_offsets(chart_b, chart_a.inverse(x_a))
+                t_ab = chart_b.offsets(chart_a.inverse(x_a))
                 err = float(np.linalg.norm(t_ab - x_b)) / \
                     (1.0 + float(np.linalg.norm(x_b)))
-                t_back = _kernel_offsets(chart_a, chart_b.inverse(t_ab))
+                t_back = chart_a.offsets(chart_b.inverse(t_ab))
                 err = max(err, float(np.linalg.norm(t_back - x_a)) /
                           (1.0 + float(np.linalg.norm(x_a))))
             except (NonConvergenceError, SingularBlockError):
                 err = math.inf
             worst = max(worst, err)
         desc, offset_probes = _transition_descriptor(
-            manifold, chart_a, chart_b, overlap)
+            manifold, chart_a, chart_b, offsets_a)
         outcome = certify_tame(desc, offset_probes, r_max)
         reports.append(TransitionReport(
             i, j, len(overlap), worst, outcome.certificate))
@@ -318,10 +306,6 @@ class IntoSubmanifoldReport:
     chart_coverage: Tuple[int, ...]
     chart_certificates: Tuple[Optional[TamenessCertificate], ...]
 
-    @property
-    def covered(self) -> int:
-        return sum(self.chart_coverage)
-
 
 def chart_restriction(desc: TameMapDescriptor, manifold: Submanifold,
                       chart_index: int) -> TameMapDescriptor:
@@ -330,7 +314,7 @@ def chart_restriction(desc: TameMapDescriptor, manifold: Submanifold,
     chart = manifold.charts[chart_index]
 
     def evaluator(h: TruncatedSequence) -> TruncatedSequence:
-        return _embed_offsets(chart, _kernel_offsets(chart, desc(h)))
+        return chart.embed(chart.offsets(desc(h)))
 
     return TameMapDescriptor(
         name=f"{desc.name}|chart{chart_index}",

@@ -431,20 +431,16 @@ def directional_derivative(desc: TameMapDescriptor, f: Element, h: Element,
 # registry
 # ---------------------------------------------------------------------------
 
-def _shift_up(space: SequenceSpace):
-    def run(f: TruncatedSequence) -> TruncatedSequence:
-        block = np.zeros_like(f.coefficients)
-        block[1:] = f.coefficients[:-1]
-        return TruncatedSequence(f.fiber, block)
-    return run
+def _shift_up(f: TruncatedSequence) -> TruncatedSequence:
+    block = np.zeros_like(f.coefficients)
+    block[1:] = f.coefficients[:-1]
+    return TruncatedSequence(f.fiber, block)
 
 
-def _shift_down(space: SequenceSpace):
-    def run(f: TruncatedSequence) -> TruncatedSequence:
-        block = np.zeros_like(f.coefficients)
-        block[:-1] = f.coefficients[1:]
-        return TruncatedSequence(f.fiber, block)
-    return run
+def _shift_down(f: TruncatedSequence) -> TruncatedSequence:
+    block = np.zeros_like(f.coefficients)
+    block[:-1] = f.coefficients[1:]
+    return TruncatedSequence(f.fiber, block)
 
 
 def _derivative(space: SequenceSpace):
@@ -458,10 +454,8 @@ def _derivative(space: SequenceSpace):
     return run
 
 
-def _coeff_square(space: SequenceSpace):
-    def run(f: TruncatedSequence) -> TruncatedSequence:
-        return TruncatedSequence(f.fiber, f.coefficients * f.coefficients)
-    return run
+def _coeff_square(f: TruncatedSequence) -> TruncatedSequence:
+    return TruncatedSequence(f.fiber, f.coefficients * f.coefficients)
 
 
 def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
@@ -476,9 +470,9 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
     if head == "identity":
         return TameMapDescriptor("identity", space, space, lambda f: f)
     if head == "shift_up":
-        return TameMapDescriptor("shift_up", space, space, _shift_up(space))
+        return TameMapDescriptor("shift_up", space, space, _shift_up)
     if head == "shift_down":
-        return TameMapDescriptor("shift_down", space, space, _shift_down(space))
+        return TameMapDescriptor("shift_down", space, space, _shift_down)
     if head == "derivative":
         return TameMapDescriptor("derivative", space, space, _derivative(space))
     if head == "scale":
@@ -490,7 +484,7 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
                                  lambda f: f * c)
     if head == "coeff_square":
         return TameMapDescriptor("coeff_square", space, space,
-                                 _coeff_square(space), linearity="nonlinear")
+                                 _coeff_square, linearity="nonlinear")
     if head == "projection":
         try:
             index = int(rest)
@@ -514,19 +508,13 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
             raise ValueError("compose arguments do not chain")
         if head == "product":
             codomain = ProductSpace((a.codomain, b.codomain))
-            linearity = "linear" if a.is_linear and b.is_linear else "nonlinear"
-            return TameMapDescriptor(
-                f"product:{rest}", space, codomain,
-                lambda f: (a(f), b(f)), linearity=linearity,
-                region_radius=min(a.region_radius, b.region_radius))
-        linearity = "linear" if a.is_linear and b.is_linear else "nonlinear"
+            evaluator = lambda f: (a(f), b(f))
+        else:
+            codomain = a.codomain
+            evaluator = lambda f: a(b(f))
         return TameMapDescriptor(
-            f"compose:{rest}", space, a.codomain,
-            lambda f: a(b(f)), linearity=linearity,
+            f"{head}:{rest}", space, codomain, evaluator,
+            linearity="linear" if a.is_linear and b.is_linear else "nonlinear",
             region_radius=min(a.region_radius, b.region_radius))
     raise ValueError(f"unknown map name {name!r}")
 
-
-REGISTRY_NAMES = ("identity", "shift_up", "shift_down", "derivative",
-                  "scale:<c>", "coeff_square", "projection:<i>",
-                  "product:<a>,<b>", "compose:<a>,<b>")

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -391,6 +392,48 @@ def test_grading_budget_guard(tmp_path):
     # k * nmax beyond the overflow guard must be a usage error
     assert run_cli(["certify-gradings", "--k", "64", "--nmax", "6",
                     "--out", str(tmp_path / "run")]) == 64
+
+
+@pytest.mark.parametrize("args", [
+    ("certify-gradings", "--probes", str(10 ** 29)),
+    ("atlas", "--constraint", "sphere:0", "--probes", str(10 ** 12)),
+])
+def test_probe_count_is_bounded(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert run_cli(list(args) + ["--k", "8", "--nmax", "3",
+                                 "--out", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("tamef: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify-gradings", "atlas"])
+def test_probe_bound_counts_coefficients(command):
+    # k = 8 and fiber dimension 1: nine coefficients per probe
+    most = cli.MAX_PROBE_ENTRIES // 9
+    cli.RunConfig(command=command, k=8, nmax=3, probes=most).validate()
+    with pytest.raises(cli.ConfigError):
+        cli.RunConfig(command=command, k=8, nmax=3,
+                      probes=most + 1).validate()
+    with pytest.raises(cli.ConfigError):
+        cli.RunConfig(command=command, k=8, nmax=3, fiber_dimension=2,
+                      probes=most).validate()
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("certify-map", {"map": "scale:1e300", "probes": 16}, 2),
+    ("solve", {"constraint": "sphere:0", "base_point": [1e300]}, 3),
+])
+def test_numpy_warnings_stay_off_stderr(tmp_path, capfd, command, config,
+                                        code):
+    config = dict(config, k=8, nmax=3, out=str(tmp_path / "run"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    # pytest collects warnings itself; record them here to see any at all
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([command, "--config", str(cfg_path)]) == code
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == ""
 
 
 def test_flag_overrides_config_value(tmp_path):

@@ -92,7 +92,7 @@ BAD = {
     "nmax": st.sampled_from([-1, 300]),
     "fiber_dimension": st.just(0),
     "seed": st.sampled_from([-1, 2 ** 64]),
-    "probes": st.integers(-1, 0),
+    "probes": st.integers(-1, 0) | st.just(10 ** 12),
     "r_max": st.sampled_from([-1, 4]),
     "tol": st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
     "max_iter": st.integers(-1, 0),
@@ -141,7 +141,7 @@ BAD_FLAGS = {
     "--k": st.sampled_from(["-1", "0", "4097", "x"]),
     "--nmax": st.sampled_from(["-1", "300"]),
     "--tol": st.sampled_from(["0", "nan", "inf", "x"]),
-    "--probes": st.sampled_from(["0", "-1"]),
+    "--probes": st.sampled_from(["0", "-1", str(10 ** 12)]),
     "--r-max": st.sampled_from(["-1", "9"]),
     "--seed": st.sampled_from(["-1", str(2 ** 64)]),
     "--g1": st.just("bogus"),

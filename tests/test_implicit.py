@@ -221,10 +221,11 @@ def test_sphere_regular_at_first_basis_vector():
     report = is_regular_point(c, SPACE16.basis(0))
     assert report.rank_decision
     assert report.singular_values == pytest.approx((2.0,), abs=1e-14)
-    assert len(report.kernel_basis) == SPACE16.flat_dimension - 1
-    assert len(report.complement_basis) == 1
+    D = SPACE16.flat_dimension
+    assert report.kernel_basis.shape == (D, D - 1)
+    assert report.complement_basis.shape == (D, 1)
     # complement aligns with the gradient direction, canonical sign positive
-    compl = flatten(report.complement_basis[0])
+    compl = report.complement_basis[:, 0]
     assert compl[0] == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(compl[1:]) <= 1e-12
 
@@ -243,13 +244,13 @@ def test_kernel_basis_is_orthonormal_and_annihilated():
     report = is_regular_point(c, p)
     assert report.rank_decision
     w2 = level_weights(SPACE16, 1) ** 2
-    vectors = [flatten(v) for v in report.kernel_basis]
+    vectors = list(report.kernel_basis.T)
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             want = 1.0 if i == j else 0.0
             assert float(np.sum(w2 * u * v)) == pytest.approx(want, abs=1e-10)
         assert np.linalg.norm(report.jacobian @ u) <= 1e-10
-    compl = flatten(report.complement_basis[0])
+    compl = report.complement_basis[:, 0]
     for u in vectors:
         assert float(np.sum(w2 * compl * u)) == pytest.approx(0.0, abs=1e-10)
 

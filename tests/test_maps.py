@@ -12,8 +12,10 @@ import pytest
 
 from tamef.errors import InconsistentInverseError
 from tamef.graded import (
+    BASE_LEVEL,
     BanachFiber,
     ProductSpace,
+    RatioWitness,
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
@@ -105,7 +107,8 @@ def test_non_finite_tables_are_rejected(name):
     flat = witness.level * len(PROBES) + witness.probe_index
     assert not np.isfinite(num.ravel()[flat])
     assert np.all(np.isfinite(num.ravel()[:flat]))
-    assert out.witness_probe is PROBES[witness.probe_index]
+    assert np.array_equal(out.witness_probe.coefficients,
+                          PROBES[witness.probe_index].coefficients)
 
 
 def test_non_finite_den_is_named():
@@ -128,6 +131,24 @@ def test_ratio_overflow_is_not_certified():
     assert cert is None
     assert witness.ratio == math.inf
     assert witness.reason == "ratio overflows float64"
+
+
+@pytest.mark.parametrize("r_max", [0, 1, 2])
+def test_no_usable_ratio_names_probe_zero(r_max):
+    # every denominator vanishes and every numerator is within DEFAULT_ATOL
+    num = np.array([[0.0, 1e-10, 0.0, 1e-9]] * 3)
+    den = np.zeros((3, 4))
+    cert, witness = certify_from_tables(num, den, [1, 2, 3, 4], 2,
+                                        r_max=r_max, probe_count=4)
+    assert cert is None
+    assert witness == RatioWitness(r_max, BASE_LEVEL, 0, -1.0,
+                                   "no probe produced a usable ratio")
+
+
+def test_negative_r_max_is_rejected():
+    with pytest.raises(ValueError):
+        certify_from_tables(np.ones((3, 4)), np.ones((3, 4)), [0, 1, 2, 3],
+                            1, r_max=-1, probe_count=4)
 
 
 def test_certify_coeff_square_nonlinear():
