@@ -45,9 +45,17 @@ COMMANDS = ("certify-gradings", "certify-map", "solve", "atlas")
 _LEVEL_SHIFT_COMMANDS = ("certify-gradings", "certify-map", "atlas")
 GRADING_NAMES = ("l1", "linf", "decreasing")
 #: bound on probes * (k + 1) * fiber_dimension, the coefficients of one
-#: probe block; it also bounds the overlap points, each found by Newton
-#: solves, that atlas samples per chart pair
+#: probe block
 MAX_PROBE_ENTRIES = 2 ** 24
+#: bound on the overlap points atlas samples per chart pair; each costs
+#: Newton solves (up to four candidates drawn per kept point, a round trip
+#: each way and one transition evaluation)
+MAX_OVERLAP_PROBES = 1024
+#: bound on the flat dimension D = (k + 1) * fiber_dimension of the
+#: commands that split at a regular point: the split takes a full (D, D)
+#: SVD, and atlas.json holds D - m kernel vectors of D numbers per chart
+MAX_SPLIT_DIMENSION = 1024
+_SPLIT_COMMANDS = ("solve", "atlas")
 
 
 class ConfigError(ValueError):
@@ -85,6 +93,11 @@ class RunConfig:
             raise ConfigError("nmax must be >= 0")
         if self.fiber_dimension < 1:
             raise ConfigError("fiber dimension must be >= 1")
+        if self.command in _SPLIT_COMMANDS and \
+                (self.k + 1) * self.fiber_dimension > MAX_SPLIT_DIMENSION:
+            raise ConfigError(
+                f"{self.command}: (k+1) * fiber_dimension exceeds "
+                f"{MAX_SPLIT_DIMENSION}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.probes < 1:
@@ -375,6 +388,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_atlas(cfg: RunConfig) -> int:
+    if cfg.probes > MAX_OVERLAP_PROBES:
+        raise ConfigError(
+            f"atlas samples at most {MAX_OVERLAP_PROBES} overlap points per "
+            f"chart pair, got probes {cfg.probes}")
     space = cfg.space()
     head, _, rest = cfg.constraint.partition(":")
     try:

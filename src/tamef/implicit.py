@@ -15,7 +15,6 @@ no smoothing/regularization machinery is needed.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -25,13 +24,13 @@ import numpy as np
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
 from .graded import SequenceSpace, TruncatedSequence, _weights
+from .newton import NewtonLanes, damped_newton, lane_norms
 from .probes import rng_from_seed
 
 RANK_RTOL = 1e-8
 BLOCK_RTOL = 1e-12
 DEFAULT_SOLVE_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
-DAMPING_MAX_HALVINGS = 20
 JACOBIAN_FD_STEP = 1e-6
 #: charts whose round-trip radius collapses below this are rejected: a rank
 #: decision that barely clears the threshold can still leave the phi-block
@@ -40,6 +39,10 @@ VALIDITY_RADIUS_FLOOR = 1e-4
 VALIDITY_RADIUS_CAP = 256.0
 #: random kernel directions round-tripped at every trial chart radius
 CHART_DIRECTIONS = 16
+#: chart inverses solved in one Newton block; a block and its damping
+#: ladder (20 rows for every lane that rejects a full step) stay this small
+#: however many points a caller solves
+CHART_LANES = 64
 CHART_ROUND_TRIP_TOL = 1e-8
 PREIMAGE_TOL = 1e-10
 #: preimage points closer than this, relative to their norm, are one point
@@ -74,10 +77,14 @@ def level_weights(space: SequenceSpace, level: int) -> np.ndarray:
 class ConstraintMap:
     """phi: sequence space -> R^m with an optional analytic Jacobian.
 
-    phi and jacobian take the flat coordinate vector (see flatten) and must
-    not modify it; jacobian returns the (m, D) matrix over it, otherwise
-    central differences are used.  level sets the metric used for
-    splittings at this constraint's regular points.
+    phi and jacobian work on lanes: they take a (P, D) block of flat
+    coordinate vectors (see flatten), one point per row, must not modify it,
+    and return the (P, m) values and the (P, m, D) Jacobians; without a
+    jacobian, central differences are used.  The damped-Newton step search
+    evaluates every halving of a rejected step in one call, also halvings a
+    one-at-a-time search would have skipped, so phi returns non-finite
+    values where it is undefined rather than raising.  level sets the
+    metric used for splittings at this constraint's regular points.
     """
 
     name: str
@@ -105,50 +112,56 @@ class ConstraintMap:
         return self.value_flat(flatten(f))
 
     def value_flat(self, flat: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.phi(flat), dtype=np.float64).reshape(-1)
-        if out.shape != (self.target_dim,):
+        return self.values(np.asarray(flat).reshape(1, -1))[0]
+
+    def values(self, flats: np.ndarray) -> np.ndarray:
+        """phi on a (P, D) block: the (P, m) values, one row per point."""
+        out = np.asarray(self.phi(flats), dtype=np.float64)
+        if out.shape != (flats.shape[0], self.target_dim):
             raise ValueError(
                 f"constraint returned shape {out.shape}, expected "
-                f"({self.target_dim},)")
+                f"({flats.shape[0]}, {self.target_dim})")
         return out
+
+    def jacobians(self, flats: np.ndarray) -> np.ndarray:
+        """The (P, m, D) Jacobians at the rows of a (P, D) block."""
+        if self.jacobian is None:
+            return _central_differences(self.values, flats, self.target_dim)
+        J = np.asarray(self.jacobian(flats), dtype=np.float64)
+        want = (flats.shape[0], self.target_dim, self.flat_dimension)
+        if J.shape != want:
+            raise ValueError(
+                f"supplied Jacobian shape {J.shape}, expected {want}")
+        return J
 
 
 def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
                          base: np.ndarray, rows: int) -> np.ndarray:
-    """Columns (fn(base + step e_i) - fn(base - step e_i)) / (2 step), with
-    step = JACOBIAN_FD_STEP * (1 + max |base_i|)."""
+    """(L, rows, n) columns (fn(base + step e_i) - fn(base - step e_i)) /
+    (2 step) at the L rows of base, each row with its own step
+    JACOBIAN_FD_STEP * (1 + max |base_i|); fn maps (L, n) to (L, rows)."""
     base = np.asarray(base, dtype=np.float64)
-    scale = float(np.max(np.abs(base))) if base.size else 0.0
+    scale = np.max(np.abs(base), axis=1, initial=0.0)
     step = JACOBIAN_FD_STEP * (1.0 + scale)
-    out = np.empty((rows, base.size))
-    for i in range(base.size):
+    out = np.empty((base.shape[0], rows, base.shape[1]))
+    for i in range(base.shape[1]):
         probe = base.copy()
-        probe[i] = base[i] + step
+        probe[:, i] = base[:, i] + step
         plus = fn(probe)
-        probe[i] = base[i] - step
+        probe[:, i] = base[:, i] - step
         minus = fn(probe)
-        out[:, i] = (plus - minus) / (2.0 * step)
+        out[:, :, i] = (plus - minus) / (2.0 * step)[:, None]
     return out
 
 
 def finite_difference_jacobian(c: ConstraintMap,
                                f: TruncatedSequence) -> np.ndarray:
-    return _central_differences(c.value_flat, flatten(f), c.target_dim)
-
-
-def _jacobian_flat(c: ConstraintMap, flat: np.ndarray) -> np.ndarray:
-    if c.jacobian is None:
-        return _central_differences(c.value_flat, flat, c.target_dim)
-    J = np.asarray(c.jacobian(flat), dtype=np.float64)
-    if J.shape != (c.target_dim, c.flat_dimension):
-        raise ValueError(
-            f"supplied Jacobian shape {J.shape}, expected "
-            f"({c.target_dim}, {c.flat_dimension})")
-    return J
+    return _central_differences(c.values, flatten(f)[None],
+                                c.target_dim)[0]
 
 
 def jacobian_matrix(c: ConstraintMap, f: TruncatedSequence) -> np.ndarray:
-    return _jacobian_flat(c, flatten(f))
+    return c.jacobians(flatten(f)[None])[0]
 
 
 def check_jacobian(c: ConstraintMap,
@@ -233,13 +246,19 @@ class SplitConstraint:
     """phi in split coordinates (x, y): x over the kernel directions, y over
     the m complement directions.  Coordinates are absolute (the zero element
     has coordinates (0, 0)), so base points carry nonzero y in general.
+
+    phi_xy, d_x and d_y take one x and one y vector.  With lanes=True they
+    take an (L, x_dim) and an (L, y_dim) block instead, one lane per row,
+    and return (L, y_dim), (L, y_dim, x_dim) and (L, y_dim, y_dim) blocks.
+    values and d_y_lanes evaluate a block of lanes either way, calling
+    single-vector callables once per lane.
     """
 
     def __init__(self, phi_xy: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x_dim: int, y_dim: int,
                  d_x: Optional[Callable] = None,
                  d_y: Optional[Callable] = None,
-                 name: str = "split"):
+                 name: str = "split", lanes: bool = False):
         if y_dim < 1 or x_dim < 0:
             raise ValueError("need y_dim >= 1 and x_dim >= 0")
         self.phi_xy = phi_xy
@@ -248,39 +267,78 @@ class SplitConstraint:
         self._d_x = d_x
         self._d_y = d_y
         self.name = name
+        self.lanes = lanes
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.phi_xy(np.asarray(x, dtype=np.float64),
-                                     np.asarray(y, dtype=np.float64)),
-                         dtype=np.float64).reshape(-1)
-        if out.shape != (self.y_dim,):
+    def _call(self, fn: Callable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self.lanes:
+            return np.asarray(fn(X, Y), dtype=np.float64)
+        return np.stack([np.asarray(fn(x, y), dtype=np.float64).reshape(-1)
+                         for x, y in zip(X, Y)])
+
+    def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
+        out = self._call(self.phi_xy, X, Y)
+        if out.shape != (len(X), self.y_dim):
             raise ValueError(f"split constraint returned shape {out.shape}")
         return out
 
+    def d_y_lanes(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self._d_y is not None:
+            return self._call(self._d_y, X, Y).reshape(
+                len(X), self.y_dim, self.y_dim)
+        return _central_differences(lambda P: self.values(X, P), Y,
+                                    self.y_dim)
+
+    def value(self, x, y) -> np.ndarray:
+        return self.values(*self._one_lane(x, y))[0]
+
     def d_x(self, x, y) -> np.ndarray:
+        X, Y = self._one_lane(x, y)
         if self._d_x is not None:
-            return np.asarray(self._d_x(x, y), dtype=np.float64).reshape(
-                self.y_dim, self.x_dim)
-        return _central_differences(lambda p: self.value(p, y), x, self.y_dim)
+            return self._call(self._d_x, X, Y).reshape(self.y_dim, self.x_dim)
+        return _central_differences(lambda P: self.values(P, Y), X,
+                                    self.y_dim)[0]
 
     def d_y(self, x, y) -> np.ndarray:
-        if self._d_y is not None:
-            return np.asarray(self._d_y(x, y), dtype=np.float64).reshape(
-                self.y_dim, self.y_dim)
-        return _central_differences(lambda p: self.value(x, p), y, self.y_dim)
+        return self.d_y_lanes(*self._one_lane(x, y))[0]
+
+    def _one_lane(self, x, y) -> Tuple[np.ndarray, np.ndarray]:
+        return (np.asarray(x, dtype=np.float64).reshape(1, self.x_dim),
+                np.asarray(y, dtype=np.float64).reshape(1, self.y_dim))
 
 
-def _solve_block(B: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(B)):
-        raise SingularBlockError(f"{context}: phi-block not finite")
+def _solve_blocks(B: np.ndarray, rhs: np.ndarray, context: str
+                  ) -> Tuple[np.ndarray, Optional[List[Optional[Exception]]]]:
+    """B^{-1} rhs for an (L, m, m) stack of phi-blocks and (L, m) right-hand
+    sides.  The second value is None when every block was solved, else one
+    entry per lane: None, or the SingularBlockError of a non-finite or
+    singular block, whose step row is left zero."""
+    all_finite = np.count_nonzero(np.isfinite(B)) == B.size
+    if not all_finite:
+        finite = np.isfinite(B).all(axis=(1, 2))
+        B = np.where(finite[:, None, None], B, 0.0)
     sigma = np.linalg.svd(B, compute_uv=False)
-    sigma_max = float(sigma[0]) if sigma.size else 0.0
-    sigma_min = float(sigma[-1]) if sigma.size else 0.0
-    if sigma_min <= BLOCK_RTOL * max(sigma_max, 1.0):
-        raise SingularBlockError(
-            f"{context}: phi-block singular (sigma_min={sigma_min:.3g}, "
-            f"sigma_max={sigma_max:.3g})")
-    return np.linalg.solve(B, rhs)
+    sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
+    singular = sigma_min <= BLOCK_RTOL * np.maximum(sigma_max, 1.0)
+    if all_finite:
+        if not np.count_nonzero(singular):
+            return np.linalg.solve(B, rhs[:, :, None])[:, :, 0], None
+        finite = np.ones(len(B), dtype=bool)
+    good = finite & ~singular
+    steps = np.zeros(rhs.shape)
+    if good.any():
+        steps[good] = np.linalg.solve(B[good], rhs[good][:, :, None])[:, :, 0]
+    errors: List[Optional[Exception]] = []
+    for ok, fin, low, high in zip(good, finite, sigma_min, sigma_max):
+        if ok:
+            errors.append(None)
+        elif not fin:
+            errors.append(SingularBlockError(f"{context}: phi-block not finite"))
+        else:
+            errors.append(SingularBlockError(
+                f"{context}: phi-block singular (sigma_min={low:.3g}, "
+                f"sigma_max={high:.3g})"))
+    return steps, errors
 
 
 def apply_dphi(split: SplitConstraint, x, y, h1, h2):
@@ -298,7 +356,10 @@ def apply_vphi(split: SplitConstraint, x, y, k1, k2):
     k2 = np.asarray(k2, dtype=np.float64).reshape(split.y_dim)
     A = split.d_x(x, y)
     B = split.d_y(x, y)
-    return k1, _solve_block(B, k2 - A @ k1, split.name)
+    h2, errors = _solve_blocks(B[None], (k2 - A @ k1)[None], split.name)
+    if errors is not None:
+        raise errors[0]
+    return k1, h2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,66 +375,48 @@ class SolveResult:
     iterations: int
 
 
-def _damped_newton(residual: Callable[[np.ndarray], np.ndarray],
-                   linear_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   start: np.ndarray, tol: float, max_iter: int, name: str
-                   ) -> Tuple[np.ndarray, List[float], List[np.ndarray]]:
-    """Newton steps z <- z - s * linear_step(z, residual(z)), s halved from
-    1 until the residual norm drops or reaches tol; returns the last iterate,
-    the norms and the iterates.  An exhausted budget, a non-finite norm
-    before a step or a stalled halving raises NonConvergenceError with the
-    norms attached."""
-    z = start
-    r = residual(z)
-    history = [float(np.linalg.norm(r))]
-    iterates = [z.copy()]
-    while not history[-1] <= tol:  # a NaN norm has not converged
-        if len(history) > max_iter:
-            raise NonConvergenceError(
-                f"{name}: residual {history[-1]:.3g} > {tol:.3g} after "
-                f"{max_iter} iterations", history=tuple(history))
-        if not math.isfinite(history[-1]):
-            raise NonConvergenceError(
-                f"{name}: non-finite residual {history[-1]}",
-                history=tuple(history))
-        step = linear_step(z, r)
-        scale = 1.0
-        for _ in range(DAMPING_MAX_HALVINGS + 1):
-            candidate = z - scale * step
-            cand_r = residual(candidate)
-            cand_norm = float(np.linalg.norm(cand_r))
-            if cand_norm < history[-1] or cand_norm <= tol:
-                break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"{name}: damping stalled at residual {history[-1]:.3g}",
-                history=tuple(history))
-        z, r = candidate, cand_r
-        history.append(cand_norm)
-        iterates.append(z.copy())
-    return z, history, iterates
+def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
+                 goal: np.ndarray, tol: float, max_iter: int,
+                 stop_at_failure: bool = False) -> NewtonLanes:
+    """Damped Newton on y for phi(X[i], y) = goal from Y0[i], one lane per
+    row; each step solves the square phi-block."""
+
+    def rows(lanes):
+        return X if lanes is None else X[lanes]
+
+    return damped_newton(
+        lambda lanes, Y: split.values(rows(lanes), Y) - goal,
+        lambda lanes, Y, R: _solve_blocks(split.d_y_lanes(rows(lanes), Y),
+                                          R, split.name),
+        Y0, tol, max_iter, split.name, stop_at_failure)
 
 
 def solve_implicit(split: SplitConstraint, x, y0,
                    target: Optional[np.ndarray] = None,
                    tol: float = DEFAULT_SOLVE_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
-    """Damped Newton on y for phi(x, y) = target (default 0).
+    """Damped Newton on y for phi(x, y) = target (default 0): one lane of
+    newton.damped_newton, which raises that lane's error.
 
     Steps solve the square phi-block, which raises SingularBlockError when
-    singular or non-finite; see _damped_newton for damping and failures.
+    singular or non-finite; see damped_newton for damping and failures.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(split.x_dim)
-    y = np.asarray(y0, dtype=np.float64).reshape(split.y_dim).copy()
+    x = np.asarray(x, dtype=np.float64).reshape(1, split.x_dim)
+    y = np.asarray(y0, dtype=np.float64).reshape(1, split.y_dim)
     goal = (np.zeros(split.y_dim) if target is None
             else np.asarray(target, dtype=np.float64).reshape(split.y_dim))
-    y, history, iterates = _damped_newton(
-        lambda v: split.value(x, v) - goal,
-        lambda v, r: _solve_block(split.d_y(x, v), r, split.name),
-        y, tol, max_iter, split.name)
-    return SolveResult(y, tuple(history), tuple(iterates), True,
-                       len(history) - 1)
+    out = _solve_lanes(split, x, y, goal, tol, max_iter)
+    error = out.errors[0]
+    if error is not None:
+        # the raised error's traceback holds this frame: drop the frame's
+        # references to the error, or the two form a cycle only gc frees
+        del out
+        try:
+            raise error
+        finally:
+            del error
+    return SolveResult(out.z[0], out.history(0), out.iterates(0), True,
+                       int(out.steps[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +424,8 @@ def solve_implicit(split: SplitConstraint, x, y0,
 # ---------------------------------------------------------------------------
 
 class PointSplit:
-    """Absolute split coordinates attached to a regular-point report."""
+    """Absolute split coordinates attached to a regular-point report; its
+    split constraint evaluates a block of lanes in one constraint call."""
 
     def __init__(self, c: ConstraintMap, report: RegularPointReport):
         if not report.rank_decision or report.kernel_basis is None:
@@ -399,30 +443,36 @@ class PointSplit:
             self._phi_xy, self.kernel_mat.shape[1], self.compl_mat.shape[1],
             d_x=self._d_x if c.jacobian is not None else None,
             d_y=self._d_y if c.jacobian is not None else None,
-            name=f"{c.name}@split")
+            name=f"{c.name}@split", lanes=True)
 
-    def _flat(self, x, y) -> np.ndarray:
-        return self.kernel_mat @ np.asarray(x, dtype=np.float64) \
-            + self.compl_mat @ np.asarray(y, dtype=np.float64)
+    def flats(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Flat ambient points of the lanes (X[i], Y[i]), one per row."""
+        return (np.matmul(self.kernel_mat[None], X[:, :, None])
+                + np.matmul(self.compl_mat[None], Y[:, :, None]))[:, :, 0]
 
     def point_of(self, x: np.ndarray, y: np.ndarray) -> TruncatedSequence:
-        return unflatten(self.constraint.space, self._flat(x, y))
+        return unflatten(self.constraint.space, self.flats(
+            np.asarray(x, dtype=np.float64)[None],
+            np.asarray(y, dtype=np.float64)[None])[0])
 
     def coords_of(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
         flat = flatten(q)
         return self._kernel_proj @ flat, self._compl_proj @ flat
 
-    def _phi_xy(self, x, y):
-        return self.constraint.value_flat(self._flat(x, y))
+    def kernel_coords(self, flats: np.ndarray) -> np.ndarray:
+        """Kernel coordinates of every row of a (P, D) block of points."""
+        return np.matmul(self._kernel_proj[None], flats[:, :, None])[:, :, 0]
 
-    def _jac(self, x, y):
-        return _jacobian_flat(self.constraint, self._flat(x, y))
+    def _phi_xy(self, X, Y):
+        return self.constraint.values(self.flats(X, Y))
 
-    def _d_x(self, x, y):
-        return self._jac(x, y) @ self.kernel_mat
+    def _d_x(self, X, Y):
+        return np.matmul(self.constraint.jacobians(self.flats(X, Y)),
+                         self.kernel_mat)
 
-    def _d_y(self, x, y):
-        return self._jac(x, y) @ self.compl_mat
+    def _d_y(self, X, Y):
+        return np.matmul(self.constraint.jacobians(self.flats(X, Y)),
+                         self.compl_mat)
 
 
 def split_at(c: ConstraintMap, p: TruncatedSequence,
@@ -476,6 +526,10 @@ class Chart:
         """Kernel offsets P(q - p) of q from the base point."""
         return self.kernel_coords(q - self.base_point)
 
+    def offsets_lanes(self, flats: np.ndarray) -> np.ndarray:
+        """offsets of every row of a (P, D) block of flat points."""
+        return self.split_data.kernel_coords(flats - flatten(self.base_point))
+
     def embed(self, x_offsets: np.ndarray) -> TruncatedSequence:
         """The ambient element sum_i x_i k_i along the kernel basis."""
         flat = self.split_data.kernel_mat @ np.asarray(x_offsets,
@@ -491,6 +545,30 @@ class Chart:
         result = solve_implicit(self.split_data.split, x, self.base_y,
                                 target=values)
         return self.split_data.point_of(x, result.y)
+
+    def inverse_lanes(self, x_offsets: np.ndarray,
+                      stop_at_failure: bool = False
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """inverse (to zero values) of every row of a (P, kernel_dimension)
+        block, solved CHART_LANES rows at a time: the (P, D) flat points and
+        which rows converged; a failed row's point means nothing.  With
+        stop_at_failure the solves end at the first failure."""
+        split = self.split_data.split
+        X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
+        flats = np.empty((len(X), self.constraint.flat_dimension))
+        converged = np.zeros(len(X), dtype=bool)
+        goal = np.zeros(split.y_dim)
+        for start in range(0, len(X), CHART_LANES):
+            block = X[start:start + CHART_LANES]
+            y0 = np.broadcast_to(self.base_y, (len(block), split.y_dim))
+            out = _solve_lanes(split, block, y0, goal, DEFAULT_SOLVE_TOL,
+                               DEFAULT_MAX_ITER, stop_at_failure)
+            flats[start:start + len(block)] = self.split_data.flats(block,
+                                                                    out.z)
+            converged[start:start + len(block)] = out.converged
+            if stop_at_failure and not out.converged.all():
+                break
+        return flats, converged
 
     def contains(self, q: TruncatedSequence) -> bool:
         """Whether q's kernel offsets fall inside the validity radius."""
@@ -513,18 +591,24 @@ class Chart:
 
 def _chart_round_trip_ok(chart: Chart, radius: float,
                          directions: np.ndarray) -> bool:
+    """Whether every direction, scaled to radius, comes back through inverse
+    and forward within tolerance.  A radius that fails mostly fails at the
+    first direction already, so that one is solved alone before the rest
+    go as one block."""
     bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
-    for u in directions:
-        x = radius * u
-        try:
-            q = chart.inverse(x)
-        except (NonConvergenceError, SingularBlockError):
-            return False
-        x_back, values = chart.forward(q)
-        if float(np.linalg.norm(x_back - x)) > bound or \
-                float(np.linalg.norm(values)) > bound:
-            return False
-    return True
+    offsets = radius * directions
+    try:
+        first = flatten(chart.inverse(offsets[0]))
+    except (NonConvergenceError, SingularBlockError):
+        return False
+    rest, converged = chart.inverse_lanes(offsets[1:], stop_at_failure=True)
+    if not converged.all():
+        return False
+    flats = np.vstack([first[None], rest])
+    gaps = lane_norms(chart.offsets_lanes(flats) - offsets)
+    values = lane_norms(chart.constraint.values(flats))
+    # a NaN gap or value passes: NaN > bound is false
+    return not (np.any(gaps > bound) or np.any(values > bound))
 
 
 def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
@@ -619,18 +703,25 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     if np.any(weights <= 0.0):
         raise ValueError("scaling weights must be positive")
 
-    def weighted_step(z, r):
-        step, *_ = np.linalg.lstsq(_jacobian_flat(c, z) / weights[None, :],
-                                   r, rcond=None)
-        return step / weights
+    def weighted_step(lanes, Z, R):
+        J = c.jacobians(Z) / weights
+        steps = np.empty_like(Z)
+        errors = None
+        for i in range(len(Z)):
+            try:
+                step, *_ = np.linalg.lstsq(J[i], R[i], rcond=None)
+            except np.linalg.LinAlgError as err:
+                errors = errors or [None] * len(Z)
+                errors[i] = err
+                continue
+            steps[i] = step / weights
+        return steps, errors
 
-    try:
-        flat, _, _ = _damped_newton(lambda z: c.value_flat(z) - goal,
-                                    weighted_step, flat, PREIMAGE_TOL,
-                                    max_iter, c.name)
-    except (NonConvergenceError, np.linalg.LinAlgError):
+    out = damped_newton(lambda lanes, Z: c.values(Z) - goal, weighted_step,
+                        flat[None], PREIMAGE_TOL, max_iter, c.name)
+    if not out.converged[0]:
         return None
-    return unflatten(c.space, flat)
+    return unflatten(c.space, out.z[0])
 
 
 def is_regular_value(c: ConstraintMap, target,
@@ -673,11 +764,11 @@ def sphere_constraint(space: SequenceSpace, level: int = 0) -> ConstraintMap:
             "sphere constraints need a real euclidean fiber")
     w2 = level_weights(space, level) ** 2
 
-    def phi(flat: np.ndarray) -> np.ndarray:
-        return np.array([float(np.dot(w2 * flat, flat)) - 1.0])
+    def phi(flats: np.ndarray) -> np.ndarray:
+        return ((w2 * flats)[:, None, :] @ flats[:, :, None])[:, :, 0] - 1.0
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        return (2.0 * w2 * flat).reshape(1, -1)
+    def jac(flats: np.ndarray) -> np.ndarray:
+        return (2.0 * w2 * flats)[:, None, :]
 
     return ConstraintMap(f"sphere:{level}", space, 1, phi, jac, level=level)
 
@@ -698,11 +789,12 @@ def sphere_intersection_constraint(space: SequenceSpace,
             "sphere constraints need a real euclidean fiber")
     w2_rows = np.stack([level_weights(space, n) ** 2 for n in levels])
 
-    def phi(flat: np.ndarray) -> np.ndarray:
-        return w2_rows @ (flat * flat) - 1.0
+    def phi(flats: np.ndarray) -> np.ndarray:
+        return np.matmul(w2_rows[None], (flats * flats)[:, :, None])[:, :, 0] \
+            - 1.0
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        return 2.0 * w2_rows * flat[None, :]
+    def jac(flats: np.ndarray) -> np.ndarray:
+        return 2.0 * w2_rows[None] * flats[:, None, :]
 
     name = "spheres:" + ",".join(str(n) for n in levels)
     # split in the strongest participating metric: unit kernel offsets then
@@ -736,11 +828,11 @@ def affine_constraint(space: SequenceSpace, matrix, offset,
     if b.shape != (A.shape[0],):
         raise ValueError("offset length does not match the matrix rows")
 
-    def phi(flat: np.ndarray) -> np.ndarray:
-        return A @ flat + b
+    def phi(flats: np.ndarray) -> np.ndarray:
+        return np.matmul(A[None], flats[:, :, None])[:, :, 0] + b
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        return A
+    def jac(flats: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(A, (flats.shape[0],) + A.shape)
 
     return ConstraintMap(name, space, A.shape[0], phi, jac)
 
@@ -774,28 +866,26 @@ def polynomial_constraint(space: SequenceSpace, rows) -> ConstraintMap:
     if not parsed:
         raise ValueError("polynomial constraint needs at least one row")
 
-    def phi(flat: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(parsed))
+    def phi(flats: np.ndarray) -> np.ndarray:
+        out = np.zeros((flats.shape[0], len(parsed)))
         for r, terms in enumerate(parsed):
-            total = 0.0
             for coef, idx in terms:
-                prod = coef
+                prod = np.full(flats.shape[0], coef)
                 for i in idx:
-                    prod *= flat[i]
-                total += prod
-            out[r] = total
+                    prod *= flats[:, i]
+                out[:, r] += prod
         return out
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        J = np.zeros((len(parsed), D))
+    def jac(flats: np.ndarray) -> np.ndarray:
+        J = np.zeros((flats.shape[0], len(parsed), D))
         for r, terms in enumerate(parsed):
             for coef, idx in terms:
                 for pos in range(len(idx)):
-                    prod = coef
+                    prod = np.full(flats.shape[0], coef)
                     for other_pos, i in enumerate(idx):
                         if other_pos != pos:
-                            prod *= flat[i]
-                    J[r, idx[pos]] += prod
+                            prod *= flats[:, i]
+                    J[:, r, idx[pos]] += prod
         return J
 
     return ConstraintMap("polynomial", space, len(parsed), phi, jac)

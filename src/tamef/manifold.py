@@ -16,14 +16,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConstructionError, NonConvergenceError,
-                     NotIntoSubmanifoldError, RegularityError,
-                     SingularBlockError)
+from .errors import (ConstructionError, NotIntoSubmanifoldError,
+                     RegularityError)
 from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
     TruncatedSequence
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
-                       is_regular_point, sphere_constraint,
-                       sphere_intersection_constraint)
+                       flatten, is_regular_point, lane_norms,
+                       sphere_constraint, sphere_intersection_constraint,
+                       unflatten)
 from .maps import CertificationOutcome, TameMapDescriptor, certify_tame
 from .probes import rng_from_seed, spawn_seeds
 
@@ -115,7 +115,7 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
         shift = np.asarray([r * r - 1.0 for r in radii])
         c = replace(base, name=base.name + ";radii=" +
                     ",".join(f"{r:g}" for r in radii),
-                    phi=lambda flat: base.phi(flat) - shift)
+                    phi=lambda flats: base.phi(flats) - shift)
 
     rng = rng_from_seed(seed)
     chart_seeds = spawn_seeds(seed, SPHERE_INTERSECTION_ATTEMPTS)
@@ -195,25 +195,37 @@ class TransitionReport:
 
 def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
                     seed: int) -> List[TruncatedSequence]:
-    """Manifold points inside both validity radii, sampled through chart_a."""
+    """Manifold points inside both validity radii, sampled through chart_a.
+
+    Up to 4 * count candidates are drawn in order and the first count that
+    chart_a inverts into chart_b's radius are kept.  Each round draws only
+    as many candidates as points are still missing and solves them as one
+    block, so no candidate past the last kept one is solved.
+    """
     rng = rng_from_seed(seed)
     dim = chart_a.kernel_dimension
+    space = chart_a.constraint.space
     points: List[TruncatedSequence] = []
-    for _ in range(4 * count):
-        if len(points) >= count:
-            break
-        u = rng.normal(size=dim)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
+    draws = 4 * count
+    while draws and len(points) < count:
+        take = min(count - len(points), draws)
+        draws -= take
+        offsets = []
+        for _ in range(take):
+            u = rng.normal(size=dim)
+            norm = float(np.linalg.norm(u))
+            if norm == 0.0:
+                continue
+            scale = 0.9 * chart_a.validity_radius * \
+                float(rng.uniform(0.2, 1.0)) ** (1.0 / max(dim, 1))
+            offsets.append(scale * u / norm)
+        if not offsets:
             continue
-        scale = 0.9 * chart_a.validity_radius * \
-            float(rng.uniform(0.2, 1.0)) ** (1.0 / max(dim, 1))
-        try:
-            q = chart_a.inverse(scale * u / norm)
-        except (NonConvergenceError, SingularBlockError):
-            continue
-        if chart_b.contains(q):
-            points.append(q)
+        flats, converged = chart_a.inverse_lanes(np.array(offsets))
+        inside = lane_norms(chart_b.offsets_lanes(flats)) <= \
+            chart_b.validity_radius
+        points.extend(unflatten(space, flats[i])
+                      for i in np.flatnonzero(converged & inside))
     return points
 
 
@@ -245,6 +257,35 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
     return desc, offset_probes
 
 
+def _worst_round_trip(chart_a: Chart, chart_b: Chart,
+                      overlap: Sequence[TruncatedSequence],
+                      offsets_a: Sequence[np.ndarray]) -> float:
+    """Largest relative error of the transition a->b and then its inverse
+    b->a, in chart coordinates, over the overlap points; inf when a solve
+    fails.  Each direction is one block of chart inverses."""
+    x_a = np.array(offsets_a)
+    x_b = chart_b.offsets_lanes(np.array([flatten(q) for q in overlap]))
+    q_ab, ok_ab = chart_a.inverse_lanes(x_a)
+    t_ab = chart_b.offsets_lanes(q_ab)
+    err_ab = lane_norms(t_ab - x_b) / (1.0 + lane_norms(x_b))
+    err_ba = np.full(len(overlap), math.inf)
+    ok_ba = np.zeros(len(overlap), dtype=bool)
+    if ok_ab.any():
+        q_ba, ok = chart_b.inverse_lanes(t_ab[ok_ab])
+        ok_ba[ok_ab] = ok
+        t_back = chart_a.offsets_lanes(q_ba)
+        err_ba[ok_ab] = lane_norms(t_back - x_a[ok_ab]) / \
+            (1.0 + lane_norms(x_a[ok_ab]))
+    worst = 0.0
+    for i in range(len(overlap)):
+        # Python max keeps its first argument against a NaN, so a NaN error
+        # never becomes the worst
+        err = max(float(err_ab[i]), float(err_ba[i])) if ok_ba[i] \
+            else math.inf
+        worst = max(worst, err)
+    return worst
+
+
 def verify_transitions(manifold: Submanifold, *,
                        probes_per_pair: int = DEFAULT_OVERLAP_PROBES,
                        seed: int = 0, r_max: int = 2
@@ -266,21 +307,8 @@ def verify_transitions(manifold: Submanifold, *,
         if not overlap:
             reports.append(TransitionReport(i, j, 0, 0.0, None))
             continue
-        worst = 0.0
         offsets_a = [chart_a.offsets(q) for q in overlap]
-        for q, x_a in zip(overlap, offsets_a):
-            x_b = chart_b.offsets(q)
-            try:
-                # transition a->b, then its inverse b->a, in chart coords
-                t_ab = chart_b.offsets(chart_a.inverse(x_a))
-                err = float(np.linalg.norm(t_ab - x_b)) / \
-                    (1.0 + float(np.linalg.norm(x_b)))
-                t_back = chart_a.offsets(chart_b.inverse(t_ab))
-                err = max(err, float(np.linalg.norm(t_back - x_a)) /
-                          (1.0 + float(np.linalg.norm(x_a))))
-            except (NonConvergenceError, SingularBlockError):
-                err = math.inf
-            worst = max(worst, err)
+        worst = _worst_round_trip(chart_a, chart_b, overlap, offsets_a)
         desc, offset_probes = _transition_descriptor(
             manifold, chart_a, chart_b, offsets_a)
         outcome = certify_tame(desc, offset_probes, r_max)

@@ -406,6 +406,44 @@ def test_probe_count_is_bounded(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_atlas_overlap_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # the default and every recorded atlas config sample 64 or fewer points
+    assert cli.RunConfig().probes <= cli.MAX_OVERLAP_PROBES
+    argv = ["atlas", "--constraint", "sphere:0", "--k", "4", "--nmax", "2"]
+    too_many = str(cli.MAX_OVERLAP_PROBES + 1)
+    assert run_cli(argv + ["--probes", too_many,
+                           "--out", str(tmp_path / "over")]) == 64
+    assert capsys.readouterr().err.startswith("tamef: ")
+    assert not (tmp_path / "over" / "atlas.json").exists()
+    # the bound itself is admitted
+    monkeypatch.setattr(cli, "MAX_OVERLAP_PROBES", 8)
+    assert run_cli(argv + ["--probes", "8",
+                           "--out", str(tmp_path / "at")]) == 0
+    assert run_cli(argv + ["--probes", "9",
+                           "--out", str(tmp_path / "above")]) == 64
+
+
+@pytest.mark.parametrize("command", ["solve", "atlas"])
+def test_split_dimension_is_bounded(tmp_path, capsys, command):
+    most = cli.MAX_SPLIT_DIMENSION
+    cli.RunConfig(command=command, k=most - 1, nmax=0, r_max=0).validate()
+    for k, fiber_dimension in ((most, 1), (most // 2, 2)):
+        with pytest.raises(cli.ConfigError):
+            cli.RunConfig(command=command, k=k, nmax=0, r_max=0,
+                          fiber_dimension=fiber_dimension).validate()
+    out = tmp_path / "run"
+    assert run_cli([command, "--k", str(most), "--nmax", "0", "--r-max", "0",
+                    "--out", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("tamef: ")
+    assert not out.exists()
+
+
+def test_split_dimension_bound_leaves_other_commands():
+    most = cli.MAX_SPLIT_DIMENSION
+    for command in ("certify-gradings", "certify-map"):
+        cli.RunConfig(command=command, k=most, nmax=0, r_max=0).validate()
+
+
 @pytest.mark.parametrize("command", ["certify-gradings", "atlas"])
 def test_probe_bound_counts_coefficients(command):
     # k = 8 and fiber dimension 1: nine coefficients per probe

@@ -523,8 +523,8 @@ def test_registry_sphere_needs_metric_fiber():
 
 
 def test_fd_jacobian_used_when_not_supplied():
-    def phi(flat):
-        return np.array([flat[0] ** 3 - flat[1]])
+    def phi(flats):
+        return (flats[:, 0] ** 3 - flats[:, 1])[:, None]
 
     c = ConstraintMap("cubic", SPACE8, 1, phi)
     assert c.jacobian_mode == "finite_difference"
