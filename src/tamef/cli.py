@@ -11,7 +11,7 @@ ever written.
 from __future__ import annotations
 
 import argparse
-import gc
+import functools
 import json
 import math
 import os
@@ -454,7 +454,10 @@ def _add_common_flags(parser: argparse.ArgumentParser):
                         help="largest level shift to try")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every run can share it."""
     parser = argparse.ArgumentParser(
         prog="tamef",
         description="Certification, solving, and atlas runs over truncated "
@@ -491,18 +494,10 @@ _DISPATCH = {
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    # The parser is a reference cycle. Built with the collector paused, it
-    # stays in the youngest generation and the next young collection frees
-    # it; otherwise it can be promoted and linger until a full collection.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    finally:
-        if enabled:
-            gc.enable()
     try:
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)

@@ -246,8 +246,8 @@ class SequenceBatch:
 
     It behaves like a list of TruncatedSequence: len, indexing, iteration
     and + concatenation.  An indexed element is a view of one row of the
-    block, not a copy.  Seminorms and degrees of a batch hold one value per
-    element.
+    block, not a copy; a slice or a numpy index array selects a batch.
+    Seminorms and degrees of a batch hold one value per element.
     """
 
     __slots__ = ("fiber", "_block", "_norms")
@@ -291,7 +291,7 @@ class SequenceBatch:
         return self._block.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return SequenceBatch(self.fiber, self._block[index])
         return TruncatedSequence._view(self.fiber,
                                        self._block[operator.index(index)])
@@ -357,7 +357,7 @@ class ProductBatch:
         return len(self.parts[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return ProductBatch(p[index] for p in self.parts)
         return tuple(p[index] for p in self.parts)
 
@@ -446,8 +446,12 @@ def seminorm_linf(f, n: int, n_max: Optional[int] = None):
     return _seminorm_value(f, acc)
 
 
-def inner_product(f: TruncatedSequence, g: TruncatedSequence, level: int = 0) -> float:
-    """Level-n inner product sum_k e^{2nk} <f_k, g_k> (metric fibers only)."""
+def inner_product(f, g, level: int = 0):
+    """Level-n inner product sum_k e^{2nk} <f_k, g_k> (metric fibers only).
+
+    f and g are two sequences (a float is returned) or two batches of one
+    length (one value per row pair, each the float of the pair alone).
+    """
     if not (f.fiber.is_metric and f.fiber.scalar_field == "real"):
         raise UnsupportedGradingError(
             "level inner products need a real euclidean fiber")
@@ -455,11 +459,12 @@ def inner_product(f: TruncatedSequence, g: TruncatedSequence, level: int = 0) ->
         raise ValueError("sequences live in different spaces")
     _check_level(f, 2 * int(level), None)
     w = _weights(2 * int(level), f.truncation_degree)
-    dots = np.sum(f.coefficients * g.coefficients, axis=1)
+    # (K+1,) or, for batches, (K+1, P)
+    dots = np.sum(f.coefficients * g.coefficients, axis=-1).T
     total = 0.0
     for k in range(f.truncation_degree + 1):
-        total = total + w[k] * float(dots[k])
-    return total
+        total = total + w[k] * dots[k]
+    return _seminorm_value(f, total)
 
 
 def metric_norm(f: TruncatedSequence, level: int = 0) -> float:
@@ -590,7 +595,14 @@ class ProductSpace:
         return self.factors[0].n_max
 
     def _parts(self, element):
-        parts = element.parts if isinstance(element, ProductBatch) else element
+        """The factor parts of a ProductBatch or of a tuple of sequences."""
+        if isinstance(element, ProductBatch):
+            parts = element.parts
+        elif isinstance(element, tuple):
+            parts = element
+        else:
+            raise ValueError(f"a {type(element).__name__} is not an element "
+                             f"of a product space")
         if len(parts) != len(self.factors):
             raise ValueError("element arity does not match the product")
         return parts

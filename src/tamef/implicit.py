@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
-from .graded import SequenceSpace, TruncatedSequence, _weights
+from .graded import SequenceBatch, SequenceSpace, TruncatedSequence, _weights
 from .newton import NewtonLanes, damped_newton, lane_norms
 from .probes import rng_from_seed
 
@@ -53,8 +53,11 @@ PREIMAGE_DEDUPE_TOL = 1e-6
 # flat coordinates
 # ---------------------------------------------------------------------------
 
-def flatten(f: TruncatedSequence) -> np.ndarray:
-    return f.coefficients.reshape(-1).copy()
+def flatten(f) -> np.ndarray:
+    """Flat coordinates of a sequence, (D,), or of every row of a
+    SequenceBatch, (P, D)."""
+    block = f.coefficients
+    return block.reshape(block.shape[:-2] + (-1,)).copy()
 
 
 def unflatten(space: SequenceSpace, flat: np.ndarray) -> TruncatedSequence:
@@ -530,11 +533,14 @@ class Chart:
         """offsets of every row of a (P, D) block of flat points."""
         return self.split_data.kernel_coords(flats - flatten(self.base_point))
 
-    def embed(self, x_offsets: np.ndarray) -> TruncatedSequence:
-        """The ambient element sum_i x_i k_i along the kernel basis."""
-        flat = self.split_data.kernel_mat @ np.asarray(x_offsets,
-                                                       dtype=np.float64)
-        return unflatten(self.constraint.space, flat)
+    def embed(self, x_offsets: np.ndarray) -> SequenceBatch:
+        """The ambient elements sum_i x_i k_i along the kernel basis, one
+        per row of a (P, kernel_dimension) block."""
+        flats = np.matmul(self.split_data.kernel_mat[None],
+                          np.asarray(x_offsets, dtype=np.float64)[:, :, None])
+        space = self.constraint.space
+        return SequenceBatch(space.fiber, flats.reshape(
+            len(flats), space.truncation_degree + 1, space.fiber.dimension))
 
     def forward(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
         return self.offsets(q), self.constraint.value(q)
@@ -548,27 +554,32 @@ class Chart:
 
     def inverse_lanes(self, x_offsets: np.ndarray,
                       stop_at_failure: bool = False
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+                      ) -> Tuple[np.ndarray, np.ndarray,
+                                 List[Optional[Exception]]]:
         """inverse (to zero values) of every row of a (P, kernel_dimension)
-        block, solved CHART_LANES rows at a time: the (P, D) flat points and
-        which rows converged; a failed row's point means nothing.  With
-        stop_at_failure the solves end at the first failure."""
+        block, solved CHART_LANES rows at a time: the (P, D) flat points,
+        which rows converged, and per row the error its inverse would raise
+        (None for a converged row); a failed row's point means nothing.
+        With stop_at_failure the solves end at the first failure, and rows
+        left unsolved are neither converged nor failed."""
         split = self.split_data.split
         X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         flats = np.empty((len(X), self.constraint.flat_dimension))
         converged = np.zeros(len(X), dtype=bool)
+        errors: List[Optional[Exception]] = [None] * len(X)
         goal = np.zeros(split.y_dim)
         for start in range(0, len(X), CHART_LANES):
             block = X[start:start + CHART_LANES]
             y0 = np.broadcast_to(self.base_y, (len(block), split.y_dim))
             out = _solve_lanes(split, block, y0, goal, DEFAULT_SOLVE_TOL,
                                DEFAULT_MAX_ITER, stop_at_failure)
-            flats[start:start + len(block)] = self.split_data.flats(block,
-                                                                    out.z)
-            converged[start:start + len(block)] = out.converged
+            stop = start + len(block)
+            flats[start:stop] = self.split_data.flats(block, out.z)
+            converged[start:stop] = out.converged
+            errors[start:stop] = out.errors
             if stop_at_failure and not out.converged.all():
                 break
-        return flats, converged
+        return flats, converged, errors
 
     def contains(self, q: TruncatedSequence) -> bool:
         """Whether q's kernel offsets fall inside the validity radius."""
@@ -601,7 +612,8 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
         first = flatten(chart.inverse(offsets[0]))
     except (NonConvergenceError, SingularBlockError):
         return False
-    rest, converged = chart.inverse_lanes(offsets[1:], stop_at_failure=True)
+    rest, converged, _ = chart.inverse_lanes(offsets[1:],
+                                             stop_at_failure=True)
     if not converged.all():
         return False
     flats = np.vstack([first[None], rest])

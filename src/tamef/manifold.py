@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConstructionError, NotIntoSubmanifoldError,
                      RegularityError)
 from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
-    TruncatedSequence
+    TruncatedSequence, as_batch, inner_product
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        flatten, is_regular_point, lane_norms,
                        sphere_constraint, sphere_intersection_constraint,
@@ -221,7 +221,7 @@ def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
             offsets.append(scale * u / norm)
         if not offsets:
             continue
-        flats, converged = chart_a.inverse_lanes(np.array(offsets))
+        flats, converged, _ = chart_a.inverse_lanes(np.array(offsets))
         inside = lane_norms(chart_b.offsets_lanes(flats)) <= \
             chart_b.validity_radius
         points.extend(unflatten(space, flats[i])
@@ -241,14 +241,23 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
     the ball they cover.
     """
     space = manifold.ambient
-    offset_probes = SequenceBatch.stack([chart_a.embed(x) for x in offsets])
+    offset_probes = chart_a.embed(np.array(offsets))
     level = manifold.constraint.level
     radius = float(np.max(space.seminorm(offset_probes, level))) * 1.0001
 
-    def evaluator(h: TruncatedSequence) -> TruncatedSequence:
-        x = chart_a.kernel_coords(h)
-        q = chart_a.inverse(x)
-        return chart_b.embed(chart_b.offsets(q))
+    def evaluator(h: SequenceBatch) -> SequenceBatch:
+        x = chart_a.split_data.kernel_coords(flatten(h))
+        flats, converged, errors = chart_a.inverse_lanes(x)
+        if not converged.all():
+            error = errors[int(np.flatnonzero(~converged)[0])]
+            # drop the frame's references to the error before raising it,
+            # or the error's traceback and this frame form a cycle
+            del errors
+            try:
+                raise error
+            finally:
+                del error
+        return chart_b.embed(chart_b.offsets_lanes(flats))
 
     desc = TameMapDescriptor(
         name="transition", domain=space, codomain=space,
@@ -265,13 +274,13 @@ def _worst_round_trip(chart_a: Chart, chart_b: Chart,
     fails.  Each direction is one block of chart inverses."""
     x_a = np.array(offsets_a)
     x_b = chart_b.offsets_lanes(np.array([flatten(q) for q in overlap]))
-    q_ab, ok_ab = chart_a.inverse_lanes(x_a)
+    q_ab, ok_ab, _ = chart_a.inverse_lanes(x_a)
     t_ab = chart_b.offsets_lanes(q_ab)
     err_ab = lane_norms(t_ab - x_b) / (1.0 + lane_norms(x_b))
     err_ba = np.full(len(overlap), math.inf)
     ok_ba = np.zeros(len(overlap), dtype=bool)
     if ok_ab.any():
-        q_ba, ok = chart_b.inverse_lanes(t_ab[ok_ab])
+        q_ba, ok, _ = chart_b.inverse_lanes(t_ab[ok_ab])
         ok_ba[ok_ab] = ok
         t_back = chart_a.offsets_lanes(q_ba)
         err_ba[ok_ab] = lane_norms(t_back - x_a[ok_ab]) / \
@@ -341,8 +350,8 @@ def chart_restriction(desc: TameMapDescriptor, manifold: Submanifold,
     back along the kernel basis so it stays a map of the ambient space."""
     chart = manifold.charts[chart_index]
 
-    def evaluator(h: TruncatedSequence) -> TruncatedSequence:
-        return chart.embed(chart.offsets(desc(h)))
+    def evaluator(t: SequenceBatch) -> SequenceBatch:
+        return chart.embed(chart.offsets_lanes(flatten(desc(t))))
 
     return TameMapDescriptor(
         name=f"{desc.name}|chart{chart_index}",
@@ -368,25 +377,29 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
         raise ValueError("descriptor codomain must be the ambient space")
     if not probes:
         raise ValueError("need at least one probe")
-    images = [desc(f) for f in probes]
-    residuals = [manifold.residual(g) for g in images]
-    worst = max(residuals)
+    batch = as_batch(probes)
+    images = flatten(desc(batch))
+    residuals = lane_norms(manifold.constraint.values(images))
+    # Python max keeps its first argument against a NaN
+    worst = max(residuals.tolist())
     if worst > DEFAULT_IMAGE_RESIDUAL_TOL:
         raise NotIntoSubmanifoldError(
             f"{desc.name}: image leaves the zero set "
             f"(max residual {worst:.3g} > {DEFAULT_IMAGE_RESIDUAL_TOL:.3g})",
             residual=worst)
-    outcome: CertificationOutcome = certify_tame(desc, probes, r_max)
+    outcome: CertificationOutcome = certify_tame(desc, batch, r_max)
     coverage = []
     chart_certs = []
     for k, chart in enumerate(manifold.charts):
-        hits = [f for f, g in zip(probes, images) if chart.contains(g)]
-        coverage.append(len(hits))
-        if not hits:
+        hits = lane_norms(chart.offsets_lanes(images)) <= \
+            chart.validity_radius
+        coverage.append(int(np.count_nonzero(hits)))
+        if not coverage[-1]:
             chart_certs.append(None)
             continue
         restricted = chart_restriction(desc, manifold, k)
-        chart_certs.append(certify_tame(restricted, hits, r_max).certificate)
+        chart_certs.append(
+            certify_tame(restricted, batch[hits], r_max).certificate)
     return IntoSubmanifoldReport(
         max_image_residual=worst, probe_count=len(probes),
         certificate=outcome.certificate,
@@ -397,13 +410,12 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
 def normalization_descriptor(space: SequenceSpace, *,
                              region_radius: float) -> TameMapDescriptor:
     """f -> f / sqrt(<f,f>_0), mapping a ball away from zero onto the sphere."""
-    from .graded import inner_product
-
-    def evaluator(f: TruncatedSequence) -> TruncatedSequence:
-        norm_sq = inner_product(f, f, 0)
-        if norm_sq <= 0.0:
+    def evaluator(t: SequenceBatch) -> SequenceBatch:
+        norm_sq = inner_product(t, t, 0)
+        if np.any(norm_sq <= 0.0):
             raise ValueError("cannot normalize the zero sequence")
-        return f * (1.0 / math.sqrt(norm_sq))
+        return SequenceBatch(
+            t.fiber, t.coefficients * (1.0 / np.sqrt(norm_sq))[:, None, None])
 
     return TameMapDescriptor(
         name="normalize0", domain=space, codomain=space,

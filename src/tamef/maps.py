@@ -18,8 +18,7 @@ composition with constants C_out(n) * C_in(n + r_out).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,6 +40,8 @@ from .graded import (
 )
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
+Batch = Union[SequenceBatch, ProductBatch]
+#: one row of a batch: a sequence, or a tuple of them for a product
 Element = Union[TruncatedSequence, Tuple[TruncatedSequence, ...]]
 
 #: quasi-isometry estimates may grow by at most this factor across the
@@ -62,25 +63,27 @@ def _space_truncation(space: SpaceLike) -> int:
     return space.truncation_degree
 
 
-def scale_element(x: Element, c: float) -> Element:
-    if isinstance(x, TruncatedSequence):
-        return x * c
-    return tuple(part * c for part in x)
-
-
-def add_elements(x: Element, y: Element) -> Element:
-    if isinstance(x, TruncatedSequence):
-        return x + y
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub_elements(x: Element, y: Element) -> Element:
-    return add_elements(x, scale_element(y, -1.0))
+def _blockwise(op: Callable[..., np.ndarray], *batches: Batch) -> Batch:
+    """op applied to the coefficient blocks of aligned batches, factor by
+    factor: batch arithmetic without SequenceBatch.__add__, which
+    concatenates."""
+    first = batches[0]
+    if isinstance(first, ProductBatch):
+        return ProductBatch(_blockwise(op, *parts)
+                            for parts in zip(*(b.parts for b in batches)))
+    return SequenceBatch(first.fiber, op(*(b.coefficients for b in batches)))
 
 
 @dataclass(frozen=True)
 class TameMapDescriptor:
     """A map between graded spaces with certification metadata.
+
+    The evaluator works on batches: it takes a SequenceBatch or ProductBatch
+    of domain elements and returns one batch of codomain elements of equal
+    length, row i the image of row i.  A single element is evaluated as a
+    batch of one (as_batch([f])) and its image is row 0.  When some rows
+    cannot be evaluated, the evaluator raises what the first of them raises
+    on its own.
 
     region_radius bounds the metric ball (in the level region_level
     seminorm around zero) on which the evaluator is probed; linear maps are
@@ -90,7 +93,7 @@ class TameMapDescriptor:
     name: str
     domain: SpaceLike
     codomain: SpaceLike
-    evaluator: Callable[[Element], Element]
+    evaluator: Callable[[Batch], Batch]
     linearity: str = "linear"
     region_radius: float = 1.0
     region_level: int = 0
@@ -105,43 +108,54 @@ class TameMapDescriptor:
     def is_linear(self) -> bool:
         return self.linearity == "linear"
 
-    def __call__(self, f: Element) -> Element:
-        out = self.evaluator(f)
+    def __call__(self, batch: Batch) -> Batch:
+        """The images of every row of batch, checked against the codomain:
+        batch kind, fiber, truncation degree, product arity and length."""
+        out = self.evaluator(batch)
+        kind = ProductBatch if isinstance(self.codomain, ProductSpace) \
+            else SequenceBatch
+        if not isinstance(out, kind) or len(out) != len(batch):
+            raise ValueError(f"{self.name}: the evaluator must return a "
+                             f"{kind.__name__} of {len(batch)} rows")
         self.codomain.check_member(out)
         return out
 
 
-def validate_descriptor(desc: TameMapDescriptor,
-                        probes: Sequence[Element]) -> List[str]:
-    """Spot-check descriptor invariants; returns human-readable defects."""
-    defects: List[str] = []
+def validate_descriptor(desc: TameMapDescriptor, probes) -> List[str]:
+    """Spot-check descriptor invariants; returns human-readable defects.
+
+    Linear maps are checked for additivity on the first 8 neighbouring
+    probe pairs and for homogeneity on their first probes."""
     if not probes:
         return ["empty probe set"]
-    outputs = []
-    for i, f in enumerate(probes):
-        try:
-            desc.domain.check_member(f)
-        except ValueError as exc:
-            defects.append(f"probe {i} outside domain: {exc}")
-            return defects
-        outputs.append(desc(f))
-    if desc.is_linear:
-        n = desc.codomain.n_max
-        for i in range(min(len(probes) - 1, 8)):
-            f, g = probes[i], probes[i + 1]
-            left = desc(add_elements(f, g))
-            right = add_elements(outputs[i], outputs[i + 1])
-            gap = desc.codomain.seminorm(sub_elements(left, right), n)
-            scale = 1.0 + desc.codomain.seminorm(right, n)
-            if gap > LINEARITY_TOL * scale:
-                defects.append(
-                    f"additivity defect {gap:.3g} at probe pair ({i},{i + 1})")
-            left2 = desc(scale_element(f, 2.0))
-            gap2 = desc.codomain.seminorm(
-                sub_elements(left2, scale_element(outputs[i], 2.0)), n)
-            if gap2 > LINEARITY_TOL * (
-                    1.0 + 2.0 * desc.codomain.seminorm(outputs[i], n)):
-                defects.append(f"homogeneity defect {gap2:.3g} at probe {i}")
+    batch = as_batch(probes)
+    try:
+        desc.domain.check_member(batch)
+    except ValueError as exc:  # the rows share one space
+        return [f"probe 0 outside domain: {exc}"]
+    outputs = desc(batch)
+    pairs = min(len(batch) - 1, 8)
+    if not desc.is_linear or pairs < 1:
+        return []
+    n = desc.codomain.n_max
+    f, g = batch[:pairs], batch[1:pairs + 1]
+    out_f, out_g = outputs[:pairs], outputs[1:pairs + 1]
+    right = _blockwise(np.add, out_f, out_g)
+    gap = desc.codomain.seminorm(
+        _blockwise(np.subtract, desc(_blockwise(np.add, f, g)), right), n)
+    scale = 1.0 + desc.codomain.seminorm(right, n)
+    left2 = desc(_blockwise(lambda block: block * 2.0, f))
+    gap2 = desc.codomain.seminorm(
+        _blockwise(lambda a, b: a - b * 2.0, left2, out_f), n)
+    scale2 = 1.0 + 2.0 * desc.codomain.seminorm(out_f, n)
+    defects: List[str] = []
+    for i in range(pairs):
+        if gap[i] > LINEARITY_TOL * scale[i]:
+            defects.append(f"additivity defect {float(gap[i]):.3g} at probe "
+                           f"pair ({i},{i + 1})")
+        if gap2[i] > LINEARITY_TOL * scale2[i]:
+            defects.append(
+                f"homogeneity defect {float(gap2[i]):.3g} at probe {i}")
     return defects
 
 
@@ -163,9 +177,8 @@ class CertificationOutcome:
 def map_seminorm_tables(desc: TameMapDescriptor, probes):
     """(num, den) tables: image and source seminorms per level and probe.
 
-    The map is evaluated once per probe.  Both tables are filled slice by
-    slice of probes, with one batched seminorm_table call per space and
-    slice.
+    Both tables are filled slice by slice of probes: one evaluation and one
+    batched seminorm_table call per space and slice.
     """
     n_max = desc.domain.n_max
     if desc.codomain.n_max != n_max:
@@ -176,26 +189,9 @@ def map_seminorm_tables(desc: TameMapDescriptor, probes):
     for start in range(0, len(batch), _TABLE_SLICE):
         part = batch[start:start + _TABLE_SLICE]
         stop = start + len(part)
-        num[:, start:stop] = desc.codomain.seminorm_table(
-            _image_batch(desc, part))
+        num[:, start:stop] = desc.codomain.seminorm_table(desc(part))
         den[:, start:stop] = desc.domain.seminorm_table(part)
     return num, den
-
-
-def _image_batch(desc: TameMapDescriptor, batch):
-    """desc(f) for every element, each image copied into a preallocated
-    block as soon as it is made, so no list of images is held."""
-    product = isinstance(desc.codomain, ProductSpace)
-    spaces = desc.codomain.factors if product else (desc.codomain,)
-    blocks = [np.empty((len(batch), s.truncation_degree + 1,
-                        s.fiber.dimension), dtype=s.fiber.dtype)
-              for s in spaces]
-    for i, f in enumerate(batch):
-        image = desc(f)
-        for block, part in zip(blocks, image if product else (image,)):
-            block[i] = part.coefficients
-    parts = [SequenceBatch(s.fiber, b) for s, b in zip(spaces, blocks)]
-    return ProductBatch(parts) if product else parts[0]
 
 
 def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
@@ -350,35 +346,29 @@ class QuasiIsometryReport:
         return self.upper_stable and self.lower_stable
 
     def to_json(self) -> dict:
-        return {
-            "c1": self.c1, "c2": self.c2,
-            "c1_small": self.c1_small, "c1_large": self.c1_large,
-            "c2_small": self.c2_small, "c2_large": self.c2_large,
-            "upper_stable": self.upper_stable,
-            "lower_stable": self.lower_stable,
-            "round_trip_max": self.round_trip_max,
-            "witness_upper": self.witness_upper,
-            "witness_lower": self.witness_lower,
-        }
+        return asdict(self)
 
 
 def quasi_isometry_check(desc: TameMapDescriptor,
-                         inverse: Callable[[Element], Element],
-                         probes: Sequence[Element]) -> QuasiIsometryReport:
+                         inverse: Callable[[Batch], Batch],
+                         probes) -> QuasiIsometryReport:
+    """Two-sided bound estimates over a probe set; inverse maps a batch of
+    images back to the domain, and the probe it misses first, in probe
+    order, raises InconsistentInverseError."""
     if desc.domain.n_max != 0 or desc.codomain.n_max != 0:
         raise ValueError(
             "quasi-isometry bounds need single-norm spaces (n_max = 0)")
     if len(probes) < 4:
         raise ValueError("need at least 4 probes for the scale split")
-    src = np.empty(len(probes))
-    img = np.empty(len(probes))
+    batch = as_batch(probes)
+    out = desc(batch)
+    src = desc.domain.seminorm(batch, 0)
+    img = desc.codomain.seminorm(out, 0)
+    residuals = desc.domain.seminorm(
+        _blockwise(np.subtract, inverse(out), batch), 0)
     round_trip_max = 0.0
-    for i, f in enumerate(probes):
-        out = desc(f)
-        src[i] = desc.domain.seminorm(f, 0)
-        img[i] = desc.codomain.seminorm(out, 0)
-        back = inverse(out)
-        residual = desc.domain.seminorm(sub_elements(back, f), 0)
+    for i, residual in enumerate(residuals.tolist()):
+        # Python max keeps its first argument against a NaN
         round_trip_max = max(round_trip_max, residual)
         if residual > QUASI_ROUND_TRIP_TOL * (1.0 + src[i]):
             raise InconsistentInverseError(
@@ -386,7 +376,7 @@ def quasi_isometry_check(desc: TameMapDescriptor,
     ratio_upper = img / (1.0 + src)
     ratio_lower = src / (1.0 + img)
     order = np.argsort(src, kind="stable")
-    half = len(probes) // 2
+    half = len(batch) // 2
     small, large = order[:half], order[half:]
 
     def side(ratios):
@@ -411,51 +401,53 @@ def quasi_isometry_check(desc: TameMapDescriptor,
 # differentiation
 # ---------------------------------------------------------------------------
 
-def directional_derivative(desc: TameMapDescriptor, f: Element, h: Element,
-                           step: Optional[float] = None) -> Element:
-    """Central difference (F(f + eh) - F(f - eh)) / 2e.
+def directional_derivative(desc: TameMapDescriptor, f: Batch, h: Batch,
+                           step: Optional[float] = None) -> Batch:
+    """Central differences (F(f + eh) - F(f - eh)) / 2e, row by row.
 
-    The default step scales with the base-level norm of f; linear maps
-    reproduce F(h) to roundoff.
+    The default step of each row scales with the base-level norm of its f;
+    linear maps reproduce F(h) to roundoff.
     """
     if step is None:
         step = 1e-6 * (1.0 + desc.domain.seminorm(f, desc.region_level))
-    if not step > 0.0 or not math.isfinite(step):
-        raise ValueError(f"finite-difference step {step} must be positive")
-    plus = desc(add_elements(f, scale_element(h, step)))
-    minus = desc(sub_elements(f, scale_element(h, step)))
-    return scale_element(sub_elements(plus, minus), 0.5 / step)
+    steps = np.broadcast_to(np.asarray(step, dtype=np.float64), (len(f),))
+    bad = np.flatnonzero(~(steps > 0.0) | ~np.isfinite(steps))
+    if bad.size:
+        raise ValueError(f"finite-difference step {float(steps[bad[0]])} "
+                         f"must be positive")
+    rows = steps[:, None, None]
+    moved = _blockwise(lambda block: block * rows, h)
+    plus = desc(_blockwise(np.add, f, moved))
+    minus = desc(_blockwise(np.subtract, f, moved))
+    return _blockwise(lambda p, m: (p - m) * (0.5 / rows), plus, minus)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-def _shift_up(f: TruncatedSequence) -> TruncatedSequence:
-    block = np.zeros_like(f.coefficients)
-    block[1:] = f.coefficients[:-1]
-    return TruncatedSequence(f.fiber, block)
+def _shift_up(t: SequenceBatch) -> SequenceBatch:
+    block = np.zeros_like(t.coefficients)
+    block[:, 1:] = t.coefficients[:, :-1]
+    return SequenceBatch(t.fiber, block)
 
 
-def _shift_down(f: TruncatedSequence) -> TruncatedSequence:
-    block = np.zeros_like(f.coefficients)
-    block[:-1] = f.coefficients[1:]
-    return TruncatedSequence(f.fiber, block)
+def _shift_down(t: SequenceBatch) -> SequenceBatch:
+    block = np.zeros_like(t.coefficients)
+    block[:, :-1] = t.coefficients[:, 1:]
+    return SequenceBatch(t.fiber, block)
 
 
 def _derivative(space: SequenceSpace):
-    K = space.truncation_degree
-    factors = np.arange(1.0, K + 1.0).reshape(-1, 1)
-
-    def run(f: TruncatedSequence) -> TruncatedSequence:
-        block = np.zeros_like(f.coefficients)
-        block[:-1] = factors * f.coefficients[1:]
-        return TruncatedSequence(f.fiber, block)
-    return run
+    """(k+1) f_{k+1} at k: shift down, then scale row k by k + 1 (the top
+    row stays 0)."""
+    factors = np.arange(1.0, space.truncation_degree + 2.0).reshape(-1, 1)
+    return lambda t: SequenceBatch(
+        t.fiber, factors * _shift_down(t).coefficients)
 
 
-def _coeff_square(f: TruncatedSequence) -> TruncatedSequence:
-    return TruncatedSequence(f.fiber, f.coefficients * f.coefficients)
+def _coeff_square(t: SequenceBatch) -> SequenceBatch:
+    return SequenceBatch(t.fiber, t.coefficients * t.coefficients)
 
 
 def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
@@ -468,7 +460,7 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
     """
     head, _, rest = name.partition(":")
     if head == "identity":
-        return TameMapDescriptor("identity", space, space, lambda f: f)
+        return TameMapDescriptor("identity", space, space, lambda t: t)
     if head == "shift_up":
         return TameMapDescriptor("shift_up", space, space, _shift_up)
     if head == "shift_down":
@@ -480,8 +472,9 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
             c = float(rest)
         except ValueError:
             raise ValueError(f"scale needs a numeric argument, got {rest!r}")
-        return TameMapDescriptor(f"scale:{rest}", space, space,
-                                 lambda f: f * c)
+        return TameMapDescriptor(
+            f"scale:{rest}", space, space,
+            lambda t: SequenceBatch(t.fiber, t.coefficients * c))
     if head == "coeff_square":
         return TameMapDescriptor("coeff_square", space, space,
                                  _coeff_square, linearity="nonlinear")
@@ -494,7 +487,7 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
         if not 1 <= index <= 2:
             raise IndexError(f"factor index {index} outside 1..2")
         return TameMapDescriptor(f"projection:{index}", product, space,
-                                 lambda t: t[index - 1])
+                                 lambda t: t.parts[index - 1])
     if head in ("product", "compose"):
         parts = rest.split(",") if rest else []
         if len(parts) != 2 or any(p.startswith(("product", "compose",
@@ -508,10 +501,10 @@ def build_map(name: str, space: SequenceSpace) -> TameMapDescriptor:
             raise ValueError("compose arguments do not chain")
         if head == "product":
             codomain = ProductSpace((a.codomain, b.codomain))
-            evaluator = lambda f: (a(f), b(f))
+            evaluator = lambda t: ProductBatch((a(t), b(t)))
         else:
             codomain = a.codomain
-            evaluator = lambda f: a(b(f))
+            evaluator = lambda t: a(b(t))
         return TameMapDescriptor(
             f"{head}:{rest}", space, codomain, evaluator,
             linearity="linear" if a.is_linear and b.is_linear else "nonlinear",

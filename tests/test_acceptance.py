@@ -275,7 +275,8 @@ def test_normalization_into_sphere():
             failures.append(f"chart {k} restriction did not certify")
             continue
         restricted = chart_restriction(desc, sphere, k)
-        hits = [f for f in probes if chart.contains(desc(f))]
+        hits = [f for f, g in zip(probes, desc(probes))
+                if chart.contains(g)]
         violations = validate_certificate_on_probes(restricted, cert, hits)
         if violations:
             failures.append(f"chart {k}: {len(violations)} violations")

@@ -5,10 +5,13 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import tamef
 from tamef import cli
 from tamef.graded import RatioWitness
 from tamef.maps import CertificationOutcome
@@ -504,6 +507,50 @@ def test_run_restores_collector_state(tmp_path):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def _run_alone(argv):
+    """Exit code and stderr of one CLI run in a fresh interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(tamef.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "tamef.cli", *argv],
+                          env=env, capture_output=True, check=False)
+    return proc.returncode, proc.stderr.decode("utf-8")
+
+
+def test_shared_parser_runs_like_fresh_processes(tmp_path, capsys):
+    """One process runs every command on one parser, with usage errors in
+    between; each run gives the exit code, stderr and output bytes it gives
+    alone in a fresh interpreter."""
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({"constraint": "sphere:1", "k": 8,
+                                  "nmax": 3, "x_offsets": [0.2]}),
+                      encoding="utf-8")
+    runs = [
+        (["certify-map", "--map", "derivative", "--k", "8", "--nmax", "2",
+          "--probes", "20", "--seed", "5"], 0),
+        (["frobulate"], 64),
+        (["solve", "--config", str(config)], 0),
+        (["certify-gradings", "--k", "eight"], 64),
+        (["atlas", "--constraint", "sphere:0", "--k", "6", "--nmax", "2",
+          "--probes", "8", "--seed", "5"], 0),
+        (["certify-gradings", "--g1", "l1", "--g2", "decreasing", "--k",
+          "12", "--nmax", "3", "--probes", "60", "--seed", "21"], 2),
+        (["certify-map", "--map", "coeff_square", "--k", "8", "--nmax",
+          "2", "--probes", "20", "--seed", "5", "--r-max", "9"], 64),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for i, (argv, code) in enumerate(runs):
+        shared = str(tmp_path / f"shared{i}")
+        alone = str(tmp_path / f"alone{i}")
+        assert run_cli(argv + ["--out", shared]) == code, argv
+        err = capsys.readouterr().err
+        assert _run_alone(argv + ["--out", alone]) == (code, err), argv
+        if os.path.isdir(alone):
+            _compare_dirs(shared, alone)
+        else:
+            assert not os.path.exists(shared)
+
+
 
 def _compare_dirs(a, b):
     names_a = sorted(os.listdir(a))

@@ -270,15 +270,17 @@ def test_chart_inverse_lanes_equal_single_inverses(make):
     u = rng.normal(size=(count, chart.kernel_dimension))
     radii = chart.validity_radius * rng.uniform(0.0, 2.5, size=count)
     offsets = u / np.linalg.norm(u, axis=1)[:, None] * radii[:, None]
-    flats, converged = chart.inverse_lanes(offsets)
+    flats, converged, errors = chart.inverse_lanes(offsets)
     assert converged.any() and not converged.all()
     for row, x in enumerate(offsets):
         try:
             q = chart.inverse(x)
-        except (NonConvergenceError, SingularBlockError):
+        except (NonConvergenceError, SingularBlockError) as err:
             assert not converged[row], row
+            assert type(errors[row]) is type(err), row
+            assert str(errors[row]) == str(err), row
             continue
-        assert converged[row], row
+        assert converged[row] and errors[row] is None, row
         assert np.array_equal(flats[row], flatten(q)), row
         assert np.array_equal(chart.offsets_lanes(flats[row:row + 1])[0],
                               chart.offsets(q)), row

@@ -5,7 +5,7 @@ import pytest
 
 from tamef.errors import (ConstructionError, NotIntoSubmanifoldError,
                           UnsupportedGradingError)
-from tamef.graded import BanachFiber, SequenceSpace, inner_product
+from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, inner_product
 from tamef.implicit import linear_constraint, sphere_constraint
 from tamef.manifold import (IntoSubmanifoldReport, Submanifold,
                             TransitionReport, certify_map_into_submanifold,
@@ -204,7 +204,7 @@ def test_chart_restrictions_validate_on_their_probes(sphere0):
     desc = normalization_descriptor(SPACE, region_radius=1.5)
     probes = normalize_probes()
     report = certify_map_into_submanifold(desc, sphere0, probes)
-    images = [desc(f) for f in probes]
+    images = desc(probes)
     for k, cert in enumerate(report.chart_certificates):
         if cert is None:
             continue
@@ -214,11 +214,17 @@ def test_chart_restrictions_validate_on_their_probes(sphere0):
         assert validate_certificate_on_probes(restricted, cert, hits) == []
 
 
+def constant(value):
+    """A batch evaluator with every image equal to value."""
+    return lambda t: SequenceBatch(value.fiber, np.repeat(
+        value.coefficients[None], len(t), axis=0))
+
+
 def test_constant_map_into_sphere(sphere0):
     target = SPACE.basis(0)
     desc = TameMapDescriptor(
         name="const-e0", domain=SPACE, codomain=SPACE,
-        evaluator=lambda f: target, linearity="nonlinear",
+        evaluator=constant(target), linearity="nonlinear",
         region_radius=2.0)
     probes = make_probes(SPACE, 20, seed=31)
     report = certify_map_into_submanifold(desc, sphere0, probes)
@@ -233,7 +239,7 @@ def test_off_sphere_image_raises(sphere0):
     bad_point = SPACE.basis(0) + SPACE.basis(1, scale=0.1)
     desc = TameMapDescriptor(
         name="const-off", domain=SPACE, codomain=SPACE,
-        evaluator=lambda f: bad_point, linearity="nonlinear",
+        evaluator=constant(bad_point), linearity="nonlinear",
         region_radius=2.0)
     probes = make_probes(SPACE, 8, seed=31)
     with pytest.raises(NotIntoSubmanifoldError) as err:
@@ -245,7 +251,7 @@ def test_into_submanifold_requires_matching_codomain(sphere0):
     other = SequenceSpace(R1, truncation_degree=8, n_max=4)
     desc = TameMapDescriptor(
         name="wrong-codomain", domain=other, codomain=other,
-        evaluator=lambda f: f)
+        evaluator=lambda t: t)
     with pytest.raises(ValueError):
         certify_map_into_submanifold(desc, sphere0,
                                      make_probes(other, 4, seed=1))

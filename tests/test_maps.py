@@ -14,11 +14,14 @@ from tamef.errors import InconsistentInverseError
 from tamef.graded import (
     BASE_LEVEL,
     BanachFiber,
+    ProductBatch,
     ProductSpace,
     RatioWitness,
+    SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
     TruncatedSequence,
+    as_batch,
     certify_from_tables,
 )
 from tamef.maps import (
@@ -186,9 +189,10 @@ def test_map_violations_match_scalar_recheck():
                                provenance="empirical", probe_count=1,
                                linear=False)
     expected = []
+    images = desc(PROBES)
     for n in cert.levels:
         for i, f in enumerate(PROBES):
-            lhs = SPACE.seminorm(desc(f), n)
+            lhs = SPACE.seminorm(images[i], n)
             bound = cert.C[n] * (SPACE.seminorm(f, n) + 1.0)
             if lhs > bound + 1e-9 + 1e-9 * max(abs(lhs), abs(bound)):
                 expected.append((i, n, lhs, bound))
@@ -329,9 +333,19 @@ BANACH = SequenceSpace(R1, truncation_degree=8, n_max=0)
 BANACH_PROBES = make_probes(BANACH, 40, seed=99)
 
 
+def scaled(c):
+    """A batch evaluator multiplying every row by c."""
+    return lambda t: SequenceBatch(t.fiber, c * t.coefficients)
+
+
+def rows_scaled(t, factors):
+    """Row i of a batch times factors[i]."""
+    return SequenceBatch(t.fiber, t.coefficients * factors[:, None, None])
+
+
 def test_quasi_isometry_doubling():
-    desc = TameMapDescriptor("double", BANACH, BANACH, lambda f: 2.0 * f)
-    report = quasi_isometry_check(desc, lambda g: 0.5 * g, BANACH_PROBES)
+    desc = TameMapDescriptor("double", BANACH, BANACH, scaled(2.0))
+    report = quasi_isometry_check(desc, scaled(0.5), BANACH_PROBES)
     assert report.ok
     assert report.c1 <= 2.0 + 1e-12
     assert report.c2 <= 0.5 + 1e-12
@@ -339,18 +353,18 @@ def test_quasi_isometry_doubling():
 
 
 def test_quasi_isometry_identity():
-    desc = TameMapDescriptor("id", BANACH, BANACH, lambda f: f)
-    report = quasi_isometry_check(desc, lambda g: g, BANACH_PROBES)
+    desc = TameMapDescriptor("id", BANACH, BANACH, lambda t: t)
+    report = quasi_isometry_check(desc, lambda t: t, BANACH_PROBES)
     assert report.ok
     assert report.c1 <= 1.0 and report.c2 <= 1.0
 
 
 def test_quasi_isometry_detects_collapsing_map():
-    def forward(f):
-        return f * (1.0 / (1.0 + BANACH.seminorm(f, 0)))
+    def forward(t):
+        return rows_scaled(t, 1.0 / (1.0 + BANACH.seminorm(t, 0)))
 
-    def backward(g):
-        return g * (1.0 / (1.0 - BANACH.seminorm(g, 0)))
+    def backward(t):
+        return rows_scaled(t, 1.0 / (1.0 - BANACH.seminorm(t, 0)))
 
     desc = TameMapDescriptor("collapse", BANACH, BANACH, forward,
                              linearity="nonlinear", region_radius=1e4)
@@ -366,9 +380,9 @@ def test_quasi_isometry_detects_collapsing_map():
 
 
 def test_quasi_isometry_rejects_bad_inverse():
-    desc = TameMapDescriptor("double", BANACH, BANACH, lambda f: 2.0 * f)
+    desc = TameMapDescriptor("double", BANACH, BANACH, scaled(2.0))
     with pytest.raises(InconsistentInverseError):
-        quasi_isometry_check(desc, lambda g: g, BANACH_PROBES)
+        quasi_isometry_check(desc, lambda t: t, BANACH_PROBES)
 
 
 def test_quasi_isometry_needs_single_norm():
@@ -385,35 +399,38 @@ def test_directional_derivative_linear_equals_map_of_direction():
     # rounding in f +- eps*h enters scaled by the image of f, so that term
     # belongs in the relative denominator
     desc = build_map("shift_up", SPACE)
-    for f in PROBES[:10]:
-        for h in PROBES[10:14]:
-            d = directional_derivative(desc, f, h)
-            exact = desc(h)
-            gap = SPACE.seminorm(d - exact, 3)
-            scale = 1.0 + SPACE.seminorm(exact, 3) + SPACE.seminorm(desc(f), 3)
-            assert gap <= 1e-10 * scale
+    f = PROBES[:10]
+    for j in range(10, 14):
+        h = SequenceBatch(R1, np.repeat(PROBES.coefficients[j:j + 1], 10,
+                                        axis=0))
+        d = directional_derivative(desc, f, h)
+        exact = desc(h)
+        gap = SPACE.seminorm(SequenceBatch(
+            R1, d.coefficients - exact.coefficients), 3)
+        scale = 1.0 + SPACE.seminorm(exact, 3) + SPACE.seminorm(desc(f), 3)
+        assert np.all(gap <= 1e-10 * scale)
 
 
 def test_directional_derivative_of_square():
     desc = build_map("coeff_square", SPACE)
-    f = SPACE.basis(0, scale=3.0)
-    h = SPACE.basis(0)
+    f = as_batch([SPACE.basis(0, scale=3.0)])
+    h = as_batch([SPACE.basis(0)])
     d = directional_derivative(desc, f, h, step=1e-5)
-    assert d.coefficient(0)[0] == pytest.approx(6.0, abs=1e-9)
+    assert d[0].coefficient(0)[0] == pytest.approx(6.0, abs=1e-9)
 
 
 def test_directional_derivative_zero_direction():
     desc = build_map("derivative", SPACE)
-    d = directional_derivative(desc, PROBES[0], SPACE.zero())
-    assert d.is_zero()
+    d = directional_derivative(desc, PROBES[:1], as_batch([SPACE.zero()]))
+    assert d[0].is_zero()
 
 
 def test_directional_derivative_step_guard():
     desc = build_map("identity", SPACE)
     with pytest.raises(ValueError):
-        directional_derivative(desc, PROBES[0], PROBES[1], step=0.0)
+        directional_derivative(desc, PROBES[:1], PROBES[1:2], step=0.0)
     with pytest.raises(ValueError):
-        directional_derivative(desc, PROBES[0], PROBES[1], step=-1e-3)
+        directional_derivative(desc, PROBES[:1], PROBES[1:2], step=-1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +454,12 @@ def test_build_map_errors():
 
 def test_build_map_product_and_compose_shapes():
     pair = build_map("product:identity,derivative", SPACE)
-    out = pair(PROBES[0])
-    assert isinstance(out, tuple) and len(out) == 2
+    out = pair(PROBES[:1])
+    assert isinstance(out, ProductBatch) and len(out.parts) == 2
+    assert len(out) == 1
     chain = build_map("compose:shift_down,shift_up", SPACE)
     f = PROBES[3]
     # shift down undoes shift up except for the dropped top coefficient
-    g = chain(f)
+    g = chain(PROBES[3:4])[0]
     assert np.allclose(g.coefficients[:-1], f.coefficients[:-1])
     assert np.all(g.coefficients[-1] == 0.0)
