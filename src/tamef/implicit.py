@@ -44,6 +44,11 @@ CHART_DIRECTIONS = 16
 #: however many points a caller solves
 CHART_LANES = 64
 CHART_ROUND_TRIP_TOL = 1e-8
+#: halvings of the chart-radius interval after the doubling search
+RADIUS_BISECTION_STEPS = 25
+#: bisection steps taken per lane block: the first directions of all
+#: 2^BISECTION_LEVELS - 1 midpoints those steps can visit are solved at once
+BISECTION_LEVELS = 4
 PREIMAGE_TOL = 1e-10
 #: preimage points closer than this, relative to their norm, are one point
 PREIMAGE_DEDUPE_TOL = 1e-6
@@ -278,6 +283,17 @@ class SplitConstraint:
         return np.stack([np.asarray(fn(x, y), dtype=np.float64).reshape(-1)
                          for x, y in zip(X, Y)])
 
+    def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
+        """values and d_y_lanes on a block of lanes whose x stays X: both
+        take (lanes, Y) and evaluate at (X[lanes], Y), lanes None standing
+        for every row of X in order."""
+
+        def rows(lanes):
+            return X if lanes is None else X[lanes]
+
+        return (lambda lanes, Y: self.values(rows(lanes), Y),
+                lambda lanes, Y: self.d_y_lanes(rows(lanes), Y))
+
     def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
         out = self._call(self.phi_xy, X, Y)
@@ -383,14 +399,10 @@ def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
                  stop_at_failure: bool = False) -> NewtonLanes:
     """Damped Newton on y for phi(X[i], y) = goal from Y0[i], one lane per
     row; each step solves the square phi-block."""
-
-    def rows(lanes):
-        return X if lanes is None else X[lanes]
-
+    values, d_y = split.bind(X)
     return damped_newton(
-        lambda lanes, Y: split.values(rows(lanes), Y) - goal,
-        lambda lanes, Y, R: _solve_blocks(split.d_y_lanes(rows(lanes), Y),
-                                          R, split.name),
+        lambda lanes, Y: values(lanes, Y) - goal,
+        lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R, split.name),
         Y0, tol, max_iter, split.name, stop_at_failure)
 
 
@@ -426,6 +438,44 @@ def solve_implicit(split: SplitConstraint, x, y0,
 # splitting an ambient constraint at a regular point
 # ---------------------------------------------------------------------------
 
+class _PointSplitConstraint(SplitConstraint):
+    """The split constraint of a PointSplit.  A lane's x stays fixed while
+    it is solved, so bind forms the kernel parts K x of a block once; every
+    residual, damping ladder and phi-block call then gathers them by lane
+    and adds C y, the sum PointSplit.flats forms."""
+
+    def __init__(self, point: "PointSplit"):
+        c = point.constraint
+        super().__init__(
+            point._phi_xy, point.kernel_mat.shape[1],
+            point.compl_mat.shape[1],
+            d_x=point._d_x if c.jacobian is not None else None,
+            d_y=point._d_y if c.jacobian is not None else None,
+            name=f"{c.name}@split", lanes=True)
+        self.point = point
+
+    def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
+        point = self.point
+        kernel_parts = np.matmul(point.kernel_mat[None], X[:, :, None])
+
+        def flats(lanes, Y):
+            parts = kernel_parts if lanes is None else kernel_parts[lanes]
+            return (parts + np.matmul(point.compl_mat[None],
+                                      Y[:, :, None]))[:, :, 0]
+
+        def values(lanes, Y):
+            return point.constraint.values(flats(lanes, Y))
+
+        def d_y(lanes, Y):
+            if self._d_y is None:
+                return _central_differences(lambda P: values(lanes, P), Y,
+                                            self.y_dim)
+            return np.matmul(point.constraint.jacobians(flats(lanes, Y)),
+                             point.compl_mat)
+
+        return values, d_y
+
+
 class PointSplit:
     """Absolute split coordinates attached to a regular-point report; its
     split constraint evaluates a block of lanes in one constraint call."""
@@ -442,11 +492,7 @@ class PointSplit:
         # metric-projection rows: coords(q) = (W^2 basis)^T q
         self._kernel_proj = (self.kernel_mat * (w ** 2)[:, None]).T
         self._compl_proj = (self.compl_mat * (w ** 2)[:, None]).T
-        self.split = SplitConstraint(
-            self._phi_xy, self.kernel_mat.shape[1], self.compl_mat.shape[1],
-            d_x=self._d_x if c.jacobian is not None else None,
-            d_y=self._d_y if c.jacobian is not None else None,
-            name=f"{c.name}@split", lanes=True)
+        self.split = _PointSplitConstraint(self)
 
     def flats(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Flat ambient points of the lanes (X[i], Y[i]), one per row."""
@@ -604,14 +650,23 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
                          directions: np.ndarray) -> bool:
     """Whether every direction, scaled to radius, comes back through inverse
     and forward within tolerance.  A radius that fails mostly fails at the
-    first direction already, so that one is solved alone before the rest
-    go as one block."""
-    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
-    offsets = radius * directions
+    first direction already, so that one is solved alone, through
+    Chart.inverse, before the rest go as one block; build_chart's bisection
+    solves the first directions of its midpoints as lane blocks instead and
+    checks the rest with _round_trip_rest_ok."""
     try:
-        first = flatten(chart.inverse(offsets[0]))
+        first = flatten(chart.inverse(radius * directions[0]))
     except (NonConvergenceError, SingularBlockError):
         return False
+    return _round_trip_rest_ok(chart, radius, directions, first)
+
+
+def _round_trip_rest_ok(chart: Chart, radius: float, directions: np.ndarray,
+                        first: np.ndarray) -> bool:
+    """_chart_round_trip_ok once the first direction, scaled to radius, has
+    come back through inverse to the flat point first."""
+    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
+    offsets = radius * directions
     rest, converged, _ = chart.inverse_lanes(offsets[1:],
                                              stop_at_failure=True)
     if not converged.all():
@@ -623,14 +678,57 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
     return not (np.any(gaps > bound) or np.any(values > bound))
 
 
+def _midpoint_tree(lo: float, hi: float, levels: int) -> List[float]:
+    """The midpoints of every path of `levels` bisection steps from
+    [lo, hi], in heap order: node i's children are 2i + 1, after it fails
+    (hi = mid), and 2i + 2, after it passes (lo = mid)."""
+    mids: List[float] = []
+    bounds = [(lo, hi)]
+    while len(mids) < 2 ** levels - 1:
+        a, b = bounds[len(mids)]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        bounds += [(a, mid), (mid, b)]
+    return mids
+
+
+def _bisect(lo: float, hi: float, steps: int,
+            screen: Callable[[List[float]], Callable[[int], bool]]) -> float:
+    """lo after `steps` steps of
+
+        mid = 0.5 * (lo + hi); lo = mid if it passes, else hi = mid
+
+    taken BISECTION_LEVELS steps at a time.  screen gets the midpoints of
+    every path of one group (_midpoint_tree) and returns the verdict on
+    mids[node] as a function of node; the walk asks it only for the nodes
+    on the path the verdicts pick, in order, so it takes the midpoints the
+    step-by-step loop takes, also when the verdicts are not monotone."""
+    while steps:
+        levels = min(steps, BISECTION_LEVELS)
+        mids = _midpoint_tree(lo, hi, levels)
+        passes = screen(mids)
+        node = 0
+        for _ in range(levels):
+            if passes(node):
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
+        steps -= levels
+    return lo
+
+
 def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
                 report: Optional[RegularPointReport] = None) -> Chart:
     """Chart at a regular point with an empirically certified radius.
 
     The radius doubles from 1 while CHART_DIRECTIONS random kernel
-    directions round-trip within CHART_ROUND_TRIP_TOL, then bisects to the
-    failure boundary.  A radius below the floor rejects the chart: the
-    splitting is numerically unusable even if the rank test passed.
+    directions round-trip within CHART_ROUND_TRIP_TOL, one trial radius at
+    a time, then bisects to the failure boundary in RADIUS_BISECTION_STEPS
+    steps.  The bisection solves the first direction of every midpoint
+    that BISECTION_LEVELS steps can visit as one lane block, and the other
+    directions only at the midpoints on its path.  A radius below the floor
+    rejects the chart: the splitting is numerically unusable even if the
+    rank test passed.
     """
     if report is None:
         report = is_regular_point(c, p)
@@ -664,13 +762,15 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
             radius *= 2.0
         if radius >= VALIDITY_RADIUS_CAP:
             return replace(chart, validity_radius=radius)
-    lo, hi = radius, 2.0 * radius
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        if _chart_round_trip_ok(chart, mid, dirs):
-            lo = mid
-        else:
-            hi = mid
+
+    def screen(mids: List[float]) -> Callable[[int], bool]:
+        # a midpoint whose first direction fails fails
+        firsts, converged, _ = chart.inverse_lanes(
+            np.array(mids)[:, None] * dirs[0])
+        return lambda node: bool(converged[node]) and _round_trip_rest_ok(
+            chart, mids[node], dirs, firsts[node])
+
+    lo = _bisect(radius, 2.0 * radius, RADIUS_BISECTION_STEPS, screen)
     if lo < VALIDITY_RADIUS_FLOOR:
         raise RegularityError(
             f"{c.name}: certified radius {lo:.3g} below the floor")

@@ -1,0 +1,350 @@
+"""The chart-radius search and the lane blocks it solves.
+
+build_chart bisects its radius BISECTION_LEVELS steps at a time: the first
+direction of every midpoint those steps can visit goes as one lane block,
+and only the midpoints on the path get the other directions.  The reference
+below is the search as it ran before, frozen here unchanged: doubling or
+halving, then RADIUS_BISECTION_STEPS bisection steps one after another,
+each a full round-trip check whose first direction is solved alone.  Every
+certified radius must equal it bit for bit.
+
+A PointSplit's split constraint forms a block's kernel parts K x once per
+solve; the solves must equal those of a split constraint that forms the
+whole flat point on every call.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tamef import implicit
+from tamef.errors import NonConvergenceError, SingularBlockError
+from tamef.graded import BanachFiber, SequenceSpace
+from tamef.implicit import (BISECTION_LEVELS, CHART_DIRECTIONS, CHART_LANES,
+                            CHART_ROUND_TRIP_TOL, DEFAULT_MAX_ITER,
+                            DEFAULT_SOLVE_TOL, RADIUS_BISECTION_STEPS,
+                            VALIDITY_RADIUS_CAP, VALIDITY_RADIUS_FLOOR, Chart,
+                            PointSplit, SplitConstraint, _bisect,
+                            _midpoint_tree, _solve_lanes, build_chart,
+                            flatten, is_regular_point, lane_norms,
+                            sphere_constraint)
+from tamef.manifold import make_sphere_intersection
+from tamef.probes import rng_from_seed
+
+R1 = BanachFiber(1)
+
+
+def _space(K):
+    return SequenceSpace(R1, truncation_degree=K, n_max=4)
+
+
+# ---------------------------------------------------------------------------
+# the frozen step-by-step search
+# ---------------------------------------------------------------------------
+
+def reference_round_trip_ok(chart, radius, directions):
+    """The round-trip check: the first direction alone, then the rest as
+    one block."""
+    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
+    offsets = radius * directions
+    try:
+        first = flatten(chart.inverse(offsets[0]))
+    except (NonConvergenceError, SingularBlockError):
+        return False
+    rest, converged, _ = chart.inverse_lanes(offsets[1:],
+                                             stop_at_failure=True)
+    if not converged.all():
+        return False
+    flats = np.vstack([first[None], rest])
+    gaps = lane_norms(chart.offsets_lanes(flats) - offsets)
+    values = lane_norms(chart.constraint.values(flats))
+    return not (np.any(gaps > bound) or np.any(values > bound))
+
+
+def reference_radius(c, p, seed, report,
+                     round_trip_ok=reference_round_trip_ok):
+    """(radius, bisection steps as (midpoint, verdict) pairs) of the
+    step-by-step search; the radius is None where it rejects the chart."""
+    chart = Chart(PointSplit(c, report), p, validity_radius=0.0)
+    x_dim = chart.kernel_dimension
+    rng = rng_from_seed(seed)
+    dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
+        np.zeros((CHART_DIRECTIONS, 0))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0.0] = 1.0
+    dirs = dirs / norms[:, None]
+
+    radius = 1.0
+    if not round_trip_ok(chart, radius, dirs):
+        while radius > VALIDITY_RADIUS_FLOOR:
+            radius *= 0.5
+            if round_trip_ok(chart, radius, dirs):
+                break
+        else:
+            return None, []
+    else:
+        while radius < VALIDITY_RADIUS_CAP:
+            if not round_trip_ok(chart, 2.0 * radius, dirs):
+                break
+            radius *= 2.0
+        if radius >= VALIDITY_RADIUS_CAP:
+            return radius, []
+    lo, hi = radius, 2.0 * radius
+    steps = []
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        ok = round_trip_ok(chart, mid, dirs)
+        steps.append((mid, ok))
+        if ok:
+            lo = mid
+        else:
+            hi = mid
+    if lo < VALIDITY_RADIUS_FLOOR:
+        return None, steps
+    return lo, steps
+
+
+def sphere_points(level, K):
+    c = sphere_constraint(_space(K), level)
+    return [(c, p, is_regular_point(c, p))
+            for p in (_space(K).basis(0), _space(K).basis(0, scale=-1.0))]
+
+
+def intersection_points(levels, radii, K):
+    manifold = make_sphere_intersection(_space(K), levels, radii=radii,
+                                        seed=3)
+    chart = manifold.charts[0]
+    return [(manifold.constraint, chart.base_point, chart.report)]
+
+
+RADIUS_CASES = [(f"sphere:{level} K={K}", level, K)
+                for level in (0, 1, 2) for K in (6, 16, 32)]
+
+
+def assert_radii_match(points, seeds):
+    """Every chart radius equals the reference's; returns the verdict
+    paths of the reference bisections."""
+    paths = []
+    for c, p, report in points:
+        for seed in seeds:
+            want, steps = reference_radius(c, p, seed, report)
+            paths.append([ok for _, ok in steps])
+            got = build_chart(c, p, seed=seed, report=report)
+            assert want is not None, (c.name, seed)
+            assert got.validity_radius.hex() == want.hex(), (c.name, seed)
+    return paths
+
+
+@pytest.mark.parametrize("name, level, K", RADIUS_CASES,
+                         ids=[case[0] for case in RADIUS_CASES])
+def test_sphere_radius_equals_step_by_step_search(name, level, K):
+    assert_radii_match(sphere_points(level, K), seeds=(0, 7, 101))
+
+
+def test_intersection_radius_equals_step_by_step_search():
+    paths = assert_radii_match(
+        intersection_points((0, 1), [1, 2], 16), seeds=(0, 5, 13, 101))
+    paths += assert_radii_match(
+        intersection_points((0, 2), [1, 3], 12), seeds=(0, 5, 13))
+    # these bisections pass some midpoints and fail others
+    assert all(len(path) == RADIUS_BISECTION_STEPS for path in paths)
+    assert any(any(path) and not all(path) for path in paths)
+
+
+def test_sphere_zero_bisection_fails_every_midpoint():
+    # sphere:0 charts are valid out to radius 1 exactly, so every midpoint
+    # in (1, 2] fails and the search keeps lo = 1
+    (c, p, report), _ = sphere_points(0, 16)
+    radius, steps = reference_radius(c, p, 3, report)
+    assert [ok for _, ok in steps] == [False] * RADIUS_BISECTION_STEPS
+    assert build_chart(c, p, seed=3, report=report).validity_radius == \
+        radius == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the walk against the step-by-step loop on arbitrary verdicts
+# ---------------------------------------------------------------------------
+
+def table_verdict(seed):
+    """A seeded random verdict per midpoint, keyed by its float.hex: it
+    passes or fails points in any order, so it is not monotone."""
+    def passes(mid):
+        return random.Random(f"{seed}:{mid.hex()}").random() < 0.5
+    return passes
+
+
+def reference_bisect(lo, hi, steps, passes):
+    mids = []
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, mids
+
+
+@pytest.mark.parametrize("levels", [1, 3, BISECTION_LEVELS, 5])
+@pytest.mark.parametrize("steps", [0, 1, 4, 5, RADIUS_BISECTION_STEPS])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_walk_takes_the_loops_midpoints(monkeypatch, levels, steps, seed):
+    monkeypatch.setattr(implicit, "BISECTION_LEVELS", levels)
+    passes = table_verdict(seed)
+    # an interval whose midpoints are not all exact dyadic fractions, so
+    # another midpoint formula would round differently
+    rng = random.Random(seed)
+    lo = rng.uniform(0.1, 1.0)
+    hi = lo * (1.0 + rng.random())
+    want, want_mids = reference_bisect(lo, hi, steps, passes)
+
+    taken, groups = [], []
+
+    def screen(mids):
+        groups.append(len(mids))
+
+        def verdict(node):
+            taken.append(mids[node])
+            return passes(mids[node])
+        return verdict
+
+    got = _bisect(lo, hi, steps, screen)
+    assert got.hex() == want.hex()
+    assert [m.hex() for m in taken] == [m.hex() for m in want_mids]
+    # full groups of 2^levels - 1 midpoints, then one for the steps left
+    full, left = divmod(steps, levels)
+    assert groups == [2 ** levels - 1] * full + \
+        ([2 ** left - 1] if left else [])
+
+
+def test_chart_bisection_follows_non_monotone_verdicts(monkeypatch):
+    # a failing first direction fails a radius as before; past it a random
+    # table decides, here and in the reference alike
+    points = sphere_points(0, 6) + intersection_points((0, 1), [1, 2], 16)
+    mixed = overruled = 0
+    for c, p, report in points:
+        for seed in (0, 1, 2, 3, 4, 5):
+            table = table_verdict(seed)
+            first_fails = set()
+
+            def round_trip_ok(chart, radius, dirs):
+                try:
+                    chart.inverse(radius * dirs[0])
+                except (NonConvergenceError, SingularBlockError):
+                    first_fails.add(radius)
+                    return False
+                return table(radius)
+
+            monkeypatch.setattr(
+                implicit, "_round_trip_rest_ok",
+                lambda chart, radius, dirs, first: table(radius))
+            want, steps = reference_radius(c, p, seed, report,
+                                           round_trip_ok)
+            verdicts = [ok for _, ok in steps]
+            mixed += any(verdicts) and not all(verdicts)
+            overruled += sum(1 for mid, _ in steps
+                             if mid in first_fails and table(mid))
+            if want is None:
+                with pytest.raises(implicit.RegularityError):
+                    build_chart(c, p, seed=seed, report=report)
+                continue
+            got = build_chart(c, p, seed=seed, report=report)
+            assert got.validity_radius.hex() == want.hex(), (c.name, seed)
+    # the table mixes verdicts along paths, and some path midpoints fail
+    # at the first direction although the table would pass them
+    assert mixed >= 3 and overruled >= 3
+
+
+def test_midpoint_tree_is_in_heap_order():
+    mids = _midpoint_tree(1.0, 2.0, 3)
+    assert mids == [1.5, 1.25, 1.75, 1.125, 1.375, 1.625, 1.875]
+    # node 1 follows a failure of node 0 (hi = 1.5), node 2 a pass (lo = 1.5)
+    lo, hi = 0.1, 0.7
+    mids = _midpoint_tree(lo, hi, 2)
+    assert mids[1] == 0.5 * (lo + mids[0])
+    assert mids[2] == 0.5 * (mids[0] + hi)
+
+
+# ---------------------------------------------------------------------------
+# kernel parts formed once per block
+# ---------------------------------------------------------------------------
+
+SPLIT_CASES = ("sphere:0 K=6", "sphere:0 K=32", "sphere:0 K=6 fd",
+               "spheres:0,1")
+
+
+def point_split(name):
+    """A PointSplit of a registry constraint the atlases use, with a
+    supplied or ("fd") a finite-difference Jacobian."""
+    if name == "spheres:0,1":
+        manifold = make_sphere_intersection(_space(8), (0, 1), radii=[1, 2],
+                                            seed=3)
+        return manifold.charts[0].split_data
+    K = int(name.split()[1][2:])
+    c = sphere_constraint(_space(K), 0)
+    if name.endswith("fd"):
+        c = replace(c, jacobian=None)
+    return PointSplit(c, is_regular_point(c, _space(K).basis(0)))
+
+
+def uncached(ps):
+    """The same split constraint, forming K x + C y on every call."""
+    has_jacobian = ps.constraint.jacobian is not None
+    return SplitConstraint(
+        ps._phi_xy, ps.split.x_dim, ps.split.y_dim,
+        d_x=ps._d_x if has_jacobian else None,
+        d_y=ps._d_y if has_jacobian else None,
+        name=ps.split.name, lanes=True)
+
+
+#: kernel offset scales: converging, near the edge, stalling or out of
+#: budget past it
+OFFSETS = (0.0, 0.05, 0.5, 0.95, 1.3, 40.0)
+#: complement starts as multiples of the base point's: a zero start makes
+#: the sphere phi-block singular, NaN makes the residual non-finite
+STARTS = (1.0, -1.0, 0.05, 0.0, math.nan)
+
+
+def lane_block(ps, count, seed):
+    x, y = ps.coords_of(ps.report.point)
+    rng = rng_from_seed(seed)
+    u = rng.normal(size=(count, x.size))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    scales = np.array([OFFSETS[i % len(OFFSETS)] for i in range(count)])
+    starts = np.array([STARTS[(i // len(OFFSETS)) % len(STARTS)]
+                       for i in range(count)])
+    return x + scales[:, None] * u, y[None] * starts[:, None]
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_kernel_parts_once_per_block_equal_uncached_solves(name):
+    ps = point_split(name)
+    outcomes = set()
+    for count, seed in ((1, 0), (len(OFFSETS) * len(STARTS), 1),
+                        (CHART_LANES + 6, 2)):
+        X, Y0 = lane_block(ps, count, seed)
+        goal = np.zeros(ps.split.y_dim)
+        got = _solve_lanes(ps.split, X, Y0, goal, DEFAULT_SOLVE_TOL,
+                           DEFAULT_MAX_ITER)
+        want = _solve_lanes(uncached(ps), X, Y0, goal, DEFAULT_SOLVE_TOL,
+                            DEFAULT_MAX_ITER)
+        assert np.array_equal(got.converged, want.converged)
+        assert np.array_equal(got.steps, want.steps)
+        for lane in range(count):
+            assert np.array_equal(got.z[lane], want.z[lane],
+                                  equal_nan=True), lane
+            assert np.array_equal(got.history(lane), want.history(lane),
+                                  equal_nan=True), lane
+            g, w = got.errors[lane], want.errors[lane]
+            assert type(g) is type(w), lane
+            assert str(g) == str(w), lane
+            if isinstance(w, NonConvergenceError):
+                assert np.array_equal(g.history, w.history,
+                                      equal_nan=True), lane
+            outcomes.add("converged" if w is None else "stalled"
+                         if "stalled" in str(w) else type(w).__name__)
+    assert {"converged", "SingularBlockError", "stalled"} <= outcomes
+
