@@ -15,6 +15,7 @@ no smoothing/regularization machinery is needed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
-from .graded import SequenceBatch, SequenceSpace, TruncatedSequence, _weights
+from .graded import (SequenceBatch, SequenceSpace, TruncatedSequence, _weights,
+                     as_batch)
 from .newton import NewtonLanes, damped_newton, lane_norms
 from .probes import rng_from_seed
 
@@ -117,10 +119,7 @@ class ConstraintMap:
         return "supplied" if self.jacobian is not None else "finite_difference"
 
     def value(self, f: TruncatedSequence) -> np.ndarray:
-        return self.value_flat(flatten(f))
-
-    def value_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self.values(np.asarray(flat).reshape(1, -1))[0]
+        return self.values(flatten(f)[None])[0]
 
     def values(self, flats: np.ndarray) -> np.ndarray:
         """phi on a (P, D) block: the (P, m) values, one row per point."""
@@ -162,28 +161,22 @@ def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def finite_difference_jacobian(c: ConstraintMap,
-                               f: TruncatedSequence) -> np.ndarray:
-    return _central_differences(c.values, flatten(f)[None],
-                                c.target_dim)[0]
-
-
-def jacobian_matrix(c: ConstraintMap, f: TruncatedSequence) -> np.ndarray:
-    return c.jacobians(flatten(f)[None])[0]
-
-
 def check_jacobian(c: ConstraintMap,
                    probes: Sequence[TruncatedSequence]) -> float:
-    """Max relative gap between supplied and finite-difference Jacobians."""
-    if c.jacobian is None:
+    """Max relative gap between supplied and finite-difference Jacobians
+    over the probes, evaluated as one block; inf when a gap is not finite,
+    and 0.0 for a constraint without a supplied Jacobian or for no probes."""
+    if c.jacobian is None or not len(probes):
         return 0.0
-    worst = 0.0
-    for f in probes:
-        supplied = jacobian_matrix(c, f)
-        fd = finite_difference_jacobian(c, f)
-        scale = max(1.0, float(np.max(np.abs(supplied))))
-        worst = max(worst, float(np.max(np.abs(supplied - fd))) / scale)
-    return worst
+    flats = flatten(as_batch(probes))
+    supplied = c.jacobians(flats)
+    fd = _central_differences(c.values, flats, c.target_dim)
+    # a non-finite entry of either Jacobian makes its row's gap non-finite
+    gaps = np.max(np.abs(supplied - fd), axis=(1, 2))
+    if not np.isfinite(gaps).all():
+        return math.inf
+    scale = np.maximum(1.0, np.max(np.abs(supplied), axis=(1, 2)))
+    return float(np.max(gaps / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def is_regular_point(c: ConstraintMap,
     m, D = c.target_dim, c.flat_dimension
     if m > D:
         raise ValueError(f"codimension {m} exceeds ambient dimension {D}")
-    J = jacobian_matrix(c, p)
+    J = c.jacobians(flatten(p)[None])[0]
     w = level_weights(c.space, c.level)
     J_w = J / w[None, :]
     sigma = np.linalg.svd(J_w, compute_uv=False)
@@ -255,18 +248,19 @@ class SplitConstraint:
     the m complement directions.  Coordinates are absolute (the zero element
     has coordinates (0, 0)), so base points carry nonzero y in general.
 
-    phi_xy, d_x and d_y take one x and one y vector.  With lanes=True they
-    take an (L, x_dim) and an (L, y_dim) block instead, one lane per row,
-    and return (L, y_dim), (L, y_dim, x_dim) and (L, y_dim, y_dim) blocks.
-    values and d_y_lanes evaluate a block of lanes either way, calling
-    single-vector callables once per lane.
+    phi_xy, d_x and d_y work on lanes: they take an (L, x_dim) block of x
+    and an (L, y_dim) block of y, one lane per row, and return the
+    (L, y_dim) values and the (L, y_dim, x_dim) and (L, y_dim, y_dim)
+    partial derivatives; without d_x or d_y, central differences are used.
+    Like ConstraintMap.phi, phi_xy returns non-finite values where it is
+    undefined rather than raising.
     """
 
     def __init__(self, phi_xy: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x_dim: int, y_dim: int,
                  d_x: Optional[Callable] = None,
                  d_y: Optional[Callable] = None,
-                 name: str = "split", lanes: bool = False):
+                 name: str = "split"):
         if y_dim < 1 or x_dim < 0:
             raise ValueError("need y_dim >= 1 and x_dim >= 0")
         self.phi_xy = phi_xy
@@ -275,55 +269,45 @@ class SplitConstraint:
         self._d_x = d_x
         self._d_y = d_y
         self.name = name
-        self.lanes = lanes
-
-    def _call(self, fn: Callable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.lanes:
-            return np.asarray(fn(X, Y), dtype=np.float64)
-        return np.stack([np.asarray(fn(x, y), dtype=np.float64).reshape(-1)
-                         for x, y in zip(X, Y)])
 
     def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
-        """values and d_y_lanes on a block of lanes whose x stays X: both
-        take (lanes, Y) and evaluate at (X[lanes], Y), lanes None standing
-        for every row of X in order."""
+        """values and d_y on a block of lanes whose x stays X: both take
+        (lanes, Y) and evaluate at (X[lanes], Y), lanes None standing for
+        every row of X in order."""
 
         def rows(lanes):
             return X if lanes is None else X[lanes]
 
-        return (lambda lanes, Y: self.values(rows(lanes), Y),
-                lambda lanes, Y: self.d_y_lanes(rows(lanes), Y))
+        def values(lanes, Y):
+            out = np.asarray(self.phi_xy(rows(lanes), Y), dtype=np.float64)
+            if out.shape != (len(Y), self.y_dim):
+                raise ValueError(
+                    f"split constraint returned shape {out.shape}")
+            return out
+
+        def d_y(lanes, Y):
+            if self._d_y is None:
+                return _central_differences(lambda P: values(lanes, P), Y,
+                                            self.y_dim)
+            return np.asarray(self._d_y(rows(lanes), Y),
+                              dtype=np.float64).reshape(
+                len(Y), self.y_dim, self.y_dim)
+
+        return values, d_y
 
     def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
-        out = self._call(self.phi_xy, X, Y)
-        if out.shape != (len(X), self.y_dim):
-            raise ValueError(f"split constraint returned shape {out.shape}")
-        return out
+        return self.bind(X)[0](None, Y)
 
-    def d_y_lanes(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self._d_y is not None:
-            return self._call(self._d_y, X, Y).reshape(
-                len(X), self.y_dim, self.y_dim)
-        return _central_differences(lambda P: self.values(X, P), Y,
-                                    self.y_dim)
+    def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self._d_x is None:
+            return _central_differences(lambda P: self.values(P, Y), X,
+                                        self.y_dim)
+        return np.asarray(self._d_x(X, Y), dtype=np.float64).reshape(
+            len(X), self.y_dim, self.x_dim)
 
-    def value(self, x, y) -> np.ndarray:
-        return self.values(*self._one_lane(x, y))[0]
-
-    def d_x(self, x, y) -> np.ndarray:
-        X, Y = self._one_lane(x, y)
-        if self._d_x is not None:
-            return self._call(self._d_x, X, Y).reshape(self.y_dim, self.x_dim)
-        return _central_differences(lambda P: self.values(P, Y), X,
-                                    self.y_dim)[0]
-
-    def d_y(self, x, y) -> np.ndarray:
-        return self.d_y_lanes(*self._one_lane(x, y))[0]
-
-    def _one_lane(self, x, y) -> Tuple[np.ndarray, np.ndarray]:
-        return (np.asarray(x, dtype=np.float64).reshape(1, self.x_dim),
-                np.asarray(y, dtype=np.float64).reshape(1, self.y_dim))
+    def d_y(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return self.bind(X)[1](None, Y)
 
 
 def _solve_blocks(B: np.ndarray, rhs: np.ndarray, context: str
@@ -360,12 +344,19 @@ def _solve_blocks(B: np.ndarray, rhs: np.ndarray, context: str
     return steps, errors
 
 
+def _one_row_blocks(split: SplitConstraint, x, y
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """d_x and d_y at the one lane (x, y)."""
+    X = np.asarray(x, dtype=np.float64).reshape(1, split.x_dim)
+    Y = np.asarray(y, dtype=np.float64).reshape(1, split.y_dim)
+    return split.d_x(X, Y)[0], split.d_y(X, Y)[0]
+
+
 def apply_dphi(split: SplitConstraint, x, y, h1, h2):
     """Differential of (x, y) -> (x, phi(x, y)): (h1, A h1 + B h2)."""
     h1 = np.asarray(h1, dtype=np.float64).reshape(split.x_dim)
     h2 = np.asarray(h2, dtype=np.float64).reshape(split.y_dim)
-    A = split.d_x(x, y)
-    B = split.d_y(x, y)
+    A, B = _one_row_blocks(split, x, y)
     return h1, A @ h1 + B @ h2
 
 
@@ -373,8 +364,7 @@ def apply_vphi(split: SplitConstraint, x, y, k1, k2):
     """Inverse of the differential: (k1, B^{-1}(k2 - A k1))."""
     k1 = np.asarray(k1, dtype=np.float64).reshape(split.x_dim)
     k2 = np.asarray(k2, dtype=np.float64).reshape(split.y_dim)
-    A = split.d_x(x, y)
-    B = split.d_y(x, y)
+    A, B = _one_row_blocks(split, x, y)
     h2, errors = _solve_blocks(B[None], (k2 - A @ k1)[None], split.name)
     if errors is not None:
         raise errors[0]
@@ -439,41 +429,42 @@ def solve_implicit(split: SplitConstraint, x, y0,
 # ---------------------------------------------------------------------------
 
 class _PointSplitConstraint(SplitConstraint):
-    """The split constraint of a PointSplit.  A lane's x stays fixed while
-    it is solved, so bind forms the kernel parts K x of a block once; every
-    residual, damping ladder and phi-block call then gathers them by lane
-    and adds C y, the sum PointSplit.flats forms."""
+    """The split constraint of a PointSplit: the ambient constraint at the
+    flat points K x + C y.  A lane's x stays fixed while it is solved, so
+    bind forms the kernel parts K x of a block once (PointSplit.lane_flats);
+    every residual, damping ladder and phi-block call then gathers them by
+    lane and adds C y.  values, d_x and d_y go through the same code."""
 
     def __init__(self, point: "PointSplit"):
-        c = point.constraint
         super().__init__(
-            point._phi_xy, point.kernel_mat.shape[1],
-            point.compl_mat.shape[1],
-            d_x=point._d_x if c.jacobian is not None else None,
-            d_y=point._d_y if c.jacobian is not None else None,
-            name=f"{c.name}@split", lanes=True)
+            self.values, point.kernel_mat.shape[1], point.compl_mat.shape[1],
+            name=f"{point.constraint.name}@split")
         self.point = point
+
+    def _partials(self, flats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """The supplied ambient Jacobians at flat points, times a basis."""
+        return np.matmul(self.point.constraint.jacobians(flats), basis)
 
     def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
         point = self.point
-        kernel_parts = np.matmul(point.kernel_mat[None], X[:, :, None])
-
-        def flats(lanes, Y):
-            parts = kernel_parts if lanes is None else kernel_parts[lanes]
-            return (parts + np.matmul(point.compl_mat[None],
-                                      Y[:, :, None]))[:, :, 0]
+        flats = point.lane_flats(X)
 
         def values(lanes, Y):
             return point.constraint.values(flats(lanes, Y))
 
         def d_y(lanes, Y):
-            if self._d_y is None:
+            if point.constraint.jacobian is None:
                 return _central_differences(lambda P: values(lanes, P), Y,
                                             self.y_dim)
-            return np.matmul(point.constraint.jacobians(flats(lanes, Y)),
-                             point.compl_mat)
+            return self._partials(flats(lanes, Y), point.compl_mat)
 
         return values, d_y
+
+    def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self.point.constraint.jacobian is None:
+            return super().d_x(X, Y)
+        return self._partials(self.point.lane_flats(X)(None, Y),
+                              self.point.kernel_mat)
 
 
 class PointSplit:
@@ -494,10 +485,22 @@ class PointSplit:
         self._compl_proj = (self.compl_mat * (w ** 2)[:, None]).T
         self.split = _PointSplitConstraint(self)
 
+    def lane_flats(self, X: np.ndarray) -> Callable:
+        """flats(lanes, Y): the flat ambient points K X[lanes] + C Y, one
+        per row, lanes None standing for every row of X; the kernel parts
+        K X are formed here, once."""
+        kernel_parts = np.matmul(self.kernel_mat[None], X[:, :, None])
+
+        def flats(lanes, Y):
+            parts = kernel_parts if lanes is None else kernel_parts[lanes]
+            return (parts + np.matmul(self.compl_mat[None],
+                                      Y[:, :, None]))[:, :, 0]
+
+        return flats
+
     def flats(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Flat ambient points of the lanes (X[i], Y[i]), one per row."""
-        return (np.matmul(self.kernel_mat[None], X[:, :, None])
-                + np.matmul(self.compl_mat[None], Y[:, :, None]))[:, :, 0]
+        return self.lane_flats(X)(None, Y)
 
     def point_of(self, x: np.ndarray, y: np.ndarray) -> TruncatedSequence:
         return unflatten(self.constraint.space, self.flats(
@@ -511,17 +514,6 @@ class PointSplit:
     def kernel_coords(self, flats: np.ndarray) -> np.ndarray:
         """Kernel coordinates of every row of a (P, D) block of points."""
         return np.matmul(self._kernel_proj[None], flats[:, :, None])[:, :, 0]
-
-    def _phi_xy(self, X, Y):
-        return self.constraint.values(self.flats(X, Y))
-
-    def _d_x(self, X, Y):
-        return np.matmul(self.constraint.jacobians(self.flats(X, Y)),
-                         self.kernel_mat)
-
-    def _d_y(self, X, Y):
-        return np.matmul(self.constraint.jacobians(self.flats(X, Y)),
-                         self.compl_mat)
 
 
 def split_at(c: ConstraintMap, p: TruncatedSequence,
@@ -567,13 +559,9 @@ class Chart:
     def kernel_dimension(self) -> int:
         return self.split_data.split.x_dim
 
-    def kernel_coords(self, h: TruncatedSequence) -> np.ndarray:
-        """Coordinates of an ambient element along the kernel basis."""
-        return self.split_data.coords_of(h)[0]
-
     def offsets(self, q: TruncatedSequence) -> np.ndarray:
         """Kernel offsets P(q - p) of q from the base point."""
-        return self.kernel_coords(q - self.base_point)
+        return self.offsets_lanes(flatten(q)[None])[0]
 
     def offsets_lanes(self, flats: np.ndarray) -> np.ndarray:
         """offsets of every row of a (P, D) block of flat points."""

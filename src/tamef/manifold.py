@@ -22,8 +22,7 @@ from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
     TruncatedSequence, as_batch, inner_product
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        flatten, is_regular_point, lane_norms,
-                       sphere_constraint, sphere_intersection_constraint,
-                       unflatten)
+                       sphere_constraint, sphere_intersection_constraint)
 from .maps import CertificationOutcome, TameMapDescriptor, certify_tame
 from .probes import rng_from_seed, spawn_seeds
 
@@ -194,8 +193,9 @@ class TransitionReport:
 
 
 def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
-                    seed: int) -> List[TruncatedSequence]:
-    """Manifold points inside both validity radii, sampled through chart_a.
+                    seed: int) -> np.ndarray:
+    """Manifold points inside both validity radii, sampled through chart_a:
+    a (P, D) block of flat points, P <= count.
 
     Up to 4 * count candidates are drawn in order and the first count that
     chart_a inverts into chart_b's radius are kept.  Each round draws only
@@ -204,8 +204,7 @@ def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
     """
     rng = rng_from_seed(seed)
     dim = chart_a.kernel_dimension
-    space = chart_a.constraint.space
-    points: List[TruncatedSequence] = []
+    points = np.empty((0, chart_a.constraint.flat_dimension))
     draws = 4 * count
     while draws and len(points) < count:
         take = min(count - len(points), draws)
@@ -224,13 +223,12 @@ def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
         flats, converged, _ = chart_a.inverse_lanes(np.array(offsets))
         inside = lane_norms(chart_b.offsets_lanes(flats)) <= \
             chart_b.validity_radius
-        points.extend(unflatten(space, flats[i])
-                      for i in np.flatnonzero(converged & inside))
+        points = np.vstack([points, flats[converged & inside]])
     return points
 
 
 def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
-                           chart_b: Chart, offsets: Sequence[np.ndarray]
+                           chart_b: Chart, offsets: np.ndarray
                            ) -> Tuple[TameMapDescriptor,
                                       SequenceBatch]:
     """Chart-b coordinates as a function of chart-a coordinates.
@@ -241,7 +239,7 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
     the ball they cover.
     """
     space = manifold.ambient
-    offset_probes = chart_a.embed(np.array(offsets))
+    offset_probes = chart_a.embed(offsets)
     level = manifold.constraint.level
     radius = float(np.max(space.seminorm(offset_probes, level))) * 1.0001
 
@@ -266,14 +264,13 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
     return desc, offset_probes
 
 
-def _worst_round_trip(chart_a: Chart, chart_b: Chart,
-                      overlap: Sequence[TruncatedSequence],
-                      offsets_a: Sequence[np.ndarray]) -> float:
+def _worst_round_trip(chart_a: Chart, chart_b: Chart, overlap: np.ndarray,
+                      x_a: np.ndarray) -> float:
     """Largest relative error of the transition a->b and then its inverse
-    b->a, in chart coordinates, over the overlap points; inf when a solve
-    fails.  Each direction is one block of chart inverses."""
-    x_a = np.array(offsets_a)
-    x_b = chart_b.offsets_lanes(np.array([flatten(q) for q in overlap]))
+    b->a, in chart coordinates, over the (P, D) block of overlap points
+    whose chart-a offsets are x_a; inf when a solve fails.  Each direction
+    is one block of chart inverses."""
+    x_b = chart_b.offsets_lanes(overlap)
     q_ab, ok_ab, _ = chart_a.inverse_lanes(x_a)
     t_ab = chart_b.offsets_lanes(q_ab)
     err_ab = lane_norms(t_ab - x_b) / (1.0 + lane_norms(x_b))
@@ -313,10 +310,10 @@ def verify_transitions(manifold: Submanifold, *,
         chart_a, chart_b = charts[i], charts[j]
         overlap = _sample_overlap(chart_a, chart_b, probes_per_pair,
                                   int(child_seeds[pair_index]))
-        if not overlap:
+        if not len(overlap):
             reports.append(TransitionReport(i, j, 0, 0.0, None))
             continue
-        offsets_a = [chart_a.offsets(q) for q in overlap]
+        offsets_a = chart_a.offsets_lanes(overlap)
         worst = _worst_round_trip(chart_a, chart_b, overlap, offsets_a)
         desc, offset_probes = _transition_descriptor(
             manifold, chart_a, chart_b, offsets_a)

@@ -368,9 +368,9 @@ def quasi_isometry_check(desc: TameMapDescriptor,
         _blockwise(np.subtract, inverse(out), batch), 0)
     round_trip_max = 0.0
     for i, residual in enumerate(residuals.tolist()):
-        # Python max keeps its first argument against a NaN
         round_trip_max = max(round_trip_max, residual)
-        if residual > QUASI_ROUND_TRIP_TOL * (1.0 + src[i]):
+        # a NaN residual misses: NaN <= bound is false
+        if not residual <= QUASI_ROUND_TRIP_TOL * (1.0 + src[i]):
             raise InconsistentInverseError(
                 f"inverse misses probe {i} by {residual:.3g}")
     ratio_upper = img / (1.0 + src)

@@ -165,9 +165,9 @@ def test_dphi_vphi_identity_across_registry():
 def test_newton_iterates_match_oracle():
     failures = []
     block = SplitConstraint(
-        lambda x, y: np.array([y[0] * y[0] - 1.0]),
+        lambda X, Y: Y * Y - 1.0,
         x_dim=0, y_dim=1,
-        d_y=lambda x, y: np.array([[2.0 * y[0]]]),
+        d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="quadratic")
     result = solve_implicit(block, np.zeros(0), np.array([0.5]),
                             tol=1e-15, max_iter=12)

@@ -1,23 +1,25 @@
 """Regular points, splittings, the Newton solver, and charts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tamef.errors import (NonConvergenceError, RegularityError,
                           SingularBlockError, UnsupportedGradingError)
-from tamef.graded import BanachFiber, SequenceSpace, seminorm_l1
-from tamef.implicit import (Chart, ConstraintMap, PointSplit, SplitConstraint,
-                            affine_constraint, apply_dphi, apply_vphi,
-                            build_chart, build_constraint, check_jacobian,
-                            finite_difference_jacobian, find_preimage,
-                            flatten, is_regular_point, is_regular_value,
-                            jacobian_matrix, level_weights,
-                            linear_constraint, polynomial_constraint,
-                            solve_implicit, sphere_constraint,
-                            sphere_intersection_constraint, split_at,
-                            unflatten)
+from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, seminorm_l1
+from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
+                            ConstraintMap, PointSplit, SplitConstraint,
+                            _solve_lanes, affine_constraint, apply_dphi,
+                            apply_vphi, build_chart, build_constraint,
+                            check_jacobian, find_preimage, flatten,
+                            is_regular_point, is_regular_value,
+                            level_weights, linear_constraint,
+                            polynomial_constraint, solve_implicit,
+                            sphere_constraint, sphere_intersection_constraint,
+                            split_at, unflatten)
+from tamef.maps import TameMapDescriptor, certify_tame
 from tamef.probes import make_probes
 
 R1 = BanachFiber(1)
@@ -31,10 +33,55 @@ QUADRATIC_ITERATES = (0.5, 1.25, 1.025, 1.0003048780487805)
 def scalar_quadratic():
     """phi(y) = y^2 - 1 with no kernel coordinates."""
     return SplitConstraint(
-        lambda x, y: np.array([y[0] * y[0] - 1.0]),
+        lambda X, Y: Y * Y - 1.0,
         x_dim=0, y_dim=1,
-        d_y=lambda x, y: np.array([[2.0 * y[0]]]),
+        d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="quadratic")
+
+
+def sqrt_or_nan(Y):
+    """sqrt of every entry, NaN where it is negative, without a warning."""
+    return np.where(Y >= 0.0, np.sqrt(np.abs(Y)), math.nan)
+
+
+def lanes_of(L, block):
+    """One copy of a fixed derivative block per lane."""
+    return np.broadcast_to(np.asarray(block, dtype=np.float64),
+                           (L,) + np.shape(block))
+
+
+def affine_split():
+    """phi(x, y) = y - (2 x_0 + 1, -x_1)."""
+    return SplitConstraint(
+        lambda X, Y: Y - np.stack([2.0 * X[:, 0] + 1.0, -X[:, 1]], axis=1),
+        x_dim=2, y_dim=2,
+        d_x=lambda X, Y: lanes_of(len(X), [[-2.0, 0.0], [0.0, 1.0]]),
+        d_y=lambda X, Y: lanes_of(len(X), np.eye(2)),
+        name="affine-split")
+
+
+def no_root_split():
+    """phi(y) = y^2 + 1, which has no real root."""
+    return SplitConstraint(
+        lambda X, Y: Y * Y + 1.0,
+        x_dim=0, y_dim=1,
+        d_y=lambda X, Y: 2.0 * Y[:, :, None],
+        name="no-root")
+
+
+def nan_block_split():
+    """phi(y) = y - 1 with a phi-block that is never finite."""
+    return SplitConstraint(
+        lambda X, Y: Y - 1.0, x_dim=0, y_dim=1,
+        d_y=lambda X, Y: np.full((len(Y), 1, 1), math.nan), name="nan-block")
+
+
+def sqrt_split():
+    """phi(y) = sqrt(y) - 0.05, NaN for negative y."""
+    return SplitConstraint(
+        lambda X, Y: sqrt_or_nan(Y) - 0.05,
+        x_dim=0, y_dim=1,
+        d_y=lambda X, Y: (0.5 / sqrt_or_nan(Y))[:, :, None], name="sqrt")
 
 
 def unit_vector(space, index, scale=1.0):
@@ -80,13 +127,7 @@ def test_newton_residuals_decrease_and_contract_quadratically():
 
 
 def test_newton_converges_in_one_step_for_affine():
-    split = SplitConstraint(
-        lambda x, y: y - np.array([2.0 * x[0] + 1.0, -x[1]]),
-        x_dim=2, y_dim=2,
-        d_x=lambda x, y: np.array([[-2.0, 0.0], [0.0, 1.0]]),
-        d_y=lambda x, y: np.eye(2),
-        name="affine-split")
-    result = solve_implicit(split, [1.0, 3.0], [0.0, 0.0])
+    result = solve_implicit(affine_split(), [1.0, 3.0], [0.0, 0.0])
     assert result.converged
     assert result.iterations == 1
     assert result.y == pytest.approx([3.0, -3.0], abs=1e-14)
@@ -109,13 +150,8 @@ def test_newton_nonconvergence_carries_history():
 
 
 def test_newton_no_real_root_stalls():
-    split = SplitConstraint(
-        lambda x, y: np.array([y[0] * y[0] + 1.0]),
-        x_dim=0, y_dim=1,
-        d_y=lambda x, y: np.array([[2.0 * y[0]]]),
-        name="no-root")
     with pytest.raises((NonConvergenceError, SingularBlockError)):
-        solve_implicit(split, np.zeros(0), [1.0])
+        solve_implicit(no_root_split(), np.zeros(0), [1.0])
 
 
 @pytest.mark.parametrize("y0", [np.nan, np.inf])
@@ -127,24 +163,50 @@ def test_non_finite_residual_ends_the_solve(y0):
 
 
 def test_non_finite_block_is_singular():
-    split = SplitConstraint(
-        lambda x, y: np.array([y[0] - 1.0]), x_dim=0, y_dim=1,
-        d_y=lambda x, y: np.array([[np.nan]]), name="nan-block")
     with pytest.raises(SingularBlockError, match="not finite"):
-        solve_implicit(split, np.zeros(0), [0.5])
+        solve_implicit(nan_block_split(), np.zeros(0), [0.5])
 
 
 def test_non_finite_candidate_is_halved():
     # sqrt(y) - 0.05 from y = 1: the full step lands at y = -0.9 where the
     # residual is NaN, so the first accepted iterate is the half step
-    split = SplitConstraint(
-        lambda x, y: np.array([math.sqrt(y[0]) - 0.05 if y[0] >= 0.0
-                               else math.nan]),
-        x_dim=0, y_dim=1,
-        d_y=lambda x, y: np.array([[0.5 / math.sqrt(y[0])]]), name="sqrt")
-    result = solve_implicit(split, np.zeros(0), [1.0])
+    result = solve_implicit(sqrt_split(), np.zeros(0), [1.0])
     assert result.iterates[1][0] == pytest.approx(0.05, abs=1e-15)
     assert result.y[0] == pytest.approx(0.0025, abs=1e-12)
+
+
+#: (split constraint, kernel coordinates, complement starts) of blocks whose
+#: lanes converge, go non-finite, hit a singular or non-finite phi-block,
+#: stall, and reject a full step for a damping ladder
+LANE_BLOCKS = [
+    (scalar_quadratic, np.zeros((5, 0)),
+     [[0.5], [2.0], [-3.0], [0.0], [math.nan]]),
+    (affine_split, [[1.0, 3.0], [0.0, 0.0], [-2.5, 7.0]],
+     [[0.0, 0.0], [1.0, 1.0], [5.0, -1.0]]),
+    (no_root_split, np.zeros((2, 0)), [[1.0], [-0.5]]),
+    (nan_block_split, np.zeros((2, 0)), [[0.5], [2.0]]),
+    (sqrt_split, np.zeros((3, 0)), [[4.0], [1.0], [0.01]]),
+]
+
+
+@pytest.mark.parametrize("make, X, Y0", LANE_BLOCKS)
+def test_lane_callables_solve_every_row_as_alone(make, X, Y0):
+    """The split constraints above take blocks of lanes: one block solve
+    ends every lane as solve_implicit ends it alone."""
+    split = make()
+    X, Y0 = np.array(X, dtype=np.float64), np.array(Y0, dtype=np.float64)
+    out = _solve_lanes(split, X, Y0, np.zeros(split.y_dim),
+                       DEFAULT_SOLVE_TOL, DEFAULT_MAX_ITER)
+    for lane in range(len(X)):
+        try:
+            alone = solve_implicit(split, X[lane], Y0[lane])
+        except (NonConvergenceError, SingularBlockError) as err:
+            assert type(out.errors[lane]) is type(err), lane
+            assert str(out.errors[lane]) == str(err), lane
+            continue
+        assert out.errors[lane] is None, lane
+        assert np.array_equal(out.z[lane], alone.y), lane
+        assert out.steps[lane] == alone.iterations, lane
 
 
 def test_find_preimage_non_finite_seed_returns_none():
@@ -169,8 +231,9 @@ def test_dphi_for_affine_graph():
     # phi(x, y) = y - a(x), tangent (h1, h2) -> (h1, h2 - a(h1))
     A = np.array([[1.0, 2.0], [0.0, -1.0]])
     split = SplitConstraint(
-        lambda x, y: y - A @ x, x_dim=2, y_dim=2,
-        d_x=lambda x, y: -A, d_y=lambda x, y: np.eye(2),
+        lambda X, Y: Y - X @ A.T, x_dim=2, y_dim=2,
+        d_x=lambda X, Y: lanes_of(len(X), -A),
+        d_y=lambda X, Y: lanes_of(len(X), np.eye(2)),
         name="graph")
     h1 = np.array([1.0, 1.0])
     h2 = np.array([0.5, 0.5])
@@ -182,9 +245,9 @@ def test_dphi_for_affine_graph():
 def test_vphi_halves_for_doubling_block():
     # phi(x, y) = 2y: the inverse differential maps (k1, k2) to (k1, k2/2)
     split = SplitConstraint(
-        lambda x, y: 2.0 * y, x_dim=1, y_dim=1,
-        d_x=lambda x, y: np.zeros((1, 1)),
-        d_y=lambda x, y: 2.0 * np.eye(1),
+        lambda X, Y: 2.0 * Y, x_dim=1, y_dim=1,
+        d_x=lambda X, Y: np.zeros((len(X), 1, 1)),
+        d_y=lambda X, Y: np.full((len(X), 1, 1), 2.0),
         name="doubling")
     out1, out2 = apply_vphi(split, [0.3], [0.7], [4.0], [10.0])
     assert out1 == pytest.approx([4.0])
@@ -193,8 +256,8 @@ def test_vphi_halves_for_doubling_block():
 
 def test_vphi_rejects_singular_block():
     split = SplitConstraint(
-        lambda x, y: 0.0 * y, x_dim=1, y_dim=1,
-        d_y=lambda x, y: np.zeros((1, 1)),
+        lambda X, Y: 0.0 * Y, x_dim=1, y_dim=1,
+        d_y=lambda X, Y: np.zeros((len(X), 1, 1)),
         name="degenerate")
     with pytest.raises(SingularBlockError):
         apply_vphi(split, [0.0], [0.0], [1.0], [1.0])
@@ -203,13 +266,23 @@ def test_vphi_rejects_singular_block():
 def test_finite_difference_blocks_match_supplied():
     A = np.array([[1.0, -3.0]])
     supplied = SplitConstraint(
-        lambda x, y: np.array([y[0] ** 2]) + A @ x, x_dim=2, y_dim=1,
-        d_x=lambda x, y: A, d_y=lambda x, y: np.array([[2.0 * y[0]]]),
+        lambda X, Y: Y ** 2 + X @ A.T, x_dim=2, y_dim=1,
+        d_x=lambda X, Y: lanes_of(len(X), A),
+        d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="mixed")
     fd = SplitConstraint(supplied.phi_xy, x_dim=2, y_dim=1, name="mixed-fd")
-    x, y = np.array([0.4, -0.2]), np.array([1.3])
-    assert fd.d_x(x, y) == pytest.approx(supplied.d_x(x, y), abs=1e-6)
-    assert fd.d_y(x, y) == pytest.approx(supplied.d_y(x, y), abs=1e-6)
+    X = np.array([[0.4, -0.2], [3.0, 1.5], [-7.0, 0.0]])
+    Y = np.array([[1.3], [-0.6], [25.0]])
+    assert fd.d_x(X, Y).shape == (3, 1, 2)
+    assert fd.d_y(X, Y).shape == (3, 1, 1)
+    assert fd.d_x(X, Y) == pytest.approx(supplied.d_x(X, Y), abs=1e-6)
+    assert fd.d_y(X, Y) == pytest.approx(supplied.d_y(X, Y), abs=1e-6)
+    # every row is the row evaluated alone
+    for i in range(len(X)):
+        assert np.array_equal(fd.d_y(X, Y)[i], fd.d_y(X[i:i + 1],
+                                                      Y[i:i + 1])[0])
+        assert np.array_equal(supplied.values(X, Y)[i],
+                              supplied.values(X[i:i + 1], Y[i:i + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +339,36 @@ def test_supplied_jacobian_matches_finite_differences():
     c = sphere_constraint(SPACE8, level=1)
     probes = make_probes(SPACE8, 10, seed=5)
     assert check_jacobian(c, probes) <= 1e-6
+    # one block of probes gives the worst gap of the probes checked alone
+    assert check_jacobian(c, probes) == max(
+        check_jacobian(c, [f]) for f in probes)
+    assert check_jacobian(c, []) == 0.0
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+def test_check_jacobian_reports_a_non_finite_jacobian(fill):
+    c = sphere_constraint(SPACE8, 0)
+    probes = make_probes(SPACE8, 5, seed=3)
+    assert 0.0 < check_jacobian(c, probes) <= 1e-6
+    D = SPACE8.flat_dimension
+
+    def broken(flats):
+        return np.full((len(flats), 1, D), fill)
+
+    assert check_jacobian(replace(c, jacobian=broken), probes) == math.inf
+
+    def one_bad_row(flats):
+        J = c.jacobian(flats).copy()
+        J[2] = fill
+        return J
+
+    assert check_jacobian(replace(c, jacobian=one_bad_row), probes) == \
+        math.inf
+
+
+def test_check_jacobian_without_a_supplied_jacobian_is_zero():
+    c = replace(sphere_constraint(SPACE8, 0), jacobian=None)
+    assert check_jacobian(c, make_probes(SPACE8, 5, seed=3)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +438,40 @@ def test_dphi_vphi_identity_on_random_cotangents():
         scale = 1.0 + float(np.linalg.norm(k1)) + float(np.linalg.norm(k2))
         assert float(np.linalg.norm(d1 - k1)) <= 1e-9 * scale
         assert float(np.linalg.norm(d2 - k2)) <= 1e-9 * scale
+
+
+def split_projections(chart):
+    """The kernel projection q -> embed(kernel coordinates of q) and its
+    complement q -> C (complement coordinates of q), as linear maps."""
+    ps = chart.split_data
+    space = chart.constraint.space
+
+    def kernel(t):
+        return chart.embed(ps.kernel_coords(flatten(t)))
+
+    def complement(t):
+        coords = np.matmul(ps._compl_proj[None], flatten(t)[:, :, None])
+        flats = np.matmul(ps.compl_mat[None], coords)[:, :, 0]
+        return SequenceBatch(space.fiber, flats.reshape(t.coefficients.shape))
+
+    return (TameMapDescriptor("kernel", space, space, kernel),
+            TameMapDescriptor("complement", space, space, complement))
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_split_projections_are_tame(level):
+    # the co-Banach splitting at a regular point: both projections are
+    # tame linear maps with no loss of derivatives, and they sum to q
+    c = sphere_constraint(SPACE16, level)
+    chart = build_chart(c, SPACE16.basis(0), seed=level)
+    probes = make_probes(SPACE16, 400, seed=41 + level)
+    kernel, complement = split_projections(chart)
+    for desc in (kernel, complement):
+        outcome = certify_tame(desc, probes, r_max=2)
+        assert outcome.ok, desc.name
+        assert outcome.certificate.r == 0, desc.name
+    total = kernel(probes).coefficients + complement(probes).coefficients
+    assert np.allclose(total, probes.coefficients, rtol=0.0, atol=1e-9)
 
 
 def test_split_rejects_non_regular_report():
@@ -529,7 +666,7 @@ def test_fd_jacobian_used_when_not_supplied():
     c = ConstraintMap("cubic", SPACE8, 1, phi)
     assert c.jacobian_mode == "finite_difference"
     f = SPACE8.basis(0, scale=2.0)
-    J = jacobian_matrix(c, f)
+    J = c.jacobians(flatten(f)[None])[0]
     assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
     assert J[0, 1] == pytest.approx(-1.0, rel=1e-6)
     # FD path feeds the regular point test too

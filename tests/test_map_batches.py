@@ -276,7 +276,7 @@ def reference_embed(chart, x):
 
 def reference_transition(chart_a, chart_b):
     def evaluator(h):
-        x = chart_a.kernel_coords(h)
+        x = chart_a.split_data.coords_of(h)[0]
         q = chart_a.inverse(x)
         return reference_embed(chart_b, chart_b.offsets(q))
     return evaluator
@@ -363,7 +363,7 @@ def overlap_offsets(kind, count):
     manifold, a, b = atlas(kind)
     overlap = _sample_overlap(a, b, count, seed=5)
     assert len(overlap) == count
-    return [a.offsets(q) for q in overlap]
+    return a.offsets_lanes(overlap)
 
 
 KINDS = ("sphere", "spheres")

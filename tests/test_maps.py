@@ -385,6 +385,21 @@ def test_quasi_isometry_rejects_bad_inverse():
         quasi_isometry_check(desc, lambda t: t, BANACH_PROBES)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quasi_isometry_rejects_non_finite_inverse(bad):
+    desc = build_map("scale:2", BANACH)
+
+    def inverse(t):
+        out = 0.5 * t.coefficients
+        out[[7, 3], 2] = bad
+        return SequenceBatch(t.fiber, out)
+
+    with pytest.raises(InconsistentInverseError, match=r"misses probe 3 by"):
+        quasi_isometry_check(desc, inverse, BANACH_PROBES)
+    # the same inverse without the bad rows passes
+    assert quasi_isometry_check(desc, scaled(0.5), BANACH_PROBES).ok
+
+
 def test_quasi_isometry_needs_single_norm():
     desc = build_map("identity", SPACE)
     with pytest.raises(ValueError):

@@ -291,13 +291,22 @@ def point_split(name):
 
 
 def uncached(ps):
-    """The same split constraint, forming K x + C y on every call."""
-    has_jacobian = ps.constraint.jacobian is not None
+    """The same split constraint as a plain SplitConstraint that forms the
+    whole flat point K x + C y on every call."""
+    c, K, C = ps.constraint, ps.kernel_mat, ps.compl_mat
+
+    def flats(X, Y):
+        return (np.matmul(K[None], X[:, :, None])
+                + np.matmul(C[None], Y[:, :, None]))[:, :, 0]
+
+    def block(basis):
+        return lambda X, Y: np.matmul(c.jacobians(flats(X, Y)), basis)
+
+    has_jacobian = c.jacobian is not None
     return SplitConstraint(
-        ps._phi_xy, ps.split.x_dim, ps.split.y_dim,
-        d_x=ps._d_x if has_jacobian else None,
-        d_y=ps._d_y if has_jacobian else None,
-        name=ps.split.name, lanes=True)
+        lambda X, Y: c.values(flats(X, Y)), ps.split.x_dim, ps.split.y_dim,
+        d_x=block(K) if has_jacobian else None,
+        d_y=block(C) if has_jacobian else None, name=ps.split.name)
 
 
 #: kernel offset scales: converging, near the edge, stalling or out of
@@ -348,3 +357,16 @@ def test_kernel_parts_once_per_block_equal_uncached_solves(name):
                          if "stalled" in str(w) else type(w).__name__)
     assert {"converged", "SingularBlockError", "stalled"} <= outcomes
 
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_values_and_blocks_equal_uncached(name):
+    ps = point_split(name)
+    reference = uncached(ps)
+    X, Y = lane_block(ps, 2 * len(OFFSETS) * len(STARTS), 3)
+    for method in ("values", "d_x", "d_y"):
+        got = getattr(ps.split, method)(X, Y)
+        want = getattr(reference, method)(X, Y)
+        assert np.array_equal(got, want, equal_nan=True), method
+    flats = ps.flats(X, Y)
+    assert np.array_equal(ps.split.values(X, Y),
+                          ps.constraint.values(flats), equal_nan=True)
