@@ -23,7 +23,6 @@ from .graded import (
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
-    TruncatedSequence,
     as_batch,
     certificate_violations,
     certify_grading_equivalence,

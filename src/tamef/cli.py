@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (ConstructionError, NonConvergenceError, RegularityError,
                      SingularBlockError)
-from .graded import (BanachFiber, Grading, ProductSpace, SequenceSpace,
-                     TruncatedSequence, certify_grading_equivalence,
+from .graded import (BanachFiber, Grading, ProductSpace, SequenceBatch,
+                     SequenceSpace, certify_grading_equivalence,
                      custom_grading, l1_grading, linf_grading, seminorm_l1)
 from .implicit import PointSplit, build_constraint, is_regular_point, \
     solve_implicit
@@ -214,16 +214,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _sequence_from_list(space: SequenceSpace, data: list,
-                        what: str) -> TruncatedSequence:
-    block = np.zeros((space.truncation_degree + 1, space.fiber.dimension))
+                        what: str) -> SequenceBatch:
+    block = np.zeros((1, space.truncation_degree + 1, space.fiber.dimension))
     if len(data) > space.truncation_degree + 1:
         raise ConfigError(f"{what} longer than the truncation")
     for k, entry in enumerate(data):
         row = np.atleast_1d(np.asarray(entry, dtype=np.float64))
         if row.shape != (space.fiber.dimension,):
             raise ConfigError(f"{what}[{k}] does not match the fiber")
-        block[k] = row
-    return TruncatedSequence(space.fiber, block)
+        block[0, k] = row
+    return SequenceBatch(space.fiber, block)
 
 
 def _grading_by_name(name: str, n_max: int) -> Grading:
@@ -357,7 +357,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                 f"base point is not regular "
                 f"(singular values {report.singular_values})")
         split = PointSplit(constraint, report)
-        x, base_y = split.coords_of(base)
+        x, base_y = (coords[0] for coords in split.coords_of(base))
         if len(cfg.x_offsets) > x.size:
             raise ConfigError("more x_offsets than kernel coordinates")
         for i, value in enumerate(cfg.x_offsets):

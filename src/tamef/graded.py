@@ -1,7 +1,9 @@
 """Banach fibers, truncated coefficient sequences, and graded seminorm families.
 
 The central object is a finitely truncated coefficient sequence f_0 .. f_K
-with values in a fixed finite-dimensional Banach fiber.  Level-n seminorms
+with values in a fixed finite-dimensional Banach fiber, held as one row of
+a SequenceBatch: a batch of P sequences is one (P, K+1, d) block, and one
+sequence is a batch of one row.  Level-n seminorms
 weight coefficient k by e^{nk}; the summed flavour and the supremum flavour
 of that family are both gradings (monotone in the level), and the
 certification machinery estimates, over a probe set, a level shift r and
@@ -21,7 +23,6 @@ the finite-truncation shadow of an unbounded constant.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -104,130 +105,6 @@ class BanachFiber:
         return u
 
 
-class TruncatedSequence:
-    """Coefficients f_0 .. f_K in a fixed fiber, immutable after construction."""
-
-    __slots__ = ("fiber", "_coeffs")
-
-    def __init__(self, fiber: BanachFiber, coefficients):
-        arr = np.array(coefficients, dtype=fiber.dtype)
-        if arr.ndim == 1:
-            if fiber.dimension != 1:
-                raise ValueError("flat coefficient list needs a 1-d fiber")
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != fiber.dimension:
-            raise ValueError(
-                f"coefficients must form a (K+1, {fiber.dimension}) block, "
-                f"got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "_coeffs", arr)
-
-    @classmethod
-    def _view(cls, fiber: BanachFiber, block: np.ndarray) -> "TruncatedSequence":
-        """A sequence over a read-only (K+1, d) block, without a copy."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "fiber", fiber)
-        object.__setattr__(f, "_coeffs", block)
-        return f
-
-    # construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, fiber: BanachFiber, truncation_degree: int) -> "TruncatedSequence":
-        return cls(fiber, np.zeros((truncation_degree + 1, fiber.dimension),
-                                   dtype=fiber.dtype))
-
-    @classmethod
-    def basis(cls, fiber: BanachFiber, truncation_degree: int, index: int,
-              axis: int = 0, scale: float = 1.0) -> "TruncatedSequence":
-        """The monomial sequence: coefficient `index` is scale * unit(axis)."""
-        if not 0 <= index <= truncation_degree:
-            raise IndexError(f"coefficient index {index} out of range")
-        block = np.zeros((truncation_degree + 1, fiber.dimension), dtype=fiber.dtype)
-        block[index] = scale * fiber.unit(axis)
-        return cls(fiber, block)
-
-    # basic accessors ------------------------------------------------------
-
-    @property
-    def truncation_degree(self) -> int:
-        return self._coeffs.shape[0] - 1
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coeffs
-
-    def coefficient(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.truncation_degree:
-            raise IndexError(f"coefficient index {k} out of range")
-        return self._coeffs[k]
-
-    def coefficient_norms(self) -> np.ndarray:
-        return self.fiber.norms(self._coeffs)
-
-    def degree(self) -> int:
-        """Largest k with a nonzero coefficient, -1 for the zero sequence."""
-        return int(_degrees(self.coefficient_norms()))
-
-    def is_zero(self) -> bool:
-        return self.degree() < 0
-
-    # arithmetic -----------------------------------------------------------
-
-    def _compatible(self, other: "TruncatedSequence"):
-        if self.fiber != other.fiber:
-            raise ValueError("fiber mismatch")
-        if self.truncation_degree != other.truncation_degree:
-            raise ValueError("truncation degree mismatch")
-
-    def __add__(self, other):
-        self._compatible(other)
-        return TruncatedSequence(self.fiber, self._coeffs + other._coeffs)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return TruncatedSequence(self.fiber, self._coeffs - other._coeffs)
-
-    def __mul__(self, scalar):
-        return TruncatedSequence(self.fiber, self._coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TruncatedSequence(self.fiber, -self._coeffs)
-
-    def __repr__(self):
-        return (f"TruncatedSequence(K={self.truncation_degree}, "
-                f"dim={self.fiber.dimension}, field={self.fiber.scalar_field})")
-
-    # serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.fiber.scalar_field == "complex":
-            coeffs = [[[float(z.real), float(z.imag)] for z in row]
-                      for row in self._coeffs]
-        else:
-            coeffs = [[float(x) for x in row] for row in self._coeffs]
-        return {
-            "fiber": {"dim": self.fiber.dimension,
-                      "field": self.fiber.scalar_field,
-                      "norm": self.fiber.norm_kind},
-            "coefficients": coeffs,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TruncatedSequence":
-        fib = obj["fiber"]
-        fiber = BanachFiber(int(fib["dim"]), fib["field"], fib["norm"])
-        rows = obj["coefficients"]
-        if fiber.scalar_field == "complex":
-            block = np.array([[complex(re, im) for re, im in row] for row in rows])
-        else:
-            block = np.array(rows, dtype=np.float64)
-        return cls(fiber, block)
-
-
 def _degrees(norms: np.ndarray):
     """Largest k with norms[k] > 0 along axis 0, -1 where there is none."""
     nonzero = norms > 0.0
@@ -241,16 +118,21 @@ _NORM_SLICE = 128
 
 
 class SequenceBatch:
-    """P sequences of one fiber and truncation degree as one (P, K+1, d)
-    coefficient block, read-only through the batch.
+    """P sequences f_0 .. f_K of one fiber as one (P, K+1, d) coefficient
+    block, read-only through the batch.  One sequence is a batch of one row.
 
-    It behaves like a list of TruncatedSequence: len, indexing, iteration
-    and + concatenation.  An indexed element is a view of one row of the
-    block, not a copy; a slice or a numpy index array selects a batch.
-    Seminorms and degrees of a batch hold one value per element.
+    An integer index selects the one-row batch of that row and a slice a
+    batch of rows, both views of the block, not copies; a numpy index
+    array selects a batch of rows too.  Iteration yields the one-row
+    batches in order.  +,
+    - and unary - act on the coefficients of batches of one space and
+    length, and * scales by a scalar or by one factor per row.  Seminorms
+    and degrees hold one value per row.
     """
 
     __slots__ = ("fiber", "_block", "_norms")
+    #: numpy operands defer to the batch's own operators
+    __array_ufunc__ = None
 
     def __init__(self, fiber: BanachFiber, block):
         arr = np.asarray(block, dtype=fiber.dtype).view()
@@ -262,22 +144,6 @@ class SequenceBatch:
         self.fiber = fiber
         self._block = arr
         self._norms = None
-
-    @classmethod
-    def stack(cls, sequences: Sequence[TruncatedSequence]) -> "SequenceBatch":
-        """One batch from sequences that share a fiber and truncation."""
-        if not sequences:
-            raise ValueError("cannot stack an empty sequence list")
-        fiber = sequences[0].fiber
-        for f in sequences:
-            if f.fiber != fiber:
-                raise ValueError("sequences must share one fiber")
-        try:
-            block = np.stack([f.coefficients for f in sequences])
-        except ValueError as err:
-            raise ValueError(
-                "sequences must share one truncation degree") from err
-        return cls(fiber, block)
 
     @property
     def truncation_degree(self) -> int:
@@ -291,24 +157,50 @@ class SequenceBatch:
         return self._block.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return SequenceBatch(self.fiber, self._block[index])
-        return TruncatedSequence._view(self.fiber,
-                                       self._block[operator.index(index)])
+        if not isinstance(index, (slice, np.ndarray)):
+            row = range(len(self))[index]
+            index = slice(row, row + 1)
+        return SequenceBatch(self.fiber, self._block[index])
 
     def __iter__(self):
-        for row in self._block:
-            yield TruncatedSequence._view(self.fiber, row)
+        for row in range(len(self)):
+            yield self[row]
+
+    # arithmetic -----------------------------------------------------------
+
+    def _block_of(self, other: "SequenceBatch") -> np.ndarray:
+        """other's block, once other is a batch of this space and length."""
+        if not isinstance(other, SequenceBatch):
+            raise TypeError(f"cannot combine a SequenceBatch with a "
+                            f"{type(other).__name__}")
+        if other.fiber != self.fiber:
+            raise ValueError("fiber mismatch")
+        if other.truncation_degree != self.truncation_degree:
+            raise ValueError("truncation degree mismatch")
+        if len(other) != len(self):
+            raise ValueError(f"batch length mismatch: {len(self)} and "
+                             f"{len(other)} rows")
+        return other._block
 
     def __add__(self, other):
-        if isinstance(other, SequenceBatch) and other.fiber == self.fiber \
-                and other.truncation_degree == self.truncation_degree:
-            return SequenceBatch(self.fiber, np.concatenate(
-                (self._block, other._block)))
-        return list(self) + list(other)
+        return SequenceBatch(self.fiber, self._block + self._block_of(other))
 
-    def __radd__(self, other):
-        return list(other) + list(self)
+    def __sub__(self, other):
+        return SequenceBatch(self.fiber, self._block - self._block_of(other))
+
+    def __neg__(self):
+        return SequenceBatch(self.fiber, -self._block)
+
+    def __mul__(self, factor):
+        """The coefficients times a scalar, or row i times factor[i]."""
+        factor = np.asarray(factor)
+        if factor.ndim:
+            factor = factor.reshape(-1, 1, 1)
+        return SequenceBatch(self.fiber, self._block * factor)
+
+    __rmul__ = __mul__
+
+    # norms and degrees ----------------------------------------------------
 
     def _norm_slices(self):
         """(start, norms) per slice of probes, norms of shape (K+1, S)."""
@@ -326,7 +218,8 @@ class SequenceBatch:
         return self._norms
 
     def degree(self) -> np.ndarray:
-        """Per-element degrees: largest k with a nonzero coefficient.
+        """Per-row degrees: largest k with a nonzero coefficient, -1 for a
+        zero row.
 
         Computed slice by slice, so no (K+1, P) array is kept for it."""
         out = np.empty(len(self), dtype=np.intp)
@@ -338,14 +231,46 @@ class SequenceBatch:
         return (f"SequenceBatch(P={len(self)}, K={self.truncation_degree}, "
                 f"dim={self.fiber.dimension}, field={self.fiber.scalar_field})")
 
+    # serialization ----------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """The fiber and coefficients of a one-row batch."""
+        if len(self) != 1:
+            raise ValueError(f"to_json writes one sequence, not {len(self)}")
+        if self.fiber.scalar_field == "complex":
+            coeffs = [[[float(z.real), float(z.imag)] for z in row]
+                      for row in self._block[0]]
+        else:
+            coeffs = [[float(x) for x in row] for row in self._block[0]]
+        return {
+            "fiber": {"dim": self.fiber.dimension,
+                      "field": self.fiber.scalar_field,
+                      "norm": self.fiber.norm_kind},
+            "coefficients": coeffs,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SequenceBatch":
+        """The one-row batch that to_json wrote."""
+        fib = obj["fiber"]
+        fiber = BanachFiber(int(fib["dim"]), fib["field"], fib["norm"])
+        rows = obj["coefficients"]
+        if fiber.scalar_field == "complex":
+            block = np.array([[complex(re, im) for re, im in row] for row in rows])
+        else:
+            block = np.array(rows, dtype=np.float64)
+        return cls(fiber, block[None])
+
 
 class ProductBatch:
     """Elements of a product space: one SequenceBatch per factor, aligned.
+    One element is a ProductBatch of one row.
 
-    Indexing returns the tuple of row views, one per factor.
+    Indexing, iteration and arithmetic act on every factor alike.
     """
 
     __slots__ = ("parts",)
+    __array_ufunc__ = None
 
     def __init__(self, parts: Sequence[SequenceBatch]):
         parts = tuple(parts)
@@ -357,39 +282,66 @@ class ProductBatch:
         return len(self.parts[0])
 
     def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return ProductBatch(p[index] for p in self.parts)
-        return tuple(p[index] for p in self.parts)
+        return ProductBatch(p[index] for p in self.parts)
 
     def __iter__(self):
-        return zip(*self.parts)
+        for row in range(len(self)):
+            yield self[row]
+
+    def _parts_of(self, other: "ProductBatch") -> Tuple[SequenceBatch, ...]:
+        if not isinstance(other, ProductBatch):
+            raise TypeError(f"cannot combine a ProductBatch with a "
+                            f"{type(other).__name__}")
+        if len(other.parts) != len(self.parts):
+            raise ValueError("product arity mismatch")
+        return other.parts
 
     def __add__(self, other):
-        if isinstance(other, ProductBatch) and \
-                len(other.parts) == len(self.parts):
-            return ProductBatch(a + b for a, b in zip(self.parts, other.parts))
-        return list(self) + list(other)
+        return ProductBatch(a + b for a, b in zip(self.parts,
+                                                  self._parts_of(other)))
 
-    def __radd__(self, other):
-        return list(other) + list(self)
+    def __sub__(self, other):
+        return ProductBatch(a - b for a, b in zip(self.parts,
+                                                  self._parts_of(other)))
+
+    def __neg__(self):
+        return ProductBatch(-p for p in self.parts)
+
+    def __mul__(self, factor):
+        return ProductBatch(p * factor for p in self.parts)
+
+    __rmul__ = __mul__
 
     def degree(self) -> np.ndarray:
-        """Per-element degrees: the max over the factors."""
+        """Per-row degrees: the max over the factors."""
         return np.maximum.reduce([p.degree() for p in self.parts])
 
 
 def as_batch(elements):
-    """A SequenceBatch or ProductBatch holding elements; a plain list of
-    sequences or of product tuples is stacked once."""
+    """elements itself when it is a SequenceBatch or ProductBatch; a
+    non-empty list of batches of one kind is concatenated into one."""
     if isinstance(elements, (SequenceBatch, ProductBatch)):
         return elements
     elements = list(elements)
     if not elements:
         raise ValueError("probe set is empty")
-    if isinstance(elements[0], TruncatedSequence):
-        return SequenceBatch.stack(elements)
-    return ProductBatch(SequenceBatch.stack(column)
-                        for column in zip(*elements))
+    kind = type(elements[0])
+    if kind not in (SequenceBatch, ProductBatch) or \
+            any(type(e) is not kind for e in elements):
+        raise TypeError("as_batch concatenates batches of one kind")
+    if kind is ProductBatch:
+        if len({len(e.parts) for e in elements}) != 1:
+            raise ValueError("product batches must share one arity")
+        return ProductBatch(as_batch(column)
+                            for column in zip(*(e.parts for e in elements)))
+    fiber = elements[0].fiber
+    if any(e.fiber != fiber for e in elements):
+        raise ValueError("batches must share one fiber")
+    try:
+        block = np.concatenate([e.coefficients for e in elements])
+    except ValueError as err:
+        raise ValueError("batches must share one truncation degree") from err
+    return SequenceBatch(fiber, block)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +353,7 @@ def _weights(level: int, truncation_degree: int) -> Tuple[float, ...]:
     return tuple(math.exp(level * k) for k in range(truncation_degree + 1))
 
 
-def _check_level(f: TruncatedSequence, n: int, n_max: Optional[int]):
+def _check_level(f: SequenceBatch, n: int, n_max: Optional[int]):
     if n < 0:
         raise IndexError(f"seminorm level {n} is negative")
     if n_max is not None and n > n_max:
@@ -412,28 +364,22 @@ def _check_level(f: TruncatedSequence, n: int, n_max: Optional[int]):
             f"guard {MAX_LEVEL_EXPONENT}")
 
 
-def _seminorm_value(f, acc):
-    return float(acc) if isinstance(f, TruncatedSequence) else acc
-
-
-def seminorm_l1(f, n: int, n_max: Optional[int] = None):
-    """Sum of e^{nk} |f_k|, accumulated in ascending k with no compensation.
-
-    f is one TruncatedSequence (a float is returned) or a SequenceBatch (one
-    value per element); both run the same loop, over coefficient norms of
-    shape (K+1,) or (K+1, P), so they agree bit for bit.
-    """
+def seminorm_l1(f: SequenceBatch, n: int,
+                n_max: Optional[int] = None) -> np.ndarray:
+    """Sum of e^{nk} |f_k| per row, accumulated in ascending k with no
+    compensation, so every row gets the float it gets alone."""
     _check_level(f, int(n), n_max)
     w = _weights(int(n), f.truncation_degree)
     v = f.coefficient_norms()
     acc = 0.0
     for k in range(f.truncation_degree + 1):
         acc = acc + w[k] * v[k]
-    return _seminorm_value(f, acc)
+    return acc
 
 
-def seminorm_linf(f, n: int, n_max: Optional[int] = None):
-    """Max over k of e^{nk} |f_k|, for one sequence or a batch.
+def seminorm_linf(f: SequenceBatch, n: int,
+                  n_max: Optional[int] = None) -> np.ndarray:
+    """Max over k of e^{nk} |f_k| per row.
 
     NaN coefficients propagate, so a non-finite sequence never reads small.
     """
@@ -443,15 +389,13 @@ def seminorm_linf(f, n: int, n_max: Optional[int] = None):
     acc = 0.0
     for k in range(f.truncation_degree + 1):
         acc = np.maximum(acc, w[k] * v[k])
-    return _seminorm_value(f, acc)
+    return acc
 
 
-def inner_product(f, g, level: int = 0):
-    """Level-n inner product sum_k e^{2nk} <f_k, g_k> (metric fibers only).
-
-    f and g are two sequences (a float is returned) or two batches of one
-    length (one value per row pair, each the float of the pair alone).
-    """
+def inner_product(f: SequenceBatch, g: SequenceBatch,
+                  level: int = 0) -> np.ndarray:
+    """Level-n inner products sum_k e^{2nk} <f_k, g_k> of the row pairs of
+    two batches of one length (metric fibers only)."""
     if not (f.fiber.is_metric and f.fiber.scalar_field == "real"):
         raise UnsupportedGradingError(
             "level inner products need a real euclidean fiber")
@@ -459,16 +403,15 @@ def inner_product(f, g, level: int = 0):
         raise ValueError("sequences live in different spaces")
     _check_level(f, 2 * int(level), None)
     w = _weights(2 * int(level), f.truncation_degree)
-    # (K+1,) or, for batches, (K+1, P)
-    dots = np.sum(f.coefficients * g.coefficients, axis=-1).T
+    dots = np.sum(f.coefficients * g.coefficients, axis=-1).T  # (K+1, P)
     total = 0.0
     for k in range(f.truncation_degree + 1):
         total = total + w[k] * dots[k]
-    return _seminorm_value(f, total)
+    return total
 
 
-def metric_norm(f: TruncatedSequence, level: int = 0) -> float:
-    return math.sqrt(max(inner_product(f, f, level), 0.0))
+def metric_norm(f: SequenceBatch, level: int = 0) -> np.ndarray:
+    return np.sqrt(np.maximum(inner_product(f, f, level), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +422,22 @@ def metric_norm(f: TruncatedSequence, level: int = 0) -> float:
 class Grading:
     """A family of seminorms indexed by levels 0..n_max, expected monotone.
 
-    evaluator(f, n) takes one sequence (giving a float) or a SequenceBatch
-    (giving one value per element, each the float its element gives alone).
+    evaluator(f, n) takes a SequenceBatch and gives one value per row, each
+    the float its row gives alone.
     """
 
     kind: str
     n_max: int
-    evaluator: Callable[[TruncatedSequence, int], float]
+    evaluator: Callable[[SequenceBatch, int], np.ndarray]
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
 
-    def seminorm(self, f: TruncatedSequence, n: int) -> float:
+    def seminorm(self, f: SequenceBatch, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"level {n} outside 0..{self.n_max}")
-        return float(self.evaluator(f, n))
+        return self.evaluator(f, n)
 
 
 def l1_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
@@ -512,7 +455,7 @@ def custom_grading(evaluator, n_max: int = DEFAULT_N_MAX, kind: str = "custom") 
 def seminorm_table(grading: Grading, probes) -> np.ndarray:
     """Values table[n, i] = |probe_i|_n for n = 0..n_max.
 
-    probes is a SequenceBatch or a list of sequences, stacked once; the
+    probes is a SequenceBatch or a list of them (see as_batch); the
     evaluator runs once per level on the whole batch.
     """
     batch = as_batch(probes)
@@ -554,8 +497,8 @@ class SequenceSpace:
     def grading(self) -> Grading:
         return Grading(self.grading_kind, self.n_max, self.seminorm)
 
-    def seminorm(self, f, n: int):
-        """|f|_n of one sequence, or one value per element of a batch."""
+    def seminorm(self, f: SequenceBatch, n: int) -> np.ndarray:
+        """|f|_n of every row of a batch."""
         if self.grading_kind == "l1":
             return seminorm_l1(f, n, self.n_max)
         return seminorm_linf(f, n, self.n_max)
@@ -564,14 +507,24 @@ class SequenceSpace:
         """table[n, i] = |probe_i|_n for n = 0..n_max."""
         return seminorm_table(self.grading(), probes)
 
-    def zero(self) -> TruncatedSequence:
-        return TruncatedSequence.zero(self.fiber, self.truncation_degree)
+    def zero(self) -> SequenceBatch:
+        """The zero sequence, as a one-row batch."""
+        return SequenceBatch(self.fiber, np.zeros(
+            (1, self.truncation_degree + 1, self.fiber.dimension),
+            dtype=self.fiber.dtype))
 
-    def basis(self, index: int, axis: int = 0, scale: float = 1.0) -> TruncatedSequence:
-        return TruncatedSequence.basis(self.fiber, self.truncation_degree,
-                                       index, axis, scale)
+    def basis(self, index: int, axis: int = 0,
+              scale: float = 1.0) -> SequenceBatch:
+        """The monomial sequence whose coefficient `index` is
+        scale * unit(axis), as a one-row batch."""
+        if not 0 <= index <= self.truncation_degree:
+            raise IndexError(f"coefficient index {index} out of range")
+        block = np.zeros((1, self.truncation_degree + 1, self.fiber.dimension),
+                         dtype=self.fiber.dtype)
+        block[0, index] = scale * self.fiber.unit(axis)
+        return SequenceBatch(self.fiber, block)
 
-    def check_member(self, f: TruncatedSequence):
+    def check_member(self, f: SequenceBatch):
         if f.fiber != self.fiber or f.truncation_degree != self.truncation_degree:
             raise ValueError("sequence does not belong to this space")
 
@@ -594,22 +547,16 @@ class ProductSpace:
     def n_max(self) -> int:
         return self.factors[0].n_max
 
-    def _parts(self, element):
-        """The factor parts of a ProductBatch or of a tuple of sequences."""
-        if isinstance(element, ProductBatch):
-            parts = element.parts
-        elif isinstance(element, tuple):
-            parts = element
-        else:
+    def _parts(self, element: ProductBatch) -> Tuple[SequenceBatch, ...]:
+        if not isinstance(element, ProductBatch):
             raise ValueError(f"a {type(element).__name__} is not an element "
                              f"of a product space")
-        if len(parts) != len(self.factors):
+        if len(element.parts) != len(self.factors):
             raise ValueError("element arity does not match the product")
-        return parts
+        return element.parts
 
-    def seminorm(self, element, n: int):
-        """Sum of the factor seminorms, added in factor order; a ProductBatch
-        gives one value per element."""
+    def seminorm(self, element: ProductBatch, n: int) -> np.ndarray:
+        """Sum of the factor seminorms per row, added in factor order."""
         total = 0.0
         for space, part in zip(self.factors, self._parts(element)):
             total = total + space.seminorm(part, n)
@@ -622,20 +569,13 @@ class ProductSpace:
             total = total + space.seminorm_table(part)
         return total
 
-    def zero(self):
-        return tuple(s.zero() for s in self.factors)
+    def zero(self) -> ProductBatch:
+        """The zero element, as a one-row batch."""
+        return ProductBatch(s.zero() for s in self.factors)
 
     def check_member(self, element):
         for space, part in zip(self.factors, self._parts(element)):
             space.check_member(part)
-
-
-def element_degree(element):
-    """Coefficient degree of a sequence, or the max over a product tuple;
-    a SequenceBatch or ProductBatch gives one degree per element."""
-    if isinstance(element, (TruncatedSequence, SequenceBatch, ProductBatch)):
-        return element.degree()
-    return max(part.degree() for part in element)
 
 
 # ---------------------------------------------------------------------------
@@ -660,21 +600,21 @@ class GradingValidationReport:
         return not self.violations
 
 
-def validate_grading(grading: Grading, probes: Sequence[TruncatedSequence]
-                     ) -> GradingValidationReport:
+def validate_grading(grading: Grading, probes) -> GradingValidationReport:
     """Check |f|_n <= |f|_{n+1} for every probe and consecutive level pair.
 
     Violations are listed probe by probe, in level order within a probe.
     """
     if not probes:
         raise ValueError("probe set is empty")
-    table = seminorm_table(grading, probes)
+    batch = as_batch(probes)
+    table = seminorm_table(grading, batch)
     failed = ~within_upper(table[:-1], table[1:])
     violations = tuple(
         GradingViolation(int(i), int(n), float(table[n, i]),
                          float(table[n + 1, i]))
         for i, n in np.argwhere(failed.T))
-    return GradingValidationReport(len(probes), violations)
+    return GradingValidationReport(len(batch), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +796,7 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
 class EquivalenceFailure:
     direction: str
     witness: RatioWitness
-    probe: TruncatedSequence
+    probe: SequenceBatch
 
 
 @dataclass(frozen=True)
@@ -873,8 +813,7 @@ class EquivalenceOutcome:
 
 
 def certify_grading_equivalence(g1: Grading, g2: Grading,
-                                probes: Sequence[TruncatedSequence],
-                                r_max: int) -> EquivalenceOutcome:
+                                probes, r_max: int) -> EquivalenceOutcome:
     """Certify |f|_1,n <= C |f|_2,n+r (forward) and the reverse (backward).
 
     The smallest accepted shift is searched per direction up to r_max; on
@@ -896,17 +835,17 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
     t2 = seminorm_table(g2, batch)
 
     fwd_cert, fwd_wit = certify_from_tables(
-        t1, t2, degrees, split, r_max=r_max, probe_count=len(probes),
+        t1, t2, degrees, split, r_max=r_max, probe_count=len(batch),
         linear=True)
     if fwd_cert is None:
         return EquivalenceOutcome(None, None, EquivalenceFailure(
-            "g1<=g2", fwd_wit, probes[fwd_wit.probe_index]))
+            "g1<=g2", fwd_wit, batch[fwd_wit.probe_index]))
     bwd_cert, bwd_wit = certify_from_tables(
-        t2, t1, degrees, split, r_max=r_max, probe_count=len(probes),
+        t2, t1, degrees, split, r_max=r_max, probe_count=len(batch),
         linear=True)
     if bwd_cert is None:
         return EquivalenceOutcome(fwd_cert, None, EquivalenceFailure(
-            "g2<=g1", bwd_wit, probes[bwd_wit.probe_index]))
+            "g2<=g1", bwd_wit, batch[bwd_wit.probe_index]))
     return EquivalenceOutcome(fwd_cert, bwd_cert, None)
 
 

@@ -1,7 +1,7 @@
 """Bridge between coefficient sequences and entire functions.
 
-A truncated sequence f_0 .. f_K is read as the polynomial f(z) = sum f_k z^k
-with values in the complexified fiber.  The module evaluates f on circles of
+A truncated sequence f_0 .. f_K, the one row of a SequenceBatch, is read as
+the polynomial f(z) = sum f_k z^k with values in the complexified fiber.  The module evaluates f on circles of
 radius e^n, recovers coefficients from equispaced boundary samples by the
 discrete Cauchy integral (an FFT), and verifies the weighted-coefficient
 bound  max_k |f_k| e^{nk}  <=  sup_{|z|=e^n} |f(z)|  together with the
@@ -25,7 +25,7 @@ from .errors import AliasingError
 from .graded import (
     MAX_LEVEL_EXPONENT,
     BanachFiber,
-    TruncatedSequence,
+    SequenceBatch,
     seminorm_linf,
     within_upper,
 )
@@ -61,13 +61,20 @@ class DiskSpec:
         return self.radius * np.exp(1j * angles)
 
 
-def _check_eval_range(f: TruncatedSequence, magnitude: float):
+def _series(f: SequenceBatch) -> np.ndarray:
+    """The (K+1, d) coefficients of the one sequence a batch holds."""
+    if len(f) != 1:
+        raise ValueError(f"expected one sequence, got a batch of {len(f)}")
+    return f.coefficients[0]
+
+
+def _check_eval_range(f: SequenceBatch, magnitude: float):
     if magnitude > 1.0 and f.truncation_degree * math.log(magnitude) > MAX_LEVEL_EXPONENT:
         raise ValueError(
             f"|z| = {magnitude:.6g} would push |z|^K past the overflow guard")
 
 
-def eval_series(f: TruncatedSequence, z):
+def eval_series(f: SequenceBatch, z):
     """Horner evaluation of sum_k f_k z^k, coordinatewise on the fiber.
 
     Accepts a scalar z (returns a fiber vector) or an array of points
@@ -78,18 +85,18 @@ def eval_series(f: TruncatedSequence, z):
     pts = z.reshape(-1)
     if pts.size:
         _check_eval_range(f, float(np.max(np.abs(pts))))
-    coeffs = f.coefficients.astype(np.complex128)
+    coeffs = _series(f).astype(np.complex128)
     acc = np.broadcast_to(coeffs[-1], (pts.size, coeffs.shape[1])).copy()
     for k in range(f.truncation_degree - 1, -1, -1):
         acc = acc * pts[:, None] + coeffs[k]
     return acc[0] if scalar else acc
 
 
-def boundary_values(f: TruncatedSequence, disk: DiskSpec) -> np.ndarray:
+def boundary_values(f: SequenceBatch, disk: DiskSpec) -> np.ndarray:
     return eval_series(f, disk.boundary_points())
 
 
-def sup_norm_disk(f: TruncatedSequence, disk: DiskSpec) -> float:
+def sup_norm_disk(f: SequenceBatch, disk: DiskSpec) -> float:
     """Max fiber norm over the boundary grid (a lower estimate of the sup)."""
     values = boundary_values(f, disk)
     fiber = f.fiber if f.fiber.scalar_field == "complex" else f.fiber.complexified()
@@ -98,7 +105,7 @@ def sup_norm_disk(f: TruncatedSequence, disk: DiskSpec) -> float:
 
 def coefficients_from_boundary(values: np.ndarray, radius: float,
                                truncation_degree: int,
-                               fiber: BanachFiber) -> TruncatedSequence:
+                               fiber: BanachFiber) -> SequenceBatch:
     """Discrete Cauchy integral: f_k = (1/M) sum_j f(R w^j) w^{-jk} R^{-k}.
 
     Exact to roundoff for polynomial samples of degree <= K once M > 2K;
@@ -118,17 +125,17 @@ def coefficients_from_boundary(values: np.ndarray, radius: float,
     scale = np.power(float(radius), -np.arange(K + 1.0))
     block = means * scale[:, None]
     out_fiber = fiber if fiber.scalar_field == "complex" else fiber.complexified()
-    return TruncatedSequence(out_fiber, block)
+    return SequenceBatch(out_fiber, block[None])
 
 
-def complexify(f: TruncatedSequence) -> TruncatedSequence:
+def complexify(f: SequenceBatch) -> SequenceBatch:
     if f.fiber.scalar_field == "complex":
         return f
-    return TruncatedSequence(f.fiber.complexified(),
-                             f.coefficients.astype(np.complex128))
+    return SequenceBatch(f.fiber.complexified(),
+                         f.coefficients.astype(np.complex128))
 
 
-def as_real(f: TruncatedSequence) -> TruncatedSequence:
+def as_real(f: SequenceBatch) -> SequenceBatch:
     """Drop imaginary parts, refusing when they are not negligible."""
     if f.fiber.scalar_field == "real":
         return f
@@ -138,7 +145,7 @@ def as_real(f: TruncatedSequence) -> TruncatedSequence:
         raise ValueError(
             f"imaginary residue {imag_peak:.3g} too large for a real sequence")
     real_fiber = BanachFiber(f.fiber.dimension, "real", f.fiber.norm_kind)
-    return TruncatedSequence(real_fiber, f.coefficients.real.copy())
+    return SequenceBatch(real_fiber, f.coefficients.real.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +170,7 @@ class RoundTripReport:
         }
 
 
-def round_trip_report(f: TruncatedSequence, disk: DiskSpec) -> RoundTripReport:
+def round_trip_report(f: SequenceBatch, disk: DiskSpec) -> RoundTripReport:
     """Evaluate on the boundary, recover, and compare to the original.
 
     weighted_relative_error is measured in the level-n sup seminorm, the
@@ -174,8 +181,9 @@ def round_trip_report(f: TruncatedSequence, disk: DiskSpec) -> RoundTripReport:
         boundary_values(fc, disk), disk.radius, f.truncation_degree, fc.fiber)
     diff = recovered - fc
     max_abs = float(np.max(fc.fiber.norms(diff.coefficients)))
-    denom = seminorm_linf(fc, disk.level)
-    rel = seminorm_linf(diff, disk.level) / denom if denom > 0.0 else 0.0
+    denom = float(seminorm_linf(fc, disk.level)[0])
+    rel = float(seminorm_linf(diff, disk.level)[0]) / denom \
+        if denom > 0.0 else 0.0
     return RoundTripReport(disk.level, disk.boundary_samples, max_abs, rel)
 
 
@@ -201,7 +209,7 @@ class CauchyBoundReport:
         }
 
 
-def verify_cauchy_bound(f: TruncatedSequence, level: int,
+def verify_cauchy_bound(f: SequenceBatch, level: int,
                         samples: int = DEFAULT_BOUNDARY_SAMPLES
                         ) -> CauchyBoundReport:
     """Check max_k |f_k| e^{nk} <= sampled sup on |z| = e^n, report the slack.
@@ -210,7 +218,7 @@ def verify_cauchy_bound(f: TruncatedSequence, level: int,
     roundoff on boundary magnitudes as large as e^{nK}.
     """
     disk = DiskSpec(level, samples)
-    lhs = seminorm_linf(f, level)
+    lhs = float(seminorm_linf(f, level)[0])
     rhs = sup_norm_disk(f, disk)
     ok = bool(within_upper(lhs, rhs))  # an np.bool_ would serialize as 1.0
     return CauchyBoundReport(level, samples, lhs, rhs, rhs - lhs, ok)
@@ -220,18 +228,19 @@ def verify_cauchy_bound(f: TruncatedSequence, level: int,
 # real form
 # ---------------------------------------------------------------------------
 
-def check_real_form(f: TruncatedSequence) -> bool:
+def check_real_form(f: SequenceBatch) -> bool:
     """True iff every coefficient is real within REAL_FORM_TOL.
 
     For power series this is equivalent to conj(f(z)) = f(conj z); see
     conjugation_symmetry_defect for the sampled cross-check.
     """
+    coefficients = _series(f)
     if f.fiber.scalar_field == "real":
         return True
-    return float(np.max(np.abs(f.coefficients.imag))) <= REAL_FORM_TOL
+    return float(np.max(np.abs(coefficients.imag))) <= REAL_FORM_TOL
 
 
-def conjugation_symmetry_defect(f: TruncatedSequence, count: int = 32,
+def conjugation_symmetry_defect(f: SequenceBatch, count: int = 32,
                                 seed: int = 0) -> float:
     """Max over random sample points of |conj(f(z)) - f(conj z)|."""
     if count < 1:

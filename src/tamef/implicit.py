@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
-from .graded import (SequenceBatch, SequenceSpace, TruncatedSequence, _weights,
-                     as_batch)
+from .graded import SequenceBatch, SequenceSpace, _weights, as_batch
 from .newton import NewtonLanes, damped_newton, lane_norms
 from .probes import rng_from_seed
 
@@ -60,17 +59,21 @@ PREIMAGE_DEDUPE_TOL = 1e-6
 # flat coordinates
 # ---------------------------------------------------------------------------
 
-def flatten(f) -> np.ndarray:
-    """Flat coordinates of a sequence, (D,), or of every row of a
-    SequenceBatch, (P, D)."""
-    block = f.coefficients
-    return block.reshape(block.shape[:-2] + (-1,)).copy()
+def flatten(f: SequenceBatch) -> np.ndarray:
+    """Flat coordinates of every row of a batch, (P, D)."""
+    return f.coefficients.reshape(len(f), -1).copy()
 
 
-def unflatten(space: SequenceSpace, flat: np.ndarray) -> TruncatedSequence:
-    block = np.asarray(flat, dtype=space.fiber.dtype).reshape(
-        space.truncation_degree + 1, space.fiber.dimension)
-    return TruncatedSequence(space.fiber, block)
+def unflatten(space: SequenceSpace, flats: np.ndarray) -> SequenceBatch:
+    """The batch whose rows have the flat coordinates of a (P, D) block."""
+    return SequenceBatch(space.fiber, np.asarray(flats).reshape(
+        len(flats), space.truncation_degree + 1, space.fiber.dimension))
+
+
+def _project(rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """rows @ flat for every row flat of a (P, D) block, each the float
+    the one-vector product gives."""
+    return np.matmul(rows[None], flats[:, :, None])[:, :, 0]
 
 
 def level_weights(space: SequenceSpace, level: int) -> np.ndarray:
@@ -118,8 +121,9 @@ class ConstraintMap:
     def jacobian_mode(self) -> str:
         return "supplied" if self.jacobian is not None else "finite_difference"
 
-    def value(self, f: TruncatedSequence) -> np.ndarray:
-        return self.values(flatten(f)[None])[0]
+    def value(self, f: SequenceBatch) -> np.ndarray:
+        """phi at every row of a batch: the (P, m) values."""
+        return self.values(flatten(f))
 
     def values(self, flats: np.ndarray) -> np.ndarray:
         """phi on a (P, D) block: the (P, m) values, one row per point."""
@@ -161,8 +165,7 @@ def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def check_jacobian(c: ConstraintMap,
-                   probes: Sequence[TruncatedSequence]) -> float:
+def check_jacobian(c: ConstraintMap, probes) -> float:
     """Max relative gap between supplied and finite-difference Jacobians
     over the probes, evaluated as one block; inf when a gap is not finite,
     and 0.0 for a constraint without a supplied Jacobian or for no probes."""
@@ -185,7 +188,7 @@ def check_jacobian(c: ConstraintMap,
 
 @dataclass(frozen=True)
 class RegularPointReport:
-    point: TruncatedSequence
+    point: SequenceBatch
     jacobian: np.ndarray
     singular_values: Tuple[float, ...]
     rank_decision: bool
@@ -206,8 +209,7 @@ def _canonical_signs(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_regular_point(c: ConstraintMap,
-                     p: TruncatedSequence) -> RegularPointReport:
+def is_regular_point(c: ConstraintMap, p: SequenceBatch) -> RegularPointReport:
     """Rank test of the metric-weighted Jacobian, with a splitting if regular.
 
     The weighted matrix J W^{-1} expresses the differential in coordinates
@@ -219,7 +221,7 @@ def is_regular_point(c: ConstraintMap,
     m, D = c.target_dim, c.flat_dimension
     if m > D:
         raise ValueError(f"codimension {m} exceeds ambient dimension {D}")
-    J = c.jacobians(flatten(p)[None])[0]
+    J = c.jacobians(flatten(p))[0]
     w = level_weights(c.space, c.level)
     J_w = J / w[None, :]
     sigma = np.linalg.svd(J_w, compute_uv=False)
@@ -502,21 +504,24 @@ class PointSplit:
         """Flat ambient points of the lanes (X[i], Y[i]), one per row."""
         return self.lane_flats(X)(None, Y)
 
-    def point_of(self, x: np.ndarray, y: np.ndarray) -> TruncatedSequence:
+    def point_of(self, x: np.ndarray, y: np.ndarray) -> SequenceBatch:
+        """The point with split coordinates (x, y), as a one-row batch."""
         return unflatten(self.constraint.space, self.flats(
             np.asarray(x, dtype=np.float64)[None],
-            np.asarray(y, dtype=np.float64)[None])[0])
+            np.asarray(y, dtype=np.float64)[None]))
 
-    def coords_of(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
-        flat = flatten(q)
-        return self._kernel_proj @ flat, self._compl_proj @ flat
+    def coords_of(self, q: SequenceBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """The (P, x_dim) kernel and (P, y_dim) complement coordinates of
+        every row of a batch."""
+        flats = flatten(q)
+        return self.kernel_coords(flats), _project(self._compl_proj, flats)
 
     def kernel_coords(self, flats: np.ndarray) -> np.ndarray:
         """Kernel coordinates of every row of a (P, D) block of points."""
-        return np.matmul(self._kernel_proj[None], flats[:, :, None])[:, :, 0]
+        return _project(self._kernel_proj, flats)
 
 
-def split_at(c: ConstraintMap, p: TruncatedSequence,
+def split_at(c: ConstraintMap, p: SequenceBatch,
              report: Optional[RegularPointReport] = None) -> PointSplit:
     if report is None:
         report = is_regular_point(c, p)
@@ -537,15 +542,15 @@ class Chart:
     """
 
     split_data: PointSplit
-    base_point: TruncatedSequence
+    base_point: SequenceBatch
     validity_radius: float
     base_x: np.ndarray = field(init=False, repr=False)
     base_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x, y = self.split_data.coords_of(self.base_point)
-        object.__setattr__(self, "base_x", x)
-        object.__setattr__(self, "base_y", y)
+        object.__setattr__(self, "base_x", x[0])
+        object.__setattr__(self, "base_y", y[0])
 
     @property
     def constraint(self) -> ConstraintMap:
@@ -559,9 +564,9 @@ class Chart:
     def kernel_dimension(self) -> int:
         return self.split_data.split.x_dim
 
-    def offsets(self, q: TruncatedSequence) -> np.ndarray:
-        """Kernel offsets P(q - p) of q from the base point."""
-        return self.offsets_lanes(flatten(q)[None])[0]
+    def offsets(self, q: SequenceBatch) -> np.ndarray:
+        """Kernel offsets P(q - p) of every row q from the base point."""
+        return self.offsets_lanes(flatten(q))
 
     def offsets_lanes(self, flats: np.ndarray) -> np.ndarray:
         """offsets of every row of a (P, D) block of flat points."""
@@ -570,17 +575,15 @@ class Chart:
     def embed(self, x_offsets: np.ndarray) -> SequenceBatch:
         """The ambient elements sum_i x_i k_i along the kernel basis, one
         per row of a (P, kernel_dimension) block."""
-        flats = np.matmul(self.split_data.kernel_mat[None],
-                          np.asarray(x_offsets, dtype=np.float64)[:, :, None])
-        space = self.constraint.space
-        return SequenceBatch(space.fiber, flats.reshape(
-            len(flats), space.truncation_degree + 1, space.fiber.dimension))
+        flats = _project(self.split_data.kernel_mat,
+                         np.asarray(x_offsets, dtype=np.float64))
+        return unflatten(self.constraint.space, flats)
 
-    def forward(self, q: TruncatedSequence) -> Tuple[np.ndarray, np.ndarray]:
+    def forward(self, q: SequenceBatch) -> Tuple[np.ndarray, np.ndarray]:
         return self.offsets(q), self.constraint.value(q)
 
     def inverse(self, x_offsets: np.ndarray,
-                values: Optional[np.ndarray] = None) -> TruncatedSequence:
+                values: Optional[np.ndarray] = None) -> SequenceBatch:
         x = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         result = solve_implicit(self.split_data.split, x, self.base_y,
                                 target=values)
@@ -615,9 +618,10 @@ class Chart:
                 break
         return flats, converged, errors
 
-    def contains(self, q: TruncatedSequence) -> bool:
-        """Whether q's kernel offsets fall inside the validity radius."""
-        return float(np.linalg.norm(self.offsets(q))) <= self.validity_radius
+    def contains(self, q: SequenceBatch) -> np.ndarray:
+        """Whether each row's kernel offsets fall inside the validity
+        radius."""
+        return lane_norms(self.offsets(q)) <= self.validity_radius
 
     def to_json(self) -> dict:
         space = self.constraint.space
@@ -625,10 +629,10 @@ class Chart:
             "base_point": self.base_point.to_json(),
             "bases": {
                 "level": self.report.inner_product_level,
-                "kernel": [unflatten(space, v).to_json()
-                           for v in self.report.kernel_basis.T],
-                "complement": [unflatten(space, v).to_json()
-                               for v in self.report.complement_basis.T],
+                "kernel": [v.to_json() for v in
+                           unflatten(space, self.report.kernel_basis.T)],
+                "complement": [v.to_json() for v in unflatten(
+                    space, self.report.complement_basis.T)],
             },
             "radius": self.validity_radius,
         }
@@ -652,14 +656,15 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
 def _round_trip_rest_ok(chart: Chart, radius: float, directions: np.ndarray,
                         first: np.ndarray) -> bool:
     """_chart_round_trip_ok once the first direction, scaled to radius, has
-    come back through inverse to the flat point first."""
+    come back through inverse to the flat point in the one-row block
+    first."""
     bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
     offsets = radius * directions
     rest, converged, _ = chart.inverse_lanes(offsets[1:],
                                              stop_at_failure=True)
     if not converged.all():
         return False
-    flats = np.vstack([first[None], rest])
+    flats = np.vstack([first, rest])
     gaps = lane_norms(chart.offsets_lanes(flats) - offsets)
     values = lane_norms(chart.constraint.values(flats))
     # a NaN gap or value passes: NaN > bound is false
@@ -705,7 +710,7 @@ def _bisect(lo: float, hi: float, steps: int,
     return lo
 
 
-def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
+def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
                 report: Optional[RegularPointReport] = None) -> Chart:
     """Chart at a regular point with an empirically certified radius.
 
@@ -756,7 +761,7 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
         firsts, converged, _ = chart.inverse_lanes(
             np.array(mids)[:, None] * dirs[0])
         return lambda node: bool(converged[node]) and _round_trip_rest_ok(
-            chart, mids[node], dirs, firsts[node])
+            chart, mids[node], dirs, firsts[node:node + 1])
 
     lo = _bisect(radius, 2.0 * radius, RADIUS_BISECTION_STEPS, screen)
     if lo < VALIDITY_RADIUS_FLOOR:
@@ -772,7 +777,7 @@ def build_chart(c: ConstraintMap, p: TruncatedSequence, *, seed: int = 0,
 @dataclass(frozen=True)
 class RegularValueReport:
     target: np.ndarray
-    points: Tuple[TruncatedSequence, ...]
+    points: Tuple[SequenceBatch, ...]
     point_reports: Tuple[RegularPointReport, ...]
     seed_count: int
     converged_count: int
@@ -786,9 +791,9 @@ class RegularValueReport:
 
 
 def find_preimage(c: ConstraintMap, target: np.ndarray,
-                  seed_point: TruncatedSequence, max_iter: int = 60,
+                  seed_point: SequenceBatch, max_iter: int = 60,
                   scaling: Optional[np.ndarray] = None
-                  ) -> Optional[TruncatedSequence]:
+                  ) -> Optional[SequenceBatch]:
     """Gauss-Newton from one seed; None when it fails to converge, also
     when a non-finite Jacobian makes the least-squares step fail.
 
@@ -797,9 +802,9 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     stable when the Jacobian columns span many orders of magnitude.
     """
     goal = np.asarray(target, dtype=np.float64).reshape(c.target_dim)
-    flat = flatten(seed_point)
-    weights = np.ones(flat.size) if scaling is None else scaling
-    weights = np.asarray(weights, dtype=np.float64).reshape(flat.shape)
+    start = flatten(seed_point)
+    weights = np.ones(c.flat_dimension) if scaling is None else scaling
+    weights = np.asarray(weights, dtype=np.float64).reshape(c.flat_dimension)
     if np.any(weights <= 0.0):
         raise ValueError("scaling weights must be positive")
 
@@ -818,14 +823,14 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
         return steps, errors
 
     out = damped_newton(lambda lanes, Z: c.values(Z) - goal, weighted_step,
-                        flat[None], PREIMAGE_TOL, max_iter, c.name)
+                        start, PREIMAGE_TOL, max_iter, c.name)
     if not out.converged[0]:
         return None
-    return unflatten(c.space, out.z[0])
+    return unflatten(c.space, out.z)
 
 
 def is_regular_value(c: ConstraintMap, target,
-                     seeds: Sequence[TruncatedSequence],
+                     seeds: Sequence[SequenceBatch],
                      max_iter: int = 60) -> RegularValueReport:
     """Test regularity of every preimage point reachable from the seeds.
 
@@ -833,7 +838,7 @@ def is_regular_value(c: ConstraintMap, target,
     None verdict rather than a claim about the whole fiber.
     """
     goal = np.asarray(target, dtype=np.float64).reshape(c.target_dim)
-    found: List[TruncatedSequence] = []
+    found: List[SequenceBatch] = []
     converged = 0
     for seed_point in seeds:
         q = find_preimage(c, goal, seed_point, max_iter=max_iter)

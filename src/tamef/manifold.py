@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConstructionError, NotIntoSubmanifoldError,
                      RegularityError)
 from .graded import SequenceBatch, SequenceSpace, TamenessCertificate, \
-    TruncatedSequence, as_batch, inner_product
+    as_batch, inner_product
 from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        flatten, is_regular_point, lane_norms,
                        sphere_constraint, sphere_intersection_constraint)
@@ -43,8 +43,7 @@ class Submanifold:
 
     def __post_init__(self):
         for i, chart in enumerate(self.charts):
-            residual = float(np.linalg.norm(
-                self.constraint.value(chart.base_point)))
+            residual = float(self.residual(chart.base_point)[0])
             if residual > BASE_POINT_RESIDUAL_TOL:
                 raise ValueError(
                     f"chart {i} base point off the zero set "
@@ -58,8 +57,9 @@ class Submanifold:
     def codimension(self) -> int:
         return self.constraint.target_dim
 
-    def residual(self, q: TruncatedSequence) -> float:
-        return float(np.linalg.norm(self.constraint.value(q)))
+    def residual(self, q: SequenceBatch) -> np.ndarray:
+        """The norm of the constraint value at every row."""
+        return lane_norms(self.constraint.value(q))
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +130,7 @@ def make_sphere_intersection(space: SequenceSpace, levels: Sequence[int], *,
         block = rng.uniform(-1.0, 1.0, size=shape) * decay[:, None]
         flat = block.reshape(-1)
         norm_top = math.sqrt(float(np.dot(w2_top * flat, flat)))
-        seed_point = TruncatedSequence(space.fiber, block / norm_top)
+        seed_point = SequenceBatch(space.fiber, (block / norm_top)[None])
         found = find_preimage(c, np.zeros(c.target_dim), seed_point,
                               scaling=np.sqrt(w2_top))
         if found is None:
@@ -268,8 +268,8 @@ def _worst_round_trip(chart_a: Chart, chart_b: Chart, overlap: np.ndarray,
                       x_a: np.ndarray) -> float:
     """Largest relative error of the transition a->b and then its inverse
     b->a, in chart coordinates, over the (P, D) block of overlap points
-    whose chart-a offsets are x_a; inf when a solve fails.  Each direction
-    is one block of chart inverses."""
+    whose chart-a offsets are x_a; inf when a solve fails or an error is not
+    finite.  Each direction is one block of chart inverses."""
     x_b = chart_b.offsets_lanes(overlap)
     q_ab, ok_ab, _ = chart_a.inverse_lanes(x_a)
     t_ab = chart_b.offsets_lanes(q_ab)
@@ -282,14 +282,10 @@ def _worst_round_trip(chart_a: Chart, chart_b: Chart, overlap: np.ndarray,
         t_back = chart_a.offsets_lanes(q_ba)
         err_ba[ok_ab] = lane_norms(t_back - x_a[ok_ab]) / \
             (1.0 + lane_norms(x_a[ok_ab]))
-    worst = 0.0
-    for i in range(len(overlap)):
-        # Python max keeps its first argument against a NaN, so a NaN error
-        # never becomes the worst
-        err = max(float(err_ab[i]), float(err_ba[i])) if ok_ba[i] \
-            else math.inf
-        worst = max(worst, err)
-    return worst
+    err = np.maximum(err_ab, err_ba)
+    # a failed solve or a NaN error counts as an infinite error
+    err[~(ok_ba & np.isfinite(err))] = math.inf
+    return float(np.max(err, initial=0.0))
 
 
 def verify_transitions(manifold: Submanifold, *,
@@ -359,8 +355,8 @@ def chart_restriction(desc: TameMapDescriptor, manifold: Submanifold,
 
 def certify_map_into_submanifold(desc: TameMapDescriptor,
                                  manifold: Submanifold,
-                                 probes: Sequence[TruncatedSequence],
-                                 r_max: int = 2) -> IntoSubmanifoldReport:
+                                 probes, r_max: int = 2
+                                 ) -> IntoSubmanifoldReport:
     """Check the image stays on the zero set, then certify into the ambient.
 
     A tameness certificate for the corestriction is exactly an ambient
@@ -376,10 +372,9 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
         raise ValueError("need at least one probe")
     batch = as_batch(probes)
     images = flatten(desc(batch))
-    residuals = lane_norms(manifold.constraint.values(images))
-    # Python max keeps its first argument against a NaN
-    worst = max(residuals.tolist())
-    if worst > DEFAULT_IMAGE_RESIDUAL_TOL:
+    # np.max propagates a NaN residual, which then fails the test
+    worst = float(np.max(lane_norms(manifold.constraint.values(images))))
+    if not worst <= DEFAULT_IMAGE_RESIDUAL_TOL:
         raise NotIntoSubmanifoldError(
             f"{desc.name}: image leaves the zero set "
             f"(max residual {worst:.3g} > {DEFAULT_IMAGE_RESIDUAL_TOL:.3g})",
@@ -398,7 +393,7 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
         chart_certs.append(
             certify_tame(restricted, batch[hits], r_max).certificate)
     return IntoSubmanifoldReport(
-        max_image_residual=worst, probe_count=len(probes),
+        max_image_residual=worst, probe_count=len(batch),
         certificate=outcome.certificate,
         chart_coverage=tuple(coverage),
         chart_certificates=tuple(chart_certs))

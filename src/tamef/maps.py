@@ -19,7 +19,7 @@ composition with constants C_out(n) * C_in(n + r_out).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,17 +32,13 @@ from .graded import (
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
-    TruncatedSequence,
     as_batch,
     certificate_violations,
     certify_from_tables,
-    element_degree,
 )
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
 Batch = Union[SequenceBatch, ProductBatch]
-#: one row of a batch: a sequence, or a tuple of them for a product
-Element = Union[TruncatedSequence, Tuple[TruncatedSequence, ...]]
 
 #: quasi-isometry estimates may grow by at most this factor across the
 #: probe-norm median split; saturating ratios like s/(1+s) stay under it
@@ -63,27 +59,15 @@ def _space_truncation(space: SpaceLike) -> int:
     return space.truncation_degree
 
 
-def _blockwise(op: Callable[..., np.ndarray], *batches: Batch) -> Batch:
-    """op applied to the coefficient blocks of aligned batches, factor by
-    factor: batch arithmetic without SequenceBatch.__add__, which
-    concatenates."""
-    first = batches[0]
-    if isinstance(first, ProductBatch):
-        return ProductBatch(_blockwise(op, *parts)
-                            for parts in zip(*(b.parts for b in batches)))
-    return SequenceBatch(first.fiber, op(*(b.coefficients for b in batches)))
-
-
 @dataclass(frozen=True)
 class TameMapDescriptor:
     """A map between graded spaces with certification metadata.
 
     The evaluator works on batches: it takes a SequenceBatch or ProductBatch
     of domain elements and returns one batch of codomain elements of equal
-    length, row i the image of row i.  A single element is evaluated as a
-    batch of one (as_batch([f])) and its image is row 0.  When some rows
-    cannot be evaluated, the evaluator raises what the first of them raises
-    on its own.
+    length, row i the image of row i; one element is a batch of one row.
+    When some rows cannot be evaluated, the evaluator raises what the first
+    of them raises on its own.
 
     region_radius bounds the metric ball (in the level region_level
     seminorm around zero) on which the evaluator is probed; linear maps are
@@ -140,13 +124,10 @@ def validate_descriptor(desc: TameMapDescriptor, probes) -> List[str]:
     n = desc.codomain.n_max
     f, g = batch[:pairs], batch[1:pairs + 1]
     out_f, out_g = outputs[:pairs], outputs[1:pairs + 1]
-    right = _blockwise(np.add, out_f, out_g)
-    gap = desc.codomain.seminorm(
-        _blockwise(np.subtract, desc(_blockwise(np.add, f, g)), right), n)
+    right = out_f + out_g
+    gap = desc.codomain.seminorm(desc(f + g) - right, n)
     scale = 1.0 + desc.codomain.seminorm(right, n)
-    left2 = desc(_blockwise(lambda block: block * 2.0, f))
-    gap2 = desc.codomain.seminorm(
-        _blockwise(lambda a, b: a - b * 2.0, left2, out_f), n)
+    gap2 = desc.codomain.seminorm(desc(f * 2.0) - out_f * 2.0, n)
     scale2 = 1.0 + 2.0 * desc.codomain.seminorm(out_f, n)
     defects: List[str] = []
     for i in range(pairs):
@@ -167,7 +148,7 @@ def validate_descriptor(desc: TameMapDescriptor, probes) -> List[str]:
 class CertificationOutcome:
     certificate: Optional[TamenessCertificate]
     witness: Optional[RatioWitness]
-    witness_probe: Optional[Element] = None
+    witness_probe: Optional[Batch] = None
 
     @property
     def ok(self) -> bool:
@@ -198,9 +179,10 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
                  forced_r: Optional[int] = None) -> CertificationOutcome:
     """Estimate the smallest accepted shift and constants for one map.
 
-    probes is a SequenceBatch, a ProductBatch, or a list of elements that is
-    stacked once.  Nonlinear maps are compared against 1 + |f|_{n+r}; zero
-    probes drop out of linear ratios through the zero-denominator exclusion.
+    probes is a SequenceBatch, a ProductBatch, or a list of batches of one
+    kind (see as_batch).  Nonlinear maps are compared against
+    1 + |f|_{n+r}; zero probes drop out of linear ratios through the
+    zero-denominator exclusion.
     """
     if not probes:
         raise ValueError("probe set is empty")
@@ -221,11 +203,11 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
         den = den + 1.0
     split = _space_truncation(desc.domain) // 2
     cert, witness = certify_from_tables(
-        num, den, element_degree(batch), split, r_max=r_max,
+        num, den, batch.degree(), split, r_max=r_max,
         forced_r=forced_r, probe_count=len(batch), linear=desc.is_linear)
     if cert is not None:
         return CertificationOutcome(cert, None)
-    probe = probes[witness.probe_index] if witness.probe_index >= 0 else None
+    probe = batch[witness.probe_index] if witness.probe_index >= 0 else None
     return CertificationOutcome(None, witness, probe)
 
 
@@ -358,14 +340,13 @@ def quasi_isometry_check(desc: TameMapDescriptor,
     if desc.domain.n_max != 0 or desc.codomain.n_max != 0:
         raise ValueError(
             "quasi-isometry bounds need single-norm spaces (n_max = 0)")
-    if len(probes) < 4:
-        raise ValueError("need at least 4 probes for the scale split")
     batch = as_batch(probes)
+    if len(batch) < 4:
+        raise ValueError("need at least 4 probes for the scale split")
     out = desc(batch)
     src = desc.domain.seminorm(batch, 0)
     img = desc.codomain.seminorm(out, 0)
-    residuals = desc.domain.seminorm(
-        _blockwise(np.subtract, inverse(out), batch), 0)
+    residuals = desc.domain.seminorm(inverse(out) - batch, 0)
     round_trip_max = 0.0
     for i, residual in enumerate(residuals.tolist()):
         round_trip_max = max(round_trip_max, residual)
@@ -415,11 +396,8 @@ def directional_derivative(desc: TameMapDescriptor, f: Batch, h: Batch,
     if bad.size:
         raise ValueError(f"finite-difference step {float(steps[bad[0]])} "
                          f"must be positive")
-    rows = steps[:, None, None]
-    moved = _blockwise(lambda block: block * rows, h)
-    plus = desc(_blockwise(np.add, f, moved))
-    minus = desc(_blockwise(np.subtract, f, moved))
-    return _blockwise(lambda p, m: (p - m) * (0.5 / rows), plus, minus)
+    moved = h * steps
+    return (desc(f + moved) - desc(f - moved)) * (0.5 / steps)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .graded import ProductBatch, SequenceBatch, SequenceSpace, \
-    TruncatedSequence
+from .graded import ProductBatch, SequenceBatch, SequenceSpace
 
 GENERATOR_NAME = "philox4x32"
 
@@ -118,14 +117,15 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
 
 def make_probes(space: SequenceSpace, count: int, seed: int, *,
                 region_radius: float = 1.0,
-                center: Optional[TruncatedSequence] = None,
+                center: Optional[SequenceBatch] = None,
                 include_monomials: bool = True,
                 alphas: Sequence[float] = DEFAULT_ALPHAS) -> SequenceBatch:
     """Exactly `count` probes: a monomial ladder followed by decay profiles.
 
-    With a center, every probe is center + delta with |delta|_0 <= radius,
-    suitable for probing a map on a metric ball; without one the monomials
-    keep unit scale so certification ratios hit exact weight quotients.
+    With a center, a one-row batch, every probe is center + delta with
+    |delta|_0 <= radius, suitable for probing a map on a metric ball;
+    without one the monomials keep unit scale so certification ratios hit
+    exact weight quotients.
     The probes come as one (count, K+1, d) SequenceBatch.
     """
     if count < 1:

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from tamef import (BanachFiber, ConstructionError, DiskSpec, SequenceSpace,
-                   SplitConstraint, TruncatedSequence, build_constraint,
+from tamef import (BanachFiber, ConstructionError, DiskSpec, SequenceBatch,
+                   SequenceSpace, SplitConstraint, as_batch, build_constraint,
                    build_map, certify_grading_equivalence,
                    certify_map_into_submanifold, certify_tame,
                    chart_restriction, combine_product, is_regular_point,
@@ -67,7 +67,7 @@ def test_holomorphic_round_trip_and_bounds():
     for i in range(100):
         degree = int(rng.integers(4, 33))
         coeffs = rng.normal(size=(degree + 1, 1))
-        f = TruncatedSequence(fiber, coeffs)
+        f = SequenceBatch(fiber, coeffs[None])
         level = i % 6
         disk = DiskSpec(level, boundary_samples=4 * degree)
         trip = round_trip_report(f, disk)
@@ -145,7 +145,7 @@ def test_dphi_vphi_identity_across_registry():
         rng = rng_from_seed(4000 + idx)
         for point, info in points:
             data = split_at(constraint, point, info)
-            x, y = data.coords_of(point)
+            (x,), (y,) = data.coords_of(point)
             block = data.split
             for _ in range(64):
                 k1 = rng.standard_normal(block.x_dim)
@@ -201,7 +201,7 @@ def _chart_round_trips(manifold, samples, seed):
             x_back, values = chart.forward(q)
             gap = np.max(np.abs(x_back - x)) / (1.0 + np.max(np.abs(x)))
             worst = max(worst, gap, float(np.max(np.abs(values))),
-                        manifold.residual(q))
+                        manifold.residual(q)[0])
     return worst
 
 
@@ -257,10 +257,11 @@ def test_normalization_into_sphere():
     space = SequenceSpace(BanachFiber(1), truncation_degree=16, n_max=3)
     sphere = make_sphere(space, 0, seed=9)
     desc = normalization_descriptor(space, region_radius=1.5)
-    probes = (make_probes(space, 30, seed=41, region_radius=0.3,
-                          center=space.basis(0))
-              + make_probes(space, 30, seed=42, region_radius=0.3,
-                            center=space.basis(0, scale=-1.0)))
+    probes = as_batch([
+        make_probes(space, 30, seed=41, region_radius=0.3,
+                    center=space.basis(0)),
+        make_probes(space, 30, seed=42, region_radius=0.3,
+                    center=space.basis(0, scale=-1.0))])
     report = certify_map_into_submanifold(desc, sphere, probes, 2)
     if report.certificate is None:
         failures.append("no ambient certificate")
@@ -275,8 +276,7 @@ def test_normalization_into_sphere():
             failures.append(f"chart {k} restriction did not certify")
             continue
         restricted = chart_restriction(desc, sphere, k)
-        hits = [f for f, g in zip(probes, desc(probes))
-                if chart.contains(g)]
+        hits = probes[chart.contains(desc(probes))]
         violations = validate_certificate_on_probes(restricted, cert, hits)
         if violations:
             failures.append(f"chart {k}: {len(violations)} violations")

@@ -1,5 +1,6 @@
-"""Probe sets as batches: the sequence interface of SequenceBatch and
-ProductBatch, and bit-for-bit agreement of batched and scalar seminorms."""
+"""Probe sets as batches: one sequence is a one-row SequenceBatch, indexing
+and iteration give one-row views, arithmetic acts on the coefficients, and
+every row of a batch gets the seminorm it gets alone, bit for bit."""
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from tamef.graded import (
     ProductSpace,
     SequenceBatch,
     SequenceSpace,
-    TruncatedSequence,
     as_batch,
-    element_degree,
     l1_grading,
     seminorm_l1,
     seminorm_linf,
@@ -25,9 +24,11 @@ from tamef.probes import make_probes, make_product_probes
 
 SPACE = SequenceSpace(BanachFiber(2), truncation_degree=8, n_max=4)
 
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
 
 # ---------------------------------------------------------------------------
-# sequence interface
+# the batch interface
 # ---------------------------------------------------------------------------
 
 def test_probe_set_is_one_readonly_block():
@@ -43,63 +44,115 @@ def test_probe_set_is_one_readonly_block():
 def test_indexing_returns_row_views():
     probes = make_probes(SPACE, 20, seed=3)
     f = probes[7]
-    assert isinstance(f, TruncatedSequence)
+    assert isinstance(f, SequenceBatch) and len(f) == 1
+    assert f.coefficients.shape == (1, 9, 2)
     assert np.shares_memory(f.coefficients, probes.coefficients)
     assert not f.coefficients.flags.writeable
-    assert np.array_equal(probes[7].coefficients, f.coefficients)
+    assert np.array_equal(f.coefficients[0], probes.coefficients[7])
+    assert np.array_equal(probes[np.int64(7)].coefficients, f.coefficients)
     assert np.array_equal(probes[-1].coefficients, probes[19].coefficients)
-    assert np.array_equal(probes[-1].coefficients, probes.coefficients[19])
-    with pytest.raises(IndexError):
-        probes[20]
+    assert np.array_equal(probes[-20].coefficients, probes[0].coefficients)
+    for bad in (20, -21):
+        with pytest.raises(IndexError):
+            probes[bad]
     rows = list(probes)
     assert len(rows) == 20
     for i, g in enumerate(rows):
-        assert np.array_equal(g.coefficients, probes.coefficients[i])
+        assert isinstance(g, SequenceBatch) and len(g) == 1
+        assert np.shares_memory(g.coefficients, probes.coefficients)
+        assert np.array_equal(g.coefficients[0], probes.coefficients[i])
     tail = probes[15:]
     assert isinstance(tail, SequenceBatch) and len(tail) == 5
     assert np.shares_memory(tail.coefficients, probes.coefficients)
+    picked = probes[np.array([3, 1])]
+    assert np.array_equal(picked.coefficients, probes.coefficients[[3, 1]])
 
 
-def test_concatenation_is_list_style():
-    a = make_probes(SPACE, 10, seed=1)
+def test_one_sequence_is_a_one_row_batch():
+    f = SPACE.basis(3, axis=1, scale=2.5)
+    assert isinstance(f, SequenceBatch) and f.coefficients.shape == (1, 9, 2)
+    assert f.coefficients[0, 3, 1] == 2.5
+    assert np.count_nonzero(f.coefficients) == 1
+    assert list(f.degree()) == [3]
+    zero = SPACE.zero()
+    assert zero.coefficients.shape == (1, 9, 2) and list(zero.degree()) == [-1]
+
+
+def test_arithmetic_acts_on_coefficients():
+    a = make_probes(SPACE, 6, seed=1)
     b = make_probes(SPACE, 6, seed=2)
-    both = a + b
-    assert isinstance(both, SequenceBatch) and len(both) == 16
-    assert np.array_equal(both.coefficients[10:], b.coefficients)
-    extra = SPACE.basis(3)
-    mixed = a + [extra]
-    assert isinstance(mixed, list) and len(mixed) == 11
-    assert mixed[-1] is extra
-    assert len([extra] + a) == 11
+    A, B = a.coefficients, b.coefficients
+    assert np.array_equal((a + b).coefficients, A + B)
+    assert np.array_equal((a - b).coefficients, A - B)
+    assert np.array_equal((-a).coefficients, -A)
+    for scaled in (a * 2.0, 2.0 * a, np.float64(2.0) * a):
+        assert isinstance(scaled, SequenceBatch)
+        assert np.array_equal(scaled.coefficients, A * 2.0)
+    rows = np.arange(1.0, 7.0)
+    assert np.array_equal((a * rows).coefficients, A * rows[:, None, None])
+    assert np.array_equal((rows * a).coefficients, A * rows[:, None, None])
+    assert np.array_equal((a[2] + b[4]).coefficients, A[2:3] + B[4:5])
+    with pytest.raises(ValueError, match="length"):
+        a + b[:5]
+    with pytest.raises(ValueError, match="fiber"):
+        a - make_probes(SequenceSpace(BanachFiber(2, norm_kind="sum"), 8, 4),
+                        6, seed=2)
+    with pytest.raises(ValueError, match="truncation"):
+        a + make_probes(SequenceSpace(BanachFiber(2), 7, 4), 6, seed=2)
+    with pytest.raises(TypeError):
+        a + [b]
+    pairs = make_product_probes((SPACE, SPACE), 5, seed=5)
+    for got, want in zip((pairs + pairs).parts, pairs.parts):
+        assert np.array_equal(got.coefficients, 2.0 * want.coefficients)
+    for got, want in zip((pairs * np.arange(5.0) - pairs).parts, pairs.parts):
+        assert np.array_equal(got.coefficients, want.coefficients
+                              * np.arange(5.0)[:, None, None]
+                              - want.coefficients)
+    with pytest.raises(TypeError):
+        pairs + pairs.parts[0]
+    with pytest.raises(ValueError, match="arity"):
+        pairs + ProductBatch(pairs.parts[:1])
 
 
 def test_lists_stack_into_the_same_batch():
     probes = make_probes(SPACE, 12, seed=4)
-    copies = [TruncatedSequence(SPACE.fiber, f.coefficients) for f in probes]
-    stacked = as_batch(copies)
-    assert np.array_equal(stacked.coefficients, probes.coefficients)
     assert as_batch(probes) is probes
+    for pieces in (list(probes), [probes[:5], probes[5:]]):
+        stacked = as_batch(pieces)
+        assert np.array_equal(stacked.coefficients, probes.coefficients)
     grading = l1_grading(4)
-    assert np.array_equal(seminorm_table(grading, copies),
+    assert np.array_equal(seminorm_table(grading, list(probes)),
                           seminorm_table(grading, probes))
     with pytest.raises(ValueError):
         as_batch([SPACE.basis(0), SequenceSpace(BanachFiber(2), 4).basis(0)])
     with pytest.raises(ValueError):
+        as_batch([SPACE.basis(0), SequenceSpace(BanachFiber(3), 8).basis(0)])
+    with pytest.raises(ValueError):
         as_batch([])
+    with pytest.raises(TypeError):
+        as_batch([probes.coefficients[0]])
+    pairs = make_product_probes((SPACE, SPACE), 4, seed=5)
+    with pytest.raises(TypeError):
+        as_batch([probes, pairs])
 
 
-def test_product_batch_yields_tuples():
+def test_product_batch_yields_one_row_batches():
     pairs = make_product_probes((SPACE, SPACE), 9, seed=5)
     assert isinstance(pairs, ProductBatch) and len(pairs) == 9
     first = pairs[0]
-    assert isinstance(first, tuple) and len(first) == 2
-    assert all(isinstance(part, TruncatedSequence) for part in first)
-    assert len(list(pairs)) == 9
-    both = pairs + pairs
-    assert isinstance(both, ProductBatch) and len(both) == 18
-    stacked = as_batch(list(pairs))
+    assert isinstance(first, ProductBatch) and len(first) == 1
+    assert len(first.parts) == 2
+    for part, whole in zip(first.parts, pairs.parts):
+        assert np.shares_memory(part.coefficients, whole.coefficients)
+        assert np.array_equal(part.coefficients, whole.coefficients[:1])
+    rows = list(pairs)
+    assert len(rows) == 9 and all(len(row) == 1 for row in rows)
+    stacked = as_batch(rows)
     for ours, theirs in zip(stacked.parts, pairs.parts):
         assert np.array_equal(ours.coefficients, theirs.coefficients)
+    zero = ProductSpace((SPACE, SPACE)).zero()
+    assert isinstance(zero, ProductBatch) and len(zero) == 1
+    assert list(zero.degree()) == [-1]
 
 
 def test_batch_degrees_match_elements():
@@ -109,14 +162,13 @@ def test_batch_degrees_match_elements():
     block[3, 0] = 0.5
     batch = SequenceBatch(BanachFiber(1), block)
     assert list(batch.degree()) == [-1, 2, 5, 0]
-    assert list(element_degree(batch)) == [f.degree() for f in batch]
+    assert list(batch.degree()) == [int(f.degree()[0]) for f in batch]
     pairs = ProductBatch((batch, batch[::-1]))
-    assert list(element_degree(pairs)) == [
-        element_degree(pair) for pair in pairs]
+    assert list(pairs.degree()) == [int(pair.degree()[0]) for pair in pairs]
 
 
 # ---------------------------------------------------------------------------
-# batched and scalar seminorms agree bit for bit
+# every row alone gets its row of the batch, bit for bit
 # ---------------------------------------------------------------------------
 
 FIBERS = st.builds(BanachFiber,
@@ -138,22 +190,28 @@ def batches(draw, fiber=None, count=None, truncation=None):
     return SequenceBatch(fiber, block)
 
 
-def same_bits(batched, scalars):
-    return np.asarray(batched).tobytes() == np.array(scalars).tobytes()
+def alone(batch, i):
+    """Row i as a batch of its own, over a copy of its coefficients."""
+    if isinstance(batch, ProductBatch):
+        return ProductBatch(alone(part, i) for part in batch.parts)
+    return SequenceBatch(batch.fiber, batch.coefficients[i:i + 1].copy())
 
 
-@settings(max_examples=150, deadline=None)
+def same_bits(whole, rows):
+    return np.asarray(whole).tobytes() == np.concatenate(rows).tobytes()
+
+
+@settings(PROPERTY, max_examples=150)
 @given(batch=batches(), level=st.integers(0, 6))
 def test_batched_seminorms_match_scalar_bitwise(batch, level):
     level = min(level, 256 // max(batch.truncation_degree, 1))
-    copies = [TruncatedSequence(batch.fiber, f.coefficients) for f in batch]
     for seminorm in (seminorm_l1, seminorm_linf):
-        scalars = [seminorm(f, level) for f in copies]
-        assert all(isinstance(x, float) for x in scalars)
-        assert same_bits(seminorm(batch, level), scalars)
+        rows = [seminorm(alone(batch, i), level) for i in range(len(batch))]
+        assert all(row.shape == (1,) for row in rows)
+        assert same_bits(seminorm(batch, level), rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(PROPERTY, max_examples=60)
 @given(data=st.data(), count=st.integers(1, 5), K=st.integers(0, 10),
        kinds=st.tuples(st.sampled_from(("l1", "linf")),
                        st.sampled_from(("l1", "linf"))))
@@ -166,6 +224,6 @@ def test_product_seminorms_match_scalar_bitwise(data, count, K, kinds):
                          for fiber in fibers)
     table = product.seminorm_table(pairs)
     for n in range(5):
-        scalars = [product.seminorm(pair, n) for pair in pairs]
-        assert same_bits(product.seminorm(pairs, n), scalars)
-        assert same_bits(table[n], scalars)
+        rows = [product.seminorm(alone(pairs, i), n) for i in range(count)]
+        assert same_bits(product.seminorm(pairs, n), rows)
+        assert same_bits(table[n], rows)

@@ -16,9 +16,9 @@ from tamef.graded import (
     BanachFiber,
     Grading,
     GradingViolation,
+    SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
-    TruncatedSequence,
     certify_grading_equivalence,
     custom_grading,
     inner_product,
@@ -40,8 +40,8 @@ L1_OVER_LINF_SHIFT1 = 1.5819767068693265
 
 
 def geometric_sequence(rate, K, fiber=R1):
-    block = np.exp(-rate * np.arange(K + 1.0)).reshape(-1, 1)
-    return TruncatedSequence(fiber, block)
+    block = np.exp(-rate * np.arange(K + 1.0)).reshape(1, -1, 1)
+    return SequenceBatch(fiber, block)
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +50,21 @@ def geometric_sequence(rate, K, fiber=R1):
 
 def test_l1_geometric_sum_matches_closed_form():
     f = geometric_sequence(2.0, 64)
-    assert seminorm_l1(f, 0) == pytest.approx(GEOMETRIC_SUM_2, abs=1e-12)
+    assert seminorm_l1(f, 0)[0] == pytest.approx(GEOMETRIC_SUM_2, abs=1e-12)
 
 
 def test_linf_geometric_peak_at_origin():
     f = geometric_sequence(2.0, 64)
-    assert seminorm_linf(f, 0) == 1.0
+    assert seminorm_linf(f, 0)[0] == 1.0
 
 
 def test_monomial_seminorm_is_exact_weight():
     space = SequenceSpace(R1, truncation_degree=16, n_max=8)
     f = space.basis(3)
     # single nonzero coefficient: both flavours give e^{n*3} exactly
-    assert seminorm_l1(f, 2) == 403.4287934927351
-    assert seminorm_linf(f, 2) == 403.4287934927351
-    assert seminorm_l1(f, 2) == math.exp(6.0)
+    assert seminorm_l1(f, 2)[0] == 403.4287934927351
+    assert seminorm_linf(f, 2)[0] == 403.4287934927351
+    assert seminorm_l1(f, 2)[0] == math.exp(6.0)
 
 
 def test_seminorm_monotone_in_level():
@@ -97,9 +97,9 @@ def test_seminorm_homogeneity_and_triangle():
 def test_zero_sequence_has_zero_seminorms():
     space = SequenceSpace(R1, truncation_degree=8, n_max=8)
     z = space.zero()
-    assert seminorm_l1(z, 5) == 0.0
-    assert seminorm_linf(z, 5) == 0.0
-    assert z.is_zero() and z.degree() == -1
+    assert seminorm_l1(z, 5)[0] == 0.0
+    assert seminorm_linf(z, 5)[0] == 0.0
+    assert z.degree()[0] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_table_matches_scalar_path_bitwise():
         table = seminorm_table(grading, probes)
         for n in range(7):
             for i, f in enumerate(probes):
-                assert table[n, i] == grading.seminorm(f, n)
+                assert table[n, i] == grading.seminorm(f, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +126,22 @@ def test_inner_product_monomial_weights():
     space = SequenceSpace(R1, truncation_degree=16, n_max=6)
     e3 = space.basis(3)
     e5 = space.basis(5)
-    assert inner_product(e3, e3, level=1) == math.exp(6.0)
-    assert inner_product(e3, e5, level=1) == 0.0
-    assert metric_norm(e3, level=1) == pytest.approx(math.exp(3.0), rel=1e-15)
+    assert inner_product(e3, e3, level=1)[0] == math.exp(6.0)
+    assert inner_product(e3, e5, level=1)[0] == 0.0
+    assert metric_norm(e3, level=1)[0] == pytest.approx(math.exp(3.0),
+                                                        rel=1e-15)
 
 
 def test_inner_product_rejects_complex_fiber():
     fiber = BanachFiber(1, scalar_field="complex")
-    f = TruncatedSequence(fiber, np.ones((4, 1), dtype=np.complex128))
+    f = SequenceBatch(fiber, np.ones((1, 4, 1), dtype=np.complex128))
     with pytest.raises(UnsupportedGradingError):
         inner_product(f, f)
 
 
 def test_inner_product_rejects_sup_fiber():
     fiber = BanachFiber(2, norm_kind="supremum")
-    f = TruncatedSequence(fiber, np.ones((4, 2)))
+    f = SequenceBatch(fiber, np.ones((1, 4, 2)))
     with pytest.raises(UnsupportedGradingError):
         inner_product(f, f)
 
@@ -167,21 +168,23 @@ def test_level_out_of_range():
 
 
 def test_sequence_shape_checks():
-    with pytest.raises(ValueError):
-        TruncatedSequence(BanachFiber(2), np.ones(5))
+    # a batch takes a (P, K+1, d) block only, one sequence included
+    for shape in ((1, 5, 1), (5, 2), (5,), (1, 0, 2)):
+        with pytest.raises(ValueError):
+            SequenceBatch(BanachFiber(2), np.ones(shape))
     with pytest.raises(IndexError):
-        TruncatedSequence.basis(R1, 8, 9)
-    f = TruncatedSequence(R1, np.ones((5, 1)))
+        SequenceSpace(R1, truncation_degree=8).basis(9)
+    f = SequenceBatch(R1, np.ones((1, 5, 1)))
     with pytest.raises(IndexError):
-        f.coefficient(5)
+        f[1]
     with pytest.raises(ValueError):
-        f + TruncatedSequence(R1, np.ones((6, 1)))
+        f + SequenceBatch(R1, np.ones((1, 6, 1)))
 
 
 def test_coefficients_are_readonly():
-    f = TruncatedSequence(R1, np.ones((5, 1)))
+    f = SequenceBatch(R1, np.ones((1, 5, 1)))
     with pytest.raises(ValueError):
-        f.coefficients[0, 0] = 2.0
+        f.coefficients[0, 0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +216,11 @@ def test_validate_grading_lists_violations_like_a_scalar_loop():
     space = SequenceSpace(R1, truncation_degree=8, n_max=4)
     probes = make_probes(space, 30, seed=5)
     expected = [
-        GradingViolation(i, n, uneven.seminorm(f, n), uneven.seminorm(f, n + 1))
+        GradingViolation(i, n, uneven.seminorm(f, n)[0],
+                         uneven.seminorm(f, n + 1)[0])
         for i, f in enumerate(probes) for n in range(4)
-        if not within_upper(uneven.seminorm(f, n), uneven.seminorm(f, n + 1))]
+        if not within_upper(uneven.seminorm(f, n)[0],
+                            uneven.seminorm(f, n + 1)[0])]
     report = validate_grading(uneven, probes)
     assert 0 < len(report.violations) < 2 * len(probes)
     assert list(report.violations) == expected
@@ -273,8 +278,8 @@ def test_certificate_violations_match_scalar_recheck():
     expected = []
     for n in cert.levels:
         for i, f in enumerate(probes):
-            lhs = g_num.seminorm(f, n)
-            bound = cert.C[n] * g_den.seminorm(f, n + cert.r)
+            lhs = g_num.seminorm(f, n)[0]
+            bound = cert.C[n] * g_den.seminorm(f, n + cert.r)[0]
             if not within_upper(lhs, bound):
                 expected.append((i, n, lhs, bound))
     got = validate_equivalence_certificate(cert, g_num, g_den, probes)
@@ -326,16 +331,18 @@ def test_certificate_field_checks():
 def test_sequence_json_round_trip_real():
     space = SequenceSpace(BanachFiber(2), truncation_degree=6, n_max=4)
     f = make_probes(space, 12, seed=21)[11]
-    g = TruncatedSequence.from_json(f.to_json())
+    g = SequenceBatch.from_json(f.to_json())
     assert np.array_equal(f.coefficients, g.coefficients)
     assert g.fiber == f.fiber
+    with pytest.raises(ValueError):
+        make_probes(space, 12, seed=21)[10:].to_json()
 
 
 def test_sequence_json_round_trip_complex():
     fiber = BanachFiber(2, scalar_field="complex")
     block = np.arange(8.0).reshape(4, 2) + 1j * np.arange(8.0, 16.0).reshape(4, 2)
-    f = TruncatedSequence(fiber, block)
-    g = TruncatedSequence.from_json(f.to_json())
+    f = SequenceBatch(fiber, block[None])
+    g = SequenceBatch.from_json(f.to_json())
     assert np.array_equal(f.coefficients, g.coefficients)
 
 
@@ -356,7 +363,7 @@ def test_probes_deterministic():
 
 def test_probes_cover_both_degree_buckets():
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
-    degrees = [f.degree() for f in make_probes(space, 40, seed=6)]
+    degrees = [f.degree()[0] for f in make_probes(space, 40, seed=6)]
     assert any(d > 16 for d in degrees)
     assert any(0 <= d <= 8 for d in degrees)
     assert len(degrees) == 40

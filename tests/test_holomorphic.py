@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tamef.errors import AliasingError
-from tamef.graded import BanachFiber, SequenceSpace, TruncatedSequence, seminorm_linf
+from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, seminorm_linf
 from tamef.holomorphic import (
     DiskSpec,
     as_real,
@@ -33,9 +33,14 @@ C1 = BanachFiber(1, scalar_field="complex")
 E = 2.718281828459045
 
 
+def seq(fiber, rows):
+    """The one sequence with the given (K+1, d) coefficient rows."""
+    return SequenceBatch(fiber, np.asarray(rows)[None])
+
+
 def exp_series(K=32):
     block = np.array([1.0 / math.factorial(k) for k in range(K + 1)]).reshape(-1, 1)
-    return TruncatedSequence(R1, block)
+    return seq(R1, block)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +48,7 @@ def exp_series(K=32):
 # ---------------------------------------------------------------------------
 
 def test_eval_constant_series():
-    f = TruncatedSequence(BanachFiber(2), np.array([[3.0, -4.0]] + [[0.0, 0.0]] * 5))
+    f = seq(BanachFiber(2), np.array([[3.0, -4.0]] + [[0.0, 0.0]] * 5))
     v = eval_series(f, 0.7 - 0.2j)
     assert v[0] == 3.0 and v[1] == -4.0
 
@@ -53,12 +58,12 @@ def test_eval_truncated_exponential_at_one():
 
 
 def test_eval_identity_series():
-    f = TruncatedSequence(R1, np.array([[0.0], [1.0], [0.0], [0.0]]))
+    f = seq(R1, np.array([[0.0], [1.0], [0.0], [0.0]]))
     assert eval_series(f, 2 + 1j)[0] == 2 + 1j
 
 
 def test_eval_overflow_guard():
-    f = TruncatedSequence(R1, np.ones((33, 1)))
+    f = seq(R1, np.ones((33, 1)))
     with pytest.raises(ValueError):
         eval_series(f, math.exp(9.0))  # 32 * 9 > 256
     eval_series(f, math.exp(8.0))  # 32 * 8 = 256 still allowed
@@ -77,7 +82,7 @@ def test_eval_vectorized_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def test_sup_norm_constant():
-    f = TruncatedSequence(R1, np.array([[5.0], [0.0], [0.0]]))
+    f = seq(R1, np.array([[5.0], [0.0], [0.0]]))
     assert sup_norm_disk(f, DiskSpec(0, 64)) == pytest.approx(5.0, rel=1e-14)
 
 
@@ -87,7 +92,7 @@ def test_sup_norm_exponential_unit_circle():
 
 
 def test_sup_norm_identity_radius_e():
-    f = TruncatedSequence(R1, np.array([[0.0], [1.0], [0.0]]))
+    f = seq(R1, np.array([[0.0], [1.0], [0.0]]))
     assert sup_norm_disk(f, DiskSpec(1, 64)) == pytest.approx(math.e, rel=1e-13)
 
 
@@ -117,14 +122,14 @@ def test_recover_constant():
     f = coefficients_from_boundary(values, disk.radius, 6, R1)
     expect = np.zeros(7)
     expect[0] = 3.0
-    assert np.allclose(f.coefficients[:, 0], expect, atol=1e-13)
+    assert np.allclose(f.coefficients[0, :, 0], expect, atol=1e-13)
 
 
 def test_recover_square_from_exact_samples():
     # direct quadrature of f(z) = z^2 on the unit circle with 16 nodes
     z = np.exp(2j * np.pi * np.arange(16) / 16)
     f = coefficients_from_boundary((z ** 2).reshape(-1, 1), 1.0, 4, R1)
-    assert np.allclose(f.coefficients[:, 0], [0, 0, 1, 0, 0], atol=1e-12)
+    assert np.allclose(f.coefficients[0, :, 0], [0, 0, 1, 0, 0], atol=1e-12)
 
 
 def test_recovery_aliasing_guard():
@@ -139,19 +144,18 @@ def test_round_trip_decaying_polynomial_deg16():
     rng = rng_from_seed(100)
     for _ in range(20):
         u = rng.uniform(-1.0, 1.0, size=17) * np.exp(-0.5 * np.arange(17))
-        f = TruncatedSequence(R1, u.reshape(-1, 1))
+        f = seq(R1, u.reshape(-1, 1))
         disk = DiskSpec(1, 64)
         rec = coefficients_from_boundary(
             boundary_values(f, disk), disk.radius, 16, R1)
-        assert np.max(np.abs(rec.coefficients[:, 0] - u)) <= 1e-10
+        assert np.max(np.abs(rec.coefficients[0, :, 0] - u)) <= 1e-10
 
 
 def test_round_trip_weighted_relative_error_any_sequence():
     # flat and random profiles both stay within 1e-8 measured in the
     # level-1 weighted seminorm, K = 32 and M = 4K
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
-    probes = (make_probes(space, 30, seed=55)
-              + [TruncatedSequence(R1, np.ones((33, 1)))])
+    probes = list(make_probes(space, 30, seed=55)) + [seq(R1, np.ones((33, 1)))]
     for f in probes:
         report = round_trip_report(f, DiskSpec(1, 128))
         assert report.weighted_relative_error <= 1e-8
@@ -162,7 +166,7 @@ def test_round_trip_weighted_relative_error_any_sequence():
 # ---------------------------------------------------------------------------
 
 def test_cauchy_bound_constant_equality():
-    f = TruncatedSequence(R1, np.array([[2.5], [0.0]]))
+    f = seq(R1, np.array([[2.5], [0.0]]))
     report = verify_cauchy_bound(f, 0)
     assert report.ok
     assert report.weighted_coefficient_sup == 2.5
@@ -179,7 +183,7 @@ def test_cauchy_bound_exponential_slack():
 
 def test_cauchy_bound_top_monomial_tight():
     K = 32
-    f = TruncatedSequence(R1, np.eye(K + 1)[:, K:])
+    f = seq(R1, np.eye(K + 1)[:, K:])
     report = verify_cauchy_bound(f, 1, samples=256)
     assert report.ok
     assert report.weighted_coefficient_sup == pytest.approx(math.exp(K), rel=1e-15)
@@ -200,7 +204,7 @@ def test_cauchy_bound_holds_for_probes_all_levels():
 def test_cauchy_report_ok_is_a_python_bool():
     # z^8 aliases onto 1 on an 8-point grid, so 1 - z^8 reads zero there
     # and the sampled bound fails; either verdict serializes as a JSON bool
-    aliased = TruncatedSequence(R1, np.array([[1.0]] + [[0.0]] * 7 + [[-1.0]]))
+    aliased = seq(R1, np.array([[1.0]] + [[0.0]] * 7 + [[-1.0]]))
     for f, samples, ok in ((exp_series(), 256, True), (aliased, 8, False)):
         report = verify_cauchy_bound(f, 0, samples=samples)
         assert report.ok is ok
@@ -220,13 +224,13 @@ def test_real_form_real_sequence():
 
 
 def test_real_form_constant_i():
-    f = TruncatedSequence(C1, np.array([[1j], [0j], [0j]]))
+    f = seq(C1, np.array([[1j], [0j], [0j]]))
     assert not check_real_form(f)
     assert conjugation_symmetry_defect(f, count=8, seed=2) == pytest.approx(2.0)
 
 
 def test_real_form_linear_i():
-    f = TruncatedSequence(C1, np.array([[1.0 + 0j], [1j], [0j]]))
+    f = seq(C1, np.array([[1.0 + 0j], [1j], [0j]]))
     assert not check_real_form(f)
     # conj(f(1)) = 1 - i while f(1) = 1 + i
     v = eval_series(f, 1.0)[0]
@@ -239,7 +243,7 @@ def test_as_real_round_trip_and_guard():
     f = make_probes(space, 3, seed=9)[2]
     g = as_real(complexify(f))
     assert np.array_equal(g.coefficients, f.coefficients)
-    bad = TruncatedSequence(C1, np.array([[1.0 + 0.5j], [0j]]))
+    bad = seq(C1, np.array([[1.0 + 0.5j], [0j]]))
     with pytest.raises(ValueError):
         as_real(bad)
 
@@ -247,4 +251,17 @@ def test_as_real_round_trip_and_guard():
 def test_weighted_sup_is_linf_seminorm():
     f = exp_series(8)
     assert verify_cauchy_bound(f, 2, samples=64).weighted_coefficient_sup == \
-        seminorm_linf(f, 2)
+        seminorm_linf(f, 2)[0]
+
+
+def test_one_series_functions_reject_a_batch_of_several():
+    space = SequenceSpace(R1, truncation_degree=8, n_max=4)
+    probes = make_probes(space, 3, seed=9)
+    for call in (lambda f: eval_series(f, 0.5),
+                 lambda f: sup_norm_disk(f, DiskSpec(0, 64)),
+                 lambda f: round_trip_report(f, DiskSpec(0, 64)),
+                 lambda f: verify_cauchy_bound(f, 0),
+                 check_real_form, conjugation_symmetry_defect):
+        call(probes[1])
+        with pytest.raises(ValueError, match="one sequence"):
+            call(probes)

@@ -19,8 +19,9 @@ from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             polynomial_constraint, solve_implicit,
                             sphere_constraint, sphere_intersection_constraint,
                             split_at, unflatten)
+from tamef.manifold import make_sphere
 from tamef.maps import TameMapDescriptor, certify_tame
-from tamef.probes import make_probes
+from tamef.probes import make_probes, rng_from_seed
 
 R1 = BanachFiber(1)
 SPACE16 = SequenceSpace(R1, truncation_degree=16, n_max=4)
@@ -101,7 +102,7 @@ def test_flatten_round_trip():
 def test_level_weights_match_seminorm():
     f = SPACE16.basis(5, scale=3.0)
     w = level_weights(SPACE16, 2)
-    assert float(np.sum(w * np.abs(flatten(f)))) == seminorm_l1(f, 2)
+    assert float(np.sum(w * np.abs(flatten(f)))) == seminorm_l1(f, 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_split_coordinates_round_trip():
     c = sphere_constraint(SPACE16)
     ps = split_at(c, SPACE16.basis(0))
     q = SPACE16.basis(0, scale=0.3) + SPACE16.basis(4, scale=-1.2)
-    x, y = ps.coords_of(q)
+    (x,), (y,) = ps.coords_of(q)
     back = ps.point_of(x, y)
     assert np.allclose(back.coefficients, q.coefficients, atol=1e-12)
 
@@ -413,7 +414,7 @@ def test_split_sphere_dphi_doubles_along_gradient():
     # at the base point the complement coordinate is 1; d/dy <q,q> = 2y
     c = sphere_constraint(SPACE16)
     ps = split_at(c, SPACE16.basis(0))
-    x, y = ps.coords_of(SPACE16.basis(0))
+    (x,), (y,) = ps.coords_of(SPACE16.basis(0))
     assert np.linalg.norm(x) <= 1e-12
     assert y == pytest.approx([1.0], abs=1e-12)
     h1 = np.zeros(ps.split.x_dim)
@@ -428,7 +429,7 @@ def test_dphi_vphi_identity_on_random_cotangents():
     raw = SPACE16.basis(0) + SPACE16.basis(1, scale=0.3) \
         + SPACE16.basis(2, scale=0.1)
     q = raw * (1.0 / seminorm_l1(raw, 0) ** 0.5)  # not unit; still regular
-    x, y = ps.coords_of(q)
+    (x,), (y,) = ps.coords_of(q)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     for _ in range(64):
         k1 = rng.normal(size=ps.split.x_dim)
@@ -474,6 +475,43 @@ def test_split_projections_are_tame(level):
     assert np.allclose(total, probes.coefficients, rtol=0.0, atol=1e-9)
 
 
+def chart_inverse_descriptor(chart, level, count=400, seed=11):
+    """h -> the chart inverse at the kernel coordinates of h, as a nonlinear
+    map of the ambient space, with its probes: count embedded offsets
+    inside 0.9 of the chart radius.  The region is the ball of the largest
+    level seminorm among the probes."""
+    space = chart.constraint.space
+    rng = rng_from_seed(seed)
+    u = rng.normal(size=(count, chart.kernel_dimension))
+    u *= (0.9 * chart.validity_radius * rng.uniform(0.0, 1.0, size=count)
+          / np.linalg.norm(u, axis=1))[:, None]
+    probes = chart.embed(u)
+
+    def inverse(h):
+        flats, converged, _ = chart.inverse_lanes(
+            chart.split_data.kernel_coords(flatten(h)))
+        assert converged.all()
+        return SequenceBatch(space.fiber, flats.reshape(h.coefficients.shape))
+
+    radius = float(np.max(space.seminorm(probes, level)))
+    desc = TameMapDescriptor("chart-inverse", space, space, inverse,
+                             linearity="nonlinear", region_radius=radius,
+                             region_level=level)
+    return desc, probes
+
+
+@pytest.mark.parametrize("level, K", [(0, 16), (1, 8), (2, 6)])
+def test_chart_inverse_is_tame_on_its_validity_ball(level, K):
+    # the chart inverse x -> (x, y(x)) loses no derivatives on the ball
+    # where it is certified: |inverse(h)|_n <= C(n) (1 + |h|_n)
+    space = SequenceSpace(R1, truncation_degree=K, n_max=4)
+    chart = make_sphere(space, level, seed=3).charts[0]
+    desc, probes = chart_inverse_descriptor(chart, level)
+    outcome = certify_tame(desc, probes, r_max=2)
+    assert outcome.ok
+    assert outcome.certificate.r == 0
+
+
 def test_split_rejects_non_regular_report():
     c = sphere_constraint(SPACE16)
     report = is_regular_point(c, SPACE16.zero())
@@ -492,7 +530,7 @@ def test_sphere_chart_round_trip():
     x[0], x[2] = 0.3, -0.2
     q = chart.inverse(x)
     assert c.value(q)[0] == pytest.approx(0.0, abs=1e-10)
-    x_back, values = chart.forward(q)
+    (x_back,), values = chart.forward(q)
     assert x_back == pytest.approx(x, abs=1e-10)
     assert np.linalg.norm(values) <= 1e-10
 
@@ -528,7 +566,7 @@ def test_linear_chart_is_global():
     x = np.zeros(SPACE8.flat_dimension - 1)
     x[1] = 100.0
     q = chart.inverse(x, values=np.array([1.0]))
-    x_back, values = chart.forward(q)
+    (x_back,), (values,) = chart.forward(q)
     assert x_back == pytest.approx(x, abs=1e-9)
     assert values == pytest.approx([1.0], abs=1e-12)
 
@@ -571,7 +609,7 @@ def test_sphere_minus_one_fiber_is_critical():
     report = is_regular_value(c, [-1.0], [SPACE16.zero()])
     assert report.verdict is False
     assert len(report.points) == 1
-    assert report.points[0].is_zero
+    assert list(report.points[0].degree()) == [-1]
 
 
 def test_empty_evidence_gives_no_verdict():
@@ -615,7 +653,7 @@ def test_registry_sphere_intersection():
     assert c.target_dim == 2
     assert c.level == 1  # splitting metric follows the strongest level
     p = SPACE16.basis(0)
-    assert c.value(p) == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert c.value(p)[0] == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_registry_rejects_decreasing_levels():
@@ -666,7 +704,7 @@ def test_fd_jacobian_used_when_not_supplied():
     c = ConstraintMap("cubic", SPACE8, 1, phi)
     assert c.jacobian_mode == "finite_difference"
     f = SPACE8.basis(0, scale=2.0)
-    J = c.jacobians(flatten(f)[None])[0]
+    J = c.jacobians(flatten(f))[0]
     assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
     assert J[0, 1] == pytest.approx(-1.0, rel=1e-6)
     # FD path feeds the regular point test too

@@ -162,7 +162,7 @@ def split_case(name):
         c = polynomial_constraint(space, [[
             [1.0, [0, 0]], [1.0, [1, 1]], [0.5, [0, 1, 2]], [-1.0, []]]])
     ps = PointSplit(c, is_regular_point(c, base))
-    x, y = ps.coords_of(base)
+    (x,), (y,) = ps.coords_of(base)
     return ps.split, x, y
 
 
@@ -283,8 +283,8 @@ def test_chart_inverse_lanes_equal_single_inverses(make):
             assert str(errors[row]) == str(err), row
             continue
         assert converged[row] and errors[row] is None, row
-        assert np.array_equal(flats[row], flatten(q)), row
-        assert np.array_equal(chart.offsets_lanes(flats[row:row + 1])[0],
+        assert np.array_equal(flats[row], flatten(q)[0]), row
+        assert np.array_equal(chart.offsets_lanes(flats[row:row + 1]),
                               chart.offsets(q)), row
 
 
@@ -350,7 +350,7 @@ def test_overlap_sample_matches_one_point_at_a_time(level, count):
     want = reference_sample_overlap(a, b, count, seed=9)
     assert got.shape == (len(want), a.constraint.flat_dimension)
     for p, q in zip(got, want):
-        assert np.array_equal(p, flatten(q))
+        assert np.array_equal(p, flatten(q)[0])
 
 
 def test_overlap_sample_keeps_draw_order_past_rejections():
@@ -363,4 +363,5 @@ def test_overlap_sample_keeps_draw_order_past_rejections():
     got = _sample_overlap(a, narrow, 12, seed=1)
     want = reference_sample_overlap(a, narrow, 12, seed=1)
     assert 0 < len(want)
-    assert [p.tobytes() for p in got] == [flatten(q).tobytes() for q in want]
+    assert [p.tobytes() for p in got] == [flatten(q)[0].tobytes()
+                                          for q in want]

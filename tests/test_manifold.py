@@ -1,5 +1,7 @@
 """Sphere atlases, transition verification, and maps into submanifolds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from tamef.errors import (ConstructionError, NotIntoSubmanifoldError,
 from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, inner_product
 from tamef.implicit import linear_constraint, sphere_constraint
 from tamef.manifold import (IntoSubmanifoldReport, Submanifold,
-                            TransitionReport, certify_map_into_submanifold,
+                            TransitionReport, _sample_overlap,
+                            _worst_round_trip, certify_map_into_submanifold,
                             chart_restriction, make_sphere,
                             make_sphere_intersection,
                             normalization_descriptor, transitions_csv_rows,
@@ -37,8 +40,8 @@ def test_sphere_has_two_polar_charts(sphere0):
     assert sphere0.codimension == 1
     north = sphere0.charts[0].base_point
     south = sphere0.charts[1].base_point
-    assert north.coefficients[0, 0] == 1.0
-    assert south.coefficients[0, 0] == -1.0
+    assert north.coefficients[0, 0, 0] == 1.0
+    assert south.coefficients[0, 0, 0] == -1.0
     for chart in sphere0.charts:
         assert sphere0.residual(chart.base_point) <= 1e-10
 
@@ -169,6 +172,19 @@ def test_affine_two_chart_transition_is_tame():
     assert all(cert.constant(n) <= 3.0 for n in cert.levels)
 
 
+def test_non_finite_round_trip_error_is_infinite():
+    manifold = make_sphere(SequenceSpace(R1, truncation_degree=6, n_max=3),
+                           0, seed=0)
+    a, b = manifold.charts
+    overlap = _sample_overlap(a, b, 5, seed=1)
+    x_a = a.offsets_lanes(overlap)
+    assert _worst_round_trip(a, b, overlap, x_a) <= 1e-8
+    # a NaN overlap point gives a NaN error on that row; the worst error
+    # must not skip it
+    overlap[2] = math.nan
+    assert _worst_round_trip(a, b, overlap, x_a) == math.inf
+
+
 def test_transitions_csv_rows(sphere0):
     reports = verify_transitions(sphere0, seed=9)
     rows = transitions_csv_rows(reports)
@@ -200,6 +216,27 @@ def test_normalization_maps_into_sphere(sphere0):
     assert report.chart_certificates[0] is not None
 
 
+def test_nan_image_residual_raises():
+    space = SequenceSpace(R1, truncation_degree=6, n_max=3)
+    manifold = make_sphere(space, 0, seed=0)
+    normalize = normalization_descriptor(space, region_radius=5.0)
+
+    def with_nan_row(t):
+        block = normalize(t).coefficients.copy()
+        block[3] = math.nan
+        return SequenceBatch(t.fiber, block)
+
+    desc = TameMapDescriptor("normalize-nan", space, space, with_nan_row,
+                             linearity="nonlinear", region_radius=5.0)
+    probes = make_probes(space, 40, seed=0, region_radius=2.0,
+                         center=space.basis(0, scale=3.0))
+    report = certify_map_into_submanifold(normalize, manifold, probes)
+    assert report.max_image_residual <= 1e-12
+    with pytest.raises(NotIntoSubmanifoldError) as err:
+        certify_map_into_submanifold(desc, manifold, probes)
+    assert math.isnan(err.value.residual)
+
+
 def test_chart_restrictions_validate_on_their_probes(sphere0):
     desc = normalization_descriptor(SPACE, region_radius=1.5)
     probes = normalize_probes()
@@ -217,7 +254,7 @@ def test_chart_restrictions_validate_on_their_probes(sphere0):
 def constant(value):
     """A batch evaluator with every image equal to value."""
     return lambda t: SequenceBatch(value.fiber, np.repeat(
-        value.coefficients[None], len(t), axis=0))
+        value.coefficients, len(t), axis=0))
 
 
 def test_constant_map_into_sphere(sphere0):

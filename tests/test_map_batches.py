@@ -1,9 +1,10 @@
 """Batch evaluation of maps against evaluation one element at a time.
 
 The references below are the per-element evaluators that tamef ran before
-its maps took batches, frozen here unchanged: the registry maps, descriptor
-validation, the map tables, the atlas transition, the chart restriction and
-the normalization onto the unit sphere.  Every row of a batch evaluation
+its maps took batches, frozen here with each element held as a one-row
+batch: the registry maps, descriptor validation, the map tables, the atlas
+transition, the chart restriction and the normalization onto the unit
+sphere.  Every row of a batch evaluation
 must hold exactly the floats its element gives alone, every failing batch
 must raise what its first failing row raises alone, and every check built on
 the images must report what the per-element check reported.
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 from tamef.errors import (NonConvergenceError, NotIntoSubmanifoldError,
                           SingularBlockError)
 from tamef.graded import (BanachFiber, ProductBatch, ProductSpace,
-                          SequenceBatch, SequenceSpace, TruncatedSequence,
-                          _weights, inner_product)
+                          SequenceBatch, SequenceSpace, _weights, as_batch,
+                          inner_product)
 from tamef.implicit import CHART_LANES, build_chart, unflatten
 from tamef.manifold import (DEFAULT_IMAGE_RESIDUAL_TOL,
                             IntoSubmanifoldReport, _sample_overlap,
@@ -52,14 +53,14 @@ def identical(a, b):
 
 def reference_shift_up(f):
     block = np.zeros_like(f.coefficients)
-    block[1:] = f.coefficients[:-1]
-    return TruncatedSequence(f.fiber, block)
+    block[:, 1:] = f.coefficients[:, :-1]
+    return SequenceBatch(f.fiber, block)
 
 
 def reference_shift_down(f):
     block = np.zeros_like(f.coefficients)
-    block[:-1] = f.coefficients[1:]
-    return TruncatedSequence(f.fiber, block)
+    block[:, :-1] = f.coefficients[:, 1:]
+    return SequenceBatch(f.fiber, block)
 
 
 def reference_derivative(space):
@@ -68,13 +69,13 @@ def reference_derivative(space):
 
     def run(f):
         block = np.zeros_like(f.coefficients)
-        block[:-1] = factors * f.coefficients[1:]
-        return TruncatedSequence(f.fiber, block)
+        block[:, :-1] = factors * f.coefficients[:, 1:]
+        return SequenceBatch(f.fiber, block)
     return run
 
 
 def reference_coeff_square(f):
-    return TruncatedSequence(f.fiber, f.coefficients * f.coefficients)
+    return SequenceBatch(f.fiber, f.coefficients * f.coefficients)
 
 
 def reference_map(name, space):
@@ -97,23 +98,20 @@ def reference_map(name, space):
     if head == "projection":
         index = int(rest)
         return (ProductSpace((space, space)), space,
-                lambda t: t[index - 1], True)
+                lambda t: t.parts[index - 1], True)
     first, second = rest.split(",")
     _, cod_a, run_a, lin_a = reference_map(first, space)
     _, cod_b, run_b, lin_b = reference_map(second, space)
     if head == "product":
         return (space, ProductSpace((cod_a, cod_b)),
-                lambda f: (run_a(f), run_b(f)), lin_a and lin_b)
+                lambda f: ProductBatch((run_a(f), run_b(f))),
+                lin_a and lin_b)
     return space, cod_a, lambda f: run_a(run_b(f)), lin_a and lin_b
 
 
 def reference_images(run, codomain, probes):
     """The per-element images stacked into one block per factor."""
-    images = [run(f) for f in probes]
-    if isinstance(codomain, ProductSpace):
-        return [np.stack([image[j].coefficients for image in images])
-                for j in range(len(codomain.factors))]
-    return [np.stack([image.coefficients for image in images])]
+    return image_blocks(as_batch([run(f) for f in probes]))
 
 
 def image_blocks(batch):
@@ -127,22 +125,6 @@ def as_image_batch(codomain, blocks):
     parts = [SequenceBatch(s.fiber, b) for s, b in zip(spaces, blocks)]
     return ProductBatch(parts) if isinstance(codomain, ProductSpace) \
         else parts[0]
-
-
-def _scale(x, c):
-    if isinstance(x, TruncatedSequence):
-        return x * c
-    return tuple(part * c for part in x)
-
-
-def _add(x, y):
-    if isinstance(x, TruncatedSequence):
-        return x + y
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _sub(x, y):
-    return _add(x, _scale(y, -1.0))
 
 
 def reference_validate(domain, codomain, run, linear, probes):
@@ -160,17 +142,17 @@ def reference_validate(domain, codomain, run, linear, probes):
         n = codomain.n_max
         for i in range(min(len(probes) - 1, 8)):
             f, g = probes[i], probes[i + 1]
-            left = run(_add(f, g))
-            right = _add(outputs[i], outputs[i + 1])
-            gap = codomain.seminorm(_sub(left, right), n)
-            scale = 1.0 + codomain.seminorm(right, n)
+            left = run(f + g)
+            right = outputs[i] + outputs[i + 1]
+            gap = codomain.seminorm(left + right * -1.0, n)[0]
+            scale = 1.0 + codomain.seminorm(right, n)[0]
             if gap > LINEARITY_TOL * scale:
                 defects.append(
                     f"additivity defect {gap:.3g} at probe pair ({i},{i + 1})")
-            left2 = run(_scale(f, 2.0))
-            gap2 = codomain.seminorm(_sub(left2, _scale(outputs[i], 2.0)), n)
+            left2 = run(f * 2.0)
+            gap2 = codomain.seminorm(left2 + outputs[i] * 2.0 * -1.0, n)[0]
             if gap2 > LINEARITY_TOL * (
-                    1.0 + 2.0 * codomain.seminorm(outputs[i], n)):
+                    1.0 + 2.0 * codomain.seminorm(outputs[i], n)[0]):
                 defects.append(f"homogeneity defect {gap2:.3g} at probe {i}")
     return defects
 
@@ -250,9 +232,9 @@ def test_descriptor_rejects_images_outside_the_codomain():
     short = TameMapDescriptor("short", SPACE, SPACE, lambda t: t[:2])
     with pytest.raises(ValueError, match="of 3 rows"):
         short(probes)
-    row = TameMapDescriptor("row", SPACE, SPACE, lambda t: t[0])
+    block = TameMapDescriptor("block", SPACE, SPACE, lambda t: t.coefficients)
     with pytest.raises(ValueError, match="SequenceBatch"):
-        row(probes)
+        block(probes)
     other = SequenceSpace(BanachFiber(1), truncation_degree=3, n_max=2)
     wrong = TameMapDescriptor("wrong", SPACE, other, lambda t: t)
     with pytest.raises(ValueError, match="does not belong"):
@@ -271,20 +253,20 @@ def test_descriptor_rejects_images_outside_the_codomain():
 
 def reference_embed(chart, x):
     flat = chart.split_data.kernel_mat @ np.asarray(x, dtype=np.float64)
-    return unflatten(chart.constraint.space, flat)
+    return unflatten(chart.constraint.space, flat[None])
 
 
 def reference_transition(chart_a, chart_b):
     def evaluator(h):
-        x = chart_a.split_data.coords_of(h)[0]
+        x = chart_a.split_data.coords_of(h)[0][0]
         q = chart_a.inverse(x)
-        return reference_embed(chart_b, chart_b.offsets(q))
+        return reference_embed(chart_b, chart_b.offsets(q)[0])
     return evaluator
 
 
 def reference_inner_product(f, g, level):
     w = _weights(2 * int(level), f.truncation_degree)
-    dots = np.sum(f.coefficients * g.coefficients, axis=1)
+    dots = np.sum(f.coefficients[0] * g.coefficients[0], axis=1)
     total = 0.0
     for k in range(f.truncation_degree + 1):
         total = total + w[k] * float(dots[k])
@@ -299,12 +281,12 @@ def reference_normalize(f):
 
 
 def reference_restriction(run, chart):
-    return lambda h: reference_embed(chart, chart.offsets(run(h)))
+    return lambda h: reference_embed(chart, chart.offsets(run(h))[0])
 
 
 def looped(run):
     """A batch evaluator that evaluates one row at a time."""
-    return lambda t: SequenceBatch.stack([run(f) for f in t])
+    return lambda t: as_batch([run(f) for f in t])
 
 
 def reference_into(name, space, run, manifold, probes, r_max=2):
@@ -312,7 +294,7 @@ def reference_into(name, space, run, manifold, probes, r_max=2):
     desc = TameMapDescriptor(name, space, space, looped(run),
                              linearity="nonlinear", region_radius=1.5)
     images = [run(f) for f in probes]
-    residuals = [manifold.residual(g) for g in images]
+    residuals = [manifold.residual(g)[0] for g in images]
     worst = max(residuals)
     if worst > DEFAULT_IMAGE_RESIDUAL_TOL:
         raise NotIntoSubmanifoldError(
@@ -323,7 +305,7 @@ def reference_into(name, space, run, manifold, probes, r_max=2):
     coverage = []
     chart_certs = []
     for k, chart in enumerate(manifold.charts):
-        hits = [f for f, g in zip(probes, images) if chart.contains(g)]
+        hits = [f for f, g in zip(probes, images) if chart.contains(g)[0]]
         coverage.append(len(hits))
         if not hits:
             chart_certs.append(None)
@@ -377,7 +359,7 @@ def test_transition_batch_equals_elements(kind):
     desc, probes = _transition_descriptor(manifold, a, b, offsets)
     want = [reference_embed(a, x) for x in offsets]
     assert identical(probes.coefficients,
-                     np.stack([f.coefficients for f in want]))
+                     np.concatenate([f.coefficients for f in want]))
     images = desc(probes)
     run = reference_transition(a, b)
     for row, h in enumerate(probes):
@@ -439,10 +421,11 @@ def test_restriction_and_normalization_batches_equal_elements(kind):
 def test_into_sphere_report_equals_elements():
     manifold, _, _ = atlas("sphere")
     space = manifold.ambient
-    probes = make_probes(space, 30, seed=41, region_radius=0.3,
-                         center=space.basis(0)) + \
+    probes = as_batch([
+        make_probes(space, 30, seed=41, region_radius=0.3,
+                    center=space.basis(0)),
         make_probes(space, 30, seed=42, region_radius=0.3,
-                    center=space.basis(0, scale=-1.0))
+                    center=space.basis(0, scale=-1.0))])
     desc = normalization_descriptor(space, region_radius=1.5)
     report = certify_map_into_submanifold(desc, manifold, probes)
     assert report == reference_into("normalize0", space, reference_normalize,
@@ -459,7 +442,7 @@ def test_into_intersection_report_equals_elements():
     constant = TameMapDescriptor(
         "const", space, space,
         lambda t: SequenceBatch(point.fiber, np.repeat(
-            point.coefficients[None], len(t), axis=0)),
+            point.coefficients, len(t), axis=0)),
         linearity="nonlinear", region_radius=1.5)
     report = certify_map_into_submanifold(constant, manifold, probes)
     assert report == reference_into("const", space, lambda f: point,

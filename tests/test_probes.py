@@ -11,14 +11,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from tamef.graded import BanachFiber, SequenceSpace
+from tamef.graded import BanachFiber, ProductBatch, SequenceSpace
 from tamef.probes import make_probes, make_product_probes
 
 
 def digest(probes) -> str:
     h = hashlib.sha256()
     for element in probes:
-        parts = element if isinstance(element, tuple) else (element,)
+        parts = element.parts if isinstance(element, ProductBatch) \
+            else (element,)
         for part in parts:
             h.update(np.ascontiguousarray(part.coefficients).tobytes())
     return h.hexdigest()

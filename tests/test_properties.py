@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tamef.graded import (BanachFiber, SequenceBatch, SequenceSpace,
-                          TruncatedSequence, seminorm_l1, seminorm_linf,
-                          within_upper)
+                          seminorm_l1, seminorm_linf, within_upper)
 from tamef.holomorphic import verify_cauchy_bound
 from tamef.implicit import CHART_ROUND_TRIP_TOL
 from tamef.manifold import make_sphere
@@ -47,8 +46,8 @@ def batches(draw, max_degree):
 @st.composite
 def sequences(draw, max_degree):
     fiber = draw(FIBERS)
-    shape = (draw(st.integers(0, max_degree)) + 1, fiber.dimension)
-    return TruncatedSequence(fiber, _block(draw, fiber, shape, 1e6))
+    shape = (1, draw(st.integers(0, max_degree)) + 1, fiber.dimension)
+    return SequenceBatch(fiber, _block(draw, fiber, shape, 1e6))
 
 
 @PROPERTY

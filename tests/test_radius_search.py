@@ -58,7 +58,7 @@ def reference_round_trip_ok(chart, radius, directions):
                                              stop_at_failure=True)
     if not converged.all():
         return False
-    flats = np.vstack([first[None], rest])
+    flats = np.vstack([first, rest])
     gaps = lane_norms(chart.offsets_lanes(flats) - offsets)
     values = lane_norms(chart.constraint.values(flats))
     return not (np.any(gaps > bound) or np.any(values > bound))
@@ -318,7 +318,7 @@ STARTS = (1.0, -1.0, 0.05, 0.0, math.nan)
 
 
 def lane_block(ps, count, seed):
-    x, y = ps.coords_of(ps.report.point)
+    (x,), (y,) = ps.coords_of(ps.report.point)
     rng = rng_from_seed(seed)
     u = rng.normal(size=(count, x.size))
     u /= np.linalg.norm(u, axis=1)[:, None]
