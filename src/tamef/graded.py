@@ -235,8 +235,7 @@ class SequenceBatch:
 
     def to_json(self) -> dict:
         """The fiber and coefficients of a one-row batch."""
-        if len(self) != 1:
-            raise ValueError(f"to_json writes one sequence, not {len(self)}")
+        one_row(self, "to_json")
         if self.fiber.scalar_field == "complex":
             coeffs = [[[float(z.real), float(z.imag)] for z in row]
                       for row in self._block[0]]
@@ -344,52 +343,67 @@ def as_batch(elements):
     return SequenceBatch(fiber, block)
 
 
+def one_row(batch, what: str):
+    """batch, once it holds one row; the error names the caller, `what`."""
+    if len(batch) != 1:
+        raise ValueError(
+            f"{what} takes one sequence, got a batch of {len(batch)}")
+    return batch
+
+
 # ---------------------------------------------------------------------------
 # seminorms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _weights(level: int, truncation_degree: int) -> Tuple[float, ...]:
-    return tuple(math.exp(level * k) for k in range(truncation_degree + 1))
+@lru_cache(maxsize=64)  # any level list is a key, so the cache is bounded
+def _weights(levels: Tuple[int, ...], truncation_degree: int) -> np.ndarray:
+    """Read-only (K+1, L, 1) array of e^{nk} at [k, l] for n = levels[l]."""
+    w = np.array([[math.exp(n * k) for n in levels]
+                  for k in range(truncation_degree + 1)])
+    w = w.reshape(truncation_degree + 1, len(levels), 1)
+    w.setflags(write=False)
+    return w
 
 
-def _check_level(f: SequenceBatch, n: int, n_max: Optional[int]):
-    if n < 0:
-        raise IndexError(f"seminorm level {n} is negative")
-    if n_max is not None and n > n_max:
-        raise IndexError(f"seminorm level {n} exceeds n_max={n_max}")
-    if n * f.truncation_degree > MAX_LEVEL_EXPONENT:
-        raise ValueError(
-            f"level*degree = {n * f.truncation_degree} exceeds the overflow "
-            f"guard {MAX_LEVEL_EXPONENT}")
+def _weighted(f: SequenceBatch, v: np.ndarray, levels,
+              n_max: Optional[int], combine) -> np.ndarray:
+    """Fold e^{nk} v[k] into 0.0 with combine, k ascending, per column of
+    the (K+1, P) array v: (P,) at one level n, (L, P) at L levels, each entry
+    the float of its column and level alone.  Levels are checked first."""
+    one = np.ndim(levels) == 0
+    levels = (int(levels),) if one else tuple(int(n) for n in levels)
+    for n in levels:
+        if n < 0:
+            raise IndexError(f"seminorm level {n} is negative")
+        if n_max is not None and n > n_max:
+            raise IndexError(f"seminorm level {n} exceeds n_max={n_max}")
+        if n * f.truncation_degree > MAX_LEVEL_EXPONENT:
+            raise ValueError(
+                f"level*degree = {n * f.truncation_degree} exceeds the "
+                f"overflow guard {MAX_LEVEL_EXPONENT}")
+    acc = np.zeros((len(levels), v.shape[1]))
+    term = np.empty_like(acc)
+    for w_k, v_k in zip(_weights(levels, f.truncation_degree), v):
+        np.multiply(w_k, v_k, out=term)
+        combine(acc, term, out=acc)
+    return acc[0] if one else acc
 
 
-def seminorm_l1(f: SequenceBatch, n: int,
+def seminorm_l1(f: SequenceBatch, levels,
                 n_max: Optional[int] = None) -> np.ndarray:
     """Sum of e^{nk} |f_k| per row, accumulated in ascending k with no
-    compensation, so every row gets the float it gets alone."""
-    _check_level(f, int(n), n_max)
-    w = _weights(int(n), f.truncation_degree)
-    v = f.coefficient_norms()
-    acc = 0.0
-    for k in range(f.truncation_degree + 1):
-        acc = acc + w[k] * v[k]
-    return acc
+    compensation, so every row gets the float it gets alone.  One level n
+    gives (P,), a sequence of L levels the (L, P) table, row l at levels[l]."""
+    return _weighted(f, f.coefficient_norms(), levels, n_max, np.add)
 
 
-def seminorm_linf(f: SequenceBatch, n: int,
+def seminorm_linf(f: SequenceBatch, levels,
                   n_max: Optional[int] = None) -> np.ndarray:
-    """Max over k of e^{nk} |f_k| per row.
+    """Max over k of e^{nk} |f_k| per row, at levels as seminorm_l1.
 
     NaN coefficients propagate, so a non-finite sequence never reads small.
     """
-    _check_level(f, int(n), n_max)
-    w = _weights(int(n), f.truncation_degree)
-    v = f.coefficient_norms()
-    acc = 0.0
-    for k in range(f.truncation_degree + 1):
-        acc = np.maximum(acc, w[k] * v[k])
-    return acc
+    return _weighted(f, f.coefficient_norms(), levels, n_max, np.maximum)
 
 
 def inner_product(f: SequenceBatch, g: SequenceBatch,
@@ -401,13 +415,8 @@ def inner_product(f: SequenceBatch, g: SequenceBatch,
             "level inner products need a real euclidean fiber")
     if f.fiber != g.fiber or f.truncation_degree != g.truncation_degree:
         raise ValueError("sequences live in different spaces")
-    _check_level(f, 2 * int(level), None)
-    w = _weights(2 * int(level), f.truncation_degree)
     dots = np.sum(f.coefficients * g.coefficients, axis=-1).T  # (K+1, P)
-    total = 0.0
-    for k in range(f.truncation_degree + 1):
-        total = total + w[k] * dots[k]
-    return total
+    return _weighted(f, dots, 2 * int(level), None, np.add)
 
 
 def metric_norm(f: SequenceBatch, level: int = 0) -> np.ndarray:
@@ -422,13 +431,13 @@ def metric_norm(f: SequenceBatch, level: int = 0) -> np.ndarray:
 class Grading:
     """A family of seminorms indexed by levels 0..n_max, expected monotone.
 
-    evaluator(f, n) takes a SequenceBatch and gives one value per row, each
-    the float its row gives alone.
+    evaluator(f, levels) gives the (L, P) values of a SequenceBatch at a
+    sequence of L levels, each the float its row gives alone at its level.
     """
 
     kind: str
     n_max: int
-    evaluator: Callable[[SequenceBatch, int], np.ndarray]
+    evaluator: Callable[[SequenceBatch, Sequence[int]], np.ndarray]
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -437,32 +446,38 @@ class Grading:
     def seminorm(self, f: SequenceBatch, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"level {n} outside 0..{self.n_max}")
-        return self.evaluator(f, n)
+        return self.evaluator(f, (n,))[0]
 
 
 def l1_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
-    return Grading("l1", n_max, lambda f, n: seminorm_l1(f, n))
+    return Grading("l1", n_max, lambda f, levels: seminorm_l1(f, levels))
 
 
 def linf_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
-    return Grading("linf", n_max, lambda f, n: seminorm_linf(f, n))
+    return Grading("linf", n_max, lambda f, levels: seminorm_linf(f, levels))
 
 
-def custom_grading(evaluator, n_max: int = DEFAULT_N_MAX, kind: str = "custom") -> Grading:
+def custom_grading(per_level, n_max: int = DEFAULT_N_MAX,
+                   kind: str = "custom") -> Grading:
+    """The grading of per_level(f, n), a function of one level n that gives
+    one value per row of f; it is called once per level."""
+
+    def evaluator(f: SequenceBatch, levels: Sequence[int]) -> np.ndarray:
+        out = np.empty((len(levels), len(f)))
+        for row, n in zip(out, levels):
+            row[...] = per_level(f, n)
+        return out
+
     return Grading(kind, n_max, evaluator)
 
 
 def seminorm_table(grading: Grading, probes) -> np.ndarray:
-    """Values table[n, i] = |probe_i|_n for n = 0..n_max.
+    """Values table[n, i] = |probe_i|_n for n = 0..n_max, from one
+    evaluator call on the whole batch at every level.
 
-    probes is a SequenceBatch or a list of them (see as_batch); the
-    evaluator runs once per level on the whole batch.
+    probes is a SequenceBatch or a list of them (see as_batch).
     """
-    batch = as_batch(probes)
-    out = np.empty((grading.n_max + 1, len(batch)))
-    for n in range(grading.n_max + 1):
-        out[n] = grading.evaluator(batch, n)
-    return out
+    return grading.evaluator(as_batch(probes), range(grading.n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +509,12 @@ class SequenceSpace:
     def flat_dimension(self) -> int:
         return (self.truncation_degree + 1) * self.fiber.dimension
 
-    def grading(self) -> Grading:
-        return Grading(self.grading_kind, self.n_max, self.seminorm)
-
-    def seminorm(self, f: SequenceBatch, n: int) -> np.ndarray:
-        """|f|_n of every row of a batch."""
+    def seminorm(self, f: SequenceBatch, levels) -> np.ndarray:
+        """|f|_n of every row of a batch: (P,) at one level n, (L, P) at a
+        sequence of L levels, range(n_max + 1) giving the whole table."""
         if self.grading_kind == "l1":
-            return seminorm_l1(f, n, self.n_max)
-        return seminorm_linf(f, n, self.n_max)
-
-    def seminorm_table(self, probes) -> np.ndarray:
-        """table[n, i] = |probe_i|_n for n = 0..n_max."""
-        return seminorm_table(self.grading(), probes)
+            return seminorm_l1(f, levels, self.n_max)
+        return seminorm_linf(f, levels, self.n_max)
 
     def zero(self) -> SequenceBatch:
         """The zero sequence, as a one-row batch."""
@@ -555,18 +564,12 @@ class ProductSpace:
             raise ValueError("element arity does not match the product")
         return element.parts
 
-    def seminorm(self, element: ProductBatch, n: int) -> np.ndarray:
-        """Sum of the factor seminorms per row, added in factor order."""
+    def seminorm(self, element: ProductBatch, levels) -> np.ndarray:
+        """Sum of the factor seminorms per row, added in factor order, at
+        one level or a sequence of levels as SequenceSpace.seminorm."""
         total = 0.0
         for space, part in zip(self.factors, self._parts(element)):
-            total = total + space.seminorm(part, n)
-        return total
-
-    def seminorm_table(self, probes) -> np.ndarray:
-        """Sum of the factor tables, added in factor order."""
-        total = 0.0
-        for space, part in zip(self.factors, self._parts(as_batch(probes))):
-            total = total + space.seminorm_table(part)
+            total = total + space.seminorm(part, levels)
         return total
 
     def zero(self) -> ProductBatch:

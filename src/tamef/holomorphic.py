@@ -26,6 +26,7 @@ from .graded import (
     MAX_LEVEL_EXPONENT,
     BanachFiber,
     SequenceBatch,
+    one_row,
     seminorm_linf,
     within_upper,
 )
@@ -61,13 +62,6 @@ class DiskSpec:
         return self.radius * np.exp(1j * angles)
 
 
-def _series(f: SequenceBatch) -> np.ndarray:
-    """The (K+1, d) coefficients of the one sequence a batch holds."""
-    if len(f) != 1:
-        raise ValueError(f"expected one sequence, got a batch of {len(f)}")
-    return f.coefficients[0]
-
-
 def _check_eval_range(f: SequenceBatch, magnitude: float):
     if magnitude > 1.0 and f.truncation_degree * math.log(magnitude) > MAX_LEVEL_EXPONENT:
         raise ValueError(
@@ -85,7 +79,7 @@ def eval_series(f: SequenceBatch, z):
     pts = z.reshape(-1)
     if pts.size:
         _check_eval_range(f, float(np.max(np.abs(pts))))
-    coeffs = _series(f).astype(np.complex128)
+    coeffs = one_row(f, "eval_series").coefficients[0].astype(np.complex128)
     acc = np.broadcast_to(coeffs[-1], (pts.size, coeffs.shape[1])).copy()
     for k in range(f.truncation_degree - 1, -1, -1):
         acc = acc * pts[:, None] + coeffs[k]
@@ -234,10 +228,10 @@ def check_real_form(f: SequenceBatch) -> bool:
     For power series this is equivalent to conj(f(z)) = f(conj z); see
     conjugation_symmetry_defect for the sampled cross-check.
     """
-    coefficients = _series(f)
+    one_row(f, "check_real_form")
     if f.fiber.scalar_field == "real":
         return True
-    return float(np.max(np.abs(coefficients.imag))) <= REAL_FORM_TOL
+    return float(np.max(np.abs(f.coefficients.imag))) <= REAL_FORM_TOL
 
 
 def conjugation_symmetry_defect(f: SequenceBatch, count: int = 32,

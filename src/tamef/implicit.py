@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
-from .graded import SequenceBatch, SequenceSpace, _weights, as_batch
+from .graded import SequenceBatch, SequenceSpace, _weights, as_batch, one_row
 from .newton import NewtonLanes, damped_newton, lane_norms
 from .probes import rng_from_seed
 
@@ -78,8 +78,8 @@ def _project(rows: np.ndarray, flats: np.ndarray) -> np.ndarray:
 
 def level_weights(space: SequenceSpace, level: int) -> np.ndarray:
     """Per-flat-coordinate weights e^{level*k}, shared with the seminorms."""
-    w = _weights(int(level), space.truncation_degree)
-    return np.repeat(np.asarray(w), space.fiber.dimension)
+    return np.repeat(_weights((int(level),), space.truncation_degree)[:, 0, 0],
+                     space.fiber.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,7 @@ def is_regular_point(c: ConstraintMap, p: SequenceBatch) -> RegularPointReport:
     pulled back through W^{-1}, give bases of the kernel and its metric
     complement that are orthonormal at that level.
     """
+    one_row(p, "is_regular_point")
     c.space.check_member(p)
     m, D = c.target_dim, c.flat_dimension
     if m > D:
@@ -548,7 +549,7 @@ class Chart:
     base_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x, y = self.split_data.coords_of(self.base_point)
+        x, y = self.split_data.coords_of(one_row(self.base_point, "Chart"))
         object.__setattr__(self, "base_x", x[0])
         object.__setattr__(self, "base_y", y[0])
 
@@ -802,7 +803,7 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     stable when the Jacobian columns span many orders of magnitude.
     """
     goal = np.asarray(target, dtype=np.float64).reshape(c.target_dim)
-    start = flatten(seed_point)
+    start = flatten(one_row(seed_point, "find_preimage"))
     weights = np.ones(c.flat_dimension) if scaling is None else scaling
     weights = np.asarray(weights, dtype=np.float64).reshape(c.flat_dimension)
     if np.any(weights <= 0.0):

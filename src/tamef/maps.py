@@ -159,7 +159,7 @@ def map_seminorm_tables(desc: TameMapDescriptor, probes):
     """(num, den) tables: image and source seminorms per level and probe.
 
     Both tables are filled slice by slice of probes: one evaluation and one
-    batched seminorm_table call per space and slice.
+    seminorm call at the levels 0..n_max per space and slice.
     """
     n_max = desc.domain.n_max
     if desc.codomain.n_max != n_max:
@@ -170,8 +170,9 @@ def map_seminorm_tables(desc: TameMapDescriptor, probes):
     for start in range(0, len(batch), _TABLE_SLICE):
         part = batch[start:start + _TABLE_SLICE]
         stop = start + len(part)
-        num[:, start:stop] = desc.codomain.seminorm_table(desc(part))
-        den[:, start:stop] = desc.domain.seminorm_table(part)
+        num[:, start:stop] = desc.codomain.seminorm(desc(part),
+                                                    range(n_max + 1))
+        den[:, start:stop] = desc.domain.seminorm(part, range(n_max + 1))
     return num, den
 
 

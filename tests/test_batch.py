@@ -1,6 +1,13 @@
 """Probe sets as batches: one sequence is a one-row SequenceBatch, indexing
 and iteration give one-row views, arithmetic acts on the coefficients, and
-every row of a batch gets the seminorm it gets alone, bit for bit."""
+every row of a batch gets the seminorm it gets alone, bit for bit.
+
+The seminorms and inner products take their levels as an axis of one
+weighted loop.  The references below are the one-level loops tamef ran
+before, frozen here: every entry of a level table must hold exactly the
+float the frozen loop gives for its row alone at its level."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,11 +22,14 @@ from tamef.graded import (
     SequenceBatch,
     SequenceSpace,
     as_batch,
+    inner_product,
     l1_grading,
+    linf_grading,
     seminorm_l1,
     seminorm_linf,
     seminorm_table,
 )
+from tamef.cli import _grading_by_name
 from tamef.probes import make_probes, make_product_probes
 
 SPACE = SequenceSpace(BanachFiber(2), truncation_degree=8, n_max=4)
@@ -168,14 +178,54 @@ def test_batch_degrees_match_elements():
 
 
 # ---------------------------------------------------------------------------
-# every row alone gets its row of the batch, bit for bit
+# the frozen one-level loops
+# ---------------------------------------------------------------------------
+
+def frozen_weights(level, truncation_degree):
+    return tuple(math.exp(level * k) for k in range(truncation_degree + 1))
+
+
+def frozen_l1(f, n):
+    w = frozen_weights(int(n), f.truncation_degree)
+    v = f.coefficient_norms()
+    acc = 0.0
+    for k in range(f.truncation_degree + 1):
+        acc = acc + w[k] * v[k]
+    return acc
+
+
+def frozen_linf(f, n):
+    w = frozen_weights(int(n), f.truncation_degree)
+    v = f.coefficient_norms()
+    acc = 0.0
+    for k in range(f.truncation_degree + 1):
+        acc = np.maximum(acc, w[k] * v[k])
+    return acc
+
+
+def frozen_inner_product(f, g, level):
+    w = frozen_weights(2 * int(level), f.truncation_degree)
+    dots = np.sum(f.coefficients * g.coefficients, axis=-1).T
+    total = 0.0
+    for k in range(f.truncation_degree + 1):
+        total = total + w[k] * dots[k]
+    return total
+
+
+FROZEN = {"l1": frozen_l1, "linf": frozen_linf}
+
+
+# ---------------------------------------------------------------------------
+# every entry of a level table is its row's float alone, bit for bit
 # ---------------------------------------------------------------------------
 
 FIBERS = st.builds(BanachFiber,
                    dimension=st.sampled_from((1, 2, 3)),
                    scalar_field=st.sampled_from(("real", "complex")),
                    norm_kind=st.sampled_from(("euclidean", "supremum", "sum")))
-VALUES = st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True)
+VALUES = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True),
+    st.sampled_from((math.nan, math.inf, -math.inf, 1e150, -1e150)))
 
 
 @st.composite
@@ -186,8 +236,16 @@ def batches(draw, fiber=None, count=None, truncation=None):
     shape = (count, K + 1, fiber.dimension)
     block = draw(arrays(np.float64, shape, elements=VALUES))
     if fiber.scalar_field == "complex":
-        block = block + 1j * draw(arrays(np.float64, shape, elements=VALUES))
+        block = block.astype(np.complex128)
+        block.imag = draw(arrays(np.float64, shape, elements=VALUES))
     return SequenceBatch(fiber, block)
+
+
+def level_lists(truncation_degree, top=8):
+    """Lists of levels, repeats and any order allowed, inside the overflow
+    guard of the truncation degree."""
+    top = min(top, 256 // max(truncation_degree, 1))
+    return st.lists(st.integers(0, top), max_size=8)
 
 
 def alone(batch, i):
@@ -197,18 +255,31 @@ def alone(batch, i):
     return SequenceBatch(batch.fiber, batch.coefficients[i:i + 1].copy())
 
 
-def same_bits(whole, rows):
-    return np.asarray(whole).tobytes() == np.concatenate(rows).tobytes()
+def frozen_table(reference, batch, levels):
+    """reference(row i alone, n)[0] at [l, i] for n = levels[l]."""
+    return np.array([[reference(alone(batch, i), n)[0]
+                      for i in range(len(batch))]
+                     for n in levels]).reshape(len(levels), len(batch))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(PROPERTY, max_examples=150)
-@given(batch=batches(), level=st.integers(0, 6))
-def test_batched_seminorms_match_scalar_bitwise(batch, level):
-    level = min(level, 256 // max(batch.truncation_degree, 1))
-    for seminorm in (seminorm_l1, seminorm_linf):
-        rows = [seminorm(alone(batch, i), level) for i in range(len(batch))]
-        assert all(row.shape == (1,) for row in rows)
-        assert same_bits(seminorm(batch, level), rows)
+@given(data=st.data(), batch=batches())
+def test_batched_seminorms_match_scalar_bitwise(data, batch):
+    levels = data.draw(level_lists(batch.truncation_degree))
+    with np.errstate(all="ignore"):
+        for seminorm, reference in ((seminorm_l1, frozen_l1),
+                                    (seminorm_linf, frozen_linf)):
+            want = frozen_table(reference, batch, levels)
+            assert same_bits(seminorm(batch, levels), want)
+            assert same_bits(seminorm(batch, tuple(levels)), want)
+            for row, n in zip(want, levels):
+                assert same_bits(seminorm(batch, n), row)
+                assert same_bits(seminorm(batch, np.int64(n)), row)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -222,8 +293,52 @@ def test_product_seminorms_match_scalar_bitwise(data, count, K, kinds):
         for fiber, kind in zip(fibers, kinds)))
     pairs = ProductBatch(data.draw(batches(fiber, count, K))
                          for fiber in fibers)
-    table = product.seminorm_table(pairs)
-    for n in range(5):
-        rows = [product.seminorm(alone(pairs, i), n) for i in range(count)]
-        assert same_bits(product.seminorm(pairs, n), rows)
-        assert same_bits(table[n], rows)
+    levels = data.draw(level_lists(K, top=4))
+
+    def reference(pair, n):
+        total = 0.0
+        for kind, part in zip(kinds, pair.parts):
+            total = total + FROZEN[kind](part, n)
+        return total
+
+    with np.errstate(all="ignore"):
+        want = frozen_table(reference, pairs, levels)
+        assert same_bits(product.seminorm(pairs, levels), want)
+        whole = frozen_table(reference, pairs, range(5))
+        assert same_bits(product.seminorm(pairs, range(5)), whole)
+        for n in range(5):
+            assert same_bits(product.seminorm(pairs, n), whole[n])
+
+
+@settings(PROPERTY, max_examples=80)
+@given(data=st.data(), count=st.integers(1, 6), K=st.integers(0, 12),
+       dim=st.sampled_from((1, 2, 3)))
+def test_inner_products_match_frozen_bitwise(data, count, K, dim):
+    fiber = BanachFiber(dim)
+    f = data.draw(batches(fiber, count, K))
+    g = data.draw(batches(fiber, count, K))
+    level = data.draw(st.integers(0, min(4, 128 // max(K, 1))))
+    with np.errstate(all="ignore"):
+        want = [frozen_inner_product(alone(f, i), alone(g, i), level)[0]
+                for i in range(count)]
+        assert same_bits(inner_product(f, g, level), np.array(want))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), batch=batches(), n_max=st.integers(0, 8))
+def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
+    n_max = min(n_max, 256 // max(batch.truncation_degree, 1))
+    levels = data.draw(st.lists(st.integers(0, n_max), max_size=8))
+
+    def decreasing(f, n):
+        return math.exp(-float(n)) * frozen_l1(f, 0)
+
+    with np.errstate(all="ignore"):
+        for grading, reference in (
+                (l1_grading(n_max), frozen_l1),
+                (linf_grading(n_max), frozen_linf),
+                (_grading_by_name("decreasing", n_max), decreasing)):
+            want = frozen_table(reference, batch, range(n_max + 1))
+            assert same_bits(seminorm_table(grading, batch), want)
+            assert same_bits(grading.evaluator(batch, levels),
+                             frozen_table(reference, batch, levels))

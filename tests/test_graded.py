@@ -7,6 +7,7 @@ Oracle constants were computed independently from closed forms:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from tamef.graded import (
     BanachFiber,
     Grading,
     GradingViolation,
+    ProductBatch,
+    ProductSpace,
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
@@ -165,6 +168,36 @@ def test_level_out_of_range():
         space.seminorm(f, 5)
     with pytest.raises(IndexError):
         l1_grading(4).seminorm(f, 5)
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("levels, first_bad", [
+    ([0, 2, -1, 7], -1), ([1, 5, -1], 5), ([3, 4, 4, 9, -5], 9)])
+def test_level_lists_raise_what_the_first_bad_level_raises(levels,
+                                                           first_bad):
+    space = SequenceSpace(R1, truncation_degree=8, n_max=4)
+    product = ProductSpace((space, replace(space, grading_kind="linf")))
+    probes = make_probes(space, 3, seed=2)
+    pairs = ProductBatch((probes, probes))
+    for call in (lambda n: seminorm_l1(probes, n, n_max=4),
+                 lambda n: seminorm_linf(probes, n, n_max=4),
+                 lambda n: space.seminorm(probes, n),
+                 lambda n: product.seminorm(pairs, n)):
+        assert raised(lambda: call(levels)) == raised(lambda: call(first_bad))
+
+
+@pytest.mark.parametrize("levels, first_bad", [
+    ([4, 6, 5, -2], 6), ([0, -1, 6], -1)])
+def test_level_lists_past_the_overflow_guard(levels, first_bad):
+    long = geometric_sequence(1.0, 64)  # level 4 reaches the guard, 256
+    for seminorm in (seminorm_l1, seminorm_linf):
+        assert raised(lambda: seminorm(long, levels)) == \
+            raised(lambda: seminorm(long, first_bad))
 
 
 def test_sequence_shape_checks():

@@ -8,7 +8,8 @@ import pytest
 
 from tamef.errors import (NonConvergenceError, RegularityError,
                           SingularBlockError, UnsupportedGradingError)
-from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, seminorm_l1
+from tamef.graded import (BanachFiber, SequenceBatch, SequenceSpace, as_batch,
+                          seminorm_l1)
 from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             ConstraintMap, PointSplit, SplitConstraint,
                             _solve_lanes, affine_constraint, apply_dphi,
@@ -586,6 +587,30 @@ def test_chart_contains_and_json():
     assert set(payload) == {"base_point", "bases", "radius"}
     assert payload["radius"] == chart.validity_radius
     assert len(payload["bases"]["kernel"]) == SPACE16.flat_dimension - 1
+
+
+SPACE4 = SequenceSpace(R1, truncation_degree=4, n_max=4)
+SPHERE4 = sphere_constraint(SPACE4, 0)
+TWO_POINTS = as_batch([SPACE4.basis(0), SPACE4.basis(1)])
+#: three seeds whose row 1 is NaN: reading row 0 alone would hide it
+THREE_SEEDS = as_batch([SPACE4.basis(0), SPACE4.basis(0, scale=np.nan),
+                        SPACE4.basis(1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_regular_point(SPHERE4, TWO_POINTS),
+    lambda: find_preimage(SPHERE4, [0.0], THREE_SEEDS),
+    lambda: split_at(SPHERE4, TWO_POINTS),
+    lambda: build_chart(SPHERE4, TWO_POINTS, seed=0),
+    lambda: build_chart(SPHERE4, TWO_POINTS, seed=0, report=is_regular_point(
+        SPHERE4, SPACE4.basis(0))),
+    lambda: Chart(split_at(SPHERE4, SPACE4.basis(0)), TWO_POINTS, 1.0),
+], ids=["is_regular_point", "find_preimage", "split_at", "build_chart",
+        "build_chart_with_report", "Chart"])
+def test_one_point_entry_points_reject_a_batch_of_several(call):
+    with pytest.raises(ValueError,
+                       match=r"takes one sequence, got a batch of [23]$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
