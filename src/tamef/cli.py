@@ -25,7 +25,7 @@ from .errors import (ConstructionError, NonConvergenceError, RegularityError,
                      SingularBlockError)
 from .graded import (BanachFiber, Grading, ProductSpace, SequenceBatch,
                      SequenceSpace, certify_grading_equivalence,
-                     custom_grading, l1_grading, linf_grading, seminorm_l1)
+                     l1_grading, linf_grading, seminorm_l1)
 from .implicit import PointSplit, build_constraint, is_regular_point, \
     solve_implicit
 from .manifold import make_sphere, make_sphere_intersection, \
@@ -231,10 +231,13 @@ def _grading_by_name(name: str, n_max: int) -> Grading:
         return l1_grading(n_max)
     if name == "linf":
         return linf_grading(n_max)
-    # a family that shrinks with the level: violates two-sided tameness
-    return custom_grading(
-        lambda f, n: math.exp(-float(n)) * seminorm_l1(f, 0),
-        n_max, kind="decreasing")
+    # a family that shrinks with the level: violates two-sided tameness.
+    # |f|_n = exp(-n) |f|_0, so every level scales one level-0 seminorm
+    def evaluator(f: SequenceBatch, levels) -> np.ndarray:
+        scales = np.array([math.exp(-float(n)) for n in levels])
+        return scales[:, None] * seminorm_l1(f, 0)
+
+    return Grading("decreasing", n_max, evaluator)
 
 
 def _finite_or_none(x: float) -> Optional[float]:

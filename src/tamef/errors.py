@@ -17,12 +17,15 @@ class SingularBlockError(TamefError):
 class NonConvergenceError(TamefError):
     """An iteration hit its budget (or stalled) before reaching tolerance.
 
-    Carries the residual history so callers can report it.
+    Carries the residual history so callers can report it, and the cause
+    as data: newton.damped_newton sets "budget", "non-finite", "stalled"
+    or "slow" (None where no cause is given).
     """
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history=None, cause=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+        self.cause = cause
 
 
 class RegularityError(TamefError):

@@ -389,14 +389,15 @@ class SolveResult:
 
 def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
                  goal: np.ndarray, tol: float, max_iter: int,
-                 stop_at_failure: bool = False) -> NewtonLanes:
+                 stop_at_failure: bool = False,
+                 end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton on y for phi(X[i], y) = goal from Y0[i], one lane per
     row; each step solves the square phi-block."""
     values, d_y = split.bind(X)
     return damped_newton(
         lambda lanes, Y: values(lanes, Y) - goal,
         lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R, split.name),
-        Y0, tol, max_iter, split.name, stop_at_failure)
+        Y0, tol, max_iter, split.name, stop_at_failure, end_slow_lanes)
 
 
 def solve_implicit(split: SplitConstraint, x, y0,
@@ -591,7 +592,8 @@ class Chart:
         return self.split_data.point_of(x, result.y)
 
     def inverse_lanes(self, x_offsets: np.ndarray,
-                      stop_at_failure: bool = False
+                      stop_at_failure: bool = False,
+                      end_slow_lanes: bool = False
                       ) -> Tuple[np.ndarray, np.ndarray,
                                  List[Optional[Exception]]]:
         """inverse (to zero values) of every row of a (P, kernel_dimension)
@@ -599,7 +601,8 @@ class Chart:
         which rows converged, and per row the error its inverse would raise
         (None for a converged row); a failed row's point means nothing.
         With stop_at_failure the solves end at the first failure, and rows
-        left unsolved are neither converged nor failed."""
+        left unsolved are neither converged nor failed.  end_slow_lanes
+        also fails the rows that contract slowly (newton.damped_newton)."""
         split = self.split_data.split
         X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         flats = np.empty((len(X), self.constraint.flat_dimension))
@@ -610,7 +613,8 @@ class Chart:
             block = X[start:start + CHART_LANES]
             y0 = np.broadcast_to(self.base_y, (len(block), split.y_dim))
             out = _solve_lanes(split, block, y0, goal, DEFAULT_SOLVE_TOL,
-                               DEFAULT_MAX_ITER, stop_at_failure)
+                               DEFAULT_MAX_ITER, stop_at_failure,
+                               end_slow_lanes)
             stop = start + len(block)
             flats[start:stop] = self.split_data.flats(block, out.z)
             converged[start:stop] = out.converged
@@ -758,9 +762,11 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
             return replace(chart, validity_radius=radius)
 
     def screen(mids: List[float]) -> Callable[[int], bool]:
-        # a midpoint whose first direction fails fails
+        # a midpoint whose first direction fails fails; most midpoints of a
+        # group lie outside the chart, and their lanes end once they
+        # contract slowly instead of running the damping ladder to a stall
         firsts, converged, _ = chart.inverse_lanes(
-            np.array(mids)[:, None] * dirs[0])
+            np.array(mids)[:, None] * dirs[0], end_slow_lanes=True)
         return lambda node: bool(converged[node]) and _round_trip_rest_ok(
             chart, mids[node], dirs, firsts[node:node + 1])
 

@@ -21,6 +21,11 @@ from .errors import NonConvergenceError
 DAMPING_MAX_HALVINGS = 20
 #: damping scales after a rejected full step: 2^-1 .. 2^-DAMPING_MAX_HALVINGS
 _HALVINGS = np.ldexp(1.0, -np.arange(1, DAMPING_MAX_HALVINGS + 1))
+#: the contraction test of end_slow_lanes: a round is slow when it leaves
+#: the residual norm above SLOW_RATIO times the norm before it, and a lane
+#: ends after SLOW_ROUNDS slow rounds in a row
+SLOW_RATIO = 0.5
+SLOW_ROUNDS = 2
 
 
 def lane_norms(rows: np.ndarray) -> np.ndarray:
@@ -53,7 +58,8 @@ class NewtonLanes:
 
 def damped_newton(residual: Callable, linear_step: Callable,
                   start: np.ndarray, tol: float, max_iter: int, name: str,
-                  stop_at_failure: bool = False) -> NewtonLanes:
+                  stop_at_failure: bool = False,
+                  end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton from a (P, n) block of start points, one solve a lane.
 
     residual(lanes, Z) returns the residuals of the rows of Z, row i on
@@ -68,11 +74,26 @@ def damped_newton(residual: Callable, linear_step: Callable,
     scale a search trying one at a time would pick.
 
     A lane converges at norm <= tol.  It fails with NonConvergenceError,
-    carrying its norms, when its budget of max_iter steps is spent, when its
-    norm is not finite before a step, or when no scale is accepted (damping
+    carrying its norms in .history and why in .cause: "budget" when its
+    budget of max_iter steps is spent, "non-finite" when its norm is not
+    finite before a step, "stalled" when no scale is accepted (damping
     stalled); and with the linear step's exception when it cannot step.
     With stop_at_failure the block ends at the first failure; lanes it did
     not finish are neither converged nor failed.
+
+    With end_slow_lanes a lane that has neither converged nor spent its
+    budget also fails, cause "slow", once SLOW_ROUNDS rounds in a row left
+    its norm above SLOW_RATIO times the norm before: it contracts too
+    slowly to be inside Newton's region of fast convergence (the
+    monotonicity test of Deuflhard, Newton Methods for Nonlinear Problems,
+    ch. 3).  The test reads only the lane's own norms, so a lane still ends
+    as it would solved alone under it.  Only the chart-radius screen of
+    implicit.build_chart passes it.  That is sound: the bisection moves
+    its lower end only to a midpoint whose full round trip converges, so a
+    lane ended early can only make a radius smaller, never certify one
+    that fails.  That it makes none smaller (every lane it ends on the
+    registry constraints fails without it too) is empirical; tests guard
+    it.
     """
     z = np.array(start)
     P = len(z)
@@ -82,12 +103,14 @@ def damped_newton(residual: Callable, linear_step: Callable,
     converged = np.zeros(P, dtype=bool)
     steps = np.zeros(P, dtype=np.intp)
     errors: List[Optional[Exception]] = [None] * P
+    # per lane, the slow rounds in a row that end_slow_lanes counts
+    slow = np.zeros(P, dtype=np.intp) if end_slow_lanes else None
 
-    def fail(ids, message: Callable[[float], str]):
+    def fail(ids, cause: str, message: Callable[[float], str]):
         for lane in ids:
             history = tuple(float(n[lane]) for n in norms)
             errors[lane] = NonConvergenceError(message(history[-1]),
-                                               history=history)
+                                               history=history, cause=cause)
 
     lanes = np.arange(P)
     # full: the open lanes are all P lanes, so no row needs selecting
@@ -102,12 +125,29 @@ def damped_newton(residual: Callable, linear_step: Callable,
             if not lanes.size:
                 break
         if len(norms) > max_iter:
-            fail(lanes, lambda v: f"{name}: residual {v:.3g} > {tol:.3g} "
-                                  f"after {max_iter} iterations")
+            fail(lanes, "budget",
+                 lambda v: f"{name}: residual {v:.3g} > {tol:.3g} "
+                           f"after {max_iter} iterations")
             break
+        if slow is not None and len(norms) > 1:
+            # every open lane stepped in the last round
+            slow[lanes] = np.where(last > SLOW_RATIO * norms[-2][lanes],
+                                   slow[lanes] + 1, 0)
+            going = slow[lanes] < SLOW_ROUNDS
+            if np.count_nonzero(going) < lanes.size:
+                fail(lanes[~going], "slow",
+                     lambda v: f"{name}: residual {v:.3g} after "
+                               f"{SLOW_ROUNDS} rounds of ratio above "
+                               f"{SLOW_RATIO:g}")
+                if stop_at_failure:
+                    break
+                lanes, last, full = lanes[going], last[going], False
+                if not lanes.size:
+                    break
         finite = np.isfinite(last)
         if np.count_nonzero(finite) < lanes.size:
-            fail(lanes[~finite], lambda v: f"{name}: non-finite residual {v}")
+            fail(lanes[~finite], "non-finite",
+                 lambda v: f"{name}: non-finite residual {v}")
             if stop_at_failure:
                 break
             lanes, last, full = lanes[finite], last[finite], False
@@ -149,7 +189,7 @@ def damped_newton(residual: Callable, linear_step: Callable,
             cand_r[rows] = ladder_r.reshape(back.size, width, -1)[found, k]
             cand_norm[rows] = ladder_norm[found, k]
             if not found.all():
-                fail(lanes[back[~found]],
+                fail(lanes[back[~found]], "stalled",
                      lambda v: f"{name}: damping stalled at residual {v:.3g}")
                 if stop_at_failure:
                     break

@@ -22,6 +22,7 @@ from tamef.graded import (
     SequenceBatch,
     SequenceSpace,
     as_batch,
+    custom_grading,
     inner_product,
     l1_grading,
     linf_grading,
@@ -29,6 +30,7 @@ from tamef.graded import (
     seminorm_linf,
     seminorm_table,
 )
+from tamef import cli
 from tamef.cli import _grading_by_name
 from tamef.probes import make_probes, make_product_probes
 
@@ -342,3 +344,22 @@ def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
             assert same_bits(seminorm_table(grading, batch), want)
             assert same_bits(grading.evaluator(batch, levels),
                              frozen_table(reference, batch, levels))
+
+
+def test_decreasing_grading_takes_one_level_zero_seminorm(monkeypatch):
+    """The CLI's decreasing grading, exp(-n) |f|_0, scales one level-0
+    seminorm for the whole table, with the bytes of the per-level adapter
+    that takes it once per level."""
+    probes = make_probes(SequenceSpace(BanachFiber(1), 32, 6), 1000, seed=3)
+    levels = []
+
+    def spy(f, n):
+        levels.append(n)
+        return seminorm_l1(f, n)
+
+    monkeypatch.setattr(cli, "seminorm_l1", spy)
+    table = seminorm_table(_grading_by_name("decreasing", 6), probes)
+    assert levels == [0]
+    per_level = custom_grading(
+        lambda f, n: math.exp(-float(n)) * seminorm_l1(f, 0), 6)
+    assert table.tobytes() == seminorm_table(per_level, probes).tobytes()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamef import implicit
 from tamef.errors import NonConvergenceError, SingularBlockError
 from tamef.graded import BanachFiber, SequenceSpace
 from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
@@ -202,21 +203,23 @@ def test_lanes_equal_solves_run_alone(block):
     assert_lanes_match(*block)
 
 
+#: the message of each NonConvergenceError cause of damped_newton
+CAUSE_MESSAGES = {"budget": "iterations", "non-finite": "non-finite",
+                  "stalled": "stalled", "slow": "ratio above"}
+
+
 def outcome(error):
     if error is None:
         return "converged"
-    for key in ("iterations", "non-finite", "singular", "stalled"):
-        if key in str(error):
-            return key
-    return str(error)
+    if isinstance(error, SingularBlockError):
+        return "singular"
+    assert CAUSE_MESSAGES[error.cause] in str(error), (error.cause, error)
+    return error.cause
 
 
-def test_lane_blocks_cover_every_outcome():
+def fixed_lane_sets():
     """Every start kind at every offset scale, as one block per constraint
-    and budget: between them the lanes converge, exhaust the budget, go
-    non-finite, hit a singular phi-block and stall, and some accept a
-    halved step."""
-    seen, halvings = set(), []
+    and budget: (split, X, Y0, goal, max_iter)."""
     rng = rng_from_seed(17)
     for name in CASES:
         split, x, y = split_case(name)
@@ -226,17 +229,86 @@ def test_lane_blocks_cover_every_outcome():
                 u = rng.normal(size=x.size)
                 X.append(x + scale * u / np.linalg.norm(u))
                 Y0.append(y * start)
-        X, Y0 = np.array(X), np.array(Y0)
         goal = np.zeros(split.y_dim)
         for max_iter in (3, DEFAULT_MAX_ITER):
-            halvings += assert_lanes_match(split, X, Y0, goal,
-                                           DEFAULT_SOLVE_TOL, max_iter)
-            out = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL,
-                               max_iter)
-            seen.update(outcome(e) for e in out.errors)
-    assert seen == {"converged", "iterations", "non-finite", "singular",
+            yield split, np.array(X), np.array(Y0), goal, max_iter
+
+
+def test_lane_blocks_cover_every_outcome():
+    """Between them the fixed lane sets converge, exhaust the budget, go
+    non-finite, hit a singular phi-block and stall, and some accept a
+    halved step."""
+    seen, halvings = set(), []
+    for split, X, Y0, goal, max_iter in fixed_lane_sets():
+        halvings += assert_lanes_match(split, X, Y0, goal,
+                                       DEFAULT_SOLVE_TOL, max_iter)
+        out = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter)
+        seen.update(outcome(e) for e in out.errors)
+    assert seen == {"converged", "budget", "non-finite", "singular",
                     "stalled"}
     assert max(halvings) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the slow-lane rule of the chart-radius screen
+# ---------------------------------------------------------------------------
+
+def assert_slow_rule_only_ends_failing_lanes(split, X, Y0, goal, max_iter):
+    """Solve the block with and without end_slow_lanes: every lane the rule
+    ends fails without it, and every other lane ends bit for bit the same.
+    Returns the number of lanes the rule ended."""
+    ruled = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter,
+                         end_slow_lanes=True)
+    free = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter)
+    ended = 0
+    for lane in range(len(X)):
+        got, want = ruled.errors[lane], free.errors[lane]
+        if outcome(got) == "slow":
+            assert not free.converged[lane] and want is not None, lane
+            ended += 1
+            continue
+        assert ruled.converged[lane] == free.converged[lane], lane
+        assert np.array_equal(ruled.z[lane], free.z[lane],
+                              equal_nan=True), lane
+        assert ruled.steps[lane] == free.steps[lane], lane
+        assert np.array_equal(ruled.history(lane), free.history(lane),
+                              equal_nan=True), lane
+        assert type(got) is type(want) and str(got) == str(want), lane
+    return ended
+
+
+def screen_blocks(monkeypatch):
+    """The lane blocks build_chart's chart-radius screen solves on the
+    registry constraints, as _solve_lanes arguments."""
+    blocks = []
+    solve = implicit._solve_lanes
+
+    def record(split, X, Y0, goal, tol, max_iter, stop_at_failure=False,
+               end_slow_lanes=False):
+        if end_slow_lanes:
+            blocks.append((split, X.copy(), np.array(Y0), goal, max_iter))
+        return solve(split, X, Y0, goal, tol, max_iter, stop_at_failure,
+                     end_slow_lanes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(implicit, "_solve_lanes", record)
+        for level in (0, 1, 2):
+            sphere_chart(level, K=16)
+        make_sphere_intersection(_space(16), (0, 1), radii=[1, 2], seed=3)
+        make_sphere_intersection(_space(12), (0, 2), radii=[1, 3], seed=3)
+    return blocks
+
+
+def test_slow_rule_ends_only_lanes_that_fail_without_it(monkeypatch):
+    """The rule is empirical: on the fixed lane sets and on the screen's
+    own blocks, it must end no lane that converges without it."""
+    ended = sum(assert_slow_rule_only_ends_failing_lanes(*lane_set)
+                for lane_set in fixed_lane_sets())
+    blocks = screen_blocks(monkeypatch)
+    screened = sum(assert_slow_rule_only_ends_failing_lanes(*block)
+                   for block in blocks)
+    # 25 of the 360 fixed lanes and most screen lanes end early
+    assert ended > 0 and screened > sum(len(b[1]) for b in blocks) // 2
 
 
 # ---------------------------------------------------------------------------

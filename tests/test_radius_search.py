@@ -30,7 +30,8 @@ from tamef.implicit import (BISECTION_LEVELS, CHART_DIRECTIONS, CHART_LANES,
                             PointSplit, SplitConstraint, _bisect,
                             _midpoint_tree, _solve_lanes, build_chart,
                             flatten, is_regular_point, lane_norms,
-                            sphere_constraint)
+                            polynomial_constraint, sphere_constraint,
+                            unflatten)
 from tamef.manifold import make_sphere_intersection
 from tamef.probes import rng_from_seed
 
@@ -162,6 +163,40 @@ def test_sphere_zero_bisection_fails_every_midpoint():
     assert [ok for _, ok in steps] == [False] * RADIUS_BISECTION_STEPS
     assert build_chart(c, p, seed=3, report=report).validity_radius == \
         radius == 1.0
+
+
+def polynomial_points(K):
+    """Two polynomial constraints, x0^4 + sum_{i>0} xi^2 - 1 and
+    x0^3 + x0/2 + sum_{i>0} xi^2 - 3/2, each at e_0 and at a point off
+    that axis; the CLI builds charts only on spheres."""
+    space = _space(K)
+    squares = [[1.0, [i, i]] for i in range(1, K + 1)]
+    rows_and_points = (
+        ([[1.0, [0, 0, 0, 0]]] + squares + [[-1.0, []]],
+         (0.8, math.sqrt(1.0 - 0.8 ** 4))),
+        ([[1.0, [0, 0, 0]], [0.5, [0]]] + squares + [[-1.5, []]],
+         (0.5, math.sqrt(1.125))))
+    points = []
+    for row, off_axis in rows_and_points:
+        c = polynomial_constraint(space, [row])
+        flat = np.zeros((1, space.flat_dimension))
+        flat[0, :2] = off_axis
+        for p in (space.basis(0), unflatten(space, flat)):
+            points.append((c, p, is_regular_point(c, p)))
+    return points
+
+
+def finite_difference_sphere_points(K):
+    c = replace(sphere_constraint(_space(K), 0), jacobian=None)
+    return [(c, p, is_regular_point(c, p))
+            for p in (_space(K).basis(0), _space(K).basis(0, scale=-1.0))]
+
+
+def test_radius_off_the_cli_path_equals_step_by_step_search():
+    paths = assert_radii_match(
+        polynomial_points(8) + finite_difference_sphere_points(8),
+        seeds=(0, 7))
+    assert any(any(path) and not all(path) for path in paths)
 
 
 # ---------------------------------------------------------------------------
