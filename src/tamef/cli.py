@@ -334,6 +334,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     except (ValueError, IndexError) as err:
         raise ConfigError(
             f"cannot build constraint {cfg.constraint!r}: {err}") from err
+    if constraint.target_dim > constraint.flat_dimension:
+        raise ConfigError(
+            f"constraint {cfg.constraint!r} has {constraint.target_dim} rows,"
+            f" more than the {constraint.flat_dimension} flat coordinates")
     if cfg.base_point is None:
         base = space.basis(0)
     else:

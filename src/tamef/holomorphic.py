@@ -17,7 +17,7 @@ size are only meaningful for decaying profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -156,12 +156,7 @@ class RoundTripReport:
     weighted_relative_error: float
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "samples": self.samples,
-            "max_abs_error": self.max_abs_error,
-            "weighted_relative_error": self.weighted_relative_error,
-        }
+        return asdict(self)
 
 
 def round_trip_report(f: SequenceBatch, disk: DiskSpec) -> RoundTripReport:
@@ -193,14 +188,7 @@ class CauchyBoundReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "samples": self.samples,
-            "weighted_coefficient_sup": self.weighted_coefficient_sup,
-            "boundary_sup": self.boundary_sup,
-            "slack": self.slack,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def verify_cauchy_bound(f: SequenceBatch, level: int,

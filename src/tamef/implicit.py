@@ -389,7 +389,6 @@ class SolveResult:
 
 def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
                  goal: np.ndarray, tol: float, max_iter: int,
-                 stop_at_failure: bool = False,
                  end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton on y for phi(X[i], y) = goal from Y0[i], one lane per
     row; each step solves the square phi-block."""
@@ -397,7 +396,7 @@ def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
     return damped_newton(
         lambda lanes, Y: values(lanes, Y) - goal,
         lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R, split.name),
-        Y0, tol, max_iter, split.name, stop_at_failure, end_slow_lanes)
+        Y0, tol, max_iter, split.name, end_slow_lanes)
 
 
 def solve_implicit(split: SplitConstraint, x, y0,
@@ -592,7 +591,6 @@ class Chart:
         return self.split_data.point_of(x, result.y)
 
     def inverse_lanes(self, x_offsets: np.ndarray,
-                      stop_at_failure: bool = False,
                       end_slow_lanes: bool = False
                       ) -> Tuple[np.ndarray, np.ndarray,
                                  List[Optional[Exception]]]:
@@ -600,9 +598,8 @@ class Chart:
         block, solved CHART_LANES rows at a time: the (P, D) flat points,
         which rows converged, and per row the error its inverse would raise
         (None for a converged row); a failed row's point means nothing.
-        With stop_at_failure the solves end at the first failure, and rows
-        left unsolved are neither converged nor failed.  end_slow_lanes
-        also fails the rows that contract slowly (newton.damped_newton)."""
+        end_slow_lanes also fails the rows that contract slowly
+        (newton.damped_newton), with an error inverse would not raise."""
         split = self.split_data.split
         X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         flats = np.empty((len(X), self.constraint.flat_dimension))
@@ -613,14 +610,11 @@ class Chart:
             block = X[start:start + CHART_LANES]
             y0 = np.broadcast_to(self.base_y, (len(block), split.y_dim))
             out = _solve_lanes(split, block, y0, goal, DEFAULT_SOLVE_TOL,
-                               DEFAULT_MAX_ITER, stop_at_failure,
-                               end_slow_lanes)
+                               DEFAULT_MAX_ITER, end_slow_lanes)
             stop = start + len(block)
             flats[start:stop] = self.split_data.flats(block, out.z)
             converged[start:stop] = out.converged
             errors[start:stop] = out.errors
-            if stop_at_failure and not out.converged.all():
-                break
         return flats, converged, errors
 
     def contains(self, q: SequenceBatch) -> np.ndarray:
@@ -648,9 +642,10 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
     """Whether every direction, scaled to radius, comes back through inverse
     and forward within tolerance.  A radius that fails mostly fails at the
     first direction already, so that one is solved alone, through
-    Chart.inverse, before the rest go as one block; build_chart's bisection
-    solves the first directions of its midpoints as lane blocks instead and
-    checks the rest with _round_trip_rest_ok."""
+    Chart.inverse, before the rest go as one block (_round_trip_rest_ok);
+    build_chart's bisection solves the first directions of its midpoints
+    as lane blocks instead.  Every lane block ends the lanes that contract
+    slowly (end_slow_lanes); the one-lane first solve does not."""
     try:
         first = flatten(chart.inverse(radius * directions[0]))
     except (NonConvergenceError, SingularBlockError):
@@ -662,11 +657,11 @@ def _round_trip_rest_ok(chart: Chart, radius: float, directions: np.ndarray,
                         first: np.ndarray) -> bool:
     """_chart_round_trip_ok once the first direction, scaled to radius, has
     come back through inverse to the flat point in the one-row block
-    first."""
+    first; a rest lane that contracts slowly fails the radius."""
     bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
     offsets = radius * directions
     rest, converged, _ = chart.inverse_lanes(offsets[1:],
-                                             stop_at_failure=True)
+                                             end_slow_lanes=True)
     if not converged.all():
         return False
     flats = np.vstack([first, rest])

@@ -58,7 +58,6 @@ class NewtonLanes:
 
 def damped_newton(residual: Callable, linear_step: Callable,
                   start: np.ndarray, tol: float, max_iter: int, name: str,
-                  stop_at_failure: bool = False,
                   end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton from a (P, n) block of start points, one solve a lane.
 
@@ -78,8 +77,6 @@ def damped_newton(residual: Callable, linear_step: Callable,
     budget of max_iter steps is spent, "non-finite" when its norm is not
     finite before a step, "stalled" when no scale is accepted (damping
     stalled); and with the linear step's exception when it cannot step.
-    With stop_at_failure the block ends at the first failure; lanes it did
-    not finish are neither converged nor failed.
 
     With end_slow_lanes a lane that has neither converged nor spent its
     budget also fails, cause "slow", once SLOW_ROUNDS rounds in a row left
@@ -87,11 +84,12 @@ def damped_newton(residual: Callable, linear_step: Callable,
     slowly to be inside Newton's region of fast convergence (the
     monotonicity test of Deuflhard, Newton Methods for Nonlinear Problems,
     ch. 3).  The test reads only the lane's own norms, so a lane still ends
-    as it would solved alone under it.  Only the chart-radius screen of
-    implicit.build_chart passes it.  That is sound: the bisection moves
-    its lower end only to a midpoint whose full round trip converges, so a
-    lane ended early can only make a radius smaller, never certify one
-    that fails.  That it makes none smaller (every lane it ends on the
+    as it would solved alone under it.  Only the lane blocks of
+    implicit.build_chart's radius check pass it: the bisection screen and
+    the rest of every round trip.  That is sound: a lane ended early can
+    only fail a trial radius, and a failed trial only makes the radius
+    smaller or ends the doubling sooner, so no radius that fails is ever
+    certified.  That it makes none smaller (every lane it ends on the
     registry constraints fails without it too) is empirical; tests guard
     it.
     """
@@ -139,8 +137,6 @@ def damped_newton(residual: Callable, linear_step: Callable,
                      lambda v: f"{name}: residual {v:.3g} after "
                                f"{SLOW_ROUNDS} rounds of ratio above "
                                f"{SLOW_RATIO:g}")
-                if stop_at_failure:
-                    break
                 lanes, last, full = lanes[going], last[going], False
                 if not lanes.size:
                     break
@@ -148,8 +144,6 @@ def damped_newton(residual: Callable, linear_step: Callable,
         if np.count_nonzero(finite) < lanes.size:
             fail(lanes[~finite], "non-finite",
                  lambda v: f"{name}: non-finite residual {v}")
-            if stop_at_failure:
-                break
             lanes, last, full = lanes[finite], last[finite], False
             if not lanes.size:
                 break
@@ -161,8 +155,6 @@ def damped_newton(residual: Callable, linear_step: Callable,
             for lane, err in zip(lanes, step_errors):
                 if err is not None:
                     errors[lane] = err
-            if stop_at_failure:
-                break
             lanes, last, Z, step = (lanes[stepped], last[stepped],
                                     Z[stepped], step[stepped])
             full = False
@@ -191,8 +183,6 @@ def damped_newton(residual: Callable, linear_step: Callable,
             if not found.all():
                 fail(lanes[back[~found]], "stalled",
                      lambda v: f"{name}: damping stalled at residual {v:.3g}")
-                if stop_at_failure:
-                    break
                 keep = np.ones(lanes.size, dtype=bool)
                 keep[back[~found]] = False
                 lanes, cand, cand_r, cand_norm = (

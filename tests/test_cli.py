@@ -270,6 +270,14 @@ def test_solve_nonconvergence_exits_3(tmp_path):
       "constraint_params": {"rows": [[[10 ** 400, [0]]]]}}, 64),
     ({"command": "solve", "constraint": "affine",
       "constraint_params": {"matrix": [[10 ** 400]], "offset": [0]}}, 64),
+    # more constraint rows than flat coordinates
+    ({"command": "solve", "constraint": "affine", "k": 2,
+      "constraint_params": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                       [1, 1, 1]],
+                            "offset": [0, 0, 0, 0]}}, 64),
+    ({"command": "solve", "constraint": "polynomial", "k": 1,
+      "constraint_params": {"rows": [[[1.0, [0]]], [[1.0, [1]]],
+                                     [[1.0, [0, 1]]]]}}, 64),
 ])
 def test_non_finite_config_values(tmp_path, capsys, config, code):
     config = dict({"k": 8, "nmax": 3, "out": str(tmp_path / "run")}, **config)

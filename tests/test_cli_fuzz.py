@@ -46,10 +46,19 @@ bad_lists = (
     | st.lists(numbers | st.lists(numbers, max_size=2)
                | st.sampled_from(["", "one"]), min_size=1, max_size=3)
     | json_values)
-#: rows of [coefficient, [flat indices]] terms
-rows = st.lists(st.lists(st.tuples(finite, st.lists(st.integers(0, 3),
-                                                    max_size=2)),
-                         min_size=1, max_size=2), min_size=1, max_size=2)
+
+
+def polynomial_rows(flat_dimension, most):
+    """Up to `most` rows of [coefficient, [flat indices]] terms, indices
+    below flat_dimension."""
+    terms = st.tuples(finite, st.lists(st.integers(0, flat_dimension - 1),
+                                       max_size=2))
+    return st.lists(st.lists(terms, min_size=1, max_size=2), min_size=1,
+                    max_size=most)
+
+
+#: up to 4 rows, more than the 3 flat coordinates at k = 2
+rows = polynomial_rows(4, 4)
 
 #: the valid values of the config keys each command reads
 SCALARS = {
@@ -191,11 +200,9 @@ def _files_under(root):
                   for d, _, names in os.walk(root) for name in names)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(TARGETS).flatmap(_example))
-def test_cli_exits_with_a_documented_code(example):
-    command, flag_pairs, config = example
+def _assert_documented_run(command, flag_pairs, config):
+    """Run one command in a fresh directory: it exits with a documented
+    code and writes only under --out."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work, \
             tempfile.TemporaryDirectory() as config_dir:
@@ -215,3 +222,22 @@ def test_cli_exits_with_a_documented_code(example):
         assert all(path.startswith("out" + os.sep) for path in written), \
             written
         assert _files_under(config_dir) == ["cfg.json"]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(TARGETS).flatmap(_example))
+def test_cli_exits_with_a_documented_code(example):
+    _assert_documented_run(*example)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.tuples(st.just(k), polynomial_rows(k + 1, k + 3))))
+def test_polynomial_rows_exit_with_a_documented_code(case):
+    """Polynomial constraints at small k with indices in range, up to two
+    rows more than the k + 1 flat coordinates."""
+    k, rows = case
+    _assert_documented_run("solve", (), {
+        "constraint": "polynomial", "constraint_params": {"rows": rows},
+        "k": k, "nmax": 2})

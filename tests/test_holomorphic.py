@@ -13,7 +13,9 @@ import pytest
 from tamef.errors import AliasingError
 from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, seminorm_linf
 from tamef.holomorphic import (
+    CauchyBoundReport,
     DiskSpec,
+    RoundTripReport,
     as_real,
     boundary_values,
     check_real_form,
@@ -209,6 +211,21 @@ def test_cauchy_report_ok_is_a_python_bool():
         report = verify_cauchy_bound(f, 0, samples=samples)
         assert report.ok is ok
         assert f'"ok": {str(ok).lower()}' in dumps_json(report.to_json())
+
+
+def test_report_json_bytes_are_pinned():
+    # to_json keeps each report's field order, so these bytes stay fixed
+    round_trip = RoundTripReport(3, 64, 1.5e-16, 0.25)
+    assert dumps_json(round_trip.to_json()) == (
+        '{\n  "level": 3,\n  "samples": 64,\n  "max_abs_error": 1.5e-16,\n'
+        '  "weighted_relative_error": 0.25\n}\n')
+    cauchy = CauchyBoundReport(2, 128, 7.38905609893065, 7.5,
+                               0.11094390106935, True)
+    assert dumps_json(cauchy.to_json()) == (
+        '{\n  "level": 2,\n  "samples": 128,\n'
+        '  "weighted_coefficient_sup": 7.3890560989306504,\n'
+        '  "boundary_sup": 7.5,\n  "slack": 0.11094390106935,\n'
+        '  "ok": true\n}\n')
 
 
 # ---------------------------------------------------------------------------

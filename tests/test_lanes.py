@@ -277,38 +277,50 @@ def assert_slow_rule_only_ends_failing_lanes(split, X, Y0, goal, max_iter):
     return ended
 
 
-def screen_blocks(monkeypatch):
-    """The lane blocks build_chart's chart-radius screen solves on the
-    registry constraints, as _solve_lanes arguments."""
-    blocks = []
-    solve = implicit._solve_lanes
+def radius_check_blocks(monkeypatch):
+    """The lane blocks build_chart's radius check solves on the registry
+    constraints, as _solve_lanes arguments: the screen's blocks and those
+    of the rest of the round trip (_round_trip_rest_ok)."""
+    screen, rest, in_rest = [], [], []
+    solve, rest_ok = implicit._solve_lanes, implicit._round_trip_rest_ok
 
-    def record(split, X, Y0, goal, tol, max_iter, stop_at_failure=False,
-               end_slow_lanes=False):
+    def record(split, X, Y0, goal, tol, max_iter, end_slow_lanes=False):
         if end_slow_lanes:
-            blocks.append((split, X.copy(), np.array(Y0), goal, max_iter))
-        return solve(split, X, Y0, goal, tol, max_iter, stop_at_failure,
-                     end_slow_lanes)
+            (rest if in_rest else screen).append(
+                (split, X.copy(), np.array(Y0), goal, max_iter))
+        return solve(split, X, Y0, goal, tol, max_iter, end_slow_lanes)
+
+    def tagged(*args):
+        in_rest.append(True)
+        try:
+            return rest_ok(*args)
+        finally:
+            in_rest.pop()
 
     with monkeypatch.context() as patch:
         patch.setattr(implicit, "_solve_lanes", record)
+        patch.setattr(implicit, "_round_trip_rest_ok", tagged)
         for level in (0, 1, 2):
             sphere_chart(level, K=16)
         make_sphere_intersection(_space(16), (0, 1), radii=[1, 2], seed=3)
         make_sphere_intersection(_space(12), (0, 2), radii=[1, 3], seed=3)
-    return blocks
+    return screen, rest
 
 
 def test_slow_rule_ends_only_lanes_that_fail_without_it(monkeypatch):
-    """The rule is empirical: on the fixed lane sets and on the screen's
-    own blocks, it must end no lane that converges without it."""
+    """The rule is empirical: on the fixed lane sets and on the radius
+    check's own blocks, screen and rest alike, it must end no lane that
+    converges without it."""
     ended = sum(assert_slow_rule_only_ends_failing_lanes(*lane_set)
                 for lane_set in fixed_lane_sets())
-    blocks = screen_blocks(monkeypatch)
+    screen, rest = radius_check_blocks(monkeypatch)
     screened = sum(assert_slow_rule_only_ends_failing_lanes(*block)
-                   for block in blocks)
+                   for block in screen)
+    rested = sum(assert_slow_rule_only_ends_failing_lanes(*block)
+                 for block in rest)
     # 25 of the 360 fixed lanes and most screen lanes end early
-    assert ended > 0 and screened > sum(len(b[1]) for b in blocks) // 2
+    assert ended > 0 and screened > sum(len(b[1]) for b in screen) // 2
+    assert rest and rested > 0
 
 
 # ---------------------------------------------------------------------------
