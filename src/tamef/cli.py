@@ -27,7 +27,7 @@ from .graded import (BanachFiber, Grading, ProductSpace, SequenceBatch,
                      SequenceSpace, certify_grading_equivalence,
                      l1_grading, linf_grading, seminorm_l1)
 from .implicit import PointSplit, build_constraint, is_regular_point, \
-    solve_implicit
+    parse_constraint_name, solve_implicit
 from .manifold import make_sphere, make_sphere_intersection, \
     transitions_csv_rows, verify_transitions
 from .maps import build_map, certify_tame
@@ -358,12 +358,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_SOLVE_FAILED
 
     try:
-        report = is_regular_point(constraint, base)
-        if not report.rank_decision:
-            raise RegularityError(
-                f"base point is not regular "
-                f"(singular values {report.singular_values})")
-        split = PointSplit(constraint, report)
+        split = PointSplit(constraint, is_regular_point(constraint, base))
         x, base_y = (coords[0] for coords in split.coords_of(base))
         if len(cfg.x_offsets) > x.size:
             raise ConfigError("more x_offsets than kernel coordinates")
@@ -371,9 +366,9 @@ def cmd_solve(cfg: RunConfig) -> int:
             x[i] += float(value)
         y0 = np.asarray(cfg.y0, dtype=np.float64) if cfg.y0 is not None \
             else base_y
-        if y0.shape != (split.split.y_dim,):
+        if y0.shape != (split.y_dim,):
             raise ConfigError("y0 length must equal the codimension")
-        result = solve_implicit(split.split, x, y0, tol=cfg.tol,
+        result = solve_implicit(split, x, y0, tol=cfg.tol,
                                 max_iter=cfg.max_iter)
     except (NonConvergenceError, SingularBlockError, RegularityError) as err:
         return write_failure(err)
@@ -400,21 +395,15 @@ def cmd_atlas(cfg: RunConfig) -> int:
             f"atlas samples at most {MAX_OVERLAP_PROBES} overlap points per "
             f"chart pair, got probes {cfg.probes}")
     space = cfg.space()
-    head, _, rest = cfg.constraint.partition(":")
     try:
-        if head == "sphere":
-            levels = [int(rest) if rest else 0]
-        elif head == "spheres":
-            levels = [int(s) for s in rest.split(",") if s != ""]
-        else:
-            raise ConfigError(
-                f"atlas supports sphere:<n> and spheres:<n1,...>, "
-                f"got {cfg.constraint!r}")
+        head, levels = parse_constraint_name(cfg.constraint)
     except ValueError as err:
-        raise ConfigError(f"bad constraint levels: {err}") from err
-    for n in levels:
-        if not 0 <= n <= cfg.nmax:
-            raise ConfigError(f"sphere level {n} outside 0..{cfg.nmax}")
+        raise ConfigError(
+            f"cannot build constraint {cfg.constraint!r}: {err}") from err
+    if head not in ("sphere", "spheres"):
+        raise ConfigError(
+            f"atlas supports sphere:<n> and spheres:<n1,...>, "
+            f"got {cfg.constraint!r}")
     try:
         if head == "sphere":
             manifold = make_sphere(space, levels[0], seed=cfg.seed)
@@ -430,7 +419,7 @@ def cmd_atlas(cfg: RunConfig) -> int:
             "evidence": err.evidence,
         })
         return EXIT_CONSTRUCTION_FAILED
-    except ValueError as err:
+    except (ValueError, IndexError) as err:
         raise ConfigError(str(err)) from err
     reports = verify_transitions(manifold, probes_per_pair=cfg.probes,
                                  seed=cfg.seed, r_max=cfg.r_max)

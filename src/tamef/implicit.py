@@ -225,7 +225,9 @@ def is_regular_point(c: ConstraintMap, p: SequenceBatch) -> RegularPointReport:
     J = c.jacobians(flatten(p))[0]
     w = level_weights(c.space, c.level)
     J_w = J / w[None, :]
-    sigma = np.linalg.svd(J_w, compute_uv=False)
+    # a non-finite Jacobian has no rank: its SVD would fail or give NaN
+    sigma = np.linalg.svd(J_w, compute_uv=False) if np.isfinite(J_w).all() \
+        else np.full(m, np.nan)
     sigma_max = float(sigma[0]) if sigma.size else 0.0
     sigma_min = float(sigma[m - 1]) if sigma.size >= m else 0.0
     regular = sigma_min > RANK_RTOL * sigma_max and sigma_max > 0.0
@@ -431,53 +433,25 @@ def solve_implicit(split: SplitConstraint, x, y0,
 # splitting an ambient constraint at a regular point
 # ---------------------------------------------------------------------------
 
-class _PointSplitConstraint(SplitConstraint):
-    """The split constraint of a PointSplit: the ambient constraint at the
-    flat points K x + C y.  A lane's x stays fixed while it is solved, so
-    bind forms the kernel parts K x of a block once (PointSplit.lane_flats);
-    every residual, damping ladder and phi-block call then gathers them by
-    lane and adds C y.  values, d_x and d_y go through the same code."""
+class PointSplit(SplitConstraint):
+    """Absolute split coordinates attached to a regular-point report, and
+    their split constraint "<name>@split": the ambient constraint at the
+    flat points K x + C y.  The constructor is the one regularity gate: a
+    non-regular report raises RegularityError with its singular values.
 
-    def __init__(self, point: "PointSplit"):
-        super().__init__(
-            self.values, point.kernel_mat.shape[1], point.compl_mat.shape[1],
-            name=f"{point.constraint.name}@split")
-        self.point = point
-
-    def _partials(self, flats: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """The supplied ambient Jacobians at flat points, times a basis."""
-        return np.matmul(self.point.constraint.jacobians(flats), basis)
-
-    def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
-        point = self.point
-        flats = point.lane_flats(X)
-
-        def values(lanes, Y):
-            return point.constraint.values(flats(lanes, Y))
-
-        def d_y(lanes, Y):
-            if point.constraint.jacobian is None:
-                return _central_differences(lambda P: values(lanes, P), Y,
-                                            self.y_dim)
-            return self._partials(flats(lanes, Y), point.compl_mat)
-
-        return values, d_y
-
-    def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.point.constraint.jacobian is None:
-            return super().d_x(X, Y)
-        return self._partials(self.point.lane_flats(X)(None, Y),
-                              self.point.kernel_mat)
-
-
-class PointSplit:
-    """Absolute split coordinates attached to a regular-point report; its
-    split constraint evaluates a block of lanes in one constraint call."""
+    A lane's x stays fixed while it is solved, so bind forms the kernel
+    parts K x of a block once (lane_flats); every residual, damping ladder
+    and phi-block call then gathers them by lane and adds C y.  values,
+    d_x and d_y go through the same code."""
 
     def __init__(self, c: ConstraintMap, report: RegularPointReport):
         if not report.rank_decision or report.kernel_basis is None:
             raise RegularityError(
-                f"{c.name}: cannot split at a non-regular point")
+                f"{c.name}: base point fails the rank test "
+                f"(singular values {report.singular_values})")
+        super().__init__(self.values, report.kernel_basis.shape[1],
+                         report.complement_basis.shape[1],
+                         name=f"{c.name}@split")
         self.constraint = c
         self.report = report
         self.kernel_mat = report.kernel_basis
@@ -486,7 +460,30 @@ class PointSplit:
         # metric-projection rows: coords(q) = (W^2 basis)^T q
         self._kernel_proj = (self.kernel_mat * (w ** 2)[:, None]).T
         self._compl_proj = (self.compl_mat * (w ** 2)[:, None]).T
-        self.split = _PointSplitConstraint(self)
+
+    def _partials(self, flats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """The supplied ambient Jacobians at flat points, times a basis."""
+        return np.matmul(self.constraint.jacobians(flats), basis)
+
+    def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
+        c = self.constraint
+        flats = self.lane_flats(X)
+
+        def values(lanes, Y):
+            return c.values(flats(lanes, Y))
+
+        def d_y(lanes, Y):
+            if c.jacobian is None:
+                return _central_differences(lambda P: values(lanes, P), Y,
+                                            self.y_dim)
+            return self._partials(flats(lanes, Y), self.compl_mat)
+
+        return values, d_y
+
+    def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self.constraint.jacobian is None:
+            return super().d_x(X, Y)
+        return self._partials(self.flats(X, Y), self.kernel_mat)
 
     def lane_flats(self, X: np.ndarray) -> Callable:
         """flats(lanes, Y): the flat ambient points K X[lanes] + C Y, one
@@ -524,6 +521,7 @@ class PointSplit:
 
 def split_at(c: ConstraintMap, p: SequenceBatch,
              report: Optional[RegularPointReport] = None) -> PointSplit:
+    """The PointSplit at p; a non-regular p raises RegularityError."""
     if report is None:
         report = is_regular_point(c, p)
     return PointSplit(c, report)
@@ -563,7 +561,7 @@ class Chart:
 
     @property
     def kernel_dimension(self) -> int:
-        return self.split_data.split.x_dim
+        return self.split_data.x_dim
 
     def offsets(self, q: SequenceBatch) -> np.ndarray:
         """Kernel offsets P(q - p) of every row q from the base point."""
@@ -586,7 +584,7 @@ class Chart:
     def inverse(self, x_offsets: np.ndarray,
                 values: Optional[np.ndarray] = None) -> SequenceBatch:
         x = self.base_x + np.asarray(x_offsets, dtype=np.float64)
-        result = solve_implicit(self.split_data.split, x, self.base_y,
+        result = solve_implicit(self.split_data, x, self.base_y,
                                 target=values)
         return self.split_data.point_of(x, result.y)
 
@@ -600,7 +598,7 @@ class Chart:
         (None for a converged row); a failed row's point means nothing.
         end_slow_lanes also fails the rows that contract slowly
         (newton.damped_newton), with an error inverse would not raise."""
-        split = self.split_data.split
+        split = self.split_data
         X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         flats = np.empty((len(X), self.constraint.flat_dimension))
         converged = np.zeros(len(X), dtype=bool)
@@ -612,7 +610,7 @@ class Chart:
             out = _solve_lanes(split, block, y0, goal, DEFAULT_SOLVE_TOL,
                                DEFAULT_MAX_ITER, end_slow_lanes)
             stop = start + len(block)
-            flats[start:stop] = self.split_data.flats(block, out.z)
+            flats[start:stop] = split.flats(block, out.z)
             converged[start:stop] = out.converged
             errors[start:stop] = out.errors
         return flats, converged, errors
@@ -719,17 +717,12 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     a time, then bisects to the failure boundary in RADIUS_BISECTION_STEPS
     steps.  The bisection solves the first direction of every midpoint
     that BISECTION_LEVELS steps can visit as one lane block, and the other
-    directions only at the midpoints on its path.  A radius below the floor
-    rejects the chart: the splitting is numerically unusable even if the
-    rank test passed.
+    directions only at the midpoints on its path.  A non-regular report
+    raises RegularityError from PointSplit, the one regularity gate.  A
+    radius below the floor rejects the chart: the splitting is numerically
+    unusable even if the rank test passed.
     """
-    if report is None:
-        report = is_regular_point(c, p)
-    if not report.rank_decision:
-        raise RegularityError(
-            f"{c.name}: base point fails the rank test "
-            f"(singular values {report.singular_values})")
-    chart = Chart(PointSplit(c, report), p, validity_radius=0.0)
+    chart = Chart(split_at(c, p, report), p, validity_radius=0.0)
     x_dim = chart.kernel_dimension
     rng = rng_from_seed(seed)
     dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
@@ -887,6 +880,8 @@ def sphere_intersection_constraint(space: SequenceSpace,
         raise ValueError("need at least one sphere level")
     if sorted(set(levels)) != levels:
         raise ValueError("sphere levels must be strictly increasing")
+    if levels[0] < 0 or levels[-1] > space.n_max:
+        raise IndexError(f"sphere levels {levels} outside 0..{space.n_max}")
     if len(levels) > space.truncation_degree:
         raise ValueError(
             "more sphere levels than truncation degrees: fiber generically "
@@ -998,27 +993,42 @@ def polynomial_constraint(space: SequenceSpace, rows) -> ConstraintMap:
     return ConstraintMap("polynomial", space, len(parsed), phi, jac)
 
 
+def parse_constraint_name(name: str) -> Tuple[str, list]:
+    """(head, arguments) of a registry name: [n] for sphere:<n> (n = 0 when
+    left out), the levels of spheres:<...>, the coefficients of linear:<...>
+    and [] for affine and polynomial.  An unknown head or an argument that
+    is not a number raises ValueError."""
+    head, _, rest = name.partition(":")
+    items = [s for s in rest.split(",") if s != ""]
+    if head == "sphere":
+        return head, [int(rest) if rest else 0]
+    if head == "spheres":
+        return head, [int(s) for s in items]
+    if head == "linear":
+        return head, [float(s) for s in items]
+    if head in ("affine", "polynomial"):
+        return head, []
+    raise ValueError(f"unknown constraint name {name!r}")
+
+
 def build_constraint(name: str, space: SequenceSpace,
                      params: Optional[dict] = None) -> ConstraintMap:
     """Registry: sphere:<n> | spheres:<n1,n2,...> | linear:<c0,c1,...> |
-    affine (matrix/offset from params) | polynomial (rows from params)."""
-    head, _, rest = name.partition(":")
+    affine (matrix/offset from params) | polynomial (rows from params), read
+    by parse_constraint_name; the constructors check the values, and a
+    sphere level outside 0..n_max raises IndexError."""
+    head, args = parse_constraint_name(name)
     if head == "sphere":
-        return sphere_constraint(space, int(rest) if rest else 0)
+        return sphere_constraint(space, args[0])
     if head == "spheres":
-        levels = [int(s) for s in rest.split(",") if s != ""]
-        return sphere_intersection_constraint(space, levels)
+        return sphere_intersection_constraint(space, args)
     if head == "linear":
-        coeffs = [float(s) for s in rest.split(",") if s != ""]
-        return linear_constraint(space, coeffs)
+        return linear_constraint(space, args)
+    params = params or {}
     if head == "affine":
-        params = params or {}
         if "matrix" not in params or "offset" not in params:
             raise ValueError("affine constraint needs matrix/offset params")
         return affine_constraint(space, params["matrix"], params["offset"])
-    if head == "polynomial":
-        params = params or {}
-        if "rows" not in params:
-            raise ValueError("polynomial constraint needs rows params")
-        return polynomial_constraint(space, params["rows"])
-    raise ValueError(f"unknown constraint name {name!r}")
+    if "rows" not in params:
+        raise ValueError("polynomial constraint needs rows params")
+    return polynomial_constraint(space, params["rows"])

@@ -146,7 +146,7 @@ def test_dphi_vphi_identity_across_registry():
         for point, info in points:
             data = split_at(constraint, point, info)
             (x,), (y,) = data.coords_of(point)
-            block = data.split
+            block = data
             for _ in range(64):
                 k1 = rng.standard_normal(block.x_dim)
                 k2 = rng.standard_normal(block.y_dim)
@@ -191,7 +191,7 @@ def _chart_round_trips(manifold, samples, seed):
     rng = rng_from_seed(seed)
     worst = 0.0
     for chart in manifold.charts:
-        dim = chart.split_data.split.x_dim
+        dim = chart.split_data.x_dim
         for _ in range(samples):
             direction = rng.standard_normal(dim)
             direction /= np.linalg.norm(direction)

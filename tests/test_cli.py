@@ -13,7 +13,8 @@ import pytest
 
 import tamef
 from tamef import cli
-from tamef.graded import RatioWitness
+from tamef.graded import BanachFiber, RatioWitness, SequenceSpace
+from tamef.implicit import build_constraint
 from tamef.maps import CertificationOutcome
 
 E = math.e
@@ -293,6 +294,42 @@ def test_non_finite_config_values(tmp_path, capsys, config, code):
         assert lines[2:] == ["0,"]
 
 
+@pytest.mark.parametrize("args, config", [
+    (["--constraint", "linear:1,nan", "--k", "1"], {}),
+    ([], {"constraint": "affine", "k": 1,
+          "constraint_params": {"matrix": [[math.nan, 1]], "offset": [0]}}),
+    ([], {"constraint": "polynomial", "k": 2, "constraint_params": {
+        "rows": [[[math.inf, [1]], [1.0, [0, 0]], [-1.0, []]]]}}),
+])
+def test_solve_non_finite_jacobian_exits_3(tmp_path, capsys, args, config):
+    # a NaN or infinite Jacobian at the base point fails the rank test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--config", str(cfg_path), "--out", str(out)]
+                   + args) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    error = load_json(str(out / "error.json"))
+    assert error["error_type"] == "RegularityError"
+    assert error["error"].endswith(
+        "base point fails the rank test (singular values (nan,))")
+    assert csv_lines(str(out / "history.csv"))[2:] == []
+
+
+def test_solve_non_regular_base_point_exits_3(tmp_path):
+    config = {"command": "solve", "constraint": "sphere:0", "k": 4,
+              "nmax": 2, "base_point": [0.0], "out": str(tmp_path / "run")}
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["solve", "--config", str(cfg_path)]) == 3
+    error = load_json(str(tmp_path / "run" / "error.json"))
+    assert error["error_type"] == "RegularityError"
+    assert error["error"] == ("sphere:0: base point fails the rank test "
+                              "(singular values (0.0,))")
+    assert csv_lines(str(tmp_path / "run" / "history.csv"))[1:] == \
+        ["iter,residual"]
+
+
 def test_solve_too_many_offsets(tmp_path):
     config = {"command": "solve", "constraint": "sphere:0", "k": 4,
               "nmax": 2, "x_offsets": [0.1] * 10,
@@ -349,6 +386,41 @@ def test_atlas_distinct_radii(tmp_path):
 def test_atlas_level_above_nmax(tmp_path):
     assert run_cli(["atlas", "--constraint", "sphere:9", "--nmax", "3",
                     "--out", str(tmp_path / "run")]) == 64
+
+
+#: sphere names at --k 4 --nmax 3: levels -1..4, repeats, descending
+#: order, empty level lists, more levels than k, and non-integers
+SPHERE_NAMES = (
+    [f"sphere:{n}" for n in range(-1, 5)]
+    + [f"spheres:{n}" for n in range(-1, 5)]
+    + ["spheres:-1,0", "spheres:0,1", "spheres:2,3", "spheres:3,4",
+       "spheres:0,1,2,3", "spheres:0,1,2,3,4", "spheres:1,1",
+       "spheres:0,0,1", "spheres:1,0", "spheres:3,0", "sphere:", "spheres:",
+       "spheres:,", "sphere:x", "sphere:1.5", "sphere:0,1", "spheres:0,x",
+       "spheres:0.5"])
+
+
+def test_solve_and_atlas_reject_the_same_sphere_names(tmp_path):
+    # one grammar and one level check: the registry, solve and atlas
+    # accept and reject the same names
+    space = SequenceSpace(BanachFiber(1), truncation_degree=4, n_max=3)
+    rejected = {"registry": set(), "solve": set(), "atlas": set()}
+    for name in SPHERE_NAMES:
+        try:
+            build_constraint(name, space)
+        except (ValueError, IndexError):
+            rejected["registry"].add(name)
+        for command in ("solve", "atlas"):
+            code = run_cli([command, "--constraint", name, "--k", "4",
+                            "--nmax", "3", "--probes", "4",
+                            "--out", str(tmp_path / command)])
+            assert code in (0, 2, 3, 4, 64), (command, name)
+            if code == 64:
+                rejected[command].add(name)
+    assert rejected["solve"] == rejected["registry"]
+    assert rejected["atlas"] == rejected["registry"]
+    assert "spheres:-1,0" in rejected["registry"]
+    assert "sphere:0" not in rejected["registry"]
 
 
 def test_atlas_rejects_other_constraints(tmp_path):

@@ -9,10 +9,11 @@ probes <= 16, max_iter <= 100).
 """
 
 import json
+import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tamef import cli
@@ -59,6 +60,12 @@ def polynomial_rows(flat_dimension, most):
 
 #: up to 4 rows, more than the 3 flat coordinates at k = 2
 rows = polynomial_rows(4, 4)
+#: well-formed rows, in range at k = 2, led by a term whose coefficient is
+#: NaN or Infinity: the Jacobian at the base point is then not finite
+non_finite_rows = st.tuples(
+    st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]),
+              st.lists(st.integers(0, 2), min_size=1, max_size=2)),
+    polynomial_rows(3, 2)).map(lambda pair: [[pair[0]]] + pair[1])
 
 #: the valid values of the config keys each command reads
 SCALARS = {
@@ -111,10 +118,11 @@ BAD = {
                             "projection:3", "compose:product:a,b"]),
     "constraint": st.sampled_from(["bogus", "sphere:9", "sphere:x",
                                    "spheres:1,0", "spheres:0,9", "linear:",
-                                   "affine"]),
+                                   "affine", "spheres:-1,0", "linear:1,nan"]),
     "constraint_params": st.fixed_dictionaries(
         {"rows": json_values}, optional={"matrix": json_values,
-                                         "offset": json_values}),
+                                         "offset": json_values})
+    | st.fixed_dictionaries({"rows": non_finite_rows}),
     "base_point": bad_lists,
     "x_offsets": bad_lists,
     "y0": bad_lists,
@@ -227,8 +235,12 @@ def _assert_documented_run(command, flag_pairs, config):
 @settings(max_examples=120, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(TARGETS).flatmap(_example))
-def test_cli_exits_with_a_documented_code(example):
-    _assert_documented_run(*example)
+@example(("solve", (), {"constraint": "spheres:-1,0", "k": 4, "nmax": 3}))
+@example(("solve", (), {"constraint": "linear:1,nan", "k": 1}))
+@example(("solve", (), {"constraint": "polynomial", "k": 2,
+                        "constraint_params": {"rows": [[[math.nan, [1]]]]}}))
+def test_cli_exits_with_a_documented_code(case):
+    _assert_documented_run(*case)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -1,6 +1,7 @@
 """Regular points, splittings, the Newton solver, and charts."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             check_jacobian, find_preimage, flatten,
                             is_regular_point, is_regular_value,
                             level_weights, linear_constraint,
-                            polynomial_constraint, solve_implicit,
+                            parse_constraint_name, polynomial_constraint,
+                            solve_implicit,
                             sphere_constraint, sphere_intersection_constraint,
                             split_at, unflatten)
 from tamef.manifold import make_sphere
@@ -313,6 +315,31 @@ def test_sphere_not_regular_at_origin():
     assert report.kernel_basis is None
 
 
+#: constraints whose Jacobian at the first basis vector is not finite
+NON_FINITE_JACOBIANS = {
+    "linear-nan": lambda: linear_constraint(SPACE8, [1.0, math.nan]),
+    "linear-inf": lambda: linear_constraint(SPACE8, [math.inf, 1.0]),
+    "affine-nan": lambda: affine_constraint(
+        SPACE8, [[math.nan] + [1.0] * (SPACE8.flat_dimension - 1)], [0.0]),
+    "polynomial-nan": lambda: polynomial_constraint(
+        SPACE8, [[[math.nan, [1]], [1.0, [0]]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_JACOBIANS))
+def test_non_finite_jacobian_is_not_regular(name):
+    # the SVD of a NaN matrix does not converge: the report has no rank
+    # instead, and its singular values are NaN
+    c = NON_FINITE_JACOBIANS[name]()
+    report = is_regular_point(c, SPACE8.basis(0))
+    assert not report.rank_decision
+    assert report.kernel_basis is None
+    assert len(report.singular_values) == c.target_dim
+    assert all(math.isnan(s) for s in report.singular_values)
+    with pytest.raises(RegularityError, match=re.escape("(nan,)")):
+        split_at(c, SPACE8.basis(0))
+
+
 def test_kernel_basis_is_orthonormal_and_annihilated():
     c = sphere_constraint(SPACE16, level=1)
     p = SPACE16.basis(0, scale=0.8) + SPACE16.basis(2, scale=0.1)
@@ -391,9 +418,9 @@ def test_split_sphere_solves_to_oracle_point():
     # coordinate to sqrt(1 - 0.36) = 0.8
     c = sphere_constraint(SPACE16)
     ps = split_at(c, SPACE16.basis(0))
-    x = np.zeros(ps.split.x_dim)
+    x = np.zeros(ps.x_dim)
     x[0] = 0.6
-    result = solve_implicit(ps.split, x, [0.5])
+    result = solve_implicit(ps, x, [0.5])
     assert result.converged
     assert result.y[0] == pytest.approx(0.8, abs=1e-12)
     point = ps.point_of(x, result.y)
@@ -403,9 +430,9 @@ def test_split_sphere_solves_to_oracle_point():
 def test_split_sphere_residuals_contract_quadratically():
     c = sphere_constraint(SPACE16)
     ps = split_at(c, SPACE16.basis(0))
-    x = np.zeros(ps.split.x_dim)
+    x = np.zeros(ps.x_dim)
     x[0] = 0.6
-    res = solve_implicit(ps.split, x, [0.5]).residuals
+    res = solve_implicit(ps, x, [0.5]).residuals
     for i in range(len(res) - 1):
         if res[i] < 0.1:
             assert res[i + 1] <= 2.0 * res[i] ** 2
@@ -418,8 +445,8 @@ def test_split_sphere_dphi_doubles_along_gradient():
     (x,), (y,) = ps.coords_of(SPACE16.basis(0))
     assert np.linalg.norm(x) <= 1e-12
     assert y == pytest.approx([1.0], abs=1e-12)
-    h1 = np.zeros(ps.split.x_dim)
-    out1, out2 = apply_dphi(ps.split, x, y, h1, [1.0])
+    h1 = np.zeros(ps.x_dim)
+    out1, out2 = apply_dphi(ps, x, y, h1, [1.0])
     assert np.array_equal(out1, h1)
     assert out2 == pytest.approx([2.0], abs=1e-12)
 
@@ -433,10 +460,10 @@ def test_dphi_vphi_identity_on_random_cotangents():
     (x,), (y,) = ps.coords_of(q)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     for _ in range(64):
-        k1 = rng.normal(size=ps.split.x_dim)
+        k1 = rng.normal(size=ps.x_dim)
         k2 = rng.normal(size=1)
-        v1, v2 = apply_vphi(ps.split, x, y, k1, k2)
-        d1, d2 = apply_dphi(ps.split, x, y, v1, v2)
+        v1, v2 = apply_vphi(ps, x, y, k1, k2)
+        d1, d2 = apply_dphi(ps, x, y, v1, v2)
         scale = 1.0 + float(np.linalg.norm(k1)) + float(np.linalg.norm(k2))
         assert float(np.linalg.norm(d1 - k1)) <= 1e-9 * scale
         assert float(np.linalg.norm(d2 - k2)) <= 1e-9 * scale
@@ -518,6 +545,29 @@ def test_split_rejects_non_regular_report():
     report = is_regular_point(c, SPACE16.zero())
     with pytest.raises(RegularityError):
         PointSplit(c, report)
+
+
+@pytest.mark.parametrize("gate", ["PointSplit", "split_at", "build_chart"])
+def test_regularity_gate_names_the_singular_values(gate):
+    # PointSplit is the one gate: split_at and build_chart raise through it
+    c = sphere_constraint(SPACE16)
+    p = SPACE16.zero()
+    report = is_regular_point(c, p)
+    calls = {"PointSplit": lambda: PointSplit(c, report),
+             "split_at": lambda: split_at(c, p),
+             "build_chart": lambda: build_chart(c, p, report=report)}
+    want = "sphere:0: base point fails the rank test (singular values (0.0,))"
+    with pytest.raises(RegularityError, match=f"^{re.escape(want)}$"):
+        calls[gate]()
+
+
+def test_point_split_is_its_own_split_constraint():
+    c = sphere_constraint(SPACE16)
+    ps = split_at(c, SPACE16.basis(0))
+    assert isinstance(ps, SplitConstraint)
+    assert ps.name == "sphere:0@split"
+    assert (ps.x_dim, ps.y_dim) == (SPACE16.flat_dimension - 1, 1)
+    assert not hasattr(ps, "split")
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +758,26 @@ def test_registry_polynomial_jacobian_is_analytic():
     assert c.target_dim == 2
     probes = make_probes(SPACE8, 6, seed=21)
     assert check_jacobian(c, probes) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["sphere:-1", "sphere:5", "spheres:-1,0",
+                                  "spheres:0,5", "spheres:-2,-1"])
+def test_registry_sphere_levels_outside_the_grading(name):
+    # every level is checked against 0..n_max, not only the top one
+    with pytest.raises(IndexError):
+        build_constraint(name, SPACE16)
+
+
+def test_parse_constraint_name():
+    assert parse_constraint_name("sphere:") == ("sphere", [0])
+    assert parse_constraint_name("sphere:2") == ("sphere", [2])
+    assert parse_constraint_name("spheres:0,2") == ("spheres", [0, 2])
+    assert parse_constraint_name("spheres:-1,0") == ("spheres", [-1, 0])
+    assert parse_constraint_name("linear:1,,2.5") == ("linear", [1.0, 2.5])
+    assert parse_constraint_name("polynomial") == ("polynomial", [])
+    for bad in ("sphere:x", "sphere:0,1", "spheres:0,1.5", "saddle:2"):
+        with pytest.raises(ValueError):
+            parse_constraint_name(bad)
 
 
 def test_registry_unknown_name():

@@ -164,7 +164,7 @@ def split_case(name):
             [1.0, [0, 0]], [1.0, [1, 1]], [0.5, [0, 1, 2]], [-1.0, []]]])
     ps = PointSplit(c, is_regular_point(c, base))
     (x,), (y,) = ps.coords_of(base)
-    return ps.split, x, y
+    return ps, x, y
 
 
 CASES = ("sphere:0", "sphere:1", "spheres", "affine", "polynomial")

@@ -338,9 +338,9 @@ def uncached(ps):
 
     has_jacobian = c.jacobian is not None
     return SplitConstraint(
-        lambda X, Y: c.values(flats(X, Y)), ps.split.x_dim, ps.split.y_dim,
+        lambda X, Y: c.values(flats(X, Y)), ps.x_dim, ps.y_dim,
         d_x=block(K) if has_jacobian else None,
-        d_y=block(C) if has_jacobian else None, name=ps.split.name)
+        d_y=block(C) if has_jacobian else None, name=ps.name)
 
 
 #: kernel offset scales: converging, near the edge, stalling or out of
@@ -369,8 +369,8 @@ def test_kernel_parts_once_per_block_equal_uncached_solves(name):
     for count, seed in ((1, 0), (len(OFFSETS) * len(STARTS), 1),
                         (CHART_LANES + 6, 2)):
         X, Y0 = lane_block(ps, count, seed)
-        goal = np.zeros(ps.split.y_dim)
-        got = _solve_lanes(ps.split, X, Y0, goal, DEFAULT_SOLVE_TOL,
+        goal = np.zeros(ps.y_dim)
+        got = _solve_lanes(ps, X, Y0, goal, DEFAULT_SOLVE_TOL,
                            DEFAULT_MAX_ITER)
         want = _solve_lanes(uncached(ps), X, Y0, goal, DEFAULT_SOLVE_TOL,
                             DEFAULT_MAX_ITER)
@@ -398,9 +398,9 @@ def test_split_values_and_blocks_equal_uncached(name):
     reference = uncached(ps)
     X, Y = lane_block(ps, 2 * len(OFFSETS) * len(STARTS), 3)
     for method in ("values", "d_x", "d_y"):
-        got = getattr(ps.split, method)(X, Y)
+        got = getattr(ps, method)(X, Y)
         want = getattr(reference, method)(X, Y)
         assert np.array_equal(got, want, equal_nan=True), method
     flats = ps.flats(X, Y)
-    assert np.array_equal(ps.split.values(X, Y),
+    assert np.array_equal(ps.values(X, Y),
                           ps.constraint.values(flats), equal_nan=True)
