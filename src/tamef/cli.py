@@ -404,6 +404,10 @@ def cmd_atlas(cfg: RunConfig) -> int:
         raise ConfigError(
             f"atlas supports sphere:<n> and spheres:<n1,...>, "
             f"got {cfg.constraint!r}")
+    if head == "sphere" and cfg.radii is not None:
+        raise ConfigError(
+            f"atlas takes radii only for spheres:<n1,...>, got radii for "
+            f"{cfg.constraint!r}")
     try:
         if head == "sphere":
             manifold = make_sphere(space, levels[0], seed=cfg.seed)

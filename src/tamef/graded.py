@@ -234,13 +234,14 @@ class SequenceBatch:
     # serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The fiber and coefficients of a one-row batch."""
+        """The fiber and coefficients of a one-row batch.  The coefficients
+        are its (K+1, d) float block, or for a complex fiber the
+        (K+1, d, 2) block of real and imaginary parts; tamef.serialize
+        writes a block as the nested lists of its numbers."""
         one_row(self, "to_json")
+        coeffs = self._block[0]
         if self.fiber.scalar_field == "complex":
-            coeffs = [[[float(z.real), float(z.imag)] for z in row]
-                      for row in self._block[0]]
-        else:
-            coeffs = [[float(x) for x in row] for row in self._block[0]]
+            coeffs = np.stack((coeffs.real, coeffs.imag), axis=-1)
         return {
             "fiber": {"dim": self.fiber.dimension,
                       "field": self.fiber.scalar_field,
@@ -250,14 +251,17 @@ class SequenceBatch:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceBatch":
-        """The one-row batch that to_json wrote."""
+        """The one-row batch that to_json wrote, from its block or from the
+        nested lists that JSON reads back."""
         fib = obj["fiber"]
         fiber = BanachFiber(int(fib["dim"]), fib["field"], fib["norm"])
-        rows = obj["coefficients"]
+        block = np.array(obj["coefficients"], dtype=np.float64)
         if fiber.scalar_field == "complex":
-            block = np.array([[complex(re, im) for re, im in row] for row in rows])
-        else:
-            block = np.array(rows, dtype=np.float64)
+            if block.shape[-1:] != (2,):
+                raise ValueError("complex coefficients must be "
+                                 "[real, imaginary] pairs")
+            # the pairs become complex numbers bit for bit
+            block = block.view(np.complex128)[..., 0]
         return cls(fiber, block[None])
 
 

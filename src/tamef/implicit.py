@@ -258,17 +258,19 @@ class SplitConstraint:
     (L, y_dim) values and the (L, y_dim, x_dim) and (L, y_dim, y_dim)
     partial derivatives; without d_x or d_y, central differences are used.
     Like ConstraintMap.phi, phi_xy returns non-finite values where it is
-    undefined rather than raising.
+    undefined rather than raising.  A subclass that defines phi_xy as a
+    method passes None for it.
     """
 
-    def __init__(self, phi_xy: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    def __init__(self, phi_xy: Optional[Callable[[np.ndarray, np.ndarray],
+                                                 np.ndarray]],
                  x_dim: int, y_dim: int,
                  d_x: Optional[Callable] = None,
                  d_y: Optional[Callable] = None,
                  name: str = "split"):
         if y_dim < 1 or x_dim < 0:
             raise ValueError("need y_dim >= 1 and x_dim >= 0")
-        self.phi_xy = phi_xy
+        self._phi_xy = phi_xy
         self.x_dim = x_dim
         self.y_dim = y_dim
         self._d_x = d_x
@@ -299,6 +301,10 @@ class SplitConstraint:
                 len(Y), self.y_dim, self.y_dim)
 
         return values, d_y
+
+    def phi_xy(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The phi_xy callable the constraint was built with."""
+        return self._phi_xy(X, Y)
 
     def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
@@ -449,7 +455,7 @@ class PointSplit(SplitConstraint):
             raise RegularityError(
                 f"{c.name}: base point fails the rank test "
                 f"(singular values {report.singular_values})")
-        super().__init__(self.values, report.kernel_basis.shape[1],
+        super().__init__(None, report.kernel_basis.shape[1],
                          report.complement_basis.shape[1],
                          name=f"{c.name}@split")
         self.constraint = c
@@ -460,6 +466,10 @@ class PointSplit(SplitConstraint):
         # metric-projection rows: coords(q) = (W^2 basis)^T q
         self._kernel_proj = (self.kernel_mat * (w ** 2)[:, None]).T
         self._compl_proj = (self.compl_mat * (w ** 2)[:, None]).T
+
+    def phi_xy(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """phi at the flat points K X[i] + C Y[i]: the same as values."""
+        return self.values(X, Y)
 
     def _partials(self, flats: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """The supplied ambient Jacobians at flat points, times a basis."""

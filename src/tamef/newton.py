@@ -105,8 +105,8 @@ def damped_newton(residual: Callable, linear_step: Callable,
     slow = np.zeros(P, dtype=np.intp) if end_slow_lanes else None
 
     def fail(ids, cause: str, message: Callable[[float], str]):
-        for lane in ids:
-            history = tuple(float(n[lane]) for n in norms)
+        histories = np.array([n[ids] for n in norms]).T.tolist()
+        for lane, history in zip(ids, histories):
             errors[lane] = NonConvergenceError(message(history[-1]),
                                                history=history, cause=cause)
 

@@ -383,6 +383,18 @@ def test_atlas_distinct_radii(tmp_path):
     assert len(atlas["charts"]) >= 1
 
 
+def test_atlas_rejects_radii_for_one_sphere(tmp_path, capsys):
+    # radii shape only spheres:<n1,...>; for sphere:<n> they would be
+    # silently dropped and the unit sphere written
+    config = {"command": "atlas", "constraint": "sphere:0", "radii": [2.0],
+              "k": 6, "nmax": 2, "probes": 4, "out": str(tmp_path / "run")}
+    cfg_path = tmp_path / "atlas.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["atlas", "--config", str(cfg_path)]) == 64
+    assert capsys.readouterr().err.startswith("tamef: ")
+    assert not (tmp_path / "run" / "atlas.json").exists()
+
+
 def test_atlas_level_above_nmax(tmp_path):
     assert run_cli(["atlas", "--constraint", "sphere:9", "--nmax", "3",
                     "--out", str(tmp_path / "run")]) == 64

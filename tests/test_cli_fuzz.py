@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -102,33 +103,47 @@ SCALAR_KEYS = {
 for _command, _keys in SCALAR_KEYS.items():
     VALID[_command].update((key, SCALARS[key]) for key in _keys)
 
-#: bad values of a key; scalar keys also take any JSON value
-BAD = {
-    "k": st.sampled_from([-1, 0, 4097]),
-    "nmax": st.sampled_from([-1, 300]),
-    "fiber_dimension": st.just(0),
-    "seed": st.sampled_from([-1, 2 ** 64]),
-    "probes": st.integers(-1, 0) | st.just(10 ** 12),
-    "r_max": st.sampled_from([-1, 4]),
-    "tol": st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
-    "max_iter": st.integers(-1, 0),
-    "g1": st.just("bogus"),
-    "g2": st.just("bogus"),
-    "map": st.sampled_from(["bogus", "scale:x", "scale:nan", "scale:1e300",
-                            "projection:3", "compose:product:a,b"]),
-    "constraint": st.sampled_from(["bogus", "sphere:9", "sphere:x",
-                                   "spheres:1,0", "spheres:0,9", "linear:",
-                                   "affine", "spheres:-1,0", "linear:1,nan"]),
-    "constraint_params": st.fixed_dictionaries(
-        {"rows": json_values}, optional={"matrix": json_values,
-                                         "offset": json_values})
-    | st.fixed_dictionaries({"rows": non_finite_rows}),
-    "base_point": bad_lists,
-    "x_offsets": bad_lists,
-    "y0": bad_lists,
-    "radii": bad_lists,
-    "unknown_key": json_values,
+#: bad values of a key, each run once by
+#: test_every_bad_value_exits_with_a_documented_code; the fuzz test draws
+#: from them too, and from any JSON value for a scalar key
+BAD_VALUES = {
+    "k": [-1, 0, 4097],
+    "nmax": [-1, 300],
+    "fiber_dimension": [0],
+    "seed": [-1, 2 ** 64],
+    "probes": [-1, 0, 10 ** 12],
+    "r_max": [-1, 4],
+    "tol": [0.0, -1.0, float("nan"), float("inf")],
+    "max_iter": [-1, 0],
+    "g1": ["bogus"],
+    "g2": ["bogus"],
+    "map": ["bogus", "scale:x", "scale:nan", "scale:1e300", "projection:3",
+            "compose:product:a,b"],
+    "constraint": ["bogus", "sphere:9", "sphere:x", "spheres:1,0",
+                   "spheres:0,9", "linear:", "affine", "spheres:-1,0",
+                   "linear:1,nan"],
+    # malformed, and well-formed but led by a non-finite coefficient
+    "constraint_params": [{"rows": 5}, {"rows": [[[1, 5]]]},
+                          {"matrix": {"a": 1}, "offset": [0]},
+                          {"rows": [[[math.nan, [1]]]]},
+                          {"rows": [[[math.inf, [0, 2]]], [[1.0, [1]]]]},
+                          {"rows": [[[-math.inf, [2]], [0.5, []]]]}],
 }
+#: config keys that hold a list of numbers
+LIST_KEYS = ("base_point", "x_offsets", "y0", "radii")
+for _key in LIST_KEYS:
+    # nested too deep, NaN, Infinity, a string, empty, or no list at all
+    BAD_VALUES[_key] = [[math.nan], [math.inf, 0.5], [[1.0], [2.0]], ["one"],
+                        [], "one", None, 3]
+
+BAD = {key: st.sampled_from(values) for key, values in BAD_VALUES.items()}
+BAD["constraint_params"] |= st.fixed_dictionaries(
+    {"rows": json_values}, optional={"matrix": json_values,
+                                     "offset": json_values}) \
+    | st.fixed_dictionaries({"rows": non_finite_rows})
+for _key in LIST_KEYS:
+    BAD[_key] |= bad_lists
+BAD["unknown_key"] = json_values
 for _key in SCALARS:
     BAD[_key] |= json_values
 
@@ -154,19 +169,21 @@ COMMAND_FLAGS = {
     "atlas": {"--constraint": st.sampled_from(ATLAS_CONSTRAINTS)},
 }
 #: flags with bad values, or flags the command does not know
-BAD_FLAGS = {
-    "--k": st.sampled_from(["-1", "0", "4097", "x"]),
-    "--nmax": st.sampled_from(["-1", "300"]),
-    "--tol": st.sampled_from(["0", "nan", "inf", "x"]),
-    "--probes": st.sampled_from(["0", "-1", str(10 ** 12)]),
-    "--r-max": st.sampled_from(["-1", "9"]),
-    "--seed": st.sampled_from(["-1", str(2 ** 64)]),
-    "--g1": st.just("bogus"),
-    "--map": st.sampled_from(["bogus", "scale:inf"]),
-    "--constraint": st.sampled_from(["bogus", "sphere:9"]),
-    "--max-iter": st.sampled_from(["0", "-3"]),
-    "--bogus": st.just("1"),
+BAD_FLAG_VALUES = {
+    "--k": ["-1", "0", "4097", "x"],
+    "--nmax": ["-1", "300"],
+    "--tol": ["0", "nan", "inf", "x"],
+    "--probes": ["0", "-1", str(10 ** 12)],
+    "--r-max": ["-1", "9"],
+    "--seed": ["-1", str(2 ** 64)],
+    "--g1": ["bogus"],
+    "--map": ["bogus", "scale:inf"],
+    "--constraint": ["bogus", "sphere:9"],
+    "--max-iter": ["0", "-3"],
+    "--bogus": ["1"],
 }
+BAD_FLAGS = {flag: st.sampled_from(values)
+             for flag, values in BAD_FLAG_VALUES.items()}
 
 #: (command, what goes bad): None, "argv" for the flags, "unknown_key",
 #: "scalar" for one of the command's scalar keys, or one of its other keys
@@ -253,3 +270,37 @@ def test_polynomial_rows_exit_with_a_documented_code(case):
     _assert_documented_run("solve", (), {
         "constraint": "polynomial", "constraint_params": {"rows": rows},
         "k": k, "nmax": 2})
+
+
+#: small sizes for the keys a command reads, under every bad value
+SMALL = {"k": 4, "nmax": 2, "probes": 4}
+
+
+def _bad_value_cases():
+    """Every bad config value against every command that reads its key
+    (under each constraint that reads it), and every bad flag value
+    against every command."""
+    for command, valid in VALID.items():
+        small = {key: value for key, value in SMALL.items() if key in valid}
+        for key, values in BAD_VALUES.items():
+            if key not in valid:
+                continue
+            for constraint in READ_UNDER.get((command, key), [None]):
+                under = {} if constraint is None else {"constraint":
+                                                       constraint}
+                for i, value in enumerate(values):
+                    yield pytest.param(
+                        command, (), dict(small, **under, **{key: value}),
+                        id=f"{command}-{key}-{i}"
+                        + ("" if constraint is None else f"-{constraint}"))
+        for flag, values in BAD_FLAG_VALUES.items():
+            for i, value in enumerate(values):
+                yield pytest.param(command, ((flag, value),), small,
+                                   id=f"{command}{flag}-{i}")
+
+
+@pytest.mark.parametrize("command, flag_pairs, config", _bad_value_cases())
+def test_every_bad_value_exits_with_a_documented_code(command, flag_pairs,
+                                                      config):
+    """The fuzz test's draws miss most bad values; each runs once here."""
+    _assert_documented_run(command, flag_pairs, config)

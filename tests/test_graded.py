@@ -6,6 +6,7 @@ Oracle constants were computed independently from closed forms:
   e^{2*3}                 = 403.4287934927351
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from tamef.graded import (
     within_upper,
 )
 from tamef.probes import make_probes
+from tamef.serialize import dumps_json
 
 R1 = BanachFiber(1)
 GEOMETRIC_SUM_2 = 1.1565176427496657
@@ -361,12 +363,27 @@ def test_certificate_field_checks():
 # serialization
 # ---------------------------------------------------------------------------
 
+def _round_trips_exactly(f):
+    """from_json gives f back bit for bit, from to_json's block and from
+    the JSON text written of it; -0.0 keeps its sign."""
+    payload = f.to_json()
+    for obj in (payload, json.loads(dumps_json(payload))):
+        g = SequenceBatch.from_json(obj)
+        assert g.fiber == f.fiber
+        assert g.coefficients.dtype == f.coefficients.dtype
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(g.coefficients),
+                                  part(f.coefficients))
+            assert np.array_equal(np.signbit(part(g.coefficients)),
+                                  np.signbit(part(f.coefficients)))
+
+
 def test_sequence_json_round_trip_real():
     space = SequenceSpace(BanachFiber(2), truncation_degree=6, n_max=4)
     f = make_probes(space, 12, seed=21)[11]
-    g = SequenceBatch.from_json(f.to_json())
-    assert np.array_equal(f.coefficients, g.coefficients)
-    assert g.fiber == f.fiber
+    _round_trips_exactly(f)
+    _round_trips_exactly(SequenceBatch(BanachFiber(2), np.array(
+        [[[-0.0, 1e-300], [5e-324, 1e16], [1e16 - 2, 1 / 3]]])))
     with pytest.raises(ValueError):
         make_probes(space, 12, seed=21)[10:].to_json()
 
@@ -374,9 +391,9 @@ def test_sequence_json_round_trip_real():
 def test_sequence_json_round_trip_complex():
     fiber = BanachFiber(2, scalar_field="complex")
     block = np.arange(8.0).reshape(4, 2) + 1j * np.arange(8.0, 16.0).reshape(4, 2)
-    f = SequenceBatch(fiber, block[None])
-    g = SequenceBatch.from_json(f.to_json())
-    assert np.array_equal(f.coefficients, g.coefficients)
+    _round_trips_exactly(SequenceBatch(fiber, block[None]))
+    _round_trips_exactly(SequenceBatch(fiber, np.array(
+        [[[-0.0 + 1j, 2.5 - 1e-300j], [1e300 + 5e-324j, 1 / 3 - 1e16j]]])))
 
 
 # ---------------------------------------------------------------------------

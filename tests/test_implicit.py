@@ -1,7 +1,9 @@
 """Regular points, splittings, the Newton solver, and charts."""
 
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -568,6 +570,23 @@ def test_point_split_is_its_own_split_constraint():
     assert ps.name == "sphere:0@split"
     assert (ps.x_dim, ps.y_dim) == (SPACE16.flat_dimension - 1, 1)
     assert not hasattr(ps, "split")
+
+
+def test_point_split_is_freed_without_the_cycle_collector():
+    # phi_xy is a method, not a bound method stored on the split, so
+    # reference counting frees a split and its report the moment they go
+    c = sphere_constraint(SPACE16)
+    X = np.zeros((2, SPACE16.flat_dimension - 1))
+    Y = np.array([[1.0], [0.5]])
+    gc.disable()
+    try:
+        ps = split_at(c, SPACE16.basis(0))
+        assert np.array_equal(ps.phi_xy(X, Y), ps.values(X, Y))
+        refs = [weakref.ref(ps), weakref.ref(ps.report)]
+        del ps
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
