@@ -15,11 +15,11 @@ class SingularBlockError(TamefError):
 
 
 class NonConvergenceError(TamefError):
-    """An iteration hit its budget (or stalled) before reaching tolerance.
+    """An iteration ended before reaching tolerance.
 
     Carries the residual history so callers can report it, and the cause
-    as data: newton.damped_newton sets "budget", "non-finite", "stalled"
-    or "slow" (None where no cause is given).
+    as data: newton.NewtonLanes.error gives the name of the lane's code,
+    "budget", "non-finite", "stalled" or "slow" (None where none is given).
     """
 
     def __init__(self, message, history=None, cause=None):

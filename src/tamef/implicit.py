@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
                      UnsupportedGradingError)
 from .graded import SequenceBatch, SequenceSpace, _weights, as_batch, one_row
-from .newton import NewtonLanes, damped_newton, lane_norms
+from .newton import (BLOCK_NOT_FINITE, CONVERGED, SINGULAR, NewtonLanes,
+                     block_error, damped_newton, lane_norms)
 from .probes import rng_from_seed
 
 RANK_RTOL = 1e-8
@@ -321,12 +322,12 @@ class SplitConstraint:
         return self.bind(X)[1](None, Y)
 
 
-def _solve_blocks(B: np.ndarray, rhs: np.ndarray, context: str
-                  ) -> Tuple[np.ndarray, Optional[List[Optional[Exception]]]]:
+def _solve_blocks(B: np.ndarray, rhs: np.ndarray
+                  ) -> Tuple[np.ndarray, Optional[tuple]]:
     """B^{-1} rhs for an (L, m, m) stack of phi-blocks and (L, m) right-hand
-    sides.  The second value is None when every block was solved, else one
-    entry per lane: None, or the SingularBlockError of a non-finite or
-    singular block, whose step row is left zero."""
+    sides.  The second value is None when every block was solved, else the
+    lanes' codes and (sigma_min, sigma_max) as damped_newton's linear_step
+    returns them; a blocked lane's step row is left zero."""
     all_finite = np.count_nonzero(np.isfinite(B)) == B.size
     if not all_finite:
         finite = np.isfinite(B).all(axis=(1, 2))
@@ -334,25 +335,16 @@ def _solve_blocks(B: np.ndarray, rhs: np.ndarray, context: str
     sigma = np.linalg.svd(B, compute_uv=False)
     sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
     singular = sigma_min <= BLOCK_RTOL * np.maximum(sigma_max, 1.0)
-    if all_finite:
-        if not np.count_nonzero(singular):
-            return np.linalg.solve(B, rhs[:, :, None])[:, :, 0], None
-        finite = np.ones(len(B), dtype=bool)
-    good = finite & ~singular
+    if all_finite and not np.count_nonzero(singular):
+        return np.linalg.solve(B, rhs[:, :, None])[:, :, 0], None
+    codes = np.where(singular, SINGULAR, CONVERGED).astype(np.int8)
+    if not all_finite:
+        codes[~finite] = BLOCK_NOT_FINITE
+    good = codes == CONVERGED
     steps = np.zeros(rhs.shape)
     if good.any():
         steps[good] = np.linalg.solve(B[good], rhs[good][:, :, None])[:, :, 0]
-    errors: List[Optional[Exception]] = []
-    for ok, fin, low, high in zip(good, finite, sigma_min, sigma_max):
-        if ok:
-            errors.append(None)
-        elif not fin:
-            errors.append(SingularBlockError(f"{context}: phi-block not finite"))
-        else:
-            errors.append(SingularBlockError(
-                f"{context}: phi-block singular (sigma_min={low:.3g}, "
-                f"sigma_max={high:.3g})"))
-    return steps, errors
+    return steps, (codes, sigma[:, [-1, 0]])
 
 
 def _one_row_blocks(split: SplitConstraint, x, y
@@ -376,9 +368,10 @@ def apply_vphi(split: SplitConstraint, x, y, k1, k2):
     k1 = np.asarray(k1, dtype=np.float64).reshape(split.x_dim)
     k2 = np.asarray(k2, dtype=np.float64).reshape(split.y_dim)
     A, B = _one_row_blocks(split, x, y)
-    h2, errors = _solve_blocks(B[None], (k2 - A @ k1)[None], split.name)
-    if errors is not None:
-        raise errors[0]
+    h2, blocked = _solve_blocks(B[None], (k2 - A @ k1)[None])
+    if blocked is not None:
+        codes, sigma = blocked
+        raise block_error(split.name, codes[0], sigma[0])
     return k1, h2[0]
 
 
@@ -403,7 +396,7 @@ def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
     values, d_y = split.bind(X)
     return damped_newton(
         lambda lanes, Y: values(lanes, Y) - goal,
-        lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R, split.name),
+        lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R),
         Y0, tol, max_iter, split.name, end_slow_lanes)
 
 
@@ -411,26 +404,18 @@ def solve_implicit(split: SplitConstraint, x, y0,
                    target: Optional[np.ndarray] = None,
                    tol: float = DEFAULT_SOLVE_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
-    """Damped Newton on y for phi(x, y) = target (default 0): one lane of
-    newton.damped_newton, which raises that lane's error.
-
-    Steps solve the square phi-block, which raises SingularBlockError when
-    singular or non-finite; see damped_newton for damping and failures.
+    """Damped Newton on y for phi(x, y) = target (default 0), one lane of
+    newton.damped_newton whose steps solve the square phi-block.  A failed
+    lane raises its error: NonConvergenceError, or SingularBlockError for a
+    singular or non-finite phi-block; see damped_newton.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, split.x_dim)
     y = np.asarray(y0, dtype=np.float64).reshape(1, split.y_dim)
     goal = (np.zeros(split.y_dim) if target is None
             else np.asarray(target, dtype=np.float64).reshape(split.y_dim))
     out = _solve_lanes(split, x, y, goal, tol, max_iter)
-    error = out.errors[0]
-    if error is not None:
-        # the raised error's traceback holds this frame: drop the frame's
-        # references to the error, or the two form a cycle only gc frees
-        del out
-        try:
-            raise error
-        finally:
-            del error
+    if not out.converged[0]:
+        raise out.error(0)
     return SolveResult(out.z[0], out.history(0), out.iterates(0), True,
                        int(out.steps[0]))
 
@@ -601,18 +586,18 @@ class Chart:
     def inverse_lanes(self, x_offsets: np.ndarray,
                       end_slow_lanes: bool = False
                       ) -> Tuple[np.ndarray, np.ndarray,
-                                 List[Optional[Exception]]]:
+                                 Callable[[int], Exception]]:
         """inverse (to zero values) of every row of a (P, kernel_dimension)
         block, solved CHART_LANES rows at a time: the (P, D) flat points,
-        which rows converged, and per row the error its inverse would raise
-        (None for a converged row); a failed row's point means nothing.
-        end_slow_lanes also fails the rows that contract slowly
+        which rows converged, and error(row), which builds the exception
+        inverse raises for a failed row; a failed row's point means
+        nothing.  end_slow_lanes also fails the rows that contract slowly
         (newton.damped_newton), with an error inverse would not raise."""
         split = self.split_data
         X = self.base_x + np.asarray(x_offsets, dtype=np.float64)
         flats = np.empty((len(X), self.constraint.flat_dimension))
         converged = np.zeros(len(X), dtype=bool)
-        errors: List[Optional[Exception]] = [None] * len(X)
+        blocks: List[NewtonLanes] = []
         goal = np.zeros(split.y_dim)
         for start in range(0, len(X), CHART_LANES):
             block = X[start:start + CHART_LANES]
@@ -622,8 +607,9 @@ class Chart:
             stop = start + len(block)
             flats[start:stop] = split.flats(block, out.z)
             converged[start:stop] = out.converged
-            errors[start:stop] = out.errors
-        return flats, converged, errors
+            blocks.append(out)
+        return flats, converged, lambda row: blocks[
+            row // CHART_LANES].error(row % CHART_LANES)
 
     def contains(self, q: SequenceBatch) -> np.ndarray:
         """Whether each row's kernel offsets fall inside the validity
@@ -814,18 +800,15 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
         raise ValueError("scaling weights must be positive")
 
     def weighted_step(lanes, Z, R):
-        J = c.jacobians(Z) / weights
-        steps = np.empty_like(Z)
-        errors = None
-        for i in range(len(Z)):
-            try:
-                step, *_ = np.linalg.lstsq(J[i], R[i], rcond=None)
-            except np.linalg.LinAlgError as err:
-                errors = errors or [None] * len(Z)
-                errors[i] = err
-                continue
-            steps[i] = step / weights
-        return steps, errors
+        # Z is the one lane of the seed
+        try:
+            step, *_ = np.linalg.lstsq(c.jacobians(Z)[0] / weights, R[0],
+                                       rcond=None)
+        except np.linalg.LinAlgError:
+            # the residual of an open lane is finite, so its Jacobian is not
+            blocked = np.array([BLOCK_NOT_FINITE], dtype=np.int8)
+            return np.zeros_like(Z), (blocked, np.zeros((1, 2)))
+        return (step / weights)[None], None
 
     out = damped_newton(lambda lanes, Z: c.values(Z) - goal, weighted_step,
                         start, PREIMAGE_TOL, max_iter, c.name)

@@ -245,16 +245,9 @@ def _transition_descriptor(manifold: Submanifold, chart_a: Chart,
 
     def evaluator(h: SequenceBatch) -> SequenceBatch:
         x = chart_a.split_data.kernel_coords(flatten(h))
-        flats, converged, errors = chart_a.inverse_lanes(x)
+        flats, converged, error = chart_a.inverse_lanes(x)
         if not converged.all():
-            error = errors[int(np.flatnonzero(~converged)[0])]
-            # drop the frame's references to the error before raising it,
-            # or the error's traceback and this frame form a cycle
-            del errors
-            try:
-                raise error
-            finally:
-                del error
+            raise error(int(np.flatnonzero(~converged)[0]))
         return chart_b.embed(chart_b.offsets_lanes(flats))
 
     desc = TameMapDescriptor(

@@ -12,11 +12,11 @@ their single-vector counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, SingularBlockError
 
 DAMPING_MAX_HALVINGS = 20
 #: damping scales after a rejected full step: 2^-1 .. 2^-DAMPING_MAX_HALVINGS
@@ -27,6 +27,20 @@ _HALVINGS = np.ldexp(1.0, -np.arange(1, DAMPING_MAX_HALVINGS + 1))
 SLOW_RATIO = 0.5
 SLOW_ROUNDS = 2
 
+#: how a lane ended, one int8 code a lane; a failed lane raises
+#: NonConvergenceError, or SingularBlockError from SINGULAR on
+CONVERGED, BUDGET, NON_FINITE, STALLED, SLOW, SINGULAR, BLOCK_NOT_FINITE = \
+    range(7)
+#: the name of each code, the .cause of its NonConvergenceError
+CAUSES = ("converged", "budget", "non-finite", "stalled", "slow",
+          "singular", "non-finite block")
+#: the message of each failure code, after the solve's name
+MESSAGES = (None, "residual {v:.3g} > {tol:.3g} after {max_iter} iterations",
+            "non-finite residual {v}", "damping stalled at residual {v:.3g}",
+            "residual {v:.3g} after {rounds} rounds of ratio above {ratio:g}",
+            "phi-block singular (sigma_min={0:.3g}, sigma_max={1:.3g})",
+            "phi-block not finite")
+
 
 def lane_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a 2-d block, equal bit for bit to
@@ -34,19 +48,28 @@ def lane_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def block_error(name: str, code: int, sigma) -> SingularBlockError:
+    """The SingularBlockError of a SINGULAR or BLOCK_NOT_FINITE phi-block."""
+    return SingularBlockError(f"{name}: " + MESSAGES[code].format(*sigma))
+
+
 @dataclass(frozen=True)
 class NewtonLanes:
     """A block of solves: the last iterates, which lanes converged, the
-    exception that ended each failed lane (None elsewhere), the steps each
-    lane took, and after every round the block of iterates and of residual
-    norms."""
+    code that ended each lane and the (sigma_min, sigma_max) of a blocked
+    lane, the steps each lane took, after every round the block of iterates
+    and of residual norms, and the solve's name, tol and max_iter."""
 
     z: np.ndarray
     converged: np.ndarray
-    errors: List[Optional[Exception]]
+    cause: np.ndarray
+    sigma: np.ndarray
     steps: np.ndarray
     trail: List[np.ndarray]
     norms: List[np.ndarray]
+    name: str
+    tol: float
+    max_iter: int
 
     def history(self, lane: int) -> Tuple[float, ...]:
         return tuple(float(n[lane])
@@ -54,6 +77,19 @@ class NewtonLanes:
 
     def iterates(self, lane: int) -> Tuple[np.ndarray, ...]:
         return tuple(z[lane].copy() for z in self.trail[:self.steps[lane] + 1])
+
+    def error(self, lane: int) -> Exception:
+        """The exception that ends a failed lane solved alone, built now;
+        a NonConvergenceError carries .history and its code's name .cause."""
+        code = self.cause[lane]
+        if code >= SINGULAR:
+            return block_error(self.name, code, self.sigma[lane])
+        history = list(self.history(lane))
+        message = MESSAGES[code].format(
+            v=history[-1], tol=self.tol, max_iter=self.max_iter,
+            rounds=SLOW_ROUNDS, ratio=SLOW_RATIO)
+        return NonConvergenceError(f"{self.name}: {message}",
+                                   history=history, cause=CAUSES[code])
 
 
 def damped_newton(residual: Callable, linear_step: Callable,
@@ -63,8 +99,9 @@ def damped_newton(residual: Callable, linear_step: Callable,
 
     residual(lanes, Z) returns the residuals of the rows of Z, row i on
     lane lanes[i] (lanes None: all P lanes in order).  linear_step(lanes,
-    Z, R) returns the Newton steps and either None or, when some lane cannot
-    step, one entry per row: None or the exception that stops that lane.
+    Z, R) returns the Newton steps and None or, when some row cannot step,
+    per row its code (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE)
+    and its (sigma_min, sigma_max) as a (rows, 2) block.
 
     Each round every open lane moves to z - s * step for the first s in
     1, 1/2, ..., 2^-20 whose residual norm is below its last one or reaches
@@ -72,14 +109,14 @@ def damped_newton(residual: Callable, linear_step: Callable,
     try the other 20 scales in one more and take the first accepted, the
     scale a search trying one at a time would pick.
 
-    A lane converges at norm <= tol.  It fails with NonConvergenceError,
-    carrying its norms in .history and why in .cause: "budget" when its
-    budget of max_iter steps is spent, "non-finite" when its norm is not
-    finite before a step, "stalled" when no scale is accepted (damping
-    stalled); and with the linear step's exception when it cannot step.
+    A lane converges at norm <= tol.  It fails with code BUDGET when its
+    budget of max_iter steps is spent, NON_FINITE when its norm is not
+    finite before a step, STALLED when no scale is accepted (damping
+    stalled), and with the linear step's code when it cannot step.  No
+    exception is built: NewtonLanes.error(lane) builds one for a caller.
 
     With end_slow_lanes a lane that has neither converged nor spent its
-    budget also fails, cause "slow", once SLOW_ROUNDS rounds in a row left
+    budget also fails, code SLOW, once SLOW_ROUNDS rounds in a row left
     its norm above SLOW_RATIO times the norm before: it contracts too
     slowly to be inside Newton's region of fast convergence (the
     monotonicity test of Deuflhard, Newton Methods for Nonlinear Problems,
@@ -98,18 +135,12 @@ def damped_newton(residual: Callable, linear_step: Callable,
     r = residual(None, z)
     norm = lane_norms(r)
     trail, norms = [z], [norm]
-    converged = np.zeros(P, dtype=bool)
+    # a lane's code stays CONVERGED unless it fails
+    cause = np.zeros(P, dtype=np.int8)
+    sigma = np.zeros((P, 2))
     steps = np.zeros(P, dtype=np.intp)
-    errors: List[Optional[Exception]] = [None] * P
     # per lane, the slow rounds in a row that end_slow_lanes counts
     slow = np.zeros(P, dtype=np.intp) if end_slow_lanes else None
-
-    def fail(ids, cause: str, message: Callable[[float], str]):
-        histories = np.array([n[ids] for n in norms]).T.tolist()
-        for lane, history in zip(ids, histories):
-            errors[lane] = NonConvergenceError(message(history[-1]),
-                                               history=history, cause=cause)
-
     lanes = np.arange(P)
     # full: the open lanes are all P lanes, so no row needs selecting
     full = True
@@ -118,14 +149,11 @@ def damped_newton(residual: Callable, linear_step: Callable,
         last = norm if full else norm[lanes]
         done = last <= tol  # a NaN norm has not converged
         if np.count_nonzero(done):
-            converged[lanes[done]] = True
             lanes, last, full = lanes[~done], last[~done], False
             if not lanes.size:
                 break
         if len(norms) > max_iter:
-            fail(lanes, "budget",
-                 lambda v: f"{name}: residual {v:.3g} > {tol:.3g} "
-                           f"after {max_iter} iterations")
+            cause[lanes] = BUDGET
             break
         if slow is not None and len(norms) > 1:
             # every open lane stepped in the last round
@@ -133,28 +161,23 @@ def damped_newton(residual: Callable, linear_step: Callable,
                                    slow[lanes] + 1, 0)
             going = slow[lanes] < SLOW_ROUNDS
             if np.count_nonzero(going) < lanes.size:
-                fail(lanes[~going], "slow",
-                     lambda v: f"{name}: residual {v:.3g} after "
-                               f"{SLOW_ROUNDS} rounds of ratio above "
-                               f"{SLOW_RATIO:g}")
+                cause[lanes[~going]] = SLOW
                 lanes, last, full = lanes[going], last[going], False
                 if not lanes.size:
                     break
         finite = np.isfinite(last)
         if np.count_nonzero(finite) < lanes.size:
-            fail(lanes[~finite], "non-finite",
-                 lambda v: f"{name}: non-finite residual {v}")
+            cause[lanes[~finite]] = NON_FINITE
             lanes, last, full = lanes[finite], last[finite], False
             if not lanes.size:
                 break
         Z = z if full else z[lanes]
-        step, step_errors = linear_step(None if full else lanes, Z,
-                                        r if full else r[lanes])
-        if step_errors is not None:
-            stepped = np.array([e is None for e in step_errors])
-            for lane, err in zip(lanes, step_errors):
-                if err is not None:
-                    errors[lane] = err
+        step, blocked = linear_step(None if full else lanes, Z,
+                                    r if full else r[lanes])
+        if blocked is not None:
+            # a row that steps keeps CONVERGED, the code of an open lane
+            cause[lanes], sigma[lanes] = blocked
+            stepped = cause[lanes] == CONVERGED
             lanes, last, Z, step = (lanes[stepped], last[stepped],
                                     Z[stepped], step[stepped])
             full = False
@@ -181,8 +204,7 @@ def damped_newton(residual: Callable, linear_step: Callable,
             cand_r[rows] = ladder_r.reshape(back.size, width, -1)[found, k]
             cand_norm[rows] = ladder_norm[found, k]
             if not found.all():
-                fail(lanes[back[~found]], "stalled",
-                     lambda v: f"{name}: damping stalled at residual {v:.3g}")
+                cause[lanes[back[~found]]] = STALLED
                 keep = np.ones(lanes.size, dtype=bool)
                 keep[back[~found]] = False
                 lanes, cand, cand_r, cand_norm = (
@@ -195,4 +217,5 @@ def damped_newton(residual: Callable, linear_step: Callable,
             z[lanes], r[lanes], norm[lanes] = cand, cand_r, cand_norm
         trail.append(z)
         norms.append(norm)
-    return NewtonLanes(z, converged, errors, steps, trail, norms)
+    return NewtonLanes(z, cause == CONVERGED, cause, sigma, steps, trail,
+                       norms, name, tol, max_iter)

@@ -89,9 +89,11 @@ VALID = {
                                      max_size=3),
               "x_offsets": st.lists(finite, max_size=3),
               "y0": st.lists(finite, min_size=1, max_size=2)},
+    # radii in increasing order: the level-1 norm bounds the level-0 one,
+    # so a level-0 radius above the level-1 radius leaves no point
     "atlas": {"constraint": st.sampled_from(ATLAS_CONSTRAINTS),
               "radii": st.lists(st.floats(0.5, 3.0), min_size=2,
-                                max_size=2)},
+                                max_size=2).map(sorted)},
 }
 SCALAR_KEYS = {
     "certify-gradings": ("k", "nmax", "fiber_dimension", "seed", "probes",
@@ -217,7 +219,23 @@ def _example(target):
             lambda pair: dict(pair[0], constraint=pair[1]))
     config = st.tuples(st.fixed_dictionaries({}, optional=VALID[command]),
                        bad).map(lambda pair: {**pair[0], **pair[1]})
-    return st.tuples(st.just(command), flag_pairs, config)
+    case = st.tuples(st.just(command), flag_pairs, config)
+    if command == "atlas" and key not in ("argv", "constraint"):
+        case = case.map(_radii_read_under_spheres)
+    return case
+
+
+def _radii_read_under_spheres(case):
+    """An atlas case whose config holds radii, with the spheres: constraint
+    that reads them (READ_UNDER) and no --constraint flag over it: under
+    sphere:<n> the radii exit 64 before any chart is built."""
+    command, flag_pairs, config = case
+    if "radii" not in config:
+        return case
+    flag_pairs = tuple(pair for pair in flag_pairs
+                       if pair[0] != "--constraint")
+    constraint = READ_UNDER[("atlas", "radii")][0]
+    return command, flag_pairs, dict(config, constraint=constraint)
 
 
 def _files_under(root):

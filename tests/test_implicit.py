@@ -207,10 +207,11 @@ def test_lane_callables_solve_every_row_as_alone(make, X, Y0):
         try:
             alone = solve_implicit(split, X[lane], Y0[lane])
         except (NonConvergenceError, SingularBlockError) as err:
-            assert type(out.errors[lane]) is type(err), lane
-            assert str(out.errors[lane]) == str(err), lane
+            assert not out.converged[lane], lane
+            assert type(out.error(lane)) is type(err), lane
+            assert str(out.error(lane)) == str(err), lane
             continue
-        assert out.errors[lane] is None, lane
+        assert out.converged[lane], lane
         assert np.array_equal(out.z[lane], alone.y), lane
         assert out.steps[lane] == alone.iterations, lane
 

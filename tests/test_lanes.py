@@ -9,7 +9,9 @@ message.  The batched callers in charts and atlases are checked the same way
 against their one-point-at-a-time forms.
 """
 
+import gc
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -23,12 +25,14 @@ from tamef.graded import BanachFiber, SequenceSpace
 from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
                             CHART_ROUND_TRIP_TOL, DEFAULT_MAX_ITER,
                             DEFAULT_SOLVE_TOL, PointSplit, _chart_round_trip_ok,
-                            _solve_lanes, affine_constraint, build_chart,
-                            flatten, is_regular_point, polynomial_constraint,
+                            SplitConstraint, _solve_lanes, affine_constraint,
+                            build_chart, flatten, is_regular_point,
+                            polynomial_constraint, solve_implicit,
                             sphere_constraint)
-from tamef.manifold import (_sample_overlap, make_sphere,
-                            make_sphere_intersection)
-from tamef.newton import DAMPING_MAX_HALVINGS
+from tamef.manifold import (_sample_overlap, _transition_descriptor,
+                            make_sphere, make_sphere_intersection,
+                            verify_transitions)
+from tamef.newton import CAUSES, DAMPING_MAX_HALVINGS, SINGULAR
 from tamef.probes import rng_from_seed
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -118,10 +122,9 @@ def assert_lanes_match(split, X, Y0, goal, tol, max_iter):
         assert np.array_equal(out.z[lane], y, equal_nan=True), lane
         assert out.steps[lane] == iterations, lane
         assert out.converged[lane] == (error is None), lane
-        got = out.errors[lane]
         if error is None:
-            assert got is None, lane
             continue
+        got = out.error(lane)
         assert type(got) is type(error), (lane, got, error)
         assert str(got) == str(error), lane
         if isinstance(error, NonConvergenceError):
@@ -203,18 +206,27 @@ def test_lanes_equal_solves_run_alone(block):
     assert_lanes_match(*block)
 
 
-#: the message of each NonConvergenceError cause of damped_newton
-CAUSE_MESSAGES = {"budget": "iterations", "non-finite": "non-finite",
-                  "stalled": "stalled", "slow": "ratio above"}
+#: the message of each failure code of damped_newton
+CAUSE_MESSAGES = {"budget": "iterations", "non-finite": "non-finite residual",
+                  "stalled": "stalled", "slow": "ratio above",
+                  "singular": "phi-block singular",
+                  "non-finite block": "phi-block not finite"}
 
 
-def outcome(error):
-    if error is None:
-        return "converged"
-    if isinstance(error, SingularBlockError):
-        return "singular"
-    assert CAUSE_MESSAGES[error.cause] in str(error), (error.cause, error)
-    return error.cause
+def outcome(out, lane):
+    """The name of the code that ended a lane, checked against the error a
+    failed lane builds: its message, and its .cause or type."""
+    name = CAUSES[out.cause[lane]]
+    if out.converged[lane]:
+        return name
+    error = out.error(lane)
+    assert CAUSE_MESSAGES[name] in str(error), (name, error)
+    if out.cause[lane] >= SINGULAR:
+        assert type(error) is SingularBlockError, (name, error)
+    else:
+        assert type(error) is NonConvergenceError, (name, error)
+        assert error.cause == name, (name, error)
+    return name
 
 
 def fixed_lane_sets():
@@ -234,18 +246,47 @@ def fixed_lane_sets():
             yield split, np.array(X), np.array(Y0), goal, max_iter
 
 
+def sqrt_or_nan(Y):
+    """sqrt of every entry, NaN where it is negative, without a warning."""
+    return np.where(Y >= 0.0, np.sqrt(np.abs(Y)), math.nan)
+
+
+def infinite_block_lanes():
+    """Lanes of sqrt(y) - 1 - |x|^2 / 4, whose phi-block 1 / (2 sqrt(y)) is
+    infinite at y = 0 while the residual is finite there, at every start
+    kind and offset scale: (split, X, Y0, goal, max_iter).  No registry
+    constraint has a non-finite phi-block where its residual is finite."""
+
+    def d_y(X, Y):
+        with np.errstate(divide="ignore"):
+            return (0.5 / sqrt_or_nan(Y))[:, :, None]
+
+    split = SplitConstraint(
+        lambda X, Y: sqrt_or_nan(Y) - 1.0 - 0.25 * np.sum(
+            X * X, axis=1, keepdims=True),
+        x_dim=2, y_dim=1, d_y=d_y, name="sqrt")
+    rng = rng_from_seed(19)
+    X = [scale * rng.normal(size=2) for scale in OFFSET_SCALES
+         for _ in Y_STARTS]
+    Y0 = [[start] for _ in OFFSET_SCALES for start in Y_STARTS]
+    return split, np.array(X), np.array(Y0), np.zeros(1), DEFAULT_MAX_ITER
+
+
 def test_lane_blocks_cover_every_outcome():
-    """Between them the fixed lane sets converge, exhaust the budget, go
-    non-finite, hit a singular phi-block and stall, and some accept a
-    halved step."""
+    """Between them the fixed lane sets and the lanes of an infinite
+    phi-block end with every code: they converge, exhaust the budget, go
+    non-finite, stall, contract slowly (under end_slow_lanes), and hit a
+    singular or non-finite phi-block; and some accept a halved step."""
     seen, halvings = set(), []
-    for split, X, Y0, goal, max_iter in fixed_lane_sets():
+    for split, X, Y0, goal, max_iter in [*fixed_lane_sets(),
+                                         infinite_block_lanes()]:
         halvings += assert_lanes_match(split, X, Y0, goal,
                                        DEFAULT_SOLVE_TOL, max_iter)
-        out = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter)
-        seen.update(outcome(e) for e in out.errors)
-    assert seen == {"converged", "budget", "non-finite", "singular",
-                    "stalled"}
+        for end_slow_lanes in (False, True):
+            out = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL,
+                               max_iter, end_slow_lanes)
+            seen.update(outcome(out, lane) for lane in range(len(X)))
+    assert seen == set(CAUSES)
     assert max(halvings) >= 1
 
 
@@ -262,18 +303,19 @@ def assert_slow_rule_only_ends_failing_lanes(split, X, Y0, goal, max_iter):
     free = _solve_lanes(split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter)
     ended = 0
     for lane in range(len(X)):
-        got, want = ruled.errors[lane], free.errors[lane]
-        if outcome(got) == "slow":
-            assert not free.converged[lane] and want is not None, lane
+        if outcome(ruled, lane) == "slow":
+            assert not free.converged[lane], lane
             ended += 1
             continue
-        assert ruled.converged[lane] == free.converged[lane], lane
+        assert ruled.cause[lane] == free.cause[lane], lane
         assert np.array_equal(ruled.z[lane], free.z[lane],
                               equal_nan=True), lane
         assert ruled.steps[lane] == free.steps[lane], lane
         assert np.array_equal(ruled.history(lane), free.history(lane),
                               equal_nan=True), lane
-        assert type(got) is type(want) and str(got) == str(want), lane
+        if not free.converged[lane]:
+            got, want = ruled.error(lane), free.error(lane)
+            assert type(got) is type(want) and str(got) == str(want), lane
     return ended
 
 
@@ -356,17 +398,19 @@ def test_chart_inverse_lanes_equal_single_inverses(make):
     u = rng.normal(size=(count, chart.kernel_dimension))
     radii = chart.validity_radius * rng.uniform(0.0, 2.5, size=count)
     offsets = u / np.linalg.norm(u, axis=1)[:, None] * radii[:, None]
-    flats, converged, errors = chart.inverse_lanes(offsets)
+    flats, converged, error = chart.inverse_lanes(offsets)
     assert converged.any() and not converged.all()
     for row, x in enumerate(offsets):
         try:
             q = chart.inverse(x)
         except (NonConvergenceError, SingularBlockError) as err:
             assert not converged[row], row
-            assert type(errors[row]) is type(err), row
-            assert str(errors[row]) == str(err), row
+            assert type(error(row)) is type(err), row
+            assert str(error(row)) == str(err), row
+            assert getattr(error(row), "history", None) == \
+                getattr(err, "history", None), row
             continue
-        assert converged[row] and errors[row] is None, row
+        assert converged[row], row
         assert np.array_equal(flats[row], flatten(q)[0]), row
         assert np.array_equal(chart.offsets_lanes(flats[row:row + 1]),
                               chart.offsets(q)), row
@@ -449,3 +493,62 @@ def test_overlap_sample_keeps_draw_order_past_rejections():
     assert 0 < len(want)
     assert [p.tobytes() for p in got] == [flatten(q)[0].tobytes()
                                           for q in want]
+
+
+# ---------------------------------------------------------------------------
+# errors are built only to be raised
+# ---------------------------------------------------------------------------
+
+def test_every_lane_error_built_is_raised(monkeypatch):
+    """Building the charts and checking the transitions of a sphere:0 and a
+    spheres:0,1 atlas builds a NonConvergenceError or SingularBlockError
+    only where solve_implicit raises it: the lane blocks record their
+    outcomes as codes."""
+    built, raised = [], []
+    for cls in (NonConvergenceError, SingularBlockError):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    solve = implicit.solve_implicit
+
+    def solve_counted(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except (NonConvergenceError, SingularBlockError) as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(implicit, "solve_implicit", solve_counted)
+    for manifold in (make_sphere(_space(32), 0, seed=1),
+                     make_sphere_intersection(_space(16), (0, 1),
+                                              radii=[1, 2], seed=3)):
+        verify_transitions(manifold, probes_per_pair=8, seed=1)
+    # the doubling phase's one-lane first solve raises at least once
+    assert raised
+    assert len(built) == len(raised)
+    assert all(b is r for b, r in zip(built, raised))
+
+
+def test_raised_lane_errors_are_freed_without_the_cycle_collector():
+    """No frame that raises a lane's error keeps a reference to it, so the
+    error and its traceback are freed once the handler ends."""
+    manifold = make_sphere(_space(6), 0, seed=4)
+    a, b = manifold.charts
+    offsets = np.eye(a.kernel_dimension)[:3] * (9.0 * a.validity_radius)
+    desc, probes = _transition_descriptor(manifold, a, b, offsets)
+    split = a.split_data
+    refs = []
+    gc.disable()
+    try:
+        for run in (lambda: solve_implicit(split, a.base_x + offsets[0],
+                                           a.base_y),
+                    lambda: desc(probes)):
+            try:
+                run()
+            except (NonConvergenceError, SingularBlockError) as err:
+                refs.append(weakref.ref(err))
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
