@@ -280,11 +280,7 @@ def cmd_certify_gradings(cfg: RunConfig) -> int:
         "direction": failure.direction,
         "g1": cfg.g1,
         "g2": cfg.g2,
-        "r": failure.witness.r,
-        "level": failure.witness.level,
-        "probe_index": failure.witness.probe_index,
-        "ratio": _finite_or_none(failure.witness.ratio),
-        "reason": failure.witness.reason,
+        **failure.witness.to_json(),
         "probe": failure.probe.to_json(),
     })
     return EXIT_CERTIFICATION_FAILED
@@ -313,15 +309,10 @@ def cmd_certify_map(cfg: RunConfig) -> int:
         write_csv(os.path.join(cfg.out, "map_table.csv"), rows,
                   cfg.csv_comments())
         return EXIT_OK
-    witness = outcome.witness
     write_json(os.path.join(cfg.out, "witness.json"), {
         "meta": cfg.meta(),
         "map": cfg.map,
-        "r": witness.r,
-        "level": witness.level,
-        "probe_index": witness.probe_index,
-        "ratio": _finite_or_none(witness.ratio),
-        "reason": witness.reason,
+        **outcome.witness.to_json(),
     })
     return EXIT_CERTIFICATION_FAILED
 
@@ -334,10 +325,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     except (ValueError, IndexError) as err:
         raise ConfigError(
             f"cannot build constraint {cfg.constraint!r}: {err}") from err
-    if constraint.target_dim > constraint.flat_dimension:
-        raise ConfigError(
-            f"constraint {cfg.constraint!r} has {constraint.target_dim} rows,"
-            f" more than the {constraint.flat_dimension} flat coordinates")
     if cfg.base_point is None:
         base = space.basis(0)
     else:

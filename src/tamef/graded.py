@@ -23,7 +23,7 @@ the finite-truncation shadow of an unbounded constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -692,6 +692,11 @@ class RatioWitness:
     probe_index: int
     ratio: float
     reason: str
+
+    def to_json(self) -> dict:
+        """The fields in order; a ratio that is not finite is None (null)."""
+        ratio = self.ratio if math.isfinite(self.ratio) else None
+        return dict(asdict(self), ratio=ratio)
 
 
 #: smallest positive stand-in when every observed ratio vanished

@@ -109,8 +109,10 @@ class ConstraintMap:
     level: int = 0
 
     def __post_init__(self):
-        if self.target_dim < 1:
-            raise ValueError("target dimension must be >= 1")
+        if not 1 <= self.target_dim <= self.flat_dimension:
+            raise ValueError(
+                f"{self.target_dim} constraint rows; a constraint needs 1 "
+                f"to {self.flat_dimension}, its flat coordinates")
         if not 0 <= self.level <= self.space.n_max:
             raise IndexError(f"metric level {self.level} outside the grading")
 
@@ -220,17 +222,14 @@ def is_regular_point(c: ConstraintMap, p: SequenceBatch) -> RegularPointReport:
     """
     one_row(p, "is_regular_point")
     c.space.check_member(p)
-    m, D = c.target_dim, c.flat_dimension
-    if m > D:
-        raise ValueError(f"codimension {m} exceeds ambient dimension {D}")
+    m = c.target_dim
     J = c.jacobians(flatten(p))[0]
     w = level_weights(c.space, c.level)
     J_w = J / w[None, :]
     # a non-finite Jacobian has no rank: its SVD would fail or give NaN
     sigma = np.linalg.svd(J_w, compute_uv=False) if np.isfinite(J_w).all() \
         else np.full(m, np.nan)
-    sigma_max = float(sigma[0]) if sigma.size else 0.0
-    sigma_min = float(sigma[m - 1]) if sigma.size >= m else 0.0
+    sigma_max, sigma_min = float(sigma[0]), float(sigma[m - 1])
     regular = sigma_min > RANK_RTOL * sigma_max and sigma_max > 0.0
     kernel = complement = None
     if regular:
@@ -634,12 +633,10 @@ class Chart:
 def _chart_round_trip_ok(chart: Chart, radius: float,
                          directions: np.ndarray) -> bool:
     """Whether every direction, scaled to radius, comes back through inverse
-    and forward within tolerance.  A radius that fails mostly fails at the
-    first direction already, so that one is solved alone, through
-    Chart.inverse, before the rest go as one block (_round_trip_rest_ok);
-    build_chart's bisection solves the first directions of its midpoints
-    as lane blocks instead.  Every lane block ends the lanes that contract
-    slowly (end_slow_lanes); the one-lane first solve does not."""
+    and forward within tolerance: the first alone, through Chart.inverse,
+    then the rest as one block that ends the lanes that contract slowly
+    (_round_trip_rest_ok).  build_chart checks radius 1 this way; it
+    screens the first directions of later radii as lane blocks."""
     try:
         first = flatten(chart.inverse(radius * directions[0]))
     except (NonConvergenceError, SingularBlockError):
@@ -704,19 +701,37 @@ def _bisect(lo: float, hi: float, steps: int,
     return lo
 
 
+def _ladder(grows: bool,
+            screen: Callable[[List[float]], Callable[[int], bool]]) -> float:
+    """The r that build_chart bisects [r, 2 r] from: where the doubling
+    `r = 1; while r < CAP and passes(2 r): r = 2 r` stops (grows), or the
+    first of r = 1/2, 1/4, ... that passes, halving while r > FLOOR, and 0.0
+    for none (VALIDITY_RADIUS_CAP and _FLOOR).  screen gets every radius the
+    loop can try and returns the verdict on radii[i] as a function of i;
+    the walk asks in order up to the first verdict that is not grows."""
+    radii = [1.0]
+    while (radii[-1] < VALIDITY_RADIUS_CAP if grows
+           else radii[-1] > VALIDITY_RADIUS_FLOOR):
+        radii.append(radii[-1] * (2.0 if grows else 0.5))
+    passes = screen(radii[1:])
+    for i, radius in enumerate(radii[1:]):
+        if passes(i) != grows:
+            return radii[i] if grows else radius
+    return radii[-1] if grows else 0.0
+
+
 def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
                 report: Optional[RegularPointReport] = None) -> Chart:
     """Chart at a regular point with an empirically certified radius.
 
-    The radius doubles from 1 while CHART_DIRECTIONS random kernel
-    directions round-trip within CHART_ROUND_TRIP_TOL, one trial radius at
-    a time, then bisects to the failure boundary in RADIUS_BISECTION_STEPS
-    steps.  The bisection solves the first direction of every midpoint
-    that BISECTION_LEVELS steps can visit as one lane block, and the other
-    directions only at the midpoints on its path.  A non-regular report
-    raises RegularityError from PointSplit, the one regularity gate.  A
-    radius below the floor rejects the chart: the splitting is numerically
-    unusable even if the rank test passed.
+    A trial radius passes when CHART_DIRECTIONS random kernel directions
+    round-trip within CHART_ROUND_TRIP_TOL.  The radius starts at 1, checked
+    alone, doubles or halves (_ladder), then bisects to the failure boundary
+    in RADIUS_BISECTION_STEPS steps, BISECTION_LEVELS at a time; each group
+    of trial radii goes to one screen (one lane block of first directions).  A
+    non-regular report raises RegularityError from PointSplit, the one
+    regularity gate.  A radius below the floor rejects the chart: the
+    splitting is numerically unusable even if the rank test passed.
     """
     chart = Chart(split_at(c, p, report), p, validity_radius=0.0)
     x_dim = chart.kernel_dimension
@@ -727,33 +742,22 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms[:, None]
 
-    radius = 1.0
-    if not _chart_round_trip_ok(chart, radius, dirs):
-        while radius > VALIDITY_RADIUS_FLOOR:
-            radius *= 0.5
-            if _chart_round_trip_ok(chart, radius, dirs):
-                break
-        else:
-            raise RegularityError(
-                f"{c.name}: no usable chart radius above "
-                f"{VALIDITY_RADIUS_FLOOR} at this point")
-    else:
-        while radius < VALIDITY_RADIUS_CAP:
-            if not _chart_round_trip_ok(chart, 2.0 * radius, dirs):
-                break
-            radius *= 2.0
-        if radius >= VALIDITY_RADIUS_CAP:
-            return replace(chart, validity_radius=radius)
-
-    def screen(mids: List[float]) -> Callable[[int], bool]:
-        # a midpoint whose first direction fails fails; most midpoints of a
-        # group lie outside the chart, and their lanes end once they
-        # contract slowly instead of running the damping ladder to a stall
+    def screen(radii: List[float]) -> Callable[[int], bool]:
+        # a radius whose first direction fails fails; most trial radii lie
+        # outside the chart, and their lanes end once they contract slowly
+        # instead of running the damping ladder to a stall
         firsts, converged, _ = chart.inverse_lanes(
-            np.array(mids)[:, None] * dirs[0], end_slow_lanes=True)
-        return lambda node: bool(converged[node]) and _round_trip_rest_ok(
-            chart, mids[node], dirs, firsts[node:node + 1])
+            np.array(radii)[:, None] * dirs[0], end_slow_lanes=True)
+        return lambda i: bool(converged[i]) and _round_trip_rest_ok(
+            chart, radii[i], dirs, firsts[i:i + 1])
 
+    radius = _ladder(_chart_round_trip_ok(chart, 1.0, dirs), screen)
+    if radius == 0.0:
+        raise RegularityError(
+            f"{c.name}: no usable chart radius above "
+            f"{VALIDITY_RADIUS_FLOOR} at this point")
+    if radius >= VALIDITY_RADIUS_CAP:
+        return replace(chart, validity_radius=radius)
     lo = _bisect(radius, 2.0 * radius, RADIUS_BISECTION_STEPS, screen)
     if lo < VALIDITY_RADIUS_FLOOR:
         raise RegularityError(

@@ -1,11 +1,15 @@
-"""The benchmark's per-layer spans name functions that exist.
+"""The benchmark's per-layer spans name functions that exist, and small
+jobs of each workload reach every call the benchmark pins.
 
 `bench/tracing.py` wraps tamef functions by name when a traced benchmark
-runs. A renamed or moved function would otherwise surface only there; this
-test loads the module read-only and resolves every name it lists.
+runs, and fails a workload that records no call at a binding
+`EXPECTED_CALLS` pins on it. A renamed function or a moved call path would
+otherwise surface only there; these tests load the module read-only,
+resolve every name it lists and trace a few small CLI jobs in-process.
 """
 
 import importlib
+import json
 import os
 import types
 
@@ -63,3 +67,32 @@ def test_every_expected_binding_is_a_wrapped_function(binding):
                for defining, name, _, _ in tracing.SPANS
                if name.split(".")[-1] == attr.split(".")[-1]]
     assert any(target is fn for fn in wrapped), binding
+
+
+#: small CLI jobs, (argv, config), that together take every call path the
+#: benchmark's pool of each workload takes
+PINNED_PATH_JOBS = {
+    "gradings": [(["certify-gradings", "--k", "8"], None)],
+    "maps": [(["certify-map", "--map", "projection:1"], None)],
+    "atlas": [(["atlas", "--constraint", "sphere:0"], None),
+              (["atlas", "--constraint", "spheres:0,1"], {"radii": [1, 2]})],
+    "solve": [(["solve"], {"constraint": "sphere:1"})],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_PATH_JOBS))
+def test_small_jobs_reach_every_pinned_call(tmp_path, workload):
+    from tamef import cli
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, (argv, config) in enumerate(PINNED_PATH_JOBS[workload]):
+            argv = argv + ["--out", str(tmp_path / f"out{i}")]
+            if config is not None:
+                path = tmp_path / f"config{i}.json"
+                path.write_text(json.dumps(config), encoding="utf-8")
+                argv += ["--config", str(path)]
+            assert cli.run(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    assert tracer.missing_calls(workload) == []

@@ -346,6 +346,9 @@ def radius_check_blocks(monkeypatch):
             sphere_chart(level, K=16)
         make_sphere_intersection(_space(16), (0, 1), radii=[1, 2], seed=3)
         make_sphere_intersection(_space(12), (0, 2), radii=[1, 3], seed=3)
+        # radius 1 fails here: the screen's ladder lanes halve the radius
+        make_sphere_intersection(_space(16), (0, 1), radii=[0.5, 0.6],
+                                 seed=3)
     return screen, rest
 
 
@@ -500,10 +503,10 @@ def test_overlap_sample_keeps_draw_order_past_rejections():
 # ---------------------------------------------------------------------------
 
 def test_every_lane_error_built_is_raised(monkeypatch):
-    """Building the charts and checking the transitions of a sphere:0 and a
-    spheres:0,1 atlas builds a NonConvergenceError or SingularBlockError
-    only where solve_implicit raises it: the lane blocks record their
-    outcomes as codes."""
+    """Building the charts and checking the transitions of a sphere:0 and
+    two spheres:0,1 atlases builds a NonConvergenceError or
+    SingularBlockError only where solve_implicit raises it: the lane blocks
+    record their outcomes as codes."""
     built, raised = [], []
     for cls in (NonConvergenceError, SingularBlockError):
         def counted(self, *args, init=cls.__init__, **kwargs):
@@ -522,9 +525,12 @@ def test_every_lane_error_built_is_raised(monkeypatch):
     monkeypatch.setattr(implicit, "solve_implicit", solve_counted)
     for manifold in (make_sphere(_space(32), 0, seed=1),
                      make_sphere_intersection(_space(16), (0, 1),
-                                              radii=[1, 2], seed=3)):
+                                              radii=[1, 2], seed=3),
+                     make_sphere_intersection(_space(16), (0, 1),
+                                              radii=[0.5, 0.6], seed=3)):
         verify_transitions(manifold, probes_per_pair=8, seed=1)
-    # the doubling phase's one-lane first solve raises at least once
+    # radius 1 fails on the [0.5, 0.6] charts, and its first direction,
+    # the one lane build_chart solves through solve_implicit, raises there
     assert raised
     assert len(built) == len(raised)
     assert all(b is r for b, r in zip(built, raised))

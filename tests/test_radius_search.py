@@ -1,12 +1,14 @@
 """The chart-radius search and the lane blocks it solves.
 
-build_chart bisects its radius BISECTION_LEVELS steps at a time: the first
-direction of every midpoint those steps can visit goes as one lane block,
-and only the midpoints on the path get the other directions.  The reference
-below is the search as it ran before, frozen here unchanged: doubling or
-halving, then RADIUS_BISECTION_STEPS bisection steps one after another,
-each a full round-trip check whose first direction is solved alone.  Every
-certified radius must equal it bit for bit.
+build_chart checks radius 1 alone, then doubles or halves it and bisects
+BISECTION_LEVELS steps at a time: the first direction of every trial radius
+the doubling or halving can reach, and of every midpoint those bisection
+steps can visit, goes as one lane block, and only the radii on the path get
+the other directions.  The reference below is the search as it ran before,
+frozen here unchanged: doubling or halving one radius at a time, then
+RADIUS_BISECTION_STEPS bisection steps one after another, each a full
+round-trip check whose first direction is solved alone.  Every certified
+radius must equal it bit for bit.
 
 A PointSplit's split constraint forms a block's kernel parts K x once per
 solve; the solves must equal those of a split constraint that forms the
@@ -28,7 +30,7 @@ from tamef.implicit import (BISECTION_LEVELS, CHART_DIRECTIONS, CHART_LANES,
                             DEFAULT_SOLVE_TOL, RADIUS_BISECTION_STEPS,
                             VALIDITY_RADIUS_CAP, VALIDITY_RADIUS_FLOOR, Chart,
                             PointSplit, SplitConstraint, _bisect,
-                            _midpoint_tree, _solve_lanes, build_chart,
+                            _ladder, _midpoint_tree, _solve_lanes, build_chart,
                             flatten, is_regular_point, lane_norms,
                             polynomial_constraint, sphere_constraint,
                             unflatten)
@@ -150,6 +152,9 @@ def test_intersection_radius_equals_step_by_step_search():
         intersection_points((0, 1), [1, 2], 16), seeds=(0, 5, 13, 101))
     paths += assert_radii_match(
         intersection_points((0, 2), [1, 3], 12), seeds=(0, 5, 13))
+    # radius 1 fails on this chart, so the search halves before it bisects
+    paths += assert_radii_match(
+        intersection_points((0, 1), [0.5, 0.6], 16), seeds=(0, 5, 13, 101))
     # these bisections pass some midpoints and fail others
     assert all(len(path) == RADIUS_BISECTION_STEPS for path in paths)
     assert any(any(path) and not all(path) for path in paths)
@@ -253,6 +258,59 @@ def test_walk_takes_the_loops_midpoints(monkeypatch, levels, steps, seed):
     full, left = divmod(steps, levels)
     assert groups == [2 ** levels - 1] * full + \
         ([2 ** left - 1] if left else [])
+
+
+def reference_ladder(grows, passes):
+    """lo of the one-at-a-time doubling (grows) or halving from radius 1,
+    None where the halving passes no radius, and the radii it tried."""
+    radius, tried = 1.0, []
+    if grows:
+        while radius < VALIDITY_RADIUS_CAP:
+            tried.append(2.0 * radius)
+            if not passes(2.0 * radius):
+                break
+            radius *= 2.0
+        return radius, tried
+    while radius > VALIDITY_RADIUS_FLOOR:
+        radius *= 0.5
+        tried.append(radius)
+        if passes(radius):
+            return radius, tried
+    return None, tried
+
+
+LADDER_VERDICTS = {
+    "pass then fail": lambda radius: radius <= 8.0,
+    "all pass": lambda radius: True,
+    "none pass": lambda radius: False,
+    "fail then pass": lambda radius: radius <= 2.0 ** -6,
+    **{f"table {seed}": table_verdict(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("grows", [True, False], ids=["doubling", "halving"])
+@pytest.mark.parametrize("name", sorted(LADDER_VERDICTS))
+def test_ladder_takes_the_loops_trial_radii(grows, name):
+    passes = LADDER_VERDICTS[name]
+    want, want_tried = reference_ladder(grows, passes)
+    # the loop's radii when it never stops early
+    _, every = reference_ladder(grows, lambda radius: grows)
+    taken, groups = [], []
+
+    def screen(radii):
+        groups.append(list(radii))
+
+        def verdict(i):
+            taken.append(radii[i])
+            return passes(radii[i])
+        return verdict
+
+    got = _ladder(grows, screen)
+    assert groups == [every]
+    assert [r.hex() for r in taken] == [r.hex() for r in want_tried]
+    # lo of the bracket [lo, 2 lo] the bisection starts from: the cap when
+    # every doubling passes, 0.0 when no halving does
+    assert got.hex() == (0.0 if want is None else want).hex()
 
 
 def test_chart_bisection_follows_non_monotone_verdicts(monkeypatch):
