@@ -32,7 +32,7 @@ from .manifold import make_sphere, make_sphere_intersection, \
     transitions_csv_rows, verify_transitions
 from .maps import build_map, certify_tame
 from .probes import GENERATOR_NAME, make_probes, make_product_probes
-from .serialize import write_csv, write_json
+from .serialize import finite_or_none, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CERTIFICATION_FAILED = 2
@@ -145,8 +145,14 @@ class RunConfig:
             "r_max": self.r_max,
         }
 
-    def csv_comments(self) -> list:
-        return [f"generator={GENERATOR_NAME} seed={self.seed}"]
+    # a run's files go to --out, JSON under the run's meta and CSV under
+    # its generator and seed, through the module-level writers
+    def write_json(self, name: str, body: dict):
+        write_json(os.path.join(self.out, name), {"meta": self.meta(), **body})
+
+    def write_csv(self, name: str, rows):
+        write_csv(os.path.join(self.out, name), rows,
+                  [f"generator={GENERATOR_NAME} seed={self.seed}"])
 
 
 def _check_finite(key: str, values: Optional[list], flat: bool):
@@ -202,13 +208,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(
                     f"config key {key!r} must be {want.__name__}")
             setattr(cfg, key, value)
-    for key in ("k", "nmax", "seed", "probes", "tol", "out", "g1", "g2",
-                "map", "constraint", "r_max", "max_iter"):
-        value = getattr(args, key, None)
-        if value is not None:
+    # parser destinations but --config are config keys; unset flags are None
+    for key, value in vars(args).items():
+        if key != "config" and value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "command", None):
-        cfg.command = args.command
     cfg.validate()
     return cfg
 
@@ -240,11 +243,6 @@ def _grading_by_name(name: str, n_max: int) -> Grading:
     return Grading("decreasing", n_max, evaluator)
 
 
-def _finite_or_none(x: float) -> Optional[float]:
-    """Infinite or NaN values are written as null (JSON) or empty (CSV)."""
-    return x if math.isfinite(x) else None
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -261,8 +259,7 @@ def cmd_certify_gradings(cfg: RunConfig) -> int:
             ("g2<=g1", outcome.backward, "grading_backward.json")):
         if cert is None:
             continue
-        write_json(os.path.join(cfg.out, path), {
-            "meta": cfg.meta(),
+        cfg.write_json(path, {
             "direction": direction,
             "g1": cfg.g1,
             "g2": cfg.g2,
@@ -270,13 +267,11 @@ def cmd_certify_gradings(cfg: RunConfig) -> int:
         })
         for n, c_n, ratio in cert.csv_rows():
             table_rows.append((direction, n, c_n, ratio))
-    write_csv(os.path.join(cfg.out, "grading_tables.csv"), table_rows,
-              cfg.csv_comments())
+    cfg.write_csv("grading_tables.csv", table_rows)
     if outcome.ok:
         return EXIT_OK
     failure = outcome.failure
-    write_json(os.path.join(cfg.out, "witness.json"), {
-        "meta": cfg.meta(),
+    cfg.write_json("witness.json", {
         "direction": failure.direction,
         "g1": cfg.g1,
         "g2": cfg.g2,
@@ -300,17 +295,14 @@ def cmd_certify_map(cfg: RunConfig) -> int:
     outcome = certify_tame(desc, probes, cfg.r_max)
     if outcome.certificate is not None:
         cert = outcome.certificate
-        write_json(os.path.join(cfg.out, "map_certificate.json"), {
-            "meta": cfg.meta(),
+        cfg.write_json("map_certificate.json", {
             "map": cfg.map,
             "certificate": cert.to_json(),
         })
-        rows = [("n", "C", "max_ratio")] + list(cert.csv_rows())
-        write_csv(os.path.join(cfg.out, "map_table.csv"), rows,
-                  cfg.csv_comments())
+        cfg.write_csv("map_table.csv",
+                      [("n", "C", "max_ratio")] + list(cert.csv_rows()))
         return EXIT_OK
-    write_json(os.path.join(cfg.out, "witness.json"), {
-        "meta": cfg.meta(),
+    cfg.write_json("witness.json", {
         "map": cfg.map,
         **outcome.witness.to_json(),
     })
@@ -330,19 +322,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     else:
         base = _sequence_from_list(space, cfg.base_point, "base_point")
 
-    def write_failure(err) -> int:
-        rows = [("iter", "residual")] + [
-            (i, _finite_or_none(r))
-            for i, r in enumerate(getattr(err, "history", []))]
-        write_csv(os.path.join(cfg.out, "history.csv"), rows,
-                  cfg.csv_comments())
-        write_json(os.path.join(cfg.out, "error.json"), {
-            "meta": cfg.meta(),
-            "constraint": cfg.constraint,
-            "error_type": type(err).__name__,
-            "error": str(err),
-        })
-        return EXIT_SOLVE_FAILED
+    def write_history(residuals):
+        cfg.write_csv("history.csv", [("iter", "residual")] + [
+            (i, finite_or_none(r)) for i, r in enumerate(residuals)])
 
     try:
         split = PointSplit(constraint, is_regular_point(constraint, base))
@@ -358,21 +340,24 @@ def cmd_solve(cfg: RunConfig) -> int:
         result = solve_implicit(split, x, y0, tol=cfg.tol,
                                 max_iter=cfg.max_iter)
     except (NonConvergenceError, SingularBlockError, RegularityError) as err:
-        return write_failure(err)
+        write_history(getattr(err, "history", []))
+        cfg.write_json("error.json", {
+            "constraint": cfg.constraint,
+            "error_type": type(err).__name__,
+            "error": str(err),
+        })
+        return EXIT_SOLVE_FAILED
     point = split.point_of(x, result.y)
-    write_json(os.path.join(cfg.out, "solution.json"), {
-        "meta": cfg.meta(),
+    cfg.write_json("solution.json", {
         "constraint": cfg.constraint,
         "converged": result.converged,
         "iterations": result.iterations,
-        "x": [float(v) for v in x],
-        "y": [float(v) for v in result.y],
+        "x": x,
+        "y": result.y,
         "residual": result.residuals[-1],
         "point": point.to_json(),
     })
-    rows = [("iter", "residual")] + list(enumerate(result.residuals))
-    write_csv(os.path.join(cfg.out, "history.csv"), rows,
-              cfg.csv_comments())
+    write_history(result.residuals)
     return EXIT_OK
 
 
@@ -403,8 +388,7 @@ def cmd_atlas(cfg: RunConfig) -> int:
                                                 radii=cfg.radii,
                                                 seed=cfg.seed)
     except ConstructionError as err:
-        write_json(os.path.join(cfg.out, "evidence.json"), {
-            "meta": cfg.meta(),
+        cfg.write_json("evidence.json", {
             "constraint": cfg.constraint,
             "error": str(err),
             "evidence": err.evidence,
@@ -414,12 +398,8 @@ def cmd_atlas(cfg: RunConfig) -> int:
         raise ConfigError(str(err)) from err
     reports = verify_transitions(manifold, probes_per_pair=cfg.probes,
                                  seed=cfg.seed, r_max=cfg.r_max)
-    write_json(os.path.join(cfg.out, "atlas.json"), {
-        "meta": cfg.meta(),
-        **manifold.to_json(),
-    })
-    write_csv(os.path.join(cfg.out, "transitions.csv"),
-              transitions_csv_rows(reports), cfg.csv_comments())
+    cfg.write_json("atlas.json", manifold.to_json())
+    cfg.write_csv("transitions.csv", transitions_csv_rows(reports))
     if all(r.ok for r in reports):
         return EXIT_OK
     return EXIT_CERTIFICATION_FAILED

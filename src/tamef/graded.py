@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import UnsupportedGradingError
+from .serialize import finite_or_none
 
 DEFAULT_N_MAX = 8
 DEFAULT_TRUNCATION = 32
@@ -82,6 +83,13 @@ class BanachFiber:
     def is_metric(self) -> bool:
         """True when the norm comes from an inner product."""
         return self.norm_kind == "euclidean"
+
+    def require_real_metric(self, what: str):
+        """Raise UnsupportedGradingError unless the norm comes from a real
+        inner product; `what` names what needs one."""
+        if not (self.is_metric and self.scalar_field == "real"):
+            raise UnsupportedGradingError(
+                f"{what} need a real euclidean fiber")
 
     def complexified(self) -> "BanachFiber":
         return BanachFiber(self.dimension, "complex", self.norm_kind)
@@ -315,15 +323,22 @@ class ProductBatch:
 
     __rmul__ = __mul__
 
+    @property
+    def truncation_degree(self) -> int:
+        """The largest truncation degree of the factors."""
+        return max(p.truncation_degree for p in self.parts)
+
     def degree(self) -> np.ndarray:
         """Per-row degrees: the max over the factors."""
         return np.maximum.reduce([p.degree() for p in self.parts])
 
 
 def as_batch(elements):
-    """elements itself when it is a SequenceBatch or ProductBatch; a
-    non-empty list of batches of one kind is concatenated into one."""
+    """elements itself when it is a SequenceBatch or ProductBatch; a list
+    of batches of one kind is concatenated into one.  Neither may be empty."""
     if isinstance(elements, (SequenceBatch, ProductBatch)):
+        if not len(elements):
+            raise ValueError("probe set is empty")
         return elements
     elements = list(elements)
     if not elements:
@@ -344,7 +359,8 @@ def as_batch(elements):
         block = np.concatenate([e.coefficients for e in elements])
     except ValueError as err:
         raise ValueError("batches must share one truncation degree") from err
-    return SequenceBatch(fiber, block)
+    # a list of batches without rows is an empty probe set too
+    return as_batch(SequenceBatch(fiber, block))
 
 
 def one_row(batch, what: str):
@@ -414,9 +430,7 @@ def inner_product(f: SequenceBatch, g: SequenceBatch,
                   level: int = 0) -> np.ndarray:
     """Level-n inner products sum_k e^{2nk} <f_k, g_k> of the row pairs of
     two batches of one length (metric fibers only)."""
-    if not (f.fiber.is_metric and f.fiber.scalar_field == "real"):
-        raise UnsupportedGradingError(
-            "level inner products need a real euclidean fiber")
+    f.fiber.require_real_metric("level inner products")
     if f.fiber != g.fiber or f.truncation_degree != g.truncation_degree:
         raise ValueError("sequences live in different spaces")
     dots = np.sum(f.coefficients * g.coefficients, axis=-1).T  # (K+1, P)
@@ -612,8 +626,6 @@ def validate_grading(grading: Grading, probes) -> GradingValidationReport:
 
     Violations are listed probe by probe, in level order within a probe.
     """
-    if not probes:
-        raise ValueError("probe set is empty")
     batch = as_batch(probes)
     table = seminorm_table(grading, batch)
     failed = ~within_upper(table[:-1], table[1:])
@@ -695,8 +707,7 @@ class RatioWitness:
 
     def to_json(self) -> dict:
         """The fields in order; a ratio that is not finite is None (null)."""
-        ratio = self.ratio if math.isfinite(self.ratio) else None
-        return dict(asdict(self), ratio=ratio)
+        return dict(asdict(self), ratio=finite_or_none(self.ratio))
 
 
 #: smallest positive stand-in when every observed ratio vanished
@@ -726,12 +737,13 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     DEGREE_STABILITY_FACTOR x the max over the rest, from level BASE_LEVEL
     upward.  Tables holding NaN or infinity certify nothing: the witness
     names the first such entry, num before den, with ratio NaN.  A ratio
-    that overflows float64 rejects its shift with ratio inf.
+    that overflows float64 rejects its shift with ratio inf.  r_max must
+    lie in 0..n_max, the levels of the tables.
 
     Returns (certificate, witness); exactly one of the two is not None.
     """
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
+    if not 0 <= r_max < num.shape[0]:
+        raise ValueError("r_max must lie in 0..n_max")
     for name, table in (("num", num), ("den", den)):
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
@@ -833,10 +845,6 @@ def certify_grading_equivalence(g1: Grading, g2: Grading,
     """
     if g1.n_max != g2.n_max:
         raise ValueError("gradings must share one level range 0..n_max")
-    if r_max < 0 or r_max > g1.n_max:
-        raise ValueError("r_max must lie in 0..n_max")
-    if not probes:
-        raise ValueError("probe set is empty")
     batch = as_batch(probes)
     degrees = batch.degree()
     if degrees.max() < 0:

@@ -113,8 +113,8 @@ def coefficients_from_boundary(values: np.ndarray, radius: float,
     if M < 2 * K + 2:
         raise AliasingError(
             f"{M} boundary samples cannot resolve degree {K}; need >= {2 * K + 2}")
-    if radius <= 0.0:
-        raise ValueError("recovery radius must be positive")
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise ValueError("recovery radius must be positive and finite")
     means = np.fft.fft(values, axis=0)[:K + 1] / M
     scale = np.power(float(radius), -np.arange(K + 1.0))
     block = means * scale[:, None]
@@ -202,7 +202,7 @@ def verify_cauchy_bound(f: SequenceBatch, level: int,
     disk = DiskSpec(level, samples)
     lhs = float(seminorm_linf(f, level)[0])
     rhs = sup_norm_disk(f, disk)
-    ok = bool(within_upper(lhs, rhs))  # an np.bool_ would serialize as 1.0
+    ok = bool(within_upper(lhs, rhs))  # a Python bool, not an np.bool_
     return CauchyBoundReport(level, samples, lhs, rhs, rhs - lhs, ok)
 
 

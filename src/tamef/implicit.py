@@ -22,8 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (NonConvergenceError, RegularityError, SingularBlockError,
-                     UnsupportedGradingError)
+from .errors import NonConvergenceError, RegularityError, SingularBlockError
 from .graded import SequenceBatch, SequenceSpace, _weights, as_batch, one_row
 from .newton import (BLOCK_NOT_FINITE, CONVERGED, SINGULAR, NewtonLanes,
                      block_error, damped_newton, lane_norms)
@@ -204,12 +203,9 @@ class RegularPointReport:
 
 def _canonical_signs(columns: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+    rows = np.argmax(np.abs(columns), axis=0)
+    flip = columns[rows, np.arange(columns.shape[1])] < 0.0
+    return np.where(flip, -columns, columns)
 
 
 def is_regular_point(c: ConstraintMap, p: SequenceBatch) -> RegularPointReport:
@@ -800,8 +796,8 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     start = flatten(one_row(seed_point, "find_preimage"))
     weights = np.ones(c.flat_dimension) if scaling is None else scaling
     weights = np.asarray(weights, dtype=np.float64).reshape(c.flat_dimension)
-    if np.any(weights <= 0.0):
-        raise ValueError("scaling weights must be positive")
+    if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
+        raise ValueError("scaling weights must be positive and finite")
 
     def weighted_step(lanes, Z, R):
         # Z is the one lane of the seed
@@ -856,9 +852,7 @@ def is_regular_value(c: ConstraintMap, target,
 
 def sphere_constraint(space: SequenceSpace, level: int = 0) -> ConstraintMap:
     """phi(q) = <q,q>_level - 1 with the analytic gradient 2 w^2 q."""
-    if not (space.fiber.is_metric and space.fiber.scalar_field == "real"):
-        raise UnsupportedGradingError(
-            "sphere constraints need a real euclidean fiber")
+    space.fiber.require_real_metric("sphere constraints")
     w2 = level_weights(space, level) ** 2
 
     def phi(flats: np.ndarray) -> np.ndarray:
@@ -883,9 +877,7 @@ def sphere_intersection_constraint(space: SequenceSpace,
         raise ValueError(
             "more sphere levels than truncation degrees: fiber generically "
             "empty")
-    if not (space.fiber.is_metric and space.fiber.scalar_field == "real"):
-        raise UnsupportedGradingError(
-            "sphere constraints need a real euclidean fiber")
+    space.fiber.require_real_metric("sphere constraints")
     w2_rows = np.stack([level_weights(space, n) ** 2 for n in levels])
 
     def phi(flats: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .implicit import (Chart, ConstraintMap, build_chart, find_preimage,
                        sphere_constraint, sphere_intersection_constraint)
 from .maps import CertificationOutcome, TameMapDescriptor, certify_tame
 from .probes import rng_from_seed, spawn_seeds
+from .serialize import finite_or_none
 
 BASE_POINT_RESIDUAL_TOL = 1e-10
 TRANSITION_ROUND_TRIP_TOL = 1e-8
@@ -44,7 +45,7 @@ class Submanifold:
     def __post_init__(self):
         for i, chart in enumerate(self.charts):
             residual = float(self.residual(chart.base_point)[0])
-            if residual > BASE_POINT_RESIDUAL_TOL:
+            if not residual <= BASE_POINT_RESIDUAL_TOL:  # NaN fails too
                 raise ValueError(
                     f"chart {i} base point off the zero set "
                     f"(residual {residual:.3g})")
@@ -189,7 +190,7 @@ class TransitionReport:
         r = self.certificate.r if self.certificate else ""
         b = self.certificate.b if self.certificate else ""
         return (self.chart_i, self.chart_j, self.probe_count,
-                self.max_round_trip_error, r, b)
+                finite_or_none(self.max_round_trip_error), r, b)
 
 
 def _sample_overlap(chart_a: Chart, chart_b: Chart, count: int,
@@ -361,8 +362,6 @@ def certify_map_into_submanifold(desc: TameMapDescriptor,
     if desc.codomain is not manifold.ambient and \
             desc.codomain != manifold.ambient:
         raise ValueError("descriptor codomain must be the ambient space")
-    if not probes:
-        raise ValueError("need at least one probe")
     batch = as_batch(probes)
     images = flatten(desc(batch))
     # np.max propagates a NaN residual, which then fails the test

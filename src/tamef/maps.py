@@ -53,12 +53,6 @@ LINEARITY_TOL = 1e-9
 _TABLE_SLICE = 256
 
 
-def _space_truncation(space: SpaceLike) -> int:
-    if isinstance(space, ProductSpace):
-        return max(s.truncation_degree for s in space.factors)
-    return space.truncation_degree
-
-
 @dataclass(frozen=True)
 class TameMapDescriptor:
     """A map between graded spaces with certification metadata.
@@ -85,7 +79,7 @@ class TameMapDescriptor:
     def __post_init__(self):
         if self.linearity not in ("linear", "nonlinear"):
             raise ValueError(f"unknown linearity tag {self.linearity!r}")
-        if self.region_radius <= 0.0:
+        if not self.region_radius > 0.0:  # NaN fails too
             raise ValueError("probe region radius must be positive")
 
     @property
@@ -185,11 +179,6 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
     1 + |f|_{n+r}; zero probes drop out of linear ratios through the
     zero-denominator exclusion.
     """
-    if not probes:
-        raise ValueError("probe set is empty")
-    n_max = desc.domain.n_max
-    if r_max < 0 or r_max > n_max:
-        raise ValueError("r_max must lie in 0..n_max")
     batch = as_batch(probes)
     num, den = map_seminorm_tables(desc, batch)
     if not desc.is_linear:
@@ -202,9 +191,8 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
                 f"probe {i} leaves the certification region "
                 f"({level_norms[i]:.6g} > {desc.region_radius:.6g})")
         den = den + 1.0
-    split = _space_truncation(desc.domain) // 2
     cert, witness = certify_from_tables(
-        num, den, batch.degree(), split, r_max=r_max,
+        num, den, batch.degree(), batch.truncation_degree // 2, r_max=r_max,
         forced_r=forced_r, probe_count=len(batch), linear=desc.is_linear)
     if cert is not None:
         return CertificationOutcome(cert, None)

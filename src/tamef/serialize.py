@@ -40,6 +40,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def finite_or_none(x: float) -> Optional[float]:
+    """x, or None when it is infinite or NaN: null in JSON, empty in CSV."""
+    return x if math.isfinite(x) else None
+
+
 def _separator_rows(runs: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Per number start..stop-1 of a block, in C order, how many of its
     innermost indices are at their last value: the count of the block's
@@ -141,7 +146,10 @@ def _emit(obj, write: Callable[[str], object], level: int):
             head = ",\n"
         write("\n" + " " * (JSON_INDENT * level) + "]")
     else:
-        # numpy scalars and similar: try the float path before giving up
+        # a numpy scalar as its Python value, so an int64 stays an integer;
+        # anything else must convert to a float
+        if isinstance(obj, np.generic):
+            return _emit(obj.item(), write, level)
         try:
             text = format_float(float(obj))
         except (TypeError, ValueError) as err:
@@ -165,6 +173,8 @@ def format_cell(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, np.generic):
+        return format_cell(value.item())
     return format_float(float(value))
 
 

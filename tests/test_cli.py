@@ -1,5 +1,6 @@
 """Exit-code contract, output files, and byte-level determinism of the CLI."""
 
+import dataclasses
 import filecmp
 import gc
 import json
@@ -15,6 +16,7 @@ import tamef
 from tamef import cli
 from tamef.graded import BanachFiber, RatioWitness, SequenceSpace
 from tamef.implicit import build_constraint
+from tamef.manifold import TransitionReport
 from tamef.maps import CertificationOutcome
 
 E = math.e
@@ -330,6 +332,16 @@ def test_solve_non_regular_base_point_exits_3(tmp_path):
         ["iter,residual"]
 
 
+def test_solve_base_point_longer_than_truncation(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"base_point": [1.0] + [0.0] * 9}),
+                        encoding="utf-8")
+    assert run_cli(["solve", "--config", str(cfg_path), "--k", "8",
+                    "--nmax", "2", "--out", str(tmp_path / "run")]) == 64
+    assert capsys.readouterr().err == \
+        "tamef: base_point longer than the truncation\n"
+
+
 def test_solve_too_many_offsets(tmp_path):
     config = {"command": "solve", "constraint": "sphere:0", "k": 4,
               "nmax": 2, "x_offsets": [0.1] * 10,
@@ -357,6 +369,19 @@ def test_atlas_sphere(tmp_path):
     data = [line.split(",") for line in lines[2:]]
     assert len(data) == 1
     assert float(data[0][3]) <= 1e-8
+
+
+def test_atlas_failed_transition_exits_2(tmp_path, monkeypatch):
+    # no small atlas config fails its transition check, so the report is
+    # replaced: an infinite round-trip error is written as an empty cell
+    failing = [TransitionReport(0, 1, 3, math.inf, None)]
+    monkeypatch.setattr(cli, "verify_transitions", lambda *a, **k: failing)
+    out = tmp_path / "run"
+    assert run_cli(["atlas", "--constraint", "sphere:0", "--k", "6",
+                    "--nmax", "2", "--probes", "4", "--r-max", "0",
+                    "--out", str(out)]) == 2
+    assert len(load_json(str(out / "atlas.json"))["charts"]) == 2
+    assert csv_lines(str(out / "transitions.csv"))[2] == "0,1,3,,,"
 
 
 def test_atlas_unit_intersection_exits_4(tmp_path):
@@ -466,6 +491,19 @@ def test_wrong_config_type(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"k": "twelve"}), encoding="utf-8")
     assert run_cli(["certify-map", "--config", str(cfg_path)]) == 64
+
+
+@pytest.mark.parametrize("text", [None, "{\"k\": 8,", "not json"])
+def test_unreadable_config_file(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text, encoding="utf-8")
+    assert run_cli(["certify-map", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "run")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("tamef: cannot read config ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_list_rejected(tmp_path):
@@ -581,6 +619,15 @@ def test_flag_overrides_config_value(tmp_path):
     assert cert["meta"]["k"] == 14
     assert cert["meta"]["nmax"] == 2
     assert cert["meta"]["seed"] == 4
+
+
+def test_every_flag_is_a_config_key():
+    # build_config copies every parser destination but --config into the
+    # config, so each must name a RunConfig field
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for command in cli.COMMANDS:
+        dests = set(vars(cli.build_parser().parse_args([command])))
+        assert "k" in dests and dests - {"config"} <= fields, command
 
 
 def test_run_restores_collector_state(tmp_path):

@@ -140,7 +140,9 @@ def test_inner_product_monomial_weights():
 def test_inner_product_rejects_complex_fiber():
     fiber = BanachFiber(1, scalar_field="complex")
     f = SequenceBatch(fiber, np.ones((1, 4, 1), dtype=np.complex128))
-    with pytest.raises(UnsupportedGradingError):
+    with pytest.raises(UnsupportedGradingError, match="^level inner products "
+                                                      "need a real euclidean "
+                                                      "fiber$"):
         inner_product(f, f)
 
 
@@ -149,6 +151,13 @@ def test_inner_product_rejects_sup_fiber():
     f = SequenceBatch(fiber, np.ones((1, 4, 2)))
     with pytest.raises(UnsupportedGradingError):
         inner_product(f, f)
+
+
+def test_all_zero_probe_set_is_degenerate():
+    zeros = SequenceBatch(R1, np.zeros((5, 9, 1)))
+    with pytest.raises(ValueError, match="every probe is zero"):
+        certify_grading_equivalence(l1_grading(3), linf_grading(3), zeros,
+                                    r_max=1)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,13 @@ def test_recovery_aliasing_guard():
         coefficients_from_boundary(values, 1.0, 4, R1)  # needs >= 10
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_recovery_radius_must_be_positive(radius):
+    values = np.ones((16, 1), dtype=complex)
+    with pytest.raises(ValueError, match="recovery radius must be positive"):
+        coefficients_from_boundary(values, radius, 4, R1)
+
+
 def test_round_trip_decaying_polynomial_deg16():
     # coefficient profile e^{-k/2} keeps boundary magnitudes ~ e^8 so the
     # recovered coefficients match to 1e-10 in absolute terms

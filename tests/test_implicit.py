@@ -11,11 +11,11 @@ import pytest
 
 from tamef.errors import (NonConvergenceError, RegularityError,
                           SingularBlockError, UnsupportedGradingError)
-from tamef.graded import (BanachFiber, SequenceBatch, SequenceSpace, as_batch,
-                          seminorm_l1)
+from tamef.graded import (DEGREE_STABILITY_FACTOR, BanachFiber, SequenceBatch,
+                          SequenceSpace, as_batch, inner_product, seminorm_l1)
 from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             ConstraintMap, PointSplit, SplitConstraint,
-                            _solve_lanes, affine_constraint, apply_dphi,
+                            _canonical_signs, _solve_lanes, affine_constraint, apply_dphi,
                             apply_vphi, build_chart, build_constraint,
                             check_jacobian, find_preimage, flatten,
                             is_regular_point, is_regular_value,
@@ -228,6 +228,15 @@ def test_find_preimage_non_finite_jacobian_returns_none():
     assert np.isfinite(c.value(seed)).all()
     with np.errstate(over="ignore"):
         assert find_preimage(c, [0.0], seed) is None
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
+def test_find_preimage_rejects_bad_scaling(weight):
+    c = sphere_constraint(SPACE8, 0)
+    scaling = np.ones(c.flat_dimension)
+    scaling[3] = weight
+    with pytest.raises(ValueError, match="scaling weights must be positive"):
+        find_preimage(c, [0.0], SPACE8.basis(0), scaling=scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +512,54 @@ def test_split_projections_are_tame(level):
         assert outcome.certificate.r == 0, desc.name
     total = kernel(probes).coefficients + complement(probes).coefficients
     assert np.allclose(total, probes.coefficients, rtol=0.0, atol=1e-9)
+
+
+def split_certificates(level, alpha):
+    """At K = 8, 16 and 32 (n_max 4), the certificates of the kernel and
+    complement projections, None where one fails, split at the point of the
+    level sphere proportional to e^{-alpha k}."""
+    out = []
+    for K in (8, 16, 32):
+        space = SequenceSpace(R1, truncation_degree=K, n_max=4)
+        v = SequenceBatch(R1, np.exp(-alpha * np.arange(K + 1.0))[None, :,
+                                                                   None])
+        base = v * (1.0 / math.sqrt(inner_product(v, v, level)[0]))
+        chart = Chart(split_at(sphere_constraint(space, level), base), base,
+                      1.0)
+        probes = make_probes(space, 400, seed=41 + level)
+        out.append([certify_tame(desc, probes, r_max=2).certificate
+                    for desc in split_projections(chart)])
+    return out
+
+
+def uniform_in_truncation(certificates):
+    """Both projections certified with r = 0 at every K, each C(n) within
+    DEGREE_STABILITY_FACTOR of itself across K."""
+    for across_k in zip(*certificates):
+        if any(cert is None or cert.r != 0 for cert in across_k):
+            return False
+        for n in across_k[0].levels:
+            constants = [cert.C[n] for cert in across_k]
+            if max(constants) > DEGREE_STABILITY_FACTOR * min(constants):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("alpha", [5.0, 6.0])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_split_projections_are_tame_uniformly_in_truncation(level, alpha):
+    # co-Banach type: the complement of the kernel is Banach, so the
+    # splitting's constants must not grow with K.  The base point decays
+    # faster than e^{-n_max k}, so it is smooth at every level probed.
+    assert uniform_in_truncation(split_certificates(level, alpha))
+
+
+@pytest.mark.parametrize("level, alpha", [(0, -0.2), (1, -0.2), (0, 1.0)])
+def test_split_projection_constants_grow_at_rough_base_points(level, alpha):
+    # controls: coefficients growing with k, or decaying slower than the
+    # top level's weights grow (alpha <= n_max), give constants that grow
+    # with K or a shift above 0, so the uniformity check discriminates
+    assert not uniform_in_truncation(split_certificates(level, alpha))
 
 
 def chart_inverse_descriptor(chart, level, count=400, seed=11):
@@ -797,6 +854,50 @@ def test_parse_constraint_name():
     for bad in ("sphere:x", "sphere:0,1", "spheres:0,1.5", "saddle:2"):
         with pytest.raises(ValueError):
             parse_constraint_name(bad)
+
+
+@pytest.mark.parametrize("name", ["sphere:0", "spheres:0,1"])
+def test_sphere_constraints_name_the_fiber_they_need(name):
+    complex_space = SequenceSpace(BanachFiber(1, scalar_field="complex"),
+                                  truncation_degree=4, n_max=2)
+    with pytest.raises(UnsupportedGradingError, match="^sphere constraints "
+                                                      "need a real euclidean "
+                                                      "fiber$"):
+        build_constraint(name, complex_space)
+
+
+def test_constraint_shape_checks():
+    two_rows = ConstraintMap("two", SPACE8, 1, lambda F: np.zeros((len(F), 2)),
+                             jacobian=lambda F: np.zeros((len(F), 1, 3)))
+    flats = np.zeros((4, SPACE8.flat_dimension))
+    with pytest.raises(ValueError, match=r"constraint returned shape "
+                                         r"\(4, 2\), expected \(4, 1\)"):
+        two_rows.values(flats)
+    with pytest.raises(ValueError, match=r"supplied Jacobian shape "
+                                         r"\(4, 1, 3\), expected \(4, 1, 9\)"):
+        two_rows.jacobians(flats)
+    for x_dim, y_dim in ((0, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="need y_dim >= 1 and x_dim >= 0"):
+            SplitConstraint(lambda X, Y: Y, x_dim=x_dim, y_dim=y_dim)
+    wide = SplitConstraint(lambda X, Y: np.hstack([Y, Y]), x_dim=1, y_dim=1)
+    with pytest.raises(ValueError, match=r"split constraint returned shape "
+                                         r"\(3, 2\)"):
+        wide.values(np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("D", [9, 17, 33])
+def test_canonical_signs_match_a_column_loop(D):
+    rng = rng_from_seed(D)
+    _, _, vt = np.linalg.svd(rng.normal(size=(3, D)), full_matrices=True)
+    columns = vt.T
+    expected = columns.copy()
+    for j in range(D):
+        i = int(np.argmax(np.abs(expected[:, j])))
+        if expected[i, j] < 0.0:
+            expected[:, j] = -expected[:, j]
+    got = _canonical_signs(columns)
+    assert got.tobytes() == expected.tobytes()
+    assert np.any(columns < 0.0) and not np.array_equal(got, columns)
 
 
 def test_registry_unknown_name():

@@ -1,15 +1,19 @@
 """Sphere atlases, transition verification, and maps into submanifolds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import tamef.manifold
 
 from tamef.errors import (ConstructionError, NotIntoSubmanifoldError,
                           UnsupportedGradingError)
 from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, inner_product
 from tamef.implicit import linear_constraint, sphere_constraint
-from tamef.manifold import (IntoSubmanifoldReport, Submanifold,
+from tamef.manifold import (SPHERE_INTERSECTION_ATTEMPTS,
+                            IntoSubmanifoldReport, Submanifold,
                             TransitionReport, _sample_overlap,
                             _worst_round_trip, certify_map_into_submanifold,
                             chart_restriction, make_sphere,
@@ -73,6 +77,15 @@ def test_base_points_must_lie_on_zero_set():
         Submanifold(off, (sphere_chart,))
 
 
+def test_nan_base_residual_is_off_the_zero_set(sphere0):
+    # phi is NaN while the Jacobian stays finite, so only the residual
+    # check can catch the chart
+    nan_phi = replace(sphere0.constraint,
+                      phi=lambda flats: np.full((len(flats), 1), math.nan))
+    with pytest.raises(ValueError, match="off the zero set"):
+        Submanifold(nan_phi, sphere0.charts)
+
+
 def test_forward_sends_fiber_points_to_zero_values(sphere0):
     chart = sphere0.charts[0]
     x = np.zeros(SPACE.flat_dimension - 1)
@@ -111,6 +124,15 @@ def test_distinct_radii_intersection_builds_a_chart():
     report = chart.report
     assert report.rank_decision
     assert len(report.singular_values) == 2
+
+
+def test_unconverged_seeds_are_evidence(monkeypatch):
+    monkeypatch.setattr(tamef.manifold, "find_preimage", lambda *a, **k: None)
+    with pytest.raises(ConstructionError, match=r"\(0 converged,") as err:
+        make_sphere_intersection(SPACE, (0, 1), radii=(1.0, 2.0), seed=7)
+    assert err.value.evidence == [
+        {"attempt": attempt, "converged": False}
+        for attempt in range(SPHERE_INTERSECTION_ATTEMPTS)]
 
 
 def test_single_chart_manifold_has_no_transitions():
@@ -172,6 +194,15 @@ def test_affine_two_chart_transition_is_tame():
     assert all(cert.constant(n) <= 3.0 for n in cert.levels)
 
 
+def test_empty_overlap_is_reported_and_ok(sphere0):
+    north, south = sphere0.charts
+    tiny = replace(south, validity_radius=1e-9)
+    reports = verify_transitions(Submanifold(sphere0.constraint,
+                                             (north, tiny)), seed=9)
+    assert reports == [TransitionReport(0, 1, 0, 0.0, None)]
+    assert reports[0].overlap_empty and reports[0].ok
+
+
 def test_non_finite_round_trip_error_is_infinite():
     manifold = make_sphere(SequenceSpace(R1, truncation_degree=6, n_max=3),
                            0, seed=0)
@@ -193,6 +224,9 @@ def test_transitions_csv_rows(sphere0):
     assert rows[1][0] == 0 and rows[1][1] == 1
     empty = TransitionReport(3, 4, 0, 0.0, None)
     assert transitions_csv_rows([empty])[1] == (3, 4, 0, 0.0, "", "")
+    # an infinite round-trip error (a failed solve) is an empty cell
+    failed = TransitionReport(0, 1, 5, math.inf, None)
+    assert transitions_csv_rows([failed])[1] == (0, 1, 5, None, "", "")
 
 
 # ---------------------------------------------------------------------------

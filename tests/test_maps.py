@@ -7,6 +7,7 @@ index-multiplier map (k+1)f_{k+1} obeys a shift-1 bound with constant e.
 
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from tamef.graded import (
     TamenessCertificate,
     as_batch,
     certify_from_tables,
+    certify_grading_equivalence,
+    l1_grading,
+    linf_grading,
+    validate_grading,
 )
+from tamef.manifold import (certify_map_into_submanifold, make_sphere,
+                            normalization_descriptor)
 from tamef.maps import (
     TameMapDescriptor,
     build_map,
@@ -161,6 +168,106 @@ def test_negative_r_max_is_rejected():
     with pytest.raises(ValueError):
         certify_from_tables(np.ones((3, 4)), np.ones((3, 4)), [0, 1, 2, 3],
                             1, r_max=-1, probe_count=4)
+
+
+def test_zero_denominator_under_a_nonzero_numerator_is_unbounded():
+    den = np.ones((3, 4))
+    den[1, 2] = 0.0
+    cert, witness = certify_from_tables(np.ones((3, 4)), den, [1, 2, 3, 4],
+                                        2, r_max=0, probe_count=4)
+    assert cert is None
+    assert witness == RatioWitness(0, 1, 2, math.inf,
+                                   "ratio unbounded: zero denominator")
+
+
+def test_forced_shift_above_n_max_admits_no_level():
+    cert, witness = certify_from_tables(np.ones((3, 4)), np.ones((3, 4)),
+                                        [1, 2, 3, 4], 2, r_max=0, forced_r=3,
+                                        probe_count=4)
+    assert cert is None
+    assert witness == RatioWitness(3, BASE_LEVEL, -1, math.inf,
+                                   "no level admits the shift")
+
+
+# ---------------------------------------------------------------------------
+# one owner per rule: as_batch rejects an empty probe set and
+# certify_from_tables a shift bound outside 0..n_max, for every entry point
+# ---------------------------------------------------------------------------
+
+SMALL = SequenceSpace(R1, truncation_degree=4, n_max=2)
+
+
+def _entry_points():
+    """name -> call(probes, r_max) for each entry point taking probes."""
+    identity = build_map("identity", SMALL)
+    normalize = normalization_descriptor(SMALL, region_radius=2.0)
+    sphere = make_sphere(SMALL, 0, seed=0)
+    tables = np.ones((SMALL.n_max + 1, 4))
+    return {
+        "validate_grading":
+            lambda p, r: validate_grading(l1_grading(SMALL.n_max), p),
+        "certify_grading_equivalence":
+            lambda p, r: certify_grading_equivalence(
+                l1_grading(SMALL.n_max), linf_grading(SMALL.n_max), p, r),
+        "certify_tame": lambda p, r: certify_tame(identity, p, r),
+        "certify_map_into_submanifold":
+            lambda p, r: certify_map_into_submanifold(normalize, sphere, p,
+                                                      r),
+        "certify_from_tables":
+            lambda p, r: certify_from_tables(tables, tables, [1, 2, 3, 4], 2,
+                                             r_max=r, probe_count=4),
+    }
+
+
+NO_ROWS = SequenceBatch(R1, np.zeros((0, 5, 1)))
+
+
+@pytest.mark.parametrize("empty", [[], NO_ROWS, [NO_ROWS, NO_ROWS]],
+                         ids=["list", "batch", "list-of-empty-batches"])
+@pytest.mark.parametrize("entry", ["validate_grading",
+                                   "certify_grading_equivalence",
+                                   "certify_tame",
+                                   "certify_map_into_submanifold"])
+def test_empty_probe_set_is_rejected(entry, empty):
+    with pytest.raises(ValueError, match="^probe set is empty$"):
+        _entry_points()[entry](empty, 0)
+
+
+@pytest.mark.parametrize("r_max", [-1, SMALL.n_max + 1])
+@pytest.mark.parametrize("entry", ["certify_grading_equivalence",
+                                   "certify_tame",
+                                   "certify_map_into_submanifold",
+                                   "certify_from_tables"])
+def test_shift_bound_outside_the_levels_is_rejected(entry, r_max):
+    probes = make_probes(SMALL, 12, seed=3, region_radius=0.3,
+                         center=SMALL.basis(0))
+    with pytest.raises(ValueError, match=r"^r_max must lie in 0\.\.n_max$"):
+        _entry_points()[entry](probes, r_max)
+
+
+def test_validate_descriptor_reports_an_empty_probe_set():
+    identity = build_map("identity", SMALL)
+    assert validate_descriptor(identity, []) == ["empty probe set"]
+    assert validate_descriptor(identity, NO_ROWS) == ["empty probe set"]
+
+
+def test_degree_split_is_half_the_largest_factor_truncation():
+    short = make_probes(SequenceSpace(R1, truncation_degree=4, n_max=2), 6,
+                        seed=1)
+    long = make_probes(SequenceSpace(R1, truncation_degree=9, n_max=2), 6,
+                       seed=2)
+    assert ProductBatch((short, long)).truncation_degree == 9
+    assert ProductBatch((long, short)).truncation_degree == 9
+
+
+def test_nan_region_radius_is_rejected():
+    square = build_map("coeff_square", SMALL)
+    with pytest.raises(ValueError, match="region radius must be positive"):
+        replace(square, region_radius=math.nan)
+    # the unit region it keeps rejects probes drawn from a wider ball
+    wide = make_probes(SMALL, 12, seed=3, region_radius=5.0)
+    with pytest.raises(ValueError, match="leaves the certification region"):
+        certify_tame(square, wide, 0)
 
 
 def test_certify_coeff_square_nonlinear():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tamef.graded import BanachFiber, SequenceBatch
-from tamef.serialize import ARRAY_CHUNK, dumps_json, format_float, write_json
+from tamef.serialize import (ARRAY_CHUNK, dumps_csv, dumps_json, format_float,
+                             write_json)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -73,6 +74,16 @@ def test_empty_and_single_precision_blocks():
     block = np.array([[0.1, -2.0], [3.5, 1e-7]], dtype=np.float32)
     assert dumps_json(block) == dumps_json(
         [[float(x) for x in row] for row in block])
+
+
+@pytest.mark.parametrize("scalar, value", [
+    (np.int64(3), 3), (np.int8(-2), -2), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1),
+    (np.bool_(True), True), (np.bool_(False), False),
+    (np.float32(0.1), float(np.float32(0.1))), (np.float64(2.5), 2.5),
+])
+def test_numpy_scalars_write_as_their_python_values(scalar, value):
+    assert dumps_json({"a": [scalar]}) == dumps_json({"a": [value]})
+    assert dumps_csv([(scalar, value)]) == dumps_csv([(value, value)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
