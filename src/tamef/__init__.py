@@ -4,6 +4,7 @@ tameness certification, implicit solving, and chart atlases."""
 from .errors import (
     AliasingError,
     ConstructionError,
+    EmptyProbeSetError,
     InconsistentInverseError,
     NonConvergenceError,
     NotIntoSubmanifoldError,

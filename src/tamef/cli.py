@@ -43,7 +43,6 @@ EXIT_USAGE = 64
 COMMANDS = ("certify-gradings", "certify-map", "solve", "atlas")
 #: commands that search level shifts r in 0..r_max
 _LEVEL_SHIFT_COMMANDS = ("certify-gradings", "certify-map", "atlas")
-GRADING_NAMES = ("l1", "linf", "decreasing")
 #: bound on probes * (k + 1) * fiber_dimension, the coefficients of one
 #: probe block
 MAX_PROBE_ENTRIES = 2 ** 24
@@ -89,10 +88,6 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not 1 <= self.k <= 4096:
             raise ConfigError(f"truncation degree {self.k} out of range")
-        if self.nmax < 0:
-            raise ConfigError("nmax must be >= 0")
-        if self.fiber_dimension < 1:
-            raise ConfigError("fiber dimension must be >= 1")
         if self.command in _SPLIT_COMMANDS and \
                 (self.k + 1) * self.fiber_dimension > MAX_SPLIT_DIMENSION:
             raise ConfigError(
@@ -121,9 +116,9 @@ class RunConfig:
             _check_finite(key, getattr(self, key), flat=key != "base_point")
         if self.command == "certify-gradings":
             for name in (self.g1, self.g2):
-                if name not in GRADING_NAMES:
+                if name not in GRADINGS:
                     raise ConfigError(f"unknown grading {name!r}; "
-                                      f"known: {', '.join(GRADING_NAMES)}")
+                                      f"known: {', '.join(GRADINGS)}")
 
     def space(self) -> SequenceSpace:
         try:
@@ -229,11 +224,7 @@ def _sequence_from_list(space: SequenceSpace, data: list,
     return SequenceBatch(space.fiber, block)
 
 
-def _grading_by_name(name: str, n_max: int) -> Grading:
-    if name == "l1":
-        return l1_grading(n_max)
-    if name == "linf":
-        return linf_grading(n_max)
+def _decreasing_grading(n_max: int) -> Grading:
     # a family that shrinks with the level: violates two-sided tameness.
     # |f|_n = exp(-n) |f|_0, so every level scales one level-0 seminorm
     def evaluator(f: SequenceBatch, levels) -> np.ndarray:
@@ -243,14 +234,19 @@ def _grading_by_name(name: str, n_max: int) -> Grading:
     return Grading("decreasing", n_max, evaluator)
 
 
+#: the gradings certify-gradings reads by name, each built from n_max
+GRADINGS = {"l1": l1_grading, "linf": linf_grading,
+            "decreasing": _decreasing_grading}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_certify_gradings(cfg: RunConfig) -> int:
     space = cfg.space()
-    g1 = _grading_by_name(cfg.g1, cfg.nmax)
-    g2 = _grading_by_name(cfg.g2, cfg.nmax)
+    g1 = GRADINGS[cfg.g1](cfg.nmax)
+    g2 = GRADINGS[cfg.g2](cfg.nmax)
     probes = make_probes(space, cfg.probes, cfg.seed)
     outcome = certify_grading_equivalence(g1, g2, probes, cfg.r_max)
     table_rows = [("direction", "n", "C", "max_ratio")]

@@ -9,6 +9,11 @@ class AliasingError(TamefError, ValueError):
     """Too few boundary samples to resolve the requested coefficients."""
 
 
+class EmptyProbeSetError(TamefError, ValueError):
+    """A probe set without rows: no batches, or only batches without rows;
+    graded.as_batch raises it."""
+
+
 class SingularBlockError(TamefError):
     """The square target block of the differential is singular or not
     finite."""

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UnsupportedGradingError
+from .errors import EmptyProbeSetError, UnsupportedGradingError
 from .serialize import finite_or_none
 
 DEFAULT_N_MAX = 8
@@ -335,14 +335,15 @@ class ProductBatch:
 
 def as_batch(elements):
     """elements itself when it is a SequenceBatch or ProductBatch; a list
-    of batches of one kind is concatenated into one.  Neither may be empty."""
+    of batches of one kind is concatenated into one.  Neither may be empty:
+    a set without rows raises EmptyProbeSetError."""
     if isinstance(elements, (SequenceBatch, ProductBatch)):
         if not len(elements):
-            raise ValueError("probe set is empty")
+            raise EmptyProbeSetError("probe set is empty")
         return elements
     elements = list(elements)
     if not elements:
-        raise ValueError("probe set is empty")
+        raise EmptyProbeSetError("probe set is empty")
     kind = type(elements[0])
     if kind not in (SequenceBatch, ProductBatch) or \
             any(type(e) is not kind for e in elements):
@@ -431,9 +432,7 @@ def inner_product(f: SequenceBatch, g: SequenceBatch,
     """Level-n inner products sum_k e^{2nk} <f_k, g_k> of the row pairs of
     two batches of one length (metric fibers only)."""
     f.fiber.require_real_metric("level inner products")
-    if f.fiber != g.fiber or f.truncation_degree != g.truncation_degree:
-        raise ValueError("sequences live in different spaces")
-    dots = np.sum(f.coefficients * g.coefficients, axis=-1).T  # (K+1, P)
+    dots = np.sum(f.coefficients * f._block_of(g), axis=-1).T  # (K+1, P)
     return _weighted(f, dots, 2 * int(level), None, np.add)
 
 

@@ -22,7 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonConvergenceError, RegularityError, SingularBlockError
+from .errors import (EmptyProbeSetError, NonConvergenceError,
+                     RegularityError, SingularBlockError)
 from .graded import SequenceBatch, SequenceSpace, _weights, as_batch, one_row
 from .newton import (BLOCK_NOT_FINITE, CONVERGED, SINGULAR, NewtonLanes,
                      block_error, damped_newton, lane_norms)
@@ -171,9 +172,12 @@ def check_jacobian(c: ConstraintMap, probes) -> float:
     """Max relative gap between supplied and finite-difference Jacobians
     over the probes, evaluated as one block; inf when a gap is not finite,
     and 0.0 for a constraint without a supplied Jacobian or for no probes."""
-    if c.jacobian is None or not len(probes):
+    if c.jacobian is None:
         return 0.0
-    flats = flatten(as_batch(probes))
+    try:
+        flats = flatten(as_batch(probes))
+    except EmptyProbeSetError:
+        return 0.0
     supplied = c.jacobians(flats)
     fd = _central_differences(c.values, flats, c.target_dim)
     # a non-finite entry of either Jacobian makes its row's gap non-finite
@@ -275,14 +279,11 @@ class SplitConstraint:
 
     def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
         """values and d_y on a block of lanes whose x stays X: both take
-        (lanes, Y) and evaluate at (X[lanes], Y), lanes None standing for
-        every row of X in order."""
-
-        def rows(lanes):
-            return X if lanes is None else X[lanes]
+        (lanes, Y) and evaluate at (X[lanes], Y), lanes a lane index as
+        newton.damped_newton names one (... for every row of X)."""
 
         def values(lanes, Y):
-            out = np.asarray(self.phi_xy(rows(lanes), Y), dtype=np.float64)
+            out = np.asarray(self.phi_xy(X[lanes], Y), dtype=np.float64)
             if out.shape != (len(Y), self.y_dim):
                 raise ValueError(
                     f"split constraint returned shape {out.shape}")
@@ -292,7 +293,7 @@ class SplitConstraint:
             if self._d_y is None:
                 return _central_differences(lambda P: values(lanes, P), Y,
                                             self.y_dim)
-            return np.asarray(self._d_y(rows(lanes), Y),
+            return np.asarray(self._d_y(X[lanes], Y),
                               dtype=np.float64).reshape(
                 len(Y), self.y_dim, self.y_dim)
 
@@ -304,7 +305,7 @@ class SplitConstraint:
 
     def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
-        return self.bind(X)[0](None, Y)
+        return self.bind(X)[0](..., Y)
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if self._d_x is None:
@@ -314,7 +315,7 @@ class SplitConstraint:
             len(X), self.y_dim, self.x_dim)
 
     def d_y(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self.bind(X)[1](None, Y)
+        return self.bind(X)[1](..., Y)
 
 
 def _solve_blocks(B: np.ndarray, rhs: np.ndarray
@@ -477,20 +478,19 @@ class PointSplit(SplitConstraint):
 
     def lane_flats(self, X: np.ndarray) -> Callable:
         """flats(lanes, Y): the flat ambient points K X[lanes] + C Y, one
-        per row, lanes None standing for every row of X; the kernel parts
-        K X are formed here, once."""
+        per row, lanes a lane index as in bind; the kernel parts K X are
+        formed here, once."""
         kernel_parts = np.matmul(self.kernel_mat[None], X[:, :, None])
 
         def flats(lanes, Y):
-            parts = kernel_parts if lanes is None else kernel_parts[lanes]
-            return (parts + np.matmul(self.compl_mat[None],
-                                      Y[:, :, None]))[:, :, 0]
+            return (kernel_parts[lanes] + np.matmul(self.compl_mat[None],
+                                                    Y[:, :, None]))[:, :, 0]
 
         return flats
 
     def flats(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Flat ambient points of the lanes (X[i], Y[i]), one per row."""
-        return self.lane_flats(X)(None, Y)
+        return self.lane_flats(X)(..., Y)
 
     def point_of(self, x: np.ndarray, y: np.ndarray) -> SequenceBatch:
         """The point with split coordinates (x, y), as a one-row batch."""

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InconsistentInverseError
+from .errors import EmptyProbeSetError, InconsistentInverseError
 from .graded import (
     DEFAULT_ATOL,
     ProductBatch,
@@ -104,9 +104,10 @@ def validate_descriptor(desc: TameMapDescriptor, probes) -> List[str]:
 
     Linear maps are checked for additivity on the first 8 neighbouring
     probe pairs and for homogeneity on their first probes."""
-    if not probes:
+    try:
+        batch = as_batch(probes)
+    except EmptyProbeSetError:
         return ["empty probe set"]
-    batch = as_batch(probes)
     try:
         desc.domain.check_member(batch)
     except ValueError as exc:  # the rows share one space

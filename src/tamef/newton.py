@@ -97,11 +97,13 @@ def damped_newton(residual: Callable, linear_step: Callable,
                   end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton from a (P, n) block of start points, one solve a lane.
 
-    residual(lanes, Z) returns the residuals of the rows of Z, row i on
-    lane lanes[i] (lanes None: all P lanes in order).  linear_step(lanes,
-    Z, R) returns the Newton steps and None or, when some row cannot step,
-    per row its code (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE)
-    and its (sigma_min, sigma_max) as a (rows, 2) block.
+    A set of lanes is named by one lane index: ... for all P lanes in
+    order, else an array of lane numbers, so that X[lanes] holds their
+    rows.  residual(lanes, Z) returns the residuals of the rows of Z, row i
+    on the i-th lane of lanes.  linear_step(lanes, Z, R) returns the Newton
+    steps and None or, when some row cannot step, per row its code
+    (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE) and its
+    (sigma_min, sigma_max) as a (rows, 2) block.
 
     Each round every open lane moves to z - s * step for the first s in
     1, 1/2, ..., 2^-20 whose residual norm is below its last one or reaches
@@ -132,7 +134,7 @@ def damped_newton(residual: Callable, linear_step: Callable,
     """
     z = np.array(start)
     P = len(z)
-    r = residual(None, z)
+    r = residual(..., z)
     norm = lane_norms(r)
     trail, norms = [z], [norm]
     # a lane's code stays CONVERGED unless it fails
@@ -140,60 +142,59 @@ def damped_newton(residual: Callable, linear_step: Callable,
     sigma = np.zeros((P, 2))
     steps = np.zeros(P, dtype=np.intp)
     # per lane, the slow rounds in a row that end_slow_lanes counts
-    slow = np.zeros(P, dtype=np.intp) if end_slow_lanes else None
-    lanes = np.arange(P)
-    # full: the open lanes are all P lanes, so no row needs selecting
-    full = True
-    while lanes.size:
+    slow = np.zeros(P, dtype=np.intp)
+    # the open lanes, a lane index: ... while all P are open, so that
+    # z[lanes] is a view, from the first filter on an array of lane numbers
+    ids, lanes = np.arange(P), ...
+    # the open lanes' norms: the loop runs while a lane is open
+    last = norm
+    while last.size:
         steps[lanes] = len(norms) - 1
-        last = norm if full else norm[lanes]
         done = last <= tol  # a NaN norm has not converged
         if np.count_nonzero(done):
-            lanes, last, full = lanes[~done], last[~done], False
+            lanes, last = ids[lanes][~done], last[~done]
             if not lanes.size:
                 break
         if len(norms) > max_iter:
             cause[lanes] = BUDGET
             break
-        if slow is not None and len(norms) > 1:
+        if end_slow_lanes and len(norms) > 1:
             # every open lane stepped in the last round
             slow[lanes] = np.where(last > SLOW_RATIO * norms[-2][lanes],
                                    slow[lanes] + 1, 0)
             going = slow[lanes] < SLOW_ROUNDS
-            if np.count_nonzero(going) < lanes.size:
-                cause[lanes[~going]] = SLOW
-                lanes, last, full = lanes[going], last[going], False
+            if np.count_nonzero(going) < going.size:
+                cause[ids[lanes][~going]] = SLOW
+                lanes, last = ids[lanes][going], last[going]
                 if not lanes.size:
                     break
         finite = np.isfinite(last)
-        if np.count_nonzero(finite) < lanes.size:
-            cause[lanes[~finite]] = NON_FINITE
-            lanes, last, full = lanes[finite], last[finite], False
+        if np.count_nonzero(finite) < finite.size:
+            cause[ids[lanes][~finite]] = NON_FINITE
+            lanes, last = ids[lanes][finite], last[finite]
             if not lanes.size:
                 break
-        Z = z if full else z[lanes]
-        step, blocked = linear_step(None if full else lanes, Z,
-                                    r if full else r[lanes])
+        Z = z[lanes]
+        step, blocked = linear_step(lanes, Z, r[lanes])
         if blocked is not None:
             # a row that steps keeps CONVERGED, the code of an open lane
             cause[lanes], sigma[lanes] = blocked
             stepped = cause[lanes] == CONVERGED
-            lanes, last, Z, step = (lanes[stepped], last[stepped],
+            lanes, last, Z, step = (ids[lanes][stepped], last[stepped],
                                     Z[stepped], step[stepped])
-            full = False
             if not lanes.size:
                 break
         # an open lane's norm is finite and above tol, so a candidate that
         # reaches tol is also below it: acceptance is one comparison
         cand = Z - step
-        cand_r = residual(None if full else lanes, cand)
+        cand_r = residual(lanes, cand)
         cand_norm = lane_norms(cand_r)
         accepted = cand_norm < last
         if np.count_nonzero(accepted) < accepted.size:
             back = np.flatnonzero(~accepted)
             width = _HALVINGS.size
             ladder = Z[back, None, :] - _HALVINGS[:, None] * step[back, None, :]
-            ladder_r = residual(np.repeat(lanes[back], width),
+            ladder_r = residual(np.repeat(ids[lanes][back], width),
                                 ladder.reshape(back.size * width, -1))
             ladder_norm = lane_norms(ladder_r).reshape(back.size, width)
             ok = ladder_norm < last[back, None]
@@ -204,18 +205,16 @@ def damped_newton(residual: Callable, linear_step: Callable,
             cand_r[rows] = ladder_r.reshape(back.size, width, -1)[found, k]
             cand_norm[rows] = ladder_norm[found, k]
             if not found.all():
-                cause[lanes[back[~found]]] = STALLED
-                keep = np.ones(lanes.size, dtype=bool)
+                cause[ids[lanes][back[~found]]] = STALLED
+                keep = np.ones(accepted.size, dtype=bool)
                 keep[back[~found]] = False
                 lanes, cand, cand_r, cand_norm = (
-                    lanes[keep], cand[keep], cand_r[keep], cand_norm[keep])
-                full = False
-        if full:
-            z, r, norm = cand, cand_r, cand_norm
-        else:
-            z, r, norm = z.copy(), r.copy(), norm.copy()
-            z[lanes], r[lanes], norm[lanes] = cand, cand_r, cand_norm
+                    ids[lanes][keep], cand[keep], cand_r[keep],
+                    cand_norm[keep])
+        z, r, norm = z.copy(), r.copy(), norm.copy()
+        z[lanes], r[lanes], norm[lanes] = cand, cand_r, cand_norm
         trail.append(z)
         norms.append(norm)
+        last = cand_norm
     return NewtonLanes(z, cause == CONVERGED, cause, sigma, steps, trail,
                        norms, name, tol, max_iter)

@@ -31,7 +31,7 @@ from tamef.graded import (
     seminorm_table,
 )
 from tamef import cli
-from tamef.cli import _grading_by_name
+from tamef.cli import GRADINGS
 from tamef.probes import make_probes, make_product_probes
 
 SPACE = SequenceSpace(BanachFiber(2), truncation_degree=8, n_max=4)
@@ -339,7 +339,7 @@ def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
         for grading, reference in (
                 (l1_grading(n_max), frozen_l1),
                 (linf_grading(n_max), frozen_linf),
-                (_grading_by_name("decreasing", n_max), decreasing)):
+                (GRADINGS["decreasing"](n_max), decreasing)):
             want = frozen_table(reference, batch, range(n_max + 1))
             assert same_bits(seminorm_table(grading, batch), want)
             assert same_bits(grading.evaluator(batch, levels),
@@ -358,7 +358,7 @@ def test_decreasing_grading_takes_one_level_zero_seminorm(monkeypatch):
         return seminorm_l1(f, n)
 
     monkeypatch.setattr(cli, "seminorm_l1", spy)
-    table = seminorm_table(_grading_by_name("decreasing", 6), probes)
+    table = seminorm_table(GRADINGS["decreasing"](6), probes)
     assert levels == [0]
     per_level = custom_grading(
         lambda f, n: math.exp(-float(n)) * seminorm_l1(f, 0), 6)

@@ -167,6 +167,33 @@ def test_r_max_above_nmax_is_usage_error(tmp_path, args):
     assert run_cli(list(args) + ["--out", str(tmp_path / "run")]) == 64
 
 
+@pytest.mark.parametrize("bad", [{"nmax": -1}, {"fiber_dimension": 0}])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_space_ranges_are_usage_errors(tmp_path, capsys, command, bad):
+    """SequenceSpace and BanachFiber own the ranges of nmax and
+    fiber_dimension; every command meets their errors as exit 64."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": command, "k": 4, **bad}),
+                        encoding="utf-8")
+    assert run_cli([command, "--config", str(cfg_path),
+                    "--out", str(tmp_path / "run")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("tamef: ") and err.count("\n") == 1
+
+
+def test_gradings_are_one_table(tmp_path, capsys):
+    """The names validate accepts are the names a run can build; an
+    unknown one is refused by both."""
+    assert run_cli(["certify-gradings", "--g2", "bogus",
+                    "--out", str(tmp_path / "run")]) == 64
+    assert capsys.readouterr().err == \
+        "tamef: unknown grading 'bogus'; known: l1, linf, decreasing\n"
+    for name, build in cli.GRADINGS.items():
+        assert build(3).kind == name
+    with pytest.raises(KeyError):
+        cli.GRADINGS["bogus"]
+
+
 def test_r_max_is_not_checked_for_solve():
     cli.RunConfig(command="solve", nmax=1).validate()
 

@@ -137,6 +137,23 @@ def test_inner_product_monomial_weights():
                                                         rel=1e-15)
 
 
+def test_inner_product_rejects_a_batch_of_another_length():
+    """Row pairs need two batches of one length; a one-row batch does not
+    broadcast against five rows."""
+    p = make_probes(SequenceSpace(R1, truncation_degree=6, n_max=2), 5,
+                    seed=1)
+    with pytest.raises(ValueError, match="^batch length mismatch: 5 and 1 "
+                                         "rows$"):
+        inner_product(p, p[0])
+
+
+def test_inner_product_rejects_a_batch_of_another_fiber():
+    f = SequenceBatch(R1, np.ones((2, 4, 1)))
+    g = SequenceBatch(BanachFiber(2), np.ones((2, 4, 2)))
+    with pytest.raises(ValueError, match="^fiber mismatch$"):
+        inner_product(f, g)
+
+
 def test_inner_product_rejects_complex_fiber():
     fiber = BanachFiber(1, scalar_field="complex")
     f = SequenceBatch(fiber, np.ones((1, 4, 1), dtype=np.complex128))

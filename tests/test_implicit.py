@@ -26,6 +26,7 @@ from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             split_at, unflatten)
 from tamef.manifold import make_sphere
 from tamef.maps import TameMapDescriptor, certify_tame
+from tamef.newton import damped_newton
 from tamef.probes import make_probes, rng_from_seed
 
 R1 = BanachFiber(1)
@@ -158,6 +159,43 @@ def test_newton_nonconvergence_carries_history():
 def test_newton_no_real_root_stalls():
     with pytest.raises((NonConvergenceError, SingularBlockError)):
         solve_implicit(no_root_split(), np.zeros(0), [1.0])
+
+
+def test_newton_returns_at_once_on_an_empty_block():
+    """No lanes: one residual call on the empty block, one trail entry."""
+    calls = []
+
+    def residual(lanes, Z):
+        calls.append(Z.shape)
+        return Z - 1.0
+
+    out = damped_newton(residual, lambda lanes, Z, R: (R, None),
+                        np.zeros((0, 3)), 1e-12, 50, "empty")
+    assert calls == [(0, 3)]
+    assert len(out.trail) == len(out.norms) == 1
+    assert out.z.shape == (0, 3) and out.converged.shape == (0,)
+
+
+def test_newton_names_open_lanes_by_one_index():
+    """Callbacks get ... while every lane is open, then the array of the
+    open lane numbers; both index the rows of a block alike."""
+    seen = []
+
+    def residual(lanes, Z):
+        seen.append(lanes if lanes is ... else tuple(lanes))
+        return Z * Z - np.array([[1.0], [4.0], [9.0]])[lanes]
+
+    def linear_step(lanes, Z, R):
+        seen.append(lanes if lanes is ... else tuple(lanes))
+        return R / (2.0 * Z), None
+
+    out = damped_newton(residual, linear_step, np.array([[1.0], [1.5], [4.0]]),
+                        1e-12, 50, "roots")
+    assert out.converged.all()
+    assert out.z[:, 0] == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+    # lane 0 starts at its root: the first filter leaves lanes 1 and 2
+    assert seen[:3] == [..., (1, 2), (1, 2)]
+    assert ... not in seen[1:] and (2,) in seen
 
 
 @pytest.mark.parametrize("y0", [np.nan, np.inf])
@@ -383,6 +421,16 @@ def test_supplied_jacobian_matches_finite_differences():
     assert check_jacobian(c, probes) == max(
         check_jacobian(c, [f]) for f in probes)
     assert check_jacobian(c, []) == 0.0
+
+
+def test_check_jacobian_of_batches_without_rows_is_zero():
+    """A list of batches without rows is no probes, as the docstring says,
+    not an error."""
+    c = sphere_constraint(SPACE8, level=1)
+    no_rows = SequenceBatch(R1, np.zeros((0, 9, 1)))
+    assert check_jacobian(c, no_rows) == 0.0
+    assert check_jacobian(c, [no_rows]) == 0.0
+    assert check_jacobian(c, [no_rows, no_rows]) == 0.0
 
 
 @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])

@@ -251,6 +251,12 @@ def test_validate_descriptor_reports_an_empty_probe_set():
     assert validate_descriptor(identity, NO_ROWS) == ["empty probe set"]
 
 
+def test_validate_descriptor_reads_emptiness_from_the_batch():
+    identity = build_map("identity", SMALL)
+    for empty in ([NO_ROWS], [NO_ROWS, NO_ROWS]):
+        assert validate_descriptor(identity, empty) == ["empty probe set"]
+
+
 def test_degree_split_is_half_the_largest_factor_truncation():
     short = make_probes(SequenceSpace(R1, truncation_degree=4, n_max=2), 6,
                         seed=1)
