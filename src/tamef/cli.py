@@ -141,12 +141,17 @@ class RunConfig:
         }
 
     # a run's files go to --out, JSON under the run's meta and CSV under
-    # its generator and seed, through the module-level writers
+    # its generator and seed, through the module-level writers; --out is
+    # made at the first file, so a usage error leaves no directory behind
+    def out_path(self, name: str) -> str:
+        os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, name)
+
     def write_json(self, name: str, body: dict):
-        write_json(os.path.join(self.out, name), {"meta": self.meta(), **body})
+        write_json(self.out_path(name), {"meta": self.meta(), **body})
 
     def write_csv(self, name: str, rows):
-        write_csv(os.path.join(self.out, name), rows,
+        write_csv(self.out_path(name), rows,
                   [f"generator={GENERATOR_NAME} seed={self.seed}"])
 
 
@@ -463,7 +468,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         cfg = build_config(args)
-        os.makedirs(cfg.out, exist_ok=True)
         # overflow and NaN end as witnesses or errors in the outputs, so
         # numpy's floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):

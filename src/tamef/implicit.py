@@ -318,28 +318,70 @@ class SplitConstraint:
         return self.bind(X)[1](..., Y)
 
 
+def _block_steps(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """B^{-1} rhs for a stack of regular blocks: rhs / b when m = 1, the
+    float np.linalg.solve gives there, else np.linalg.solve."""
+    if B.shape[-1] == 1:
+        return rhs / B[:, 0]
+    return np.linalg.solve(B, rhs[:, :, None])[:, :, 0]
+
+
 def _solve_blocks(B: np.ndarray, rhs: np.ndarray
                   ) -> Tuple[np.ndarray, Optional[tuple]]:
     """B^{-1} rhs for an (L, m, m) stack of phi-blocks and (L, m) right-hand
     sides.  The second value is None when every block was solved, else the
     lanes' codes and (sigma_min, sigma_max) as damped_newton's linear_step
-    returns them; a blocked lane's step row is left zero."""
+    returns them; a blocked lane's step row is left zero.
+
+    A block is singular when sigma_min <= BLOCK_RTOL * max(sigma_max, 1).
+    Blocks with m <= 2 are first screened without LAPACK, and a stack whose
+    every block is surely regular is solved at once.  For m = 1 the screen
+    is the test itself, since the singular value of b is |b|.  For m = 2,
+    sigma_min >= |det| / |B|_F and sigma_max <= |B|_F, so a block with
+    |det| > 2 BLOCK_RTOL |B|_F max(|B|_F, 1) is regular; the 2 covers the
+    rounding of det and of LAPACK's sigma.  A non-finite block passes no
+    screen.  Any other stack goes to _check_blocks.  The screen and the
+    division run without floating-point warnings, as LAPACK does."""
+    m = B.shape[-1]
+    if m > 2:
+        return _check_blocks(B, rhs)
+    with np.errstate(all="ignore"):
+        if m == 1:
+            size = np.abs(B[:, 0, 0])
+            sure = size > BLOCK_RTOL * np.maximum(size, 1.0)
+        else:
+            F = B.reshape(len(B), 4)
+            det = F[:, 0] * F[:, 3] - F[:, 1] * F[:, 2]
+            fro = lane_norms(F)
+            sure = np.abs(det) > 2.0 * BLOCK_RTOL * fro * np.maximum(fro, 1.0)
+        if np.count_nonzero(sure) == len(B):
+            return _block_steps(B, rhs), None
+        return _check_blocks(B, rhs)
+
+
+def _check_blocks(B: np.ndarray, rhs: np.ndarray
+                  ) -> Tuple[np.ndarray, Optional[tuple]]:
+    """_solve_blocks from every block's singular values: |b| when m = 1,
+    else LAPACK's SVD, so a blocked lane of m >= 2 reports LAPACK's sigma.
+    (LAPACK's SVD of b rescales below about 1e-138 and above 1e138 and may
+    then be one ulp off |b|; it gives the same verdict.)"""
     all_finite = np.count_nonzero(np.isfinite(B)) == B.size
     if not all_finite:
         finite = np.isfinite(B).all(axis=(1, 2))
         B = np.where(finite[:, None, None], B, 0.0)
-    sigma = np.linalg.svd(B, compute_uv=False)
+    sigma = np.abs(B[:, 0]) if B.shape[-1] == 1 else \
+        np.linalg.svd(B, compute_uv=False)
     sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
     singular = sigma_min <= BLOCK_RTOL * np.maximum(sigma_max, 1.0)
     if all_finite and not np.count_nonzero(singular):
-        return np.linalg.solve(B, rhs[:, :, None])[:, :, 0], None
+        return _block_steps(B, rhs), None
     codes = np.where(singular, SINGULAR, CONVERGED).astype(np.int8)
     if not all_finite:
         codes[~finite] = BLOCK_NOT_FINITE
     good = codes == CONVERGED
     steps = np.zeros(rhs.shape)
     if good.any():
-        steps[good] = np.linalg.solve(B[good], rhs[good][:, :, None])[:, :, 0]
+        steps[good] = _block_steps(B[good], rhs[good])
     return steps, (codes, sigma[:, [-1, 0]])
 
 

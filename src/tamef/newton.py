@@ -100,10 +100,11 @@ def damped_newton(residual: Callable, linear_step: Callable,
     A set of lanes is named by one lane index: ... for all P lanes in
     order, else an array of lane numbers, so that X[lanes] holds their
     rows.  residual(lanes, Z) returns the residuals of the rows of Z, row i
-    on the i-th lane of lanes.  linear_step(lanes, Z, R) returns the Newton
-    steps and None or, when some row cannot step, per row its code
-    (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE) and its
-    (sigma_min, sigma_max) as a (rows, 2) block.
+    on the i-th lane of lanes, as a new array: the kernel owns the residual
+    blocks its callbacks return and writes into them.  linear_step(lanes,
+    Z, R) returns the Newton steps and None or, when some row cannot step,
+    per row its code (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE)
+    and its (sigma_min, sigma_max) as a (rows, 2) block.
 
     Each round every open lane moves to z - s * step for the first s in
     1, 1/2, ..., 2^-20 whose residual norm is below its last one or reaches
@@ -211,7 +212,9 @@ def damped_newton(residual: Callable, linear_step: Callable,
                 lanes, cand, cand_r, cand_norm = (
                     ids[lanes][keep], cand[keep], cand_r[keep],
                     cand_norm[keep])
-        z, r, norm = z.copy(), r.copy(), norm.copy()
+        # z and norm go into the trail; r is the kernel's own, and is
+        # written in place
+        z, norm = z.copy(), norm.copy()
         z[lanes], r[lanes], norm[lanes] = cand, cand_r, cand_norm
         trail.append(z)
         norms.append(norm)

@@ -194,6 +194,36 @@ def test_gradings_are_one_table(tmp_path, capsys):
         cli.GRADINGS["bogus"]
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["solve"], {"nmax": -1}),
+    (["certify-map", "--map", "bogus"], None),
+])
+def test_usage_error_leaves_no_output_directory(tmp_path, capsys, argv,
+                                                config):
+    """Both errors are raised by the command itself, after the config is
+    read; neither --out nor its missing parent is made."""
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(cfg_path)]
+    out = tmp_path / "parent" / "run"
+    assert run_cli(argv + ["--out", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("tamef: ")
+    assert not (tmp_path / "parent").exists()
+
+
+def test_usage_error_leaves_an_existing_output_directory_alone(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "atlas.json").write_text("kept", encoding="utf-8")
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    assert run_cli(["certify-map", "--map", "bogus", "--out", str(out)]) == 64
+    assert sorted(p.name for p in out.iterdir()) == ["atlas.json",
+                                                     "notes.txt"]
+    assert (out / "atlas.json").read_text(encoding="utf-8") == "kept"
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+
 def test_r_max_is_not_checked_for_solve():
     cli.RunConfig(command="solve", nmax=1).validate()
 

@@ -6,12 +6,16 @@ unchanged: one solve, one candidate scale at a time.  Every lane of a
 batched solve must end exactly as that loop ends on the lane alone: the same
 floats, the same iteration count, and the same exception with the same
 message.  The batched callers in charts and atlases are checked the same way
-against their one-point-at-a-time forms.
+against their one-point-at-a-time forms, and the phi-block solve, which
+screens small blocks without LAPACK, against the stacked SVD it replaced.
 """
 
 import gc
+import json
 import math
+import sys
 import weakref
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamef import implicit
+from tamef import cli, implicit
 from tamef.errors import NonConvergenceError, SingularBlockError
 from tamef.graded import BanachFiber, SequenceSpace
 from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
@@ -32,7 +36,8 @@ from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
 from tamef.manifold import (_sample_overlap, _transition_descriptor,
                             make_sphere, make_sphere_intersection,
                             verify_transitions)
-from tamef.newton import CAUSES, DAMPING_MAX_HALVINGS, SINGULAR
+from tamef.newton import (BLOCK_NOT_FINITE, CAUSES, CONVERGED,
+                          DAMPING_MAX_HALVINGS, SINGULAR, block_error)
 from tamef.probes import rng_from_seed
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -92,6 +97,28 @@ def reference_block_solve(B, rhs, context):
             f"{context}: phi-block singular (sigma_min={sigma_min:.3g}, "
             f"sigma_max={sigma_max:.3g})")
     return np.linalg.solve(B, rhs)
+
+
+def reference_solve_blocks(B, rhs):
+    """implicit._solve_blocks as it was before small blocks were screened:
+    a stacked SVD of every block, then np.linalg.solve."""
+    all_finite = np.count_nonzero(np.isfinite(B)) == B.size
+    if not all_finite:
+        finite = np.isfinite(B).all(axis=(1, 2))
+        B = np.where(finite[:, None, None], B, 0.0)
+    sigma = np.linalg.svd(B, compute_uv=False)
+    sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
+    singular = sigma_min <= BLOCK_RTOL * np.maximum(sigma_max, 1.0)
+    if all_finite and not np.count_nonzero(singular):
+        return np.linalg.solve(B, rhs[:, :, None])[:, :, 0], None
+    codes = np.where(singular, SINGULAR, CONVERGED).astype(np.int8)
+    if not all_finite:
+        codes[~finite] = BLOCK_NOT_FINITE
+    good = codes == CONVERGED
+    steps = np.zeros(rhs.shape)
+    if good.any():
+        steps[good] = np.linalg.solve(B[good], rhs[good][:, :, None])[:, :, 0]
+    return steps, (codes, sigma[:, [-1, 0]])
 
 
 def reference_lane(split, x, y0, goal, tol, max_iter):
@@ -288,6 +315,147 @@ def test_lane_blocks_cover_every_outcome():
             seen.update(outcome(out, lane) for lane in range(len(X)))
     assert seen == set(CAUSES)
     assert max(halvings) >= 1
+
+
+# ---------------------------------------------------------------------------
+# small phi-blocks against the stacked SVD
+# ---------------------------------------------------------------------------
+
+#: entries at the edges of the float range, and the non-finite ones
+EDGE_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                math.nan, math.inf, -math.inf)
+#: sigma_min / (BLOCK_RTOL * sigma_max) of blocks built at the singular
+#: threshold: below it, on it and above it
+THRESHOLD_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]])
+
+
+def small_blocks(m, seed):
+    """(blocks, right-hand sides): random blocks over 28 decades, blocks
+    with one or all entries drawn from EDGE_ENTRIES, exactly singular
+    blocks and, for m <= 2, blocks at the singular threshold."""
+    rng = rng_from_seed(seed)
+    blocks = list(rng.normal(size=(48, m, m))
+                  * 10.0 ** rng.uniform(-14, 14, size=(48, 1, 1)))
+    blocks += list(rng.normal(size=(16, m, m))
+                   * 10.0 ** rng.uniform(-20, 20, size=(16, m, m)))
+    for value in EDGE_ENTRIES:
+        blocks.append(np.full((m, m), value))
+        block = rng.normal(size=(m, m))
+        block[rng.integers(m), rng.integers(m)] = value
+        blocks.append(block)
+    if m > 1:
+        block = rng.normal(size=(m, m))
+        block[-1] = 3.0 * block[0]
+        blocks.append(block)
+    if m == 1:
+        for factor in THRESHOLD_FACTORS:
+            blocks += [np.full((1, 1), factor * BLOCK_RTOL),
+                       np.full((1, 1), -factor * BLOCK_RTOL)]
+        blocks += [np.full((1, 1), np.nextafter(BLOCK_RTOL, side))
+                   for side in (0.0, 1.0)]
+    if m == 2:
+        for sigma_max in (1.0, 2.5, 1e4):
+            for factor in THRESHOLD_FACTORS:
+                sigma = np.diag([sigma_max, factor * BLOCK_RTOL * sigma_max])
+                blocks.append(rotation(rng.uniform(0, 2 * math.pi)) @ sigma
+                              @ rotation(rng.uniform(0, 2 * math.pi)))
+    blocks = np.array(blocks)
+    rhs = rng.normal(size=(len(blocks), m)) * 10.0 ** rng.uniform(
+        -300, 300, size=(len(blocks), 1))
+    rhs[::7] = 0.0
+    return blocks, rhs
+
+
+def assert_blocks_agree(B, rhs):
+    """_solve_blocks and the stacked-SVD reference give the same step
+    bytes and codes, and each blocked lane the same message; returns the
+    codes."""
+    steps, blocked = implicit._solve_blocks(B, rhs)
+    want_steps, want_blocked = reference_solve_blocks(B, rhs)
+    assert steps.tobytes() == want_steps.tobytes()
+    assert (blocked is None) == (want_blocked is None)
+    if want_blocked is None:
+        return np.zeros(len(B), dtype=np.int8)
+    codes, sigma = blocked
+    want_codes, want_sigma = want_blocked
+    assert codes.tobytes() == want_codes.tobytes()
+    for lane in np.flatnonzero(want_codes >= SINGULAR):
+        assert str(block_error("b", codes[lane], sigma[lane])) == \
+            str(block_error("b", want_codes[lane], want_sigma[lane])), lane
+    return codes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_small_block_solve_equals_the_stacked_svd(m, seed):
+    """Bit for bit on the stack, on each block alone, and on the stack of
+    regular blocks, which a screen may pass whole."""
+    B, rhs = small_blocks(m, seed)
+    codes = assert_blocks_agree(B, rhs)
+    assert {CONVERGED, SINGULAR, BLOCK_NOT_FINITE} <= set(codes.tolist())
+    for lane in range(len(B)):
+        assert_blocks_agree(B[lane:lane + 1], rhs[lane:lane + 1])
+    regular = codes == CONVERGED
+    assert assert_blocks_agree(B[regular], rhs[regular]).tolist() == \
+        [CONVERGED] * np.count_nonzero(regular)
+
+
+def solve_with_reference_blocks(monkeypatch, solve, *args):
+    """solve(*args) with the stacked-SVD reference as the phi-block solve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(implicit, "_solve_blocks", reference_solve_blocks)
+        return solve(*args)
+
+
+def test_lanes_end_as_with_the_stacked_svd(monkeypatch):
+    """On the fixed lane sets and the lanes of an infinite phi-block, every
+    lane ends with the same iterate, steps and code, and a failed lane
+    builds the same error, as under the stacked SVD."""
+    for split, X, Y0, goal, max_iter in [*fixed_lane_sets(),
+                                         infinite_block_lanes()]:
+        for end_slow_lanes in (False, True):
+            args = (split, X, Y0, goal, DEFAULT_SOLVE_TOL, max_iter,
+                    end_slow_lanes)
+            got = _solve_lanes(*args)
+            want = solve_with_reference_blocks(monkeypatch, _solve_lanes,
+                                               *args)
+            assert got.z.tobytes() == want.z.tobytes()
+            assert got.steps.tolist() == want.steps.tolist()
+            assert got.cause.tolist() == want.cause.tolist()
+            for lane in np.flatnonzero(~want.converged):
+                error, want_error = got.error(lane), want.error(lane)
+                assert type(error) is type(want_error), lane
+                assert str(error) == str(want_error), lane
+
+
+def test_apply_vphi_as_with_the_stacked_svd(monkeypatch):
+    """apply_vphi at the base point and at complement points that make the
+    phi-block singular (0) or non-finite (NaN)."""
+    failed = 0
+    for name in CASES:
+        split, x, y = split_case(name)
+        k1 = np.linspace(-1.0, 1.0, split.x_dim)
+        k2 = np.linspace(0.5, 2.0, split.y_dim)
+        for start in Y_STARTS:
+            args = (split, x, y * start, k1, k2)
+            try:
+                want = solve_with_reference_blocks(
+                    monkeypatch, implicit.apply_vphi, *args)
+            except SingularBlockError as err:
+                with pytest.raises(SingularBlockError) as got:
+                    implicit.apply_vphi(*args)
+                assert str(got.value) == str(err), (name, start)
+                failed += 1
+                continue
+            got = implicit.apply_vphi(*args)
+            assert [h.tobytes() for h in got] == \
+                [h.tobytes() for h in want], (name, start)
+    assert failed
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +726,41 @@ def test_raised_lane_errors_are_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+def svd_callers(monkeypatch, argv, config, tmp_path):
+    """Run the CLI once, counting np.linalg.svd calls by calling function."""
+    callers = Counter()
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return svd(*args, **kwargs)
+
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert cli.run(argv + ["--out", str(tmp_path / "run")]) == 0
+    return dict(callers)
+
+
+@pytest.mark.parametrize("argv, config, want", [
+    # two charts, each split at its base point by two SVDs
+    (["--k", "32", "--constraint", "sphere:0"], None,
+     {"is_regular_point": 4}),
+    # one split; every phi-block of the run passes the determinant screen
+    (["--k", "16", "--constraint", "spheres:0,1"], {"radii": [1, 2]},
+     {"is_regular_point": 2}),
+])
+def test_atlas_phi_blocks_take_no_svd(monkeypatch, tmp_path, argv, config,
+                                      want):
+    """A seeded atlas run makes a fixed number of SVD calls; the phi-blocks
+    of its Newton solves make none."""
+    argv = ["atlas", "--nmax", "4", "--seed", "1"] + argv
+    assert svd_callers(monkeypatch, argv, config, tmp_path) == want
