@@ -2,10 +2,8 @@
 tameness certification, implicit solving, and chart atlases."""
 
 from .errors import (
-    AliasingError,
     ConstructionError,
     EmptyProbeSetError,
-    InconsistentInverseError,
     NonConvergenceError,
     NotIntoSubmanifoldError,
     RegularityError,
@@ -17,7 +15,6 @@ from .graded import (
     BanachFiber,
     EquivalenceOutcome,
     Grading,
-    GradingValidationReport,
     ProductBatch,
     ProductSpace,
     RatioWitness,
@@ -27,24 +24,18 @@ from .graded import (
     as_batch,
     certificate_violations,
     certify_grading_equivalence,
-    custom_grading,
     inner_product,
     l1_grading,
     linf_grading,
-    metric_norm,
     seminorm_l1,
     seminorm_linf,
     validate_equivalence_certificate,
-    validate_grading,
 )
 from .holomorphic import (
     CauchyBoundReport,
     DiskSpec,
-    RoundTripReport,
     boundary_values,
-    coefficients_from_boundary,
     eval_series,
-    round_trip_report,
     sup_norm_disk,
     verify_cauchy_bound,
 )
@@ -60,7 +51,6 @@ from .implicit import (
     apply_vphi,
     build_chart,
     build_constraint,
-    check_jacobian,
     find_preimage,
     is_regular_point,
     is_regular_value,
@@ -88,6 +78,7 @@ from .maps import (
     certify_tame,
     combine_product,
     validate_certificate_on_probes,
+    validate_descriptor,
 )
 from .probes import make_probes, make_product_probes, rng_from_seed, \
     spawn_seeds

@@ -119,6 +119,7 @@ class RunConfig:
                 if name not in GRADINGS:
                     raise ConfigError(f"unknown grading {name!r}; "
                                       f"known: {', '.join(GRADINGS)}")
+        _check_out(self.out)
 
     def space(self) -> SequenceSpace:
         try:
@@ -153,6 +154,18 @@ class RunConfig:
     def write_csv(self, name: str, rows):
         write_csv(self.out_path(name), rows,
                   [f"generator={GENERATOR_NAME} seed={self.seed}"])
+
+
+def _check_out(out: str):
+    """--out must be a directory, or a path whose nearest existing ancestor
+    is one, so that the first write can make it."""
+    if not out:
+        raise ConfigError("--out must not be empty")
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError(f"--out {out!r}: {path!r} is not a directory")
 
 
 def _check_finite(key: str, values: Optional[list], flat: bool):

@@ -5,10 +5,6 @@ class TamefError(Exception):
     """Base class for package-specific failures."""
 
 
-class AliasingError(TamefError, ValueError):
-    """Too few boundary samples to resolve the requested coefficients."""
-
-
 class EmptyProbeSetError(TamefError, ValueError):
     """A probe set without rows: no batches, or only batches without rows;
     graded.as_batch raises it."""
@@ -55,7 +51,3 @@ class NotIntoSubmanifoldError(TamefError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class InconsistentInverseError(TamefError):
-    """A supplied inverse fails its round trip beyond tolerance."""

@@ -436,10 +436,6 @@ def inner_product(f: SequenceBatch, g: SequenceBatch,
     return _weighted(f, dots, 2 * int(level), None, np.add)
 
 
-def metric_norm(f: SequenceBatch, level: int = 0) -> np.ndarray:
-    return np.sqrt(np.maximum(inner_product(f, f, level), 0.0))
-
-
 # ---------------------------------------------------------------------------
 # gradings
 # ---------------------------------------------------------------------------
@@ -472,20 +468,6 @@ def l1_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
 
 def linf_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
     return Grading("linf", n_max, lambda f, levels: seminorm_linf(f, levels))
-
-
-def custom_grading(per_level, n_max: int = DEFAULT_N_MAX,
-                   kind: str = "custom") -> Grading:
-    """The grading of per_level(f, n), a function of one level n that gives
-    one value per row of f; it is called once per level."""
-
-    def evaluator(f: SequenceBatch, levels: Sequence[int]) -> np.ndarray:
-        out = np.empty((len(levels), len(f)))
-        for row, n in zip(out, levels):
-            row[...] = per_level(f, n)
-        return out
-
-    return Grading(kind, n_max, evaluator)
 
 
 def seminorm_table(grading: Grading, probes) -> np.ndarray:
@@ -596,43 +578,6 @@ class ProductSpace:
     def check_member(self, element):
         for space, part in zip(self.factors, self._parts(element)):
             space.check_member(part)
-
-
-# ---------------------------------------------------------------------------
-# monotonicity validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradingViolation:
-    probe_index: int
-    level: int
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
-class GradingValidationReport:
-    probe_count: int
-    violations: Tuple[GradingViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_grading(grading: Grading, probes) -> GradingValidationReport:
-    """Check |f|_n <= |f|_{n+1} for every probe and consecutive level pair.
-
-    Violations are listed probe by probe, in level order within a probe.
-    """
-    batch = as_batch(probes)
-    table = seminorm_table(grading, batch)
-    failed = ~within_upper(table[:-1], table[1:])
-    violations = tuple(
-        GradingViolation(int(i), int(n), float(table[n, i]),
-                         float(table[n + 1, i]))
-        for i, n in np.argwhere(failed.T))
-    return GradingValidationReport(len(batch), violations)
 
 
 # ---------------------------------------------------------------------------

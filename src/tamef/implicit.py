@@ -22,9 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (EmptyProbeSetError, NonConvergenceError,
-                     RegularityError, SingularBlockError)
-from .graded import SequenceBatch, SequenceSpace, _weights, as_batch, one_row
+from .errors import NonConvergenceError, RegularityError, SingularBlockError
+from .graded import SequenceBatch, SequenceSpace, _weights, one_row
 from .newton import (BLOCK_NOT_FINITE, CONVERGED, SINGULAR, NewtonLanes,
                      block_error, damped_newton, lane_norms)
 from .probes import rng_from_seed
@@ -166,26 +165,6 @@ def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
         minus = fn(probe)
         out[:, :, i] = (plus - minus) / (2.0 * step)[:, None]
     return out
-
-
-def check_jacobian(c: ConstraintMap, probes) -> float:
-    """Max relative gap between supplied and finite-difference Jacobians
-    over the probes, evaluated as one block; inf when a gap is not finite,
-    and 0.0 for a constraint without a supplied Jacobian or for no probes."""
-    if c.jacobian is None:
-        return 0.0
-    try:
-        flats = flatten(as_batch(probes))
-    except EmptyProbeSetError:
-        return 0.0
-    supplied = c.jacobians(flats)
-    fd = _central_differences(c.values, flats, c.target_dim)
-    # a non-finite entry of either Jacobian makes its row's gap non-finite
-    gaps = np.max(np.abs(supplied - fd), axis=(1, 2))
-    if not np.isfinite(gaps).all():
-        return math.inf
-    scale = np.maximum(1.0, np.max(np.abs(supplied), axis=(1, 2)))
-    return float(np.max(gaps / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ composition with constants C_out(n) * C_in(n + r_out).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyProbeSetError, InconsistentInverseError
+from .errors import EmptyProbeSetError
 from .graded import (
     DEFAULT_ATOL,
     ProductBatch,
@@ -39,12 +39,6 @@ from .graded import (
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
 Batch = Union[SequenceBatch, ProductBatch]
-
-#: quasi-isometry estimates may grow by at most this factor across the
-#: probe-norm median split; saturating ratios like s/(1+s) stay under it
-QUASI_SCALE_FACTOR = 2.0
-#: an inverse may miss a probe by this much relative to 1 + |f|
-QUASI_ROUND_TRIP_TOL = 1e-9
 
 LINEARITY_TOL = 1e-9
 
@@ -286,108 +280,6 @@ def certify_composition(outer: TamenessCertificate,
         max_ratio_observed=max(outer.max_ratio_observed,
                                inner.max_ratio_observed),
         linear=True)
-
-
-# ---------------------------------------------------------------------------
-# quasi-isometry (single-norm spaces)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuasiIsometryReport:
-    """Two-sided bound estimates |F(f)| <= C1(1+|f|), |f| <= C2(1+|F(f)|).
-
-    Each constant is estimated on the small and large halves of the probe
-    set (split at the median source norm); an estimate that keeps growing
-    with the probe scale marks that side as failed.
-    """
-
-    c1: float
-    c2: float
-    c1_small: float
-    c1_large: float
-    c2_small: float
-    c2_large: float
-    upper_stable: bool
-    lower_stable: bool
-    round_trip_max: float
-    witness_upper: Optional[int] = None
-    witness_lower: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.upper_stable and self.lower_stable
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def quasi_isometry_check(desc: TameMapDescriptor,
-                         inverse: Callable[[Batch], Batch],
-                         probes) -> QuasiIsometryReport:
-    """Two-sided bound estimates over a probe set; inverse maps a batch of
-    images back to the domain, and the probe it misses first, in probe
-    order, raises InconsistentInverseError."""
-    if desc.domain.n_max != 0 or desc.codomain.n_max != 0:
-        raise ValueError(
-            "quasi-isometry bounds need single-norm spaces (n_max = 0)")
-    batch = as_batch(probes)
-    if len(batch) < 4:
-        raise ValueError("need at least 4 probes for the scale split")
-    out = desc(batch)
-    src = desc.domain.seminorm(batch, 0)
-    img = desc.codomain.seminorm(out, 0)
-    residuals = desc.domain.seminorm(inverse(out) - batch, 0)
-    round_trip_max = 0.0
-    for i, residual in enumerate(residuals.tolist()):
-        round_trip_max = max(round_trip_max, residual)
-        # a NaN residual misses: NaN <= bound is false
-        if not residual <= QUASI_ROUND_TRIP_TOL * (1.0 + src[i]):
-            raise InconsistentInverseError(
-                f"inverse misses probe {i} by {residual:.3g}")
-    ratio_upper = img / (1.0 + src)
-    ratio_lower = src / (1.0 + img)
-    order = np.argsort(src, kind="stable")
-    half = len(batch) // 2
-    small, large = order[:half], order[half:]
-
-    def side(ratios):
-        m_small = float(np.max(ratios[small]))
-        m_large = float(np.max(ratios[large]))
-        stable = m_large <= QUASI_SCALE_FACTOR * m_small + DEFAULT_ATOL
-        witness = None if stable else int(large[np.argmax(ratios[large])])
-        return m_small, m_large, stable, witness
-
-    c1_small, c1_large, upper_stable, witness_upper = side(ratio_upper)
-    c2_small, c2_large, lower_stable, witness_lower = side(ratio_lower)
-    return QuasiIsometryReport(
-        c1=float(np.max(ratio_upper)), c2=float(np.max(ratio_lower)),
-        c1_small=c1_small, c1_large=c1_large,
-        c2_small=c2_small, c2_large=c2_large,
-        upper_stable=upper_stable, lower_stable=lower_stable,
-        round_trip_max=round_trip_max,
-        witness_upper=witness_upper, witness_lower=witness_lower)
-
-
-# ---------------------------------------------------------------------------
-# differentiation
-# ---------------------------------------------------------------------------
-
-def directional_derivative(desc: TameMapDescriptor, f: Batch, h: Batch,
-                           step: Optional[float] = None) -> Batch:
-    """Central differences (F(f + eh) - F(f - eh)) / 2e, row by row.
-
-    The default step of each row scales with the base-level norm of its f;
-    linear maps reproduce F(h) to roundoff.
-    """
-    if step is None:
-        step = 1e-6 * (1.0 + desc.domain.seminorm(f, desc.region_level))
-    steps = np.broadcast_to(np.asarray(step, dtype=np.float64), (len(f),))
-    bad = np.flatnonzero(~(steps > 0.0) | ~np.isfinite(steps))
-    if bad.size:
-        raise ValueError(f"finite-difference step {float(steps[bad[0]])} "
-                         f"must be positive")
-    moved = h * steps
-    return (desc(f + moved) - desc(f - moved)) * (0.5 / steps)
 
 
 # ---------------------------------------------------------------------------

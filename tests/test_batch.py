@@ -22,7 +22,6 @@ from tamef.graded import (
     SequenceBatch,
     SequenceSpace,
     as_batch,
-    custom_grading,
     inner_product,
     l1_grading,
     linf_grading,
@@ -348,8 +347,8 @@ def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
 
 def test_decreasing_grading_takes_one_level_zero_seminorm(monkeypatch):
     """The CLI's decreasing grading, exp(-n) |f|_0, scales one level-0
-    seminorm for the whole table, with the bytes of the per-level adapter
-    that takes it once per level."""
+    seminorm for the whole table, with the bytes of the table stacked level
+    by level."""
     probes = make_probes(SequenceSpace(BanachFiber(1), 32, 6), 1000, seed=3)
     levels = []
 
@@ -360,6 +359,6 @@ def test_decreasing_grading_takes_one_level_zero_seminorm(monkeypatch):
     monkeypatch.setattr(cli, "seminorm_l1", spy)
     table = seminorm_table(GRADINGS["decreasing"](6), probes)
     assert levels == [0]
-    per_level = custom_grading(
-        lambda f, n: math.exp(-float(n)) * seminorm_l1(f, 0), 6)
-    assert table.tobytes() == seminorm_table(per_level, probes).tobytes()
+    per_level = np.stack([math.exp(-float(n)) * seminorm_l1(probes, 0)
+                          for n in range(7)])
+    assert table.tobytes() == per_level.tobytes()

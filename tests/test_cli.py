@@ -224,6 +224,27 @@ def test_usage_error_leaves_an_existing_output_directory_alone(tmp_path):
     assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "afile/sub/deeper",
+                                 "afile/..", "dangling", "dangling/sub", ""])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, out):
+    """A --out that names a plain file or a dangling link, a path under
+    one, or nothing exits 64 with one line before the command runs, and
+    writes nothing."""
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._DISPATCH, "certify-map",
+                        lambda cfg: pytest.fail("the command ran"))
+    assert run_cli(["certify-map", "--map", "identity", "--k", "4",
+                    "--nmax", "2", "--probes", "4", "--out", out]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("tamef: --out ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                          "dangling"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+
+
 def test_r_max_is_not_checked_for_solve():
     cli.RunConfig(command="solve", nmax=1).validate()
 

@@ -13,27 +13,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tamef.cli import GRADINGS
 from tamef.errors import UnsupportedGradingError
 from tamef.graded import (
     BanachFiber,
-    Grading,
-    GradingViolation,
     ProductBatch,
     ProductSpace,
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
     certify_grading_equivalence,
-    custom_grading,
     inner_product,
     l1_grading,
     linf_grading,
-    metric_norm,
     seminorm_l1,
     seminorm_linf,
     seminorm_table,
     validate_equivalence_certificate,
-    validate_grading,
     within_upper,
 )
 from tamef.probes import make_probes
@@ -114,9 +110,8 @@ def test_zero_sequence_has_zero_seminorms():
 def test_table_matches_scalar_path_bitwise():
     space = SequenceSpace(BanachFiber(2), truncation_degree=24, n_max=6)
     probes = make_probes(space, 25, seed=5)
-    decreasing = custom_grading(
-        lambda f, n: math.exp(-n) * seminorm_l1(f, 0), 6, kind="decreasing")
-    for grading in (l1_grading(6), linf_grading(6), decreasing):
+    for build in GRADINGS.values():
+        grading = build(6)
         table = seminorm_table(grading, probes)
         for n in range(7):
             for i, f in enumerate(probes):
@@ -133,8 +128,6 @@ def test_inner_product_monomial_weights():
     e5 = space.basis(5)
     assert inner_product(e3, e3, level=1)[0] == math.exp(6.0)
     assert inner_product(e3, e5, level=1)[0] == 0.0
-    assert metric_norm(e3, level=1)[0] == pytest.approx(math.exp(3.0),
-                                                        rel=1e-15)
 
 
 def test_inner_product_rejects_a_batch_of_another_length():
@@ -249,45 +242,6 @@ def test_coefficients_are_readonly():
 
 
 # ---------------------------------------------------------------------------
-# grading validation
-# ---------------------------------------------------------------------------
-
-def test_validate_grading_accepts_l1_and_linf():
-    space = SequenceSpace(R1, truncation_degree=32, n_max=6)
-    probes = make_probes(space, 60, seed=1)
-    assert validate_grading(l1_grading(6), probes).ok
-    assert validate_grading(linf_grading(6), probes).ok
-
-
-def test_validate_grading_flags_decreasing_family():
-    # e^{-n} |f|_0 shrinks with the level: monotonicity must fail
-    bad = custom_grading(lambda f, n: math.exp(-n) * seminorm_l1(f, 0), n_max=4)
-    space = SequenceSpace(R1, truncation_degree=8, n_max=4)
-    report = validate_grading(bad, make_probes(space, 10, seed=2))
-    assert not report.ok
-    v = report.violations[0]
-    assert v.lhs > v.rhs
-
-
-def test_validate_grading_lists_violations_like_a_scalar_loop():
-    # doubling the odd levels breaks monotonicity where |f|_{n+1} < 2 |f|_n,
-    # for low-degree probes only; violations come probe by probe, then level
-    uneven = custom_grading(
-        lambda f, n: seminorm_l1(f, n) * (2.0 if n % 2 else 1.0), n_max=4)
-    space = SequenceSpace(R1, truncation_degree=8, n_max=4)
-    probes = make_probes(space, 30, seed=5)
-    expected = [
-        GradingViolation(i, n, uneven.seminorm(f, n)[0],
-                         uneven.seminorm(f, n + 1)[0])
-        for i, f in enumerate(probes) for n in range(4)
-        if not within_upper(uneven.seminorm(f, n)[0],
-                            uneven.seminorm(f, n + 1)[0])]
-    report = validate_grading(uneven, probes)
-    assert 0 < len(report.violations) < 2 * len(probes)
-    assert list(report.violations) == expected
-
-
-# ---------------------------------------------------------------------------
 # equivalence certification
 # ---------------------------------------------------------------------------
 
@@ -350,8 +304,7 @@ def test_certificate_violations_match_scalar_recheck():
 
 
 def test_equivalence_fails_against_decreasing_family():
-    dec = custom_grading(lambda f, n: math.exp(-n) * seminorm_l1(f, 0),
-                         n_max=6, kind="decreasing")
+    dec = GRADINGS["decreasing"](6)
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
     probes = make_probes(space, 100, seed=13)
     out = certify_grading_equivalence(dec, l1_grading(6), probes, r_max=3)

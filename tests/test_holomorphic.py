@@ -1,4 +1,4 @@
-"""Boundary-evaluation and coefficient-recovery tests.
+"""Boundary evaluation and the Cauchy bound.
 
 Frozen oracles:
   e            = 2.718281828459045    (series sum, remainder < 1/33! ~ 1e-37)
@@ -10,28 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from tamef.errors import AliasingError
 from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, seminorm_linf
 from tamef.holomorphic import (
     CauchyBoundReport,
     DiskSpec,
-    RoundTripReport,
-    as_real,
     boundary_values,
-    check_real_form,
-    coefficients_from_boundary,
-    complexify,
-    conjugation_symmetry_defect,
     eval_series,
-    round_trip_report,
     sup_norm_disk,
     verify_cauchy_bound,
 )
-from tamef.probes import make_probes, rng_from_seed
+from tamef.probes import make_probes
 from tamef.serialize import dumps_json
 
 R1 = BanachFiber(1)
-C1 = BanachFiber(1, scalar_field="complex")
 E = 2.718281828459045
 
 
@@ -115,62 +106,6 @@ def test_disk_spec_guards():
 
 
 # ---------------------------------------------------------------------------
-# coefficient recovery
-# ---------------------------------------------------------------------------
-
-def test_recover_constant():
-    disk = DiskSpec(1, 32)
-    values = np.full((32, 1), 3.0 + 0.0j)
-    f = coefficients_from_boundary(values, disk.radius, 6, R1)
-    expect = np.zeros(7)
-    expect[0] = 3.0
-    assert np.allclose(f.coefficients[0, :, 0], expect, atol=1e-13)
-
-
-def test_recover_square_from_exact_samples():
-    # direct quadrature of f(z) = z^2 on the unit circle with 16 nodes
-    z = np.exp(2j * np.pi * np.arange(16) / 16)
-    f = coefficients_from_boundary((z ** 2).reshape(-1, 1), 1.0, 4, R1)
-    assert np.allclose(f.coefficients[0, :, 0], [0, 0, 1, 0, 0], atol=1e-12)
-
-
-def test_recovery_aliasing_guard():
-    values = np.ones((8, 1), dtype=complex)
-    with pytest.raises(AliasingError):
-        coefficients_from_boundary(values, 1.0, 4, R1)  # needs >= 10
-
-
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
-def test_recovery_radius_must_be_positive(radius):
-    values = np.ones((16, 1), dtype=complex)
-    with pytest.raises(ValueError, match="recovery radius must be positive"):
-        coefficients_from_boundary(values, radius, 4, R1)
-
-
-def test_round_trip_decaying_polynomial_deg16():
-    # coefficient profile e^{-k/2} keeps boundary magnitudes ~ e^8 so the
-    # recovered coefficients match to 1e-10 in absolute terms
-    rng = rng_from_seed(100)
-    for _ in range(20):
-        u = rng.uniform(-1.0, 1.0, size=17) * np.exp(-0.5 * np.arange(17))
-        f = seq(R1, u.reshape(-1, 1))
-        disk = DiskSpec(1, 64)
-        rec = coefficients_from_boundary(
-            boundary_values(f, disk), disk.radius, 16, R1)
-        assert np.max(np.abs(rec.coefficients[0, :, 0] - u)) <= 1e-10
-
-
-def test_round_trip_weighted_relative_error_any_sequence():
-    # flat and random profiles both stay within 1e-8 measured in the
-    # level-1 weighted seminorm, K = 32 and M = 4K
-    space = SequenceSpace(R1, truncation_degree=32, n_max=6)
-    probes = list(make_probes(space, 30, seed=55)) + [seq(R1, np.ones((33, 1)))]
-    for f in probes:
-        report = round_trip_report(f, DiskSpec(1, 128))
-        assert report.weighted_relative_error <= 1e-8
-
-
-# ---------------------------------------------------------------------------
 # weighted-coefficient bound
 # ---------------------------------------------------------------------------
 
@@ -222,10 +157,6 @@ def test_cauchy_report_ok_is_a_python_bool():
 
 def test_report_json_bytes_are_pinned():
     # to_json keeps each report's field order, so these bytes stay fixed
-    round_trip = RoundTripReport(3, 64, 1.5e-16, 0.25)
-    assert dumps_json(round_trip.to_json()) == (
-        '{\n  "level": 3,\n  "samples": 64,\n  "max_abs_error": 1.5e-16,\n'
-        '  "weighted_relative_error": 0.25\n}\n')
     cauchy = CauchyBoundReport(2, 128, 7.38905609893065, 7.5,
                                0.11094390106935, True)
     assert dumps_json(cauchy.to_json()) == (
@@ -233,43 +164,6 @@ def test_report_json_bytes_are_pinned():
         '  "weighted_coefficient_sup": 7.3890560989306504,\n'
         '  "boundary_sup": 7.5,\n  "slack": 0.11094390106935,\n'
         '  "ok": true\n}\n')
-
-
-# ---------------------------------------------------------------------------
-# real form
-# ---------------------------------------------------------------------------
-
-def test_real_form_real_sequence():
-    space = SequenceSpace(R1, truncation_degree=16, n_max=6)
-    f = make_probes(space, 5, seed=8)[4]
-    assert check_real_form(f)
-    assert check_real_form(complexify(f))
-    assert conjugation_symmetry_defect(f, count=32, seed=1) <= 1e-12
-
-
-def test_real_form_constant_i():
-    f = seq(C1, np.array([[1j], [0j], [0j]]))
-    assert not check_real_form(f)
-    assert conjugation_symmetry_defect(f, count=8, seed=2) == pytest.approx(2.0)
-
-
-def test_real_form_linear_i():
-    f = seq(C1, np.array([[1.0 + 0j], [1j], [0j]]))
-    assert not check_real_form(f)
-    # conj(f(1)) = 1 - i while f(1) = 1 + i
-    v = eval_series(f, 1.0)[0]
-    assert np.conj(v) != v
-    assert conjugation_symmetry_defect(f, count=32, seed=3) > 0.5
-
-
-def test_as_real_round_trip_and_guard():
-    space = SequenceSpace(BanachFiber(2), truncation_degree=8, n_max=4)
-    f = make_probes(space, 3, seed=9)[2]
-    g = as_real(complexify(f))
-    assert np.array_equal(g.coefficients, f.coefficients)
-    bad = seq(C1, np.array([[1.0 + 0.5j], [0j]]))
-    with pytest.raises(ValueError):
-        as_real(bad)
 
 
 def test_weighted_sup_is_linf_seminorm():
@@ -282,10 +176,9 @@ def test_one_series_functions_reject_a_batch_of_several():
     space = SequenceSpace(R1, truncation_degree=8, n_max=4)
     probes = make_probes(space, 3, seed=9)
     for call in (lambda f: eval_series(f, 0.5),
+                 lambda f: boundary_values(f, DiskSpec(0, 64)),
                  lambda f: sup_norm_disk(f, DiskSpec(0, 64)),
-                 lambda f: round_trip_report(f, DiskSpec(0, 64)),
-                 lambda f: verify_cauchy_bound(f, 0),
-                 check_real_form, conjugation_symmetry_defect):
+                 lambda f: verify_cauchy_bound(f, 0)):
         call(probes[1])
         with pytest.raises(ValueError, match="one sequence"):
             call(probes)

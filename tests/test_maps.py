@@ -1,4 +1,4 @@
-"""Map certification, combinators, quasi-isometry, and differentiation tests.
+"""Map certification and combinator tests.
 
 Frozen oracles rest on exact weight algebra: the shift-up map multiplies
 level-n seminorms by exactly e^n (reindexing), shift-down by e^{-n}, and the
@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tamef.errors import InconsistentInverseError
 from tamef.graded import (
     BASE_LEVEL,
     BanachFiber,
@@ -22,12 +21,10 @@ from tamef.graded import (
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
-    as_batch,
     certify_from_tables,
     certify_grading_equivalence,
     l1_grading,
     linf_grading,
-    validate_grading,
 )
 from tamef.manifold import (certify_map_into_submanifold, make_sphere,
                             normalization_descriptor)
@@ -38,9 +35,7 @@ from tamef.maps import (
     certify_projection,
     certify_tame,
     combine_product,
-    directional_derivative,
     map_seminorm_tables,
-    quasi_isometry_check,
     validate_certificate_on_probes,
     validate_descriptor,
 )
@@ -204,8 +199,6 @@ def _entry_points():
     sphere = make_sphere(SMALL, 0, seed=0)
     tables = np.ones((SMALL.n_max + 1, 4))
     return {
-        "validate_grading":
-            lambda p, r: validate_grading(l1_grading(SMALL.n_max), p),
         "certify_grading_equivalence":
             lambda p, r: certify_grading_equivalence(
                 l1_grading(SMALL.n_max), linf_grading(SMALL.n_max), p, r),
@@ -224,8 +217,7 @@ NO_ROWS = SequenceBatch(R1, np.zeros((0, 5, 1)))
 
 @pytest.mark.parametrize("empty", [[], NO_ROWS, [NO_ROWS, NO_ROWS]],
                          ids=["list", "batch", "list-of-empty-batches"])
-@pytest.mark.parametrize("entry", ["validate_grading",
-                                   "certify_grading_equivalence",
+@pytest.mark.parametrize("entry", ["certify_grading_equivalence",
                                    "certify_tame",
                                    "certify_map_into_submanifold"])
 def test_empty_probe_set_is_rejected(entry, empty):
@@ -445,128 +437,6 @@ def test_compose_rejects_non_overlapping_ranges():
                                 provenance="analytic")
     with pytest.raises(ValueError):
         certify_composition(outer, inner)  # needs inner level 8
-
-
-# ---------------------------------------------------------------------------
-# quasi-isometry
-# ---------------------------------------------------------------------------
-
-BANACH = SequenceSpace(R1, truncation_degree=8, n_max=0)
-BANACH_PROBES = make_probes(BANACH, 40, seed=99)
-
-
-def scaled(c):
-    """A batch evaluator multiplying every row by c."""
-    return lambda t: SequenceBatch(t.fiber, c * t.coefficients)
-
-
-def rows_scaled(t, factors):
-    """Row i of a batch times factors[i]."""
-    return SequenceBatch(t.fiber, t.coefficients * factors[:, None, None])
-
-
-def test_quasi_isometry_doubling():
-    desc = TameMapDescriptor("double", BANACH, BANACH, scaled(2.0))
-    report = quasi_isometry_check(desc, scaled(0.5), BANACH_PROBES)
-    assert report.ok
-    assert report.c1 <= 2.0 + 1e-12
-    assert report.c2 <= 0.5 + 1e-12
-    assert report.round_trip_max <= 1e-12
-
-
-def test_quasi_isometry_identity():
-    desc = TameMapDescriptor("id", BANACH, BANACH, lambda t: t)
-    report = quasi_isometry_check(desc, lambda t: t, BANACH_PROBES)
-    assert report.ok
-    assert report.c1 <= 1.0 and report.c2 <= 1.0
-
-
-def test_quasi_isometry_detects_collapsing_map():
-    def forward(t):
-        return rows_scaled(t, 1.0 / (1.0 + BANACH.seminorm(t, 0)))
-
-    def backward(t):
-        return rows_scaled(t, 1.0 / (1.0 - BANACH.seminorm(t, 0)))
-
-    desc = TameMapDescriptor("collapse", BANACH, BANACH, forward,
-                             linearity="nonlinear", region_radius=1e4)
-    probes = as_batch([s * BANACH_PROBES[:6]
-                       for s in (0.1, 1.0, 10.0, 100.0, 1000.0)])
-    report = quasi_isometry_check(desc, backward, probes)
-    assert not report.ok
-    assert report.upper_stable
-    assert not report.lower_stable
-    assert report.witness_lower is not None
-    # the witness sits in the large-norm half
-    assert BANACH.seminorm(probes[report.witness_lower], 0) > 10.0
-
-
-def test_quasi_isometry_rejects_bad_inverse():
-    desc = TameMapDescriptor("double", BANACH, BANACH, scaled(2.0))
-    with pytest.raises(InconsistentInverseError):
-        quasi_isometry_check(desc, lambda t: t, BANACH_PROBES)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_quasi_isometry_rejects_non_finite_inverse(bad):
-    desc = build_map("scale:2", BANACH)
-
-    def inverse(t):
-        out = 0.5 * t.coefficients
-        out[[7, 3], 2] = bad
-        return SequenceBatch(t.fiber, out)
-
-    with pytest.raises(InconsistentInverseError, match=r"misses probe 3 by"):
-        quasi_isometry_check(desc, inverse, BANACH_PROBES)
-    # the same inverse without the bad rows passes
-    assert quasi_isometry_check(desc, scaled(0.5), BANACH_PROBES).ok
-
-
-def test_quasi_isometry_needs_single_norm():
-    desc = build_map("identity", SPACE)
-    with pytest.raises(ValueError):
-        quasi_isometry_check(desc, lambda g: g, PROBES[:8])
-
-
-# ---------------------------------------------------------------------------
-# directional derivative
-# ---------------------------------------------------------------------------
-
-def test_directional_derivative_linear_equals_map_of_direction():
-    # rounding in f +- eps*h enters scaled by the image of f, so that term
-    # belongs in the relative denominator
-    desc = build_map("shift_up", SPACE)
-    f = PROBES[:10]
-    for j in range(10, 14):
-        h = SequenceBatch(R1, np.repeat(PROBES.coefficients[j:j + 1], 10,
-                                        axis=0))
-        d = directional_derivative(desc, f, h)
-        exact = desc(h)
-        gap = SPACE.seminorm(d - exact, 3)
-        scale = 1.0 + SPACE.seminorm(exact, 3) + SPACE.seminorm(desc(f), 3)
-        assert np.all(gap <= 1e-10 * scale)
-
-
-def test_directional_derivative_of_square():
-    desc = build_map("coeff_square", SPACE)
-    f = SPACE.basis(0, scale=3.0)
-    h = SPACE.basis(0)
-    d = directional_derivative(desc, f, h, step=1e-5)
-    assert d.coefficients[0, 0, 0] == pytest.approx(6.0, abs=1e-9)
-
-
-def test_directional_derivative_zero_direction():
-    desc = build_map("derivative", SPACE)
-    d = directional_derivative(desc, PROBES[:1], SPACE.zero())
-    assert list(d.degree()) == [-1]
-
-
-def test_directional_derivative_step_guard():
-    desc = build_map("identity", SPACE)
-    with pytest.raises(ValueError):
-        directional_derivative(desc, PROBES[:1], PROBES[1:2], step=0.0)
-    with pytest.raises(ValueError):
-        directional_derivative(desc, PROBES[:1], PROBES[1:2], step=-1e-3)
 
 
 # ---------------------------------------------------------------------------

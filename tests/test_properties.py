@@ -1,10 +1,12 @@
 """Property tests of invariants the paper states: seminorm monotonicity in the
-level, the Cauchy bound on coefficients, and the chart round trip.
+level, the Cauchy bound on coefficients, and the chart round trip; and of
+the rule that seminorm tables holding NaN or infinity certify nothing.
 
 Each test is a derandomized hypothesis search at small sizes, so a failure
 reproduces on every run.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tamef.graded import (BanachFiber, SequenceBatch, SequenceSpace,
-                          seminorm_l1, seminorm_linf, within_upper)
+                          certify_from_tables, seminorm_l1, seminorm_linf,
+                          within_upper)
 from tamef.holomorphic import verify_cauchy_bound
 from tamef.implicit import CHART_ROUND_TRIP_TOL
 from tamef.manifold import make_sphere
@@ -88,3 +91,39 @@ def test_chart_round_trip_inside_validity_radius(data, K, d, pole, t):
     bound = CHART_ROUND_TRIP_TOL * (1.0 + r)
     assert float(np.linalg.norm(x_back - x)) <= bound
     assert float(np.linalg.norm(values)) <= bound
+
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@PROPERTY
+@given(data=st.data(), levels=st.integers(1, 4), probes=st.integers(1, 5))
+def test_non_finite_tables_are_never_certified(data, levels, probes):
+    """Whatever the finite entries, shift and degrees, a NaN or infinite
+    entry in num or den yields no certificate; the witness names the first
+    such entry in level-major order, num before den, with ratio NaN."""
+    tables = {name: data.draw(arrays(np.float64, (levels, probes),
+                                     elements=st.floats(0.0, 1e300)))
+              for name in ("num", "den")}
+    planted = st.tuples(st.sampled_from(("num", "den")),
+                        st.integers(0, levels - 1),
+                        st.integers(0, probes - 1), NON_FINITE)
+    for name, n, i, value in data.draw(st.lists(planted, min_size=1,
+                                                max_size=4)):
+        tables[name][n, i] = value
+    cert, witness = certify_from_tables(
+        tables["num"], tables["den"],
+        data.draw(st.lists(st.integers(-1, 8), min_size=probes,
+                           max_size=probes)),
+        data.draw(st.integers(0, 8)),
+        r_max=data.draw(st.integers(0, levels - 1)),
+        forced_r=data.draw(st.none() | st.integers(0, levels - 1)),
+        probe_count=probes, linear=data.draw(st.booleans()))
+    name, n, i = next((name, n, i) for name in ("num", "den")
+                      for n in range(levels) for i in range(probes)
+                      if not math.isfinite(tables[name][n, i]))
+    assert cert is None
+    assert (witness.level, witness.probe_index) == (n, i)
+    assert math.isnan(witness.ratio)
+    assert witness.reason == \
+        f"non-finite {name} seminorm {float(tables[name][n, i])}"

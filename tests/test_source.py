@@ -27,10 +27,14 @@ def unused_imports(source: str):
     return [name for name in imported if name not in used]
 
 
+def read_source(module: str) -> str:
+    with open(os.path.join(SOURCE_DIR, module), encoding="utf-8") as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SOURCE_DIR, module), encoding="utf-8") as handle:
-        assert unused_imports(handle.read()) == []
+    assert unused_imports(read_source(module)) == []
 
 
 def test_unused_imports_are_found():
@@ -39,3 +43,52 @@ def test_unused_imports_are_found():
               "from .errors import A, B\n"
               "x = np.zeros(A)\n")
     assert unused_imports(source) == ["os", "B"]
+
+
+def _loads(node) -> set:
+    """The names node reads, as a Name or as an Attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def unreached_definitions(sources, exported):
+    """The public top-level functions and classes of the module sources
+    that no code outside their own definition reads and that are not in
+    exported, in source order."""
+    statements = [stmt for source in sources
+                  for stmt in ast.parse(source).body]
+    reads = [_loads(stmt) for stmt in statements]
+    unreached = []
+    for i, stmt in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                and not stmt.name.startswith("_") \
+                and stmt.name not in exported \
+                and not any(stmt.name in r for j, r in enumerate(reads)
+                            if j != i):
+            unreached.append(stmt.name)
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    """Every public function or class of the package is read by other code
+    of the package or exported by tamef/__init__.py."""
+    init = ast.parse(read_source("__init__.py"))
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    sources = [read_source(module) for module in MODULES]
+    assert unreached_definitions(sources, exported) == []
+
+
+def test_unreached_definitions_are_found():
+    a = ("def by_name():\n    pass\n\n"
+         "def by_attribute():\n    pass\n\n"
+         "def exported():\n    pass\n\n"
+         "def _private():\n    pass\n\n"
+         "def recursive(n):\n    return recursive(n - 1)\n\n"
+         "class Dead:\n    pass\n")
+    b = ("from . import a\nfrom .a import by_name\n"
+         "x = a.by_attribute(by_name())\nDead = None\n")
+    assert unreached_definitions([a, b], {"exported"}) == [
+        "recursive", "Dead"]
