@@ -120,8 +120,9 @@ def _degrees(norms: np.ndarray):
     return np.where(nonzero.any(axis=0), last, -1)
 
 
-#: probes per slice when coefficient norms of a batch are computed; bounds
-#: the (P, K+1, d) temporaries of the fiber norm
+#: probes per slice when coefficient norms or degrees of a batch are
+#: computed; bounds the (P, K+1, d) temporaries of the fiber norm and the
+#: boolean ones of the degree
 _NORM_SLICE = 128
 
 
@@ -210,18 +211,14 @@ class SequenceBatch:
 
     # norms and degrees ----------------------------------------------------
 
-    def _norm_slices(self):
-        """(start, norms) per slice of probes, norms of shape (K+1, S)."""
-        for start in range(0, len(self), _NORM_SLICE):
-            yield start, self.fiber.norms(
-                self._block[start:start + _NORM_SLICE]).T
-
     def coefficient_norms(self) -> np.ndarray:
         """Fiber norms as a (K+1, P) array, computed once per batch."""
         if self._norms is None:
             norms = np.empty((self._block.shape[1], len(self)))
-            for start, v in self._norm_slices():
-                norms[:, start:start + v.shape[1]] = v
+            for start in range(0, len(self), _NORM_SLICE):
+                stop = start + _NORM_SLICE
+                norms[:, start:stop] = self.fiber.norms(
+                    self._block[start:stop]).T
             self._norms = norms
         return self._norms
 
@@ -229,10 +226,14 @@ class SequenceBatch:
         """Per-row degrees: largest k with a nonzero coefficient, -1 for a
         zero row.
 
-        Computed slice by slice, so no (K+1, P) array is kept for it."""
+        Read from the cached coefficient_norms(), which the batch's
+        seminorms use too, _NORM_SLICE columns at a time, so the boolean
+        temporaries stay (K+1, _NORM_SLICE)."""
+        norms = self.coefficient_norms()
         out = np.empty(len(self), dtype=np.intp)
-        for start, v in self._norm_slices():
-            out[start:start + v.shape[1]] = _degrees(v)
+        for start in range(0, len(self), _NORM_SLICE):
+            stop = start + _NORM_SLICE
+            out[start:stop] = _degrees(norms[:, start:stop])
         return out
 
     def __repr__(self):
@@ -662,8 +663,8 @@ def _ratios(numerator: np.ndarray, denominator: np.ndarray):
     """numerator / denominator where the denominator is positive, else 0;
     returned with the mask of positive denominators."""
     included = denominator > 0.0
-    ratios = np.zeros_like(numerator)
-    ratios[included] = numerator[included] / denominator[included]
+    ratios = np.divide(numerator, denominator,
+                       out=np.zeros_like(numerator), where=included)
     return ratios, included
 
 
@@ -673,13 +674,13 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
                         probe_count: int, linear: bool = True):
     """Pick the smallest accepted level shift from precomputed seminorm tables.
 
-    num[n, i] and den[n, i] hold the numerator/denominator values of probe i
-    at level n for n = 0..n_max.  Ratios with a vanishing denominator and a
-    nonvanishing numerator reject the shift outright; vanishing/vanishing
-    pairs are excluded.  A shift is accepted when, at every level, the max
-    ratio over probes of degree > degree_split stays within
-    DEGREE_STABILITY_FACTOR x the max over the rest, from level BASE_LEVEL
-    upward.  Tables holding NaN or infinity certify nothing: the witness
+    num[n, i] and den[n, i] hold the non-negative numerator/denominator
+    values of probe i at level n for n = 0..n_max.  Ratios with a vanishing
+    denominator and a nonvanishing numerator reject the shift outright;
+    vanishing/vanishing pairs are excluded.  A shift is accepted when, at
+    every level, the max ratio over probes of degree > degree_split stays
+    within DEGREE_STABILITY_FACTOR x the max over the rest, from level
+    BASE_LEVEL upward.  Tables holding NaN or infinity certify nothing: the witness
     names the first such entry, num before den, with ratio NaN.  A ratio
     that overflows float64 rejects its shift with ratio inf.  r_max must
     lie in 0..n_max, the levels of the tables.
@@ -699,6 +700,7 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     n_max = n_levels - 1
     degrees = np.asarray(degrees)
     high = degrees > degree_split
+    low = ~high
 
     def try_shift(r: int):
         top = n_max - r
@@ -715,19 +717,19 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
                                           "ratio unbounded: zero denominator")
             if not np.any(included):
                 continue
-            hi_mask = included & high
-            lo_mask = included & ~high
-            if np.any(hi_mask) and np.any(lo_mask):
-                m_hi = float(np.max(ratios[hi_mask]))
-                m_lo = float(np.max(ratios[lo_mask]))
-                if m_hi > DEGREE_STABILITY_FACTOR * m_lo + DEFAULT_ATOL:
-                    i_hi = int(np.argmax(np.where(hi_mask, ratios, -np.inf)))
-                    return None, RatioWitness(
-                        r, n, i_hi, m_hi,
-                        f"ratio grows with truncation degree "
-                        f"({m_hi:.6g} > {DEGREE_STABILITY_FACTOR} * "
-                        f"{m_lo:.6g})")
-            constants[n] = float(np.max(ratios[included]))
+            # -inf stands for a bucket without a usable ratio: ratios of
+            # non-negative tables are never -inf themselves
+            hi = np.where(included & high, ratios, -math.inf)
+            m_hi = float(hi.max())
+            m_lo = float(np.where(included & low, ratios, -math.inf).max())
+            if m_lo > -math.inf and \
+                    m_hi > DEGREE_STABILITY_FACTOR * m_lo + DEFAULT_ATOL:
+                return None, RatioWitness(
+                    r, n, int(np.argmax(hi)), m_hi,
+                    f"ratio grows with truncation degree "
+                    f"({m_hi:.6g} > {DEGREE_STABILITY_FACTOR} * "
+                    f"{m_lo:.6g})")
+            constants[n] = max(m_hi, m_lo)
             if constants[n] == math.inf:
                 return None, RatioWitness(r, n, int(np.argmax(ratios)),
                                           math.inf, "ratio overflows float64")

@@ -42,7 +42,8 @@ def monomial_degrees(truncation_degree: int) -> List[int]:
 
 
 #: decay probes are drawn in chunks of this many (alpha-cycle) triples; a
-#: chunk's uniforms are one buffer, so memory stays bounded at any count
+#: chunk's uniforms are one buffer, so their memory stays bounded at any
+#: count.  The level-0 rescale is one pass over the whole block.
 _CHUNK_TRIPLES = 128
 
 
@@ -63,7 +64,9 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
     is region_radius * t.  Per probe the stream yields t ~ U(0.2, 1), then
     the (support+1, d) coefficients ~ U(-1, 1), real parts before imaginary
     parts; the batch draws exactly that stream, chunk by chunk, so it holds
-    the same bytes as drawing one probe at a time.
+    the same bytes as drawing one probe at a time.  Only the uniforms are
+    chunked: every row's profile, anchor and rescale depend on that row
+    alone, so the rescale is one seminorm pass over the whole block.
     """
     K = space.truncation_degree
     fiber = space.fiber
@@ -76,6 +79,12 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
     period = int(offsets[-1])
     profiles = {(a, s): np.exp(-a * np.arange(s + 1.0))
                 for a in alphas for s in supports}
+    # the top coefficient anchors the support degree; a row whose top
+    # coefficient is nearly zero gets this one, (alpha index, d) per support
+    anchors = {s: np.array([fiber.unit(0) * np.exp(-alpha * s)
+                            for alpha in alphas])
+               for s in supports}
+    t = np.empty(len(out))
     chunk_size = 3 * _CHUNK_TRIPLES
     for first in range(0, len(out), chunk_size):
         chunk = out[first:first + chunk_size]
@@ -86,11 +95,10 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
         rng.random(draws, out=u[:draws])
         u = u.reshape(triples, period)
         first_triple = first // 3
-        t = np.empty(n)
         for j, s in enumerate(supports):
             rows = chunk[j::3]
             cols = u[:len(rows), offsets[j]:offsets[j + 1]]
-            _uniform(0.2, 1.0, cols[:, 0], out=t[j::3])
+            _uniform(0.2, 1.0, cols[:, 0], out=t[first + j:first + n:3])
             size = (s + 1) * d
             raw = cols[:, 1:1 + size].reshape(len(rows), s + 1, d)
             if complex_field:
@@ -101,18 +109,16 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
                 _uniform(-1.0, 1.0, raw, out=rows[:, :s + 1])
             for a_index, alpha in enumerate(alphas):
                 start = (a_index - first_triple) % len(alphas)
-                group = rows[start::len(alphas)]
-                group[:, :s + 1] *= profiles[alpha, s][:, None]
-                # the top coefficient anchors the support degree, keep it
-                # off zero
-                low = np.all(np.abs(group[:, s]) < 1e-3, axis=1)
-                group[low, s] = fiber.unit(0) * np.exp(-alpha * s)
-        target = region_radius * t
-        base = space.seminorm(SequenceBatch(fiber, chunk), 0)
-        rescale = (base > 0.0) & (target > 0.0)
-        factor = np.divide(target, base, out=np.ones(n), where=rescale)
-        np.multiply(chunk, factor[:, None, None], out=chunk,
-                    where=rescale[:, None, None])
+                rows[start::len(alphas), :s + 1] *= profiles[alpha, s][:, None]
+            # row i of rows is in triple first_triple + i
+            low = np.flatnonzero(np.all(np.abs(rows[:, s]) < 1e-3, axis=1))
+            rows[low, s] = anchors[s][(low + first_triple) % len(alphas)]
+    target = region_radius * t
+    base = space.seminorm(SequenceBatch(fiber, out), 0)
+    rescale = (base > 0.0) & (target > 0.0)
+    factor = np.divide(target, base, out=np.ones(len(out)), where=rescale)
+    np.multiply(out, factor[:, None, None], out=out,
+                where=rescale[:, None, None])
 
 
 def make_probes(space: SequenceSpace, count: int, seed: int, *,

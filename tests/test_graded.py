@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tamef import cli
 from tamef.cli import GRADINGS
 from tamef.errors import UnsupportedGradingError
 from tamef.graded import (
@@ -403,3 +404,27 @@ def test_probes_respect_region():
     center = space.basis(0, scale=2.0)
     for p in make_probes(space, 20, seed=31, region_radius=0.5, center=center):
         assert seminorm_l1(p - center, 0) <= 0.5 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+def test_gradings_run_takes_each_fiber_norm_twice(monkeypatch, tmp_path):
+    """A seeded certify-gradings run with P probes puts 2P - 10 probe rows
+    through the fiber norm: once for the level-0 rescale of the P - 10
+    decay probes, once for the tables and degrees of all P probes, whose
+    ten monomials lead the set."""
+    rows = []
+    norms = BanachFiber.norms
+
+    def counted(fiber, block):
+        rows.append(len(block))
+        return norms(fiber, block)
+
+    monkeypatch.setattr(BanachFiber, "norms", counted)
+    argv = ["certify-gradings", "--g1", "l1", "--g2", "linf", "--k", "32",
+            "--nmax", "6", "--probes", "2000", "--seed", "1",
+            "--out", str(tmp_path / "run")]
+    assert cli.run(argv) == 0
+    assert sum(rows) == 2 * 2000 - 10

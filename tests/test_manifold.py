@@ -10,10 +10,9 @@ import tamef.manifold
 
 from tamef.errors import (ConstructionError, NotIntoSubmanifoldError,
                           UnsupportedGradingError)
-from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace, inner_product
-from tamef.implicit import linear_constraint, sphere_constraint
-from tamef.manifold import (SPHERE_INTERSECTION_ATTEMPTS,
-                            IntoSubmanifoldReport, Submanifold,
+from tamef.graded import BanachFiber, SequenceBatch, SequenceSpace
+from tamef.implicit import linear_constraint
+from tamef.manifold import (SPHERE_INTERSECTION_ATTEMPTS, Submanifold,
                             TransitionReport, _sample_overlap,
                             _worst_round_trip, certify_map_into_submanifold,
                             chart_restriction, make_sphere,

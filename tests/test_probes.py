@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from tamef import probes
 from tamef.graded import BanachFiber, ProductBatch, SequenceSpace
 from tamef.probes import make_probes, make_product_probes
 
@@ -73,4 +74,16 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_probe_bytes_are_pinned(name):
+    assert digest(CASES[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("chunk_triples", [1, 5])
+@pytest.mark.parametrize("name", ["real-d1", "complex-d2", "centred",
+                                  "no-monomials"])
+def test_probe_bytes_do_not_depend_on_the_chunk_size(monkeypatch, name,
+                                                     chunk_triples):
+    """Chunks bound only the uniform buffer: the profiles, the anchors with
+    their alpha offset per chunk, and the one level-0 rescale of the block
+    give every row the bytes it gets under the default chunk size."""
+    monkeypatch.setattr(probes, "_CHUNK_TRIPLES", chunk_triples)
     assert digest(CASES[name]()) == PINNED[name]

@@ -1,6 +1,7 @@
 """Property tests of invariants the paper states: seminorm monotonicity in the
-level, the Cauchy bound on coefficients, and the chart round trip; and of
-the rule that seminorm tables holding NaN or infinity certify nothing.
+level, the Cauchy bound on coefficients, and the chart round trip; of the
+rule that seminorm tables holding NaN or infinity certify nothing; and of
+the ratio search against a reference that compacts its masks.
 
 Each test is a derandomized hypothesis search at small sizes, so a failure
 reproduces on every run.
@@ -14,7 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tamef.graded import (BanachFiber, SequenceBatch, SequenceSpace,
+from tamef.graded import (BASE_LEVEL, DEFAULT_ATOL, DEGREE_STABILITY_FACTOR,
+                          BanachFiber, RatioWitness, SequenceBatch,
+                          SequenceSpace, TamenessCertificate,
                           certify_from_tables, seminorm_l1, seminorm_linf,
                           within_upper)
 from tamef.holomorphic import verify_cauchy_bound
@@ -127,3 +130,116 @@ def test_non_finite_tables_are_never_certified(data, levels, probes):
     assert math.isnan(witness.ratio)
     assert witness.reason == \
         f"non-finite {name} seminorm {float(tables[name][n, i])}"
+
+
+def reference_certify_from_tables(num, den, degrees, degree_split, *, r_max,
+                                  forced_r, probe_count, linear):
+    """certify_from_tables on finite tables as it was written with boolean
+    compaction: each masked maximum is the max of the selected ratios."""
+    n_max = num.shape[0] - 1
+    high = np.asarray(degrees) > degree_split
+
+    def try_shift(r):
+        top = n_max - r
+        if top < BASE_LEVEL:
+            return None, RatioWitness(r, BASE_LEVEL, -1, math.inf,
+                                      "no level admits the shift")
+        constants = {}
+        for n in range(BASE_LEVEL, top + 1):
+            included = den[n + r] > 0.0
+            ratios = np.zeros_like(num[n])
+            ratios[included] = num[n][included] / den[n + r][included]
+            bad = ~included & (num[n] > DEFAULT_ATOL)
+            if np.any(bad):
+                return None, RatioWitness(r, n, int(np.nonzero(bad)[0][0]),
+                                          math.inf,
+                                          "ratio unbounded: zero denominator")
+            if not np.any(included):
+                continue
+            hi_mask = included & high
+            lo_mask = included & ~high
+            if np.any(hi_mask) and np.any(lo_mask):
+                m_hi = float(np.max(ratios[hi_mask]))
+                m_lo = float(np.max(ratios[lo_mask]))
+                if m_hi > DEGREE_STABILITY_FACTOR * m_lo + DEFAULT_ATOL:
+                    i_hi = int(np.argmax(np.where(hi_mask, ratios, -np.inf)))
+                    return None, RatioWitness(
+                        r, n, i_hi, m_hi,
+                        f"ratio grows with truncation degree "
+                        f"({m_hi:.6g} > {DEGREE_STABILITY_FACTOR} * "
+                        f"{m_lo:.6g})")
+            constants[n] = float(np.max(ratios[included]))
+            if constants[n] == math.inf:
+                return None, RatioWitness(r, n, int(np.argmax(ratios)),
+                                          math.inf, "ratio overflows float64")
+        if not constants:
+            return None, RatioWitness(r, BASE_LEVEL, -1, math.inf,
+                                      "no probe produced a usable ratio")
+        return TamenessCertificate(
+            r=r, b=BASE_LEVEL,
+            C={n: (c if c > 0.0 else 1e-300) for n, c in constants.items()},
+            provenance="empirical", probe_count=probe_count,
+            max_ratio_observed=max(constants.values()),
+            observed=dict(constants), linear=linear), None
+
+    if forced_r is not None:
+        return try_shift(forced_r)
+    for r in range(r_max + 1):
+        cert, witness = try_shift(r)
+        if cert is not None:
+            return cert, None
+    if witness.probe_index < 0:
+        witness = RatioWitness(r_max, BASE_LEVEL, 0, -1.0, witness.reason)
+    return None, witness
+
+
+#: entries at the edges the search treats apart: zero, both sides of
+#: DEFAULT_ATOL, and magnitudes whose quotients overflow or underflow
+TABLE_ENTRIES = st.sampled_from((0.0, 0.5 * DEFAULT_ATOL, 2.0 * DEFAULT_ATOL,
+                                 1e-300, 1e300)) | st.floats(0.0, 1e3)
+
+
+@PROPERTY
+@given(data=st.data(), levels=st.integers(1, 5), probes=st.integers(1, 8))
+def test_ratio_search_matches_the_compacting_reference(data, levels, probes):
+    """certify_from_tables returns the reference's certificate, or its
+    witness field by field, on finite non-negative tables: with zero
+    denominators planted under numerators on both sides of DEFAULT_ATOL,
+    ratios that overflow, degree buckets that disagree, and degree splits
+    that leave one bucket empty."""
+    den = data.draw(arrays(np.float64, (levels, probes),
+                           elements=TABLE_ENTRIES))
+    if data.draw(st.booleans()):
+        # proportional tables, stable across the buckets until perturbed
+        num = den * data.draw(st.floats(0.0, 10.0))
+    else:
+        num = data.draw(arrays(np.float64, (levels, probes),
+                               elements=TABLE_ENTRIES))
+    overflow = data.draw(st.none() | st.integers(0, probes - 1))
+    if overflow is not None:
+        # a probe whose ratio overflows at every level and shift
+        num[:, overflow], den[:, overflow] = 1e300, 1e-300
+    cells = st.tuples(st.integers(0, levels - 1), st.integers(0, probes - 1))
+    for n, i in data.draw(st.lists(cells, max_size=3)):
+        den[n, i] = 0.0
+    for (n, i), value in data.draw(st.lists(st.tuples(cells, TABLE_ENTRIES),
+                                            max_size=3)):
+        num[n, i] = value
+    degrees = data.draw(st.lists(st.integers(-1, 8), min_size=probes,
+                                 max_size=probes))
+    # below every degree, above every degree, or between
+    split = data.draw(st.integers(-2, 9))
+    options = dict(r_max=data.draw(st.integers(0, levels - 1)),
+                   forced_r=data.draw(st.none() | st.integers(0, levels - 1)),
+                   probe_count=probes, linear=data.draw(st.booleans()))
+    with np.errstate(over="ignore"):
+        cert, witness = certify_from_tables(num, den, degrees, split,
+                                            **options)
+        ref_cert, ref_witness = reference_certify_from_tables(
+            num, den, degrees, split, **options)
+    if ref_cert is None:
+        assert cert is None
+        assert witness == ref_witness
+    else:
+        assert witness is None
+        assert cert.to_json() == ref_cert.to_json()

@@ -10,6 +10,9 @@ import tamef
 SOURCE_DIR = os.path.dirname(tamef.__file__)
 MODULES = sorted(name for name in os.listdir(SOURCE_DIR)
                  if name.endswith(".py") and name != "__init__.py")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+TEST_MODULES = sorted(name for name in os.listdir(TESTS_DIR)
+                      if name.endswith(".py"))
 
 
 def unused_imports(source: str):
@@ -27,14 +30,16 @@ def unused_imports(source: str):
     return [name for name in imported if name not in used]
 
 
-def read_source(module: str) -> str:
-    with open(os.path.join(SOURCE_DIR, module), encoding="utf-8") as handle:
+def read_source(module: str, directory: str = SOURCE_DIR) -> str:
+    with open(os.path.join(directory, module), encoding="utf-8") as handle:
         return handle.read()
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports(read_source(module)) == []
+@pytest.mark.parametrize("module, directory", [
+    *(pytest.param(m, SOURCE_DIR, id=m) for m in MODULES),
+    *(pytest.param(m, TESTS_DIR, id=f"tests/{m}") for m in TEST_MODULES)])
+def test_no_unused_imports(module, directory):
+    assert unused_imports(read_source(module, directory)) == []
 
 
 def test_unused_imports_are_found():
