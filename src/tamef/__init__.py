@@ -14,7 +14,6 @@ from .errors import (
 from .graded import (
     BanachFiber,
     EquivalenceOutcome,
-    Grading,
     ProductBatch,
     ProductSpace,
     RatioWitness,
@@ -25,8 +24,6 @@ from .graded import (
     certificate_violations,
     certify_grading_equivalence,
     inner_product,
-    l1_grading,
-    linf_grading,
     seminorm_l1,
     seminorm_linf,
     validate_equivalence_certificate,

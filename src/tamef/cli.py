@@ -16,16 +16,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import (ConstructionError, NonConvergenceError, RegularityError,
                      SingularBlockError)
-from .graded import (BanachFiber, Grading, ProductSpace, SequenceBatch,
-                     SequenceSpace, certify_grading_equivalence,
-                     l1_grading, linf_grading, seminorm_l1)
+from .graded import (GRADINGS, BanachFiber, ProductSpace, SequenceBatch,
+                     SequenceSpace, certify_grading_equivalence)
 from .implicit import PointSplit, build_constraint, is_regular_point, \
     parse_constraint_name, solve_implicit
 from .manifold import make_sphere, make_sphere_intersection, \
@@ -242,31 +241,18 @@ def _sequence_from_list(space: SequenceSpace, data: list,
     return SequenceBatch(space.fiber, block)
 
 
-def _decreasing_grading(n_max: int) -> Grading:
-    # a family that shrinks with the level: violates two-sided tameness.
-    # |f|_n = exp(-n) |f|_0, so every level scales one level-0 seminorm
-    def evaluator(f: SequenceBatch, levels) -> np.ndarray:
-        scales = np.array([math.exp(-float(n)) for n in levels])
-        return scales[:, None] * seminorm_l1(f, 0)
-
-    return Grading("decreasing", n_max, evaluator)
-
-
-#: the gradings certify-gradings reads by name, each built from n_max
-GRADINGS = {"l1": l1_grading, "linf": linf_grading,
-            "decreasing": _decreasing_grading}
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_certify_gradings(cfg: RunConfig) -> int:
+    # the probes are drawn in the l1 space whatever --g1 names, so both
+    # orders of one pair of gradings see one probe set
     space = cfg.space()
-    g1 = GRADINGS[cfg.g1](cfg.nmax)
-    g2 = GRADINGS[cfg.g2](cfg.nmax)
     probes = make_probes(space, cfg.probes, cfg.seed)
-    outcome = certify_grading_equivalence(g1, g2, probes, cfg.r_max)
+    outcome = certify_grading_equivalence(
+        replace(space, grading_kind=cfg.g1),
+        replace(space, grading_kind=cfg.g2), probes, cfg.r_max)
     table_rows = [("direction", "n", "C", "max_ratio")]
     for direction, cert, path in (
             ("g1<=g2", outcome.forward, "grading_forward.json"),
@@ -447,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-gradings",
                        help="two-sided grading equivalence certificates")
     _add_common_flags(p)
-    p.add_argument("--g1", help="first grading (l1|linf|decreasing)")
-    p.add_argument("--g2", help="second grading (l1|linf|decreasing)")
+    p.add_argument("--g1", help=f"first grading ({'|'.join(GRADINGS)})")
+    p.add_argument("--g2", help=f"second grading ({'|'.join(GRADINGS)})")
     p = sub.add_parser("certify-map", help="tameness certificate for a "
                                            "registry map")
     _add_common_flags(p)

@@ -3,11 +3,12 @@
 The central object is a finitely truncated coefficient sequence f_0 .. f_K
 with values in a fixed finite-dimensional Banach fiber, held as one row of
 a SequenceBatch: a batch of P sequences is one (P, K+1, d) block, and one
-sequence is a batch of one row.  Level-n seminorms
-weight coefficient k by e^{nk}; the summed flavour and the supremum flavour
-of that family are both gradings (monotone in the level), and the
-certification machinery estimates, over a probe set, a level shift r and
-constants C(n) with
+sequence is a batch of one row.  A SequenceSpace names its grading, the
+family of level-n seminorms, by its grading_kind, one of GRADINGS: "l1" and
+"linf" weight coefficient k by e^{nk} and sum or take the supremum (both
+monotone in the level), and "decreasing", e^{-n} |f|_0, shrinks with the
+level.  The certification machinery compares two gradings of one space: it
+estimates, over a probe set, a level shift r and constants C(n) with
 
     |f|_n  <=  C(n) * |f|~_{n+r}        for b <= n <= n_max - r
 
@@ -23,9 +24,9 @@ the finite-truncation shadow of an unbounded constant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ BASE_LEVEL = 0
 _FIELDS = ("real", "complex")
 _NORM_KINDS = ("euclidean", "supremum", "sum")
 _PROVENANCES = ("analytic", "empirical", "derived-analytic")
+#: the grading_kind names of SequenceSpace
+GRADINGS = ("l1", "linf", "decreasing")
 
 
 def within_upper(lhs, rhs):
@@ -387,11 +390,11 @@ def _weights(levels: Tuple[int, ...], truncation_degree: int) -> np.ndarray:
     return w
 
 
-def _weighted(f: SequenceBatch, v: np.ndarray, levels,
-              n_max: Optional[int], combine) -> np.ndarray:
-    """Fold e^{nk} v[k] into 0.0 with combine, k ascending, per column of
-    the (K+1, P) array v: (P,) at one level n, (L, P) at L levels, each entry
-    the float of its column and level alone.  Levels are checked first."""
+def _checked_levels(levels, n_max: Optional[int], truncation_degree: int):
+    """(levels as a tuple of ints, whether one level n was given), checked
+    in order, so a list raises what its first bad level raises: a negative
+    level or one above n_max is an IndexError, one past the overflow guard
+    a ValueError."""
     one = np.ndim(levels) == 0
     levels = (int(levels),) if one else tuple(int(n) for n in levels)
     for n in levels:
@@ -399,10 +402,19 @@ def _weighted(f: SequenceBatch, v: np.ndarray, levels,
             raise IndexError(f"seminorm level {n} is negative")
         if n_max is not None and n > n_max:
             raise IndexError(f"seminorm level {n} exceeds n_max={n_max}")
-        if n * f.truncation_degree > MAX_LEVEL_EXPONENT:
+        if n * truncation_degree > MAX_LEVEL_EXPONENT:
             raise ValueError(
-                f"level*degree = {n * f.truncation_degree} exceeds the "
+                f"level*degree = {n * truncation_degree} exceeds the "
                 f"overflow guard {MAX_LEVEL_EXPONENT}")
+    return levels, one
+
+
+def _weighted(f: SequenceBatch, v: np.ndarray, levels,
+              n_max: Optional[int], combine) -> np.ndarray:
+    """Fold e^{nk} v[k] into 0.0 with combine, k ascending, per column of
+    the (K+1, P) array v: (P,) at one level n, (L, P) at L levels, each entry
+    the float of its column and level alone.  Levels are checked first."""
+    levels, one = _checked_levels(levels, n_max, f.truncation_degree)
     acc = np.zeros((len(levels), v.shape[1]))
     term = np.empty_like(acc)
     for w_k, v_k in zip(_weights(levels, f.truncation_degree), v):
@@ -437,47 +449,13 @@ def inner_product(f: SequenceBatch, g: SequenceBatch,
     return _weighted(f, dots, 2 * int(level), None, np.add)
 
 
-# ---------------------------------------------------------------------------
-# gradings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Grading:
-    """A family of seminorms indexed by levels 0..n_max, expected monotone.
-
-    evaluator(f, levels) gives the (L, P) values of a SequenceBatch at a
-    sequence of L levels, each the float its row gives alone at its level.
-    """
-
-    kind: str
-    n_max: int
-    evaluator: Callable[[SequenceBatch, Sequence[int]], np.ndarray]
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-
-    def seminorm(self, f: SequenceBatch, n: int) -> np.ndarray:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"level {n} outside 0..{self.n_max}")
-        return self.evaluator(f, (n,))[0]
-
-
-def l1_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
-    return Grading("l1", n_max, lambda f, levels: seminorm_l1(f, levels))
-
-
-def linf_grading(n_max: int = DEFAULT_N_MAX) -> Grading:
-    return Grading("linf", n_max, lambda f, levels: seminorm_linf(f, levels))
-
-
-def seminorm_table(grading: Grading, probes) -> np.ndarray:
-    """Values table[n, i] = |probe_i|_n for n = 0..n_max, from one
-    evaluator call on the whole batch at every level.
-
-    probes is a SequenceBatch or a list of them (see as_batch).
-    """
-    return grading.evaluator(as_batch(probes), range(grading.n_max + 1))
+def _seminorm_decreasing(f: SequenceBatch, levels, n_max: int) -> np.ndarray:
+    """e^{-n} |f|_0 per row, a family that shrinks with the level, at levels
+    as seminorm_l1: every level scales one level-0 seminorm_l1."""
+    levels, one = _checked_levels(levels, n_max, f.truncation_degree)
+    scales = np.array([math.exp(-float(n)) for n in levels])
+    table = scales[:, None] * seminorm_l1(f, 0)
+    return table[0] if one else table
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +480,7 @@ class SequenceSpace:
             raise ValueError(
                 f"n_max * K = {self.n_max * self.truncation_degree} exceeds "
                 f"the overflow guard {MAX_LEVEL_EXPONENT}")
-        if self.grading_kind not in ("l1", "linf"):
+        if self.grading_kind not in GRADINGS:
             raise ValueError(f"unknown grading kind {self.grading_kind!r}")
 
     @property
@@ -512,9 +490,13 @@ class SequenceSpace:
     def seminorm(self, f: SequenceBatch, levels) -> np.ndarray:
         """|f|_n of every row of a batch: (P,) at one level n, (L, P) at a
         sequence of L levels, range(n_max + 1) giving the whole table."""
+        # looked up by name at each call, so a patched module global
+        # reaches every space
         if self.grading_kind == "l1":
             return seminorm_l1(f, levels, self.n_max)
-        return seminorm_linf(f, levels, self.n_max)
+        if self.grading_kind == "linf":
+            return seminorm_linf(f, levels, self.n_max)
+        return _seminorm_decreasing(f, levels, self.n_max)
 
     def zero(self) -> SequenceBatch:
         """The zero sequence, as a one-row batch."""
@@ -536,6 +518,15 @@ class SequenceSpace:
     def check_member(self, f: SequenceBatch):
         if f.fiber != self.fiber or f.truncation_degree != self.truncation_degree:
             raise ValueError("sequence does not belong to this space")
+
+
+def seminorm_table(space: SequenceSpace, probes) -> np.ndarray:
+    """Values table[n, i] = |probe_i|_n for n = 0..n_max under the space's
+    grading, from one seminorm call on the whole batch at every level.
+
+    probes is a SequenceBatch or a list of them (see as_batch).
+    """
+    return space.seminorm(as_batch(probes), range(space.n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -782,16 +773,27 @@ class EquivalenceOutcome:
         return self.failure is None
 
 
-def certify_grading_equivalence(g1: Grading, g2: Grading,
+def _graded_batch(g1: SequenceSpace, g2: SequenceSpace,
+                  probes) -> SequenceBatch:
+    """probes as one batch, once g1 and g2 are two gradings of one space,
+    differing in grading_kind alone, and every probe belongs to it."""
+    if replace(g1, grading_kind=g2.grading_kind) != g2:
+        raise ValueError("gradings must grade one space: fiber, truncation "
+                         "degree and n_max must agree")
+    batch = as_batch(probes)
+    g1.check_member(batch)
+    return batch
+
+
+def certify_grading_equivalence(g1: SequenceSpace, g2: SequenceSpace,
                                 probes, r_max: int) -> EquivalenceOutcome:
-    """Certify |f|_1,n <= C |f|_2,n+r (forward) and the reverse (backward).
+    """Certify |f|_1,n <= C |f|_2,n+r (forward) and the reverse (backward)
+    for two gradings of one space: g1 and g2 differ in grading_kind only.
 
     The smallest accepted shift is searched per direction up to r_max; on
     rejection the failure carries the probe maximizing the ratio at r_max.
     """
-    if g1.n_max != g2.n_max:
-        raise ValueError("gradings must share one level range 0..n_max")
-    batch = as_batch(probes)
+    batch = _graded_batch(g1, g2, probes)
     degrees = batch.degree()
     if degrees.max() < 0:
         raise ValueError("degenerate probe set: every probe is zero")
@@ -835,12 +837,13 @@ def certificate_violations(cert: TamenessCertificate, num: np.ndarray,
 
 
 def validate_equivalence_certificate(cert: TamenessCertificate,
-                                     g_num: Grading, g_den: Grading,
-                                     probes):
-    """Re-check |f|_num,n <= C(n) |f|_den,n+r on a probe set.
+                                     g_num: SequenceSpace,
+                                     g_den: SequenceSpace, probes):
+    """Re-check |f|_num,n <= C(n) |f|_den,n+r on a probe set, for two
+    gradings of one space as certify_grading_equivalence takes them.
 
     Returns the violations as (probe_index, level, lhs, bound) tuples.
     """
-    batch = as_batch(probes)
+    batch = _graded_batch(g_num, g_den, probes)
     return certificate_violations(cert, seminorm_table(g_num, batch),
                                   seminorm_table(g_den, batch))

@@ -8,6 +8,7 @@ before, frozen here: every entry of a level table must hold exactly the
 float the frozen loop gives for its row alone at its level."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +24,11 @@ from tamef.graded import (
     SequenceSpace,
     as_batch,
     inner_product,
-    l1_grading,
-    linf_grading,
     seminorm_l1,
     seminorm_linf,
     seminorm_table,
 )
-from tamef import cli
-from tamef.cli import GRADINGS
+from tamef import graded
 from tamef.probes import make_probes, make_product_probes
 
 SPACE = SequenceSpace(BanachFiber(2), truncation_degree=8, n_max=4)
@@ -131,9 +129,8 @@ def test_lists_stack_into_the_same_batch():
     for pieces in (list(probes), [probes[:5], probes[5:]]):
         stacked = as_batch(pieces)
         assert np.array_equal(stacked.coefficients, probes.coefficients)
-    grading = l1_grading(4)
-    assert np.array_equal(seminorm_table(grading, list(probes)),
-                          seminorm_table(grading, probes))
+    assert np.array_equal(seminorm_table(SPACE, list(probes)),
+                          seminorm_table(SPACE, probes))
     with pytest.raises(ValueError):
         as_batch([SPACE.basis(0), SequenceSpace(BanachFiber(2), 4).basis(0)])
     with pytest.raises(ValueError):
@@ -334,30 +331,31 @@ def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
     def decreasing(f, n):
         return math.exp(-float(n)) * frozen_l1(f, 0)
 
+    space = SequenceSpace(batch.fiber, batch.truncation_degree, n_max)
     with np.errstate(all="ignore"):
-        for grading, reference in (
-                (l1_grading(n_max), frozen_l1),
-                (linf_grading(n_max), frozen_linf),
-                (GRADINGS["decreasing"](n_max), decreasing)):
+        for kind, reference in (("l1", frozen_l1), ("linf", frozen_linf),
+                                ("decreasing", decreasing)):
+            grading = replace(space, grading_kind=kind)
             want = frozen_table(reference, batch, range(n_max + 1))
             assert same_bits(seminorm_table(grading, batch), want)
-            assert same_bits(grading.evaluator(batch, levels),
+            assert same_bits(grading.seminorm(batch, levels),
                              frozen_table(reference, batch, levels))
 
 
 def test_decreasing_grading_takes_one_level_zero_seminorm(monkeypatch):
-    """The CLI's decreasing grading, exp(-n) |f|_0, scales one level-0
-    seminorm for the whole table, with the bytes of the table stacked level
-    by level."""
-    probes = make_probes(SequenceSpace(BanachFiber(1), 32, 6), 1000, seed=3)
+    """The decreasing grading, exp(-n) |f|_0, scales one level-0 seminorm
+    for the whole table, with the bytes of the table stacked level by
+    level."""
+    space = SequenceSpace(BanachFiber(1), 32, 6)
+    probes = make_probes(space, 1000, seed=3)
     levels = []
 
     def spy(f, n):
         levels.append(n)
         return seminorm_l1(f, n)
 
-    monkeypatch.setattr(cli, "seminorm_l1", spy)
-    table = seminorm_table(GRADINGS["decreasing"](6), probes)
+    monkeypatch.setattr(graded, "seminorm_l1", spy)
+    table = seminorm_table(replace(space, grading_kind="decreasing"), probes)
     assert levels == [0]
     per_level = np.stack([math.exp(-float(n)) * seminorm_l1(probes, 0)
                           for n in range(7)])

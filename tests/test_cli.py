@@ -14,7 +14,7 @@ import pytest
 
 import tamef
 from tamef import cli
-from tamef.graded import BanachFiber, RatioWitness, SequenceSpace
+from tamef.graded import GRADINGS, BanachFiber, RatioWitness, SequenceSpace
 from tamef.implicit import build_constraint
 from tamef.manifold import TransitionReport
 from tamef.maps import CertificationOutcome
@@ -182,16 +182,17 @@ def test_space_ranges_are_usage_errors(tmp_path, capsys, command, bad):
 
 
 def test_gradings_are_one_table(tmp_path, capsys):
-    """The names validate accepts are the names a run can build; an
-    unknown one is refused by both."""
+    """The names validate accepts are the names a space can be graded by;
+    an unknown one is refused by both."""
     assert run_cli(["certify-gradings", "--g2", "bogus",
                     "--out", str(tmp_path / "run")]) == 64
     assert capsys.readouterr().err == \
         "tamef: unknown grading 'bogus'; known: l1, linf, decreasing\n"
-    for name, build in cli.GRADINGS.items():
-        assert build(3).kind == name
-    with pytest.raises(KeyError):
-        cli.GRADINGS["bogus"]
+    for name in GRADINGS:
+        assert SequenceSpace(BanachFiber(1), 8, 3,
+                             grading_kind=name).grading_kind == name
+    with pytest.raises(ValueError, match="^unknown grading kind 'bogus'$"):
+        SequenceSpace(BanachFiber(1), 8, 3, grading_kind="bogus")
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tamef import cli
+from tamef.graded import GRADINGS
 
 EXIT_CODES = {0, 2, 3, 4, 64}
-GRADINGS = ("l1", "linf", "decreasing")
 MAPS = ("identity", "shift_up", "shift_down", "derivative", "scale:2",
         "coeff_square", "projection:1", "product:derivative,coeff_square",
         "compose:derivative,shift_up")

@@ -67,6 +67,14 @@ CASES = {
                              "decreasing", "--k", "16", "--nmax", "4",
                              "--probes", "120", "--seed", "11", "--r-max",
                              "2"], None),
+    # a first grading other than l1: the probes are drawn in the l1 space
+    # whatever --g1 names
+    "gradings-linf-l1": (["certify-gradings", "--g1", "linf", "--g2", "l1",
+                          "--k", "16", "--nmax", "4", "--probes", "120",
+                          "--seed", "11"], None),
+    "gradings-decreasing-linf": (["certify-gradings", "--g1", "decreasing",
+                                  "--g2", "linf", "--k", "16", "--nmax", "4",
+                                  "--probes", "120", "--seed", "11"], None),
     "map-scale-nan": (["certify-map", "--map", "scale:nan", "--k", "32",
                        "--nmax", "6", "--probes", "40", "--seed", "3"], None),
 }

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from tamef import cli
-from tamef.cli import GRADINGS
 from tamef.errors import UnsupportedGradingError
 from tamef.graded import (
+    GRADINGS,
     BanachFiber,
     ProductBatch,
     ProductSpace,
@@ -25,8 +25,6 @@ from tamef.graded import (
     TamenessCertificate,
     certify_grading_equivalence,
     inner_product,
-    l1_grading,
-    linf_grading,
     seminorm_l1,
     seminorm_linf,
     seminorm_table,
@@ -39,6 +37,11 @@ from tamef.serialize import dumps_json
 R1 = BanachFiber(1)
 GEOMETRIC_SUM_2 = 1.1565176427496657
 L1_OVER_LINF_SHIFT1 = 1.5819767068693265
+
+
+def graded(space, *kinds):
+    """The space under each named grading, in order."""
+    return tuple(replace(space, grading_kind=kind) for kind in kinds)
 
 
 def geometric_sequence(rate, K, fiber=R1):
@@ -111,8 +114,7 @@ def test_zero_sequence_has_zero_seminorms():
 def test_table_matches_scalar_path_bitwise():
     space = SequenceSpace(BanachFiber(2), truncation_degree=24, n_max=6)
     probes = make_probes(space, 25, seed=5)
-    for build in GRADINGS.values():
-        grading = build(6)
+    for grading in graded(space, *GRADINGS):
         table = seminorm_table(grading, probes)
         for n in range(7):
             for i, f in enumerate(probes):
@@ -167,8 +169,40 @@ def test_inner_product_rejects_sup_fiber():
 def test_all_zero_probe_set_is_degenerate():
     zeros = SequenceBatch(R1, np.zeros((5, 9, 1)))
     with pytest.raises(ValueError, match="every probe is zero"):
-        certify_grading_equivalence(l1_grading(3), linf_grading(3), zeros,
-                                    r_max=1)
+        certify_grading_equivalence(
+            *graded(SequenceSpace(R1, truncation_degree=8, n_max=3), "l1",
+                    "linf"), zeros, r_max=1)
+
+
+@pytest.mark.parametrize("other", [
+    {"fiber": BanachFiber(2)},
+    {"fiber": BanachFiber(1, norm_kind="supremum")},
+    {"truncation_degree": 7},
+    {"n_max": 2},
+])
+def test_equivalence_needs_two_gradings_of_one_space(other):
+    """g1 and g2 may differ in grading_kind alone, and the probes must
+    belong to the space they grade."""
+    space = SequenceSpace(R1, truncation_degree=8, n_max=3)
+    probes = make_probes(space, 20, seed=1)
+    cert = TamenessCertificate(r=0, b=0, C={0: 1.0}, provenance="analytic")
+    g2 = replace(space, grading_kind="linf", **other)
+    for pair in ((space, g2), (g2, space)):
+        with pytest.raises(ValueError, match="^gradings must grade one "
+                                             "space"):
+            certify_grading_equivalence(*pair, probes, r_max=1)
+        with pytest.raises(ValueError, match="^gradings must grade one "
+                                             "space"):
+            validate_equivalence_certificate(cert, *pair, probes)
+    if "n_max" not in other:
+        foreign = make_probes(replace(space, **other), 20, seed=1)
+        pair = graded(space, "l1", "linf")
+        with pytest.raises(ValueError, match="^sequence does not belong to "
+                                             "this space$"):
+            certify_grading_equivalence(*pair, foreign, r_max=1)
+        with pytest.raises(ValueError, match="^sequence does not belong to "
+                                             "this space$"):
+            validate_equivalence_certificate(cert, *pair, foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +220,12 @@ def test_level_out_of_range():
     f = space.basis(2)
     with pytest.raises(IndexError):
         seminorm_l1(f, -1)
-    with pytest.raises(IndexError):
-        space.seminorm(f, 5)
-    with pytest.raises(IndexError):
-        l1_grading(4).seminorm(f, 5)
+    for grading in graded(space, *GRADINGS):
+        for n in (-1, 5):
+            with pytest.raises(IndexError):
+                grading.seminorm(f, n)
+            with pytest.raises(IndexError):
+                grading.seminorm(f, [0, n])
 
 
 def raised(call):
@@ -206,9 +242,12 @@ def test_level_lists_raise_what_the_first_bad_level_raises(levels,
     product = ProductSpace((space, replace(space, grading_kind="linf")))
     probes = make_probes(space, 3, seed=2)
     pairs = ProductBatch((probes, probes))
+    spaces = graded(space, *GRADINGS)
     for call in (lambda n: seminorm_l1(probes, n, n_max=4),
                  lambda n: seminorm_linf(probes, n, n_max=4),
-                 lambda n: space.seminorm(probes, n),
+                 lambda n: spaces[0].seminorm(probes, n),
+                 lambda n: spaces[1].seminorm(probes, n),
+                 lambda n: spaces[2].seminorm(probes, n),
                  lambda n: product.seminorm(pairs, n)):
         assert raised(lambda: call(levels)) == raised(lambda: call(first_bad))
 
@@ -249,7 +288,7 @@ def test_coefficients_are_readonly():
 def test_equivalence_l1_linf_certificates():
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
     probes = make_probes(space, 200, seed=42)
-    out = certify_grading_equivalence(l1_grading(6), linf_grading(6),
+    out = certify_grading_equivalence(*graded(space, "l1", "linf"),
                                       probes, r_max=3)
     assert out.ok
     # summed <= C * sup one level up, C below the geometric-series bound
@@ -265,13 +304,13 @@ def test_equivalence_l1_linf_certificates():
 def test_equivalence_certificates_revalidate_on_same_probes():
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
     probes = make_probes(space, 150, seed=9)
-    out = certify_grading_equivalence(l1_grading(6), linf_grading(6),
-                                      probes, r_max=3)
+    l1, linf = graded(space, "l1", "linf")
+    out = certify_grading_equivalence(l1, linf, probes, r_max=3)
     assert out.ok
-    assert validate_equivalence_certificate(out.forward, l1_grading(6),
-                                            linf_grading(6), probes) == []
-    assert validate_equivalence_certificate(out.backward, linf_grading(6),
-                                            l1_grading(6), probes) == []
+    assert validate_equivalence_certificate(out.forward, l1, linf,
+                                            probes) == []
+    assert validate_equivalence_certificate(out.backward, linf, l1,
+                                            probes) == []
 
 
 def test_analytic_certificate_validates_on_fresh_probes():
@@ -280,8 +319,8 @@ def test_analytic_certificate_validates_on_fresh_probes():
     cert = TamenessCertificate(
         r=1, b=0, C={n: L1_OVER_LINF_SHIFT1 for n in range(6)},
         provenance="analytic")
-    assert validate_equivalence_certificate(cert, l1_grading(6),
-                                            linf_grading(6), fresh) == []
+    assert validate_equivalence_certificate(
+        cert, *graded(space, "l1", "linf"), fresh) == []
 
 
 def test_certificate_violations_match_scalar_recheck():
@@ -290,7 +329,7 @@ def test_certificate_violations_match_scalar_recheck():
     # constants below the true ones, so a share of the probes violates
     cert = TamenessCertificate(r=1, b=0, C={n: 0.9 for n in range(5)},
                                provenance="analytic")
-    g_num, g_den = l1_grading(5), linf_grading(5)
+    g_num, g_den = graded(space, "l1", "linf")
     expected = []
     for n in cert.levels:
         for i, f in enumerate(probes):
@@ -305,10 +344,10 @@ def test_certificate_violations_match_scalar_recheck():
 
 
 def test_equivalence_fails_against_decreasing_family():
-    dec = GRADINGS["decreasing"](6)
     space = SequenceSpace(R1, truncation_degree=32, n_max=6)
     probes = make_probes(space, 100, seed=13)
-    out = certify_grading_equivalence(dec, l1_grading(6), probes, r_max=3)
+    out = certify_grading_equivalence(*graded(space, "decreasing", "l1"),
+                                      probes, r_max=3)
     assert not out.ok
     # the summed family cannot be dominated by the shrinking one at any shift
     assert out.failure.direction == "g2<=g1"

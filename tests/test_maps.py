@@ -23,8 +23,6 @@ from tamef.graded import (
     TamenessCertificate,
     certify_from_tables,
     certify_grading_equivalence,
-    l1_grading,
-    linf_grading,
 )
 from tamef.manifold import (certify_map_into_submanifold, make_sphere,
                             normalization_descriptor)
@@ -201,7 +199,7 @@ def _entry_points():
     return {
         "certify_grading_equivalence":
             lambda p, r: certify_grading_equivalence(
-                l1_grading(SMALL.n_max), linf_grading(SMALL.n_max), p, r),
+                SMALL, replace(SMALL, grading_kind="linf"), p, r),
         "certify_tame": lambda p, r: certify_tame(identity, p, r),
         "certify_map_into_submanifold":
             lambda p, r: certify_map_into_submanifold(normalize, sphere, p,
