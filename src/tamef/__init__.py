@@ -52,7 +52,6 @@ from .implicit import (
     is_regular_point,
     is_regular_value,
     solve_implicit,
-    split_at,
 )
 from .manifold import (
     IntoSubmanifoldReport,

@@ -32,7 +32,6 @@ RANK_RTOL = 1e-8
 BLOCK_RTOL = 1e-12
 DEFAULT_SOLVE_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
-JACOBIAN_FD_STEP = 1e-6
 #: charts whose round-trip radius collapses below this are rejected: a rank
 #: decision that barely clears the threshold can still leave the phi-block
 #: too ill-conditioned to invert reliably
@@ -51,6 +50,8 @@ RADIUS_BISECTION_STEPS = 25
 #: 2^BISECTION_LEVELS - 1 midpoints those steps can visit are solved at once
 BISECTION_LEVELS = 4
 PREIMAGE_TOL = 1e-10
+#: Gauss-Newton steps find_preimage takes from one seed at most
+PREIMAGE_MAX_ITER = 60
 #: preimage points closer than this, relative to their norm, are one point
 PREIMAGE_DEDUPE_TOL = 1e-6
 
@@ -88,26 +89,29 @@ def level_weights(space: SequenceSpace, level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstraintMap:
-    """phi: sequence space -> R^m with an optional analytic Jacobian.
+    """phi: sequence space -> R^m with its analytic Jacobian.
 
     phi and jacobian work on lanes: they take a (P, D) block of flat
     coordinate vectors (see flatten), one point per row, must not modify it,
-    and return the (P, m) values and the (P, m, D) Jacobians; without a
-    jacobian, central differences are used.  The damped-Newton step search
-    evaluates every halving of a rejected step in one call, also halvings a
-    one-at-a-time search would have skipped, so phi returns non-finite
-    values where it is undefined rather than raising.  level sets the
-    metric used for splittings at this constraint's regular points.
+    and return the (P, m) values and the (P, m, D) Jacobians; jacobian is
+    required, since regularity is a statement about it.  The damped-Newton
+    step search evaluates every halving of a rejected step in one call, also
+    halvings a one-at-a-time search would have skipped, so phi returns
+    non-finite values where it is undefined rather than raising.  level sets
+    the metric used for splittings at this constraint's regular points.
     """
 
     name: str
     space: SequenceSpace
     target_dim: int
     phi: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     level: int = 0
 
     def __post_init__(self):
+        if not callable(self.jacobian):
+            raise TypeError(f"constraint {self.name!r} needs a callable "
+                            f"jacobian, got {self.jacobian!r}")
         if not 1 <= self.target_dim <= self.flat_dimension:
             raise ValueError(
                 f"{self.target_dim} constraint rows; a constraint needs 1 "
@@ -118,10 +122,6 @@ class ConstraintMap:
     @property
     def flat_dimension(self) -> int:
         return self.space.flat_dimension
-
-    @property
-    def jacobian_mode(self) -> str:
-        return "supplied" if self.jacobian is not None else "finite_difference"
 
     def value(self, f: SequenceBatch) -> np.ndarray:
         """phi at every row of a batch: the (P, m) values."""
@@ -138,33 +138,12 @@ class ConstraintMap:
 
     def jacobians(self, flats: np.ndarray) -> np.ndarray:
         """The (P, m, D) Jacobians at the rows of a (P, D) block."""
-        if self.jacobian is None:
-            return _central_differences(self.values, flats, self.target_dim)
         J = np.asarray(self.jacobian(flats), dtype=np.float64)
         want = (flats.shape[0], self.target_dim, self.flat_dimension)
         if J.shape != want:
             raise ValueError(
                 f"supplied Jacobian shape {J.shape}, expected {want}")
         return J
-
-
-def _central_differences(fn: Callable[[np.ndarray], np.ndarray],
-                         base: np.ndarray, rows: int) -> np.ndarray:
-    """(L, rows, n) columns (fn(base + step e_i) - fn(base - step e_i)) /
-    (2 step) at the L rows of base, each row with its own step
-    JACOBIAN_FD_STEP * (1 + max |base_i|); fn maps (L, n) to (L, rows)."""
-    base = np.asarray(base, dtype=np.float64)
-    scale = np.max(np.abs(base), axis=1, initial=0.0)
-    step = JACOBIAN_FD_STEP * (1.0 + scale)
-    out = np.empty((base.shape[0], rows, base.shape[1]))
-    for i in range(base.shape[1]):
-        probe = base.copy()
-        probe[:, i] = base[:, i] + step
-        plus = fn(probe)
-        probe[:, i] = base[:, i] - step
-        minus = fn(probe)
-        out[:, :, i] = (plus - minus) / (2.0 * step)[:, None]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +214,16 @@ class SplitConstraint:
     phi_xy, d_x and d_y work on lanes: they take an (L, x_dim) block of x
     and an (L, y_dim) block of y, one lane per row, and return the
     (L, y_dim) values and the (L, y_dim, x_dim) and (L, y_dim, y_dim)
-    partial derivatives; without d_x or d_y, central differences are used.
-    Like ConstraintMap.phi, phi_xy returns non-finite values where it is
-    undefined rather than raising.  A subclass that defines phi_xy as a
-    method passes None for it.
+    partial derivatives.  Like ConstraintMap.phi, phi_xy returns non-finite
+    values where it is undefined rather than raising.  A subclass that
+    defines phi_xy, d_x and bind as methods passes None for the callables.
     """
 
     def __init__(self, phi_xy: Optional[Callable[[np.ndarray, np.ndarray],
                                                  np.ndarray]],
-                 x_dim: int, y_dim: int,
-                 d_x: Optional[Callable] = None,
-                 d_y: Optional[Callable] = None,
+                 x_dim: int, y_dim: int, *,
+                 d_x: Optional[Callable],
+                 d_y: Optional[Callable],
                  name: str = "split"):
         if y_dim < 1 or x_dim < 0:
             raise ValueError("need y_dim >= 1 and x_dim >= 0")
@@ -269,9 +247,6 @@ class SplitConstraint:
             return out
 
         def d_y(lanes, Y):
-            if self._d_y is None:
-                return _central_differences(lambda P: values(lanes, P), Y,
-                                            self.y_dim)
             return np.asarray(self._d_y(X[lanes], Y),
                               dtype=np.float64).reshape(
                 len(Y), self.y_dim, self.y_dim)
@@ -287,9 +262,6 @@ class SplitConstraint:
         return self.bind(X)[0](..., Y)
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self._d_x is None:
-            return _central_differences(lambda P: self.values(P, Y), X,
-                                        self.y_dim)
         return np.asarray(self._d_x(X, Y), dtype=np.float64).reshape(
             len(X), self.y_dim, self.x_dim)
 
@@ -459,7 +431,7 @@ class PointSplit(SplitConstraint):
                 f"(singular values {report.singular_values})")
         super().__init__(None, report.kernel_basis.shape[1],
                          report.complement_basis.shape[1],
-                         name=f"{c.name}@split")
+                         d_x=None, d_y=None, name=f"{c.name}@split")
         self.constraint = c
         self.report = report
         self.kernel_mat = report.kernel_basis
@@ -485,16 +457,11 @@ class PointSplit(SplitConstraint):
             return c.values(flats(lanes, Y))
 
         def d_y(lanes, Y):
-            if c.jacobian is None:
-                return _central_differences(lambda P: values(lanes, P), Y,
-                                            self.y_dim)
             return self._partials(flats(lanes, Y), self.compl_mat)
 
         return values, d_y
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.constraint.jacobian is None:
-            return super().d_x(X, Y)
         return self._partials(self.flats(X, Y), self.kernel_mat)
 
     def lane_flats(self, X: np.ndarray) -> Callable:
@@ -528,14 +495,6 @@ class PointSplit(SplitConstraint):
     def kernel_coords(self, flats: np.ndarray) -> np.ndarray:
         """Kernel coordinates of every row of a (P, D) block of points."""
         return _project(self._kernel_proj, flats)
-
-
-def split_at(c: ConstraintMap, p: SequenceBatch,
-             report: Optional[RegularPointReport] = None) -> PointSplit:
-    """The PointSplit at p; a non-regular p raises RegularityError."""
-    if report is None:
-        report = is_regular_point(c, p)
-    return PointSplit(c, report)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +709,9 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     regularity gate.  A radius below the floor rejects the chart: the
     splitting is numerically unusable even if the rank test passed.
     """
-    chart = Chart(split_at(c, p, report), p, validity_radius=0.0)
+    if report is None:
+        report = is_regular_point(c, p)
+    chart = Chart(PointSplit(c, report), p, validity_radius=0.0)
     x_dim = chart.kernel_dimension
     rng = rng_from_seed(seed)
     dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
@@ -803,7 +764,7 @@ class RegularValueReport:
 
 
 def find_preimage(c: ConstraintMap, target: np.ndarray,
-                  seed_point: SequenceBatch, max_iter: int = 60,
+                  seed_point: SequenceBatch,
                   scaling: Optional[np.ndarray] = None
                   ) -> Optional[SequenceBatch]:
     """Gauss-Newton from one seed; None when it fails to converge, also
@@ -832,15 +793,14 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
         return (step / weights)[None], None
 
     out = damped_newton(lambda lanes, Z: c.values(Z) - goal, weighted_step,
-                        start, PREIMAGE_TOL, max_iter, c.name)
+                        start, PREIMAGE_TOL, PREIMAGE_MAX_ITER, c.name)
     if not out.converged[0]:
         return None
     return unflatten(c.space, out.z)
 
 
 def is_regular_value(c: ConstraintMap, target,
-                     seeds: Sequence[SequenceBatch],
-                     max_iter: int = 60) -> RegularValueReport:
+                     seeds: Sequence[SequenceBatch]) -> RegularValueReport:
     """Test regularity of every preimage point reachable from the seeds.
 
     The verdict covers found points only; an empty evidence set yields the
@@ -850,7 +810,7 @@ def is_regular_value(c: ConstraintMap, target,
     found: List[SequenceBatch] = []
     converged = 0
     for seed_point in seeds:
-        q = find_preimage(c, goal, seed_point, max_iter=max_iter)
+        q = find_preimage(c, goal, seed_point)
         if q is None:
             continue
         converged += 1

@@ -13,7 +13,7 @@ seeds are bitwise reproducible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,24 +55,25 @@ def _uniform(low: float, high: float, u: np.ndarray, out=None) -> np.ndarray:
 
 
 def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
-                       rng: np.random.Generator, region_radius: float,
-                       alphas: Sequence[float]):
+                       rng: np.random.Generator, region_radius: float):
     """Random sequences with |f_k| ~ e^{-alpha k}, written into out.
 
     Decay probe i has support degree supports[i % 3] and rate
-    alphas[(i // 3) % len(alphas)], and is rescaled so its level-0 seminorm
-    is region_radius * t.  Per probe the stream yields t ~ U(0.2, 1), then
-    the (support+1, d) coefficients ~ U(-1, 1), real parts before imaginary
-    parts; the batch draws exactly that stream, chunk by chunk, so it holds
-    the same bytes as drawing one probe at a time.  Only the uniforms are
-    chunked: every row's profile, anchor and rescale depend on that row
-    alone, so the rescale is one seminorm pass over the whole block.
+    DEFAULT_ALPHAS[(i // 3) % len(DEFAULT_ALPHAS)], and is rescaled so its
+    level-0 seminorm is region_radius * t.  Per probe the stream yields
+    t ~ U(0.2, 1), then the (support+1, d) coefficients ~ U(-1, 1), real
+    parts before imaginary parts; the batch draws exactly that stream,
+    chunk by chunk, so it holds the same bytes as drawing one probe at a
+    time.  Only the uniforms are chunked: every row's profile, anchor and
+    rescale depend on that row alone, so the rescale is one seminorm pass
+    over the whole block.
     """
     K = space.truncation_degree
     fiber = space.fiber
     d = fiber.dimension
     complex_field = fiber.scalar_field == "complex"
     supports = (K, K // 2, max(K // 4, 0))
+    alphas = DEFAULT_ALPHAS
     # uniforms per probe and their offsets inside one triple of probes
     widths = [1 + (2 if complex_field else 1) * (s + 1) * d for s in supports]
     offsets = np.cumsum([0] + widths)
@@ -123,9 +124,7 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
 
 def make_probes(space: SequenceSpace, count: int, seed: int, *,
                 region_radius: float = 1.0,
-                center: Optional[SequenceBatch] = None,
-                include_monomials: bool = True,
-                alphas: Sequence[float] = DEFAULT_ALPHAS) -> SequenceBatch:
+                center: Optional[SequenceBatch] = None) -> SequenceBatch:
     """Exactly `count` probes: a monomial ladder followed by decay profiles.
 
     With a center, a one-row batch, every probe is center + delta with
@@ -141,15 +140,12 @@ def make_probes(space: SequenceSpace, count: int, seed: int, *,
     fiber = space.fiber
     block = np.zeros((count, space.truncation_degree + 1, fiber.dimension),
                      dtype=fiber.dtype)
-    monomials = 0
-    if include_monomials:
-        scale = 1.0 if center is None else 0.5 * region_radius
-        degrees = monomial_degrees(space.truncation_degree)[:count]
-        for j, deg in enumerate(degrees):
-            block[j, deg] = scale * fiber.unit(j % fiber.dimension)
-        monomials = len(degrees)
-    _fill_decay_probes(space, block[monomials:], rng_from_seed(seed),
-                       region_radius, alphas)
+    scale = 1.0 if center is None else 0.5 * region_radius
+    degrees = monomial_degrees(space.truncation_degree)[:count]
+    for j, deg in enumerate(degrees):
+        block[j, deg] = scale * fiber.unit(j % fiber.dimension)
+    _fill_decay_probes(space, block[len(degrees):], rng_from_seed(seed),
+                       region_radius)
     if center is not None:
         block += center.coefficients
     return SequenceBatch(fiber, block)

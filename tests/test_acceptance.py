@@ -10,15 +10,15 @@ import time
 
 import numpy as np
 
-from tamef import (BanachFiber, ConstructionError, SequenceBatch,
-                   SequenceSpace, SplitConstraint, as_batch, build_constraint,
-                   build_map, certify_grading_equivalence,
+from tamef import (BanachFiber, ConstructionError, PointSplit,
+                   SequenceBatch, SequenceSpace, SplitConstraint, as_batch,
+                   build_constraint, build_map, certify_grading_equivalence,
                    certify_map_into_submanifold, certify_tame,
                    chart_restriction, combine_product, is_regular_point,
                    make_probes,
                    make_sphere, make_sphere_intersection,
                    normalization_descriptor, rng_from_seed,
-                   solve_implicit, split_at, validate_certificate_on_probes,
+                   solve_implicit, validate_certificate_on_probes,
                    validate_equivalence_certificate, verify_cauchy_bound,
                    verify_transitions)
 from tamef.cli import run as cli_run
@@ -139,7 +139,7 @@ def test_dphi_vphi_identity_across_registry():
             continue
         rng = rng_from_seed(4000 + idx)
         for point, info in points:
-            data = split_at(constraint, point, info)
+            data = PointSplit(constraint, info)
             (x,), (y,) = data.coords_of(point)
             block = data
             for _ in range(64):
@@ -161,7 +161,7 @@ def test_newton_iterates_match_oracle():
     failures = []
     block = SplitConstraint(
         lambda X, Y: Y * Y - 1.0,
-        x_dim=0, y_dim=1,
+        x_dim=0, y_dim=1, d_x=lambda X, Y: np.zeros((len(X), 1, 0)),
         d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="quadratic")
     result = solve_implicit(block, np.zeros(0), np.array([0.5]),

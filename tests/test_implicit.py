@@ -22,9 +22,8 @@ from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             level_weights, linear_constraint,
                             parse_constraint_name, polynomial_constraint,
                             solve_implicit,
-                            sphere_constraint,
-                            split_at, unflatten)
-from tamef.manifold import make_sphere
+                            sphere_constraint, unflatten)
+from tamef.manifold import make_sphere, make_sphere_intersection
 from tamef.maps import TameMapDescriptor, certify_tame
 from tamef.newton import damped_newton
 from tamef.probes import make_probes, rng_from_seed
@@ -37,11 +36,16 @@ SPACE8 = SequenceSpace(R1, truncation_degree=8, n_max=4)
 QUADRATIC_ITERATES = (0.5, 1.25, 1.025, 1.0003048780487805)
 
 
+def no_kernel(X, Y):
+    """d_x of a split constraint with x_dim = 0 and y_dim = 1."""
+    return np.zeros((len(X), 1, 0))
+
+
 def scalar_quadratic():
     """phi(y) = y^2 - 1 with no kernel coordinates."""
     return SplitConstraint(
         lambda X, Y: Y * Y - 1.0,
-        x_dim=0, y_dim=1,
+        x_dim=0, y_dim=1, d_x=no_kernel,
         d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="quadratic")
 
@@ -71,7 +75,7 @@ def no_root_split():
     """phi(y) = y^2 + 1, which has no real root."""
     return SplitConstraint(
         lambda X, Y: Y * Y + 1.0,
-        x_dim=0, y_dim=1,
+        x_dim=0, y_dim=1, d_x=no_kernel,
         d_y=lambda X, Y: 2.0 * Y[:, :, None],
         name="no-root")
 
@@ -79,7 +83,7 @@ def no_root_split():
 def nan_block_split():
     """phi(y) = y - 1 with a phi-block that is never finite."""
     return SplitConstraint(
-        lambda X, Y: Y - 1.0, x_dim=0, y_dim=1,
+        lambda X, Y: Y - 1.0, x_dim=0, y_dim=1, d_x=no_kernel,
         d_y=lambda X, Y: np.full((len(Y), 1, 1), math.nan), name="nan-block")
 
 
@@ -87,7 +91,7 @@ def sqrt_split():
     """phi(y) = sqrt(y) - 0.05, NaN for negative y."""
     return SplitConstraint(
         lambda X, Y: sqrt_or_nan(Y) - 0.05,
-        x_dim=0, y_dim=1,
+        x_dim=0, y_dim=1, d_x=no_kernel,
         d_y=lambda X, Y: (0.5 / sqrt_or_nan(Y))[:, :, None], name="sqrt")
 
 
@@ -311,32 +315,11 @@ def test_vphi_halves_for_doubling_block():
 def test_vphi_rejects_singular_block():
     split = SplitConstraint(
         lambda X, Y: 0.0 * Y, x_dim=1, y_dim=1,
+        d_x=lambda X, Y: np.zeros((len(X), 1, 1)),
         d_y=lambda X, Y: np.zeros((len(X), 1, 1)),
         name="degenerate")
     with pytest.raises(SingularBlockError):
         apply_vphi(split, [0.0], [0.0], [1.0], [1.0])
-
-
-def test_finite_difference_blocks_match_supplied():
-    A = np.array([[1.0, -3.0]])
-    supplied = SplitConstraint(
-        lambda X, Y: Y ** 2 + X @ A.T, x_dim=2, y_dim=1,
-        d_x=lambda X, Y: lanes_of(len(X), A),
-        d_y=lambda X, Y: 2.0 * Y[:, :, None],
-        name="mixed")
-    fd = SplitConstraint(supplied.phi_xy, x_dim=2, y_dim=1, name="mixed-fd")
-    X = np.array([[0.4, -0.2], [3.0, 1.5], [-7.0, 0.0]])
-    Y = np.array([[1.3], [-0.6], [25.0]])
-    assert fd.d_x(X, Y).shape == (3, 1, 2)
-    assert fd.d_y(X, Y).shape == (3, 1, 1)
-    assert fd.d_x(X, Y) == pytest.approx(supplied.d_x(X, Y), abs=1e-6)
-    assert fd.d_y(X, Y) == pytest.approx(supplied.d_y(X, Y), abs=1e-6)
-    # every row is the row evaluated alone
-    for i in range(len(X)):
-        assert np.array_equal(fd.d_y(X, Y)[i], fd.d_y(X[i:i + 1],
-                                                      Y[i:i + 1])[0])
-        assert np.array_equal(supplied.values(X, Y)[i],
-                              supplied.values(X[i:i + 1], Y[i:i + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +370,7 @@ def test_non_finite_jacobian_is_not_regular(name):
     assert len(report.singular_values) == c.target_dim
     assert all(math.isnan(s) for s in report.singular_values)
     with pytest.raises(RegularityError, match=re.escape("(nan,)")):
-        split_at(c, SPACE8.basis(0))
+        PointSplit(c, report)
 
 
 def test_kernel_basis_is_orthonormal_and_annihilated():
@@ -413,22 +396,61 @@ def test_codimension_larger_than_space_rejected():
         affine_constraint(tiny, np.zeros((3, 2)), np.zeros(3))
 
 
+def central_differences(c, flats):
+    """The reference (P, m, D) Jacobians of c at the rows of flats: central
+    differences of its values, each row with the step 1e-6 (1 + max |row|)."""
+    step = 1e-6 * (1.0 + np.max(np.abs(flats), axis=1))
+    out = np.empty((len(flats), c.target_dim, c.flat_dimension))
+    for i in range(c.flat_dimension):
+        shift = np.zeros_like(flats)
+        shift[:, i] = step
+        out[:, :, i] = (c.values(flats + shift) - c.values(flats - shift)) \
+            / (2.0 * step)[:, None]
+    return out
+
+
 def relative_jacobian_gap(c, probes):
     """Max over the probes of max |J - J_fd| / max(1, max |J|): the
     Jacobians c supplies against central differences of its values."""
-    assert c.jacobian_mode == "supplied"
     flats = flatten(probes)
     supplied = c.jacobians(flats)
-    fd = replace(c, jacobian=None).jacobians(flats)
-    gaps = np.max(np.abs(supplied - fd), axis=(1, 2))
+    gaps = np.max(np.abs(supplied - central_differences(c, flats)),
+                  axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(supplied), axis=(1, 2)))
     return float(np.max(gaps / scale))
 
 
 def test_supplied_jacobian_matches_finite_differences():
-    c = sphere_constraint(SPACE8, level=1)
-    probes = make_probes(SPACE8, 10, seed=5)
-    assert relative_jacobian_gap(c, probes) <= 1e-6
+    # every constraint kind the registry and the ;radii= intersections build
+    D = SPACE8.flat_dimension
+    rng = rng_from_seed(17)
+    constraints = [
+        *(sphere_constraint(SPACE8, level) for level in (0, 1, 2)),
+        build_constraint("spheres:0,1", SPACE8),
+        make_sphere_intersection(SPACE8, (0, 1), radii=[1, 2],
+                                 seed=3).constraint,
+        build_constraint("linear:1,-2,0.5", SPACE8),
+        affine_constraint(SPACE8, rng.normal(size=(2, D)), [0.5, -1.0]),
+        polynomial_constraint(SPACE8, [[[2.0, [0, 1, 1]], [-1.0, [2]]],
+                                       [[1.0, [3, 3, 3]], [0.5, []]]])]
+    probes = make_probes(SPACE8, 12, seed=5)
+    for c in constraints:
+        assert relative_jacobian_gap(c, probes) <= 1e-6, c.name
+
+
+def test_a_constraint_needs_a_callable_jacobian():
+    # the contract fails at construction, not at the first jacobians call
+    c = sphere_constraint(SPACE8)
+    with pytest.raises(TypeError, match="^constraint 'sphere:0' needs a "
+                                        "callable jacobian, got None$"):
+        replace(c, jacobian=None)
+
+
+def test_a_split_constraint_needs_both_partial_derivatives():
+    with pytest.raises(TypeError, match="d_x"):
+        SplitConstraint(lambda X, Y: Y, 1, 1)
+    with pytest.raises(TypeError, match="d_y"):
+        SplitConstraint(lambda X, Y: Y, 1, 1, d_x=lambda X, Y: X)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +459,7 @@ def test_supplied_jacobian_matches_finite_differences():
 
 def test_split_coordinates_round_trip():
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     q = SPACE16.basis(0, scale=0.3) + SPACE16.basis(4, scale=-1.2)
     (x,), (y,) = ps.coords_of(q)
     back = ps.point_of(x, y)
@@ -448,7 +470,7 @@ def test_split_sphere_solves_to_oracle_point():
     # kernel offset 0.6 on the unit sphere forces the complement
     # coordinate to sqrt(1 - 0.36) = 0.8
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     x = np.zeros(ps.x_dim)
     x[0] = 0.6
     result = solve_implicit(ps, x, [0.5])
@@ -460,7 +482,7 @@ def test_split_sphere_solves_to_oracle_point():
 
 def test_split_sphere_residuals_contract_quadratically():
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     x = np.zeros(ps.x_dim)
     x[0] = 0.6
     res = solve_implicit(ps, x, [0.5]).residuals
@@ -472,7 +494,7 @@ def test_split_sphere_residuals_contract_quadratically():
 def test_split_sphere_dphi_doubles_along_gradient():
     # at the base point the complement coordinate is 1; d/dy <q,q> = 2y
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     (x,), (y,) = ps.coords_of(SPACE16.basis(0))
     assert np.linalg.norm(x) <= 1e-12
     assert y == pytest.approx([1.0], abs=1e-12)
@@ -484,7 +506,7 @@ def test_split_sphere_dphi_doubles_along_gradient():
 
 def test_dphi_vphi_identity_on_random_cotangents():
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     raw = SPACE16.basis(0) + SPACE16.basis(1, scale=0.3) \
         + SPACE16.basis(2, scale=0.1)
     q = raw * (1.0 / seminorm_l1(raw, 0) ** 0.5)  # not unit; still regular
@@ -544,8 +566,8 @@ def split_certificates(level, alpha):
         v = SequenceBatch(R1, np.exp(-alpha * np.arange(K + 1.0))[None, :,
                                                                    None])
         base = v * (1.0 / math.sqrt(inner_product(v, v, level)[0]))
-        chart = Chart(split_at(sphere_constraint(space, level), base), base,
-                      1.0)
+        c = sphere_constraint(space, level)
+        chart = Chart(PointSplit(c, is_regular_point(c, base)), base, 1.0)
         probes = make_probes(space, 400, seed=41 + level)
         out.append([certify_tame(desc, probes, r_max=2).certificate
                     for desc in split_projections(chart)])
@@ -626,14 +648,13 @@ def test_split_rejects_non_regular_report():
         PointSplit(c, report)
 
 
-@pytest.mark.parametrize("gate", ["PointSplit", "split_at", "build_chart"])
+@pytest.mark.parametrize("gate", ["PointSplit", "build_chart"])
 def test_regularity_gate_names_the_singular_values(gate):
-    # PointSplit is the one gate: split_at and build_chart raise through it
+    # PointSplit is the one gate: build_chart raises through it
     c = sphere_constraint(SPACE16)
     p = SPACE16.zero()
     report = is_regular_point(c, p)
     calls = {"PointSplit": lambda: PointSplit(c, report),
-             "split_at": lambda: split_at(c, p),
              "build_chart": lambda: build_chart(c, p, report=report)}
     want = "sphere:0: base point fails the rank test (singular values (0.0,))"
     with pytest.raises(RegularityError, match=f"^{re.escape(want)}$"):
@@ -642,7 +663,7 @@ def test_regularity_gate_names_the_singular_values(gate):
 
 def test_point_split_is_its_own_split_constraint():
     c = sphere_constraint(SPACE16)
-    ps = split_at(c, SPACE16.basis(0))
+    ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
     assert isinstance(ps, SplitConstraint)
     assert ps.name == "sphere:0@split"
     assert (ps.x_dim, ps.y_dim) == (SPACE16.flat_dimension - 1, 1)
@@ -657,7 +678,7 @@ def test_point_split_is_freed_without_the_cycle_collector():
     Y = np.array([[1.0], [0.5]])
     gc.disable()
     try:
-        ps = split_at(c, SPACE16.basis(0))
+        ps = PointSplit(c, is_regular_point(c, SPACE16.basis(0)))
         assert np.array_equal(ps.phi_xy(X, Y), ps.values(X, Y))
         refs = [weakref.ref(ps), weakref.ref(ps.report)]
         del ps
@@ -746,12 +767,12 @@ THREE_SEEDS = as_batch([SPACE4.basis(0), SPACE4.basis(0, scale=np.nan),
 @pytest.mark.parametrize("call", [
     lambda: is_regular_point(SPHERE4, TWO_POINTS),
     lambda: find_preimage(SPHERE4, [0.0], THREE_SEEDS),
-    lambda: split_at(SPHERE4, TWO_POINTS),
     lambda: build_chart(SPHERE4, TWO_POINTS, seed=0),
     lambda: build_chart(SPHERE4, TWO_POINTS, seed=0, report=is_regular_point(
         SPHERE4, SPACE4.basis(0))),
-    lambda: Chart(split_at(SPHERE4, SPACE4.basis(0)), TWO_POINTS, 1.0),
-], ids=["is_regular_point", "find_preimage", "split_at", "build_chart",
+    lambda: Chart(PointSplit(SPHERE4, is_regular_point(
+        SPHERE4, SPACE4.basis(0))), TWO_POINTS, 1.0),
+], ids=["is_regular_point", "find_preimage", "build_chart",
         "build_chart_with_report", "Chart"])
 def test_one_point_entry_points_reject_a_batch_of_several(call):
     with pytest.raises(ValueError,
@@ -786,7 +807,7 @@ def test_sphere_minus_one_fiber_is_critical():
 def test_empty_evidence_gives_no_verdict():
     rows = [[[1.0, [0, 0]], [1.0, []]]]  # q0^2 + 1, never zero
     c = polynomial_constraint(SPACE8, rows)
-    report = is_regular_value(c, [0.0], [SPACE8.basis(0)], max_iter=25)
+    report = is_regular_value(c, [0.0], [SPACE8.basis(0)])
     assert report.verdict is None
     assert report.converged_count == 0
 
@@ -898,8 +919,11 @@ def test_constraint_shape_checks():
         two_rows.jacobians(flats)
     for x_dim, y_dim in ((0, 0), (-1, 1)):
         with pytest.raises(ValueError, match="need y_dim >= 1 and x_dim >= 0"):
-            SplitConstraint(lambda X, Y: Y, x_dim=x_dim, y_dim=y_dim)
-    wide = SplitConstraint(lambda X, Y: np.hstack([Y, Y]), x_dim=1, y_dim=1)
+            SplitConstraint(lambda X, Y: Y, x_dim=x_dim, y_dim=y_dim,
+                            d_x=no_kernel, d_y=no_kernel)
+    wide = SplitConstraint(lambda X, Y: np.hstack([Y, Y]), x_dim=1, y_dim=1,
+                           d_x=lambda X, Y: np.zeros((len(X), 1, 1)),
+                           d_y=lambda X, Y: np.ones((len(X), 1, 1)))
     with pytest.raises(ValueError, match=r"split constraint returned shape "
                                          r"\(3, 2\)"):
         wide.values(np.zeros((3, 1)), np.zeros((3, 1)))
@@ -930,17 +954,3 @@ def test_registry_sphere_needs_metric_fiber():
     space = SequenceSpace(sup_fiber, truncation_degree=4, n_max=2)
     with pytest.raises(UnsupportedGradingError):
         build_constraint("sphere:0", space)
-
-
-def test_fd_jacobian_used_when_not_supplied():
-    def phi(flats):
-        return (flats[:, 0] ** 3 - flats[:, 1])[:, None]
-
-    c = ConstraintMap("cubic", SPACE8, 1, phi)
-    assert c.jacobian_mode == "finite_difference"
-    f = SPACE8.basis(0, scale=2.0)
-    J = c.jacobians(flatten(f))[0]
-    assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
-    assert J[0, 1] == pytest.approx(-1.0, rel=1e-6)
-    # FD path feeds the regular point test too
-    assert is_regular_point(c, f).rank_decision

@@ -291,7 +291,8 @@ def infinite_block_lanes():
     split = SplitConstraint(
         lambda X, Y: sqrt_or_nan(Y) - 1.0 - 0.25 * np.sum(
             X * X, axis=1, keepdims=True),
-        x_dim=2, y_dim=1, d_y=d_y, name="sqrt")
+        x_dim=2, y_dim=1, d_x=lambda X, Y: -0.5 * X[:, None, :], d_y=d_y,
+        name="sqrt")
     rng = rng_from_seed(19)
     X = [scale * rng.normal(size=2) for scale in OFFSET_SCALES
          for _ in Y_STARTS]

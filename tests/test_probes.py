@@ -45,9 +45,6 @@ CASES = {
     "centred-complex": lambda: make_probes(
         COMPLEX2, 50, seed=8, region_radius=0.5,
         center=COMPLEX2.basis(2, axis=1, scale=1.5)),
-    "no-monomials": lambda: make_probes(REAL3, 70, seed=4,
-                                        include_monomials=False,
-                                        alphas=(0.25, 3.0)),
     "below-ladder": lambda: make_probes(REAL1, 4, seed=9),
     "below-ladder-centred": lambda: make_probes(
         REAL3, 5, seed=9, region_radius=0.2, center=REAL3.basis(1)),
@@ -63,7 +60,6 @@ PINNED = {
     "centred-complex": "6c7f319a1c96152b3ee36ac7c609f8093dd7d3f494e8530c7cb0c237d2bda53f",
     "complex-d2": "c4f1247ab6b1ba31f7b71860ff2f018da3cffc92808bcceac19f94b8c83ae9ca",
     "linf-supremum": "e9af435ff9ab507e386262dd3f0aec7eaf72fb1e8e026aef95480f4d47ed28b2",
-    "no-monomials": "5a63b0e9e16c5982a354c5d048ab5373b32f464fe4f631408a2fac1e526da227",
     "product": "d594b99e500d246f86e2292f59e70f2aa33efc43d2b0b49349e99a6c743e570a",
     "product-mixed": "6a4bccc8262edd8bae74bac7395c1b0a1131d97f6e048fc8146bad1b5286072d",
     "real-d1": "46c688181c07da13c1d41575bc5ea10a98a6286ee44931831feb89169ceec492",
@@ -78,8 +74,7 @@ def test_probe_bytes_are_pinned(name):
 
 
 @pytest.mark.parametrize("chunk_triples", [1, 5])
-@pytest.mark.parametrize("name", ["real-d1", "complex-d2", "centred",
-                                  "no-monomials"])
+@pytest.mark.parametrize("name", ["real-d1", "complex-d2", "centred"])
 def test_probe_bytes_do_not_depend_on_the_chunk_size(monkeypatch, name,
                                                      chunk_triples):
     """Chunks bound only the uniform buffer: the profiles, the anchors with

@@ -17,7 +17,6 @@ whole flat point on every call.
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,16 +190,8 @@ def polynomial_points(K):
     return points
 
 
-def finite_difference_sphere_points(K):
-    c = replace(sphere_constraint(_space(K), 0), jacobian=None)
-    return [(c, p, is_regular_point(c, p))
-            for p in (_space(K).basis(0), _space(K).basis(0, scale=-1.0))]
-
-
 def test_radius_off_the_cli_path_equals_step_by_step_search():
-    paths = assert_radii_match(
-        polynomial_points(8) + finite_difference_sphere_points(8),
-        seeds=(0, 7))
+    paths = assert_radii_match(polynomial_points(8), seeds=(0, 7))
     assert any(any(path) and not all(path) for path in paths)
 
 
@@ -365,21 +356,17 @@ def test_midpoint_tree_is_in_heap_order():
 # kernel parts formed once per block
 # ---------------------------------------------------------------------------
 
-SPLIT_CASES = ("sphere:0 K=6", "sphere:0 K=32", "sphere:0 K=6 fd",
-               "spheres:0,1")
+SPLIT_CASES = ("sphere:0 K=6", "sphere:0 K=32", "spheres:0,1")
 
 
 def point_split(name):
-    """A PointSplit of a registry constraint the atlases use, with a
-    supplied or ("fd") a finite-difference Jacobian."""
+    """A PointSplit of a registry constraint the atlases use."""
     if name == "spheres:0,1":
         manifold = make_sphere_intersection(_space(8), (0, 1), radii=[1, 2],
                                             seed=3)
         return manifold.charts[0].split_data
     K = int(name.split()[1][2:])
     c = sphere_constraint(_space(K), 0)
-    if name.endswith("fd"):
-        c = replace(c, jacobian=None)
     return PointSplit(c, is_regular_point(c, _space(K).basis(0)))
 
 
@@ -395,11 +382,9 @@ def uncached(ps):
     def block(basis):
         return lambda X, Y: np.matmul(c.jacobians(flats(X, Y)), basis)
 
-    has_jacobian = c.jacobian is not None
     return SplitConstraint(
         lambda X, Y: c.values(flats(X, Y)), ps.x_dim, ps.y_dim,
-        d_x=block(K) if has_jacobian else None,
-        d_y=block(C) if has_jacobian else None, name=ps.name)
+        d_x=block(K), d_y=block(C), name=ps.name)
 
 
 #: kernel offset scales: converging, near the edge, stalling or out of
