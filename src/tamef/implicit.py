@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +46,9 @@ CHART_LANES = 64
 CHART_ROUND_TRIP_TOL = 1e-8
 #: halvings of the chart-radius interval after the doubling search
 RADIUS_BISECTION_STEPS = 25
-#: bisection steps taken per lane block: the first directions of all
-#: 2^BISECTION_LEVELS - 1 midpoints those steps can visit are solved at once
+#: bisection steps a tree screen covers once the walk has left the spine:
+#: the first directions of all 2^BISECTION_LEVELS - 1 midpoints those steps
+#: can visit are solved at once
 BISECTION_LEVELS = 4
 PREIMAGE_TOL = 1e-10
 #: Gauss-Newton steps find_preimage takes from one seed at most
@@ -214,9 +215,11 @@ class SplitConstraint:
     phi_xy, d_x and d_y work on lanes: they take an (L, x_dim) block of x
     and an (L, y_dim) block of y, one lane per row, and return the
     (L, y_dim) values and the (L, y_dim, x_dim) and (L, y_dim, y_dim)
-    partial derivatives.  Like ConstraintMap.phi, phi_xy returns non-finite
-    values where it is undefined rather than raising.  A subclass that
-    defines phi_xy, d_x and bind as methods passes None for the callables.
+    partial derivatives; a block of another shape raises ValueError, as in
+    ConstraintMap.jacobians.  Like ConstraintMap.phi, phi_xy returns
+    non-finite values where it is undefined rather than raising.  A subclass
+    that defines phi_xy, d_x and bind as methods passes None for the
+    callables.
     """
 
     def __init__(self, phi_xy: Optional[Callable[[np.ndarray, np.ndarray],
@@ -247,11 +250,21 @@ class SplitConstraint:
             return out
 
         def d_y(lanes, Y):
-            return np.asarray(self._d_y(X[lanes], Y),
-                              dtype=np.float64).reshape(
-                len(Y), self.y_dim, self.y_dim)
+            return self._checked("d_y", self._d_y(X[lanes], Y), len(Y),
+                                 self.y_dim)
 
         return values, d_y
+
+    def _checked(self, name: str, block, rows: int,
+                 cols: int) -> np.ndarray:
+        """A partial-derivative block as floats, which must have the shape
+        (rows, y_dim, cols)."""
+        out = np.asarray(block, dtype=np.float64)
+        want = (rows, self.y_dim, cols)
+        if out.shape != want:
+            raise ValueError(f"split constraint {name} shape {out.shape}, "
+                             f"expected {want}")
+        return out
 
     def phi_xy(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The phi_xy callable the constraint was built with."""
@@ -262,8 +275,7 @@ class SplitConstraint:
         return self.bind(X)[0](..., Y)
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.asarray(self._d_x(X, Y), dtype=np.float64).reshape(
-            len(X), self.y_dim, self.x_dim)
+        return self._checked("d_x", self._d_x(X, Y), len(X), self.x_dim)
 
     def d_y(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self.bind(X)[1](..., Y)
@@ -658,22 +670,32 @@ def _bisect(lo: float, hi: float, steps: int,
 
         mid = 0.5 * (lo + hi); lo = mid if it passes, else hi = mid
 
-    taken BISECTION_LEVELS steps at a time.  screen gets the midpoints of
-    every path of one group (_midpoint_tree) and returns the verdict on
-    mids[node] as a function of node; the walk asks it only for the nodes
-    on the path the verdicts pick, in order, so it takes the midpoints the
-    step-by-step loop takes, also when the verdicts are not monotone."""
-    while steps:
-        levels = min(steps, BISECTION_LEVELS)
-        mids = _midpoint_tree(lo, hi, levels)
-        passes = screen(mids)
-        node = 0
-        for _ in range(levels):
-            if passes(node):
-                lo, node = mids[node], 2 * node + 2
-            else:
-                hi, node = mids[node], 2 * node + 1
-        steps -= levels
+    taken one at a time, each verdict read from the last screen.  screen
+    gets a list of midpoints and returns the verdict on mids[i] as a
+    function of i.  The first screen is the spine, the `steps` midpoints of
+    the path on which every step fails; a walk that leaves the screened
+    midpoints screens every path of the next min(steps left,
+    BISECTION_LEVELS) steps from where it stands (_midpoint_tree).  A
+    verdict depends on the midpoint's float alone, so the walk looks it up
+    by that float; it asks only for the midpoints the loop takes, in
+    order, also when the verdicts are not monotone."""
+    mids, top = [], hi
+    for _ in range(steps):
+        top = 0.5 * (lo + top)
+        mids.append(top)
+    index: Dict[float, int] = {}
+    for step in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid not in index:
+            if step:
+                mids = _midpoint_tree(lo, hi,
+                                      min(steps - step, BISECTION_LEVELS))
+            index = {m: i for i, m in enumerate(mids)}
+            passes = screen(mids)
+        if passes(index[mid]):
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -703,8 +725,9 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     A trial radius passes when CHART_DIRECTIONS random kernel directions
     round-trip within CHART_ROUND_TRIP_TOL.  The radius starts at 1, checked
     alone, doubles or halves (_ladder), then bisects to the failure boundary
-    in RADIUS_BISECTION_STEPS steps, BISECTION_LEVELS at a time; each group
-    of trial radii goes to one screen (one lane block of first directions).  A
+    in RADIUS_BISECTION_STEPS steps (_bisect): its first screen (one lane
+    block of first directions) is the spine of midpoints on which every
+    step fails, later ones trees of BISECTION_LEVELS steps.  A
     non-regular report raises RegularityError from PointSplit, the one
     regularity gate.  A radius below the floor rejects the chart: the
     splitting is numerically unusable even if the rank test passed.

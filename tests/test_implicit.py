@@ -300,6 +300,33 @@ def test_dphi_for_affine_graph():
     assert out2 == pytest.approx(h2 - A @ h1, abs=1e-14)
 
 
+def test_partial_derivative_blocks_of_the_wrong_shape_raise():
+    # a (1, 3, 2) block of -A^T has the size of -A; reshaped, it scrambled
+    # A's entries and apply_dphi gave (-1, -5) for the first column (-1, -4)
+    A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def split(d_x, d_y=lambda X, Y: lanes_of(len(X), np.eye(2))):
+        return SplitConstraint(lambda X, Y: Y - X @ A.T, x_dim=3, y_dim=2,
+                               d_x=d_x, d_y=d_y, name="graph")
+
+    x, y, e_0 = np.zeros(3), np.zeros(2), np.array([1.0, 0.0, 0.0])
+    right = split(lambda X, Y: lanes_of(len(X), -A))
+    assert np.array_equal(apply_dphi(right, x, y, e_0, y)[1], [-1.0, -4.0])
+    transposed = split(lambda X, Y: lanes_of(len(X), -A.T))
+    with pytest.raises(ValueError, match=r"^split constraint d_x shape "
+                                         r"\(1, 3, 2\), expected "
+                                         r"\(1, 2, 3\)$"):
+        apply_dphi(transposed, x, y, e_0, y)
+    flat_block = split(lambda X, Y: lanes_of(len(X), -A),
+                       d_y=lambda X, Y: lanes_of(len(X), [1.0, 0.0, 0.0, 1.0]))
+    for run in (lambda: apply_dphi(flat_block, x, y, e_0, y),
+                lambda: solve_implicit(flat_block, x, [0.5, 0.5])):
+        with pytest.raises(ValueError, match=r"^split constraint d_y shape "
+                                             r"\(1, 4\), expected "
+                                             r"\(1, 2, 2\)$"):
+            run()
+
+
 def test_vphi_halves_for_doubling_block():
     # phi(x, y) = 2y: the inverse differential maps (k1, k2) to (k1, k2/2)
     split = SplitConstraint(

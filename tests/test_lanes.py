@@ -532,9 +532,12 @@ def test_slow_rule_ends_only_lanes_that_fail_without_it(monkeypatch):
                    for block in screen)
     rested = sum(assert_slow_rule_only_ends_failing_lanes(*block)
                  for block in rest)
-    # 25 of the 360 fixed lanes and most screen lanes end early
-    assert ended > 0 and screened > sum(len(b[1]) for b in screen) // 2
-    assert rest and rested > 0
+    # the counts are deterministic: 25 of the 360 fixed lanes, 115 of the
+    # 458 screen lanes and 80 of the 1155 lanes of 77 rest blocks end early
+    assert ended == 25
+    assert (screened, sum(len(b[1]) for b in screen)) == (115, 458)
+    assert (rested, sum(len(b[1]) for b in rest), len(rest)) == \
+        (80, 1155, 77)
 
 
 # ---------------------------------------------------------------------------
@@ -765,3 +768,43 @@ def test_atlas_phi_blocks_take_no_svd(monkeypatch, tmp_path, argv, config,
     of its Newton solves make none."""
     argv = ["atlas", "--nmax", "4", "--seed", "1"] + argv
     assert svd_callers(monkeypatch, argv, config, tmp_path) == want
+
+
+def newton_work(monkeypatch, build):
+    """Run build(), recording the lanes and the rounds of every
+    damped_newton call the chart code makes."""
+    lanes, rounds = [], []
+    newton = implicit.damped_newton
+
+    def counted(residual, linear_step, start, *args, **kwargs):
+        out = newton(residual, linear_step, start, *args, **kwargs)
+        lanes.append(len(start))
+        rounds.append(len(out.norms) - 1)
+        return out
+
+    monkeypatch.setattr(implicit, "damped_newton", counted)
+    return build(), lanes, sum(rounds)
+
+
+def test_sphere_chart_radius_takes_four_newton_calls(monkeypatch):
+    """Every bisection midpoint of a sphere:0 chart fails, so its radius
+    search solves radius 1 alone, the rest of its round trip, the doubling
+    ladder and the 25-midpoint spine: four lane blocks."""
+    space = _space(32)
+    chart, lanes, rounds = newton_work(
+        monkeypatch,
+        lambda: build_chart(sphere_constraint(space, 0), space.basis(0),
+                            seed=1))
+    assert chart.validity_radius.hex() == "0x1.0000000000000p+0"
+    assert lanes == [1, CHART_DIRECTIONS - 1, 8, 25]
+    assert rounds == 55
+
+
+def test_intersection_chart_newton_work_is_bounded(monkeypatch):
+    manifold, lanes, rounds = newton_work(
+        monkeypatch,
+        lambda: make_sphere_intersection(_space(16), (0, 1), radii=[1, 2],
+                                         seed=1))
+    assert [c.validity_radius.hex() for c in manifold.charts] == \
+        ["0x1.b698cc0000000p+0"]
+    assert len(lanes) <= 35 and rounds <= 319

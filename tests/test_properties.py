@@ -1,5 +1,6 @@
 """Property tests of invariants the paper states: seminorm monotonicity in the
-level, the Cauchy bound on coefficients, and the chart round trip; of the
+level, the Cauchy bound on coefficients, the chart round trip, and the
+bound of an empirical tame constant by the exact one of a linear map; of the
 rule that seminorm tables holding NaN or infinity certify nothing; and of
 the ratio search against a reference that compacts its masks.
 
@@ -11,6 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,6 +25,8 @@ from tamef.graded import (BASE_LEVEL, DEFAULT_ATOL, DEGREE_STABILITY_FACTOR,
 from tamef.holomorphic import verify_cauchy_bound
 from tamef.implicit import CHART_ROUND_TRIP_TOL
 from tamef.manifold import make_sphere
+from tamef.maps import build_map, certify_tame
+from tamef.probes import make_probes
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -243,3 +247,54 @@ def test_ratio_search_matches_the_compacting_reference(data, levels, probes):
     else:
         assert witness is None
         assert cert.to_json() == ref_cert.to_json()
+
+
+# ---------------------------------------------------------------------------
+# empirical constants of linear maps against their exact values
+# ---------------------------------------------------------------------------
+
+LINEAR_MAPS = ("derivative", "shift_up", "shift_down",
+               "compose:derivative,shift_up")
+
+
+def monomials(space):
+    """Every monomial e_0, ..., e_K of a space with a 1-dimensional fiber."""
+    K = space.truncation_degree
+    return SequenceBatch(space.fiber, np.eye(K + 1)[:, :, None])
+
+
+def exact_l1_constants(desc, r):
+    """C(n) = max over k of sum_j e^{nj} |L_jk| e^{-(n+r)k}, the l1 -> l1
+    norm of the weighted matrix of the map's monomial images, at the levels
+    a certificate of shift r covers."""
+    space = desc.domain
+    images = np.abs(desc(monomials(space)).coefficients[:, :, 0])  # (k, j)
+    k = np.arange(space.truncation_degree + 1)
+    return {n: float(np.max(images @ np.exp(n * k) * np.exp(-(n + r) * k)))
+            for n in range(BASE_LEVEL, space.n_max - r + 1)}
+
+
+@PROPERTY
+@given(name=st.sampled_from(LINEAR_MAPS), K=st.integers(4, 16),
+       n_max=st.integers(2, 3), count=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 16))
+def test_linear_map_constants_never_exceed_the_exact_ones(name, K, n_max,
+                                                          count, seed):
+    """An empirical constant is a largest ratio over probes, so it is at
+    most the exact constant; with every monomial among the probes it is
+    the exact constant."""
+    space = SequenceSpace(BanachFiber(1), truncation_degree=K, n_max=n_max)
+    desc = build_map(name, space)
+    probes = make_probes(space, count, seed)
+    cert = certify_tame(desc, probes, n_max).certificate
+    exact = exact_l1_constants(desc, cert.r)
+    assert sorted(cert.observed) == sorted(exact)
+    for n, c in cert.observed.items():
+        assert c <= exact[n] * (1.0 + 1e-12), (n, c, exact[n])
+    every = SequenceBatch(space.fiber, np.concatenate(
+        [monomials(space).coefficients, probes.coefficients]))
+    cert = certify_tame(desc, every, n_max).certificate
+    exact = exact_l1_constants(desc, cert.r)
+    assert sorted(cert.observed) == sorted(exact)
+    for n, c in cert.observed.items():
+        assert c == pytest.approx(exact[n], rel=1e-12, abs=0.0), n

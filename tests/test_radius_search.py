@@ -1,10 +1,12 @@
 """The chart-radius search and the lane blocks it solves.
 
 build_chart checks radius 1 alone, then doubles or halves it and bisects
-BISECTION_LEVELS steps at a time: the first direction of every trial radius
-the doubling or halving can reach, and of every midpoint those bisection
-steps can visit, goes as one lane block, and only the radii on the path get
-the other directions.  The reference below is the search as it ran before,
+one step at a time, reading each verdict from a screen: the first direction
+of every trial radius the doubling or halving can reach goes as one lane
+block, then those of the bisection's spine (the midpoints on which every
+step fails), and, once the walk leaves the spine, of every midpoint the
+next BISECTION_LEVELS steps can visit.  Only the radii on the path get the
+other directions.  The reference below is the search as it ran before,
 frozen here unchanged: doubling or halving one radius at a time, then
 RADIUS_BISECTION_STEPS bisection steps one after another, each a full
 round-trip check whose first direction is solved alone.  Every certified
@@ -20,6 +22,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamef import implicit
 from tamef.errors import NonConvergenceError, SingularBlockError
@@ -245,10 +249,56 @@ def test_walk_takes_the_loops_midpoints(monkeypatch, levels, steps, seed):
     got = _bisect(lo, hi, steps, screen)
     assert got.hex() == want.hex()
     assert [m.hex() for m in taken] == [m.hex() for m in want_mids]
-    # full groups of 2^levels - 1 midpoints, then one for the steps left
-    full, left = divmod(steps, levels)
-    assert groups == [2 ** levels - 1] * full + \
-        ([2 ** left - 1] if left else [])
+    # the spine holds the steps up to the loop's first pass; from the step
+    # after it, a tree of 2^levels - 1 midpoints for every `levels` steps
+    # and a smaller one for the steps left
+    verdicts = [passes(mid) for mid in want_mids]
+    want_groups = [steps] if steps else []
+    if any(verdicts):
+        for step in range(verdicts.index(True) + 1, steps, levels):
+            want_groups.append(2 ** min(steps - step, levels) - 1)
+    assert groups == want_groups
+
+
+VERDICT_KINDS = ("table", "boundary", "at lo", "at hi")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lo=st.floats(1e-6, 1e3), width=st.floats(0.0, 4.0),
+       steps=st.integers(0, RADIUS_BISECTION_STEPS),
+       levels=st.integers(1, 5), kind=st.sampled_from(VERDICT_KINDS),
+       seed=st.integers(0, 2 ** 16), where=st.floats(0.0, 1.0))
+def test_walk_equals_the_loop_on_any_verdicts(lo, width, steps, levels,
+                                              kind, seed, where):
+    """The walk returns the loop's lo bit for bit and asks the loop's
+    midpoints in order, each from the newest screen, which holds it."""
+    hi = lo * (1.0 + width)
+    boundary = lo + where * (hi - lo)
+    passes = {"table": table_verdict(seed),
+              "boundary": lambda mid: mid <= boundary,
+              "at lo": lambda mid: False,
+              "at hi": lambda mid: True}[kind]
+    want, want_mids = reference_bisect(lo, hi, steps, passes)
+    screens, taken = [], []
+
+    def screen(mids):
+        screens.append(list(mids))
+        number = len(screens)
+
+        def verdict(i):
+            assert number == len(screens)
+            taken.append(screens[-1][i])
+            return passes(screens[-1][i])
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(implicit, "BISECTION_LEVELS", levels)
+        got = _bisect(lo, hi, steps, screen)
+    assert got.hex() == want.hex()
+    assert [m.hex() for m in taken] == [m.hex() for m in want_mids]
+    if kind == "at lo":
+        # every step fails: the spine answers them all
+        assert len(screens) == min(steps, 1)
 
 
 def reference_ladder(grows, passes):
