@@ -43,7 +43,8 @@ COMMANDS = ("certify-gradings", "certify-map", "solve", "atlas")
 #: commands that search level shifts r in 0..r_max
 _LEVEL_SHIFT_COMMANDS = ("certify-gradings", "certify-map", "atlas")
 #: bound on probes * (k + 1) * fiber_dimension, the coefficients of one
-#: probe block
+#: probe block; certify-map draws one block per factor of a product domain
+#: and counts them all
 MAX_PROBE_ENTRIES = 2 ** 24
 #: bound on the overlap points atlas samples per chart pair; each costs
 #: Newton solves (up to four candidates drawn per kept point, a round trip
@@ -287,6 +288,11 @@ def cmd_certify_map(cfg: RunConfig) -> int:
         desc = build_map(cfg.map, space)
     except (ValueError, IndexError) as err:
         raise ConfigError(f"cannot build map {cfg.map!r}: {err}") from err
+    if cfg.probes * desc.domain.flat_dimension > MAX_PROBE_ENTRIES:
+        raise ConfigError(
+            f"map {cfg.map!r} draws one probe block per domain factor: "
+            f"factors * probes * (k+1) * fiber_dimension exceeds "
+            f"{MAX_PROBE_ENTRIES}")
     if isinstance(desc.domain, ProductSpace):
         probes = make_product_probes(desc.domain.factors, cfg.probes,
                                      cfg.seed)

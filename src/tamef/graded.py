@@ -116,17 +116,17 @@ class BanachFiber:
         return u
 
 
-def _degrees(norms: np.ndarray):
-    """Largest k with norms[k] > 0 along axis 0, -1 where there is none."""
-    nonzero = norms > 0.0
-    last = norms.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
-    return np.where(nonzero.any(axis=0), last, -1)
+#: coefficient entries one slice of a per-row pass over a probe block holds:
+#: drawing probes, their fiber norms and the map tables each take
+#: rows_per_slice(entries per row) rows at a time, so their temporaries
+#: stay a few times this many entries whatever the block's row count P
+BLOCK_ENTRIES = 2 ** 16
 
 
-#: probes per slice when coefficient norms or degrees of a batch are
-#: computed; bounds the (P, K+1, d) temporaries of the fiber norm and the
-#: boolean ones of the degree
-_NORM_SLICE = 128
+def rows_per_slice(entries_per_row: int) -> int:
+    """Rows of a probe block one slice takes: BLOCK_ENTRIES coefficient
+    entries' worth, and at least one row."""
+    return max(1, BLOCK_ENTRIES // entries_per_row)
 
 
 class SequenceBatch:
@@ -215,11 +215,14 @@ class SequenceBatch:
     # norms and degrees ----------------------------------------------------
 
     def coefficient_norms(self) -> np.ndarray:
-        """Fiber norms as a (K+1, P) array, computed once per batch."""
+        """Fiber norms as a (K+1, P) array, computed once per batch, a
+        slice of rows_per_slice((K+1) * d) rows at a time."""
         if self._norms is None:
-            norms = np.empty((self._block.shape[1], len(self)))
-            for start in range(0, len(self), _NORM_SLICE):
-                stop = start + _NORM_SLICE
+            K1, d = self._block.shape[1:]
+            norms = np.empty((K1, len(self)))
+            step = rows_per_slice(K1 * d)
+            for start in range(0, len(self), step):
+                stop = start + step
                 norms[:, start:stop] = self.fiber.norms(
                     self._block[start:stop]).T
             self._norms = norms
@@ -229,14 +232,12 @@ class SequenceBatch:
         """Per-row degrees: largest k with a nonzero coefficient, -1 for a
         zero row.
 
-        Read from the cached coefficient_norms(), which the batch's
-        seminorms use too, _NORM_SLICE columns at a time, so the boolean
-        temporaries stay (K+1, _NORM_SLICE)."""
-        norms = self.coefficient_norms()
-        out = np.empty(len(self), dtype=np.intp)
-        for start in range(0, len(self), _NORM_SLICE):
-            stop = start + _NORM_SLICE
-            out[start:stop] = _degrees(norms[:, start:stop])
+        One pass over the cached coefficient_norms(), which the batch's
+        seminorms use too: k ascending, every row whose norm at k is
+        positive gets k, so the temporaries are (P,) only."""
+        out = np.full(len(self), -1, dtype=np.intp)
+        for k, norms_k in enumerate(self.coefficient_norms()):
+            out[norms_k > 0.0] = k
         return out
 
     def __repr__(self):
@@ -547,6 +548,11 @@ class ProductSpace:
     def n_max(self) -> int:
         return self.factors[0].n_max
 
+    @property
+    def flat_dimension(self) -> int:
+        """Coefficient entries of one element: the sum over the factors."""
+        return sum(s.flat_dimension for s in self.factors)
+
     def _parts(self, element: ProductBatch) -> Tuple[SequenceBatch, ...]:
         if not isinstance(element, ProductBatch):
             raise ValueError(f"a {type(element).__name__} is not an element "
@@ -681,9 +687,8 @@ def certify_from_tables(num: np.ndarray, den: np.ndarray,
     if not 0 <= r_max < num.shape[0]:
         raise ValueError("r_max must lie in 0..n_max")
     for name, table in (("num", num), ("den", den)):
-        bad = np.argwhere(~np.isfinite(table))
-        if len(bad):
-            n, i = (int(x) for x in bad[0])
+        if not np.isfinite(table).all():
+            n, i = (int(x) for x in np.argwhere(~np.isfinite(table))[0])
             return None, RatioWitness(
                 forced_r or 0, n, i, math.nan,
                 f"non-finite {name} seminorm {float(table[n, i])}")

@@ -35,16 +35,13 @@ from .graded import (
     as_batch,
     certificate_violations,
     certify_from_tables,
+    rows_per_slice,
 )
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
 Batch = Union[SequenceBatch, ProductBatch]
 
 LINEARITY_TOL = 1e-9
-
-#: probes per slice of map_seminorm_tables; bounds the image block and the
-#: coefficient norms held at once
-_TABLE_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,11 @@ def map_seminorm_tables(desc: TameMapDescriptor, probes):
     """(num, den) tables: image and source seminorms per level and probe.
 
     Both tables are filled slice by slice of probes: one evaluation and one
-    seminorm call at the levels 0..n_max per space and slice.
+    seminorm call at the levels 0..n_max per space and slice.  A slice is
+    rows_per_slice(entries) probes, entries the coefficients of one domain
+    element (summed over the factors of a product domain), so the images
+    and coefficient norms held at once stay a few BLOCK_ENTRIES floats
+    whatever the probe count.
     """
     n_max = desc.domain.n_max
     if desc.codomain.n_max != n_max:
@@ -156,8 +157,9 @@ def map_seminorm_tables(desc: TameMapDescriptor, probes):
     batch = as_batch(probes)
     num = np.empty((n_max + 1, len(batch)))
     den = np.empty((n_max + 1, len(batch)))
-    for start in range(0, len(batch), _TABLE_SLICE):
-        part = batch[start:start + _TABLE_SLICE]
+    step = rows_per_slice(desc.domain.flat_dimension)
+    for start in range(0, len(batch), step):
+        part = batch[start:start + step]
         stop = start + len(part)
         num[:, start:stop] = desc.codomain.seminorm(desc(part),
                                                     range(n_max + 1))

@@ -17,7 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .graded import ProductBatch, SequenceBatch, SequenceSpace
+from .graded import ProductBatch, SequenceBatch, SequenceSpace, \
+    rows_per_slice
 
 GENERATOR_NAME = "philox4x32"
 
@@ -41,12 +42,6 @@ def monomial_degrees(truncation_degree: int) -> List[int]:
     return sorted(d for d in ladder if 0 <= d <= K)
 
 
-#: decay probes are drawn in chunks of this many (alpha-cycle) triples; a
-#: chunk's uniforms are one buffer, so their memory stays bounded at any
-#: count.  The level-0 rescale is one pass over the whole block.
-_CHUNK_TRIPLES = 128
-
-
 def _uniform(low: float, high: float, u: np.ndarray, out=None) -> np.ndarray:
     """low + (high - low) * u, the exact arithmetic of Generator.uniform."""
     out = np.multiply(u, high - low, out=out)
@@ -64,8 +59,11 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
     t ~ U(0.2, 1), then the (support+1, d) coefficients ~ U(-1, 1), real
     parts before imaginary parts; the batch draws exactly that stream,
     chunk by chunk, so it holds the same bytes as drawing one probe at a
-    time.  Only the uniforms are chunked: every row's profile, anchor and
-    rescale depend on that row alone, so the rescale is one seminorm pass
+    time.  A chunk is rows_per_slice(period) triples of probes, period the
+    uniforms of one triple, so its uniform buffer holds at most
+    BLOCK_ENTRIES floats (one triple's when a triple needs more).  Every
+    row's profile, anchor and rescale depend on that row alone, so the
+    chunks do not change the bytes, and the rescale is one seminorm pass
     over the whole block.
     """
     K = space.truncation_degree
@@ -86,7 +84,7 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
                             for alpha in alphas])
                for s in supports}
     t = np.empty(len(out))
-    chunk_size = 3 * _CHUNK_TRIPLES
+    chunk_size = 3 * rows_per_slice(period)
     for first in range(0, len(out), chunk_size):
         chunk = out[first:first + chunk_size]
         n = len(chunk)

@@ -175,6 +175,54 @@ def test_batch_degrees_match_elements():
     assert list(pairs.degree()) == [int(pair.degree()[0]) for pair in pairs]
 
 
+def frozen_degrees(norms):
+    """Largest k with norms[k] > 0 along axis 0 of a whole (K+1, P) norm
+    array, -1 where there is none, as tamef once computed them."""
+    nonzero = norms > 0.0
+    last = norms.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+    return np.where(nonzero.any(axis=0), last, -1)
+
+
+@pytest.mark.parametrize("norm_kind", ["euclidean", "supremum", "sum"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_norms_and_degrees_do_not_depend_on_the_budget(monkeypatch, field,
+                                                       norm_kind):
+    """Under a budget of one entry (one row per slice), of seven rows and
+    the default, coefficient_norms holds the bytes of the per-row fiber
+    norms and degree the whole-array degrees, over zero, NaN, infinite,
+    subnormal and signed-zero rows."""
+    fiber = BanachFiber(3, field, norm_kind)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((40, 7, 3)).astype(fiber.dtype)
+    if field == "complex":
+        block += 1j * rng.standard_normal((40, 7, 3))
+    block[np.arange(40), :, 0] *= rng.random((7, 40)).T > 0.4
+    for i in range(10, 40, 3):
+        block[i, i % 7:] = 0.0  # trailing zero coefficients
+    block[3] = 0.0
+    block[4] = -0.0
+    block[5, 2, 1] = math.nan
+    block[6, 6, 0] = math.nan
+    block[7, 4, 2] = math.inf
+    block[8] = 0.0
+    block[8, 0, 2] = 5e-324
+    block[9] = 0.0
+    block[9, 6, 1] = -math.inf
+    want = np.stack([fiber.norms(row) for row in block], axis=1)
+    for budget in (1, 7 * 21, graded.BLOCK_ENTRIES):
+        monkeypatch.setattr(graded, "BLOCK_ENTRIES", budget)
+        batch = SequenceBatch(fiber, block)
+        norms = batch.coefficient_norms()
+        assert norms.shape == want.shape and norms.dtype == want.dtype
+        assert norms.tobytes() == want.tobytes()
+        degrees = batch.degree()
+        assert degrees.dtype == np.intp
+        assert degrees.tobytes() == frozen_degrees(want).tobytes()
+        # 5e-324 squared underflows to zero under the euclidean norm
+        subnormal = -1 if norm_kind == "euclidean" else 0
+        assert list(degrees[3:10]) == [-1, -1, 6, 5, 6, subnormal, 6]
+
+
 # ---------------------------------------------------------------------------
 # the frozen one-level loops
 # ---------------------------------------------------------------------------

@@ -669,6 +669,36 @@ def test_probe_bound_counts_coefficients(command):
                       probes=most).validate()
 
 
+def test_probe_bound_counts_every_factor_of_a_product_domain(
+        monkeypatch, tmp_path, capsys):
+    """certify-map draws one probe block per factor of its domain, so the
+    bound counts factors * probes * (k+1) * fiber_dimension coefficients,
+    and a run past it exits 64 before drawing any probe."""
+    drawn = []
+    draw = cli.make_product_probes
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_product_probes", counted)
+    # k = 8 and fiber dimension 1: nine coefficients per probe and factor
+    most = cli.MAX_PROBE_ENTRIES // 9
+    out = tmp_path / "run"
+    argv = ["certify-map", "--map", "projection:1", "--k", "8", "--nmax",
+            "3", "--r-max", "0", "--out", str(out)]
+    assert run_cli(argv + ["--probes", str(most // 2 + 1)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("tamef: ") and err.count("\n") == 1
+    assert "exceeds" in err and not out.exists() and drawn == []
+    # the bound itself: 2 * 10 * 9 = 180 coefficients pass, 2 * 11 * 9 not
+    monkeypatch.setattr(cli, "MAX_PROBE_ENTRIES", 180)
+    assert run_cli(argv + ["--probes", "10"]) == 0 and len(drawn) == 1
+    assert run_cli(argv + ["--probes", "11"]) == 64 and len(drawn) == 1
+    argv[2] = "identity"
+    assert run_cli(argv + ["--probes", "20"]) == 0
+
+
 @pytest.mark.parametrize("command, config, code", [
     ("certify-map", {"map": "scale:1e300", "probes": 16}, 2),
     ("solve", {"constraint": "sphere:0", "base_point": [1e300]}, 3),

@@ -8,6 +8,7 @@ Oracle constants were computed independently from closed forms:
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from tamef import cli
 from tamef.errors import UnsupportedGradingError
 from tamef.graded import (
+    BLOCK_ENTRIES,
     GRADINGS,
     BanachFiber,
     ProductBatch,
@@ -25,13 +27,15 @@ from tamef.graded import (
     TamenessCertificate,
     certify_grading_equivalence,
     inner_product,
+    rows_per_slice,
     seminorm_l1,
     seminorm_linf,
     seminorm_table,
     validate_equivalence_certificate,
     within_upper,
 )
-from tamef.probes import make_probes
+from tamef.maps import build_map, map_seminorm_tables
+from tamef.probes import make_probes, make_product_probes
 from tamef.serialize import dumps_json
 
 R1 = BanachFiber(1)
@@ -453,7 +457,9 @@ def test_gradings_run_takes_each_fiber_norm_twice(monkeypatch, tmp_path):
     """A seeded certify-gradings run with P probes puts 2P - 10 probe rows
     through the fiber norm: once for the level-0 rescale of the P - 10
     decay probes, once for the tables and degrees of all P probes, whose
-    ten monomials lead the set."""
+    ten monomials lead the set.  At K = 32 a slice of the default budget
+    holds 2 ** 16 // 33 = 1985 rows, so the benchmark's 10 000-probe job
+    takes 12 fiber-norm calls (158 at 128 rows a slice)."""
     rows = []
     norms = BanachFiber.norms
 
@@ -463,7 +469,55 @@ def test_gradings_run_takes_each_fiber_norm_twice(monkeypatch, tmp_path):
 
     monkeypatch.setattr(BanachFiber, "norms", counted)
     argv = ["certify-gradings", "--g1", "l1", "--g2", "linf", "--k", "32",
-            "--nmax", "6", "--probes", "2000", "--seed", "1",
+            "--nmax", "6", "--probes", "10000", "--seed", "1",
             "--out", str(tmp_path / "run")]
     assert cli.run(argv) == 0
-    assert sum(rows) == 2 * 2000 - 10
+    assert sum(rows) == 2 * 10000 - 10
+    assert rows == [1985] * 5 + [65] + [1985] * 5 + [75]
+
+
+# ---------------------------------------------------------------------------
+# what the entry budget bounds
+# ---------------------------------------------------------------------------
+
+def traced_peak(run):
+    """(result, peak bytes traced while run() ran)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_probe_block_passes_hold_a_few_budgets_beyond_their_outputs(field):
+    """With P = 4000 probes of 65 coefficients in a 4-dimensional fiber, a
+    slice takes 252 rows, so the block is about 16 budgets of
+    BLOCK_ENTRIES * itemsize bytes.  Drawing the probes, their coefficient
+    norms and the map tables of the maps the benchmark certifies each hold
+    at most 6 budgets beyond their outputs: without the slices, one more
+    block-sized temporary would exceed that.  make_probes' outputs are the
+    block and the (K+1, P) coefficient norms its level-0 rescale reads."""
+    space = SequenceSpace(BanachFiber(4, field), truncation_degree=64,
+                          n_max=2)
+    count = 4000
+    budget = BLOCK_ENTRIES * np.dtype(space.fiber.dtype).itemsize
+    assert count > 15 * rows_per_slice(space.flat_dimension)
+    probes, peak = traced_peak(lambda: make_probes(space, count, seed=1))
+    block = probes.coefficients.nbytes
+    assert block > 15 * budget
+    level0_norms = (space.truncation_degree + 1) * count * 8
+    assert peak - block - level0_norms < 6 * budget
+    fresh = SequenceBatch(space.fiber, probes.coefficients)
+    norms, peak = traced_peak(fresh.coefficient_norms)
+    assert peak - norms.nbytes < 6 * budget
+    for name in ("compose:derivative,shift_up",
+                 "product:derivative,coeff_square", "projection:1"):
+        desc = build_map(name, space)
+        batch = make_product_probes(desc.domain.factors, count, seed=2) \
+            if isinstance(desc.domain, ProductSpace) \
+            else SequenceBatch(space.fiber, probes.coefficients)
+        (num, den), peak = traced_peak(
+            lambda: map_seminorm_tables(desc, batch))
+        assert peak - num.nbytes - den.nbytes < 6 * budget, name

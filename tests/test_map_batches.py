@@ -12,6 +12,7 @@ the images must report what the per-element check reported.
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from tamef.manifold import (DEFAULT_IMAGE_RESIDUAL_TOL,
                             certify_map_into_submanifold, chart_restriction,
                             make_sphere, make_sphere_intersection,
                             normalization_descriptor)
-from tamef.maps import (LINEARITY_TOL, _TABLE_SLICE, TameMapDescriptor,
-                        build_map, certify_tame, map_seminorm_tables,
+from tamef import graded
+from tamef.maps import (LINEARITY_TOL, TameMapDescriptor, build_map,
+                        certify_tame, map_seminorm_tables,
                         validate_descriptor)
 from tamef.probes import make_probes, make_product_probes
 
@@ -183,11 +185,25 @@ spaces = st.builds(
     st.sampled_from(("euclidean", "supremum", "sum")), st.integers(0, 5),
     st.integers(0, 3), st.sampled_from(("l1", "linf")))
 
-# one probe, a few, and counts on both sides of a table slice
-counts = st.one_of(st.integers(1, 12),
-                   st.integers(_TABLE_SLICE - 3, _TABLE_SLICE + 5))
+
+@st.composite
+def slicings(draw):
+    """(rows per slice, probe count): the budget gives a pass over the
+    probes this many rows per slice, and the count is one probe, a few, or
+    a count on either side of one to four slices."""
+    rows = draw(st.integers(1, 6))
+    count = draw(st.one_of(
+        st.integers(1, 12),
+        st.builds(lambda slices, offset: max(1, slices * rows + offset),
+                  st.integers(1, 4), st.integers(-1, 1))))
+    return rows, count
+
 
 SPACE = SequenceSpace(BanachFiber(1), truncation_degree=4, n_max=2)
+#: rows per slice of SPACE's probes and of pairs of them at the default
+#: budget, which an example asks for with rows None
+DEFAULT_ROWS = graded.rows_per_slice(SPACE.flat_dimension)
+DEFAULT_PAIR_ROWS = graded.rows_per_slice(2 * SPACE.flat_dimension)
 
 
 def probes_for(domain, count, seed):
@@ -197,19 +213,29 @@ def probes_for(domain, count, seed):
 
 
 @PROPERTY
-@given(name=map_names, space=spaces, count=counts,
+@given(name=map_names, space=spaces, slicing=slicings(),
        seed=st.integers(0, 2 ** 32))
-@example(name="compose:derivative,shift_up", space=SPACE, count=1, seed=3)
+@example(name="compose:derivative,shift_up", space=SPACE,
+         slicing=(None, 1), seed=3)
 @example(name="product:coeff_square,scale:inf", space=SPACE,
-         count=_TABLE_SLICE + 1, seed=3)
-@example(name="projection:2", space=SPACE, count=_TABLE_SLICE + 1, seed=3)
-def test_registry_batches_equal_elements(name, space, count, seed):
+         slicing=(None, DEFAULT_ROWS + 1), seed=3)
+@example(name="projection:2", space=SPACE,
+         slicing=(None, DEFAULT_PAIR_ROWS + 1), seed=3)
+def test_registry_batches_equal_elements(name, space, slicing, seed):
+    """Slice by slice of rows_per_slice rows, drawn or at the default
+    budget, the tables hold the floats of the per-element images."""
     desc = build_map(name, space)
     domain, codomain, run, linear = reference_map(name, space)
     assert (desc.domain, desc.codomain, desc.is_linear) == \
         (domain, codomain, linear)
-    probes = probes_for(domain, count, seed)
-    with np.errstate(all="ignore"):
+    rows, count = slicing
+    budget = graded.BLOCK_ENTRIES if rows is None \
+        else rows * domain.flat_dimension
+    with np.errstate(all="ignore"), \
+            mock.patch.object(graded, "BLOCK_ENTRIES", budget):
+        assert rows is None or \
+            graded.rows_per_slice(domain.flat_dimension) == rows
+        probes = probes_for(domain, count, seed)
         want = reference_images(run, codomain, probes)
         got = image_blocks(desc(probes))
         assert len(got) == len(want)

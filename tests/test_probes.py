@@ -11,9 +11,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from tamef import probes
+from tamef import graded, probes
 from tamef.graded import BanachFiber, ProductBatch, SequenceSpace
-from tamef.probes import make_probes, make_product_probes
+from tamef.probes import make_probes, make_product_probes, rng_from_seed
 
 
 def digest(probes) -> str:
@@ -73,12 +73,61 @@ def test_probe_bytes_are_pinned(name):
     assert digest(CASES[name]()) == PINNED[name]
 
 
-@pytest.mark.parametrize("chunk_triples", [1, 5])
-@pytest.mark.parametrize("name", ["real-d1", "complex-d2", "centred"])
+def triple_period(space) -> int:
+    """Uniforms one triple of decay probes draws: per probe one t and the
+    real (and imaginary) parts of its (support + 1, d) coefficients, at the
+    supports K, K // 2 and K // 4."""
+    K, d = space.truncation_degree, space.fiber.dimension
+    parts = 2 if space.fiber.scalar_field == "complex" else 1
+    return sum(1 + parts * (s + 1) * d for s in (K, K // 2, K // 4))
+
+
+class CountingGenerator:
+    """A generator that counts its calls of random()."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def random(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.random(*args, **kwargs)
+
+
+#: entry budgets as functions of one triple's period: below it (floored to
+#: one triple), at it, just above it, five triples, and the default
+BUDGETS = {
+    "below": lambda period: period - 1,
+    "1": lambda period: period,
+    "above": lambda period: period + 1,
+    "5": lambda period: 5 * period,
+    "default": lambda period: graded.BLOCK_ENTRIES,
+}
+
+#: (space, probe count, monomials) of the cases drawn chunk by chunk
+CHUNKED = {"real-d1": (REAL1, 2500, 10), "complex-d2": (COMPLEX2, 200, 9),
+           "centred": (REAL1, 61, 10)}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("name", sorted(CHUNKED))
 def test_probe_bytes_do_not_depend_on_the_chunk_size(monkeypatch, name,
-                                                     chunk_triples):
-    """Chunks bound only the uniform buffer: the profiles, the anchors with
-    their alpha offset per chunk, and the one level-0 rescale of the block
-    give every row the bytes it gets under the default chunk size."""
-    monkeypatch.setattr(probes, "_CHUNK_TRIPLES", chunk_triples)
+                                                     budget):
+    """A chunk takes BLOCK_ENTRIES // period triples, at least one, and
+    bounds only the uniform buffer: the profiles, the anchors with their
+    alpha offset per chunk, and the one level-0 rescale of the block give
+    every row the bytes it gets under the default budget."""
+    space, count, monomials = CHUNKED[name]
+    period = triple_period(space)
+    monkeypatch.setattr(graded, "BLOCK_ENTRIES", BUDGETS[budget](period))
+    generators = []
+
+    def counting_rng(seed):
+        generators.append(CountingGenerator(rng_from_seed(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(probes, "rng_from_seed", counting_rng)
     assert digest(CASES[name]()) == PINNED[name]
+    triples = -(-(count - monomials) // 3)
+    per_chunk = max(1, graded.BLOCK_ENTRIES // period)
+    assert [g.draws for g in generators] == [-(-triples // per_chunk)]
