@@ -28,14 +28,6 @@ from .graded import (
     seminorm_linf,
     validate_equivalence_certificate,
 )
-from .holomorphic import (
-    CauchyBoundReport,
-    DiskSpec,
-    boundary_values,
-    eval_series,
-    sup_norm_disk,
-    verify_cauchy_bound,
-)
 from .implicit import (
     Chart,
     ConstraintMap,

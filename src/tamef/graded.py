@@ -6,8 +6,10 @@ a SequenceBatch: a batch of P sequences is one (P, K+1, d) block, and one
 sequence is a batch of one row.  A SequenceSpace names its grading, the
 family of level-n seminorms, by its grading_kind, one of GRADINGS: "l1" and
 "linf" weight coefficient k by e^{nk} and sum or take the supremum (both
-monotone in the level), and "decreasing", e^{-n} |f|_0, shrinks with the
-level.  The certification machinery compares two gradings of one space: it
+monotone in the level), "decreasing", e^{-n} |f|_0, shrinks with the
+level, and "disk" reads the sequence as the entire function sum f_k z^k
+and takes its sup on |z| = e^n, which lies between the two.  The
+certification machinery compares two gradings of one space: it
 estimates, over a probe set, a level shift r and constants C(n) with
 
     |f|_n  <=  C(n) * |f|~_{n+r}        for b <= n <= n_max - r
@@ -48,7 +50,7 @@ _FIELDS = ("real", "complex")
 _NORM_KINDS = ("euclidean", "supremum", "sum")
 _PROVENANCES = ("analytic", "empirical", "derived-analytic")
 #: the grading_kind names of SequenceSpace
-GRADINGS = ("l1", "linf", "decreasing")
+GRADINGS = ("l1", "linf", "decreasing", "disk")
 
 
 def within_upper(lhs, rhs):
@@ -61,6 +63,11 @@ def within_upper(lhs, rhs):
 # ---------------------------------------------------------------------------
 # fibers and sequences
 # ---------------------------------------------------------------------------
+
+#: the euclidean norm divides a vector by its largest |x| first when that
+#: lies outside [1 / _UNSCALED, _UNSCALED], so no square leaves the floats
+_UNSCALED = 2.0 ** 500
+
 
 @dataclass(frozen=True)
 class BanachFiber:
@@ -94,19 +101,40 @@ class BanachFiber:
             raise UnsupportedGradingError(
                 f"{what} need a real euclidean fiber")
 
-    def complexified(self) -> "BanachFiber":
-        return BanachFiber(self.dimension, "complex", self.norm_kind)
-
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """Norms along the last axis of a (..., dimension) coordinate block."""
-        a = np.abs(np.asarray(rows))
-        if self.norm_kind == "euclidean":
-            a *= a
-            out = np.sum(a, axis=-1)
-            return np.sqrt(out, out=out)
+        """Norms along the last axis of a (..., dimension) coordinate block.
+
+        In dimension 1 every norm kind is |x|.  The euclidean norm sums
+        squares; where that sum leaves [2^-1000, 2^1000] and the largest
+        |x| is finite and outside [2^-500, 2^500], the vector is divided by
+        that |x| before squaring.  A vector holding NaN or infinity keeps
+        the NaN or infinity of the plain sum."""
+        rows = np.asarray(rows)
+        if self.dimension == 1:
+            return np.abs(rows[..., 0])
+        a = np.abs(rows)
         if self.norm_kind == "supremum":
             return np.max(a, axis=-1)
-        return np.sum(a, axis=-1)
+        if self.norm_kind == "sum":
+            return np.sum(a, axis=-1)
+        with np.errstate(over="ignore"):  # overflowed vectors are rescaled
+            a *= a
+        out = np.sum(a, axis=-1)
+        # a sum of squares within 2^+-1000 lost nothing above roundoff to
+        # overflow or underflow: only the vectors outside it are looked at
+        outside = np.nonzero(~((out >= _UNSCALED ** -2) &
+                               (out <= _UNSCALED ** 2)))
+        np.sqrt(out, out=out)
+        if outside[0].size:
+            a = np.abs(rows[outside])
+            top = np.max(a, axis=-1)
+            rescale = np.isfinite(top) & (top > 0.0) & \
+                ((top < 1.0 / _UNSCALED) | (top > _UNSCALED))
+            a = a[rescale] / top[rescale, None]
+            a *= a
+            out[tuple(i[rescale] for i in outside)] = \
+                top[rescale] * np.sqrt(np.sum(a, axis=-1))
+        return out
 
     def unit(self, axis: int = 0) -> np.ndarray:
         if not 0 <= axis < self.dimension:
@@ -459,6 +487,38 @@ def _seminorm_decreasing(f: SequenceBatch, levels, n_max: int) -> np.ndarray:
     return table[0] if one else table
 
 
+#: boundary points of the disk grading: at least this many
+_MIN_DISK_POINTS = 256
+
+
+def _seminorm_disk(f: SequenceBatch, levels, n_max: int) -> np.ndarray:
+    """max over the S points z with z^S = e^{nS} of the fiber norm of
+    f(z) = sum f_k z^k per row, at levels as seminorm_l1: the sup of the
+    entire function f on |z| = e^n, read on a grid.
+
+    S is the smallest power of two above K, and at least _MIN_DISK_POINTS.
+    With S > K the grid recovers every coefficient (the discrete Cauchy
+    formula f_k e^{nk} = mean of f(z) (z/e^n)^{-k}), so
+    linf_n <= disk_n <= l1_n up to roundoff.  One FFT of the weighted
+    coefficients e^{nk} f_k evaluates a slice of rows_per_slice(S * d) rows
+    at one level."""
+    levels, one = _checked_levels(levels, n_max, f.truncation_degree)
+    points = max(_MIN_DISK_POINTS, 1 << f.truncation_degree.bit_length())
+    weights = _weights(levels, f.truncation_degree)
+    table = np.empty((len(levels), len(f)))
+    step = rows_per_slice(points * f.fiber.dimension)
+    # an infinite coefficient makes inf - inf inside the transform, so its
+    # row's entries are NaN: not finite, as its l1 and linf entries are not
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(f), step):
+            block = f.coefficients[start:start + step]
+            for l in range(len(levels)):
+                values = np.fft.fft(block * weights[:, l], n=points, axis=1)
+                table[l, start:start + step] = np.max(
+                    f.fiber.norms(values), axis=1)
+    return table[0] if one else table
+
+
 # ---------------------------------------------------------------------------
 # space descriptors
 # ---------------------------------------------------------------------------
@@ -497,7 +557,9 @@ class SequenceSpace:
             return seminorm_l1(f, levels, self.n_max)
         if self.grading_kind == "linf":
             return seminorm_linf(f, levels, self.n_max)
-        return _seminorm_decreasing(f, levels, self.n_max)
+        if self.grading_kind == "decreasing":
+            return _seminorm_decreasing(f, levels, self.n_max)
+        return _seminorm_disk(f, levels, self.n_max)
 
     def zero(self) -> SequenceBatch:
         """The zero sequence, as a one-row batch."""

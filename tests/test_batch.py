@@ -218,9 +218,33 @@ def test_norms_and_degrees_do_not_depend_on_the_budget(monkeypatch, field,
         degrees = batch.degree()
         assert degrees.dtype == np.intp
         assert degrees.tobytes() == frozen_degrees(want).tobytes()
-        # 5e-324 squared underflows to zero under the euclidean norm
-        subnormal = -1 if norm_kind == "euclidean" else 0
-        assert list(degrees[3:10]) == [-1, -1, 6, 5, 6, subnormal, 6]
+        # 5e-324 is nonzero under every norm: the euclidean one rescales
+        # a vector whose squares would underflow
+        assert list(degrees[3:10]) == [-1, -1, 6, 5, 6, 0, 6]
+
+
+@pytest.mark.parametrize("norm_kind", ["euclidean", "supremum", "sum"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_norms_neither_overflow_nor_underflow(field, norm_kind):
+    """A coefficient whose square leaves the float range keeps its norm:
+    in dimension 1 every norm is |x|, and a euclidean vector whose largest
+    |x| lies outside 2^+-500 is divided by it before squaring.  Vectors
+    holding NaN or infinity keep their NaN or infinity."""
+    one = BanachFiber(1, field, norm_kind)
+    assert one.norms(np.array([[1e200], [1e-200], [5e-324]])).tolist() == \
+        [1e200, 1e-200, 5e-324]
+    fiber = BanachFiber(2, field, norm_kind)
+    rows = np.array([[3e200, -4e200], [3e-200, 4e-200], [5e-324, 0.0],
+                     [1e300, 1e300], [3.0, 4.0], [0.0, 0.0],
+                     [math.inf, 1e200], [math.nan, 1e-200]])
+    norms = fiber.norms(rows.astype(fiber.dtype))
+    scale = {"euclidean": 1.0, "supremum": 0.8, "sum": 1.4}[norm_kind]
+    want = [5e200 * scale, 5e-200 * scale, 5e-324,
+            math.sqrt(2.0) * 1e300 if norm_kind == "euclidean"
+            else 1e300 if norm_kind == "supremum" else 2e300,
+            5.0 * scale, 0.0]
+    assert norms[:6] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert norms[6] == math.inf and math.isnan(norms[7])
 
 
 # ---------------------------------------------------------------------------

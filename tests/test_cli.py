@@ -42,6 +42,18 @@ def csv_lines(path):
 # certify-gradings
 # ---------------------------------------------------------------------------
 
+def test_certify_map_of_a_huge_scale_is_certified(tmp_path):
+    """scale:1e200 has finite seminorm tables (at most about 1e200 e^24),
+    so it is certified with C(n) = 1e200, though 1e200 squared overflows."""
+    out = tmp_path / "run"
+    assert run_cli(["certify-map", "--map", "scale:1e200", "--k", "8",
+                    "--nmax", "3", "--probes", "16", "--out", str(out)]) == 0
+    cert = load_json(out / "map_certificate.json")["certificate"]
+    assert cert["r"] == 0
+    for value in cert["C"].values():
+        assert value == pytest.approx(1e200, rel=1e-14)
+
+
 def test_certify_gradings_l1_linf(tmp_path):
     out = str(tmp_path / "run")
     code = run_cli(["certify-gradings", "--g1", "l1", "--g2", "linf",
@@ -187,7 +199,7 @@ def test_gradings_are_one_table(tmp_path, capsys):
     assert run_cli(["certify-gradings", "--g2", "bogus",
                     "--out", str(tmp_path / "run")]) == 64
     assert capsys.readouterr().err == \
-        "tamef: unknown grading 'bogus'; known: l1, linf, decreasing\n"
+        "tamef: unknown grading 'bogus'; known: l1, linf, decreasing, disk\n"
     for name in GRADINGS:
         assert SequenceSpace(BanachFiber(1), 8, 3,
                              grading_kind=name).grading_kind == name

@@ -3,8 +3,9 @@
 `golden_manifest.json` holds, for every case below, the exit code and the
 SHA-256 of every file the run writes.  Reruns only show that two runs agree
 with each other; this manifest shows that a refactor left every byte as it
-was.  The `solve` and `atlas` bytes go through LAPACK's SVD, so their entries
-skip under a numpy version other than the recorded one.
+was.  The `solve` and `atlas` bytes go through LAPACK's SVD, and the `disk`
+grading's through numpy's FFT (pocketfft), so their entries skip under a
+numpy version other than the recorded one.
 
 Re-record (only for a change that alters output bytes on purpose, and say
 why in CHANGES.md):
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from tamef import cli
+from tamef.graded import GRADINGS
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "golden_manifest.json")
@@ -75,11 +77,20 @@ CASES = {
     "gradings-decreasing-linf": (["certify-gradings", "--g1", "decreasing",
                                   "--g2", "linf", "--k", "16", "--nmax", "4",
                                   "--probes", "120", "--seed", "11"], None),
+    # the disk grading between linf (Cauchy's bound) and l1 (the triangle
+    # inequality)
+    "gradings-linf-disk": (["certify-gradings", "--g1", "linf", "--g2",
+                            "disk", "--k", "16", "--nmax", "4", "--probes",
+                            "120", "--seed", "11"], None),
+    "gradings-disk-l1": (["certify-gradings", "--g1", "disk", "--g2", "l1",
+                          "--k", "16", "--nmax", "4", "--probes", "120",
+                          "--seed", "11"], None),
     "map-scale-nan": (["certify-map", "--map", "scale:nan", "--k", "32",
                        "--nmax", "6", "--probes", "40", "--seed", "3"], None),
 }
 
-#: commands whose bytes depend on LAPACK through numpy
+#: commands whose bytes depend on LAPACK through numpy; a case naming the
+#: disk grading depends on numpy's FFT
 NUMPY_BOUND = ("solve", "atlas")
 
 
@@ -109,11 +120,18 @@ def load_manifest() -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(tmp_path, name):
     manifest = load_manifest()
-    if CASES[name][0][0] in NUMPY_BOUND and \
+    argv = CASES[name][0]
+    if (argv[0] in NUMPY_BOUND or "disk" in argv) and \
             manifest["numpy"] != np.__version__:
         pytest.skip(f"recorded under numpy {manifest['numpy']}, "
                     f"running {np.__version__}")
     assert run_case(name, str(tmp_path)) == manifest["cases"][name]
+
+
+def test_every_grading_has_a_golden_case():
+    named = {argv[i + 1] for argv, _ in CASES.values()
+             for i, flag in enumerate(argv[:-1]) if flag in ("--g1", "--g2")}
+    assert set(GRADINGS) <= named, set(GRADINGS) - named
 
 
 def record():

@@ -252,6 +252,7 @@ def test_level_lists_raise_what_the_first_bad_level_raises(levels,
                  lambda n: spaces[0].seminorm(probes, n),
                  lambda n: spaces[1].seminorm(probes, n),
                  lambda n: spaces[2].seminorm(probes, n),
+                 lambda n: spaces[3].seminorm(probes, n),
                  lambda n: product.seminorm(pairs, n)):
         assert raised(lambda: call(levels)) == raised(lambda: call(first_bad))
 
@@ -498,7 +499,9 @@ def test_probe_block_passes_hold_a_few_budgets_beyond_their_outputs(field):
     norms and the map tables of the maps the benchmark certifies each hold
     at most 6 budgets beyond their outputs: without the slices, one more
     block-sized temporary would exceed that.  make_probes' outputs are the
-    block and the (K+1, P) coefficient norms its level-0 rescale reads."""
+    block and the (K+1, P) coefficient norms its level-0 rescale reads.
+    The disk table's transforms hold S = 256 boundary values per fiber
+    coordinate, so its slices take 64 rows."""
     space = SequenceSpace(BanachFiber(4, field), truncation_degree=64,
                           n_max=2)
     count = 4000
@@ -512,6 +515,9 @@ def test_probe_block_passes_hold_a_few_budgets_beyond_their_outputs(field):
     fresh = SequenceBatch(space.fiber, probes.coefficients)
     norms, peak = traced_peak(fresh.coefficient_norms)
     assert peak - norms.nbytes < 6 * budget
+    disk = replace(space, grading_kind="disk")
+    table, peak = traced_peak(lambda: seminorm_table(disk, probes))
+    assert peak - table.nbytes < 6 * budget
     for name in ("compose:derivative,shift_up",
                  "product:derivative,coeff_square", "projection:1"):
         desc = build_map(name, space)

@@ -1,8 +1,10 @@
 """Property tests of invariants the paper states: seminorm monotonicity in the
-level, the Cauchy bound on coefficients, the chart round trip, and the
-bound of an empirical tame constant by the exact one of a linear map; of the
-rule that seminorm tables holding NaN or infinity certify nothing; and of
-the ratio search against a reference that compacts its masks.
+level, the Cauchy bound of the disk grading and its l1 upper bound, the
+chart round trip, the bound of an empirical tame constant by the exact one
+of a linear map, and the soundness of the product and composition
+combinators against the exact constants; of the rule that seminorm tables
+holding NaN or infinity certify nothing; and of the ratio search against a
+reference that compacts its masks.
 
 Each test is a derandomized hypothesis search at small sizes, so a failure
 reproduces on every run.
@@ -13,19 +15,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tamef.graded import (BASE_LEVEL, DEFAULT_ATOL, DEGREE_STABILITY_FACTOR,
-                          BanachFiber, RatioWitness, SequenceBatch,
-                          SequenceSpace, TamenessCertificate,
+                          BanachFiber, ProductBatch, RatioWitness,
+                          SequenceBatch, SequenceSpace, TamenessCertificate,
                           certify_from_tables, seminorm_l1, seminorm_linf,
                           within_upper)
-from tamef.holomorphic import verify_cauchy_bound
 from tamef.implicit import CHART_ROUND_TRIP_TOL
 from tamef.manifold import make_sphere
-from tamef.maps import build_map, certify_tame
+from tamef.maps import (build_map, certify_composition, certify_tame,
+                        combine_product)
 from tamef.probes import make_probes
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -69,11 +71,26 @@ def test_seminorms_grow_with_the_level(batch):
             assert np.all(within_upper(lower, upper)), (seminorm, n)
 
 
+def one_minus_z_to_the(K):
+    """1 - z^K, which reads zero on K equispaced points of |z| = 1."""
+    block = np.zeros((1, K + 1, 1))
+    block[0, 0, 0], block[0, K, 0] = 1.0, -1.0
+    return SequenceBatch(BanachFiber(1), block)
+
+
 @PROPERTY
 @given(f=sequences(max_degree=16), level=st.integers(0, 3))
+@example(f=one_minus_z_to_the(256), level=0)
+@example(f=one_minus_z_to_the(256), level=1)
+@example(f=one_minus_z_to_the(8), level=0)
 def test_cauchy_bound_holds(f, level):
-    report = verify_cauchy_bound(f, level)
-    assert report.ok, report
+    """linf_n <= disk_n <= l1_n: Cauchy's bound below, the triangle
+    inequality above, for every fiber kind and degree; the disk grid has
+    more points than the degree, so no monomial aliases onto another."""
+    space = SequenceSpace(f.fiber, f.truncation_degree, level, "disk")
+    sup = space.seminorm(f, level)
+    assert within_upper(seminorm_linf(f, level), sup).all()
+    assert within_upper(sup, seminorm_l1(f, level)).all()
 
 
 @lru_cache(maxsize=None)
@@ -266,11 +283,19 @@ def monomials(space):
 def exact_l1_constants(desc, r):
     """C(n) = max over k of sum_j e^{nj} |L_jk| e^{-(n+r)k}, the l1 -> l1
     norm of the weighted matrix of the map's monomial images, at the levels
-    a certificate of shift r covers."""
+    a certificate of shift r covers.  On a product codomain, graded by the
+    sum of its factors, the inner sum runs over every factor's j."""
     space = desc.domain
-    images = np.abs(desc(monomials(space)).coefficients[:, :, 0])  # (k, j)
+    images = desc(monomials(space))
+    parts = images.parts if isinstance(images, ProductBatch) else (images,)
     k = np.arange(space.truncation_degree + 1)
-    return {n: float(np.max(images @ np.exp(n * k) * np.exp(-(n + r) * k)))
+
+    def weighted(n):
+        # (k,) sums of the weighted image norms, (k, j) @ (j,) per factor
+        return sum(np.abs(p.coefficients[:, :, 0]) @ np.exp(n * k)
+                   for p in parts)
+
+    return {n: float(np.max(weighted(n) * np.exp(-(n + r) * k)))
             for n in range(BASE_LEVEL, space.n_max - r + 1)}
 
 
@@ -298,3 +323,37 @@ def test_linear_map_constants_never_exceed_the_exact_ones(name, K, n_max,
     assert sorted(cert.observed) == sorted(exact)
     for n, c in cert.observed.items():
         assert c == pytest.approx(exact[n], rel=1e-12, abs=0.0), n
+
+
+LINEAR_FACTORS = ("identity", "shift_up", "shift_down", "derivative",
+                  "scale:0.5", "scale:-3")
+
+
+def analytic_certificate(desc, r):
+    """The certificate of shift r holding the map's exact l1 constants."""
+    return TamenessCertificate(r=r, b=BASE_LEVEL,
+                               C=exact_l1_constants(desc, r),
+                               provenance="analytic")
+
+
+@PROPERTY
+@given(a=st.sampled_from(LINEAR_FACTORS), b=st.sampled_from(LINEAR_FACTORS),
+       K=st.integers(2, 16), n_max=st.integers(1, 4),
+       shifts=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_combinators_never_fall_below_the_exact_constants(a, b, K, n_max,
+                                                          shifts):
+    """combine_product and certify_composition of the exact certificates
+    of two linear maps bound the product: and compose: maps: each C(n) is
+    at least that map's exact constant at the combined shift, on the same
+    levels."""
+    assume(sum(shifts) <= n_max)
+    space = SequenceSpace(BanachFiber(1), truncation_degree=K, n_max=n_max)
+    certs = [analytic_certificate(build_map(name, space), r)
+             for name, r in zip((a, b), shifts)]
+    for head, combined in (("product", combine_product(certs)),
+                           ("compose", certify_composition(*certs))):
+        exact = exact_l1_constants(build_map(f"{head}:{a},{b}", space),
+                                   combined.r)
+        assert sorted(combined.C) == sorted(exact), head
+        for n, c in combined.C.items():
+            assert c >= exact[n] * (1.0 - 1e-12), (head, n, c, exact[n])
