@@ -260,13 +260,15 @@ class SequenceBatch:
         """Per-row degrees: largest k with a nonzero coefficient, -1 for a
         zero row.
 
-        One pass over the cached coefficient_norms(), which the batch's
-        seminorms use too: k ascending, every row whose norm at k is
-        positive gets k, so the temporaries are (P,) only."""
-        out = np.full(len(self), -1, dtype=np.intp)
-        for k, norms_k in enumerate(self.coefficient_norms()):
-            out[norms_k > 0.0] = k
-        return out
+        One max over the cached coefficient_norms(), which the batch's
+        seminorms use too, of k + 1 where the norm at k is positive and 0
+        elsewhere (a NaN norm never counts), held in the narrowest unsigned
+        type that takes K + 1."""
+        norms = self.coefficient_norms()
+        rank = np.arange(1, len(norms) + 1,
+                         dtype=np.min_scalar_type(len(norms)))
+        top = np.max((norms > 0.0) * rank[:, None], axis=0)
+        return top.astype(np.intp) - 1
 
     def __repr__(self):
         return (f"SequenceBatch(P={len(self)}, K={self.truncation_degree}, "
@@ -852,6 +854,29 @@ def _graded_batch(g1: SequenceSpace, g2: SequenceSpace,
     return batch
 
 
+def _graded_tables(g1: SequenceSpace, g2: SequenceSpace,
+                   batch: SequenceBatch):
+    """(degrees, g1 table, g2 table) of a batch of two gradings' space, as
+    batch.degree() and seminorm_table give them, filled a slice at a time.
+
+    The slices are the fewest equal ones of at most 2 * BLOCK_ENTRIES
+    coefficient entries, each one sub-batch whose coefficient norms its
+    degrees and both tables read; the level weighting of a table then
+    broadcasts over rows long enough to run at its fastest per entry."""
+    P = len(batch)
+    most = max(1, 2 * BLOCK_ENTRIES // g1.flat_dimension)
+    width = -(-P // -(-P // most))
+    degrees = np.empty(P, dtype=np.intp)
+    t1 = np.empty((g1.n_max + 1, P))
+    t2 = np.empty_like(t1)
+    for start in range(0, P, width):
+        part = batch[start:start + width]
+        degrees[start:start + width] = part.degree()
+        t1[:, start:start + width] = seminorm_table(g1, part)
+        t2[:, start:start + width] = seminorm_table(g2, part)
+    return degrees, t1, t2
+
+
 def certify_grading_equivalence(g1: SequenceSpace, g2: SequenceSpace,
                                 probes, r_max: int) -> EquivalenceOutcome:
     """Certify |f|_1,n <= C |f|_2,n+r (forward) and the reverse (backward)
@@ -861,13 +886,10 @@ def certify_grading_equivalence(g1: SequenceSpace, g2: SequenceSpace,
     rejection the failure carries the probe maximizing the ratio at r_max.
     """
     batch = _graded_batch(g1, g2, probes)
-    degrees = batch.degree()
+    degrees, t1, t2 = _graded_tables(g1, g2, batch)
     if degrees.max() < 0:
         raise ValueError("degenerate probe set: every probe is zero")
     split = batch.truncation_degree // 2
-
-    t1 = seminorm_table(g1, batch)
-    t2 = seminorm_table(g2, batch)
 
     fwd_cert, fwd_wit = certify_from_tables(
         t1, t2, degrees, split, r_max=r_max, probe_count=len(batch),
@@ -911,6 +933,6 @@ def validate_equivalence_certificate(cert: TamenessCertificate,
 
     Returns the violations as (probe_index, level, lhs, bound) tuples.
     """
-    batch = _graded_batch(g_num, g_den, probes)
-    return certificate_violations(cert, seminorm_table(g_num, batch),
-                                  seminorm_table(g_den, batch))
+    _, num, den = _graded_tables(g_num, g_den,
+                                 _graded_batch(g_num, g_den, probes))
+    return certificate_violations(cert, num, den)

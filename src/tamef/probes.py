@@ -60,64 +60,70 @@ def _fill_decay_probes(space: SequenceSpace, out: np.ndarray,
     parts before imaginary parts; the batch draws exactly that stream,
     chunk by chunk, so it holds the same bytes as drawing one probe at a
     time.  A chunk is rows_per_slice(period) triples of probes, period the
-    uniforms of one triple, so its uniform buffer holds at most
-    BLOCK_ENTRIES floats (one triple's when a triple needs more).  Every
-    row's profile, anchor and rescale depend on that row alone, so the
-    chunks do not change the bytes, and the rescale is one seminorm pass
-    over the whole block.
+    uniforms of one triple, drawn into one buffer of at most BLOCK_ENTRIES
+    floats (one triple's when a triple needs more) that every chunk reuses.
+    The buffer is shaped in place: U(-1, 1) over all of it, then one
+    multiply by the factor row of each triple's rate.  Each support's rows
+    then take one copy of their columns, and the chunk is rescaled while it
+    is in cache.  Every row's profile, anchor and rescale depend on that
+    row alone, so the chunks do not change the bytes.
     """
     K = space.truncation_degree
     fiber = space.fiber
     d = fiber.dimension
-    complex_field = fiber.scalar_field == "complex"
+    parts = 2 if fiber.scalar_field == "complex" else 1
     supports = (K, K // 2, max(K // 4, 0))
     alphas = DEFAULT_ALPHAS
     # uniforms per probe and their offsets inside one triple of probes
-    widths = [1 + (2 if complex_field else 1) * (s + 1) * d for s in supports]
+    widths = [1 + parts * (s + 1) * d for s in supports]
     offsets = np.cumsum([0] + widths)
     period = int(offsets[-1])
-    profiles = {(a, s): np.exp(-a * np.arange(s + 1.0))
-                for a in alphas for s in supports}
+    # factors[a] scales a triple of rate alphas[a]: e^{-alpha k} on each
+    # part of coefficient k of every support, 1.0 on the t columns
+    factors = np.ones((len(alphas), period))
+    for j, s in enumerate(supports):
+        for a, alpha in enumerate(alphas):
+            profile = np.repeat(np.exp(-alpha * np.arange(s + 1.0)), d)
+            factors[a, offsets[j] + 1:offsets[j + 1]] = np.tile(profile, parts)
     # the top coefficient anchors the support degree; a row whose top
     # coefficient is nearly zero gets this one, (alpha index, d) per support
     anchors = {s: np.array([fiber.unit(0) * np.exp(-alpha * s)
                             for alpha in alphas])
                for s in supports}
-    t = np.empty(len(out))
     chunk_size = 3 * rows_per_slice(period)
+    # zeros, so the undrawn tail of a last partial triple is a number
+    buffer = np.zeros((-(-min(chunk_size, len(out)) // 3), period))
+    # row i of cycle is factors[i % 3]; a chunk whose first triple is
+    # first_triple reads it from row first_triple % 3
+    cycle = factors[np.arange(len(buffer) + len(alphas) - 1) % len(alphas)]
     for first in range(0, len(out), chunk_size):
         chunk = out[first:first + chunk_size]
         n = len(chunk)
-        triples = -(-n // 3)
-        draws = (n // 3) * period + int(offsets[n % 3])
-        u = np.empty(triples * period)
-        rng.random(draws, out=u[:draws])
-        u = u.reshape(triples, period)
         first_triple = first // 3
+        draws = (n // 3) * period + int(offsets[n % 3])
+        rng.random(draws, out=buffer.reshape(-1)[:draws])
+        # row i of u is triple first_triple + i, one probe per support
+        u = buffer[:-(-n // 3)]
+        t = _uniform(0.2, 1.0, u[:, offsets[:-1]]).reshape(-1)[:n]
+        _uniform(-1.0, 1.0, u, out=u)
+        u *= cycle[first_triple % len(alphas):][:len(u)]
         for j, s in enumerate(supports):
             rows = chunk[j::3]
-            cols = u[:len(rows), offsets[j]:offsets[j + 1]]
-            _uniform(0.2, 1.0, cols[:, 0], out=t[first + j:first + n:3])
-            size = (s + 1) * d
-            raw = cols[:, 1:1 + size].reshape(len(rows), s + 1, d)
-            if complex_field:
-                _uniform(-1.0, 1.0, raw, out=rows.real[:, :s + 1])
-                imag = cols[:, 1 + size:].reshape(len(rows), s + 1, d)
-                _uniform(-1.0, 1.0, imag, out=rows.imag[:, :s + 1])
+            coefficients = u[:len(rows), offsets[j] + 1:offsets[j + 1]] \
+                .reshape(len(rows), parts, s + 1, d)
+            if parts == 2:
+                rows.real[:, :s + 1] = coefficients[:, 0]
+                rows.imag[:, :s + 1] = coefficients[:, 1]
             else:
-                _uniform(-1.0, 1.0, raw, out=rows[:, :s + 1])
-            for a_index, alpha in enumerate(alphas):
-                start = (a_index - first_triple) % len(alphas)
-                rows[start::len(alphas), :s + 1] *= profiles[alpha, s][:, None]
+                rows[:, :s + 1] = coefficients[:, 0]
             # row i of rows is in triple first_triple + i
             low = np.flatnonzero(np.all(np.abs(rows[:, s]) < 1e-3, axis=1))
             rows[low, s] = anchors[s][(low + first_triple) % len(alphas)]
-    target = region_radius * t
-    base = space.seminorm(SequenceBatch(fiber, out), 0)
-    rescale = (base > 0.0) & (target > 0.0)
-    factor = np.divide(target, base, out=np.ones(len(out)), where=rescale)
-    np.multiply(out, factor[:, None, None], out=out,
-                where=rescale[:, None, None])
+        target = region_radius * t
+        base = space.seminorm(SequenceBatch(fiber, chunk), 0)
+        # a row that is not rescaled is multiplied by 1.0, which keeps it
+        chunk *= np.divide(target, base, out=np.ones(n),
+                           where=(base > 0.0) & (target > 0.0))[:, None, None]
 
 
 def make_probes(space: SequenceSpace, count: int, seed: int, *,

@@ -183,6 +183,48 @@ def frozen_degrees(norms):
     return np.where(nonzero.any(axis=0), last, -1)
 
 
+def frozen_degree_loop(norms):
+    """Per column of a (K+1, P) norm array: k ascending, every column whose
+    norm at k is positive gets k, -1 where none is, as degree() once did."""
+    out = np.full(norms.shape[1], -1, dtype=np.intp)
+    for k, norms_k in enumerate(norms):
+        out[norms_k > 0.0] = k
+    return out
+
+
+#: coefficients a degree must tell apart: zeros of both signs, NaN, both
+#: infinities, the least subnormal and normal numbers, and plain values
+EDGE_COEFFICIENTS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 2.2250738585072014e-308, 1.0, -3.5, 1e300)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(data=st.data(), rows=st.integers(1, 5),
+       length=st.one_of(st.integers(1, 40),
+                        st.sampled_from((255, 256, 257, 65535, 65536,
+                                         65537))))
+def test_degree_is_the_k_ascending_loop(data, rows, length):
+    """degree(), one max of k + 1 where the norm at k is positive in the
+    narrowest unsigned type that holds K + 1, equals the k-ascending loop
+    it replaced: over zero, -0.0, NaN, infinite and subnormal
+    coefficients, all-zero rows, and K + 1 on both sides of the uint8 and
+    uint16 limits, with the top coefficients drawn often."""
+    block = np.zeros((rows, length, 1))
+    index = st.one_of(st.integers(0, length - 1),
+                      st.integers(max(0, length - 3), length - 1))
+    entries = data.draw(st.lists(
+        st.tuples(st.integers(0, rows - 1), index,
+                  st.one_of(st.sampled_from(EDGE_COEFFICIENTS), st.floats())),
+        max_size=3 * rows))
+    for i, k, value in entries:
+        block[i, k, 0] = value
+    batch = SequenceBatch(BanachFiber(1), block)
+    degrees = batch.degree()
+    assert degrees.dtype == np.intp
+    assert degrees.tobytes() == \
+        frozen_degree_loop(batch.coefficient_norms()).tobytes()
+
+
 @pytest.mark.parametrize("norm_kind", ["euclidean", "supremum", "sum"])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_norms_and_degrees_do_not_depend_on_the_budget(monkeypatch, field,
