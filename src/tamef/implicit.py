@@ -47,8 +47,9 @@ CHART_ROUND_TRIP_TOL = 1e-8
 #: halvings of the chart-radius interval after the doubling search
 RADIUS_BISECTION_STEPS = 25
 #: bisection steps a tree screen covers once the walk has left the spine:
-#: the first directions of all 2^BISECTION_LEVELS - 1 midpoints those steps
-#: can visit are solved at once
+#: the lead directions of all 2^BISECTION_LEVELS - 1 midpoints those steps
+#: can visit are solved at once; a block of the other directions holds at
+#: most this many trial radii
 BISECTION_LEVELS = 4
 PREIMAGE_TOL = 1e-10
 #: Gauss-Newton steps find_preimage takes from one seed at most
@@ -623,31 +624,84 @@ def _chart_round_trip_ok(chart: Chart, radius: float,
     """Whether every direction, scaled to radius, comes back through inverse
     and forward within tolerance: the first alone, through Chart.inverse,
     then the rest as one block that ends the lanes that contract slowly
-    (_round_trip_rest_ok).  build_chart checks radius 1 this way; it
-    screens the first directions of later radii as lane blocks."""
+    (_round_trip_rests).  build_chart checks radius 1 this way; it screens
+    one direction of later radii as lane blocks."""
     try:
         first = flatten(chart.inverse(radius * directions[0]))
     except (NonConvergenceError, SingularBlockError):
         return False
-    return _round_trip_rest_ok(chart, radius, directions, first)
+    passes, _ = _round_trip_rests(chart, np.array([radius]), directions, 0,
+                                  first)
+    return bool(passes[0])
 
 
-def _round_trip_rest_ok(chart: Chart, radius: float, directions: np.ndarray,
-                        first: np.ndarray) -> bool:
-    """_chart_round_trip_ok once the first direction, scaled to radius, has
-    come back through inverse to the flat point in the one-row block
-    first; a rest lane that contracts slowly fails the radius."""
-    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
-    offsets = radius * directions
-    rest, converged, _ = chart.inverse_lanes(offsets[1:],
-                                             end_slow_lanes=True)
-    if not converged.all():
-        return False
-    flats = np.vstack([first, rest])
-    gaps = lane_norms(chart.offsets_lanes(flats) - offsets)
+def _round_trip_rests(chart: Chart, radii: np.ndarray,
+                      directions: np.ndarray, lead: int,
+                      lead_flats: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """The round trip at every radius once direction `lead`, scaled to it,
+    has come back through inverse to the flat point in the same row of
+    lead_flats: the other directions of all radii go as one block that
+    ends the lanes that contract slowly, and such a lane fails its radius.
+    Returns whether each radius passes and, one row per radius, which
+    directions converged."""
+    n, (count, x_dim) = len(radii), directions.shape
+    D = chart.constraint.flat_dimension
+    rest = np.arange(count) != lead
+    offsets = radii[:, None, None] * directions
+    solved, ok, _ = chart.inverse_lanes(
+        offsets[:, rest].reshape(n * (count - 1), x_dim), end_slow_lanes=True)
+    converged = np.ones((n, count), dtype=bool)
+    converged[:, rest] = ok.reshape(n, count - 1)
+    flats = np.empty((n, count, D))
+    flats[:, lead] = lead_flats
+    flats[:, rest] = solved.reshape(n, count - 1, D)
+    passes = converged.all(axis=1)
+    rows = int(passes.sum()) * count
+    flats = flats[passes].reshape(rows, D)
+    bound = (CHART_ROUND_TRIP_TOL * (1.0 + radii[passes])).repeat(count)
+    gaps = lane_norms(chart.offsets_lanes(flats)
+                      - offsets[passes].reshape(rows, x_dim))
     values = lane_norms(chart.constraint.values(flats))
     # a NaN gap or value passes: NaN > bound is false
-    return not (np.any(gaps > bound) or np.any(values > bound))
+    far = (gaps > bound) | (values > bound)
+    passes[passes] = ~far.reshape(-1, count).any(axis=1)
+    return passes, converged
+
+
+#: screen(radii) solves one direction, the lead, of every trial radius and
+#: returns which lanes converged, with confirm(nodes): the verdicts on
+#: radii[i] for i in nodes, every one of them a radius whose lead converged
+_Screen = Callable[[List[float]],
+                  Tuple[np.ndarray, Callable[[List[int]], Sequence[bool]]]]
+
+
+def _verdicts(radii: List[float], successor: Callable[[int, bool], int],
+              screen: _Screen) -> Callable[[int], bool]:
+    """The verdict on radii[i] as a function of i, from one screen of the
+    radii.  A radius whose lead fails fails.  The first verdict asked that
+    needs the other directions confirms, as one block, radius i and every
+    later radius on the path the walk takes if each lead verdict holds:
+    successor(i, verdict) is the index the walk asks after i, one past the
+    radii where the path ends.  Radii whose lead failed are skipped, and a
+    block holds at most BISECTION_LEVELS radii; no radius is confirmed
+    twice."""
+    lead_ok, confirm = screen(radii)
+    known: Dict[int, bool] = {}
+
+    def passes(i: int) -> bool:
+        if not lead_ok[i]:
+            return False
+        if i not in known:
+            path, node = [], i
+            while node < len(radii) and len(path) < BISECTION_LEVELS:
+                if lead_ok[node]:
+                    path.append(node)
+                node = successor(node, bool(lead_ok[node]))
+            known.update(zip(path, map(bool, confirm(path))))
+        return known[i]
+
+    return passes
 
 
 def _midpoint_tree(lo: float, hi: float, levels: int) -> List[float]:
@@ -664,21 +718,26 @@ def _midpoint_tree(lo: float, hi: float, levels: int) -> List[float]:
     return mids
 
 
-def _bisect(lo: float, hi: float, steps: int,
-            screen: Callable[[List[float]], Callable[[int], bool]]) -> float:
+def _child(node: int, passed: bool) -> int:
+    """The _midpoint_tree node a walk asks after node."""
+    return 2 * node + (2 if passed else 1)
+
+
+def _bisect(lo: float, hi: float, steps: int, screen: _Screen) -> float:
     """lo after `steps` steps of
 
         mid = 0.5 * (lo + hi); lo = mid if it passes, else hi = mid
 
-    taken one at a time, each verdict read from the last screen.  screen
-    gets a list of midpoints and returns the verdict on mids[i] as a
-    function of i.  The first screen is the spine, the `steps` midpoints of
-    the path on which every step fails; a walk that leaves the screened
-    midpoints screens every path of the next min(steps left,
-    BISECTION_LEVELS) steps from where it stands (_midpoint_tree).  A
-    verdict depends on the midpoint's float alone, so the walk looks it up
-    by that float; it asks only for the midpoints the loop takes, in
-    order, also when the verdicts are not monotone."""
+    taken one at a time, each verdict read from the last screen
+    (_verdicts).  The first screen is the spine, the `steps` midpoints of
+    the path on which every step fails: a fail leads to the next midpoint,
+    a pass off the spine.  A walk that leaves the screened midpoints
+    screens every path of the next min(steps left, BISECTION_LEVELS) steps
+    from where it stands (_midpoint_tree), where node i leads to 2i + 1
+    after a fail and to 2i + 2 after a pass.  A verdict depends on the
+    midpoint's float alone, so the walk looks it up by that float; it asks
+    only for the midpoints the loop takes, in order, also when the
+    verdicts are not monotone."""
     mids, top = [], hi
     for _ in range(steps):
         top = 0.5 * (lo + top)
@@ -691,7 +750,8 @@ def _bisect(lo: float, hi: float, steps: int,
                 mids = _midpoint_tree(lo, hi,
                                       min(steps - step, BISECTION_LEVELS))
             index = {m: i for i, m in enumerate(mids)}
-            passes = screen(mids)
+            passes = _verdicts(mids, _child if step else
+                               lambda i, ok: steps if ok else i + 1, screen)
         if passes(index[mid]):
             lo = mid
         else:
@@ -699,19 +759,20 @@ def _bisect(lo: float, hi: float, steps: int,
     return lo
 
 
-def _ladder(grows: bool,
-            screen: Callable[[List[float]], Callable[[int], bool]]) -> float:
+def _ladder(grows: bool, screen: _Screen) -> float:
     """The r that build_chart bisects [r, 2 r] from: where the doubling
     `r = 1; while r < CAP and passes(2 r): r = 2 r` stops (grows), or the
     first of r = 1/2, 1/4, ... that passes, halving while r > FLOOR, and 0.0
-    for none (VALIDITY_RADIUS_CAP and _FLOOR).  screen gets every radius the
-    loop can try and returns the verdict on radii[i] as a function of i;
-    the walk asks in order up to the first verdict that is not grows."""
+    for none (VALIDITY_RADIUS_CAP and _FLOOR).  One screen holds every
+    radius the loop can try (_verdicts), and a rung leads to the next while
+    its verdict equals grows; the walk asks in order up to the first
+    verdict that is not grows."""
     radii = [1.0]
     while (radii[-1] < VALIDITY_RADIUS_CAP if grows
            else radii[-1] > VALIDITY_RADIUS_FLOOR):
         radii.append(radii[-1] * (2.0 if grows else 0.5))
-    passes = screen(radii[1:])
+    passes = _verdicts(radii[1:], lambda i, ok: i + 1 if ok == grows
+                       else len(radii), screen)
     for i, radius in enumerate(radii[1:]):
         if passes(i) != grows:
             return radii[i] if grows else radius
@@ -725,12 +786,16 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     A trial radius passes when CHART_DIRECTIONS random kernel directions
     round-trip within CHART_ROUND_TRIP_TOL.  The radius starts at 1, checked
     alone, doubles or halves (_ladder), then bisects to the failure boundary
-    in RADIUS_BISECTION_STEPS steps (_bisect): its first screen (one lane
-    block of first directions) is the spine of midpoints on which every
-    step fails, later ones trees of BISECTION_LEVELS steps.  A
-    non-regular report raises RegularityError from PointSplit, the one
-    regularity gate.  A radius below the floor rejects the chart: the
-    splitting is numerically unusable even if the rank test passed.
+    in RADIUS_BISECTION_STEPS steps (_bisect): its first screen is the spine
+    of midpoints on which every step fails, later ones trees of
+    BISECTION_LEVELS steps.  A screen is one lane block of one direction,
+    the lead, of every radius it holds; the lead starts as the first
+    direction and, after a failed round trip, becomes the lowest direction
+    that did not converge there.  The other directions go in one block per
+    path the lead verdicts predict (_verdicts).  A non-regular report
+    raises RegularityError from PointSplit, the one regularity gate.  A
+    radius below the floor rejects the chart: the splitting is numerically
+    unusable even if the rank test passed.
     """
     if report is None:
         report = is_regular_point(c, p)
@@ -742,15 +807,29 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms[:, None]
+    lead = 0
 
-    def screen(radii: List[float]) -> Callable[[int], bool]:
-        # a radius whose first direction fails fails; most trial radii lie
-        # outside the chart, and their lanes end once they contract slowly
-        # instead of running the damping ladder to a stall
-        firsts, converged, _ = chart.inverse_lanes(
-            np.array(radii)[:, None] * dirs[0], end_slow_lanes=True)
-        return lambda i: bool(converged[i]) and _round_trip_rest_ok(
-            chart, radii[i], dirs, firsts[i:i + 1])
+    def screen(radii: List[float]):
+        # a radius whose lead fails fails; most trial radii lie outside the
+        # chart, and their lanes end once they contract slowly instead of
+        # running the damping ladder to a stall
+        first, trial = lead, np.array(radii)
+        flats, converged, _ = chart.inverse_lanes(
+            trial[:, None] * dirs[first], end_slow_lanes=True)
+
+        def confirm(nodes: List[int]) -> np.ndarray:
+            nonlocal lead
+            passes, solved = _round_trip_rests(chart, trial[nodes], dirs,
+                                               first, flats[nodes])
+            # a direction that failed at one radius tends to fail at the
+            # next ones too, so the screens lead with the lowest one that
+            # failed at the first radius of the path with a failed lane
+            misses = np.flatnonzero(~solved)
+            if misses.size:
+                lead = int(misses[0] % CHART_DIRECTIONS)
+            return passes
+
+        return converged, confirm
 
     radius = _ladder(_chart_round_trip_ok(chart, 1.0, dirs), screen)
     if radius == 0.0:

@@ -125,13 +125,13 @@ def damped_newton(residual: Callable, linear_step: Callable,
     monotonicity test of Deuflhard, Newton Methods for Nonlinear Problems,
     ch. 3).  The test reads only the lane's own norms, so a lane still ends
     as it would solved alone under it.  Only the lane blocks of
-    implicit.build_chart's radius check pass it: the bisection screen and
-    the rest of every round trip.  That is sound: a lane ended early can
-    only fail a trial radius, and a failed trial only makes the radius
-    smaller or ends the doubling sooner, so no radius that fails is ever
-    certified.  That it makes none smaller (every lane it ends on the
-    registry constraints fails without it too) is empirical; tests guard
-    it.
+    implicit.build_chart's radius check pass it: the screens of one
+    direction, the lead, and the blocks of the other directions.  That is
+    sound: a lane ended early can only fail a trial radius, and a failed
+    trial only makes the radius smaller or ends the doubling sooner, so no
+    radius that fails is ever certified.  That it makes none smaller
+    (every lane it ends on the registry constraints fails without it too)
+    is empirical; tests guard it.
     """
     z = np.array(start)
     P = len(z)

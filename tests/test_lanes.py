@@ -29,10 +29,10 @@ from tamef.graded import BanachFiber, SequenceSpace
 from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
                             CHART_ROUND_TRIP_TOL, DEFAULT_MAX_ITER,
                             DEFAULT_SOLVE_TOL, PointSplit, _chart_round_trip_ok,
-                            SplitConstraint, _solve_lanes, affine_constraint,
-                            build_chart, flatten, is_regular_point,
-                            polynomial_constraint, solve_implicit,
-                            sphere_constraint)
+                            SplitConstraint, _round_trip_rests, _solve_lanes,
+                            affine_constraint, build_chart, flatten,
+                            is_regular_point, polynomial_constraint,
+                            solve_implicit, sphere_constraint)
 from tamef.manifold import (_sample_overlap, _transition_descriptor,
                             make_sphere, make_sphere_intersection,
                             verify_transitions)
@@ -491,9 +491,9 @@ def assert_slow_rule_only_ends_failing_lanes(split, X, Y0, goal, max_iter):
 def radius_check_blocks(monkeypatch):
     """The lane blocks build_chart's radius check solves on the registry
     constraints, as _solve_lanes arguments: the screen's blocks and those
-    of the rest of the round trip (_round_trip_rest_ok)."""
+    of the rest of the round trip (_round_trip_rests)."""
     screen, rest, in_rest = [], [], []
-    solve, rest_ok = implicit._solve_lanes, implicit._round_trip_rest_ok
+    solve, rest_ok = implicit._solve_lanes, implicit._round_trip_rests
 
     def record(split, X, Y0, goal, tol, max_iter, end_slow_lanes=False):
         if end_slow_lanes:
@@ -510,7 +510,7 @@ def radius_check_blocks(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(implicit, "_solve_lanes", record)
-        patch.setattr(implicit, "_round_trip_rest_ok", tagged)
+        patch.setattr(implicit, "_round_trip_rests", tagged)
         for level in (0, 1, 2):
             sphere_chart(level, K=16)
         make_sphere_intersection(_space(16), (0, 1), radii=[1, 2], seed=3)
@@ -532,12 +532,12 @@ def test_slow_rule_ends_only_lanes_that_fail_without_it(monkeypatch):
                    for block in screen)
     rested = sum(assert_slow_rule_only_ends_failing_lanes(*block)
                  for block in rest)
-    # the counts are deterministic: 25 of the 360 fixed lanes, 115 of the
-    # 458 screen lanes and 80 of the 1155 lanes of 77 rest blocks end early
+    # the counts are deterministic: 25 of the 360 fixed lanes, 198 of the
+    # 458 screen lanes and 85 of the 960 lanes of 36 rest blocks end early
     assert ended == 25
-    assert (screened, sum(len(b[1]) for b in screen)) == (115, 458)
+    assert (screened, sum(len(b[1]) for b in screen)) == (198, 458)
     assert (rested, sum(len(b[1]) for b in rest), len(rest)) == \
-        (80, 1155, 77)
+        (85, 960, 36)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +591,11 @@ def test_chart_inverse_lanes_equal_single_inverses(make):
                               chart.offsets(q)), row
 
 
-def reference_round_trip_ok(chart, radius, directions):
+def reference_round_trip_ok(chart, radius, directions,
+                            tol=CHART_ROUND_TRIP_TOL):
     """Each direction solved and checked alone, stopping at the first
     failure."""
-    bound = CHART_ROUND_TRIP_TOL * (1.0 + radius)
+    bound = tol * (1.0 + radius)
     for u in directions:
         x = radius * u
         try:
@@ -609,18 +610,39 @@ def reference_round_trip_ok(chart, radius, directions):
 
 
 @pytest.mark.parametrize("make", [sphere_chart, spheres_chart])
-def test_round_trip_check_matches_one_direction_at_a_time(make):
+def test_round_trip_check_matches_one_direction_at_a_time(monkeypatch, make):
     chart = make(seed=11)
     directions = chart_directions(chart, 11)
     R = chart.validity_radius
+    factors = (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 1e-3, 1.5, 3.0)
     verdicts = []
-    for factor in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 1e-3, 1.5, 3.0):
+    for factor in factors:
         radius = factor * R
         want = reference_round_trip_ok(chart, radius, directions)
         assert _chart_round_trip_ok(chart, radius, directions) == want, factor
         verdicts.append(want)
     # the certified radius passes and radii past it fail
     assert verdicts[2] and not verdicts[-1]
+    # the rests of every radius whose lead converged as one block, led by
+    # another direction; a zero tolerance fails the round trips whose
+    # points come back off by any roundoff
+    radii = R * np.array(factors)
+    lead_flats, lead_ok, _ = chart.inverse_lanes(radii[:, None] *
+                                                 directions[3])
+    radii, lead_flats = radii[lead_ok], lead_flats[lead_ok]
+    tightened = []
+    for tol in (CHART_ROUND_TRIP_TOL, 0.0):
+        monkeypatch.setattr(implicit, "CHART_ROUND_TRIP_TOL", tol)
+        want = [reference_round_trip_ok(chart, radius, directions, tol)
+                for radius in radii]
+        passes, converged = _round_trip_rests(chart, radii, directions, 3,
+                                              lead_flats)
+        assert passes.tolist() == want, tol
+        for radius, row in zip(radii, converged):
+            assert np.array_equal(row, chart.inverse_lanes(
+                radius * directions)[1]), radius
+        tightened.append(want)
+    assert tightened[0] != tightened[1]
 
 
 def reference_sample_overlap(chart_a, chart_b, count, seed):
@@ -801,10 +823,13 @@ def test_sphere_chart_radius_takes_four_newton_calls(monkeypatch):
 
 
 def test_intersection_chart_newton_work_is_bounded(monkeypatch):
+    """Half the midpoints of this chart pass, so its radius search solves
+    the other directions of several radii; those of one predicted path go
+    as one block."""
     manifold, lanes, rounds = newton_work(
         monkeypatch,
         lambda: make_sphere_intersection(_space(16), (0, 1), radii=[1, 2],
                                          seed=1))
     assert [c.validity_radius.hex() for c in manifold.charts] == \
         ["0x1.b698cc0000000p+0"]
-    assert len(lanes) <= 35 and rounds <= 319
+    assert (len(lanes), rounds, sum(lanes)) == (18, 148, 335)

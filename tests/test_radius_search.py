@@ -1,16 +1,20 @@
 """The chart-radius search and the lane blocks it solves.
 
 build_chart checks radius 1 alone, then doubles or halves it and bisects
-one step at a time, reading each verdict from a screen: the first direction
-of every trial radius the doubling or halving can reach goes as one lane
-block, then those of the bisection's spine (the midpoints on which every
-step fails), and, once the walk leaves the spine, of every midpoint the
-next BISECTION_LEVELS steps can visit.  Only the radii on the path get the
-other directions.  The reference below is the search as it ran before,
-frozen here unchanged: doubling or halving one radius at a time, then
-RADIUS_BISECTION_STEPS bisection steps one after another, each a full
-round-trip check whose first direction is solved alone.  Every certified
-radius must equal it bit for bit.
+one step at a time, reading each verdict from a screen: one direction, the
+lead, of every trial radius the doubling or halving can reach goes as one
+lane block, then those of the bisection's spine (the midpoints on which
+every step fails), and, once the walk leaves the spine, of every midpoint
+the next BISECTION_LEVELS steps can visit.  The lead starts as the first
+direction; after a failed round trip it becomes the lowest direction that
+did not converge there.  The other directions are solved only for radii
+on the path: the first verdict that needs them confirms, in one block, the
+radii of the path the walk takes if every lead verdict holds.  The
+reference below is the search as it ran before, frozen here unchanged:
+doubling or halving one radius at a time, then RADIUS_BISECTION_STEPS
+bisection steps one after another, each a full round-trip check whose
+first direction is solved alone.  Every certified radius must equal it bit
+for bit.
 
 A PointSplit's split constraint forms a block's kernel parts K x once per
 solve; the solves must equal those of a split constraint that forms the
@@ -150,7 +154,25 @@ def test_sphere_radius_equals_step_by_step_search(name, level, K):
     assert_radii_match(sphere_points(level, K), seeds=(0, 7, 101))
 
 
-def test_intersection_radius_equals_step_by_step_search():
+def _calls(monkeypatch, name):
+    """Wrap implicit.<name>, recording the arguments of every call."""
+    calls, function = [], getattr(implicit, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(implicit, name, recorded)
+    return calls
+
+
+def _leads(rests):
+    """The lead directions of the recorded _round_trip_rests calls."""
+    return {lead for _, _, _, lead, _ in rests}
+
+
+def test_intersection_radius_equals_step_by_step_search(monkeypatch):
+    rests = _calls(monkeypatch, "_round_trip_rests")
     paths = assert_radii_match(
         intersection_points((0, 1), [1, 2], 16), seeds=(0, 5, 13, 101))
     paths += assert_radii_match(
@@ -161,6 +183,29 @@ def test_intersection_radius_equals_step_by_step_search():
     # these bisections pass some midpoints and fail others
     assert all(len(path) == RADIUS_BISECTION_STEPS for path in paths)
     assert any(any(path) and not all(path) for path in paths)
+    # a failed round trip moves the lead off the first direction
+    assert _leads(rests) - {0}
+
+
+SPHERES_CASES = [((0, 1), [1, 2], True), ((0, 2), [1, 3], True),
+                 ((1, 2), [2, 3], True), ((0, 1, 2), [1, 2, 8], True),
+                 # radius 1 fails here, so the search halves before it
+                 # bisects
+                 ((0, 1), [0.5, 0.6], False)]
+
+
+@pytest.mark.parametrize(
+    "levels, radii, grows", SPHERES_CASES,
+    ids=[f"{levels}-{radii}" for levels, radii, _ in SPHERES_CASES])
+def test_spheres_radius_equals_step_by_step_search(monkeypatch, levels,
+                                                   radii, grows):
+    points = intersection_points(levels, radii, 6)
+    rests = _calls(monkeypatch, "_round_trip_rests")
+    ladders = _calls(monkeypatch, "_ladder")
+    paths = assert_radii_match(points, seeds=(0, 1, 2, 3))
+    assert [ladder[0] for ladder in ladders] == [grows] * 4
+    assert any(any(path) and not all(path) for path in paths)
+    assert _leads(rests) - {0}
 
 
 def test_sphere_zero_bisection_fails_every_midpoint():
@@ -223,41 +268,100 @@ def reference_bisect(lo, hi, steps, passes):
     return lo, mids
 
 
+def _lead_verdict(seed):
+    """A seeded random lead verdict per radius, passing three in four."""
+    def passes(radius):
+        return random.Random(f"lead {seed}:{radius.hex()}").random() < 0.75
+    return passes
+
+
+def _spine_then_trees(number, radii):
+    """The path rule of _bisect's screens, the spine first: on the spine a
+    fail leads to the next midpoint and a pass off it; in a tree node i
+    leads to 2i + 1 after a fail and to 2i + 2 after a pass."""
+    if number == 0:
+        return lambda i, ok: len(radii) if ok else i + 1
+    return lambda i, ok: 2 * i + (2 if ok else 1)
+
+
+def _rungs(grows):
+    """The path rule of _ladder's screen: the next rung while the verdict
+    equals grows."""
+    return lambda number, radii: (
+        lambda i, ok: i + 1 if ok == grows else len(radii))
+
+
+def _walk(patch, run, lead_passes, passes, rule):
+    """run(screen) on fake screens.  A radius passes where both
+    lead_passes and passes do, and a confirm block asks passes alone.
+    rule(number, radii) is the path rule of the screen of that number.
+    Every confirm block must hold the asked radius and the radii after it
+    on the path the lead verdicts predict, skipping those whose lead
+    fails, at most BISECTION_LEVELS of them; no radius is confirmed twice.
+    Returns run's result, the radii the walk asked in order, each from the
+    newest screen, and the radii of every screen."""
+    asked, asking, screens = [], [], []
+    verdicts = implicit._verdicts
+
+    def screen(radii):
+        screens.append(list(radii))
+        lead_ok = np.array([lead_passes(r) for r in radii], dtype=bool)
+        successor = rule(len(screens) - 1, radii)
+        confirmed = set()
+
+        def confirm(nodes):
+            path, node = [], asking[-1]
+            while node < len(radii):
+                if lead_ok[node]:
+                    path.append(node)
+                node = successor(node, lead_ok[node])
+            assert nodes == path[:implicit.BISECTION_LEVELS]
+            assert lead_ok[nodes].all() and confirmed.isdisjoint(nodes)
+            confirmed.update(nodes)
+            return [passes(radii[i]) for i in nodes]
+        return lead_ok, confirm
+
+    def recorded(radii, successor, screen):
+        verdict, number = verdicts(radii, successor, screen), len(screens)
+
+        def ask(i):
+            assert number == len(screens)
+            asked.append(radii[i])
+            asking.append(i)
+            return verdict(i)
+        return ask
+
+    patch.setattr(implicit, "_verdicts", recorded)
+    return run(screen), asked, screens
+
+
 @pytest.mark.parametrize("levels", [1, 3, BISECTION_LEVELS, 5])
 @pytest.mark.parametrize("steps", [0, 1, 4, 5, RADIUS_BISECTION_STEPS])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_walk_takes_the_loops_midpoints(monkeypatch, levels, steps, seed):
     monkeypatch.setattr(implicit, "BISECTION_LEVELS", levels)
-    passes = table_verdict(seed)
+    table, lead = table_verdict(seed), _lead_verdict(seed)
     # an interval whose midpoints are not all exact dyadic fractions, so
     # another midpoint formula would round differently
     rng = random.Random(seed)
     lo = rng.uniform(0.1, 1.0)
     hi = lo * (1.0 + rng.random())
-    want, want_mids = reference_bisect(lo, hi, steps, passes)
-
-    taken, groups = [], []
-
-    def screen(mids):
-        groups.append(len(mids))
-
-        def verdict(node):
-            taken.append(mids[node])
-            return passes(mids[node])
-        return verdict
-
-    got = _bisect(lo, hi, steps, screen)
+    want, want_mids = reference_bisect(
+        lo, hi, steps, lambda mid: lead(mid) and table(mid))
+    got, taken, screens = _walk(
+        monkeypatch, lambda screen: _bisect(lo, hi, steps, screen), lead,
+        table, _spine_then_trees)
     assert got.hex() == want.hex()
     assert [m.hex() for m in taken] == [m.hex() for m in want_mids]
     # the spine holds the steps up to the loop's first pass; from the step
     # after it, a tree of 2^levels - 1 midpoints for every `levels` steps
     # and a smaller one for the steps left
-    verdicts = [passes(mid) for mid in want_mids]
+    verdicts = [lead(mid) and table(mid) for mid in want_mids]
     want_groups = [steps] if steps else []
     if any(verdicts):
         for step in range(verdicts.index(True) + 1, steps, levels):
             want_groups.append(2 ** min(steps - step, levels) - 1)
-    assert groups == want_groups
+    assert [len(mids) for mids in screens] == want_groups
 
 
 VERDICT_KINDS = ("table", "boundary", "at lo", "at hi")
@@ -267,33 +371,28 @@ VERDICT_KINDS = ("table", "boundary", "at lo", "at hi")
 @given(lo=st.floats(1e-6, 1e3), width=st.floats(0.0, 4.0),
        steps=st.integers(0, RADIUS_BISECTION_STEPS),
        levels=st.integers(1, 5), kind=st.sampled_from(VERDICT_KINDS),
-       seed=st.integers(0, 2 ** 16), where=st.floats(0.0, 1.0))
+       seed=st.integers(0, 2 ** 16), where=st.floats(0.0, 1.0),
+       leads=st.sampled_from(("all pass", "table")))
 def test_walk_equals_the_loop_on_any_verdicts(lo, width, steps, levels,
-                                              kind, seed, where):
+                                              kind, seed, where, leads):
     """The walk returns the loop's lo bit for bit and asks the loop's
-    midpoints in order, each from the newest screen, which holds it."""
+    midpoints in order, each from the newest screen, which holds it; its
+    confirm blocks keep the protocol _walk checks."""
     hi = lo * (1.0 + width)
     boundary = lo + where * (hi - lo)
     passes = {"table": table_verdict(seed),
               "boundary": lambda mid: mid <= boundary,
               "at lo": lambda mid: False,
               "at hi": lambda mid: True}[kind]
-    want, want_mids = reference_bisect(lo, hi, steps, passes)
-    screens, taken = [], []
-
-    def screen(mids):
-        screens.append(list(mids))
-        number = len(screens)
-
-        def verdict(i):
-            assert number == len(screens)
-            taken.append(screens[-1][i])
-            return passes(screens[-1][i])
-        return verdict
-
+    lead = {"all pass": lambda mid: True,
+            "table": _lead_verdict(seed)}[leads]
+    want, want_mids = reference_bisect(
+        lo, hi, steps, lambda mid: lead(mid) and passes(mid))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(implicit, "BISECTION_LEVELS", levels)
-        got = _bisect(lo, hi, steps, screen)
+        got, taken, screens = _walk(
+            patch, lambda screen: _bisect(lo, hi, steps, screen), lead,
+            passes, _spine_then_trees)
     assert got.hex() == want.hex()
     assert [m.hex() for m in taken] == [m.hex() for m in want_mids]
     if kind == "at lo":
@@ -327,60 +426,66 @@ LADDER_VERDICTS = {
     "fail then pass": lambda radius: radius <= 2.0 ** -6,
     **{f"table {seed}": table_verdict(seed) for seed in range(4)},
 }
+LADDER_LEADS = {
+    "lead passes": lambda radius: True,
+    # the lead alone fails a rung that "pass then fail" or "fail then
+    # pass" passes
+    "lead fails at 2^3 and 2^-6": lambda radius: radius not in (8.0, 2**-6),
+    "lead table": _lead_verdict(1),
+}
 
 
 @pytest.mark.parametrize("grows", [True, False], ids=["doubling", "halving"])
 @pytest.mark.parametrize("name", sorted(LADDER_VERDICTS))
 def test_ladder_takes_the_loops_trial_radii(grows, name):
     passes = LADDER_VERDICTS[name]
-    want, want_tried = reference_ladder(grows, passes)
     # the loop's radii when it never stops early
     _, every = reference_ladder(grows, lambda radius: grows)
-    taken, groups = [], []
-
-    def screen(radii):
-        groups.append(list(radii))
-
-        def verdict(i):
-            taken.append(radii[i])
-            return passes(radii[i])
-        return verdict
-
-    got = _ladder(grows, screen)
-    assert groups == [every]
-    assert [r.hex() for r in taken] == [r.hex() for r in want_tried]
-    # lo of the bracket [lo, 2 lo] the bisection starts from: the cap when
-    # every doubling passes, 0.0 when no halving does
-    assert got.hex() == (0.0 if want is None else want).hex()
+    for lead_passes in LADDER_LEADS.values():
+        want, want_tried = reference_ladder(
+            grows, lambda radius: lead_passes(radius) and passes(radius))
+        with pytest.MonkeyPatch.context() as patch:
+            got, taken, screens = _walk(
+                patch, lambda screen: _ladder(grows, screen), lead_passes,
+                passes, _rungs(grows))
+        assert screens == [every]
+        assert [r.hex() for r in taken] == [r.hex() for r in want_tried]
+        # lo of the bracket [lo, 2 lo] the bisection starts from: the cap
+        # when every doubling passes, 0.0 when no halving does
+        assert got.hex() == (0.0 if want is None else want).hex()
 
 
 def test_chart_bisection_follows_non_monotone_verdicts(monkeypatch):
-    # a failing first direction fails a radius as before; past it a random
-    # table decides, here and in the reference alike
+    # a radius with a direction that fails fails as before; past that a
+    # random table decides, here and in the reference alike
     points = sphere_points(0, 6) + intersection_points((0, 1), [1, 2], 16)
+    rests = implicit._round_trip_rests
     mixed = overruled = 0
     for c, p, report in points:
         for seed in (0, 1, 2, 3, 4, 5):
             table = table_verdict(seed)
-            first_fails = set()
+            some_fail = set()
 
             def round_trip_ok(chart, radius, dirs):
-                try:
-                    chart.inverse(radius * dirs[0])
-                except (NonConvergenceError, SingularBlockError):
-                    first_fails.add(radius)
+                _, converged, _ = chart.inverse_lanes(radius * dirs)
+                if not converged.all():
+                    some_fail.add(radius)
                     return False
                 return table(radius)
 
-            monkeypatch.setattr(
-                implicit, "_round_trip_rest_ok",
-                lambda chart, radius, dirs, first: table(radius))
+            def table_rests(chart, radii, dirs, lead, lead_flats):
+                _, converged = rests(chart, radii, dirs, lead, lead_flats)
+                return converged.all(axis=1) & np.array(
+                    [table(radius) for radius in radii], dtype=bool), \
+                    converged
+
+            monkeypatch.setattr(implicit, "_round_trip_rests", table_rests)
             want, steps = reference_radius(c, p, seed, report,
                                            round_trip_ok)
             verdicts = [ok for _, ok in steps]
             mixed += any(verdicts) and not all(verdicts)
             overruled += sum(1 for mid, _ in steps
-                             if mid in first_fails and table(mid))
+                             if mid in some_fail and table(mid))
             if want is None:
                 with pytest.raises(implicit.RegularityError):
                     build_chart(c, p, seed=seed, report=report)
@@ -388,7 +493,7 @@ def test_chart_bisection_follows_non_monotone_verdicts(monkeypatch):
             got = build_chart(c, p, seed=seed, report=report)
             assert got.validity_radius.hex() == want.hex(), (c.name, seed)
     # the table mixes verdicts along paths, and some path midpoints fail
-    # at the first direction although the table would pass them
+    # at a direction although the table would pass them
     assert mixed >= 3 and overruled >= 3
 
 
