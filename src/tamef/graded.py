@@ -585,11 +585,12 @@ class SequenceSpace:
             raise ValueError("sequence does not belong to this space")
 
 
-def seminorm_table(space: SequenceSpace, probes) -> np.ndarray:
+def seminorm_table(space, probes) -> np.ndarray:
     """Values table[n, i] = |probe_i|_n for n = 0..n_max under the space's
     grading, from one seminorm call on the whole batch at every level.
 
-    probes is a SequenceBatch or a list of them (see as_batch).
+    space is a SequenceSpace or a ProductSpace, and probes a batch of its
+    elements or a list of them (see as_batch).
     """
     return space.seminorm(as_batch(probes), range(space.n_max + 1))
 
@@ -854,27 +855,34 @@ def _graded_batch(g1: SequenceSpace, g2: SequenceSpace,
     return batch
 
 
-def _graded_tables(g1: SequenceSpace, g2: SequenceSpace,
-                   batch: SequenceBatch):
-    """(degrees, g1 table, g2 table) of a batch of two gradings' space, as
-    batch.degree() and seminorm_table give them, filled a slice at a time.
+def probe_tables(num_space, den_space, batch, image=None):
+    """(degrees, num, den): the probes' degrees and, at [n, i] for n in
+    0..n_max, num_space's seminorm of image(probe i) (of probe i when image
+    is None) and den_space's of probe i, as batch.degree() and
+    seminorm_table give them.
 
-    The slices are the fewest equal ones of at most 2 * BLOCK_ENTRIES
-    coefficient entries, each one sub-batch whose coefficient norms its
-    degrees and both tables read; the level weighting of a table then
-    broadcasts over rows long enough to run at its fastest per entry."""
+    One pass fills them in the fewest equal slices of at most
+    2 * BLOCK_ENTRIES coefficient entries, a row counting its probe's and
+    its image's: per slice the num table, the den table, then the degrees
+    from the norms the tables cached, so each probe is normed once.  The
+    level weighting broadcasts over rows long enough to run at its fastest
+    per entry."""
     P = len(batch)
-    most = max(1, 2 * BLOCK_ENTRIES // g1.flat_dimension)
+    entries = den_space.flat_dimension
+    if image is not None:
+        entries += num_space.flat_dimension
+    most = max(1, 2 * BLOCK_ENTRIES // entries)
     width = -(-P // -(-P // most))
     degrees = np.empty(P, dtype=np.intp)
-    t1 = np.empty((g1.n_max + 1, P))
-    t2 = np.empty_like(t1)
+    num = np.empty((num_space.n_max + 1, P))
+    den = np.empty_like(num)
     for start in range(0, P, width):
         part = batch[start:start + width]
+        num[:, start:start + width] = seminorm_table(
+            num_space, part if image is None else image(part))
+        den[:, start:start + width] = seminorm_table(den_space, part)
         degrees[start:start + width] = part.degree()
-        t1[:, start:start + width] = seminorm_table(g1, part)
-        t2[:, start:start + width] = seminorm_table(g2, part)
-    return degrees, t1, t2
+    return degrees, num, den
 
 
 def certify_grading_equivalence(g1: SequenceSpace, g2: SequenceSpace,
@@ -886,7 +894,7 @@ def certify_grading_equivalence(g1: SequenceSpace, g2: SequenceSpace,
     rejection the failure carries the probe maximizing the ratio at r_max.
     """
     batch = _graded_batch(g1, g2, probes)
-    degrees, t1, t2 = _graded_tables(g1, g2, batch)
+    degrees, t1, t2 = probe_tables(g1, g2, batch)
     if degrees.max() < 0:
         raise ValueError("degenerate probe set: every probe is zero")
     split = batch.truncation_degree // 2
@@ -933,6 +941,6 @@ def validate_equivalence_certificate(cert: TamenessCertificate,
 
     Returns the violations as (probe_index, level, lhs, bound) tuples.
     """
-    _, num, den = _graded_tables(g_num, g_den,
-                                 _graded_batch(g_num, g_den, probes))
+    _, num, den = probe_tables(g_num, g_den,
+                               _graded_batch(g_num, g_den, probes))
     return certificate_violations(cert, num, den)

@@ -802,8 +802,7 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     chart = Chart(PointSplit(c, report), p, validity_radius=0.0)
     x_dim = chart.kernel_dimension
     rng = rng_from_seed(seed)
-    dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim)) if x_dim else \
-        np.zeros((CHART_DIRECTIONS, 0))
+    dirs = rng.normal(size=(CHART_DIRECTIONS, x_dim))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms[:, None]

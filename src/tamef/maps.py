@@ -35,7 +35,7 @@ from .graded import (
     as_batch,
     certificate_violations,
     certify_from_tables,
-    rows_per_slice,
+    probe_tables,
 )
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
@@ -142,29 +142,12 @@ class CertificationOutcome:
 
 
 def map_seminorm_tables(desc: TameMapDescriptor, probes):
-    """(num, den) tables: image and source seminorms per level and probe.
-
-    Both tables are filled slice by slice of probes: one evaluation and one
-    seminorm call at the levels 0..n_max per space and slice.  A slice is
-    rows_per_slice(entries) probes, entries the coefficients of one domain
-    element (summed over the factors of a product domain), so the images
-    and coefficient norms held at once stay a few BLOCK_ENTRIES floats
-    whatever the probe count.
-    """
-    n_max = desc.domain.n_max
-    if desc.codomain.n_max != n_max:
+    """(degrees, num, den) of a probe set: the probes' degrees, and per
+    level and probe the seminorms of their images and their own, from one
+    graded.probe_tables pass that evaluates the map a slice at a time."""
+    if desc.codomain.n_max != desc.domain.n_max:
         raise ValueError("domain and codomain must share one level range")
-    batch = as_batch(probes)
-    num = np.empty((n_max + 1, len(batch)))
-    den = np.empty((n_max + 1, len(batch)))
-    step = rows_per_slice(desc.domain.flat_dimension)
-    for start in range(0, len(batch), step):
-        part = batch[start:start + step]
-        stop = start + len(part)
-        num[:, start:stop] = desc.codomain.seminorm(desc(part),
-                                                    range(n_max + 1))
-        den[:, start:stop] = desc.domain.seminorm(part, range(n_max + 1))
-    return num, den
+    return probe_tables(desc.codomain, desc.domain, as_batch(probes), desc)
 
 
 def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
@@ -177,7 +160,7 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
     zero-denominator exclusion.
     """
     batch = as_batch(probes)
-    num, den = map_seminorm_tables(desc, batch)
+    degrees, num, den = map_seminorm_tables(desc, batch)
     if not desc.is_linear:
         level_norms = den[desc.region_level]
         outside = np.flatnonzero(
@@ -189,7 +172,7 @@ def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,
                 f"({level_norms[i]:.6g} > {desc.region_radius:.6g})")
         den = den + 1.0
     cert, witness = certify_from_tables(
-        num, den, batch.degree(), batch.truncation_degree // 2, r_max=r_max,
+        num, den, degrees, batch.truncation_degree // 2, r_max=r_max,
         forced_r=forced_r, probe_count=len(batch), linear=desc.is_linear)
     if cert is not None:
         return CertificationOutcome(cert, None)
@@ -201,7 +184,7 @@ def validate_certificate_on_probes(desc: TameMapDescriptor,
                                    cert: TamenessCertificate, probes):
     """Re-check the certified inequality; returns (probe, level, lhs, bound)
     violations."""
-    num, den = map_seminorm_tables(desc, probes)
+    _, num, den = map_seminorm_tables(desc, probes)
     if not cert.linear:
         den = den + 1.0
     return certificate_violations(cert, num, den)

@@ -490,14 +490,42 @@ def test_gradings_run_takes_each_fiber_norm_twice(monkeypatch, tmp_path):
     assert tables == [3334] * 4 + [3332] * 2
 
 
+@pytest.mark.parametrize("name, rows", [
+    ("compose:derivative,shift_up", [990, 1000, 1000]),
+    ("product:derivative,coeff_square", [990, 1000, 1000, 1000]),
+    ("projection:1", [990, 990, 1000, 1000]),
+])
+def test_map_runs_take_each_fiber_norm_once_per_block(monkeypatch, tmp_path,
+                                                      name, rows):
+    """A seeded certify-map run of a benchmark map with 1000 probes at
+    K = 32 takes one 1000-row table slice: a row holds its probe's and its
+    image's coefficients, 66 or 99 entries, within 2 * 2 ** 16.  The fiber
+    norm takes the 990 decay probes of each domain factor once for their
+    level-0 rescale, then each image block and each probe block of the
+    slice once; the degrees read the probes' cached norms, and the
+    projection's image is its first factor, normed once for both tables."""
+    seen = []
+    norms = BanachFiber.norms
+
+    def counted(fiber, block):
+        seen.append(len(block))
+        return norms(fiber, block)
+
+    monkeypatch.setattr(BanachFiber, "norms", counted)
+    argv = ["certify-map", "--map", name, "--k", "32", "--nmax", "6",
+            "--probes", "1000", "--seed", "1", "--out", str(tmp_path / "run")]
+    assert cli.run(argv) == 0
+    assert seen == rows
+
+
 @pytest.mark.parametrize("kinds", [("l1", "linf"), ("linf", "disk"),
                                    ("decreasing", "l1")])
 @pytest.mark.parametrize("budget", [1, 5 * 13, None])
 def test_equivalence_tables_do_not_depend_on_the_slices(monkeypatch, kinds,
                                                         budget):
     """certify_grading_equivalence and validate_equivalence_certificate
-    read degrees and tables slice by slice, each slice at most twice the
-    budget's entries.  Under budgets that give one row a slice, five rows
+    read degrees and tables through probe_tables, slice by slice, each
+    slice at most twice the budget's entries.  Under budgets that give one row a slice, five rows
     a slice (65 entries) and one slice (the default), every degree, table
     entry, certificate and violation holds the bytes of the whole
     batch's."""
@@ -511,7 +539,7 @@ def test_equivalence_tables_do_not_depend_on_the_slices(monkeypatch, kinds,
     want_outcome = certify_grading_equivalence(g1, g2, probes, r_max=2)
     if budget is not None:
         monkeypatch.setattr(tamef_graded, "BLOCK_ENTRIES", budget)
-    got = tamef_graded._graded_tables(g1, g2, SequenceBatch(
+    got = tamef_graded.probe_tables(g1, g2, SequenceBatch(
         space.fiber, probes.coefficients))
     for ours, theirs in zip(got, want):
         assert ours.dtype == theirs.dtype
@@ -545,8 +573,9 @@ def traced_peak(run):
 
 
 #: budgets of BLOCK_ENTRIES * itemsize bytes each pass may hold beyond its
-#: outputs; the real-fiber peaks measured 4.8, 2.3, 5.0, 2.8 and at most
-#: 4.8 (maps) budgets, the complex ones 2.3, 1.4, 2.3, 1.6 and 3.6
+#: outputs; the real-fiber peaks measured 4.8, 2.3, 5.0, 2.8 and 3.6, 3.2
+#: and 1.9 (the three maps) budgets, the complex ones 2.3, 1.4, 2.3, 1.6
+#: and 3.1, 2.4 and 1.1
 PASS_BUDGETS = {"probes": 6, "norms": 3, "disk": 6, "gradings": 4, "maps": 6}
 
 
@@ -594,8 +623,7 @@ def test_probe_block_passes_hold_a_few_budgets_beyond_their_outputs(field):
         batch = make_product_probes(desc.domain.factors, count, seed=2) \
             if isinstance(desc.domain, ProductSpace) \
             else SequenceBatch(space.fiber, probes.coefficients)
-        (num, den), peak = traced_peak(
-            lambda: map_seminorm_tables(desc, batch))
-        beyond[name] = (peak - num.nbytes - den.nbytes) / budget
+        tables, peak = traced_peak(lambda: map_seminorm_tables(desc, batch))
+        beyond[name] = (peak - sum(t.nbytes for t in tables)) / budget
     for name, budgets in beyond.items():
         assert budgets < PASS_BUDGETS.get(name, PASS_BUDGETS["maps"]), name

@@ -766,6 +766,18 @@ def test_linear_chart_is_global():
     assert values == pytest.approx([1.0], abs=1e-12)
 
 
+def test_zero_kernel_chart_is_a_point_with_the_largest_radius():
+    """A constraint of full rank leaves no kernel: the chart's 16
+    directions are empty, every trial radius round-trips, and the radius
+    is the top of the ladder."""
+    space = SequenceSpace(BanachFiber(1), 1, 1)
+    c = affine_constraint(space, np.eye(2), [-1.0, -0.5])
+    p = SequenceBatch(space.fiber, [[[1.0], [0.5]]])
+    chart = build_chart(c, p, seed=3)
+    assert chart.kernel_dimension == 0
+    assert chart.validity_radius == 256.0
+
+
 def test_chart_rejects_singular_base_point():
     c = sphere_constraint(SPACE16)
     with pytest.raises(RegularityError):

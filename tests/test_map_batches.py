@@ -200,10 +200,10 @@ def slicings(draw):
 
 
 SPACE = SequenceSpace(BanachFiber(1), truncation_degree=4, n_max=2)
-#: rows per slice of SPACE's probes and of pairs of them at the default
-#: budget, which an example asks for with rows None
-DEFAULT_ROWS = graded.rows_per_slice(SPACE.flat_dimension)
-DEFAULT_PAIR_ROWS = graded.rows_per_slice(2 * SPACE.flat_dimension)
+#: rows per slice of the map tables of a SPACE map with a product on one
+#: side at the default budget, which an example asks for with rows None:
+#: 2 * BLOCK_ENTRIES entries, a row counting a probe's and its image's
+DEFAULT_PAIR_ROWS = 2 * graded.BLOCK_ENTRIES // (3 * SPACE.flat_dimension)
 
 
 def probes_for(domain, count, seed):
@@ -218,32 +218,42 @@ def probes_for(domain, count, seed):
 @example(name="compose:derivative,shift_up", space=SPACE,
          slicing=(None, 1), seed=3)
 @example(name="product:coeff_square,scale:inf", space=SPACE,
-         slicing=(None, DEFAULT_ROWS + 1), seed=3)
+         slicing=(None, DEFAULT_PAIR_ROWS + 1), seed=3)
 @example(name="projection:2", space=SPACE,
          slicing=(None, DEFAULT_PAIR_ROWS + 1), seed=3)
 def test_registry_batches_equal_elements(name, space, slicing, seed):
-    """Slice by slice of rows_per_slice rows, drawn or at the default
-    budget, the tables hold the floats of the per-element images."""
+    """In the fewest slices of at most `rows` rows, drawn or at the default
+    budget, the tables hold the floats of the per-element images and the
+    degrees those of the elements.  The examples at the default budget
+    past one probe take two slices."""
     desc = build_map(name, space)
     domain, codomain, run, linear = reference_map(name, space)
     assert (desc.domain, desc.codomain, desc.is_linear) == \
         (domain, codomain, linear)
     rows, count = slicing
+    entries = domain.flat_dimension + codomain.flat_dimension
     budget = graded.BLOCK_ENTRIES if rows is None \
-        else rows * domain.flat_dimension
+        else -(-rows * entries // 2)
     with np.errstate(all="ignore"), \
             mock.patch.object(graded, "BLOCK_ENTRIES", budget):
-        assert rows is None or \
-            graded.rows_per_slice(domain.flat_dimension) == rows
+        most = max(1, 2 * graded.BLOCK_ENTRIES // entries)
+        assert rows is None or most == rows
         probes = probes_for(domain, count, seed)
         want = reference_images(run, codomain, probes)
         got = image_blocks(desc(probes))
         assert len(got) == len(want)
         assert all(identical(g, w) for g, w in zip(got, want))
-        num, den = map_seminorm_tables(desc, probes)
+        with mock.patch.object(graded, "seminorm_table",
+                               wraps=graded.seminorm_table) as tables:
+            degrees, num, den = map_seminorm_tables(desc, probes)
+        slices = tables.call_count // 2
+        assert slices == -(-count // most)
+        assert rows is not None or count == 1 or slices >= 2
         assert identical(num, level_by_level(
             codomain, as_image_batch(codomain, want)))
         assert identical(den, level_by_level(domain, probes))
+        assert identical(degrees, np.array(
+            [f.degree()[0] for f in probes], dtype=np.intp))
         assert validate_descriptor(desc, probes) == \
             reference_validate(domain, codomain, run, linear, probes)
 
