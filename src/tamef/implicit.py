@@ -620,37 +620,48 @@ class Chart:
 
 
 def _chart_round_trip_ok(chart: Chart, radius: float,
-                         directions: np.ndarray) -> bool:
+                         directions: np.ndarray, ahead: np.ndarray
+                         ) -> Tuple[bool, Optional[Tuple[np.ndarray,
+                                                         np.ndarray]]]:
     """Whether every direction, scaled to radius, comes back through inverse
     and forward within tolerance: the first alone, through Chart.inverse,
-    then the rest as one block that ends the lanes that contract slowly
-    (_round_trip_rests).  build_chart checks radius 1 this way; it screens
-    one direction of later radii as lane blocks."""
+    then the rest (_round_trip_rests) as one block that ends the lanes that
+    contract slowly.  The rows of `ahead`, kernel offsets, go in that block
+    too and come back as its flats and which of them converged; None when
+    the first direction fails and no block is solved.  build_chart checks
+    radius 1 this way, with the lanes its walk screens next as `ahead`."""
     try:
         first = flatten(chart.inverse(radius * directions[0]))
     except (NonConvergenceError, SingularBlockError):
-        return False
+        return False, None
+    count = len(directions) - 1
+    flats, converged, _ = chart.inverse_lanes(
+        np.concatenate([radius * directions[1:], ahead]), end_slow_lanes=True)
     passes, _ = _round_trip_rests(chart, np.array([radius]), directions, 0,
-                                  first)
-    return bool(passes[0])
+                                  first, (flats[:count], converged[:count]))
+    return bool(passes[0]), (flats[count:], converged[count:])
 
 
 def _round_trip_rests(chart: Chart, radii: np.ndarray,
                       directions: np.ndarray, lead: int,
-                      lead_flats: np.ndarray
+                      lead_flats: np.ndarray,
+                      rests: Optional[Tuple[np.ndarray, np.ndarray]] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """The round trip at every radius once direction `lead`, scaled to it,
     has come back through inverse to the flat point in the same row of
     lead_flats: the other directions of all radii go as one block that
     ends the lanes that contract slowly, and such a lane fails its radius.
-    Returns whether each radius passes and, one row per radius, which
-    directions converged."""
+    rests, when given, is that block already solved: its flats and which
+    converged, radius by radius.  Returns whether each radius passes and,
+    one row per radius, which directions converged."""
     n, (count, x_dim) = len(radii), directions.shape
     D = chart.constraint.flat_dimension
     rest = np.arange(count) != lead
     offsets = radii[:, None, None] * directions
-    solved, ok, _ = chart.inverse_lanes(
-        offsets[:, rest].reshape(n * (count - 1), x_dim), end_slow_lanes=True)
+    if rests is None:
+        rests = chart.inverse_lanes(offsets[:, rest].reshape(
+            n * (count - 1), x_dim), end_slow_lanes=True)[:2]
+    solved, ok = rests
     converged = np.ones((n, count), dtype=bool)
     converged[:, rest] = ok.reshape(n, count - 1)
     flats = np.empty((n, count, D))
@@ -723,6 +734,16 @@ def _child(node: int, passed: bool) -> int:
     return 2 * node + (2 if passed else 1)
 
 
+def _spine(lo: float, hi: float, steps: int) -> List[float]:
+    """The midpoints of the `steps` bisection steps from [lo, hi] on which
+    every step fails."""
+    mids, top = [], hi
+    for _ in range(steps):
+        top = 0.5 * (lo + top)
+        mids.append(top)
+    return mids
+
+
 def _bisect(lo: float, hi: float, steps: int, screen: _Screen) -> float:
     """lo after `steps` steps of
 
@@ -738,10 +759,7 @@ def _bisect(lo: float, hi: float, steps: int, screen: _Screen) -> float:
     midpoint's float alone, so the walk looks it up by that float; it asks
     only for the midpoints the loop takes, in order, also when the
     verdicts are not monotone."""
-    mids, top = [], hi
-    for _ in range(steps):
-        top = 0.5 * (lo + top)
-        mids.append(top)
+    mids = _spine(lo, hi, steps)
     index: Dict[float, int] = {}
     for step in range(steps):
         mid = 0.5 * (lo + hi)
@@ -759,6 +777,16 @@ def _bisect(lo: float, hi: float, steps: int, screen: _Screen) -> float:
     return lo
 
 
+def _rungs(grows: bool) -> List[float]:
+    """The radii the doubling (grows) or the halving from 1 can try, in
+    order, up to VALIDITY_RADIUS_CAP or down past VALIDITY_RADIUS_FLOOR."""
+    radii = [1.0]
+    while (radii[-1] < VALIDITY_RADIUS_CAP if grows
+           else radii[-1] > VALIDITY_RADIUS_FLOOR):
+        radii.append(radii[-1] * (2.0 if grows else 0.5))
+    return radii[1:]
+
+
 def _ladder(grows: bool, screen: _Screen) -> float:
     """The r that build_chart bisects [r, 2 r] from: where the doubling
     `r = 1; while r < CAP and passes(2 r): r = 2 r` stops (grows), or the
@@ -767,10 +795,7 @@ def _ladder(grows: bool, screen: _Screen) -> float:
     radius the loop can try (_verdicts), and a rung leads to the next while
     its verdict equals grows; the walk asks in order up to the first
     verdict that is not grows."""
-    radii = [1.0]
-    while (radii[-1] < VALIDITY_RADIUS_CAP if grows
-           else radii[-1] > VALIDITY_RADIUS_FLOOR):
-        radii.append(radii[-1] * (2.0 if grows else 0.5))
+    radii = [1.0] + _rungs(grows)
     passes = _verdicts(radii[1:], lambda i, ok: i + 1 if ok == grows
                        else len(radii), screen)
     for i, radius in enumerate(radii[1:]):
@@ -789,9 +814,13 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     in RADIUS_BISECTION_STEPS steps (_bisect): its first screen is the spine
     of midpoints on which every step fails, later ones trees of
     BISECTION_LEVELS steps.  A screen is one lane block of one direction,
-    the lead, of every radius it holds; the lead starts as the first
-    direction and, after a failed round trip, becomes the lowest direction
-    that did not converge there.  The other directions go in one block per
+    the lead, of every radius it holds that it has not solved before;
+    the lead starts as the first direction and, after a failed round trip,
+    becomes the lowest direction that did not converge there.  Once radius
+    1's first direction has converged, the block of its other directions
+    also holds the first direction's lanes of the doubling and of the
+    spine of [1, 2], the screens the walk takes next when radius 1 passes
+    and the doubling stops at 1.  The other directions go in one block per
     path the lead verdicts predict (_verdicts).  A non-regular report
     raises RegularityError from PointSplit, the one regularity gate.  A
     radius below the floor rejects the chart: the splitting is numerically
@@ -807,30 +836,43 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms[:, None]
     lead = 0
+    # the flat point and convergence of every lead lane solved so far, by
+    # (direction, radius): a lane's floats do not depend on its block
+    solved: Dict[Tuple[int, float], Tuple[np.ndarray, bool]] = {}
 
     def screen(radii: List[float]):
         # a radius whose lead fails fails; most trial radii lie outside the
         # chart, and their lanes end once they contract slowly instead of
         # running the damping ladder to a stall
         first, trial = lead, np.array(radii)
-        flats, converged, _ = chart.inverse_lanes(
-            trial[:, None] * dirs[first], end_slow_lanes=True)
+        new = [r for r in radii if (first, r) not in solved]
+        if new:
+            lanes = chart.inverse_lanes(np.array(new)[:, None] * dirs[first],
+                                        end_slow_lanes=True)
+            solved.update(zip([(first, r) for r in new], zip(*lanes[:2])))
+        flats = np.array([solved[first, r][0] for r in radii])
+        converged = np.array([solved[first, r][1] for r in radii])
 
         def confirm(nodes: List[int]) -> np.ndarray:
             nonlocal lead
-            passes, solved = _round_trip_rests(chart, trial[nodes], dirs,
-                                               first, flats[nodes])
+            passes, settled = _round_trip_rests(chart, trial[nodes], dirs,
+                                                first, flats[nodes])
             # a direction that failed at one radius tends to fail at the
             # next ones too, so the screens lead with the lowest one that
             # failed at the first radius of the path with a failed lane
-            misses = np.flatnonzero(~solved)
+            misses = np.flatnonzero(~settled)
             if misses.size:
                 lead = int(misses[0] % CHART_DIRECTIONS)
             return passes
 
         return converged, confirm
 
-    radius = _ladder(_chart_round_trip_ok(chart, 1.0, dirs), screen)
+    ahead = _rungs(True) + _spine(1.0, 2.0, RADIUS_BISECTION_STEPS)
+    ok, lanes = _chart_round_trip_ok(chart, 1.0, dirs,
+                                     np.array(ahead)[:, None] * dirs[lead])
+    if lanes is not None:
+        solved.update(zip([(lead, r) for r in ahead], zip(*lanes)))
+    radius = _ladder(ok, screen)
     if radius == 0.0:
         raise RegularityError(
             f"{c.name}: no usable chart radius above "

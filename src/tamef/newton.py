@@ -126,7 +126,8 @@ def damped_newton(residual: Callable, linear_step: Callable,
     ch. 3).  The test reads only the lane's own norms, so a lane still ends
     as it would solved alone under it.  Only the lane blocks of
     implicit.build_chart's radius check pass it: the screens of one
-    direction, the lead, and the blocks of the other directions.  That is
+    direction, the lead, the blocks of the other directions, and radius
+    1's block of its other directions with lead lanes solved ahead.  That is
     sound: a lane ended early can only fail a trial radius, and a failed
     trial only makes the radius smaller or ends the doubling sooner, so no
     radius that fails is ever certified.  That it makes none smaller

@@ -52,6 +52,15 @@ CASES = {
     "readme-solve": (["solve"], {"command": "solve", "constraint": "sphere:0",
                                  "k": 8, "nmax": 3, "x_offsets": [0.6],
                                  "y0": [0.5], "out": "out"}),
+    # the linear and affine constraints, an affine one with two rows
+    "solve-linear": (["solve"], {"command": "solve",
+                                 "constraint": "linear:1,2,-1", "k": 6,
+                                 "nmax": 2, "x_offsets": [0.3, -0.2]}),
+    "solve-affine": (["solve"], {
+        "command": "solve", "constraint": "affine",
+        "constraint_params": {"matrix": [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]],
+                              "offset": [-1.0, 0.5]},
+        "k": 2, "nmax": 2, "x_offsets": [0.25]}),
     # failure paths
     "solve-singular-block": (["solve"], {
         "command": "solve", "constraint": "polynomial",

@@ -28,7 +28,8 @@ from tamef.errors import NonConvergenceError, SingularBlockError
 from tamef.graded import BanachFiber, SequenceSpace
 from tamef.implicit import (BLOCK_RTOL, CHART_DIRECTIONS, CHART_LANES,
                             CHART_ROUND_TRIP_TOL, DEFAULT_MAX_ITER,
-                            DEFAULT_SOLVE_TOL, PointSplit, _chart_round_trip_ok,
+                            DEFAULT_SOLVE_TOL, RADIUS_BISECTION_STEPS,
+                            PointSplit, _chart_round_trip_ok,
                             SplitConstraint, _round_trip_rests, _solve_lanes,
                             affine_constraint, build_chart, flatten,
                             is_regular_point, polynomial_constraint,
@@ -490,27 +491,35 @@ def assert_slow_rule_only_ends_failing_lanes(split, X, Y0, goal, max_iter):
 
 def radius_check_blocks(monkeypatch):
     """The lane blocks build_chart's radius check solves on the registry
-    constraints, as _solve_lanes arguments: the screen's blocks and those
-    of the rest of the round trip (_round_trip_rests)."""
-    screen, rest, in_rest = [], [], []
-    solve, rest_ok = implicit._solve_lanes, implicit._round_trip_rests
+    constraints, as _solve_lanes arguments, by kind: the first block
+    (radius 1's other directions with the lead lanes screened ahead,
+    _chart_round_trip_ok), the screens' blocks and those of the rest of
+    the round trip (_round_trip_rests)."""
+    blocks = {"first": [], "screen": [], "rest": []}
+    kind = ["screen"]
+    solve = implicit._solve_lanes
 
     def record(split, X, Y0, goal, tol, max_iter, end_slow_lanes=False):
         if end_slow_lanes:
-            (rest if in_rest else screen).append(
+            blocks[kind[-1]].append(
                 (split, X.copy(), np.array(Y0), goal, max_iter))
         return solve(split, X, Y0, goal, tol, max_iter, end_slow_lanes)
 
-    def tagged(*args):
-        in_rest.append(True)
-        try:
-            return rest_ok(*args)
-        finally:
-            in_rest.pop()
+    def tagged(name, function):
+        def run(*args):
+            kind.append(name)
+            try:
+                return function(*args)
+            finally:
+                kind.pop()
+        return run
 
     with monkeypatch.context() as patch:
         patch.setattr(implicit, "_solve_lanes", record)
-        patch.setattr(implicit, "_round_trip_rests", tagged)
+        for name, function in (("first", "_chart_round_trip_ok"),
+                               ("rest", "_round_trip_rests")):
+            patch.setattr(implicit, function,
+                          tagged(name, getattr(implicit, function)))
         for level in (0, 1, 2):
             sphere_chart(level, K=16)
         make_sphere_intersection(_space(16), (0, 1), radii=[1, 2], seed=3)
@@ -518,26 +527,28 @@ def radius_check_blocks(monkeypatch):
         # radius 1 fails here: the screen's ladder lanes halve the radius
         make_sphere_intersection(_space(16), (0, 1), radii=[0.5, 0.6],
                                  seed=3)
-    return screen, rest
+    return blocks
 
 
 def test_slow_rule_ends_only_lanes_that_fail_without_it(monkeypatch):
     """The rule is empirical: on the fixed lane sets and on the radius
-    check's own blocks, screen and rest alike, it must end no lane that
-    converges without it."""
+    check's own blocks, first, screen and rest alike, it must end no lane
+    that converges without it."""
     ended = sum(assert_slow_rule_only_ends_failing_lanes(*lane_set)
                 for lane_set in fixed_lane_sets())
-    screen, rest = radius_check_blocks(monkeypatch)
-    screened = sum(assert_slow_rule_only_ends_failing_lanes(*block)
-                   for block in screen)
-    rested = sum(assert_slow_rule_only_ends_failing_lanes(*block)
-                 for block in rest)
-    # the counts are deterministic: 25 of the 360 fixed lanes, 198 of the
-    # 458 screen lanes and 85 of the 960 lanes of 36 rest blocks end early
+    work = {kind: (sum(assert_slow_rule_only_ends_failing_lanes(*block)
+                       for block in blocks),
+                   sum(len(block[1]) for block in blocks), len(blocks))
+            for kind, blocks in radius_check_blocks(monkeypatch).items()}
+    # the counts are deterministic: 25 of the 360 fixed lanes end early;
+    # per kind, (lanes ended early, lanes, blocks)
     assert ended == 25
-    assert (screened, sum(len(b[1]) for b in screen)) == (198, 458)
-    assert (rested, sum(len(b[1]) for b in rest), len(rest)) == \
-        (85, 960, 36)
+    assert work == {"first": (88, 240, 5), "screen": (110, 318, 21),
+                    "rest": (85, 885, 31)}
+    # 283 lanes end early in all, as when radius 1's other directions went
+    # in a block of their own; the spheres:0,2 chart bisects [2, 4], so the
+    # 25 spine lanes of [1, 2] screened ahead go unread
+    assert sum(ended for ended, _, _ in work.values()) == 283
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +630,9 @@ def test_round_trip_check_matches_one_direction_at_a_time(monkeypatch, make):
     for factor in factors:
         radius = factor * R
         want = reference_round_trip_ok(chart, radius, directions)
-        assert _chart_round_trip_ok(chart, radius, directions) == want, factor
+        ok, _ = _chart_round_trip_ok(chart, radius, directions,
+                                     directions[:0])
+        assert ok == want, factor
         verdicts.append(want)
     # the certified radius passes and radii past it fail
     assert verdicts[2] and not verdicts[-1]
@@ -808,18 +821,38 @@ def newton_work(monkeypatch, build):
     return build(), lanes, sum(rounds)
 
 
-def test_sphere_chart_radius_takes_four_newton_calls(monkeypatch):
+def test_sphere_chart_radius_takes_two_newton_calls(monkeypatch):
     """Every bisection midpoint of a sphere:0 chart fails, so its radius
-    search solves radius 1 alone, the rest of its round trip, the doubling
-    ladder and the 25-midpoint spine: four lane blocks."""
+    search solves radius 1's first direction alone, then one block of the
+    rest of its round trip with the lead lanes of the doubling ladder and
+    of the 25-midpoint spine; the walk's screens find them all solved."""
     space = _space(32)
     chart, lanes, rounds = newton_work(
         monkeypatch,
         lambda: build_chart(sphere_constraint(space, 0), space.basis(0),
                             seed=1))
     assert chart.validity_radius.hex() == "0x1.0000000000000p+0"
-    assert lanes == [1, CHART_DIRECTIONS - 1, 8, 25]
-    assert rounds == 55
+    assert lanes == [1, CHART_DIRECTIONS - 1 + 8 + RADIUS_BISECTION_STEPS]
+    assert rounds == 40
+
+
+def test_radius_one_block_is_one_newton_call(monkeypatch):
+    """Radius 1's other directions, the lead lanes of the doubling's rungs
+    and those of the spine of [1, 2] fit one CHART_LANES block; raising one
+    of the constants past it would split that block into two damped_newton
+    calls."""
+    width = (CHART_DIRECTIONS - 1 + len(implicit._rungs(True))
+             + RADIUS_BISECTION_STEPS)
+    assert width <= CHART_LANES
+    base = make_sphere_intersection(_space(16), (0, 1), radii=[1, 2],
+                                    seed=1).charts[0]
+    chart, lanes, _ = newton_work(
+        monkeypatch,
+        lambda: build_chart(base.constraint, base.base_point, seed=5,
+                            report=base.report))
+    # the walk goes on past the block: some midpoints pass
+    assert 1.0 < chart.validity_radius < 2.0
+    assert lanes[:2] == [1, width] and len(lanes) > 2
 
 
 def test_intersection_chart_newton_work_is_bounded(monkeypatch):
@@ -832,4 +865,4 @@ def test_intersection_chart_newton_work_is_bounded(monkeypatch):
                                          seed=1))
     assert [c.validity_radius.hex() for c in manifold.charts] == \
         ["0x1.b698cc0000000p+0"]
-    assert (len(lanes), rounds, sum(lanes)) == (18, 148, 335)
+    assert (len(lanes), rounds, sum(lanes)) == (16, 141, 335)

@@ -168,7 +168,7 @@ def _calls(monkeypatch, name):
 
 def _leads(rests):
     """The lead directions of the recorded _round_trip_rests calls."""
-    return {lead for _, _, _, lead, _ in rests}
+    return {args[3] for args in rests}
 
 
 def test_intersection_radius_equals_step_by_step_search(monkeypatch):
@@ -216,6 +216,51 @@ def test_sphere_zero_bisection_fails_every_midpoint():
     assert [ok for _, ok in steps] == [False] * RADIUS_BISECTION_STEPS
     assert build_chart(c, p, seed=3, report=report).validity_radius == \
         radius == 1.0
+
+
+PRESCREEN_CASES = {
+    **{f"sphere:{level}": lambda level=level: sphere_points(level, 16)[:1]
+       for level in (0, 1, 2)},
+    "spheres:0,1": lambda: intersection_points((0, 1), [1, 2], 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESCREEN_CASES))
+def test_leads_screened_ahead_equal_their_screens(monkeypatch, name):
+    """The lead lanes radius 1's block solves ahead, the doubling's rungs
+    and the spine of [1, 2], equal bit for bit (flat point and convergence)
+    the lanes of the ladder's and the spine's own screens."""
+    (c, p, report), = PRESCREEN_CASES[name]()
+    rungs = implicit._rungs(True)
+    spine = implicit._spine(1.0, 2.0, RADIUS_BISECTION_STEPS)
+    checks, check = [], implicit._chart_round_trip_ok
+
+    def recorded(chart, radius, dirs, ahead):
+        out = check(chart, radius, dirs, ahead)
+        checks.append((chart, radius, dirs, ahead, out))
+        return out
+
+    monkeypatch.setattr(implicit, "_chart_round_trip_ok", recorded)
+    for seed in (0, 1, 2):
+        build_chart(c, p, seed=seed, report=report)
+    assert len(checks) == 3
+    outcomes = set()
+    for chart, radius, dirs, ahead, (_, lanes) in checks:
+        assert radius == 1.0 and lanes is not None
+        assert np.array_equal(ahead,
+                              np.array(rungs + spine)[:, None] * dirs[0])
+        flats, converged = lanes
+        assert len(flats) == len(converged) == len(ahead)
+        for rows, radii in ((slice(0, len(rungs)), rungs),
+                            (slice(len(rungs), None), spine)):
+            want, want_ok, _ = chart.inverse_lanes(
+                np.array(radii)[:, None] * dirs[0], end_slow_lanes=True)
+            assert np.array_equal(flats[rows], want, equal_nan=True)
+            assert np.array_equal(converged[rows], want_ok)
+        outcomes.update(converged.tolist())
+    # sphere charts at e_0 end at radius 1 exactly, so none of their leads
+    # ahead converges
+    assert outcomes == ({False, True} if name == "spheres:0,1" else {False})
 
 
 def polynomial_points(K):
@@ -473,8 +518,9 @@ def test_chart_bisection_follows_non_monotone_verdicts(monkeypatch):
                     return False
                 return table(radius)
 
-            def table_rests(chart, radii, dirs, lead, lead_flats):
-                _, converged = rests(chart, radii, dirs, lead, lead_flats)
+            def table_rests(chart, radii, dirs, lead, lead_flats, *solved):
+                _, converged = rests(chart, radii, dirs, lead, lead_flats,
+                                     *solved)
                 return converged.all(axis=1) & np.array(
                     [table(radius) for radius in radii], dtype=bool), \
                     converged
