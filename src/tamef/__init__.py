@@ -33,7 +33,6 @@ from .implicit import (
     ConstraintMap,
     PointSplit,
     RegularPointReport,
-    RegularValueReport,
     SolveResult,
     SplitConstraint,
     apply_dphi,
@@ -42,7 +41,6 @@ from .implicit import (
     build_constraint,
     find_preimage,
     is_regular_point,
-    is_regular_value,
     solve_implicit,
 )
 from .manifold import (
@@ -66,7 +64,6 @@ from .maps import (
     certify_tame,
     combine_product,
     validate_certificate_on_probes,
-    validate_descriptor,
 )
 from .probes import make_probes, make_product_probes, rng_from_seed, \
     spawn_seeds

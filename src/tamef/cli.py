@@ -299,7 +299,7 @@ def cmd_certify_map(cfg: RunConfig) -> int:
     else:
         probes = make_probes(desc.domain, cfg.probes, cfg.seed)
     outcome = certify_tame(desc, probes, cfg.r_max)
-    if outcome.certificate is not None:
+    if outcome.ok:
         cert = outcome.certificate
         cfg.write_json("map_certificate.json", {
             "map": cfg.map,

@@ -164,8 +164,7 @@ class SequenceBatch:
     An integer index selects the one-row batch of that row and a slice a
     batch of rows, both views of the block, not copies; a numpy index
     array selects a batch of rows too.  Iteration yields the one-row
-    batches in order.  +,
-    - and unary - act on the coefficients of batches of one space and
+    batches in order.  + adds the coefficients of batches of one space and
     length, and * scales by a scalar or by one factor per row.  Seminorms
     and degrees hold one value per row.
     """
@@ -224,12 +223,6 @@ class SequenceBatch:
 
     def __add__(self, other):
         return SequenceBatch(self.fiber, self._block + self._block_of(other))
-
-    def __sub__(self, other):
-        return SequenceBatch(self.fiber, self._block - self._block_of(other))
-
-    def __neg__(self):
-        return SequenceBatch(self.fiber, -self._block)
 
     def __mul__(self, factor):
         """The coefficients times a scalar, or row i times factor[i]."""
@@ -292,27 +285,12 @@ class SequenceBatch:
             "coefficients": coeffs,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SequenceBatch":
-        """The one-row batch that to_json wrote, from its block or from the
-        nested lists that JSON reads back."""
-        fib = obj["fiber"]
-        fiber = BanachFiber(int(fib["dim"]), fib["field"], fib["norm"])
-        block = np.array(obj["coefficients"], dtype=np.float64)
-        if fiber.scalar_field == "complex":
-            if block.shape[-1:] != (2,):
-                raise ValueError("complex coefficients must be "
-                                 "[real, imaginary] pairs")
-            # the pairs become complex numbers bit for bit
-            block = block.view(np.complex128)[..., 0]
-        return cls(fiber, block[None])
-
 
 class ProductBatch:
     """Elements of a product space: one SequenceBatch per factor, aligned.
     One element is a ProductBatch of one row.
 
-    Indexing, iteration and arithmetic act on every factor alike.
+    Indexing acts on every factor alike.
     """
 
     __slots__ = ("parts",)
@@ -329,34 +307,6 @@ class ProductBatch:
 
     def __getitem__(self, index):
         return ProductBatch(p[index] for p in self.parts)
-
-    def __iter__(self):
-        for row in range(len(self)):
-            yield self[row]
-
-    def _parts_of(self, other: "ProductBatch") -> Tuple[SequenceBatch, ...]:
-        if not isinstance(other, ProductBatch):
-            raise TypeError(f"cannot combine a ProductBatch with a "
-                            f"{type(other).__name__}")
-        if len(other.parts) != len(self.parts):
-            raise ValueError("product arity mismatch")
-        return other.parts
-
-    def __add__(self, other):
-        return ProductBatch(a + b for a, b in zip(self.parts,
-                                                  self._parts_of(other)))
-
-    def __sub__(self, other):
-        return ProductBatch(a - b for a, b in zip(self.parts,
-                                                  self._parts_of(other)))
-
-    def __neg__(self):
-        return ProductBatch(-p for p in self.parts)
-
-    def __mul__(self, factor):
-        return ProductBatch(p * factor for p in self.parts)
-
-    __rmul__ = __mul__
 
     @property
     def truncation_degree(self) -> int:
@@ -563,12 +513,6 @@ class SequenceSpace:
             return _seminorm_decreasing(f, levels, self.n_max)
         return _seminorm_disk(f, levels, self.n_max)
 
-    def zero(self) -> SequenceBatch:
-        """The zero sequence, as a one-row batch."""
-        return SequenceBatch(self.fiber, np.zeros(
-            (1, self.truncation_degree + 1, self.fiber.dimension),
-            dtype=self.fiber.dtype))
-
     def basis(self, index: int, axis: int = 0,
               scale: float = 1.0) -> SequenceBatch:
         """The monomial sequence whose coefficient `index` is
@@ -634,10 +578,6 @@ class ProductSpace:
             total = total + space.seminorm(part, levels)
         return total
 
-    def zero(self) -> ProductBatch:
-        """The zero element, as a one-row batch."""
-        return ProductBatch(s.zero() for s in self.factors)
-
     def check_member(self, element):
         for space, part in zip(self.factors, self._parts(element)):
             space.check_member(part)
@@ -678,11 +618,6 @@ class TamenessCertificate:
     @property
     def levels(self) -> Tuple[int, ...]:
         return tuple(sorted(self.C))
-
-    def constant(self, n: int) -> float:
-        if n not in self.C:
-            raise IndexError(f"certificate is silent at level {n}")
-        return self.C[n]
 
     def to_json(self) -> dict:
         return {

@@ -54,8 +54,6 @@ BISECTION_LEVELS = 4
 PREIMAGE_TOL = 1e-10
 #: Gauss-Newton steps find_preimage takes from one seed at most
 PREIMAGE_MAX_ITER = 60
-#: preimage points closer than this, relative to their norm, are one point
-PREIMAGE_DEDUPE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -887,24 +885,8 @@ def build_chart(c: ConstraintMap, p: SequenceBatch, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# regular values
+# preimages
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularValueReport:
-    target: np.ndarray
-    points: Tuple[SequenceBatch, ...]
-    point_reports: Tuple[RegularPointReport, ...]
-    seed_count: int
-    converged_count: int
-
-    @property
-    def verdict(self) -> Optional[bool]:
-        """True/False over the found points; None on empty evidence."""
-        if not self.points:
-            return None
-        return all(r.rank_decision for r in self.point_reports)
-
 
 def find_preimage(c: ConstraintMap, target: np.ndarray,
                   seed_point: SequenceBatch,
@@ -940,34 +922,6 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
     if not out.converged[0]:
         return None
     return unflatten(c.space, out.z)
-
-
-def is_regular_value(c: ConstraintMap, target,
-                     seeds: Sequence[SequenceBatch]) -> RegularValueReport:
-    """Test regularity of every preimage point reachable from the seeds.
-
-    The verdict covers found points only; an empty evidence set yields the
-    None verdict rather than a claim about the whole fiber.
-    """
-    goal = np.asarray(target, dtype=np.float64).reshape(c.target_dim)
-    found: List[SequenceBatch] = []
-    converged = 0
-    for seed_point in seeds:
-        q = find_preimage(c, goal, seed_point)
-        if q is None:
-            continue
-        converged += 1
-        flat = flatten(q)
-        duplicate = any(
-            np.linalg.norm(flat - flatten(other)) <=
-            PREIMAGE_DEDUPE_TOL * (1.0 + np.linalg.norm(flat))
-            for other in found)
-        if not duplicate:
-            found.append(q)
-    reports = tuple(is_regular_point(c, q) for q in found)
-    return RegularValueReport(goal, tuple(found), reports,
-                              seed_count=len(seeds),
-                              converged_count=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ composition with constants C_out(n) * C_in(n + r_out).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyProbeSetError
 from .graded import (
     DEFAULT_ATOL,
     ProductBatch,
@@ -40,8 +39,6 @@ from .graded import (
 
 SpaceLike = Union[SequenceSpace, ProductSpace]
 Batch = Union[SequenceBatch, ProductBatch]
-
-LINEARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,42 +85,6 @@ class TameMapDescriptor:
                              f"{kind.__name__} of {len(batch)} rows")
         self.codomain.check_member(out)
         return out
-
-
-def validate_descriptor(desc: TameMapDescriptor, probes) -> List[str]:
-    """Spot-check descriptor invariants; returns human-readable defects.
-
-    Linear maps are checked for additivity on the first 8 neighbouring
-    probe pairs and for homogeneity on their first probes."""
-    try:
-        batch = as_batch(probes)
-    except EmptyProbeSetError:
-        return ["empty probe set"]
-    try:
-        desc.domain.check_member(batch)
-    except ValueError as exc:  # the rows share one space
-        return [f"probe 0 outside domain: {exc}"]
-    outputs = desc(batch)
-    pairs = min(len(batch) - 1, 8)
-    if not desc.is_linear or pairs < 1:
-        return []
-    n = desc.codomain.n_max
-    f, g = batch[:pairs], batch[1:pairs + 1]
-    out_f, out_g = outputs[:pairs], outputs[1:pairs + 1]
-    right = out_f + out_g
-    gap = desc.codomain.seminorm(desc(f + g) - right, n)
-    scale = 1.0 + desc.codomain.seminorm(right, n)
-    gap2 = desc.codomain.seminorm(desc(f * 2.0) - out_f * 2.0, n)
-    scale2 = 1.0 + 2.0 * desc.codomain.seminorm(out_f, n)
-    defects: List[str] = []
-    for i in range(pairs):
-        if gap[i] > LINEARITY_TOL * scale[i]:
-            defects.append(f"additivity defect {float(gap[i]):.3g} at probe "
-                           f"pair ({i},{i + 1})")
-        if gap2[i] > LINEARITY_TOL * scale2[i]:
-            defects.append(
-                f"homogeneity defect {float(gap2[i]):.3g} at probe {i}")
-    return defects
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,21 @@ CASES = {
                           "--seed", "11"], None),
     "map-scale-nan": (["certify-map", "--map", "scale:nan", "--k", "32",
                        "--nmax", "6", "--probes", "40", "--seed", "3"], None),
+    # a product codomain, and a product domain drawn factor by factor
+    "map-product": (["certify-map", "--map", "product:derivative,shift_up",
+                     "--k", "12", "--nmax", "3", "--probes", "40",
+                     "--seed", "21"], None),
+    # its C(n) of 0.75-0.92 lie below the exact 1 (see the FOUND: line on
+    # projection certificates in CHANGES.md); extremal probe rows (ROADMAP
+    # item 3(b)) re-record this case on purpose
+    "map-projection": (["certify-map", "--map", "projection:2", "--k", "12",
+                        "--nmax", "3", "--probes", "40", "--seed", "21"],
+                       None),
+    # a base point given as a list of coefficients
+    "solve-base-point": (["solve"], {"command": "solve",
+                                     "constraint": "sphere:0", "k": 4,
+                                     "nmax": 2, "base_point": [0.6, 0.8],
+                                     "x_offsets": [0.1, -0.05]}),
 }
 
 #: commands whose bytes depend on LAPACK through numpy; a case naming the

@@ -18,7 +18,7 @@ from tamef.implicit import (DEFAULT_MAX_ITER, DEFAULT_SOLVE_TOL, Chart,
                             _canonical_signs, _solve_lanes, affine_constraint, apply_dphi,
                             apply_vphi, build_chart, build_constraint,
                             find_preimage, flatten,
-                            is_regular_point, is_regular_value,
+                            is_regular_point,
                             level_weights, linear_constraint,
                             parse_constraint_name, polynomial_constraint,
                             solve_implicit,
@@ -369,7 +369,7 @@ def test_sphere_regular_at_first_basis_vector():
 
 def test_sphere_not_regular_at_origin():
     c = sphere_constraint(SPACE16)
-    report = is_regular_point(c, SPACE16.zero())
+    report = is_regular_point(c, SPACE16.basis(0, scale=0.0))
     assert not report.rank_decision
     assert report.singular_values == (0.0,)
     assert report.kernel_basis is None
@@ -670,7 +670,7 @@ def test_chart_inverse_is_tame_on_its_validity_ball(level, K):
 
 def test_split_rejects_non_regular_report():
     c = sphere_constraint(SPACE16)
-    report = is_regular_point(c, SPACE16.zero())
+    report = is_regular_point(c, SPACE16.basis(0, scale=0.0))
     with pytest.raises(RegularityError):
         PointSplit(c, report)
 
@@ -679,7 +679,7 @@ def test_split_rejects_non_regular_report():
 def test_regularity_gate_names_the_singular_values(gate):
     # PointSplit is the one gate: build_chart raises through it
     c = sphere_constraint(SPACE16)
-    p = SPACE16.zero()
+    p = SPACE16.basis(0, scale=0.0)
     report = is_regular_point(c, p)
     calls = {"PointSplit": lambda: PointSplit(c, report),
              "build_chart": lambda: build_chart(c, p, report=report)}
@@ -781,7 +781,7 @@ def test_zero_kernel_chart_is_a_point_with_the_largest_radius():
 def test_chart_rejects_singular_base_point():
     c = sphere_constraint(SPACE16)
     with pytest.raises(RegularityError):
-        build_chart(c, SPACE16.zero(), seed=1)
+        build_chart(c, SPACE16.basis(0, scale=0.0), seed=1)
 
 
 def test_chart_contains_and_json():
@@ -820,50 +820,39 @@ def test_one_point_entry_points_reject_a_batch_of_several(call):
 
 
 # ---------------------------------------------------------------------------
-# regular values
+# preimages and their regularity
 # ---------------------------------------------------------------------------
 
 def test_sphere_zero_is_regular_value():
     c = sphere_constraint(SPACE16)
     seeds = [SPACE16.basis(0, scale=0.7),
              SPACE16.basis(0) + SPACE16.basis(3, scale=0.4)]
-    report = is_regular_value(c, [0.0], seeds)
-    assert report.verdict is True
-    assert report.converged_count == 2
-    for q in report.points:
+    points = [find_preimage(c, [0.0], seed) for seed in seeds]
+    assert all(q is not None for q in points)
+    for q in points:
         assert abs(c.value(q)[0]) <= 1e-10
+        assert is_regular_point(c, q).rank_decision
 
 
 def test_sphere_minus_one_fiber_is_critical():
     # <q,q> = 0 only at the origin, where the gradient vanishes
     c = sphere_constraint(SPACE16)
-    report = is_regular_value(c, [-1.0], [SPACE16.zero()])
-    assert report.verdict is False
-    assert len(report.points) == 1
-    assert list(report.points[0].degree()) == [-1]
+    q = find_preimage(c, [-1.0], SPACE16.basis(0, scale=0.0))
+    assert list(q.degree()) == [-1]
+    assert not is_regular_point(c, q).rank_decision
 
 
-def test_empty_evidence_gives_no_verdict():
+def test_preimage_search_fails_on_an_empty_fiber():
     rows = [[[1.0, [0, 0]], [1.0, []]]]  # q0^2 + 1, never zero
     c = polynomial_constraint(SPACE8, rows)
-    report = is_regular_value(c, [0.0], [SPACE8.basis(0)])
-    assert report.verdict is None
-    assert report.converged_count == 0
+    assert find_preimage(c, [0.0], SPACE8.basis(0)) is None
 
 
 def test_linear_constraint_every_value_regular():
     c = linear_constraint(SPACE8, [1.0, 2.0])
-    report = is_regular_value(c, [5.0], [SPACE8.zero()])
-    assert report.verdict is True
-    assert c.value(report.points[0])[0] == pytest.approx(5.0, abs=1e-10)
-
-
-def test_preimage_dedupes_repeated_finds():
-    c = sphere_constraint(SPACE16)
-    seeds = [SPACE16.basis(0, scale=s) for s in (0.5, 0.8, 1.3)]
-    report = is_regular_value(c, [0.0], seeds)
-    assert report.converged_count == 3
-    assert len(report.points) == 1
+    q = find_preimage(c, [5.0], SPACE8.basis(0, scale=0.0))
+    assert is_regular_point(c, q).rank_decision
+    assert c.value(q)[0] == pytest.approx(5.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

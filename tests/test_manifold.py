@@ -190,7 +190,7 @@ def test_affine_two_chart_transition_is_tame():
     assert cert is not None
     assert cert.r == 0
     assert cert.b == 0
-    assert all(cert.constant(n) <= 3.0 for n in cert.levels)
+    assert all(cert.C[n] <= 3.0 for n in cert.levels)
 
 
 def test_empty_overlap_is_reported_and_ok(sphere0):

@@ -2,12 +2,12 @@
 
 The references below are the per-element evaluators that tamef ran before
 its maps took batches, frozen here with each element held as a one-row
-batch: the registry maps, descriptor validation, the map tables, the atlas
-transition, the chart restriction and the normalization onto the unit
-sphere.  Every row of a batch evaluation
-must hold exactly the floats its element gives alone, every failing batch
-must raise what its first failing row raises alone, and every check built on
-the images must report what the per-element check reported.
+batch: the registry maps, the map tables, the atlas transition, the chart
+restriction and the normalization onto the unit sphere.  Every row of a
+batch evaluation must hold exactly the floats its element gives alone, every
+failing batch must raise what its first failing row raises alone, and every
+check built on the images must report what the per-element check
+reported.
 """
 
 import math
@@ -32,9 +32,8 @@ from tamef.manifold import (DEFAULT_IMAGE_RESIDUAL_TOL,
                             make_sphere, make_sphere_intersection,
                             normalization_descriptor)
 from tamef import graded
-from tamef.maps import (LINEARITY_TOL, TameMapDescriptor, build_map,
-                        certify_tame, map_seminorm_tables,
-                        validate_descriptor)
+from tamef.maps import (TameMapDescriptor, build_map, certify_tame,
+                        map_seminorm_tables)
 from tamef.probes import make_probes, make_product_probes
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -134,36 +133,6 @@ def level_by_level(space, batch):
     return np.array([space.seminorm(batch, n) for n in range(space.n_max + 1)])
 
 
-def reference_validate(domain, codomain, run, linear, probes):
-    """validate_descriptor as it ran one probe at a time."""
-    defects = []
-    outputs = []
-    for i, f in enumerate(probes):
-        try:
-            domain.check_member(f)
-        except ValueError as exc:
-            defects.append(f"probe {i} outside domain: {exc}")
-            return defects
-        outputs.append(run(f))
-    if linear:
-        n = codomain.n_max
-        for i in range(min(len(probes) - 1, 8)):
-            f, g = probes[i], probes[i + 1]
-            left = run(f + g)
-            right = outputs[i] + outputs[i + 1]
-            gap = codomain.seminorm(left + right * -1.0, n)[0]
-            scale = 1.0 + codomain.seminorm(right, n)[0]
-            if gap > LINEARITY_TOL * scale:
-                defects.append(
-                    f"additivity defect {gap:.3g} at probe pair ({i},{i + 1})")
-            left2 = run(f * 2.0)
-            gap2 = codomain.seminorm(left2 + outputs[i] * 2.0 * -1.0, n)[0]
-            if gap2 > LINEARITY_TOL * (
-                    1.0 + 2.0 * codomain.seminorm(outputs[i], n)[0]):
-                defects.append(f"homogeneity defect {gap2:.3g} at probe {i}")
-    return defects
-
-
 # ---------------------------------------------------------------------------
 # registry maps on batches
 # ---------------------------------------------------------------------------
@@ -254,18 +223,6 @@ def test_registry_batches_equal_elements(name, space, slicing, seed):
         assert identical(den, level_by_level(domain, probes))
         assert identical(degrees, np.array(
             [f.degree()[0] for f in probes], dtype=np.intp))
-        assert validate_descriptor(desc, probes) == \
-            reference_validate(domain, codomain, run, linear, probes)
-
-
-def test_mislabeled_linearity_reports_like_elements():
-    """The defects and their messages of a nonlinear map labelled linear."""
-    probes = make_probes(SPACE, 12, seed=5)
-    lying = TameMapDescriptor("sq", SPACE, SPACE,
-                              build_map("coeff_square", SPACE).evaluator)
-    defects = validate_descriptor(lying, probes)
-    assert defects and defects == reference_validate(
-        SPACE, SPACE, reference_coeff_square, True, probes)
 
 
 def test_descriptor_rejects_images_outside_the_codomain():
@@ -283,9 +240,9 @@ def test_descriptor_rejects_images_outside_the_codomain():
     # a sequence batch of any length is no product element
     projection = build_map("projection:1", SPACE)
     for count in (1, 2):
-        assert validate_descriptor(projection, probes[:count]) == [
-            "probe 0 outside domain: a SequenceBatch is not an element of "
-            "a product space"]
+        with pytest.raises(ValueError, match="^a SequenceBatch is not an "
+                           "element of a product space$"):
+            projection.domain.check_member(probes[:count])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tamef.cli import RunConfig
+from tamef.errors import EmptyProbeSetError
 from tamef.graded import (
     BASE_LEVEL,
     BanachFiber,
@@ -22,13 +23,13 @@ from tamef.graded import (
     SequenceBatch,
     SequenceSpace,
     TamenessCertificate,
+    as_batch,
     certify_from_tables,
     certify_grading_equivalence,
 )
 from tamef.manifold import (certify_map_into_submanifold, make_sphere,
                             normalization_descriptor)
 from tamef.maps import (
-    TameMapDescriptor,
     build_map,
     certify_composition,
     certify_projection,
@@ -36,7 +37,6 @@ from tamef.maps import (
     combine_product,
     map_seminorm_tables,
     validate_certificate_on_probes,
-    validate_descriptor,
 )
 from tamef.probes import make_probes, make_product_probes, spawn_seeds
 
@@ -237,16 +237,20 @@ def test_shift_bound_outside_the_levels_is_rejected(entry, r_max):
         _entry_points()[entry](probes, r_max)
 
 
-def test_validate_descriptor_reports_an_empty_probe_set():
-    identity = build_map("identity", SMALL)
-    assert validate_descriptor(identity, []) == ["empty probe set"]
-    assert validate_descriptor(identity, NO_ROWS) == ["empty probe set"]
+EMPTY_PROBE_SETS = ([], NO_ROWS, [NO_ROWS], [NO_ROWS, NO_ROWS])
 
 
-def test_validate_descriptor_reads_emptiness_from_the_batch():
+def test_as_batch_raises_on_an_empty_probe_set():
+    for empty in EMPTY_PROBE_SETS:
+        with pytest.raises(EmptyProbeSetError, match="^probe set is empty$"):
+            as_batch(empty)
+
+
+def test_certify_tame_reads_emptiness_from_the_batch():
     identity = build_map("identity", SMALL)
-    for empty in ([NO_ROWS], [NO_ROWS, NO_ROWS]):
-        assert validate_descriptor(identity, empty) == ["empty probe set"]
+    for empty in EMPTY_PROBE_SETS:
+        with pytest.raises(EmptyProbeSetError, match="^probe set is empty$"):
+            certify_tame(identity, empty, 0)
 
 
 def test_degree_split_is_half_the_largest_factor_truncation():
@@ -312,21 +316,6 @@ def test_map_violations_match_scalar_recheck():
                 expected.append((i, n, lhs, bound))
     got = validate_certificate_on_probes(desc, cert, PROBES)
     assert expected and got == expected
-
-
-# ---------------------------------------------------------------------------
-# descriptor validation
-# ---------------------------------------------------------------------------
-
-def test_validate_descriptor_clean_for_linear_maps():
-    assert validate_descriptor(build_map("shift_up", SPACE), PROBES[:10]) == []
-
-
-def test_validate_descriptor_catches_mislabeled_linearity():
-    sq = build_map("coeff_square", SPACE)
-    lying = TameMapDescriptor("sq", SPACE, SPACE, sq.evaluator,
-                              linearity="linear")
-    assert validate_descriptor(lying, PROBES[:10]) != []
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +474,26 @@ PROJECTION_BELOW_EXACT = pytest.mark.xfail(
     "and held-out probes exceed it")
 
 
-def _held_out_names():
+def registry_names():
+    """Every registry map the held-out test certifies."""
     yield from HELD_OUT_BASE
-    for name in ("projection:1", "projection:2"):
-        yield pytest.param(name, marks=PROJECTION_BELOW_EXACT)
+    yield from ("projection:1", "projection:2")
     for head in ("product", "compose"):
         for a in HELD_OUT_BASE:
             for b in HELD_OUT_BASE:
                 yield f"{head}:{a},{b}"
 
 
-@pytest.mark.parametrize("name", _held_out_names())
+def draw(desc, count, seed):
+    """count probes of desc's domain, one block per factor of a product."""
+    if isinstance(desc.domain, ProductSpace):
+        return make_product_probes(desc.domain.factors, count, seed)
+    return make_probes(desc.domain, count, seed)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=PROJECTION_BELOW_EXACT)
+    if name.startswith("projection:") else name for name in registry_names()])
 def test_certificate_holds_on_held_out_probes(name):
     """Certified at the CLI defaults (K 32, nmax 6, 64 probes, r_max 2) on
     one spawn_seeds child of seed 1, every registry map's certificate holds
@@ -503,13 +501,61 @@ def test_certificate_holds_on_held_out_probes(name):
     cfg = RunConfig(command="certify-map", map=name)
     desc = build_map(name, cfg.space())
     train, held = spawn_seeds(1, 2)
-
-    def draw(count, seed):
-        if isinstance(desc.domain, ProductSpace):
-            return make_product_probes(desc.domain.factors, count, seed)
-        return make_probes(desc.domain, count, seed)
-
-    outcome = certify_tame(desc, draw(cfg.probes, train), cfg.r_max)
+    outcome = certify_tame(desc, draw(desc, cfg.probes, train), cfg.r_max)
     assert outcome.ok, outcome.witness
     assert validate_certificate_on_probes(
-        desc, outcome.certificate, draw(2000, held)) == []
+        desc, outcome.certificate, draw(desc, 2000, held)) == []
+
+
+# ---------------------------------------------------------------------------
+# the linear tag that the combinators trust
+# ---------------------------------------------------------------------------
+
+def blocks(batch):
+    """The coefficient blocks of a batch, one per factor of a product."""
+    parts = batch.parts if isinstance(batch, ProductBatch) else (batch,)
+    return [part.coefficients for part in parts]
+
+
+def like(batch, arrays):
+    """A batch of batch's kind and fibers that holds the given blocks."""
+    parts = batch.parts if isinstance(batch, ProductBatch) else (batch,)
+    out = [SequenceBatch(p.fiber, a) for p, a in zip(parts, arrays)]
+    return ProductBatch(out) if isinstance(batch, ProductBatch) else out[0]
+
+
+def linearity_defects(desc, probes):
+    """The laws desc breaks, part by part of its images: F(f + g) = F(f) +
+    F(g) on neighbouring probes and F(2f) = 2F(f), each to 1e-9 of the
+    largest image entry compared, plus one."""
+    f, g = probes[:-1], probes[1:]
+    sums = desc(like(f, [a + b for a, b in zip(blocks(f), blocks(g))]))
+    doubles = desc(like(f, [2.0 * a for a in blocks(f)]))
+    defects = []
+    for part, (image_f, image_g, image_sum, image_double) in enumerate(zip(
+            blocks(desc(f)), blocks(desc(g)), blocks(sums), blocks(doubles))):
+        tol = 1e-9 * (1.0 + max(np.abs(image_f).max(),
+                                np.abs(image_g).max()))
+        if np.abs(image_sum - (image_f + image_g)).max() > tol:
+            defects.append(f"additivity of part {part}")
+        if np.abs(image_double - 2.0 * image_f).max() > tol:
+            defects.append(f"homogeneity of part {part}")
+    return defects
+
+
+@pytest.mark.parametrize("name, defects", [
+    *(pytest.param(name, [], id=name) for name in registry_names()
+      if build_map(name, SPACE).is_linear),
+    # nonlinear maps labelled linear
+    pytest.param("coeff_square", ["additivity of part 0",
+                                  "homogeneity of part 0"], id="coeff_square"),
+    pytest.param("product:identity,coeff_square",
+                 ["additivity of part 1", "homogeneity of part 1"],
+                 id="product:identity,coeff_square")])
+def test_linear_tags_hold_on_coefficient_blocks(name, defects):
+    """Every registry map tagged linear is additive and homogeneous on the
+    CLI-default probes of seed 1; a nonlinear map labelled linear is
+    caught in the parts it breaks."""
+    cfg = RunConfig(command="certify-map", map=name)
+    desc = replace(build_map(name, cfg.space()), linearity="linear")
+    assert linearity_defects(desc, draw(desc, cfg.probes, 1)) == defects

@@ -1,13 +1,25 @@
-"""Static checks of the library source."""
+"""Checks of the library source: static ones, and one that runs the
+command and paper-check suites to find the functions nothing calls.
+
+    PYTHONPATH=src python tests/test_source.py CALLS.json
+
+runs those suites under the call hook and writes the code objects called,
+as [file, first line] pairs; test_every_function_is_reached runs it so.
+"""
 
 import ast
+import importlib.util
+import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
-import tamef
-
-SOURCE_DIR = os.path.dirname(tamef.__file__)
+#: the package directory, found without importing it, so that a traced run
+#: imports tamef under the hook
+SOURCE_DIR = importlib.util.find_spec("tamef").submodule_search_locations[0]
 MODULES = sorted(name for name in os.listdir(SOURCE_DIR)
                  if name.endswith(".py") and name != "__init__.py")
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -97,3 +109,143 @@ def test_unreached_definitions_are_found():
          "x = a.by_attribute(by_name())\nDead = None\n")
     assert unreached_definitions([a, b], {"exported"}) == [
         "recursive", "Dead"]
+
+
+# ---------------------------------------------------------------------------
+# dynamic reachability: every function runs in some command or paper check
+# ---------------------------------------------------------------------------
+
+#: the suites whose calls count as reached, besides every golden CLI case
+TRACED_SUITES = ("test_acceptance.py", "test_properties.py",
+                 "test_readme.py")
+#: functions no traced run calls, each kept for a reason of its own
+UNCALLED_ALLOWED = {
+    # the console entry point; the suites call cli.run
+    "cli.main",
+    # an error path no suite provokes
+    "errors.NotIntoSubmanifoldError.__init__",
+    # the tests' reference for the bytes write_json streams
+    "serialize.dumps_json",
+    # ROADMAP item 5(b) gives it a CLI caller
+    "maps.certify_projection",
+    # the generic split-constraint protocol, which the acceptance suite's
+    # Newton oracle builds; the sphere and intersection splits bind their
+    # own (see the settled phi_xy note in ROADMAP.md)
+    "implicit.SplitConstraint.values",
+    "implicit.SplitConstraint.d_x",
+    "implicit.PointSplit.phi_xy",
+}
+
+
+def defined_functions(source: str) -> dict:
+    """{first line: qualified name} of every def in a module, methods and
+    nested functions too.  A decorated def starts at its first decorator,
+    as its code object does."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                found[min([child.lineno] + [d.lineno for d in
+                                            child.decorator_list])] = name
+                visit(child, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def traced_calls(run) -> set:
+    """(file, first line) of every code object that run() calls.  The hook
+    sees call events only: it returns None, so no line is traced."""
+    called = set()
+
+    def hook(frame, event, arg):
+        called.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return {(code.co_filename, code.co_firstlineno) for code in called}
+
+
+def reach_report(directory: str, called, allowed):
+    """(unreached, stale): the functions, as module.qualname, of the modules
+    in directory that no call in called ran and that allowed does not name;
+    and the names in allowed that ran or that no module defines."""
+    directory = os.path.realpath(directory)
+    ran = {(os.path.basename(path), line) for path, line in called
+           if os.path.dirname(os.path.realpath(path)) == directory}
+    uncalled = set()
+    for module in sorted(os.listdir(directory)):
+        if module.endswith(".py"):
+            for line, name in defined_functions(
+                    read_source(module, directory)).items():
+                if (module, line) not in ran:
+                    uncalled.add(f"{module[:-3]}.{name}")
+    return sorted(uncalled - set(allowed)), sorted(set(allowed) - uncalled)
+
+
+def run_traced_suites():
+    """Every golden case, then the traced suites in one pytest session;
+    the session's exit code."""
+    import test_golden  # here, so that tamef is imported under the hook
+
+    for name in sorted(test_golden.CASES):
+        with tempfile.TemporaryDirectory() as workdir:
+            test_golden.run_case(name, workdir)
+    return pytest.main(["-q", "-p", "no:cacheprovider",
+                        *(os.path.join(TESTS_DIR, s) for s in TRACED_SUITES)])
+
+
+def test_every_function_is_reached(tmp_path):
+    """Every function of the package is called by a golden CLI case or by
+    the acceptance, property or README suite, apart from UNCALLED_ALLOWED,
+    which names no function that is called."""
+    out = tmp_path / "calls.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SOURCE_DIR), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           str(out)], cwd=os.path.dirname(TESTS_DIR), env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    called = [tuple(pair) for pair in json.loads(out.read_text())]
+    assert reach_report(SOURCE_DIR, called, UNCALLED_ALLOWED) == ([], [])
+
+
+def test_unreached_functions_are_found(tmp_path):
+    (tmp_path / "tool.py").write_text(
+        "class Tool:\n"
+        "    def used(self):\n        return 1\n\n"
+        "    @property\n"
+        "    def unused(self):\n        return 2\n\n"
+        "def helper():\n"
+        "    def inner():\n        return Tool().used()\n"
+        "    return inner()\n\n"
+        "def entry():\n    pass\n")
+    spec = importlib.util.spec_from_file_location(
+        "tool", tmp_path / "tool.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    called = traced_calls(tool.helper)
+    assert reach_report(tmp_path, called, {"tool.entry"}) == (
+        ["tool.Tool.unused"], [])
+    assert reach_report(tmp_path, called, {"tool.entry", "tool.helper"}) == (
+        ["tool.Tool.unused"], ["tool.helper"])
+    assert reach_report(tmp_path, called, ()) == (
+        ["tool.Tool.unused", "tool.entry"], [])
+
+
+if __name__ == "__main__":
+    exits = []
+    called = traced_calls(lambda: exits.append(run_traced_suites()))
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        json.dump(sorted(called), handle)
+    sys.exit(exits[0])
