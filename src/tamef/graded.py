@@ -394,13 +394,18 @@ def _weighted(f: SequenceBatch, v: np.ndarray, levels,
               n_max: Optional[int], combine) -> np.ndarray:
     """Fold e^{nk} v[k] into 0.0 with combine, k ascending, per column of
     the (K+1, P) array v: (P,) at one level n, (L, P) at L levels, each entry
-    the float of its column and level alone.  Levels are checked first."""
+    the float of its column and level alone.  Levels are checked first.
+
+    Each fold writes into term's buffer, not acc's: on a one-entry array
+    numpy's in-place add keeps the NaN of its second operand where a new
+    array keeps the first's, and a 0*inf NaN carries the other sign."""
     levels, one = _checked_levels(levels, n_max, f.truncation_degree)
     acc = np.zeros((len(levels), v.shape[1]))
     term = np.empty_like(acc)
     for w_k, v_k in zip(_weights(levels, f.truncation_degree), v):
         np.multiply(w_k, v_k, out=term)
-        combine(acc, term, out=acc)
+        combine(acc, term, out=term)
+        acc, term = term, acc
     return acc[0] if one else acc
 
 
