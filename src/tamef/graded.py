@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyProbeSetError, UnsupportedGradingError
-from .serialize import finite_or_none
+from .serialize import RecordList, finite_or_none
 
 DEFAULT_N_MAX = 8
 DEFAULT_TRUNCATION = 32
@@ -275,15 +275,20 @@ class SequenceBatch:
         (K+1, d, 2) block of real and imaginary parts; tamef.serialize
         writes a block as the nested lists of its numbers."""
         one_row(self, "to_json")
-        coeffs = self._block[0]
+        return self.rows_json()[0]
+
+    def rows_json(self) -> RecordList:
+        """The to_json of every row, as one serialize.RecordList: the
+        shared fiber and the (P, K+1, d) coefficient block, or for a
+        complex fiber the (P, K+1, d, 2) block of real and imaginary
+        parts."""
+        coeffs = self._block
         if self.fiber.scalar_field == "complex":
             coeffs = np.stack((coeffs.real, coeffs.imag), axis=-1)
-        return {
-            "fiber": {"dim": self.fiber.dimension,
-                      "field": self.fiber.scalar_field,
-                      "norm": self.fiber.norm_kind},
-            "coefficients": coeffs,
-        }
+        fiber = {"dim": self.fiber.dimension,
+                 "field": self.fiber.scalar_field,
+                 "norm": self.fiber.norm_kind}
+        return RecordList({"fiber": fiber}, "coefficients", coeffs)
 
 
 class ProductBatch:
@@ -530,6 +535,9 @@ class SequenceSpace:
         return SequenceBatch(self.fiber, block)
 
     def check_member(self, f: SequenceBatch):
+        if not isinstance(f, SequenceBatch):
+            raise ValueError(f"a {type(f).__name__} is not an element "
+                             f"of a sequence space")
         if f.fiber != self.fiber or f.truncation_degree != self.truncation_degree:
             raise ValueError("sequence does not belong to this space")
 

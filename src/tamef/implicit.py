@@ -217,7 +217,7 @@ class SplitConstraint:
     partial derivatives; a block of another shape raises ValueError, as in
     ConstraintMap.jacobians.  Like ConstraintMap.phi, phi_xy returns
     non-finite values where it is undefined rather than raising.  A subclass
-    that defines phi_xy, d_x and bind as methods passes None for the
+    that defines phi_xy, d_x, d_y and bind as methods passes None for the
     callables.
     """
 
@@ -237,20 +237,22 @@ class SplitConstraint:
         self.name = name
 
     def bind(self, X: np.ndarray) -> Tuple[Callable, Callable]:
-        """values and d_y on a block of lanes whose x stays X: both take
-        (lanes, Y) and evaluate at (X[lanes], Y), lanes a lane index as
-        newton.damped_newton names one (... for every row of X)."""
+        """values and d_y on a block of lanes whose x stays X, lanes a lane
+        index as newton.damped_newton names one (... for every row of X).
+        values(lanes, Y) returns phi at (X[lanes], Y) and the point rows
+        d_y reads, as damped_newton's residual returns them: here a copy
+        of Y, which the caller owns.  d_y(lanes, Q) is the phi-block at
+        the point rows Q that values returned."""
 
         def values(lanes, Y):
             out = np.asarray(self.phi_xy(X[lanes], Y), dtype=np.float64)
             if out.shape != (len(Y), self.y_dim):
                 raise ValueError(
                     f"split constraint returned shape {out.shape}")
-            return out
+            return out, Y.copy()
 
         def d_y(lanes, Y):
-            return self._checked("d_y", self._d_y(X[lanes], Y), len(Y),
-                                 self.y_dim)
+            return self.d_y(X[lanes], Y)
 
         return values, d_y
 
@@ -271,13 +273,13 @@ class SplitConstraint:
 
     def values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """phi at the lanes (X[i], Y[i]): an (L, y_dim) block."""
-        return self.bind(X)[0](..., Y)
+        return self.bind(X)[0](..., Y)[0]
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._checked("d_x", self._d_x(X, Y), len(X), self.x_dim)
 
     def d_y(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self.bind(X)[1](..., Y)
+        return self._checked("d_y", self._d_y(X, Y), len(Y), self.y_dim)
 
 
 def _block_steps(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -392,11 +394,16 @@ def _solve_lanes(split: SplitConstraint, X: np.ndarray, Y0: np.ndarray,
                  goal: np.ndarray, tol: float, max_iter: int,
                  end_slow_lanes: bool = False) -> NewtonLanes:
     """Damped Newton on y for phi(X[i], y) = goal from Y0[i], one lane per
-    row; each step solves the square phi-block."""
+    row; each step solves the square phi-block at the point rows that the
+    residual of its iterates returned."""
     values, d_y = split.bind(X)
+
+    def residual(lanes, Y):
+        phi, points = values(lanes, Y)
+        return phi - goal, points
+
     return damped_newton(
-        lambda lanes, Y: values(lanes, Y) - goal,
-        lambda lanes, Y, R: _solve_blocks(d_y(lanes, Y), R),
+        residual, lambda lanes, Q, R: _solve_blocks(d_y(lanes, Q), R),
         Y0, tol, max_iter, split.name, end_slow_lanes)
 
 
@@ -431,9 +438,11 @@ class PointSplit(SplitConstraint):
     non-regular report raises RegularityError with its singular values.
 
     A lane's x stays fixed while it is solved, so bind forms the kernel
-    parts K x of a block once (lane_flats); every residual, damping ladder
-    and phi-block call then gathers them by lane and adds C y.  values,
-    d_x and d_y go through the same code."""
+    parts K x of a block once (lane_flats); every residual and damping
+    ladder call then gathers them by lane and adds C y.  Its values return
+    those flat points as the point rows, so the phi-block of a Newton step
+    reads the points its residual formed and forms none.  values, d_x and
+    d_y go through the same code."""
 
     def __init__(self, c: ConstraintMap, report: RegularPointReport):
         if not report.rank_decision or report.kernel_basis is None:
@@ -465,15 +474,19 @@ class PointSplit(SplitConstraint):
         flats = self.lane_flats(X)
 
         def values(lanes, Y):
-            return c.values(flats(lanes, Y))
+            points = flats(lanes, Y)
+            return c.values(points), points
 
-        def d_y(lanes, Y):
-            return self._partials(flats(lanes, Y), self.compl_mat)
+        def d_y(lanes, points):
+            return self._partials(points, self.compl_mat)
 
         return values, d_y
 
     def d_x(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._partials(self.flats(X, Y), self.kernel_mat)
+
+    def d_y(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return self._partials(self.flats(X, Y), self.compl_mat)
 
     def lane_flats(self, X: np.ndarray) -> Callable:
         """flats(lanes, Y): the flat ambient points K X[lanes] + C Y, one
@@ -608,10 +621,10 @@ class Chart:
             "base_point": self.base_point.to_json(),
             "bases": {
                 "level": self.report.inner_product_level,
-                "kernel": [v.to_json() for v in
-                           unflatten(space, self.report.kernel_basis.T)],
-                "complement": [v.to_json() for v in unflatten(
-                    space, self.report.complement_basis.T)],
+                "kernel": unflatten(
+                    space, self.report.kernel_basis.T).rows_json(),
+                "complement": unflatten(
+                    space, self.report.complement_basis.T).rows_json(),
             },
             "radius": self.validity_radius,
         }
@@ -907,7 +920,8 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
         raise ValueError("scaling weights must be positive and finite")
 
     def weighted_step(lanes, Z, R):
-        # Z is the one lane of the seed
+        # Z is the point row of the one lane of the seed: a copy of its
+        # iterate, which the residual returns
         try:
             step, *_ = np.linalg.lstsq(c.jacobians(Z)[0] / weights, R[0],
                                        rcond=None)
@@ -917,8 +931,9 @@ def find_preimage(c: ConstraintMap, target: np.ndarray,
             return np.zeros_like(Z), (blocked, np.zeros((1, 2)))
         return (step / weights)[None], None
 
-    out = damped_newton(lambda lanes, Z: c.values(Z) - goal, weighted_step,
-                        start, PREIMAGE_TOL, PREIMAGE_MAX_ITER, c.name)
+    out = damped_newton(lambda lanes, Z: (c.values(Z) - goal, Z.copy()),
+                        weighted_step, start, PREIMAGE_TOL,
+                        PREIMAGE_MAX_ITER, c.name)
     if not out.converged[0]:
         return None
     return unflatten(c.space, out.z)

@@ -105,10 +105,18 @@ class CertificationOutcome:
 def map_seminorm_tables(desc: TameMapDescriptor, probes):
     """(degrees, num, den) of a probe set: the probes' degrees, and per
     level and probe the seminorms of their images and their own, from one
-    graded.probe_tables pass that evaluates the map a slice at a time."""
+    graded.probe_tables pass that evaluates the map a slice at a time.
+    Probes that are not elements of the domain raise ValueError, naming the
+    map and the domain, before the map sees them."""
     if desc.codomain.n_max != desc.domain.n_max:
         raise ValueError("domain and codomain must share one level range")
-    return probe_tables(desc.codomain, desc.domain, as_batch(probes), desc)
+    batch = as_batch(probes)
+    try:
+        desc.domain.check_member(batch)
+    except ValueError as err:
+        raise ValueError(f"{desc.name}: probes outside the domain: {err}") \
+            from None
+    return probe_tables(desc.codomain, desc.domain, batch, desc)
 
 
 def certify_tame(desc: TameMapDescriptor, probes, r_max: int, *,

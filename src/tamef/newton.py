@@ -99,12 +99,18 @@ def damped_newton(residual: Callable, linear_step: Callable,
 
     A set of lanes is named by one lane index: ... for all P lanes in
     order, else an array of lane numbers, so that X[lanes] holds their
-    rows.  residual(lanes, Z) returns the residuals of the rows of Z, row i
-    on the i-th lane of lanes, as a new array: the kernel owns the residual
-    blocks its callbacks return and writes into them.  linear_step(lanes,
-    Z, R) returns the Newton steps and None or, when some row cannot step,
-    per row its code (CONVERGED if it steps, SINGULAR or BLOCK_NOT_FINITE)
-    and its (sigma_min, sigma_max) as a (rows, 2) block.
+    rows.  residual(lanes, Z) returns two blocks for the rows of Z, row i
+    on the i-th lane of lanes: the residuals, and one row of point data
+    per residual row, whatever the linear step reads at that point (the
+    flat ambient point of a PointSplit, a copy of Z elsewhere).  Both must
+    be new arrays: the kernel owns the blocks its callbacks return, keeps
+    each lane's point row next to its residual through the damping ladder
+    and every lane filter, and writes into both; point data that aliased Z
+    would write into the trail.  linear_step(lanes, Q, R) gets the point
+    rows Q and residuals R of the current iterates, so nothing there forms
+    the points again, and returns the Newton steps and None or, when some
+    row cannot step, per row its code (CONVERGED if it steps, SINGULAR or
+    BLOCK_NOT_FINITE) and its (sigma_min, sigma_max) as a (rows, 2) block.
 
     Each round every open lane moves to z - s * step for the first s in
     1, 1/2, ..., 2^-20 whose residual norm is below its last one or reaches
@@ -136,7 +142,7 @@ def damped_newton(residual: Callable, linear_step: Callable,
     """
     z = np.array(start)
     P = len(z)
-    r = residual(..., z)
+    r, points = residual(..., z)
     norm = lane_norms(r)
     trail, norms = [z], [norm]
     # a lane's code stays CONVERGED unless it fails
@@ -177,7 +183,7 @@ def damped_newton(residual: Callable, linear_step: Callable,
             if not lanes.size:
                 break
         Z = z[lanes]
-        step, blocked = linear_step(lanes, Z, r[lanes])
+        step, blocked = linear_step(lanes, points[lanes], r[lanes])
         if blocked is not None:
             # a row that steps keeps CONVERGED, the code of an open lane
             cause[lanes], sigma[lanes] = blocked
@@ -189,15 +195,16 @@ def damped_newton(residual: Callable, linear_step: Callable,
         # an open lane's norm is finite and above tol, so a candidate that
         # reaches tol is also below it: acceptance is one comparison
         cand = Z - step
-        cand_r = residual(lanes, cand)
+        cand_r, cand_points = residual(lanes, cand)
         cand_norm = lane_norms(cand_r)
         accepted = cand_norm < last
         if np.count_nonzero(accepted) < accepted.size:
             back = np.flatnonzero(~accepted)
             width = _HALVINGS.size
             ladder = Z[back, None, :] - _HALVINGS[:, None] * step[back, None, :]
-            ladder_r = residual(np.repeat(ids[lanes][back], width),
-                                ladder.reshape(back.size * width, -1))
+            ladder_r, ladder_points = residual(
+                np.repeat(ids[lanes][back], width),
+                ladder.reshape(back.size * width, -1))
             ladder_norm = lane_norms(ladder_r).reshape(back.size, width)
             ok = ladder_norm < last[back, None]
             first = np.argmax(ok, axis=1)
@@ -205,18 +212,21 @@ def damped_newton(residual: Callable, linear_step: Callable,
             rows, k = back[found], first[found]
             cand[rows] = ladder[found, k]
             cand_r[rows] = ladder_r.reshape(back.size, width, -1)[found, k]
+            cand_points[rows] = ladder_points.reshape(
+                back.size, width, -1)[found, k]
             cand_norm[rows] = ladder_norm[found, k]
             if not found.all():
                 cause[ids[lanes][back[~found]]] = STALLED
                 keep = np.ones(accepted.size, dtype=bool)
                 keep[back[~found]] = False
-                lanes, cand, cand_r, cand_norm = (
+                lanes, cand, cand_r, cand_points, cand_norm = (
                     ids[lanes][keep], cand[keep], cand_r[keep],
-                    cand_norm[keep])
-        # z and norm go into the trail; r is the kernel's own, and is
-        # written in place
+                    cand_points[keep], cand_norm[keep])
+        # z and norm go into the trail; r and points are the kernel's own,
+        # and are written in place
         z, norm = z.copy(), norm.copy()
-        z[lanes], r[lanes], norm[lanes] = cand, cand_r, cand_norm
+        z[lanes], r[lanes], points[lanes], norm[lanes] = (
+            cand, cand_r, cand_points, cand_norm)
         trail.append(z)
         norms.append(norm)
         last = cand_norm

@@ -7,7 +7,11 @@ JSON is emitted into a sink, a callable that takes each piece of text:
 write_json streams into the open temporary file, which then replaces the
 target atomically, and dumps_json collects the pieces in a list.  A numpy
 float block of any shape is laid out exactly as the same nested lists of
-floats would be, a chunk of numbers per `%` call.
+floats would be, a chunk of numbers per `%` call.  A RecordList, a list of
+objects that share every field but a last one holding one row of a float
+block, is laid out the same way: the text each object wraps around its row
+is the outermost separator of the block, so the whole list takes one `%`
+call per chunk, however many objects it holds.
 """
 
 from __future__ import annotations
@@ -45,6 +49,26 @@ def finite_or_none(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
+class RecordList:
+    """The JSON list [dict(shared, **{key: row}) for row in block]: objects
+    that share every field of `shared` and differ only in their last field,
+    `key`, one row of a float block each.  It is written as that list would
+    be, byte for byte, but formats the whole block at once.  len() is the
+    number of objects and item i is object i."""
+
+    __slots__ = ("shared", "key", "block")
+
+    def __init__(self, shared: dict, key: str, block):
+        self.shared, self.key = shared, key
+        self.block = np.asarray(block, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, i: int) -> dict:
+        return dict(self.shared, **{self.key: self.block[i]})
+
+
 def _separator_rows(runs: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Per number start..stop-1 of a block, in C order, how many of its
     innermost indices are at their last value: the count of the block's
@@ -55,7 +79,8 @@ def _separator_rows(runs: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _array_layout(shape: Tuple[int, ...], level: int
+def _array_layout(shape: Tuple[int, ...], level: int,
+                  record: Optional[Tuple[str, str]] = None
                   ) -> Tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """The fixed text of a float block of this shape at this nesting level.
 
@@ -63,19 +88,28 @@ def _array_layout(shape: Tuple[int, ...], level: int
     lengths of the block and the separator rows of its first chunk.  A
     number with separator row t is followed by separator t: piece t
     formats it with format_float's "%.1f" and piece t + ndim + 1 with its
-    "%.17g", each followed by that separator."""
+    "%.17g", each followed by that separator.  record, when given, is the
+    text before and after the row of one object of a RecordList: each item
+    of the outermost axis is wrapped in it and nests one level deeper."""
     nd = len(shape)
 
     def pad(lvl: int) -> str:
         return " " * (JSON_INDENT * lvl)
 
-    opens = ["[\n" + pad(level + a + 1) for a in range(nd)]
-    closes = ["\n" + pad(level + a) + "]" for a in range(nd)]
-    seps = ["".join(reversed(closes[nd - t:])) + ",\n" + pad(level + nd - t)
-            + "".join(opens[nd - t:]) for t in range(nd)]
+    # the text around each item of axis a, and the nesting level of its list
+    wraps = [record or ("", "")] + [("", "")] * (nd - 1)
+    depth = [level + a + (1 if record and a else 0) for a in range(nd)]
+    opens = ["[\n" + pad(depth[a] + 1) + wraps[a][0] for a in range(nd)]
+    closes = [wraps[a][1] + "\n" + pad(depth[a]) + "]" for a in range(nd)]
+    # after a number whose t innermost indices are at their last value, the
+    # index of axis nd - 1 - t steps
+    seps = ["".join(reversed(closes[a + 1:])) + wraps[a][1] + ",\n"
+            + pad(depth[a] + 1) + wraps[a][0] + "".join(opens[a + 1:])
+            for a in reversed(range(nd))]
     seps.append("".join(reversed(closes)))
-    pieces = np.array([code + sep for code in ("%.1f", "%.17g")
-                       for sep in seps], dtype=object)
+    pieces = np.array([code + sep.replace("%", "%%")
+                       for code in ("%.1f", "%.17g") for sep in seps],
+                      dtype=object)
     runs = np.cumprod(shape[::-1])
     first = _separator_rows(runs, 0, min(int(runs[-1]), ARRAY_CHUNK))
     first.flags.writeable = False
@@ -83,14 +117,16 @@ def _array_layout(shape: Tuple[int, ...], level: int
 
 
 def _emit_array(block: np.ndarray, write: Callable[[str], object],
-                level: int):
+                level: int, record: Optional[Tuple[str, str]] = None):
     """A float block, in the bytes of its nested lists of floats, written a
-    chunk of ARRAY_CHUNK numbers at a time."""
-    prefix, pieces, runs, rows = _array_layout(block.shape, level)
+    chunk of ARRAY_CHUNK numbers at a time; record as in _array_layout."""
+    prefix, pieces, runs, rows = _array_layout(block.shape, level, record)
     general = len(block.shape) + 1
     flat = block.reshape(-1)
     for start in range(0, flat.size, ARRAY_CHUNK):
         values = flat[start:start + ARRAY_CHUNK]
+        if not np.isfinite(values).all():  # raises, naming the first one
+            format_float(float(values[~np.isfinite(values)][0]))
         if start:
             rows = _separator_rows(runs, start, start + values.size)
         # format_float's rule: "%.1f" for integral values below the limit
@@ -98,8 +134,6 @@ def _emit_array(block: np.ndarray, write: Callable[[str], object],
                     & (np.abs(values) < _INTEGRAL_LIMIT))
         template = "".join(pieces[rows + general * ~integral].tolist())
         text = template % tuple(values.tolist())
-        if "n" in text:  # "nan" or "inf": no separator or number holds an n
-            format_float(float(values[~np.isfinite(values)][0]))
         write(prefix + text if not start else text)
 
 
@@ -121,6 +155,8 @@ def _emit(obj, write: Callable[[str], object], level: int):
             _emit_array(obj.astype(np.float64, copy=False), write, level)
         else:
             _emit(list(obj), write, level)
+    elif isinstance(obj, RecordList):
+        _emit_records(obj, write, level)
     elif isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -155,6 +191,20 @@ def _emit(obj, write: Callable[[str], object], level: int):
         except (TypeError, ValueError) as err:
             raise TypeError(f"cannot serialize {type(obj).__name__}") from err
         write(text)
+
+
+def _emit_records(records: RecordList, write: Callable[[str], object],
+                  level: int):
+    """A RecordList in one _emit_array pass, each row wrapped in the text
+    its object holds around it; a list with no numbers, object by object."""
+    if not records.block.size:
+        _emit([records[i] for i in range(len(records))], write, level)
+        return
+    pieces: list = []
+    _emit(dict(records.shared, **{records.key: 0}), pieces.append, level + 1)
+    # the dict branch writes the int 0 as one piece and its close as the last
+    _emit_array(records.block, write, level,
+                ("".join(pieces[:-2]), pieces[-1]))
 
 
 def dumps_json(obj) -> str:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -361,6 +361,40 @@ def frozen_table(reference, batch, levels):
                      for n in levels]).reshape(len(levels), len(batch))
 
 
+#: the edge values the derandomized draws may miss, whatever literals the
+#: loaded modules hold: +NaN, -NaN, both infinities and -0.0
+NAN, NEG_NAN, INF = math.nan, math.copysign(math.nan, -1.0), math.inf
+
+
+def real_batch(rows, dim=1):
+    """A real batch of fiber dimension dim from nested lists of rows."""
+    return SequenceBatch(BanachFiber(dim), np.array(rows, dtype=np.float64))
+
+
+#: a one-row and a two-row batch of the edge values, real and complex
+EDGE_ROW = real_batch([[[NAN], [NEG_NAN], [INF], [-INF], [-0.0]]])
+EDGE_ROWS = real_batch([[[-0.0, NEG_NAN], [INF, 1.0], [NAN, -INF]],
+                        [[NEG_NAN, -0.0], [-INF, NAN], [0.5, INF]]], dim=2)
+EDGE_COMPLEX = SequenceBatch(
+    BanachFiber(1, scalar_field="complex"),
+    np.array([[[complex(-0.0, NEG_NAN)], [complex(INF, -0.0)]],
+              [[complex(NAN, -INF)], [complex(-INF, NAN)]]]))
+
+
+class Drawn:
+    """st.data() in an explicit @example: draw returns the given values in
+    order, whatever strategy it is asked for."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+    def __repr__(self):
+        return f"Drawn{tuple(self.values)!r}"
+
+
 def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -368,6 +402,9 @@ def same_bits(got, want):
 
 @settings(PROPERTY, max_examples=150)
 @given(data=st.data(), batch=batches())
+@example(data=Drawn([0, 3, 1]), batch=EDGE_ROW)
+@example(data=Drawn([2, 0]), batch=EDGE_ROWS)
+@example(data=Drawn([1, 0]), batch=EDGE_COMPLEX)
 def test_batched_seminorms_match_scalar_bitwise(data, batch):
     levels = data.draw(level_lists(batch.truncation_degree))
     with np.errstate(all="ignore"):
@@ -412,6 +449,17 @@ def test_product_seminorms_match_scalar_bitwise(data, count, K, kinds):
 @settings(PROPERTY, max_examples=80)
 @given(data=st.data(), count=st.integers(1, 6), K=st.integers(0, 12),
        dim=st.sampled_from((1, 2, 3)))
+@example(data=Drawn(EDGE_ROW, real_batch([[[0.0], [-0.0], [NAN], [-1.0],
+                                           [INF]]]), 1),
+         count=1, K=4, dim=1)
+@example(data=Drawn(real_batch([[[0.0]], [[-0.0]]]),
+                    real_batch([[[NEG_NAN]], [[INF]]]), 0),
+         count=2, K=0, dim=1)
+@example(data=Drawn(EDGE_ROWS, real_batch([[[0.0, 1.0], [-0.0, INF],
+                                            [NEG_NAN, 0.0]],
+                                           [[INF, 0.0], [NAN, -0.0],
+                                            [-1.0, -INF]]], dim=2), 2),
+         count=2, K=2, dim=2)
 def test_inner_products_match_frozen_bitwise(data, count, K, dim):
     fiber = BanachFiber(dim)
     f = data.draw(batches(fiber, count, K))
@@ -435,6 +483,9 @@ def test_one_row_inner_product_keeps_the_frozen_nan():
 
 @settings(PROPERTY, max_examples=60)
 @given(data=st.data(), batch=batches(), n_max=st.integers(0, 8))
+@example(data=Drawn([3, 0, 3]), batch=EDGE_ROW, n_max=4)
+@example(data=Drawn([1]), batch=EDGE_ROWS, n_max=2)
+@example(data=Drawn([0, 2]), batch=EDGE_COMPLEX, n_max=3)
 def test_seminorm_tables_match_frozen_bitwise(data, batch, n_max):
     n_max = min(n_max, 256 // max(batch.truncation_degree, 1))
     levels = data.draw(st.lists(st.integers(0, n_max), max_size=8))

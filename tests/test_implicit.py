@@ -171,9 +171,9 @@ def test_newton_returns_at_once_on_an_empty_block():
 
     def residual(lanes, Z):
         calls.append(Z.shape)
-        return Z - 1.0
+        return Z - 1.0, Z.copy()
 
-    out = damped_newton(residual, lambda lanes, Z, R: (R, None),
+    out = damped_newton(residual, lambda lanes, Q, R: (R, None),
                         np.zeros((0, 3)), 1e-12, 50, "empty")
     assert calls == [(0, 3)]
     assert len(out.trail) == len(out.norms) == 1
@@ -187,11 +187,12 @@ def test_newton_names_open_lanes_by_one_index():
 
     def residual(lanes, Z):
         seen.append(lanes if lanes is ... else tuple(lanes))
-        return Z * Z - np.array([[1.0], [4.0], [9.0]])[lanes]
+        return Z * Z - np.array([[1.0], [4.0], [9.0]])[lanes], Z.copy()
 
-    def linear_step(lanes, Z, R):
+    def linear_step(lanes, Q, R):
+        # Q: the point rows the residual returned, copies of the iterates
         seen.append(lanes if lanes is ... else tuple(lanes))
-        return R / (2.0 * Z), None
+        return R / (2.0 * Q), None
 
     out = damped_newton(residual, linear_step, np.array([[1.0], [1.5], [4.0]]),
                         1e-12, 50, "roots")

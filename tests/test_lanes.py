@@ -821,6 +821,41 @@ def newton_work(monkeypatch, build):
     return build(), lanes, sum(rounds)
 
 
+def test_newton_steps_form_no_flat_points(monkeypatch):
+    """A PointSplit forms flat points K x + C y only in its residual: the
+    phi-block of each Newton step reads the points the residual returned.
+    On a sphere:0 chart the flat blocks formed while damped_newton runs are
+    one per residual call; the solves' results form theirs after it."""
+    counts = Counter()
+    lane_flats, newton = PointSplit.lane_flats, implicit.damped_newton
+
+    def counted_flats(self, X):
+        flats = lane_flats(self, X)
+
+        def formed(lanes, Y):
+            counts["formed"] += 1
+            return flats(lanes, Y)
+
+        return formed
+
+    def counted(residual, *args, **kwargs):
+        def counted_residual(lanes, Z):
+            counts["residuals"] += 1
+            return residual(lanes, Z)
+
+        before = counts["formed"]
+        out = newton(counted_residual, *args, **kwargs)
+        counts["in newton"] += counts["formed"] - before
+        return out
+
+    monkeypatch.setattr(PointSplit, "lane_flats", counted_flats)
+    monkeypatch.setattr(implicit, "damped_newton", counted)
+    space = _space(32)
+    build_chart(sphere_constraint(space, 0), space.basis(0), seed=1)
+    assert counts["residuals"] > 0
+    assert counts["in newton"] == counts["residuals"]
+
+
 def test_sphere_chart_radius_takes_two_newton_calls(monkeypatch):
     """Every bisection midpoint of a sphere:0 chart fails, so its radius
     search solves radius 1's first direction alone, then one block of the

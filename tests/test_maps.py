@@ -253,6 +253,42 @@ def test_certify_tame_reads_emptiness_from_the_batch():
             certify_tame(identity, empty, 0)
 
 
+def _outside_the_domain():
+    """(map, probes, what the error names): probes of another kind, fiber
+    or truncation than the map's domain."""
+    product = ProductSpace((SMALL, SMALL))
+    return [
+        (build_map("projection:1", SMALL), make_probes(SMALL, 3, seed=5),
+         "a SequenceBatch is not an element of a product space"),
+        (build_map("identity", SMALL),
+         make_product_probes(product.factors, 3, seed=5),
+         "a ProductBatch is not an element of a sequence space"),
+        (build_map("identity", SMALL), PROBES,
+         "sequence does not belong to this space"),
+        (build_map("projection:2", SMALL),
+         make_product_probes((SMALL, SPACE), 3, seed=5),
+         "sequence does not belong to this space"),
+    ]
+
+
+@pytest.mark.parametrize("entry", ["certify_tame",
+                                   "validate_certificate_on_probes"])
+def test_probes_outside_the_domain_raise_naming_it(entry):
+    """The domain check comes before the map sees a probe, which for a
+    projection given sequences used to end in an AttributeError."""
+    cert = TamenessCertificate(r=0, b=0, C={n: 1.0 for n in range(3)},
+                               provenance="analytic")
+    for desc, probes, names in _outside_the_domain():
+        call = {"certify_tame": lambda: certify_tame(desc, probes, 0),
+                "validate_certificate_on_probes":
+                    lambda: validate_certificate_on_probes(desc, cert,
+                                                           probes)}[entry]
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == \
+            f"{desc.name}: probes outside the domain: {names}"
+
+
 def test_degree_split_is_half_the_largest_factor_truncation():
     short = make_probes(SequenceSpace(R1, truncation_degree=4, n_max=2), 6,
                         seed=1)

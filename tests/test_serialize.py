@@ -1,6 +1,7 @@
 """The JSON emitter: a numpy float block gives the bytes of its nested lists
-of floats, number for number as format_float writes them, and write_json
-streams into the temporary file it renames."""
+of floats, number for number as format_float writes them, a RecordList the
+bytes of its list of objects, and write_json streams into the temporary
+file it renames."""
 
 import math
 import os
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tamef.graded import BanachFiber, SequenceBatch
-from tamef.serialize import (ARRAY_CHUNK, dumps_csv, dumps_json, format_float,
-                             write_json)
+from tamef.serialize import (ARRAY_CHUNK, RecordList, dumps_csv, dumps_json,
+                             format_float, write_json)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -92,11 +93,20 @@ def test_non_finite_numbers_raise_format_floats_error(bad, at):
     with pytest.raises(ValueError) as scalar:
         format_float(bad)
     block = np.ones(2 * ARRAY_CHUNK)
+    # shared text holding an n and a %, which the template must escape; the
+    # records view block, so they hold the non-finite numbers set below
+    records = RecordList({"name": "n%s %d"}, "row", block.reshape(-1, 2))
+    assert dumps_json(records) == dumps_json(
+        [dict(records[i], row=records[i]["row"].tolist())
+         for i in range(len(records))])
     block[at] = bad
     block[at + 1:] = math.nan  # the first non-finite number is named
     with pytest.raises(ValueError) as array:
         dumps_json({"a": block.reshape(-1, 2)})
     assert str(array.value) == str(scalar.value)
+    with pytest.raises(ValueError) as rows:
+        dumps_json({"a": records})
+    assert str(rows.value) == str(scalar.value)
 
 
 def _complex_batch():
@@ -104,6 +114,22 @@ def _complex_batch():
     block = np.array([[-0.0 + 1j, 2.5 - 1e-300j], [1e300 + 5e-324j,
                                                    (1 / 3) - (1e16 - 2) * 1j]])
     return SequenceBatch(fiber, block[None])
+
+
+def _batch(field, dim, count, K):
+    """count rows of K+1 coefficients in a fiber of dimension dim, with
+    format_float's special values in the first ones."""
+    shape = (count, K + 1, dim)
+    rng = np.random.default_rng([count, K, dim])
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(
+        -5, 20, (2,) + shape)
+    flat = parts.reshape(-1)
+    flat[::5] = np.round(flat[::5])
+    flat[:len(SPECIALS)] = SPECIALS[:flat.size]
+    if field == "real":
+        return SequenceBatch(BanachFiber(dim), parts[0])
+    return SequenceBatch(BanachFiber(dim, scalar_field="complex"),
+                         parts[0] + 1j * parts[1])
 
 
 def test_complex_blocks_keep_the_real_imaginary_pair_layout():
@@ -114,12 +140,33 @@ def test_complex_blocks_keep_the_real_imaginary_pair_layout():
              for row in f.coefficients[0]]
     assert dumps_json(payload) == dumps_json(dict(payload,
                                                   coefficients=pairs))
+    # a batch's rows as one RecordList: the bytes of the list of the rows'
+    # to_json, real and complex, with rows that straddle ARRAY_CHUNK (17 d
+    # or 34 d numbers each, and 201 d or 402 d, longer than a chunk)
+    for field in ("real", "complex"):
+        for dim in (1, 3):
+            for count in (0, 1, 33):
+                for K in (16, 200):
+                    f = _batch(field, dim, count, K)
+                    records = f.rows_json()
+                    assert len(records) == count
+                    want = [dict(row.to_json(), coefficients=row.to_json()[
+                        "coefficients"].tolist()) for row in f]
+                    for level in range(4):
+                        nest = ["list", "dict", "list"][:level]
+                        assert dumps_json(wrap(records, nest)) == \
+                            dumps_json(wrap(want, nest)), \
+                            (field, dim, count, K, level)
 
 
 def test_write_json_streams_a_large_block(tmp_path):
-    # a whole-text join would hold the file's size in memory at once
+    # a whole-text join would hold the file's size in memory at once; so
+    # would one of a 1 024-object RecordList
+    rng = np.random.default_rng(5)
     obj = {"meta": {"seed": 5},
-           "block": np.random.default_rng(5).standard_normal((1024, 256))}
+           "block": rng.standard_normal((1024, 256)),
+           "rows": RecordList({"fiber": {"dim": 1}}, "coefficients",
+                              rng.standard_normal((1024, 256, 1)))}
     path = str(tmp_path / "big.json")
     tracemalloc.start()
     try:
