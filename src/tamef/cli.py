@@ -55,6 +55,13 @@ MAX_OVERLAP_PROBES = 1024
 #: SVD, and atlas.json holds D - m kernel vectors of D numbers per chart
 MAX_SPLIT_DIMENSION = 1024
 _SPLIT_COMMANDS = ("solve", "atlas")
+#: numpy's ufunc buffer, in elements, while a command runs. numpy copies a
+#: broadcast operand through this buffer when its inner dimension is below
+#: about a third of it, so at the default 8192 every table of fewer than
+#: about 2730 probes goes through buffered copies; 1024 moves that line to
+#: about 340. Below 1024, products with short inner rows slow down again.
+#: The buffer only stages operands, so no output byte depends on it.
+UFUNC_BUFSIZE = 1024
 
 
 class ConfigError(ValueError):
@@ -476,7 +483,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         # overflow and NaN end as witnesses or errors in the outputs, so
         # numpy's floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
-            return _DISPATCH[cfg.command](cfg)
+            # restored by hand: before numpy 2.0 errstate keeps no bufsize
+            bufsize = np.setbufsize(UFUNC_BUFSIZE)
+            try:
+                return _DISPATCH[cfg.command](cfg)
+            finally:
+                np.setbufsize(bufsize)
     except ConfigError as err:
         print(f"tamef: {err}", file=sys.stderr)
         return EXIT_USAGE

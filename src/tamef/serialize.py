@@ -69,26 +69,34 @@ class RecordList:
         return dict(self.shared, **{self.key: self.block[i]})
 
 
-def _separator_rows(runs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Per number start..stop-1 of a block, in C order, how many of its
-    innermost indices are at their last value: the count of the block's
-    run lengths (sizes of its trailing sub-blocks) that divide its 1-based
-    position."""
-    ends = np.arange(start + 1, stop + 1)[:, None]
-    return np.count_nonzero(ends % runs == 0, axis=1)
+@lru_cache(maxsize=256)
+def _separator_rows(runs: Tuple[int, ...], phase: int, count: int,
+                    last: bool) -> np.ndarray:
+    """Per number of a chunk of count numbers of a block, in C order, how
+    many of its innermost indices are at their last value: the count of the
+    block's run lengths (sizes of its trailing sub-blocks) that divide its
+    1-based position.  Every run but the whole block divides one outermost
+    item, so the rows depend only on the chunk's start modulo that item,
+    phase, and on whether the chunk holds the block's last number."""
+    ends = np.arange(phase + 1, phase + count + 1)[:, None]
+    rows = np.count_nonzero(ends % np.array(runs[:-1], dtype=np.intp) == 0,
+                            axis=1)
+    rows[-1] += last
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=64)
 def _array_layout(shape: Tuple[int, ...], level: int,
                   record: Optional[Tuple[str, str]] = None
-                  ) -> Tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> Tuple[str, np.ndarray, Tuple[int, ...]]:
     """The fixed text of a float block of this shape at this nesting level.
 
-    Returns the text before the first number, a table of pieces, the run
-    lengths of the block and the separator rows of its first chunk.  A
-    number with separator row t is followed by separator t: piece t
-    formats it with format_float's "%.1f" and piece t + ndim + 1 with its
-    "%.17g", each followed by that separator.  record, when given, is the
+    Returns the text before the first number, a table of pieces and the
+    run lengths of the block, innermost first.  A number with separator
+    row t is followed by separator t: piece t formats it with
+    format_float's "%.1f" and piece t + ndim + 1 with its "%.17g", each
+    followed by that separator.  record, when given, is the
     text before and after the row of one object of a RecordList: each item
     of the outermost axis is wrapped in it and nests one level deeper."""
     nd = len(shape)
@@ -110,25 +118,24 @@ def _array_layout(shape: Tuple[int, ...], level: int,
     pieces = np.array([code + sep.replace("%", "%%")
                        for code in ("%.1f", "%.17g") for sep in seps],
                       dtype=object)
-    runs = np.cumprod(shape[::-1])
-    first = _separator_rows(runs, 0, min(int(runs[-1]), ARRAY_CHUNK))
-    first.flags.writeable = False
-    return "".join(opens), pieces, runs, first
+    runs = tuple(int(run) for run in np.cumprod(shape[::-1]))
+    return "".join(opens), pieces, runs
 
 
 def _emit_array(block: np.ndarray, write: Callable[[str], object],
                 level: int, record: Optional[Tuple[str, str]] = None):
     """A float block, in the bytes of its nested lists of floats, written a
     chunk of ARRAY_CHUNK numbers at a time; record as in _array_layout."""
-    prefix, pieces, runs, rows = _array_layout(block.shape, level, record)
+    prefix, pieces, runs = _array_layout(block.shape, level, record)
     general = len(block.shape) + 1
     flat = block.reshape(-1)
+    item = flat.size // len(block)
     for start in range(0, flat.size, ARRAY_CHUNK):
         values = flat[start:start + ARRAY_CHUNK]
         if not np.isfinite(values).all():  # raises, naming the first one
             format_float(float(values[~np.isfinite(values)][0]))
-        if start:
-            rows = _separator_rows(runs, start, start + values.size)
+        rows = _separator_rows(runs, start % item, values.size,
+                               start + values.size == flat.size)
         # format_float's rule: "%.1f" for integral values below the limit
         integral = ((np.floor(values) == values)
                     & (np.abs(values) < _INTEGRAL_LIMIT))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import tamef
@@ -762,6 +763,40 @@ def test_run_restores_collector_state(tmp_path):
         assert run_cli(["frobulate"]) == 64 and not gc.isenabled()
     finally:
         gc.enable()
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("x_offsets, code", [([0.5], 0), ([0.1] * 10, 64),
+                                             (None, _Raised)])
+def test_run_restores_numpy_state(tmp_path, monkeypatch, x_offsets, code):
+    """A command runs under cli.UFUNC_BUFSIZE; after run returns or raises,
+    numpy's buffer size and error state are what they were before."""
+    seen = []
+
+    def solve(cfg):
+        seen.append(np.getbufsize())
+        if x_offsets is None:
+            raise _Raised
+        return cli.cmd_solve(cfg)
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", solve)
+    config = {"constraint": "sphere:0", "k": 4, "nmax": 2,
+              "x_offsets": x_offsets or [], "out": str(tmp_path / "run")}
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["solve", "--config", str(cfg_path)]
+    assert cli.UFUNC_BUFSIZE != np.getbufsize()
+    before = np.getbufsize(), np.geterr()
+    if code is _Raised:
+        with pytest.raises(_Raised):
+            run_cli(argv)
+    else:
+        assert run_cli(argv) == code
+    assert seen == [cli.UFUNC_BUFSIZE]
+    assert (np.getbufsize(), np.geterr()) == before
 
 
 # ---------------------------------------------------------------------------

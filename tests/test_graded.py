@@ -36,7 +36,7 @@ from tamef.graded import (
     within_upper,
 )
 from tamef.maps import build_map, map_seminorm_tables
-from tamef.probes import make_probes, make_product_probes
+from tamef.probes import make_probes, make_product_probes, spawn_seeds
 from tamef.serialize import dumps_json
 
 R1 = BanachFiber(1)
@@ -329,6 +329,45 @@ def test_analytic_certificate_validates_on_fresh_probes():
         cert, *graded(space, "l1", "linf"), fresh) == []
 
 
+HELD_OUT_BELOW_SUPREMUM = pytest.mark.xfail(
+    strict=True, reason="FOUND: line in CHANGES.md on held-out grading "
+    "certificates: the largest ratio on 64 probes lies below the supremum, "
+    "and held-out probes exceed the certified constants")
+
+
+def grading_directions():
+    """Every ordered pair of distinct gradings, as (num, den) params; the
+    five whose certificate held-out probes break are strict xfails."""
+    broken = {("l1", "linf"), ("l1", "disk"), ("disk", "linf"),
+              ("decreasing", "linf"), ("decreasing", "disk")}
+    for num in GRADINGS:
+        for den in GRADINGS:
+            if num != den:
+                yield pytest.param(num, den, marks=HELD_OUT_BELOW_SUPREMUM) \
+                    if (num, den) in broken else (num, den)
+
+
+@pytest.mark.parametrize("num_kind, den_kind", grading_directions())
+def test_grading_certificate_holds_on_held_out_probes(num_kind, den_kind):
+    """Certified at the CLI defaults (K 32, nmax 6, 64 probes, r_max 2) on
+    one spawn_seeds child of seed 1, the certificate of |f|_num,n <= C(n)
+    |f|_den,n+r holds on 2000 probes drawn from the other child.  No shift
+    bounds a grading by decreasing, whose seminorms shrink with the level,
+    so those directions must stay uncertified."""
+    cfg = cli.RunConfig(command="certify-gradings")
+    space = cfg.space()
+    num, den = graded(space, num_kind, den_kind)
+    train, held = spawn_seeds(1, 2)
+    outcome = certify_grading_equivalence(
+        num, den, make_probes(space, cfg.probes, train), cfg.r_max)
+    if den_kind == "decreasing":
+        assert outcome.forward is None
+        return
+    assert outcome.forward is not None, outcome.failure
+    assert validate_equivalence_certificate(
+        outcome.forward, num, den, make_probes(space, 2000, held)) == []
+
+
 def test_certificate_violations_match_scalar_recheck():
     space = SequenceSpace(BanachFiber(2), truncation_degree=16, n_max=5)
     probes = make_probes(space, 60, seed=17)
@@ -557,6 +596,71 @@ def test_equivalence_tables_do_not_depend_on_the_slices(monkeypatch, kinds,
         r=0, b=0, C={n: 0.5 for n in range(5)}, provenance="analytic")
     assert validate_equivalence_certificate(cert, g1, g2, probes) == \
         tamef_graded.certificate_violations(cert, want[1], want[2])
+
+
+def at_bufsize(size, compute):
+    """compute() with numpy's ufunc buffer at size elements."""
+    old = np.setbufsize(size)
+    try:
+        return compute()
+    finally:
+        np.setbufsize(old)
+
+
+def with_special_rows(batch):
+    """batch with 20 rows, spread over it, holding NaN of either sign, +inf,
+    -inf or -0.0 coefficients; with 20 rows a block's lanes see each kind
+    at several offsets."""
+    block = batch.coefficients.copy()
+    specials = (np.nan, -np.nan, np.inf, -np.inf, -0.0)
+    rows = np.linspace(0, len(block) - 1, 20).astype(int)
+    for j, row in enumerate(rows):
+        value = specials[j % len(specials)]
+        if value == 0.0:
+            block[row] = value
+        else:
+            block[row, j % block.shape[1], j % block.shape[2]] = value
+    return SequenceBatch(batch.fiber, block)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("count", [64, 1000, 2700, 3000])
+def test_tables_do_not_depend_on_the_ufunc_buffer(field, d, count):
+    """The CLI runs under cli.UFUNC_BUFSIZE, library callers under numpy's
+    default 8192.  The buffer only stages operands, so every table holds
+    the same bytes under both, on either side of the buffered-copy line
+    (about a third of the buffer) and with non-finite and -0.0 rows."""
+    space = SequenceSpace(BanachFiber(d, field), truncation_degree=8,
+                          n_max=2)
+    block = with_special_rows(make_probes(space, count, seed=3)).coefficients
+    for kind in GRADINGS:
+        g = replace(space, grading_kind=kind)
+        # a new batch each time: a batch keeps the fiber norms it computed
+        tables = [at_bufsize(size, lambda: seminorm_table(
+            g, SequenceBatch(space.fiber, block)))
+            for size in (8192, cli.UFUNC_BUFSIZE)]
+        assert tables[0].tobytes() == tables[1].tobytes(), kind
+
+
+@pytest.mark.parametrize("name", ["product:derivative,coeff_square",
+                                  "projection:1"])
+def test_map_tables_do_not_depend_on_the_ufunc_buffer(name):
+    """map_seminorm_tables at the maps benchmark's 1000 probes holds the
+    same bytes under numpy's default buffer and cli.UFUNC_BUFSIZE."""
+    space = SequenceSpace(BanachFiber(1), truncation_degree=32, n_max=6)
+    desc = build_map(name, space)
+
+    def compute():
+        if isinstance(desc.domain, ProductSpace):
+            probes = make_product_probes(desc.domain.factors, 1000, seed=3)
+        else:
+            probes = with_special_rows(make_probes(space, 1000, seed=3))
+        return map_seminorm_tables(desc, probes)
+
+    tables = [at_bufsize(size, compute) for size in (8192, cli.UFUNC_BUFSIZE)]
+    for ours, theirs in zip(*tables):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,12 @@ def test_array_block_gives_the_bytes_of_its_nested_lists(block, wrapping):
 @pytest.mark.parametrize("shape", [
     (1,), (len(SPECIALS),), (1, 1), (4, 1), (1, 4), (2, 3, 1),
     (ARRAY_CHUNK - 1,), (ARRAY_CHUNK,), (ARRAY_CHUNK + 1,),
-    (3, ARRAY_CHUNK // 2 + 7), (ARRAY_CHUNK // 3, 2, 3), (2 * ARRAY_CHUNK, 1)])
+    (3, ARRAY_CHUNK // 2 + 7), (ARRAY_CHUNK // 3, 2, 3), (2 * ARRAY_CHUNK, 1),
+    (9, 3, 67), (8, 3, ARRAY_CHUNK // 4)])
 def test_blocks_across_chunk_boundaries(shape):
+    """Outermost items of 201 numbers start each chunk at a new offset into
+    an item; items of 3/4 ARRAY_CHUNK repeat the offsets 0, 1/4 and 1/2
+    ARRAY_CHUNK, and the last chunk starts at 1/2 ARRAY_CHUNK too."""
     size = math.prod(shape)
     rng = np.random.default_rng(size)
     flat = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 20, size)
